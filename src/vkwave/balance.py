@@ -16,6 +16,19 @@ straight front are clipped into one-sided convex polygons, triangulated,
 and integrated with a collapsed-square map, so the integrand is smooth on
 every quadrature domain.  Curved fronts fall back to recursive cell
 subdivision with per-node side resolution at the finest level.
+
+Each integral runs in three steps:
+
+1. plan: the cell, clip, triangle, subdivision and edge-chunk geometry
+   emits quadrature pieces (points, weights and a side: ahead, behind,
+   none, or resolved per point by the front sign);
+2. evaluate: the jets and the law's density and flux are computed once
+   per side over all pieces, in batches of at most _BATCH_POINTS points;
+3. reduce: each piece gets its own dot product, and the piece sums are
+   added in the nesting the geometry produced (cell, polygon, triangle or
+   subdivision quadrant; edge, chunk).  A flat sum would be as accurate,
+   but it changes the low bits of every integral, and through the
+   difference of two integrals even the printed quadrature error.
 """
 
 from __future__ import annotations
@@ -101,31 +114,16 @@ def _interval_nodes(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndar
     return mid + half * g, half * w
 
 
-def _law_values(field, entry, pts3, side):
-    """Density and flux components of one law at a batch of points."""
-    jet = field.jet(pts3) if side is None else field.jet(pts3, side)
-    df = density_flux(entry, jet, field.params)
-    dens = np.asarray(df.density, dtype=np.float64)
-    shape = pts3.shape[:-1]
-    return (
-        np.broadcast_to(dens, shape),
-        np.broadcast_to(np.asarray(df.flux.x1, dtype=np.float64), shape),
-        np.broadcast_to(np.asarray(df.flux.x2, dtype=np.float64), shape),
-    )
+#: Points per jet call.  A jet takes 560 bytes a point, and a curved front
+#: subdivided to depth 6 plans about 9e4 points per integral: one call per
+#: side would hold some 50 MB of jets at once.
+_BATCH_POINTS = 2048
 
-
-def _density_resolved(field, entry, pts3):
-    """Density at points whose side is decided by the front sign (ties go ahead)."""
-    front = getattr(field, "front", None)
-    if front is None:
-        return _law_values(field, entry, pts3, None)[0]
-    g = np.asarray(front.value(pts3), dtype=np.float64)
-    out = np.empty(pts3.shape[0], dtype=np.float64)
-    ahead = g >= 0.0
-    for mask, side in ((ahead, Side.AHEAD), (~ahead, Side.BEHIND)):
-        if mask.any():
-            out[mask] = _law_values(field, entry, pts3[mask], side)[0]
-    return out
+#: Side of a quadrature piece: _NONE on a field without a front, and a
+#: _RESOLVE piece takes each point's side from the front sign, ties going
+#: ahead.
+_NONE, _AHEAD, _BEHIND, _RESOLVE = range(4)
+_JET_SIDE = {_NONE: Side.AUTO, _AHEAD: Side.AHEAD, _BEHIND: Side.BEHIND}
 
 
 def _points3(x1, x2, t):
@@ -136,16 +134,68 @@ def _points3(x1, x2, t):
     return pts
 
 
-def _rect_density(field, entry, xa, xb, ya, yb, t, order, side) -> float:
+class _Plan:
+    """Quadrature pieces at one time: points, weights and a side each."""
+
+    def __init__(self, t: float):
+        self.t = t
+        self.x1: list[np.ndarray] = []
+        self.x2: list[np.ndarray] = []
+        self.weights: list[np.ndarray] = []
+        self.sides: list[int] = []
+
+    def piece(self, x1, x2, weights, side) -> int:
+        self.x1.append(np.ravel(x1))
+        self.x2.append(np.ravel(x2))
+        self.weights.append(weights)
+        self.sides.append(side)
+        return len(self.sides) - 1
+
+
+def _piece_sums(field, entry, plan: _Plan, normals=None) -> list[float]:
+    """Weighted sum of the law's density over each piece, or of P . n with
+    one normal per piece.  Jets are evaluated once per side, in batches of
+    at most _BATCH_POINTS points."""
+    counts = [w.size for w in plan.weights]
+    x1, x2 = np.concatenate(plan.x1), np.concatenate(plan.x2)
+    sides = np.repeat(np.array(plan.sides, dtype=np.int8), counts)
+    resolve = np.flatnonzero(sides == _RESOLVE)
+    if resolve.size:
+        g = field.front.value(_points3(x1[resolve], x2[resolve], plan.t))
+        sides[resolve] = np.where(g >= 0.0, _AHEAD, _BEHIND)
+    if normals is not None:
+        normals = np.repeat(np.asarray(normals, dtype=np.float64), counts, axis=0)
+    vals = np.empty(x1.size)
+    for side, jet_side in _JET_SIDE.items():
+        where = np.flatnonzero(sides == side)
+        for start in range(0, where.size, _BATCH_POINTS):
+            batch = where[start : start + _BATCH_POINTS]
+            pts = _points3(x1[batch], x2[batch], plan.t)
+            df = density_flux(entry, field.jet(pts, jet_side), field.params)
+            if normals is None:
+                vals[batch] = df.density
+            else:
+                n = normals[batch]
+                vals[batch] = df.flux.x1 * n[:, 0] + df.flux.x2 * n[:, 1]
+    pieces = np.split(vals, np.cumsum(counts)[:-1])
+    return [float(np.dot(w, v)) for w, v in zip(plan.weights, pieces)]
+
+
+def _nested_sum(node, sums) -> float:
+    """Sum a piece index, or a list of nodes in order starting from 0.0."""
+    if isinstance(node, int):
+        return sums[node]
+    total = 0.0
+    for child in node:
+        total += _nested_sum(child, sums)
+    return total
+
+
+def _plan_rect(plan, xa, xb, ya, yb, order, side) -> int:
     xs, wx = _interval_nodes(xa, xb, order)
     ys, wy = _interval_nodes(ya, yb, order)
     x_grid, y_grid = np.meshgrid(xs, ys, indexing="ij")
-    pts = _points3(x_grid, y_grid, t)
-    if side is None and getattr(field, "front", None) is not None:
-        vals = _density_resolved(field, entry, pts)
-    else:
-        vals = _law_values(field, entry, pts, side)[0]
-    return float(np.dot(np.outer(wx, wy).ravel(), vals))
+    return plan.piece(x_grid, y_grid, np.outer(wx, wy).ravel(), side)
 
 
 def _dedupe_polygon(poly, tol):
@@ -176,10 +226,10 @@ def _clip_halfplane(poly, a, b, c0, keep_nonnegative):
     return out
 
 
-def _triangle_density(field, entry, va, vb, vc, t, order, side) -> float:
+def _plan_triangle(plan, va, vb, vc, order, side):
     two_area = (vb[0] - va[0]) * (vc[1] - va[1]) - (vb[1] - va[1]) * (vc[0] - va[0])
     if abs(two_area) < 1e-300:
-        return 0.0
+        return []
     g, w = _leggauss(order)
     xi = 0.5 * (g + 1.0)
     wxi = 0.5 * w
@@ -188,82 +238,80 @@ def _triangle_density(field, entry, va, vb, vc, t, order, side) -> float:
     px = va[0] + xi_g * (vb[0] - va[0]) + xi_g * eta_g * (vc[0] - vb[0])
     py = va[1] + xi_g * (vb[1] - va[1]) + xi_g * eta_g * (vc[1] - vb[1])
     wts = np.outer(wxi, wxi) * xi_g * abs(two_area)
-    pts = _points3(px, py, t)
-    vals = _law_values(field, entry, pts, side)[0]
-    return float(np.dot(wts.ravel(), vals))
+    return plan.piece(px, py, wts.ravel(), side)
 
 
-def _polygon_density(field, entry, poly, t, order, side, diag) -> float:
+def _plan_polygon(plan, poly, order, side, diag) -> list:
     poly = _dedupe_polygon(poly, 1e-14 * diag)
-    if len(poly) < 3:
-        return 0.0
-    total = 0.0
-    for i in range(1, len(poly) - 1):
-        total += _triangle_density(field, entry, poly[0], poly[i], poly[i + 1], t, order, side)
-    return total
+    return [
+        _plan_triangle(plan, poly[0], poly[i], poly[i + 1], order, side)
+        for i in range(1, len(poly) - 1)
+    ]
 
 
-def _cell_density(field, entry, xa, xb, ya, yb, t, order, depth) -> float:
-    front = getattr(field, "front", None)
+def _plan_cell(plan, front, xa, xb, ya, yb, order, depth):
+    """Pieces of one cell: the whole cell on one side, its clipped polygons
+    for a straight front, or its quadrants for a curved one."""
     if front is None:
-        return _rect_density(field, entry, xa, xb, ya, yb, t, order, None)
+        return _plan_rect(plan, xa, xb, ya, yb, order, _NONE)
 
     corners = ((xa, ya), (xb, ya), (xb, yb), (xa, yb))
     if front.is_straight:
-        a, b, c0 = front.spatial_line(t)
+        a, b, c0 = front.spatial_line(plan.t)
         vals = [a * x + b * y + c0 for x, y in corners]
         if min(vals) >= 0.0:
-            return _rect_density(field, entry, xa, xb, ya, yb, t, order, Side.AHEAD)
+            return _plan_rect(plan, xa, xb, ya, yb, order, _AHEAD)
         if max(vals) <= 0.0:
-            return _rect_density(field, entry, xa, xb, ya, yb, t, order, Side.BEHIND)
+            return _plan_rect(plan, xa, xb, ya, yb, order, _BEHIND)
         diag = math.hypot(xb - xa, yb - ya)
-        total = 0.0
-        for keep, side in ((True, Side.AHEAD), (False, Side.BEHIND)):
-            piece = _clip_halfplane(list(corners), a, b, c0, keep)
-            total += _polygon_density(field, entry, piece, t, order, side, diag)
-        return total
+        return [
+            _plan_polygon(plan, _clip_halfplane(list(corners), a, b, c0, keep), order, side, diag)
+            for keep, side in ((True, _AHEAD), (False, _BEHIND))
+        ]
 
     xm, ym = 0.5 * (xa + xb), 0.5 * (ya + yb)
     samples = _points3(
         [xa, xm, xb, xa, xm, xb, xa, xm, xb],
         [ya, ya, ya, ym, ym, ym, yb, yb, yb],
-        t,
+        plan.t,
     )
     g = np.asarray(front.value(samples), dtype=np.float64)
     if np.all(g > 0.0):
-        return _rect_density(field, entry, xa, xb, ya, yb, t, order, Side.AHEAD)
+        return _plan_rect(plan, xa, xb, ya, yb, order, _AHEAD)
     if np.all(g < 0.0):
-        return _rect_density(field, entry, xa, xb, ya, yb, t, order, Side.BEHIND)
+        return _plan_rect(plan, xa, xb, ya, yb, order, _BEHIND)
     if depth == 0:
-        return _rect_density(field, entry, xa, xb, ya, yb, t, order, None)
-    total = 0.0
-    for cxa, cxb in ((xa, xm), (xm, xb)):
-        for cya, cyb in ((ya, ym), (ym, yb)):
-            total += _cell_density(field, entry, cxa, cxb, cya, cyb, t, order, depth - 1)
-    return total
+        return _plan_rect(plan, xa, xb, ya, yb, order, _RESOLVE)
+    return [
+        _plan_cell(plan, front, cxa, cxb, cya, cyb, order, depth - 1)
+        for cxa, cxb in ((xa, xm), (xm, xb))
+        for cya, cyb in ((ya, ym), (ym, yb))
+    ]
 
 
 def density_integral(field, law_key, region: Region, t: float, quad_order=None) -> float:
     """Integral of the law's density over the region at time t."""
     entry = law(law_key)
     order = region.quad_order if quad_order is None else quad_order
+    front = getattr(field, "front", None)
     x_edges = np.linspace(region.x1_min, region.x1_max, region.cells[0] + 1)
     y_edges = np.linspace(region.x2_min, region.x2_max, region.cells[1] + 1)
-    total = 0.0
-    for i in range(region.cells[0]):
-        for j in range(region.cells[1]):
-            total += _cell_density(
-                field,
-                entry,
-                float(x_edges[i]),
-                float(x_edges[i + 1]),
-                float(y_edges[j]),
-                float(y_edges[j + 1]),
-                t,
-                order,
-                region.subdivision_depth,
-            )
-    return total
+    plan = _Plan(t)
+    cells = [
+        _plan_cell(
+            plan,
+            front,
+            float(x_edges[i]),
+            float(x_edges[i + 1]),
+            float(y_edges[j]),
+            float(y_edges[j + 1]),
+            order,
+            region.subdivision_depth,
+        )
+        for i in range(region.cells[0])
+        for j in range(region.cells[1])
+    ]
+    return _nested_sum(cells, _piece_sums(field, entry, plan))
 
 
 def _edge_crossings(front, p0, p1, t, length) -> list[float]:
@@ -291,7 +339,7 @@ def _edge_crossings(front, p0, p1, t, length) -> list[float]:
 
     n_scan = 64
     ss = np.linspace(0.0, length, n_scan + 1)
-    vals = np.array([gamma_at(s) for s in ss])
+    vals = np.asarray(front.value(_points3(p0[0] + ss * ux, p0[1] + ss * uy, t)), dtype=np.float64)
     crossings = []
     for k in range(n_scan):
         va, vb = vals[k], vals[k + 1]
@@ -312,41 +360,35 @@ def _edge_crossings(front, p0, p1, t, length) -> list[float]:
     return crossings
 
 
-def _edge_flux(field, entry, p0, p1, normal, t, order, n_chunks) -> float:
-    """Integral of P . n over one region edge, split at front crossings."""
-    front = getattr(field, "front", None)
+def _plan_edge(plan, front, p0, p1, order, n_chunks) -> list[int]:
+    """Pieces of one region edge: equal chunks, split at front crossings."""
     length = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
     ux, uy = (p1[0] - p0[0]) / length, (p1[1] - p0[1]) / length
 
     breaks = [k * length / n_chunks for k in range(n_chunks + 1)]
     if front is not None:
-        breaks.extend(_edge_crossings(front, p0, p1, t, length))
+        breaks.extend(_edge_crossings(front, p0, p1, plan.t, length))
     breaks = sorted(set(breaks))
+    spans = [(sa, sb) for sa, sb in zip(breaks[:-1], breaks[1:]) if sb - sa > 1e-15 * length]
 
-    total = 0.0
-    for sa, sb in zip(breaks[:-1], breaks[1:]):
-        if sb - sa <= 1e-15 * length:
-            continue
-        side = None
-        if front is not None:
-            sm = 0.5 * (sa + sb)
-            g_mid = float(
-                front.value(
-                    np.array([p0[0] + sm * ux, p0[1] + sm * uy, t], dtype=np.float64)
-                )
-            )
-            side = Side.AHEAD if g_mid >= 0.0 else Side.BEHIND
+    if front is None:
+        sides = [_NONE] * len(spans)
+    else:
+        mids = np.array([0.5 * (sa + sb) for sa, sb in spans])
+        g_mid = front.value(_points3(p0[0] + mids * ux, p0[1] + mids * uy, plan.t))
+        sides = [_AHEAD if g >= 0.0 else _BEHIND for g in g_mid]
+    pieces = []
+    for (sa, sb), side in zip(spans, sides):
         ss, ws = _interval_nodes(sa, sb, order)
-        pts = _points3(p0[0] + ss * ux, p0[1] + ss * uy, t)
-        _, f1, f2 = _law_values(field, entry, pts, side)
-        total += float(np.dot(ws, f1 * normal[0] + f2 * normal[1]))
-    return total
+        pieces.append(plan.piece(p0[0] + ss * ux, p0[1] + ss * uy, ws, side))
+    return pieces
 
 
 def boundary_flux_integral(field, law_key, region: Region, t: float, quad_order=None) -> float:
     """Outward flux of the law through the region boundary at time t."""
     entry = law(law_key)
     order = region.quad_order if quad_order is None else quad_order
+    front = getattr(field, "front", None)
     x1a, x1b = region.x1_min, region.x1_max
     x2a, x2b = region.x2_min, region.x2_max
     edges = (
@@ -355,10 +397,13 @@ def boundary_flux_integral(field, law_key, region: Region, t: float, quad_order=
         ((x1b, x2b), (x1a, x2b), (0.0, 1.0), region.cells[0]),
         ((x1a, x2b), (x1a, x2a), (-1.0, 0.0), region.cells[1]),
     )
-    total = 0.0
+    plan = _Plan(t)
+    edge_pieces, normals = [], []
     for p0, p1, normal, n_chunks in edges:
-        total += _edge_flux(field, entry, p0, p1, normal, t, order, n_chunks)
-    return total
+        pieces = _plan_edge(plan, front, p0, p1, order, n_chunks)
+        edge_pieces.append(pieces)
+        normals += [normal] * len(pieces)
+    return _nested_sum(edge_pieces, _piece_sums(field, entry, plan, normals))
 
 
 def balance_residual(field, law_key, region: Region, t: float, dt=None) -> BalanceReport:

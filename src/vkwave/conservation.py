@@ -305,23 +305,32 @@ def conservation_divergence(
         raise ValidationError(f"point must be a 3-vector, got shape {base.shape}")
     _guard_front_distance(field, base, h)
 
-    # component per axis: axis 0 -> P1, axis 1 -> P2, axis 2 -> Psi
-    def estimate(step: float) -> np.ndarray:
-        pts = np.empty((6, 3))
+    # one jet batch holds the stencils of every step: 6 points each
+    steps = (h, h / 2.0) if use_richardson else (h,)
+    pts = np.empty((6 * len(steps), 3))
+    for n, step in enumerate(steps):
         for ax in range(3):
-            pts[2 * ax] = base
-            pts[2 * ax, ax] -= step
-            pts[2 * ax + 1] = base
-            pts[2 * ax + 1, ax] += step
-        df = density_flux(entry, field.jet(pts, Side.AUTO), params)
-        comps = (df.flux.x1, df.flux.x2, df.density)
+            row = 6 * n + 2 * ax
+            pts[row] = base
+            pts[row, ax] -= step
+            pts[row + 1] = base
+            pts[row + 1, ax] += step
+    df = density_flux(entry, field.jet(pts, Side.AUTO), params)
+    # component per axis: axis 0 -> P1, axis 1 -> P2, axis 2 -> Psi
+    comps = (df.flux.x1, df.flux.x2, df.density)
+
+    def estimate(n: int) -> np.ndarray:
+        row = 6 * n
         return np.array(
-            [(comps[ax][2 * ax + 1] - comps[ax][2 * ax]) / (2.0 * step) for ax in range(3)]
+            [
+                (comps[ax][row + 2 * ax + 1] - comps[ax][row + 2 * ax]) / (2.0 * steps[n])
+                for ax in range(3)
+            ]
         )
 
-    est = estimate(h)
+    est = estimate(0)
     if use_richardson:
-        est = richardson(est, estimate(h / 2.0))
+        est = richardson(est, estimate(1))
     return DivergenceEstimate(
         d_density_dt=float(est[2]), d_flux1_dx1=float(est[0]), d_flux2_dx2=float(est[1])
     )

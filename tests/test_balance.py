@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vkwave import balance
 from vkwave.balance import (
     Region,
     balance_residual,
@@ -96,6 +97,69 @@ def test_region_additivity(unit_params):
     assert split == pytest.approx(total, rel=1e-12)
 
 
+def _disc_field(p):
+    front = CircleFront(0.1, -0.05, 0.35, radial_speed=0.25)
+    inside = polynomial_field({(0, 0, 1): 1.0}, None, p)
+    outside = polynomial_field(None, None, p)
+    return PiecewiseField(outside, inside, front, p)
+
+
+def _example_wave(unit_params):
+    ahead = invariant_solution((0, 0, 0, 0), (0, 0, 0, 0), 1.0, unit_params)
+    return acceleration_wave(ahead, c1=1.0, c2=0.5)
+
+
+def _count_jet_calls(monkeypatch, field):
+    sizes = []
+    jet = type(field).jet
+
+    def counted(self, point, *args):
+        sizes.append(len(point))
+        return jet(self, point, *args)
+
+    monkeypatch.setattr(type(field), "jet", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("case", ["straight_wave", "disc"])
+def test_density_integral_is_independent_of_batching(case, unit_params, generic_params, monkeypatch):
+    # the whole region evaluates every cell in shared jet batches, the
+    # single-cell regions each in their own; the sums must agree exactly
+    if case == "straight_wave":
+        field, law_key, t = _example_wave(unit_params), "energy", 0.1
+        region = Region(-0.8, 0.9, -0.6, 0.7)
+    else:
+        field, law_key, t = _disc_field(generic_params), 1, 0.0
+        region = Region(-0.7, 0.9, -0.8, 0.7)
+    x_edges = np.linspace(region.x1_min, region.x1_max, region.cells[0] + 1)
+    y_edges = np.linspace(region.x2_min, region.x2_max, region.cells[1] + 1)
+    sizes = _count_jet_calls(monkeypatch, field)
+    whole = density_integral(field, law_key, region, t)
+    if case == "disc":
+        assert max(sizes) == balance._BATCH_POINTS  # a side was split at the cap
+    rows = 0.0
+    for i in range(region.cells[0]):
+        for j in range(region.cells[1]):
+            cell = Region(
+                float(x_edges[i]), float(x_edges[i + 1]),
+                float(y_edges[j]), float(y_edges[j + 1]),
+                cells=(1, 1),
+            )
+            rows += density_integral(field, law_key, cell, t)
+    assert whole == rows
+
+
+def test_quadrature_makes_one_jet_call_per_side(unit_params, monkeypatch):
+    wave = _example_wave(unit_params)
+    region = Region(-0.8, 0.9, -0.6, 0.7)
+    sizes = _count_jet_calls(monkeypatch, wave)
+    density_integral(wave, "energy", region, 0.1)
+    assert len(sizes) <= 2
+    sizes.clear()
+    boundary_flux_integral(wave, "energy", region, 0.1)
+    assert len(sizes) <= 2
+
+
 def test_balance_across_straight_front(unit_params):
     ahead = invariant_solution((0, 0, 0, 0), (0, 0, 0, 0), 1.0, unit_params)
     wave = acceleration_wave(ahead, c1=1.0, c2=0.5)
@@ -151,10 +215,7 @@ def test_edge_on_front_is_rejected(generic_params):
 def test_circle_front_density_and_jump(generic_params):
     p = generic_params
     radius = 0.35
-    front = CircleFront(0.1, -0.05, radius, radial_speed=0.25)
-    inside = polynomial_field({(0, 0, 1): 1.0}, None, p)
-    outside = polynomial_field(None, None, p)
-    field = PiecewiseField(outside, inside, front, p)
+    field = _disc_field(p)
     region = Region(-0.7, 0.9, -0.8, 0.7)
 
     # law 1 density is rho inside the disc and zero outside

@@ -1,19 +1,16 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from vkwave._kernels import _traveling_py
-from vkwave.indexing import JET_SIZE
+from vkwave._kernels import traveling_jet_fill
+from vkwave.indexing import EXPONENTS, JET_SIZE
 
 
-def _fill(mod, u, phi, omega, c, pts):
+def _fill(u, phi, omega, c, pts):
     out_w = np.zeros((pts.shape[0], JET_SIZE))
     out_phi = np.zeros_like(out_w)
-    mod.traveling_jet_fill(
+    traveling_jet_fill(
         np.asarray(u, dtype=np.float64),
         np.asarray(phi, dtype=np.float64),
         float(omega),
@@ -28,7 +25,7 @@ def _fill(mod, u, phi, omega, c, pts):
 def test_pure_python_hand_values():
     # w profile cos(xi), cubic phi profile, xi = x1 - 2 t = 0.1
     pts = np.array([[0.3, 5.0, 0.1]])
-    w, phi = _fill(_traveling_py, (0, 0, 0, 1), (1, 2, 3, 4), 1.0, 2.0, pts)
+    w, phi = _fill((0, 0, 0, 1), (1, 2, 3, 4), 1.0, 2.0, pts)
     from vkwave.indexing import idx
 
     assert w[0, idx()] == pytest.approx(math.cos(0.1), rel=1e-15)
@@ -51,33 +48,56 @@ def test_pure_python_hand_values():
     assert phi[0, idx(1, 1, 1, 1)] == 0.0
 
 
-def test_compiled_matches_pure_python():
-    cy = pytest.importorskip("vkwave._kernels._traveling_cy")
-    rng = np.random.default_rng(42)
-    for _ in range(5):
+def _reference_fill(u, phi, omega, c, pts):
+    """Slot by slot: profile derivative of order i + k times (-c)**k, 0 when j > 0."""
+    xi = pts[:, 0] - c * pts[:, 2]
+    s = np.sin(omega * xi)
+    co = np.cos(omega * xi)
+    w_prof = (
+        u[0] + u[1] * xi + u[2] * s + u[3] * co,
+        u[1] + omega * (u[2] * co - u[3] * s),
+        omega**2 * (-u[2] * s - u[3] * co),
+        omega**3 * (-u[2] * co + u[3] * s),
+        omega**4 * (u[2] * s + u[3] * co),
+    )
+    phi_prof = (
+        phi[0] + xi * (phi[1] + xi * (phi[2] + xi * phi[3])),
+        phi[1] + xi * (2.0 * phi[2] + 3.0 * phi[3] * xi),
+        2.0 * phi[2] + 6.0 * phi[3] * xi,
+        np.full_like(xi, 6.0 * phi[3]),
+        np.zeros_like(xi),
+    )
+    out_w = np.empty((pts.shape[0], JET_SIZE))
+    out_phi = np.empty_like(out_w)
+    for q, (i, j, k) in enumerate(EXPONENTS):
+        if j > 0:
+            out_w[:, q] = 0.0
+            out_phi[:, q] = 0.0
+        else:
+            factor = (-c) ** int(k)
+            out_w[:, q] = w_prof[i + k] * factor
+            out_phi[:, q] = phi_prof[i + k] * factor
+    return out_w, out_phi
+
+
+def test_fill_matches_slot_formula_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
         u = rng.uniform(-2, 2, 4)
         ph = rng.uniform(-2, 2, 4)
-        omega = rng.uniform(0.2, 4.0)
-        c = rng.uniform(-3.0, 3.0)
-        pts = rng.uniform(-2, 2, (17, 3))
-        w_py, phi_py = _fill(_traveling_py, u, ph, omega, c, pts)
-        w_cy, phi_cy = _fill(cy, u, ph, omega, c, pts)
-        np.testing.assert_allclose(w_cy, w_py, rtol=1e-13, atol=1e-14)
-        np.testing.assert_allclose(phi_cy, phi_py, rtol=1e-13, atol=1e-14)
-
-
-def test_env_var_forces_python_backend():
-    code = "import vkwave; print(vkwave.kernel_backend())"
-    env = dict(os.environ, VKWAVE_PURE_PYTHON="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert proc.stdout.strip() == "python"
+        omega = float(rng.uniform(0.2, 4.0))
+        c = float(rng.uniform(-3.0, 3.0))
+        pts = rng.uniform(-2, 2, (int(rng.integers(1, 40)), 3))
+        got = _fill(u, ph, omega, c, pts)
+        want = _reference_fill(u, ph, omega, c, pts)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+            np.testing.assert_array_equal(np.signbit(g), np.signbit(w))
 
 
 def test_time_independent_slots_vanish_for_static_profile():
     pts = np.array([[0.7, -0.4, 0.9], [0.1, 0.0, -0.3]])
-    w, phi = _fill(_traveling_py, (0.5, 1.0, 0.0, 0.0), (0, 0, 0, 0), 1.0, 0.0, pts)
+    w, phi = _fill((0.5, 1.0, 0.0, 0.0), (0, 0, 0, 0), 1.0, 0.0, pts)
     from vkwave.indexing import idx
 
     # zero speed: no time dependence anywhere
