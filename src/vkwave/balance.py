@@ -17,18 +17,21 @@ and integrated with a collapsed-square map, so the integrand is smooth on
 every quadrature domain.  Curved fronts fall back to recursive cell
 subdivision with per-node side resolution at the finest level.
 
-Each integral runs in three steps:
+Each integral runs in three steps, and one plan and one set of jets
+serve every law of a balance check:
 
 1. plan: the cell, clip, triangle, subdivision and edge-chunk geometry
    emits quadrature pieces (points, weights and a side: ahead, behind,
    none, or resolved per point by the front sign);
-2. evaluate: the jets and the law's density and flux are computed once
-   per side over all pieces, in batches of at most _BATCH_POINTS points;
-3. reduce: each piece gets its own dot product, and the piece sums are
-   added in the nesting the geometry produced (cell, polygon, triangle or
-   subdivision quadrant; edge, chunk).  A flat sum would be as accurate,
-   but it changes the low bits of every integral, and through the
-   difference of two integrals even the printed quadrature error.
+2. evaluate: the jets are computed once per side over all pieces, in
+   batches of at most _BATCH_POINTS points, and every requested law's
+   density and flux are taken from each jet batch;
+3. reduce: for each law, each piece gets its own dot product, and the
+   piece sums are added in the nesting the geometry produced (cell,
+   polygon, triangle or subdivision quadrant; edge, chunk).  A flat sum
+   would be as accurate, but it changes the low bits of every integral,
+   and through the difference of two integrals even the printed
+   quadrature error.
 """
 
 from __future__ import annotations
@@ -152,10 +155,11 @@ class _Plan:
         return len(self.sides) - 1
 
 
-def _piece_sums(field, entry, plan: _Plan, normals=None) -> list[float]:
-    """Weighted sum of the law's density over each piece, or of P . n with
-    one normal per piece.  Jets are evaluated once per side, in batches of
-    at most _BATCH_POINTS points."""
+def _piece_sums(field, entries, plan: _Plan, normals=None) -> list[list[float]]:
+    """Weighted sum of each law's density over each piece, or of P . n with
+    one normal per piece; one list of piece sums per law.  Jets are
+    evaluated once per side, in batches of at most _BATCH_POINTS points,
+    and every law is applied to each jet batch."""
     counts = [w.size for w in plan.weights]
     x1, x2 = np.concatenate(plan.x1), np.concatenate(plan.x2)
     sides = np.repeat(np.array(plan.sides, dtype=np.int8), counts)
@@ -165,20 +169,25 @@ def _piece_sums(field, entry, plan: _Plan, normals=None) -> list[float]:
         sides[resolve] = np.where(g >= 0.0, _AHEAD, _BEHIND)
     if normals is not None:
         normals = np.repeat(np.asarray(normals, dtype=np.float64), counts, axis=0)
-    vals = np.empty(x1.size)
+    vals = np.empty((len(entries), x1.size))
     for side, jet_side in _JET_SIDE.items():
         where = np.flatnonzero(sides == side)
         for start in range(0, where.size, _BATCH_POINTS):
             batch = where[start : start + _BATCH_POINTS]
-            pts = _points3(x1[batch], x2[batch], plan.t)
-            df = density_flux(entry, field.jet(pts, jet_side), field.params)
-            if normals is None:
-                vals[batch] = df.density
-            else:
-                n = normals[batch]
-                vals[batch] = df.flux.x1 * n[:, 0] + df.flux.x2 * n[:, 1]
-    pieces = np.split(vals, np.cumsum(counts)[:-1])
-    return [float(np.dot(w, v)) for w, v in zip(plan.weights, pieces)]
+            jet = field.jet(_points3(x1[batch], x2[batch], plan.t), jet_side)
+            n = None if normals is None else normals[batch]
+            for row, entry in zip(vals, entries):
+                df = density_flux(entry, jet, field.params)
+                if n is None:
+                    row[batch] = df.density
+                else:
+                    row[batch] = df.flux.x1 * n[:, 0] + df.flux.x2 * n[:, 1]
+            del jet  # free this batch's jets before the next batch is filled
+    bounds = np.cumsum(counts)[:-1]
+    return [
+        [float(np.dot(w, v)) for w, v in zip(plan.weights, np.split(row, bounds))]
+        for row in vals
+    ]
 
 
 def _nested_sum(node, sums) -> float:
@@ -289,10 +298,8 @@ def _plan_cell(plan, front, xa, xb, ya, yb, order, depth):
     ]
 
 
-def density_integral(field, law_key, region: Region, t: float, quad_order=None) -> float:
-    """Integral of the law's density over the region at time t."""
-    entry = law(law_key)
-    order = region.quad_order if quad_order is None else quad_order
+def _density_integrals(field, entries, region: Region, t: float, order: int) -> list[float]:
+    """Integral of each law's density over the region at time t."""
     front = getattr(field, "front", None)
     x_edges = np.linspace(region.x1_min, region.x1_max, region.cells[0] + 1)
     y_edges = np.linspace(region.x2_min, region.x2_max, region.cells[1] + 1)
@@ -311,7 +318,15 @@ def density_integral(field, law_key, region: Region, t: float, quad_order=None) 
         for i in range(region.cells[0])
         for j in range(region.cells[1])
     ]
-    return _nested_sum(cells, _piece_sums(field, entry, plan))
+    return [_nested_sum(cells, sums) for sums in _piece_sums(field, entries, plan)]
+
+
+def density_integral(field, law_key, region: Region, t: float, quad_order=None) -> float:
+    """Integral of the law's density over the region at time t."""
+    entry = law(law_key)
+    order = region.quad_order if quad_order is None else quad_order
+    (value,) = _density_integrals(field, (entry,), region, t, order)
+    return value
 
 
 def _edge_crossings(front, p0, p1, t, length) -> list[float]:
@@ -384,10 +399,8 @@ def _plan_edge(plan, front, p0, p1, order, n_chunks) -> list[int]:
     return pieces
 
 
-def boundary_flux_integral(field, law_key, region: Region, t: float, quad_order=None) -> float:
-    """Outward flux of the law through the region boundary at time t."""
-    entry = law(law_key)
-    order = region.quad_order if quad_order is None else quad_order
+def _boundary_flux_integrals(field, entries, region: Region, t: float, order: int) -> list[float]:
+    """Outward flux of each law through the region boundary at time t."""
     front = getattr(field, "front", None)
     x1a, x1b = region.x1_min, region.x1_max
     x2a, x2b = region.x2_min, region.x2_max
@@ -403,7 +416,55 @@ def boundary_flux_integral(field, law_key, region: Region, t: float, quad_order=
         pieces = _plan_edge(plan, front, p0, p1, order, n_chunks)
         edge_pieces.append(pieces)
         normals += [normal] * len(pieces)
-    return _nested_sum(edge_pieces, _piece_sums(field, entry, plan, normals))
+    return [_nested_sum(edge_pieces, sums) for sums in _piece_sums(field, entries, plan, normals)]
+
+
+def boundary_flux_integral(field, law_key, region: Region, t: float, quad_order=None) -> float:
+    """Outward flux of the law through the region boundary at time t."""
+    entry = law(law_key)
+    order = region.quad_order if quad_order is None else quad_order
+    (value,) = _boundary_flux_integrals(field, (entry,), region, t, order)
+    return value
+
+
+def _balance_reports(field, law_keys, region: Region, t: float, dt=None) -> list[BalanceReport]:
+    """balance_residual for several laws at once, one report per law.
+
+    Each of the seven integrals is planned and its jets evaluated once,
+    for all the laws together.
+    """
+    entries = [law(key) for key in law_keys]
+    if dt is None:
+        dt = 1e-4 * (1.0 + abs(t))
+    if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0):
+        raise ValidationError(f"dt must be a positive finite number, got {dt!r}")
+
+    order, low = region.quad_order, region.quad_order - 2
+    dens_now = _density_integrals(field, entries, region, t, order)
+    dens_plus = _density_integrals(field, entries, region, t + dt, order)
+    dens_minus = _density_integrals(field, entries, region, t - dt, order)
+    flux = _boundary_flux_integrals(field, entries, region, t, order)
+    flux_low = _boundary_flux_integrals(field, entries, region, t, low)
+    dens_plus_low = _density_integrals(field, entries, region, t + dt, low)
+    dens_minus_low = _density_integrals(field, entries, region, t - dt, low)
+
+    reports = []
+    for k, entry in enumerate(entries):
+        deriv = (dens_plus[k] - dens_minus[k]) / (2.0 * dt)
+        deriv_low = (dens_plus_low[k] - dens_minus_low[k]) / (2.0 * dt)
+        quad_err = abs(deriv - deriv_low) + abs(flux[k] - flux_low[k])
+        reports.append(
+            BalanceReport(
+                law=entry,
+                time=float(t),
+                density_integral=dens_now[k],
+                flux_integral=flux[k],
+                time_derivative=deriv,
+                residual=deriv + flux[k],
+                quadrature_error=quad_err,
+            )
+        )
+    return reports
 
 
 def balance_residual(field, law_key, region: Region, t: float, dt=None) -> BalanceReport:
@@ -413,43 +474,14 @@ def balance_residual(field, law_key, region: Region, t: float, dt=None) -> Balan
     1e-4 * (1 + |t|)).  quadrature_error estimates the numerical error of
     the residual by repeating both integrals at quad_order - 2.
     """
-    entry = law(law_key)
-    if dt is None:
-        dt = 1e-4 * (1.0 + abs(t))
-    if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0):
-        raise ValidationError(f"dt must be a positive finite number, got {dt!r}")
-
-    dens_now = density_integral(field, entry, region, t)
-    dens_plus = density_integral(field, entry, region, t + dt)
-    dens_minus = density_integral(field, entry, region, t - dt)
-    flux = boundary_flux_integral(field, entry, region, t)
-    deriv = (dens_plus - dens_minus) / (2.0 * dt)
-
-    low = region.quad_order - 2
-    flux_low = boundary_flux_integral(field, entry, region, t, quad_order=low)
-    deriv_low = (
-        density_integral(field, entry, region, t + dt, quad_order=low)
-        - density_integral(field, entry, region, t - dt, quad_order=low)
-    ) / (2.0 * dt)
-    quad_err = abs(deriv - deriv_low) + abs(flux - flux_low)
-
-    return BalanceReport(
-        law=entry,
-        time=float(t),
-        density_integral=dens_now,
-        flux_integral=flux,
-        time_derivative=deriv,
-        residual=deriv + flux,
-        quadrature_error=quad_err,
-    )
+    (report,) = _balance_reports(field, (law_key,), region, t, dt)
+    return report
 
 
 def fundamental_balances(field, region: Region, t: float, dt=None) -> tuple[BalanceReport, BalanceReport]:
     """Balance reports for the two laws equivalent to the governing equations."""
-    return (
-        balance_residual(field, 1, region, t, dt),
-        balance_residual(field, 14, region, t, dt),
-    )
+    first, second = _balance_reports(field, (1, 14), region, t, dt)
+    return first, second
 
 
 def _segment_inside(region: Region, front, t):

@@ -283,22 +283,19 @@ def _guard_front_distance(field, point: np.ndarray, h: float) -> None:
         )
 
 
-def conservation_divergence(
+def _divergence_estimates(
     field,
-    law_key,
+    law_keys,
     point,
     p: PlateParams | None = None,
     h: float = 1e-3,
     use_richardson: bool = True,
-) -> DivergenceEstimate:
-    """FD estimate of (d3 Psi, d1 P1, d2 P2) at an off-front point.
-
-    Differentiates the assembled density and flux through the field's
-    analytic jets (central differences, one Richardson level by default).
-    """
+) -> list[DivergenceEstimate]:
+    """conservation_divergence for several laws at one point: the front
+    guard and the stencil jets are shared by every law."""
     if h <= 0:
         raise ValidationError(f"step h must be positive, got {h}")
-    entry = law(law_key)
+    entries = [law(key) for key in law_keys]
     params = p if p is not None else field.params
     base = np.asarray(point, dtype=np.float64)
     if base.shape != (3,):
@@ -315,11 +312,9 @@ def conservation_divergence(
             pts[row, ax] -= step
             pts[row + 1] = base
             pts[row + 1, ax] += step
-    df = density_flux(entry, field.jet(pts, Side.AUTO), params)
-    # component per axis: axis 0 -> P1, axis 1 -> P2, axis 2 -> Psi
-    comps = (df.flux.x1, df.flux.x2, df.density)
+    jet = field.jet(pts, Side.AUTO)
 
-    def estimate(n: int) -> np.ndarray:
+    def estimate(comps, n: int) -> np.ndarray:
         row = 6 * n
         return np.array(
             [
@@ -328,12 +323,37 @@ def conservation_divergence(
             ]
         )
 
-    est = estimate(0)
-    if use_richardson:
-        est = richardson(est, estimate(1))
-    return DivergenceEstimate(
-        d_density_dt=float(est[2]), d_flux1_dx1=float(est[0]), d_flux2_dx2=float(est[1])
-    )
+    estimates = []
+    for entry in entries:
+        df = density_flux(entry, jet, params)
+        # component per axis: axis 0 -> P1, axis 1 -> P2, axis 2 -> Psi
+        comps = (df.flux.x1, df.flux.x2, df.density)
+        est = estimate(comps, 0)
+        if use_richardson:
+            est = richardson(est, estimate(comps, 1))
+        estimates.append(
+            DivergenceEstimate(
+                d_density_dt=float(est[2]), d_flux1_dx1=float(est[0]), d_flux2_dx2=float(est[1])
+            )
+        )
+    return estimates
+
+
+def conservation_divergence(
+    field,
+    law_key,
+    point,
+    p: PlateParams | None = None,
+    h: float = 1e-3,
+    use_richardson: bool = True,
+) -> DivergenceEstimate:
+    """FD estimate of (d3 Psi, d1 P1, d2 P2) at an off-front point.
+
+    Differentiates the assembled density and flux through the field's
+    analytic jets (central differences, one Richardson level by default).
+    """
+    (est,) = _divergence_estimates(field, (law_key,), point, p, h, use_richardson)
+    return est
 
 
 def conservation_residual(

@@ -158,28 +158,31 @@ def dynamic_jump_scales(rec: JumpRecord, p: PlateParams) -> tuple[float, float]:
     return s_w, s_phi
 
 
-def balance_jump_residual(law_key, rec: JumpRecord, p: PlateParams) -> float:
-    """Generic balance jump condition C [Psi] - [P^a] n_a for one law."""
+def _balance_jump_terms(law_key, rec: JumpRecord, p: PlateParams) -> tuple[float, float]:
+    """balance_jump_residual and balance_jump_scale from one density_flux
+    per side."""
     n = rec.geometry.normal
     c = rec.geometry.speed
-    df_b = density_flux(law_key, rec.behind, p)
     df_a = density_flux(law_key, rec.ahead, p)
+    df_b = density_flux(law_key, rec.behind, p)
     jump_density = float(df_b.density) - float(df_a.density)
     jump_flux_n = float(
         (df_b.flux.x1 - df_a.flux.x1) * n[0] + (df_b.flux.x2 - df_a.flux.x2) * n[1]
     )
-    return c * jump_density - jump_flux_n
+    s = 0.0
+    for df in (df_a, df_b):
+        s += abs(c * float(df.density)) + abs(float(df.flux.x1 * n[0] + df.flux.x2 * n[1]))
+    return c * jump_density - jump_flux_n, s
+
+
+def balance_jump_residual(law_key, rec: JumpRecord, p: PlateParams) -> float:
+    """Generic balance jump condition C [Psi] - [P^a] n_a for one law."""
+    return _balance_jump_terms(law_key, rec, p)[0]
 
 
 def balance_jump_scale(law_key, rec: JumpRecord, p: PlateParams) -> float:
     """One-sided magnitude scale for the generic balance jump residual."""
-    n = rec.geometry.normal
-    c = rec.geometry.speed
-    s = 0.0
-    for jet in (rec.ahead, rec.behind):
-        df = density_flux(law_key, jet, p)
-        s += abs(c * float(df.density)) + abs(float(df.flux.x1 * n[0] + df.flux.x2 * n[1]))
-    return s
+    return _balance_jump_terms(law_key, rec, p)[1]
 
 
 _CLOSED_FORM_LAWS = (2, 3, 4, 5, 6)

@@ -23,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import balance_residual
-from .conservation import conservation_divergence
+from .balance import _BATCH_POINTS, _balance_reports
+from .conservation import _divergence_estimates
 from .errors import ValidationError
 from .jumps import (
+    _balance_jump_terms,
     amplitude_relation_residuals,
     amplitude_relation_scales,
-    balance_jump_residual,
-    balance_jump_scale,
     closed_form_jump_residual,
     dynamic_jump_residuals,
     dynamic_jump_scales,
@@ -92,13 +91,22 @@ def _run_pde_residual(scenario: Scenario, field, check, rng) -> list[CheckResult
     else:
         n = check.samples if check.samples is not None else 20
         pts = rng.uniform(-1.0, 1.0, (n, 3))
-    jet = field.jet(pts)
-    r1, r2 = pde_residual(jet, field.params)
-    s1, s2 = pde_term_scales(jet, field.params)
-    scaled = max(
-        float(np.max(np.abs(r1) / np.maximum(1.0, s1))),
-        float(np.max(np.abs(r2) / np.maximum(1.0, s2))),
-    )
+    # batched so that at most _BATCH_POINTS jets are held at once; np.max
+    # keeps a NaN from any batch
+    maxima = []
+    for start in range(0, len(pts), _BATCH_POINTS):
+        jet = field.jet(pts[start : start + _BATCH_POINTS])
+        r1, r2 = pde_residual(jet, field.params)
+        s1, s2 = pde_term_scales(jet, field.params)
+        maxima.append(
+            (
+                np.max(np.abs(r1) / np.maximum(1.0, s1)),
+                np.max(np.abs(r2) / np.maximum(1.0, s2)),
+            )
+        )
+        del jet  # free this batch's jets before the next batch is filled
+    max1, max2 = np.max(maxima, axis=0)
+    scaled = max(float(max1), float(max2))
     return [
         CheckResult(
             name="pde_residual",
@@ -148,23 +156,21 @@ def _run_conservation(scenario: Scenario, field, check, rng) -> list[CheckResult
         pts = np.array(check.points, dtype=np.float64)
     else:
         pts = _sample_off_front(field, rng, check.samples if check.samples else 3, h)
-    results = []
-    for name in check.laws:
-        worst = 0.0
-        for k in range(pts.shape[0]):
-            est = conservation_divergence(field, name, pts[k], h=h)
-            worst = max(worst, abs(est.residual) / max(1.0, est.scale))
-        results.append(
-            CheckResult(
-                name=f"conservation[{name}]",
-                kind="conservation",
-                status=_status(worst, tol),
-                residual=worst,
-                tolerance=tol,
-                detail=f"h={h:g}, {pts.shape[0]} points",
-            )
+    worst = [0.0] * len(check.laws)
+    for k in range(pts.shape[0]):
+        for i, est in enumerate(_divergence_estimates(field, check.laws, pts[k], h=h)):
+            worst[i] = max(worst[i], abs(est.residual) / max(1.0, est.scale))
+    return [
+        CheckResult(
+            name=f"conservation[{name}]",
+            kind="conservation",
+            status=_status(res, tol),
+            residual=res,
+            tolerance=tol,
+            detail=f"h={h:g}, {pts.shape[0]} points",
         )
-    return results
+        for name, res in zip(check.laws, worst)
+    ]
 
 
 def _front_records(field, check, rng):
@@ -206,8 +212,7 @@ def _run_balance_jump(scenario: Scenario, field, check, rng) -> list[CheckResult
     for name in check.laws:
         worst = 0.0
         for rec in records:
-            r = balance_jump_residual(name, rec, field.params)
-            s = balance_jump_scale(name, rec, field.params)
+            r, s = _balance_jump_terms(name, rec, field.params)
             worst = max(worst, abs(r) / max(1.0, s))
         results.append(
             CheckResult(
@@ -231,7 +236,7 @@ def _run_closed_form_jump(scenario: Scenario, field, check, rng) -> list[CheckRe
             worst = 0.0
             for rec in records:
                 r = closed_form_jump_residual(name, rec, field.params)
-                s = balance_jump_scale(name, rec, field.params)
+                _, s = _balance_jump_terms(name, rec, field.params)
                 worst = max(worst, abs(r) / max(1.0, s))
             results.append(
                 CheckResult(
@@ -278,26 +283,24 @@ def _run_balance(scenario: Scenario, field, check, rng) -> list[CheckResult]:
     tol = check.tolerance if check.tolerance is not None else scenario.tolerances.quadrature
     region = check.region if check.region is not None else scenario.region
     times = check.times if check.times is not None else (0.0,)
-    results = []
-    for name in check.laws:
-        worst = 0.0
-        quad_err = 0.0
-        for t in times:
-            rep = balance_residual(field, name, region, t, check.dt)
+    worst = [0.0] * len(check.laws)
+    quad_err = [0.0] * len(check.laws)
+    for t in times:
+        for i, rep in enumerate(_balance_reports(field, check.laws, region, t, check.dt)):
             scale = max(1.0, abs(rep.time_derivative), abs(rep.flux_integral))
-            worst = max(worst, abs(rep.residual) / scale)
-            quad_err = max(quad_err, rep.quadrature_error)
-        results.append(
-            CheckResult(
-                name=f"balance[{name}]",
-                kind="balance",
-                status=_status(worst, tol),
-                residual=worst,
-                tolerance=tol,
-                detail=f"quadrature error {quad_err:.2e}",
-            )
+            worst[i] = max(worst[i], abs(rep.residual) / scale)
+            quad_err[i] = max(quad_err[i], rep.quadrature_error)
+    return [
+        CheckResult(
+            name=f"balance[{name}]",
+            kind="balance",
+            status=_status(res, tol),
+            residual=res,
+            tolerance=tol,
+            detail=f"quadrature error {err:.2e}",
         )
-    return results
+        for name, res, err in zip(check.laws, worst, quad_err)
+    ]
 
 
 _RUNNERS = {

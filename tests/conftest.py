@@ -24,3 +24,22 @@ def generic_params():
         thickness=0.31,
         areal_density=1.7,
     )
+
+
+@pytest.fixture()
+def count_jet_calls(monkeypatch):
+    """Patch the jet method of a field's class to record each call's point
+    count; returns the list the counts go into."""
+
+    def install(field):
+        sizes = []
+        jet = type(field).jet
+
+        def counted(self, point, *args):
+            sizes.append(len(point))
+            return jet(self, point, *args)
+
+        monkeypatch.setattr(type(field), "jet", counted)
+        return sizes
+
+    return install

@@ -1,10 +1,14 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from vkwave import balance
 from vkwave.balance import (
+    BalanceReport,
     Region,
     balance_residual,
     boundary_flux_integral,
@@ -14,8 +18,12 @@ from vkwave.balance import (
 )
 from vkwave.errors import ValidationError
 from vkwave.jumps import amplitude_relation_residuals, balance_jump_residual, extract_jumps
+from vkwave.report import run_scenario
+from vkwave.scenario import build_field, scenario_from_dict
 from vkwave.solutions import PiecewiseField, acceleration_wave, invariant_solution, polynomial_field
 from vkwave.wavefront import CircleFront, LineFront
+
+_EXAMPLE_SCENARIO = Path(__file__).resolve().parents[1] / "examples_scenarios" / "wave_check.yaml"
 
 
 @pytest.mark.parametrize(
@@ -109,20 +117,10 @@ def _example_wave(unit_params):
     return acceleration_wave(ahead, c1=1.0, c2=0.5)
 
 
-def _count_jet_calls(monkeypatch, field):
-    sizes = []
-    jet = type(field).jet
-
-    def counted(self, point, *args):
-        sizes.append(len(point))
-        return jet(self, point, *args)
-
-    monkeypatch.setattr(type(field), "jet", counted)
-    return sizes
-
-
 @pytest.mark.parametrize("case", ["straight_wave", "disc"])
-def test_density_integral_is_independent_of_batching(case, unit_params, generic_params, monkeypatch):
+def test_density_integral_is_independent_of_batching(
+    case, unit_params, generic_params, count_jet_calls
+):
     # the whole region evaluates every cell in shared jet batches, the
     # single-cell regions each in their own; the sums must agree exactly
     if case == "straight_wave":
@@ -133,7 +131,7 @@ def test_density_integral_is_independent_of_batching(case, unit_params, generic_
         region = Region(-0.7, 0.9, -0.8, 0.7)
     x_edges = np.linspace(region.x1_min, region.x1_max, region.cells[0] + 1)
     y_edges = np.linspace(region.x2_min, region.x2_max, region.cells[1] + 1)
-    sizes = _count_jet_calls(monkeypatch, field)
+    sizes = count_jet_calls(field)
     whole = density_integral(field, law_key, region, t)
     if case == "disc":
         assert max(sizes) == balance._BATCH_POINTS  # a side was split at the cap
@@ -149,15 +147,49 @@ def test_density_integral_is_independent_of_batching(case, unit_params, generic_
     assert whole == rows
 
 
-def test_quadrature_makes_one_jet_call_per_side(unit_params, monkeypatch):
+def test_quadrature_makes_one_jet_call_per_side(unit_params, count_jet_calls):
     wave = _example_wave(unit_params)
     region = Region(-0.8, 0.9, -0.6, 0.7)
-    sizes = _count_jet_calls(monkeypatch, wave)
+    sizes = count_jet_calls(wave)
     density_integral(wave, "energy", region, 0.1)
     assert len(sizes) <= 2
     sizes.clear()
     boundary_flux_integral(wave, "energy", region, 0.1)
     assert len(sizes) <= 2
+
+
+@pytest.mark.parametrize("case", ["straight_wave", "disc"])
+def test_shared_balance_equals_per_law_balance(case, unit_params, generic_params):
+    # every law read off one set of plans and jets keeps the bits of its
+    # own balance_residual
+    if case == "straight_wave":
+        field, t = _example_wave(unit_params), 0.1
+        region = Region(-0.8, 0.9, -0.6, 0.7)
+    else:
+        # depth 2 keeps the test quick and still splits a side at the cap
+        field, t = _disc_field(generic_params), 0.0
+        region = Region(-0.7, 0.9, -0.8, 0.7, subdivision_depth=2)
+    laws = range(1, 15)
+    shared = balance._balance_reports(field, laws, region, t)
+    assert len(shared) == len(laws)
+    for key, report in zip(laws, shared):
+        single = balance_residual(field, key, region, t)
+        for f in dataclasses.fields(BalanceReport):
+            assert getattr(report, f.name) == getattr(single, f.name), (key, f.name)
+
+
+def test_balance_check_shares_jets_across_laws(count_jet_calls):
+    # seven integrals per time, one jet call per side of each: at most 14
+    # calls per time for all fourteen laws, where one law alone needs 14
+    data = yaml.safe_load(_EXAMPLE_SCENARIO.read_text())
+    times = [0.1, 0.3]
+    data["checks"] = [{"type": "balance", "laws": list(range(1, 15)), "times": times}]
+    scenario = scenario_from_dict(data)
+    sizes = count_jet_calls(build_field(scenario))
+    report = run_scenario(scenario)
+    assert len(report.results) == 14
+    assert all(r.status != "error" for r in report.results)
+    assert len(sizes) <= 14 * len(times)
 
 
 def test_balance_across_straight_front(unit_params):

@@ -3,6 +3,7 @@ import pytest
 
 from vkwave.conservation import (
     LAWS,
+    _divergence_estimates,
     conservation_divergence,
     conservation_residual,
     density_flux,
@@ -156,6 +157,23 @@ def test_front_proximity_guard(generic_params):
     # far away the estimate goes through
     est = conservation_divergence(wave, "energy", (2.0, 0.0, 0.0), h=1e-3)
     assert abs(est.residual) <= 1e-6 * max(1.0, est.scale)
+
+
+@pytest.mark.parametrize("use_richardson", [True, False])
+def test_shared_stencils_match_per_law_divergence(use_richardson, generic_params, count_jet_calls):
+    ahead = invariant_solution((0.2, 0.0, 0.5, 0.1), (0, 0.3, 0.2, 0), 1.0, generic_params)
+    wave = acceleration_wave(ahead, c1=0.5, c2=0.2)
+    laws = [entry.index for entry in LAWS]
+    sizes = count_jet_calls(wave)
+    for point in ((0.6, -0.3, 0.2), (-0.5, 0.4, 0.1)):
+        single = [
+            conservation_divergence(wave, key, point, h=1e-3, use_richardson=use_richardson)
+            for key in laws
+        ]
+        sizes.clear()
+        shared = _divergence_estimates(wave, laws, point, h=1e-3, use_richardson=use_richardson)
+        assert shared == single
+        assert len(sizes) == 1  # one stencil batch serves all fourteen laws
 
 
 def test_step_validation(generic_params):

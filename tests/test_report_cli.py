@@ -2,12 +2,14 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from vkwave import cli
+from vkwave import balance, cli
 from vkwave.errors import ValidationError
 from vkwave.report import emit_report, run_scenario
-from vkwave.scenario import scenario_from_dict
+from vkwave.scenario import build_field, scenario_from_dict
+from vkwave.solutions import pde_residual, pde_term_scales
 
 
 def passing_scenario() -> dict:
@@ -87,6 +89,31 @@ def test_run_scenario_reports_errors():
     assert bad
     assert "acceleration wave" in bad[0].detail
     assert bad[0].residual is None
+
+
+def test_pde_residual_check_is_batched(count_jet_calls):
+    # the batched maxima equal the maximum over one unbatched jet, computed
+    # here from the same seeded draws
+    data = passing_scenario()
+    n = 5000
+    data["checks"] = [{"type": "pde_residual", "samples": n}]
+    scenario = scenario_from_dict(data)
+    field = build_field(scenario)
+    pts = np.random.default_rng(scenario.seed).uniform(-1.0, 1.0, (n, 3))
+    jet = field.jet(pts)
+    r1, r2 = pde_residual(jet, field.params)
+    s1, s2 = pde_term_scales(jet, field.params)
+    expected = max(
+        float(np.max(np.abs(r1) / np.maximum(1.0, s1))),
+        float(np.max(np.abs(r2) / np.maximum(1.0, s2))),
+    )
+    assert expected > 0.0
+
+    sizes = count_jet_calls(field)
+    (result,) = run_scenario(scenario).results
+    assert result.residual == expected
+    assert sum(sizes) == n
+    assert max(sizes) <= balance._BATCH_POINTS
 
 
 def test_json_report_shape_and_determinism():
