@@ -30,6 +30,7 @@ from .jumps import (
     _balance_jump_terms,
     amplitude_relation_residuals,
     amplitude_relation_scales,
+    balance_jump_scale,
     closed_form_jump_residual,
     dynamic_jump_residuals,
     dynamic_jump_scales,
@@ -236,7 +237,7 @@ def _run_closed_form_jump(scenario: Scenario, field, check, rng) -> list[CheckRe
             worst = 0.0
             for rec in records:
                 r = closed_form_jump_residual(name, rec, field.params)
-                _, s = _balance_jump_terms(name, rec, field.params)
+                s = balance_jump_scale(name, rec, field.params)
                 worst = max(worst, abs(r) / max(1.0, s))
             results.append(
                 CheckResult(

@@ -178,6 +178,23 @@ def test_shared_balance_equals_per_law_balance(case, unit_params, generic_params
             assert getattr(report, f.name) == getattr(single, f.name), (key, f.name)
 
 
+def test_balance_residual_calls_the_public_integrals(unit_params, monkeypatch):
+    # one law's five density and two flux integrals stay visible to
+    # anything that wraps the public one-law functions
+    calls = []
+    for name in ("density_integral", "boundary_flux_integral"):
+        original = getattr(balance, name)
+
+        def recorded(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(balance, name, recorded)
+    balance_residual(_example_wave(unit_params), "energy", Region(-0.8, 0.9, -0.6, 0.7), 0.1)
+    assert calls.count("density_integral") == 5
+    assert calls.count("boundary_flux_integral") == 2
+
+
 def test_balance_check_shares_jets_across_laws(count_jet_calls):
     # seven integrals per time, one jet call per side of each: at most 14
     # calls per time for all fourteen laws, where one law alone needs 14
