@@ -46,7 +46,7 @@ from .conservation import LawId, density_flux, law
 from .errors import ValidationError
 from .params import PlateParams
 from .solutions import Side
-from .wavefront import front_geometry
+from .wavefront import _normal_and_speed
 
 _MIN_QUAD_ORDER = 4
 
@@ -580,31 +580,20 @@ def _circle_arcs_inside(region: Region, front, t, n_scan=512):
 def _jump_integrand_on_points(field, entry, pts3, absolute=False):
     """C [Psi] - [P . n] per point, or the one-sided magnitude sum."""
     p = field.params
-    n_pts = pts3.shape[0]
     df_a = density_flux(entry, field.jet(pts3, Side.AHEAD), p)
     df_b = density_flux(entry, field.jet(pts3, Side.BEHIND), p)
-    dens_a = np.broadcast_to(np.asarray(df_a.density, dtype=np.float64), (n_pts,))
-    dens_b = np.broadcast_to(np.asarray(df_b.density, dtype=np.float64), (n_pts,))
-    p1_a = np.broadcast_to(np.asarray(df_a.flux.x1, dtype=np.float64), (n_pts,))
-    p1_b = np.broadcast_to(np.asarray(df_b.flux.x1, dtype=np.float64), (n_pts,))
-    p2_a = np.broadcast_to(np.asarray(df_a.flux.x2, dtype=np.float64), (n_pts,))
-    p2_b = np.broadcast_to(np.asarray(df_b.flux.x2, dtype=np.float64), (n_pts,))
-
-    if field.front.is_straight:
-        geos = [front_geometry(field.front, pts3[0])] * n_pts
-    else:
-        geos = [front_geometry(field.front, pts3[k]) for k in range(n_pts)]
-    speed = np.array([g.speed for g in geos])
-    n1 = np.array([g.normal[0] for g in geos])
-    n2 = np.array([g.normal[1] for g in geos])
+    normal, speed = _normal_and_speed(field.front, pts3)
+    n1, n2 = normal[:, 0], normal[:, 1]
 
     if absolute:
         return (
-            np.abs(speed) * (np.abs(dens_b) + np.abs(dens_a))
-            + np.abs(p1_b * n1 + p2_b * n2)
-            + np.abs(p1_a * n1 + p2_a * n2)
+            np.abs(speed) * (np.abs(df_b.density) + np.abs(df_a.density))
+            + np.abs(df_b.flux.x1 * n1 + df_b.flux.x2 * n2)
+            + np.abs(df_a.flux.x1 * n1 + df_a.flux.x2 * n2)
         )
-    return speed * (dens_b - dens_a) - ((p1_b - p1_a) * n1 + (p2_b - p2_a) * n2)
+    return speed * (df_b.density - df_a.density) - (
+        (df_b.flux.x1 - df_a.flux.x1) * n1 + (df_b.flux.x2 - df_a.flux.x2) * n2
+    )
 
 
 def front_segment_jump_integral(

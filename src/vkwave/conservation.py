@@ -7,8 +7,9 @@ of w and phi, space and time translations, rotation, scaling, rigid
 rotations of the deflection, Galilean boosts, and their moments.
 
 Composite rows (scaling, rotation moment, boost moments) are assembled
-by calling the constituent rows, so the structural identities between
-rows hold exactly by construction.
+from the constituent rows, so the structural identities between rows hold
+exactly by construction.  A jet keeps every row and shared tensor built
+from it, so each is built once per jet however many laws use it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from .errors import FrontProximityError, ValidationError
 from .fdtools import richardson
+from .indexing import S0, S1, S2, S3, S11, S12, S13, S22, S23
 from .jets import FieldJet
 from .params import PlateParams
 from .solutions import Side
@@ -94,23 +96,39 @@ class DensityFlux:
     flux: Vector2
 
 
+def _tensor(fn, jet: FieldJet, p: PlateParams):
+    """fn(jet, p) for a formula of the tensors module, built once per jet."""
+    return jet._derived(fn.__name__, fn, p)
+
+
+def _row(index: int, jet: FieldJet, p: PlateParams):
+    """(Psi, P1, P2) of row ``index``, built once per jet, so that a
+    composite row reuses the constituent rows already built."""
+    return jet._derived(index, _ROWS[index], p)
+
+
+#: Slots of f_{,b}, f_{,b1} and f_{,b2} for the in-plane direction b.
+_BETA_SLOTS = {1: (S1, S11, S12), 2: (S2, S12, S22)}
+
+
 def _row_1(jet: FieldJet, p: PlateParams):
-    q = shear_force(jet, p)
-    return p.rho * jet.dw(3), -q.x1, -q.x2
+    q = _tensor(shear_force, jet, p)
+    return p.rho * jet.w[..., S3], -q.x1, -q.x2
 
 
 def _row_translation(beta: int, jet: FieldJet, p: PlateParams):
     """Rows 2 and 3: in-plane translation along x^beta."""
-    lag = lagrangian_density(jet, p)
-    q = shear_force(jet, p)
-    f = f_vector(jet, p)
-    m = moment_tensor(jet, p)
-    g = g_tensor(jet, p)
-    wb, phib = jet.dw(beta), jet.dphi(beta)
-    wb1, wb2 = jet.dw(beta, 1), jet.dw(beta, 2)
-    phib1, phib2 = jet.dphi(beta, 1), jet.dphi(beta, 2)
+    lag = _tensor(lagrangian_density, jet, p)
+    q = _tensor(shear_force, jet, p)
+    f = _tensor(f_vector, jet, p)
+    m = _tensor(moment_tensor, jet, p)
+    g = _tensor(g_tensor, jet, p)
+    sb, sb1, sb2 = _BETA_SLOTS[beta]
+    wb, phib = jet.w[..., sb], jet.phi[..., sb]
+    wb1, wb2 = jet.w[..., sb1], jet.w[..., sb2]
+    phib1, phib2 = jet.phi[..., sb1], jet.phi[..., sb2]
 
-    psi = -p.rho * wb * jet.dw(3)
+    psi = -p.rho * wb * jet.w[..., S3]
     p1 = (lag if beta == 1 else 0.0) + wb * q.x1 + phib * f.x1 \
         - (wb1 * m.c11 + wb2 * m.c12) - (phib1 * g.c11 + phib2 * g.c12)
     p2 = (lag if beta == 2 else 0.0) + wb * q.x2 + phib * f.x2 \
@@ -119,15 +137,15 @@ def _row_translation(beta: int, jet: FieldJet, p: PlateParams):
 
 
 def _row_4(jet: FieldJet, p: PlateParams):
-    q = shear_force(jet, p)
-    f = f_vector(jet, p)
-    m = moment_tensor(jet, p)
-    g = g_tensor(jet, p)
-    w3, phi3 = jet.dw(3), jet.dphi(3)
-    w31, w32 = jet.dw(3, 1), jet.dw(3, 2)
-    phi31, phi32 = jet.dphi(3, 1), jet.dphi(3, 2)
+    q = _tensor(shear_force, jet, p)
+    f = _tensor(f_vector, jet, p)
+    m = _tensor(moment_tensor, jet, p)
+    g = _tensor(g_tensor, jet, p)
+    w3, phi3 = jet.w[..., S3], jet.phi[..., S3]
+    w31, w32 = jet.w[..., S13], jet.w[..., S23]
+    phi31, phi32 = jet.phi[..., S13], jet.phi[..., S23]
 
-    psi = kinetic_energy_density(jet, p) + strain_energy_density(jet, p)
+    psi = _tensor(kinetic_energy_density, jet, p) + _tensor(strain_energy_density, jet, p)
     p1 = -w3 * q.x1 - phi3 * f.x1 + w31 * m.c11 + w32 * m.c12 \
         + phi31 * g.c11 + phi32 * g.c12
     p2 = -w3 * q.x2 - phi3 * f.x2 + w31 * m.c12 + w32 * m.c22 \
@@ -137,13 +155,13 @@ def _row_4(jet: FieldJet, p: PlateParams):
 
 def _row_5(jet: FieldJet, p: PlateParams):
     x1, x2, x3 = (jet.point[..., i] for i in range(3))
-    psi2, p21, p22 = _row_translation(1, jet, p)
-    psi3, p31, p32 = _row_translation(2, jet, p)
-    psi4, p41, p42 = _row_4(jet, p)
-    m = moment_tensor(jet, p)
-    g = g_tensor(jet, p)
-    w1, w2 = jet.dw(1), jet.dw(2)
-    phi1, phi2 = jet.dphi(1), jet.dphi(2)
+    psi2, p21, p22 = _row(2, jet, p)
+    psi3, p31, p32 = _row(3, jet, p)
+    psi4, p41, p42 = _row(4, jet, p)
+    m = _tensor(moment_tensor, jet, p)
+    g = _tensor(g_tensor, jet, p)
+    w1, w2 = jet.w[..., S1], jet.w[..., S2]
+    phi1, phi2 = jet.phi[..., S1], jet.phi[..., S2]
 
     psi = x1 * psi2 + x2 * psi3 - 2.0 * x3 * psi4
     p1 = x1 * p21 + x2 * p31 - 2.0 * x3 * p41 \
@@ -155,12 +173,12 @@ def _row_5(jet: FieldJet, p: PlateParams):
 
 def _row_6(jet: FieldJet, p: PlateParams):
     x1, x2 = jet.point[..., 0], jet.point[..., 1]
-    psi2, p21, p22 = _row_translation(1, jet, p)
-    psi3, p31, p32 = _row_translation(2, jet, p)
-    m = moment_tensor(jet, p)
-    g = g_tensor(jet, p)
-    w1, w2 = jet.dw(1), jet.dw(2)
-    phi1, phi2 = jet.dphi(1), jet.dphi(2)
+    psi2, p21, p22 = _row(2, jet, p)
+    psi3, p31, p32 = _row(3, jet, p)
+    m = _tensor(moment_tensor, jet, p)
+    g = _tensor(g_tensor, jet, p)
+    w1, w2 = jet.w[..., S1], jet.w[..., S2]
+    phi1, phi2 = jet.phi[..., S1], jet.phi[..., S2]
 
     # eps_n^{ m} w_{,m} M^{an} expands to w_2 M^{a1} - w_1 M^{a2}
     psi = x2 * psi2 - x1 * psi3
@@ -171,30 +189,30 @@ def _row_6(jet: FieldJet, p: PlateParams):
 
 def _row_7(jet: FieldJet, p: PlateParams):
     x1 = jet.point[..., 0]
-    q = shear_force(jet, p)
-    m = moment_tensor(jet, p)
-    w = jet.dw()
-    psi = p.rho * x1 * jet.dw(3)
-    p1 = m.c11 - x1 * q.x1 + w * jet.dphi(2, 2)
-    p2 = m.c12 - x1 * q.x2 - w * jet.dphi(1, 2)
+    q = _tensor(shear_force, jet, p)
+    m = _tensor(moment_tensor, jet, p)
+    w = jet.w[..., S0]
+    psi = p.rho * x1 * jet.w[..., S3]
+    p1 = m.c11 - x1 * q.x1 + w * jet.phi[..., S22]
+    p2 = m.c12 - x1 * q.x2 - w * jet.phi[..., S12]
     return psi, p1, p2
 
 
 def _row_8(jet: FieldJet, p: PlateParams):
     x2 = jet.point[..., 1]
-    q = shear_force(jet, p)
-    m = moment_tensor(jet, p)
-    w = jet.dw()
-    psi = p.rho * x2 * jet.dw(3)
-    p1 = m.c12 - x2 * q.x1 - w * jet.dphi(1, 2)
-    p2 = m.c22 - x2 * q.x2 + w * jet.dphi(1, 1)
+    q = _tensor(shear_force, jet, p)
+    m = _tensor(moment_tensor, jet, p)
+    w = jet.w[..., S0]
+    psi = p.rho * x2 * jet.w[..., S3]
+    p1 = m.c12 - x2 * q.x1 - w * jet.phi[..., S12]
+    p2 = m.c22 - x2 * q.x2 + w * jet.phi[..., S11]
     return psi, p1, p2
 
 
 def _row_9(jet: FieldJet, p: PlateParams):
     x3 = jet.point[..., 2]
-    q = shear_force(jet, p)
-    psi = p.rho * (x3 * jet.dw(3) - jet.dw())
+    q = _tensor(shear_force, jet, p)
+    psi = p.rho * (x3 * jet.w[..., S3] - jet.w[..., S0])
     return psi, -x3 * q.x1, -x3 * q.x2
 
 
@@ -202,23 +220,23 @@ def _row_boost_moment(beta: int, jet: FieldJet, p: PlateParams):
     """Rows 10 and 11: x^beta-weighted boost moments."""
     xb = jet.point[..., beta - 1]
     x3 = jet.point[..., 2]
-    psi9, _, _ = _row_9(jet, p)
-    _, pa1, pa2 = (_row_7 if beta == 1 else _row_8)(jet, p)
+    psi9, _, _ = _row(9, jet, p)
+    _, pa1, pa2 = _row(6 + beta, jet, p)
     return xb * psi9, x3 * pa1, x3 * pa2
 
 
 def _row_phi_linear(beta: int, jet: FieldJet, p: PlateParams):
     """Rows 12 and 13: phi shifts linear in x^beta."""
     xb = jet.point[..., beta - 1]
-    f = f_vector(jet, p)
-    g = g_tensor(jet, p)
+    f = _tensor(f_vector, jet, p)
+    g = _tensor(g_tensor, jet, p)
     g_col = (g.c11, g.c12) if beta == 1 else (g.c12, g.c22)
     zero = np.zeros_like(xb) if isinstance(xb, np.ndarray) else 0.0
     return zero, xb * f.x1 - g_col[0], xb * f.x2 - g_col[1]
 
 
 def _row_14(jet: FieldJet, p: PlateParams):
-    f = f_vector(jet, p)
+    f = _tensor(f_vector, jet, p)
     x3 = jet.point[..., 2]
     zero = np.zeros_like(x3) if isinstance(x3, np.ndarray) else 0.0
     return zero, f.x1, f.x2
@@ -243,9 +261,15 @@ _ROWS = {
 
 
 def density_flux(law_key, jet: FieldJet, p: PlateParams) -> DensityFlux:
-    """Density and flux of one law at a jet; broadcasts over jet batches."""
+    """Density and flux of one law at a jet; broadcasts over jet batches.
+
+    The rows and the tensors they share are built once per jet and plate
+    constants, so a pass over all fourteen laws builds each of them once;
+    the returned arrays are shared with later calls and must not be
+    modified.
+    """
     entry = law(law_key)
-    psi, p1, p2 = _ROWS[entry.index](jet, p)
+    psi, p1, p2 = _row(entry.index, jet, p)
     return DensityFlux(density=psi, flux=Vector2(x1=p1, x2=p2))
 
 

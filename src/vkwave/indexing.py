@@ -55,3 +55,13 @@ def idx(*subscripts: int) -> int:
             f"no jet slot for subscripts {subscripts!r}; "
             f"each must be 1, 2 or 3 and at most {MAX_ORDER} of them"
         ) from None
+
+
+# Slots the formula modules read, named by their sorted subscripts, so that
+# a formula indexes ``jet.w[..., S12]`` instead of resolving idx(1, 2) on
+# every evaluation.
+S0 = idx()
+S1, S2, S3 = idx(1), idx(2), idx(3)
+S11, S12, S13, S22, S23, S33 = idx(1, 1), idx(1, 2), idx(1, 3), idx(2, 2), idx(2, 3), idx(3, 3)
+S111, S112, S122, S222 = idx(1, 1, 1), idx(1, 1, 2), idx(1, 2, 2), idx(2, 2, 2)
+S1111, S1122, S2222 = idx(1, 1, 1, 1), idx(1, 1, 2, 2), idx(2, 2, 2, 2)

@@ -59,6 +59,7 @@ class FieldJet:
         object.__setattr__(self, "point", p)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def is_batch(self) -> bool:
@@ -98,6 +99,19 @@ class FieldJet:
     def dphi(self, *subscripts: int) -> float | np.ndarray:
         """Derivative of phi with the given subscripts (any order)."""
         return self.phi[..., idx(*subscripts)]
+
+    def _derived(self, key, build, p):
+        """build(self, p), computed once per key and plate constants.
+
+        Formulas that many conservation-law rows share are built once per
+        jet this way.  An entry keeps its ``p``, so the id it is filed under
+        cannot be reused by other constants while it lives.  Callers share
+        the stored value and must not modify it.
+        """
+        entry = self._memo.get((key, id(p)))
+        if entry is None:
+            entry = self._memo[(key, id(p))] = (p, build(self, p))
+        return entry[1]
 
     def __sub__(self, other: "FieldJet") -> "FieldJet":
         """Componentwise difference of two jets taken at the same point."""

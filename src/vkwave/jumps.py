@@ -16,6 +16,10 @@ record we evaluate, in increasing order of structure:
   derivatives only (each equals minus the generic residual);
 * the two scalar relations among traveling-wave constants that the
   closed forms reduce to for the exact wave family.
+
+Each condition is written once, over a batch of front points whose jets
+are filled with one call per side; a report check evaluates it on all of
+its points at once, and the public per-record functions on a batch of one.
 """
 
 from __future__ import annotations
@@ -24,13 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conservation import density_flux, law
+from .conservation import _tensor, density_flux, law
 from .errors import NonAdmissibleRecordError, NotOnFrontError, ValidationError
+from .indexing import S0, S1, S2, S3, S11, S12, S13, S22, S23, S33
 from .jets import FieldJet
 from .params import PlateParams
 from .solutions import AccelerationWave, PiecewiseField, Side
 from .tensors import f_vector, shear_force
-from .wavefront import FrontGeometry, front_geometry
+from .wavefront import FrontGeometry, _normal_and_speed, front_geometry
 
 
 @dataclass(frozen=True)
@@ -46,10 +51,78 @@ class JumpRecord:
     mu: float
 
 
-def _nn_contraction(jump: FieldJet, field: str, n: np.ndarray) -> float:
-    d = jump.dw if field == "w" else jump.dphi
-    return float(
-        d(1, 1) * n[0] * n[0] + 2.0 * d(1, 2) * n[0] * n[1] + d(2, 2) * n[1] * n[1]
+@dataclass(frozen=True)
+class _FrontJets:
+    """Jump data at N front points: the batch form of JumpRecord.
+
+    ``point`` has shape (N, 3), ``normal`` (N, 2), and ``speed``,
+    ``lambda_`` and ``mu`` shape (N,); the jets are N-point batches.  Every
+    jump formula is written once, against this batch, and the public
+    per-record functions evaluate it on a batch of one.
+    """
+
+    point: np.ndarray
+    normal: np.ndarray
+    speed: np.ndarray
+    ahead: FieldJet
+    behind: FieldJet
+    jump: FieldJet
+    lambda_: np.ndarray
+    mu: np.ndarray
+
+
+def _nn_contraction(d: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """d_{,ab} n_a n_b from the jet array d of one field."""
+    n1, n2 = n[:, 0], n[:, 1]
+    return d[:, S11] * n1 * n1 + 2.0 * d[:, S12] * n1 * n2 + d[:, S22] * n2 * n2
+
+
+def _front_jets(field: PiecewiseField, points: np.ndarray) -> _FrontJets:
+    """Jump data at front points of shape (N, 3), from one jet batch per
+    side.  Raises for the first point that is off the front."""
+    front = field.front
+    g_val = np.asarray(front.value(points), dtype=np.float64)
+    grad = np.asarray(front.spatial_gradient(points), dtype=np.float64)
+    slope = np.hypot(grad[:, 0], grad[:, 1]) + np.abs(front.time_derivative(points))
+    scale = np.maximum(slope, 1e-300) * (1.0 + np.abs(points).max(axis=1))
+    off = np.flatnonzero(np.abs(g_val) > 1e-9 * scale)
+    if off.size:
+        k = off[0]
+        raise NotOnFrontError(
+            f"gamma(point) = {g_val[k]:.3e} exceeds the on-front tolerance {1e-9 * scale[k]:.3e}"
+        )
+
+    normal, speed = _normal_and_speed(front, points)
+    ahead = field.jet(points, Side.AHEAD)
+    behind = field.jet(points, Side.BEHIND)
+    jump = behind - ahead
+    return _FrontJets(
+        point=points,
+        normal=normal,
+        speed=speed,
+        ahead=ahead,
+        behind=behind,
+        jump=jump,
+        lambda_=_nn_contraction(jump.w, normal),
+        mu=_nn_contraction(jump.phi, normal),
+    )
+
+
+def _of_record(rec: JumpRecord) -> _FrontJets:
+    """A record as a batch of one point."""
+
+    def one(jet: FieldJet) -> FieldJet:
+        return FieldJet(jet.point[None], jet.w[None], jet.phi[None])
+
+    return _FrontJets(
+        point=rec.point[None],
+        normal=rec.geometry.normal[None],
+        speed=np.array([rec.geometry.speed]),
+        ahead=one(rec.ahead),
+        behind=one(rec.behind),
+        jump=one(rec.jump),
+        lambda_=np.array([rec.lambda_]),
+        mu=np.array([rec.mu]),
     )
 
 
@@ -62,27 +135,16 @@ def extract_jumps(field: PiecewiseField, point) -> JumpRecord:
     if front is None:
         raise ValidationError("field has no front; jumps are undefined")
 
-    g_val = float(front.value(p))
-    grad = np.asarray(front.spatial_gradient(p), dtype=np.float64)
-    slope = float(np.hypot(grad[0], grad[1])) + abs(float(front.time_derivative(p)))
-    scale = max(slope, 1e-300) * (1.0 + float(np.abs(p).max()))
-    if abs(g_val) > 1e-9 * scale:
-        raise NotOnFrontError(
-            f"gamma(point) = {g_val:.3e} exceeds the on-front tolerance {1e-9 * scale:.3e}"
-        )
-
-    geo = front_geometry(front, p)
-    ahead = field.jet(p, Side.AHEAD)
-    behind = field.jet(p, Side.BEHIND)
-    jump = behind - ahead
+    fj = _front_jets(field, p[None])
+    ahead, behind, jump = (FieldJet(p, j.w[0], j.phi[0]) for j in (fj.ahead, fj.behind, fj.jump))
     return JumpRecord(
         point=p,
-        geometry=geo,
+        geometry=front_geometry(front, p),
         ahead=ahead,
         behind=behind,
         jump=jump,
-        lambda_=_nn_contraction(jump, "w", geo.normal),
-        mu=_nn_contraction(jump, "phi", geo.normal),
+        lambda_=float(fj.lambda_[0]),
+        mu=float(fj.mu[0]),
     )
 
 
@@ -94,115 +156,196 @@ class WaveVerdict:
     reasons: tuple[str, ...]
 
 
-_CONTINUITY_SLOTS: tuple[tuple[str, tuple[int, ...]], ...] = (
-    ("[w]", ()),
-    ("[w,1]", (1,)),
-    ("[w,2]", (2,)),
-    ("[w,3]", (3,)),
-    ("[phi]", ()),
-    ("[phi,1]", (1,)),
-    ("[phi,2]", (2,)),
-    ("[phi,3]", (3,)),
+#: (name, field, slot) of each value and first derivative that must not jump.
+_CONTINUITY_SLOTS: tuple[tuple[str, str, int], ...] = (
+    ("[w]", "w", S0),
+    ("[w,1]", "w", S1),
+    ("[w,2]", "w", S2),
+    ("[w,3]", "w", S3),
+    ("[phi]", "phi", S0),
+    ("[phi,1]", "phi", S1),
+    ("[phi,2]", "phi", S2),
+    ("[phi,3]", "phi", S3),
 )
+
+
+def _wave_conditions(fj: _FrontJets, tol: float) -> list[tuple[np.ndarray, np.ndarray, str]]:
+    """The acceleration-wave test as (failed, jump, reason) per condition:
+    whether each point fails it, each point's jump, and the reason, to be
+    formatted with a failing point's jump.  Each comparison is relative to
+    the larger one-sided magnitude (floored at 1)."""
+    conditions = []
+    for name, field, slot in _CONTINUITY_SLOTS:
+        ahead = getattr(fj.ahead, field)[:, slot]
+        behind = getattr(fj.behind, field)[:, slot]
+        jump = getattr(fj.jump, field)[:, slot]
+        scale = np.maximum(np.maximum(1.0, np.abs(ahead)), np.abs(behind))
+        conditions.append((np.abs(jump) > tol * scale, jump, f"{name} != 0 (jumps by {{:.3e}})"))
+
+    w33 = fj.jump.w[:, S33]
+    scale = np.maximum(np.maximum(1.0, np.abs(fj.ahead.w[:, S33])), np.abs(fj.behind.w[:, S33]))
+    conditions.append(
+        (np.abs(w33) <= tol * scale, w33, "[w,33] = 0 (second time derivative does not jump)")
+    )
+    return conditions
+
+
+def _wave_reasons(conditions, k: int) -> tuple[str, ...]:
+    """Why point k fails the acceleration-wave test; empty when it passes."""
+    return tuple(
+        reason.format(float(jump[k])) for failed, jump, reason in conditions if failed[k]
+    )
 
 
 def check_acceleration_wave(rec: JumpRecord, tol: float = 1e-9) -> WaveVerdict:
     """Test the defining structure: value and first-derivative jumps vanish
     while [w_{,33}] does not.  Each comparison is relative to the larger
     one-sided magnitude (floored at 1)."""
-    reasons = []
-    for name, subs in _CONTINUITY_SLOTS:
-        ahead_d = rec.ahead.dw if name.startswith("[w") else rec.ahead.dphi
-        behind_d = rec.behind.dw if name.startswith("[w") else rec.behind.dphi
-        jump_d = rec.jump.dw if name.startswith("[w") else rec.jump.dphi
-        scale = max(1.0, abs(float(ahead_d(*subs))), abs(float(behind_d(*subs))))
-        value = float(jump_d(*subs))
-        if abs(value) > tol * scale:
-            reasons.append(f"{name} != 0 (jumps by {value:.3e})")
+    reasons = _wave_reasons(_wave_conditions(_of_record(rec), tol), 0)
+    return WaveVerdict(passed=not reasons, reasons=reasons)
 
-    w33 = float(rec.jump.dw(3, 3))
-    w33_scale = max(1.0, abs(float(rec.ahead.dw(3, 3))), abs(float(rec.behind.dw(3, 3))))
-    if abs(w33) <= tol * w33_scale:
-        reasons.append("[w,33] = 0 (second time derivative does not jump)")
 
-    return WaveVerdict(passed=not reasons, reasons=tuple(reasons))
+def _dynamic_residuals(fj: _FrontJets, p: PlateParams):
+    n1, n2 = fj.normal[:, 0], fj.normal[:, 1]
+    c = fj.speed
+    q_b = _tensor(shear_force, fj.behind, p)
+    q_a = _tensor(shear_force, fj.ahead, p)
+    f_b = _tensor(f_vector, fj.behind, p)
+    f_a = _tensor(f_vector, fj.ahead, p)
+
+    r_w = c * p.rho * fj.jump.w[:, S3] + ((q_b.x1 - q_a.x1) * n1 + (q_b.x2 - q_a.x2) * n2)
+    r_phi = (f_b.x1 - f_a.x1) * n1 + (f_b.x2 - f_a.x2) * n2
+    return r_w, r_phi
+
+
+def _dynamic_scales(fj: _FrontJets, p: PlateParams):
+    n1, n2 = fj.normal[:, 0], fj.normal[:, 1]
+    c = fj.speed
+    s_w = 0.0
+    s_phi = 0.0
+    for jet in (fj.ahead, fj.behind):
+        q = _tensor(shear_force, jet, p)
+        f = _tensor(f_vector, jet, p)
+        s_w = s_w + (np.abs(c * p.rho * jet.w[:, S3]) + np.abs(q.x1 * n1 + q.x2 * n2))
+        s_phi = s_phi + np.abs(f.x1 * n1 + f.x2 * n2)
+    return s_w, s_phi
 
 
 def dynamic_jump_residuals(rec: JumpRecord, p: PlateParams) -> tuple[float, float]:
     """The two dynamic conditions: (C [rho w_{,3}] + [Q^a] n_a, [F^a] n_a)."""
-    n = rec.geometry.normal
-    c = rec.geometry.speed
-    q_b = shear_force(rec.behind, p)
-    q_a = shear_force(rec.ahead, p)
-    f_b = f_vector(rec.behind, p)
-    f_a = f_vector(rec.ahead, p)
-
-    r_w = c * p.rho * float(rec.jump.dw(3)) + float(
-        (q_b.x1 - q_a.x1) * n[0] + (q_b.x2 - q_a.x2) * n[1]
-    )
-    r_phi = float((f_b.x1 - f_a.x1) * n[0] + (f_b.x2 - f_a.x2) * n[1])
-    return r_w, r_phi
+    r_w, r_phi = _dynamic_residuals(_of_record(rec), p)
+    return float(r_w[0]), float(r_phi[0])
 
 
 def dynamic_jump_scales(rec: JumpRecord, p: PlateParams) -> tuple[float, float]:
     """Magnitude scales for the two dynamic residuals (one-sided term sums)."""
-    n = rec.geometry.normal
-    c = rec.geometry.speed
-    s_w = 0.0
-    s_phi = 0.0
-    for jet in (rec.ahead, rec.behind):
-        q = shear_force(jet, p)
-        f = f_vector(jet, p)
-        s_w += abs(c * p.rho * float(jet.dw(3))) + abs(float(q.x1 * n[0] + q.x2 * n[1]))
-        s_phi += abs(float(f.x1 * n[0] + f.x2 * n[1]))
-    return s_w, s_phi
+    s_w, s_phi = _dynamic_scales(_of_record(rec), p)
+    return float(s_w[0]), float(s_phi[0])
 
 
-def _balance_jump_terms(law_key, rec: JumpRecord, p: PlateParams) -> tuple[float, float]:
-    """balance_jump_residual and balance_jump_scale from one density_flux
-    per side."""
-    n = rec.geometry.normal
-    c = rec.geometry.speed
-    df_a = density_flux(law_key, rec.ahead, p)
-    df_b = density_flux(law_key, rec.behind, p)
-    jump_density = float(df_b.density) - float(df_a.density)
-    jump_flux_n = float(
-        (df_b.flux.x1 - df_a.flux.x1) * n[0] + (df_b.flux.x2 - df_a.flux.x2) * n[1]
-    )
+def _balance_jump_terms(law_key, fj: _FrontJets, p: PlateParams):
+    """The generic balance jump residual and its scale at every point, from
+    one density_flux per side."""
+    n1, n2 = fj.normal[:, 0], fj.normal[:, 1]
+    c = fj.speed
+    df_a = density_flux(law_key, fj.ahead, p)
+    df_b = density_flux(law_key, fj.behind, p)
+    jump_density = df_b.density - df_a.density
+    jump_flux_n = (df_b.flux.x1 - df_a.flux.x1) * n1 + (df_b.flux.x2 - df_a.flux.x2) * n2
     s = 0.0
     for df in (df_a, df_b):
-        s += abs(c * float(df.density)) + abs(float(df.flux.x1 * n[0] + df.flux.x2 * n[1]))
+        s = s + (np.abs(c * df.density) + np.abs(df.flux.x1 * n1 + df.flux.x2 * n2))
     return c * jump_density - jump_flux_n, s
 
 
 def balance_jump_residual(law_key, rec: JumpRecord, p: PlateParams) -> float:
     """Generic balance jump condition C [Psi] - [P^a] n_a for one law."""
-    return _balance_jump_terms(law_key, rec, p)[0]
+    return float(_balance_jump_terms(law_key, _of_record(rec), p)[0][0])
 
 
 def balance_jump_scale(law_key, rec: JumpRecord, p: PlateParams) -> float:
     """One-sided magnitude scale for the generic balance jump residual."""
-    return _balance_jump_terms(law_key, rec, p)[1]
+    return float(_balance_jump_terms(law_key, _of_record(rec), p)[1][0])
 
 
 _CLOSED_FORM_LAWS = (2, 3, 4, 5, 6)
 
+#: Slots of f_{,b1}, f_{,b2} and f_{,b3} for the in-plane direction b.
+_SECOND_SLOTS = {1: (S11, S12, S13), 2: (S12, S22, S23)}
 
-def _generator_applied(jet: FieldJet, field: str, beta: int, law_index: int) -> float:
-    """Apply the law's symmetry generator to f_{,beta} at the jet's point."""
-    d = jet.dw if field == "w" else jet.dphi
-    x1, x2, x3 = (float(jet.point[i]) for i in range(3))
+
+def _generator_applied(jet: FieldJet, field: str, beta: int, law_index: int) -> np.ndarray:
+    """Apply the law's symmetry generator to f_{,beta} at the jet's points."""
+    d = jet.w if field == "w" else jet.phi
+    s1, s2, s3 = _SECOND_SLOTS[beta]
+    x1, x2, x3 = (jet.point[:, i] for i in range(3))
     if law_index == 4:
-        return float(d(beta, 3))
+        return d[:, s3]
     if law_index == 2:
-        return float(d(beta, 1))
+        return d[:, s1]
     if law_index == 3:
-        return float(d(beta, 2))
+        return d[:, s2]
     if law_index == 6:
-        return x2 * float(d(beta, 1)) - x1 * float(d(beta, 2))
+        return x2 * d[:, s1] - x1 * d[:, s2]
     if law_index == 5:
-        return x1 * float(d(beta, 1)) + x2 * float(d(beta, 2)) + 2.0 * x3 * float(d(beta, 3))
+        return x1 * d[:, s1] + x2 * d[:, s2] + 2.0 * x3 * d[:, s3]
     raise ValidationError(f"no closed-form row for law index {law_index}")
+
+
+def _closed_form_residuals(
+    law_key, fj: _FrontJets, p: PlateParams, admissibility_tol: float = 1e-9
+) -> np.ndarray:
+    """closed_form_jump_residual at every point; raises for the first point
+    that is not an acceleration wave."""
+    entry = law(law_key)
+    if entry.index not in _CLOSED_FORM_LAWS:
+        raise ValidationError(
+            f"closed form exists only for laws {_CLOSED_FORM_LAWS}, got {entry.index}"
+        )
+    conditions = _wave_conditions(fj, admissibility_tol)
+    failing = np.flatnonzero(np.any([failed for failed, _, _ in conditions], axis=0))
+    if failing.size:
+        raise NonAdmissibleRecordError(
+            "record is not an acceleration wave ("
+            + "; ".join(_wave_reasons(conditions, failing[0]))
+            + "); run check_acceleration_wave for details"
+        )
+
+    lam, mu = fj.lambda_, fj.mu
+    d, eh = p.D, p.Eh
+    n = fj.normal
+    c = fj.speed
+    x1, x2, x3 = (fj.point[:, i] for i in range(3))
+    quad = d * lam * lam - mu * mu / eh
+
+    def gen_dot_n(field: str) -> np.ndarray:
+        return sum(
+            _generator_applied(fj.ahead, field, beta, entry.index) * n[:, beta - 1]
+            for beta in (1, 2)
+        )
+
+    if entry.index == 4:
+        return 0.5 * c * quad - (d * lam * gen_dot_n("w") - (mu / eh) * gen_dot_n("phi"))
+
+    if entry.index in (2, 3):
+        n_comp = n[:, entry.index - 2]
+        return 0.5 * quad * n_comp + d * lam * gen_dot_n("w") - (mu / eh) * gen_dot_n("phi")
+
+    w1, w2 = fj.ahead.w[:, S1], fj.ahead.w[:, S2]
+    f1, f2 = fj.ahead.phi[:, S1], fj.ahead.phi[:, S2]
+
+    if entry.index == 6:
+        # eps^a_{ b} v_a n^b = v1 n2 - v2 n1
+        lhs = 0.5 * (n[:, 0] * x2 - n[:, 1] * x1) * quad
+        w_part = (w1 * n[:, 1] - w2 * n[:, 0]) + gen_dot_n("w")
+        phi_part = (f1 * n[:, 1] - f2 * n[:, 0]) + gen_dot_n("phi")
+        return lhs + d * lam * w_part - (mu / eh) * phi_part
+
+    # scaling row
+    lhs = 0.5 * (x1 * n[:, 0] + x2 * n[:, 1] - 2.0 * c * x3) * quad
+    w_part = (w1 * n[:, 0] + w2 * n[:, 1]) + gen_dot_n("w")
+    phi_part = (f1 * n[:, 0] + f2 * n[:, 1]) + gen_dot_n("phi")
+    return lhs + d * lam * w_part - (mu / eh) * phi_part
 
 
 def closed_form_jump_residual(
@@ -216,54 +359,7 @@ def closed_form_jump_residual(
     test first: the closed forms assume rank-one jump structure.  Each
     value equals minus the generic balance_jump_residual of the same law.
     """
-    entry = law(law_key)
-    if entry.index not in _CLOSED_FORM_LAWS:
-        raise ValidationError(
-            f"closed form exists only for laws {_CLOSED_FORM_LAWS}, got {entry.index}"
-        )
-    verdict = check_acceleration_wave(rec, admissibility_tol)
-    if not verdict.passed:
-        raise NonAdmissibleRecordError(
-            "record is not an acceleration wave ("
-            + "; ".join(verdict.reasons)
-            + "); run check_acceleration_wave for details"
-        )
-
-    lam, mu = rec.lambda_, rec.mu
-    d, eh = p.D, p.Eh
-    n = rec.geometry.normal
-    c = rec.geometry.speed
-    x1, x2, x3 = (float(rec.point[i]) for i in range(3))
-    quad = d * lam * lam - mu * mu / eh
-
-    def gen_dot_n(field: str) -> float:
-        return sum(
-            _generator_applied(rec.ahead, field, beta, entry.index) * n[beta - 1]
-            for beta in (1, 2)
-        )
-
-    if entry.index == 4:
-        return 0.5 * c * quad - (d * lam * gen_dot_n("w") - (mu / eh) * gen_dot_n("phi"))
-
-    if entry.index in (2, 3):
-        n_comp = n[0] if entry.index == 2 else n[1]
-        return 0.5 * quad * n_comp + d * lam * gen_dot_n("w") - (mu / eh) * gen_dot_n("phi")
-
-    w1, w2 = float(rec.ahead.dw(1)), float(rec.ahead.dw(2))
-    f1, f2 = float(rec.ahead.dphi(1)), float(rec.ahead.dphi(2))
-
-    if entry.index == 6:
-        # eps^a_{ b} v_a n^b = v1 n2 - v2 n1
-        lhs = 0.5 * (n[0] * x2 - n[1] * x1) * quad
-        w_part = (w1 * n[1] - w2 * n[0]) + gen_dot_n("w")
-        phi_part = (f1 * n[1] - f2 * n[0]) + gen_dot_n("phi")
-        return lhs + d * lam * w_part - (mu / eh) * phi_part
-
-    # scaling row
-    lhs = 0.5 * (x1 * n[0] + x2 * n[1] - 2.0 * c * x3) * quad
-    w_part = (w1 * n[0] + w2 * n[1]) + gen_dot_n("w")
-    phi_part = (f1 * n[0] + f2 * n[1]) + gen_dot_n("phi")
-    return lhs + d * lam * w_part - (mu / eh) * phi_part
+    return float(_closed_form_residuals(law_key, _of_record(rec), p, admissibility_tol)[0])
 
 
 def amplitude_relation_residuals(wave: AccelerationWave) -> tuple[float, float]:

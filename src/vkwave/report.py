@@ -25,15 +25,15 @@ import numpy as np
 
 from .balance import _BATCH_POINTS, _balance_reports
 from .conservation import _divergence_estimates
-from .errors import ValidationError
+from .errors import ValidationError, VkwaveError
 from .jumps import (
     _balance_jump_terms,
+    _closed_form_residuals,
+    _dynamic_residuals,
+    _dynamic_scales,
+    _front_jets,
     amplitude_relation_residuals,
     amplitude_relation_scales,
-    balance_jump_scale,
-    closed_form_jump_residual,
-    dynamic_jump_residuals,
-    dynamic_jump_scales,
     extract_jumps,
 )
 from .scenario import Scenario, build_field, sample_front_point, scenario_to_dict
@@ -83,6 +83,12 @@ class Report:
 
 def _status(residual: float, tol: float) -> str:
     return "pass" if residual < tol else "fail"
+
+
+def _worst(scaled) -> float:
+    """The largest scaled residual, 0.0 for none; NaN if any is NaN, which
+    the builtin max would drop."""
+    return float(np.max(scaled, initial=0.0))
 
 
 def _run_pde_residual(scenario: Scenario, field, check, rng) -> list[CheckResult]:
@@ -157,43 +163,58 @@ def _run_conservation(scenario: Scenario, field, check, rng) -> list[CheckResult
         pts = np.array(check.points, dtype=np.float64)
     else:
         pts = _sample_off_front(field, rng, check.samples if check.samples else 3, h)
-    worst = [0.0] * len(check.laws)
-    for k in range(pts.shape[0]):
-        for i, est in enumerate(_divergence_estimates(field, check.laws, pts[k], h=h)):
-            worst[i] = max(worst[i], abs(est.residual) / max(1.0, est.scale))
-    return [
-        CheckResult(
-            name=f"conservation[{name}]",
-            kind="conservation",
-            status=_status(res, tol),
-            residual=res,
-            tolerance=tol,
-            detail=f"h={h:g}, {pts.shape[0]} points",
+    per_point = [_divergence_estimates(field, check.laws, pt, h=h) for pt in pts]
+    results = []
+    for i, name in enumerate(check.laws):
+        res = _worst([abs(ests[i].residual) / np.maximum(1.0, ests[i].scale) for ests in per_point])
+        results.append(
+            CheckResult(
+                name=f"conservation[{name}]",
+                kind="conservation",
+                status=_status(res, tol),
+                residual=res,
+                tolerance=tol,
+                detail=f"h={h:g}, {pts.shape[0]} points",
+            )
         )
-        for name, res in zip(check.laws, worst)
-    ]
+    return results
 
 
-def _front_records(field, check, rng):
+def _front_batch(field, check, rng):
+    """Jump data at the check's front points, n seeded draws per time, with
+    one jet batch per side."""
     times = check.times if check.times is not None else (0.0,)
     n = check.samples if check.samples is not None else 3
-    records = []
-    for t in times:
-        for _ in range(n):
-            draw = float(rng.uniform(-1.0, 1.0))
-            point = sample_front_point(field.front, t, draw)
-            records.append(extract_jumps(field, point))
-    return records
+    state = rng.bit_generator.state
+    try:
+        points = [
+            sample_front_point(field.front, t, float(draw))
+            for t in times
+            for draw in rng.uniform(-1.0, 1.0, n)
+        ]
+        return _front_jets(field, np.array(points))
+    except VkwaveError:
+        # Replay the same draws one point at a time, so that the error
+        # raised, and the draws taken before it, are those of the first
+        # failing point: later checks then draw what they would have drawn.
+        rng.bit_generator.state = state
+        for t in times:
+            for _ in range(n):
+                point = sample_front_point(field.front, t, float(rng.uniform(-1.0, 1.0)))
+                extract_jumps(field, point)
+        raise
 
 
 def _run_dynamic_jumps(scenario: Scenario, field, check, rng) -> list[CheckResult]:
     tol = check.tolerance if check.tolerance is not None else scenario.tolerances.analytic
-    records = _front_records(field, check, rng)
-    worst = 0.0
-    for rec in records:
-        r_w, r_phi = dynamic_jump_residuals(rec, field.params)
-        s_w, s_phi = dynamic_jump_scales(rec, field.params)
-        worst = max(worst, abs(r_w) / max(1.0, s_w), abs(r_phi) / max(1.0, s_phi))
+    fj = _front_batch(field, check, rng)
+    r_w, r_phi = _dynamic_residuals(fj, field.params)
+    s_w, s_phi = _dynamic_scales(fj, field.params)
+    worst = _worst(
+        np.concatenate(
+            (np.abs(r_w) / np.maximum(1.0, s_w), np.abs(r_phi) / np.maximum(1.0, s_phi))
+        )
+    )
     return [
         CheckResult(
             name="dynamic_jumps",
@@ -201,20 +222,18 @@ def _run_dynamic_jumps(scenario: Scenario, field, check, rng) -> list[CheckResul
             status=_status(worst, tol),
             residual=worst,
             tolerance=tol,
-            detail=f"{len(records)} front points",
+            detail=f"{len(fj.point)} front points",
         )
     ]
 
 
 def _run_balance_jump(scenario: Scenario, field, check, rng) -> list[CheckResult]:
     tol = check.tolerance if check.tolerance is not None else scenario.tolerances.analytic
-    records = _front_records(field, check, rng)
+    fj = _front_batch(field, check, rng)
     results = []
     for name in check.laws:
-        worst = 0.0
-        for rec in records:
-            r, s = _balance_jump_terms(name, rec, field.params)
-            worst = max(worst, abs(r) / max(1.0, s))
+        r, s = _balance_jump_terms(name, fj, field.params)
+        worst = _worst(np.abs(r) / np.maximum(1.0, s))
         results.append(
             CheckResult(
                 name=f"balance_jump[{name}]",
@@ -222,7 +241,7 @@ def _run_balance_jump(scenario: Scenario, field, check, rng) -> list[CheckResult
                 status=_status(worst, tol),
                 residual=worst,
                 tolerance=tol,
-                detail=f"{len(records)} front points",
+                detail=f"{len(fj.point)} front points",
             )
         )
     return results
@@ -230,23 +249,24 @@ def _run_balance_jump(scenario: Scenario, field, check, rng) -> list[CheckResult
 
 def _run_closed_form_jump(scenario: Scenario, field, check, rng) -> list[CheckResult]:
     tol = check.tolerance if check.tolerance is not None else scenario.tolerances.analytic
-    records = _front_records(field, check, rng)
+    fj = _front_batch(field, check, rng)
     results = []
     for name in check.laws:
         try:
-            worst = 0.0
-            for rec in records:
-                r = closed_form_jump_residual(name, rec, field.params)
-                s = balance_jump_scale(name, rec, field.params)
-                worst = max(worst, abs(r) / max(1.0, s))
+            r = _closed_form_residuals(name, fj, field.params)
+            _, s = _balance_jump_terms(name, fj, field.params)
+            worst = _worst(np.abs(r) / np.maximum(1.0, s))
+            # A nonzero finite residual stays the numpy scalar this row has
+            # always reported, which the csv report prints as np.float64(...).
+            residual = np.float64(worst) if worst > 0.0 else worst
             results.append(
                 CheckResult(
                     name=f"closed_form_jump[{name}]",
                     kind="closed_form_jump",
-                    status=_status(worst, tol),
-                    residual=worst,
+                    status=_status(residual, tol),
+                    residual=residual,
                     tolerance=tol,
-                    detail=f"{len(records)} front points",
+                    detail=f"{len(fj.point)} front points",
                 )
             )
         except Exception as exc:
@@ -284,24 +304,29 @@ def _run_balance(scenario: Scenario, field, check, rng) -> list[CheckResult]:
     tol = check.tolerance if check.tolerance is not None else scenario.tolerances.quadrature
     region = check.region if check.region is not None else scenario.region
     times = check.times if check.times is not None else (0.0,)
-    worst = [0.0] * len(check.laws)
-    quad_err = [0.0] * len(check.laws)
-    for t in times:
-        for i, rep in enumerate(_balance_reports(field, check.laws, region, t, check.dt)):
-            scale = max(1.0, abs(rep.time_derivative), abs(rep.flux_integral))
-            worst[i] = max(worst[i], abs(rep.residual) / scale)
-            quad_err[i] = max(quad_err[i], rep.quadrature_error)
-    return [
-        CheckResult(
-            name=f"balance[{name}]",
-            kind="balance",
-            status=_status(res, tol),
-            residual=res,
-            tolerance=tol,
-            detail=f"quadrature error {err:.2e}",
+    per_time = [_balance_reports(field, check.laws, region, t, check.dt) for t in times]
+    results = []
+    for i, name in enumerate(check.laws):
+        reps = [reports[i] for reports in per_time]
+        res = _worst(
+            [
+                abs(rep.residual)
+                / np.max([1.0, abs(rep.time_derivative), abs(rep.flux_integral)])
+                for rep in reps
+            ]
         )
-        for name, res, err in zip(check.laws, worst, quad_err)
-    ]
+        err = _worst([rep.quadrature_error for rep in reps])
+        results.append(
+            CheckResult(
+                name=f"balance[{name}]",
+                kind="balance",
+                status=_status(res, tol),
+                residual=res,
+                tolerance=tol,
+                detail=f"quadrature error {err:.2e}",
+            )
+        )
+    return results
 
 
 _RUNNERS = {

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._kernels import traveling_jet_fill
 from .errors import SideRequiredError, ValidationError
-from .indexing import EXPONENTS, JET_SIZE
+from .indexing import EXPONENTS, JET_SIZE, S11, S12, S22, S33, S1111, S1122, S2222
 from .jets import FieldJet
 from .params import PlateParams
 from .wavefront import Front, LineFront
@@ -135,7 +135,13 @@ class PolynomialField:
                     factors[col] *= math.perm(n, s)
                     if n - s > 0:
                         vals[:, col] *= flat[:, ax] ** (n - s)
-            out[:, q] = vals @ factors
+            # term by term in a fixed order: a matrix-vector product rounds
+            # differently with the number of points, and a point's jet must
+            # not depend on the batch it is evaluated in
+            acc = vals[:, 0] * factors[0]
+            for col in range(1, factors.size):
+                acc = acc + vals[:, col] * factors[col]
+            out[:, q] = acc
         return out
 
     def jet(self, point, side: Side = Side.AUTO) -> FieldJet:
@@ -293,13 +299,13 @@ def pde_residual(jet: FieldJet, p: PlateParams):
 
     Returns (r1, r2); both vanish identically on exact solutions.
     """
-    w11, w12, w22 = jet.dw(1, 1), jet.dw(1, 2), jet.dw(2, 2)
-    p11, p12, p22 = jet.dphi(1, 1), jet.dphi(1, 2), jet.dphi(2, 2)
-    bilap_w = jet.dw(1, 1, 1, 1) + 2.0 * jet.dw(1, 1, 2, 2) + jet.dw(2, 2, 2, 2)
-    bilap_phi = jet.dphi(1, 1, 1, 1) + 2.0 * jet.dphi(1, 1, 2, 2) + jet.dphi(2, 2, 2, 2)
+    w11, w12, w22 = jet.w[..., S11], jet.w[..., S12], jet.w[..., S22]
+    p11, p12, p22 = jet.phi[..., S11], jet.phi[..., S12], jet.phi[..., S22]
+    bilap_w = jet.w[..., S1111] + 2.0 * jet.w[..., S1122] + jet.w[..., S2222]
+    bilap_phi = jet.phi[..., S1111] + 2.0 * jet.phi[..., S1122] + jet.phi[..., S2222]
 
     coupling = w11 * p22 + w22 * p11 - 2.0 * w12 * p12
-    r1 = p.D * bilap_w - coupling + p.rho * jet.dw(3, 3)
+    r1 = p.D * bilap_w - coupling + p.rho * jet.w[..., S33]
     r2 = bilap_phi / p.Eh + (w11 * w22 - w12 * w12)
     return r1, r2
 
@@ -307,15 +313,15 @@ def pde_residual(jet: FieldJet, p: PlateParams):
 def pde_term_scales(jet: FieldJet, p: PlateParams):
     """Sum of absolute term magnitudes for each equation, for relative
     residual comparisons."""
-    w11, w12, w22 = jet.dw(1, 1), jet.dw(1, 2), jet.dw(2, 2)
-    p11, p12, p22 = jet.dphi(1, 1), jet.dphi(1, 2), jet.dphi(2, 2)
-    bilap_w = jet.dw(1, 1, 1, 1) + 2.0 * jet.dw(1, 1, 2, 2) + jet.dw(2, 2, 2, 2)
-    bilap_phi = jet.dphi(1, 1, 1, 1) + 2.0 * jet.dphi(1, 1, 2, 2) + jet.dphi(2, 2, 2, 2)
+    w11, w12, w22 = jet.w[..., S11], jet.w[..., S12], jet.w[..., S22]
+    p11, p12, p22 = jet.phi[..., S11], jet.phi[..., S12], jet.phi[..., S22]
+    bilap_w = jet.w[..., S1111] + 2.0 * jet.w[..., S1122] + jet.w[..., S2222]
+    bilap_phi = jet.phi[..., S1111] + 2.0 * jet.phi[..., S1122] + jet.phi[..., S2222]
 
     s1 = (
         np.abs(p.D * bilap_w)
         + np.abs(w11 * p22) + np.abs(w22 * p11) + 2.0 * np.abs(w12 * p12)
-        + np.abs(p.rho * jet.dw(3, 3))
+        + np.abs(p.rho * jet.w[..., S33])
     )
     s2 = np.abs(bilap_phi / p.Eh) + np.abs(w11 * w22) + np.abs(w12 * w12)
     return s1, s2

@@ -196,6 +196,25 @@ def _project_to_front(front: Front, spatial, time: float, steps: int = 3):
     return q
 
 
+def _normal_and_speed(front: Front, points) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normal (shape (N, 2)) and speed (shape (N,)) of the front at
+    points of shape (N, 3): n = grad gamma / |grad gamma| and
+    C = -(d gamma/dx3) / |grad gamma|.  Raises for the first point where
+    the normal is undefined."""
+    p = np.asarray(points, dtype=np.float64)
+    g = np.asarray(front.spatial_gradient(p), dtype=np.float64)
+    g_t = np.asarray(front.time_derivative(p), dtype=np.float64)
+    norm = np.hypot(g[:, 0], g[:, 1])
+    scale = 1.0 + np.abs(p).max(axis=1) + np.abs(g_t)
+    singular = np.flatnonzero(norm <= 1e-13 * scale)
+    if singular.size:
+        k = singular[0]
+        raise SingularFrontError(
+            f"front normal undefined at {tuple(p[k])}: |grad gamma| = {norm[k]:.3e}"
+        )
+    return g / norm[:, None], -g_t / norm
+
+
 def front_geometry(front: Front, point) -> FrontGeometry:
     """Speed, frame, and arc-rate of the front at a space-time point.
 
@@ -208,16 +227,10 @@ def front_geometry(front: Front, point) -> FrontGeometry:
     if p.shape != (3,):
         raise ValidationError(f"point must be a 3-vector, got shape {p.shape}")
 
-    g = np.asarray(front.spatial_gradient(p), dtype=np.float64)
-    norm = float(np.hypot(g[0], g[1]))
-    scale = 1.0 + float(np.abs(p).max()) + abs(float(front.time_derivative(p)))
-    if norm <= 1e-13 * scale:
-        raise SingularFrontError(
-            f"front normal undefined at {tuple(p)}: |grad gamma| = {norm:.3e}"
-        )
-    n = g / norm
+    normals, speeds = _normal_and_speed(front, p[None])
+    n = normals[0]
     t = np.array([-n[1], n[0]])
-    speed = -float(front.time_derivative(p)) / norm
+    speed = float(speeds[0])
 
     ds = 1e-4 * (1.0 + float(np.hypot(p[0], p[1])))
     time = float(p[2])

@@ -16,12 +16,19 @@ from vkwave.balance import (
     front_segment_jump_integral,
     fundamental_balances,
 )
+from vkwave.conservation import LAWS, density_flux
 from vkwave.errors import ValidationError
 from vkwave.jumps import amplitude_relation_residuals, balance_jump_residual, extract_jumps
 from vkwave.report import run_scenario
 from vkwave.scenario import build_field, scenario_from_dict
-from vkwave.solutions import PiecewiseField, acceleration_wave, invariant_solution, polynomial_field
-from vkwave.wavefront import CircleFront, LineFront
+from vkwave.solutions import (
+    PiecewiseField,
+    Side,
+    acceleration_wave,
+    invariant_solution,
+    polynomial_field,
+)
+from vkwave.wavefront import CircleFront, LineFront, front_geometry
 
 _EXAMPLE_SCENARIO = Path(__file__).resolve().parents[1] / "examples_scenarios" / "wave_check.yaml"
 
@@ -278,6 +285,38 @@ def test_circle_front_density_and_jump(generic_params):
     # absolute variant bounds the signed one
     mag = front_segment_jump_integral(field, 1, region, 0.0, absolute=True)
     assert mag >= abs(jump)
+
+
+@pytest.mark.parametrize("case", ["straight_wave", "disc"])
+def test_jump_integrand_matches_per_point_geometry(case, unit_params, generic_params):
+    # the batched normals and speeds give, bit for bit, the integrand that
+    # front_geometry evaluated at each point gives
+    if case == "straight_wave":
+        field, t = _example_wave(unit_params), 0.1
+        s = np.linspace(-0.6, 0.7, 9)
+        pts = np.stack([np.full_like(s, t), s, np.full_like(s, t)], axis=1)
+    else:
+        field, t = _disc_field(generic_params), 0.0
+        theta = np.linspace(0.0, 6.0, 9)
+        x1, x2 = 0.1 + 0.35 * np.cos(theta), -0.05 + 0.35 * np.sin(theta)
+        pts = np.stack([x1, x2, np.zeros(9)], axis=1)
+    p = field.params
+    for entry in LAWS:
+        df_a = density_flux(entry, field.jet(pts, Side.AHEAD), p)
+        df_b = density_flux(entry, field.jet(pts, Side.BEHIND), p)
+        signed, absolute = [], []
+        for k, pt in enumerate(pts):
+            geo = front_geometry(field.front, pt)
+            (n1, n2), c = geo.normal, geo.speed
+            d_a, d_b = df_a.density[k], df_b.density[k]
+            pn_a = df_a.flux.x1[k] * n1 + df_a.flux.x2[k] * n2
+            pn_b = df_b.flux.x1[k] * n1 + df_b.flux.x2[k] * n2
+            jump_1 = df_b.flux.x1[k] - df_a.flux.x1[k]
+            jump_2 = df_b.flux.x2[k] - df_a.flux.x2[k]
+            signed.append(c * (d_b - d_a) - (jump_1 * n1 + jump_2 * n2))
+            absolute.append(abs(c) * (abs(d_b) + abs(d_a)) + abs(pn_b) + abs(pn_a))
+        assert balance._jump_integrand_on_points(field, entry, pts).tolist() == signed
+        assert balance._jump_integrand_on_points(field, entry, pts, True).tolist() == absolute
 
 
 def test_balance_residual_rejects_bad_dt(generic_params):

@@ -182,3 +182,58 @@ def test_step_validation(generic_params):
         conservation_divergence(sol, 1, (0, 0, 0), h=-1.0)
     with pytest.raises(ValidationError):
         conservation_divergence(sol, 1, (0, 0), h=1e-3)
+
+
+def _bits(df) -> bytes:
+    return b"".join(
+        np.asarray(v, dtype=np.float64).tobytes() for v in (df.density, df.flux.x1, df.flux.x2)
+    )
+
+
+@pytest.mark.parametrize("order", ["forward", "composites_first"])
+def test_rows_built_once_per_jet_equal_fresh_jets(order, generic_params):
+    ahead = invariant_solution((0.2, -0.3, 0.5, 0.1), (0.1, 0.3, 0.2, -0.4), 1.1, generic_params)
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, (7, 3))
+    keys = [entry.index for entry in LAWS]
+    if order == "composites_first":
+        keys = [5, 6, 10, 11] + [k for k in keys if k not in (5, 6, 10, 11)]
+    shared = ahead.jet(pts)
+    for key in keys:
+        fresh = density_flux(key, ahead.jet(pts), generic_params)
+        assert _bits(density_flux(key, shared, generic_params)) == _bits(fresh), key
+
+
+def test_fourteen_laws_build_each_tensor_once(generic_params, monkeypatch):
+    import vkwave.conservation as conservation
+
+    names = (
+        "shear_force", "moment_tensor", "f_vector", "g_tensor",
+        "lagrangian_density", "kinetic_energy_density", "strain_energy_density",
+    )
+    calls = []
+    for name in names:
+        original = getattr(conservation, name)
+
+        def counted(jet, p, _original=original):
+            calls.append(_original.__name__)
+            return _original(jet, p)
+
+        counted.__name__ = name
+        monkeypatch.setattr(conservation, name, counted)
+    sol = invariant_solution((0.2, -0.3, 0.5, 0.1), (0.1, 0.3, 0.2, -0.4), 1.1, generic_params)
+    jet = sol.jet(np.random.default_rng(4).uniform(-1.0, 1.0, (5, 3)))
+    for entry in LAWS:
+        density_flux(entry, jet, generic_params)
+    assert sorted(calls) == sorted(names)
+
+
+def test_jet_is_not_served_tensors_of_other_constants(unit_params, generic_params):
+    sol = invariant_solution((0.2, -0.3, 0.5, 0.1), (0.1, 0.3, 0.2, -0.4), 1.1, generic_params)
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (4, 3))
+    jet = sol.jet(pts)
+    for key in (1, 4, 5, 11):
+        unit = density_flux(key, jet, unit_params)
+        generic = density_flux(key, jet, generic_params)
+        assert _bits(unit) == _bits(density_flux(key, sol.jet(pts), unit_params))
+        assert _bits(generic) == _bits(density_flux(key, sol.jet(pts), generic_params))
+        assert _bits(unit) != _bits(generic)

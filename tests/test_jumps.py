@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from vkwave.conservation import LAWS
 from vkwave.errors import NonAdmissibleRecordError, NotOnFrontError, ValidationError
 from vkwave.jumps import (
+    _balance_jump_terms,
+    _front_jets,
     amplitude_relation_residuals,
     amplitude_relation_scales,
     balance_jump_residual,
@@ -44,6 +46,47 @@ def test_extract_jumps_requires_front_point(wave):
         extract_jumps(wave, (1.0, 0.0, 0.0))
     with pytest.raises(ValidationError):
         extract_jumps(wave, (0.0, 0.0))
+
+
+def _off_front_message(front, point) -> str:
+    p = np.asarray(point, dtype=np.float64)
+    grad = front.spatial_gradient(p)
+    slope = float(np.hypot(grad[0], grad[1])) + abs(float(front.time_derivative(p)))
+    scale = max(slope, 1e-300) * (1.0 + float(np.abs(p).max()))
+    return (
+        f"gamma(point) = {float(front.value(p)):.3e} exceeds the on-front tolerance "
+        f"{1e-9 * scale:.3e}"
+    )
+
+
+def test_off_front_error_names_the_first_off_front_point(wave):
+    off = (1.0, 0.0, 0.0)
+    with pytest.raises(NotOnFrontError) as err:
+        extract_jumps(wave, off)
+    assert str(err.value) == _off_front_message(wave.front, off)
+
+    # in a batch, the first point off the front is the one reported
+    c = wave.wave_speed
+    pts = np.array([[0.0, 0.3, 0.0], [c * 0.5, -0.2, 0.5], [0.7, 0.1, 0.2], [2.0, 0.0, 0.0]])
+    with pytest.raises(NotOnFrontError) as err:
+        _front_jets(wave, pts)
+    assert str(err.value) == _off_front_message(wave.front, pts[2])
+
+
+def test_batched_jumps_equal_records(wave, generic_params):
+    # the batch formulas give each point the value its own record gives
+    c = wave.wave_speed
+    t = np.array([-0.4, 0.0, 0.3, 0.6])
+    pts = np.stack([c * t, np.array([0.5, -1.1, 0.2, 0.9]), t], axis=1)
+    fj = _front_jets(wave, pts)
+    records = [extract_jumps(wave, pt) for pt in pts]
+    assert fj.lambda_.tolist() == [rec.lambda_ for rec in records]
+    assert fj.mu.tolist() == [rec.mu for rec in records]
+    for entry in LAWS:
+        residual, scale = _balance_jump_terms(entry.index, fj, generic_params)
+        p = generic_params
+        assert residual.tolist() == [balance_jump_residual(entry, rec, p) for rec in records]
+        assert scale.tolist() == [balance_jump_scale(entry, rec, p) for rec in records]
 
 
 def test_extract_jumps_requires_a_front(generic_params):

@@ -1,15 +1,32 @@
 import csv
+import dataclasses
 import io
 import json
+import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from vkwave import balance, cli
 from vkwave.errors import ValidationError
+from vkwave.jumps import (
+    balance_jump_residual,
+    balance_jump_scale,
+    closed_form_jump_residual,
+    dynamic_jump_residuals,
+    dynamic_jump_scales,
+    extract_jumps,
+)
 from vkwave.report import emit_report, run_scenario
-from vkwave.scenario import build_field, scenario_from_dict
-from vkwave.solutions import pde_residual, pde_term_scales
+from vkwave.scenario import build_field, sample_front_point, scenario_from_dict
+from vkwave.solutions import PiecewiseField, pde_residual, pde_term_scales, polynomial_field
+from vkwave.wavefront import CircleFront
+
+_EXAMPLE_SCENARIO = Path(__file__).resolve().parents[1] / "examples_scenarios" / "wave_check.yaml"
 
 
 def passing_scenario() -> dict:
@@ -225,3 +242,193 @@ def test_cli_seed_override_is_applied(tmp_path, capsys):
     cli.main(["check", "--scenario", str(path), "--format", "json", "--seed", "12"])
     other = json.loads(capsys.readouterr().out)
     assert other["scenario"]["seed"] == 12
+
+
+_GENERIC_PLATE = {
+    "youngs_modulus": 2.1,
+    "poisson_ratio": 0.27,
+    "thickness": 0.31,
+    "areal_density": 1.7,
+}
+
+
+def _circle_jump_field(p):
+    """Polynomial branches across an expanding circle.  Inside, w carries
+    an extra x3^2 x2, so the field is an acceleration wave at t = 0 only."""
+    w = {(2, 0, 1): 0.3, (1, 1, 0): -0.7, (0, 3, 0): 0.2, (1, 0, 2): 0.5}
+    phi = {(2, 1, 0): 0.4, (0, 2, 1): -0.3, (3, 0, 0): 0.1}
+    outside = polynomial_field(w, phi, p)
+    inside = polynomial_field({**w, (0, 1, 2): 1.0}, phi, p)
+    return PiecewiseField(outside, inside, CircleFront(0.1, -0.2, 0.4, 0.3), p)
+
+
+def _jump_scenario(front: str, monkeypatch):
+    """Every jump check, on the line front of a wave on a generic plate or
+    on the circle of _circle_jump_field; returns the scenario and its field."""
+    checks = [
+        {"type": "dynamic_jumps", "times": [0.0, 0.2], "samples": 5},
+        {"type": "balance_jump", "times": [0.0, 0.2], "samples": 4},
+    ]
+    if front == "line":
+        field = {
+            "family": "acceleration_wave",
+            "wave_speed": 0.9,
+            "w_coefficients": [0.4, -0.2, 0.9, 0.5],
+            "phi_coefficients": [0.3, 0.8, -0.6, 0.2],
+            "c1": 0.7,
+            "c2": -0.4,
+        }
+        checks.append({"type": "closed_form_jump", "times": [0.1, 0.3], "samples": 4})
+        scenario = scenario_from_dict(
+            {"plate": _GENERIC_PLATE, "field": field, "checks": checks, "seed": 4}
+        )
+        return scenario, build_field(scenario)
+
+    checks += [
+        {"type": "closed_form_jump", "times": [0.0], "samples": 4},
+        {"type": "closed_form_jump", "times": [0.0, 0.5], "samples": 3},
+    ]
+    scenario = scenario_from_dict(
+        {
+            "plate": _GENERIC_PLATE,
+            "field": {"family": "polynomial", "w_terms": [], "phi_terms": []},
+            "front": {"kind": "circle", "center": [0.1, -0.2], "radius": 0.4},
+            "checks": checks,
+            "seed": 5,
+        }
+    )
+    field = _circle_jump_field(scenario.plate)
+    monkeypatch.setattr("vkwave.report.build_field", lambda _: field)
+    return scenario, field
+
+
+def _per_record_rows(scenario, field) -> list:
+    """Each jump check's residual (or error detail), recomputed from the
+    public per-record functions on records drawn from the same seed."""
+    rng = np.random.default_rng(scenario.seed)
+    p = field.params
+    rows = []
+    for check in scenario.checks:
+        records = [
+            extract_jumps(field, sample_front_point(field.front, t, float(rng.uniform(-1.0, 1.0))))
+            for t in check.times
+            for _ in range(check.samples)
+        ]
+        if check.kind == "dynamic_jumps":
+            worst = 0.0
+            for rec in records:
+                r_w, r_phi = dynamic_jump_residuals(rec, p)
+                s_w, s_phi = dynamic_jump_scales(rec, p)
+                worst = max(worst, abs(r_w) / max(1.0, s_w), abs(r_phi) / max(1.0, s_phi))
+            rows.append(worst)
+            continue
+        for name in check.laws:
+            worst = 0.0
+            try:
+                for rec in records:
+                    if check.kind == "balance_jump":
+                        r = balance_jump_residual(name, rec, p)
+                    else:
+                        r = closed_form_jump_residual(name, rec, p)
+                    worst = max(worst, abs(r) / max(1.0, balance_jump_scale(name, rec, p)))
+            except Exception as exc:
+                worst = f"{type(exc).__name__}: {exc}"
+            rows.append(worst)
+    return rows
+
+
+@pytest.mark.parametrize("front", ["line", "circle"])
+def test_jump_checks_equal_per_record_maxima(front, monkeypatch):
+    scenario, field = _jump_scenario(front, monkeypatch)
+    report = run_scenario(scenario)
+    got = [r.detail if r.status == "error" else r.residual for r in report.results]
+    assert got == _per_record_rows(scenario, field)
+    assert sum(isinstance(v, float) and v > 0.0 for v in got) >= 10
+    if front == "circle":
+        # the second closed-form check reaches t = 0.5, where the records
+        # fail the acceleration-wave test: its rows quote the first of them
+        errors = [r.detail for r in report.results if r.status == "error"]
+        assert len(errors) == 5
+        assert all(
+            d.startswith("NonAdmissibleRecordError: record is not an acceleration wave ([w] != 0")
+            for d in errors
+        )
+
+
+@pytest.mark.parametrize("front", ["line", "circle"])
+def test_jump_checks_make_one_jet_call_per_side(front, monkeypatch, count_jet_calls):
+    scenario, field = _jump_scenario(front, monkeypatch)
+    sizes = count_jet_calls(field)
+    for check in scenario.checks:
+        sizes.clear()
+        run_scenario(dataclasses.replace(scenario, checks=(check,)))
+        n = len(check.times) * check.samples
+        assert sizes == [n, n], check.kind
+
+
+def test_jump_check_error_takes_the_draws_up_to_the_failing_point():
+    # A shrinking circle has no points at t = 2, so the check errors there
+    # after one draw, as if each point were drawn on its own: the check
+    # after it samples what it samples after a check taking 3 + 1 draws.
+    def run(first_check):
+        data = {
+            "plate": _GENERIC_PLATE,
+            "field": {
+                "family": "polynomial",
+                "w_terms": [{"exponents": [3, 1, 0], "coefficient": 0.4}],
+                "phi_terms": [{"exponents": [0, 2, 1], "coefficient": -0.3}],
+            },
+            "front": {"kind": "circle", "center": [0.0, 0.0], "radius": 0.5, "radial_speed": -0.3},
+            "checks": [first_check, {"type": "conservation", "laws": [4, 5], "samples": 2}],
+            "seed": 3,
+        }
+        return run_scenario(scenario_from_dict(data)).results
+
+    failed = run({"type": "balance_jump", "laws": [1], "times": [0.0, 2.0], "samples": 3})
+    same_draws = run({"type": "dynamic_jumps", "times": [0.0], "samples": 4})
+    assert failed[0].status == "error"
+    assert failed[0].detail == "ValidationError: circular front has nonpositive radius at t=2.0"
+    assert failed[1:] == same_draws[1:]
+    assert failed[1].residual > 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_residual_fails_instead_of_passing():
+    # products of 1e160 coefficients overflow to inf - inf in the energy
+    # and scaling rows; the builtin max used to drop the NaN and pass
+    data = yaml.safe_load(_EXAMPLE_SCENARIO.read_text())
+    data["field"]["w_coefficients"] = [0, 1e160, 0, 0]
+    data["field"]["phi_coefficients"] = [0, 0, 1e160, 0]
+    data["checks"] += [
+        {"type": "balance_jump", "laws": ["energy", "scaling"]},
+        {"type": "balance", "laws": ["energy"], "times": [0.1]},
+    ]
+    report = run_scenario(scenario_from_dict(data))
+    rows = {r.name: r for r in report.results}
+    for name in (
+        "conservation[energy]",
+        "closed_form_jump[energy]",
+        "balance_jump[energy]",
+        "balance_jump[scaling]",
+        "balance[energy]",
+    ):
+        assert rows[name].status == "fail", name
+        assert math.isnan(rows[name].residual), name
+    doc = json.loads(emit_report(report, "json"))
+    assert {c["name"]: c["residual"] for c in doc["checks"]}["balance_jump[energy]"] == "nan"
+    # rows whose terms stay finite keep their value
+    assert rows["dynamic_jumps"].residual == 0.0
+    assert rows["conservation[compatibility]"].residual == 0.0
+
+
+def test_benchmark_selftest_passes():
+    # The benchmark's tracer wraps vkwave names by module and class; its
+    # self-test fails when a change breaks what the tracer counts.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "selftest.py")],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -68,6 +68,23 @@ def test_polynomial_field_hand_derivatives(generic_params):
     assert jet.dphi(2, 2, 2) == pytest.approx(60 * 0.09, rel=1e-14)
 
 
+@pytest.mark.parametrize("n", [2, 40, 1000])
+def test_polynomial_jets_do_not_depend_on_the_batch(n, generic_params):
+    # several monomials feed each slot; every point of a batch gets the
+    # jet it gets alone
+    field = polynomial_field(
+        {(2, 0, 1): 0.3, (1, 1, 0): -0.7, (0, 3, 0): 0.2, (1, 0, 2): 0.5, (4, 0, 0): 0.1},
+        {(2, 1, 0): 0.4, (0, 2, 1): -0.3, (3, 0, 0): 0.1, (1, 2, 1): 0.6},
+        generic_params,
+    )
+    pts = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 3))
+    batch = field.jet(pts)
+    for k in range(n):
+        single = field.jet(pts[k])
+        assert single.w.tobytes() == batch.w[k].tobytes()
+        assert single.phi.tobytes() == batch.phi[k].tobytes()
+
+
 def test_polynomial_field_batch_and_validation(generic_params):
     field = polynomial_field({(1, 0, 0): 2.0}, None, generic_params)
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
