@@ -14,8 +14,10 @@ independent oracle.
 Quadrature: tensor-product Gauss-Legendre on a cell grid.  Cells cut by a
 straight front are clipped into one-sided convex polygons, triangulated,
 and integrated with a collapsed-square map, so the integrand is smooth on
-every quadrature domain.  Curved fronts fall back to recursive cell
-subdivision with per-node side resolution at the finest level.
+every quadrature domain.  Curved fronts fall back to cell subdivision
+with per-node side resolution at the finest level, planned one level at
+a time: one front call classifies every cell of a level, and the level's
+uncut cells become one block of pieces.
 
 Each integral runs in three steps, and one plan and one set of jets
 serve every law of a balance check:
@@ -28,10 +30,11 @@ serve every law of a balance check:
    density and flux are taken from each jet batch;
 3. reduce: for each law, each piece gets its own dot product, and the
    piece sums are added in the nesting the geometry produced (cell,
-   polygon, triangle or subdivision quadrant; edge, chunk).  A flat sum
-   would be as accurate, but it changes the low bits of every integral,
-   and through the difference of two integrals even the printed
-   quadrature error.
+   polygon, triangle or subdivision quadrant; edge, chunk), subdivision
+   quadrants one level at a time from the finest up.  A flat sum would
+   be as accurate, but it changes the low bits of every integral, and
+   through the difference of two integrals even the printed quadrature
+   error.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ class Region:
     """Axis-aligned rectangle with quadrature settings.
 
     quad_order is the Gauss-Legendre order per axis per cell, cells the
-    grid the rectangle is divided into, and subdivision_depth the maximum
-    recursive refinement applied to cells cut by a curved front.
+    grid the rectangle is divided into, and subdivision_depth how many
+    times a cell cut by a curved front is at most split into quadrants.
     """
 
     x1_min: float
@@ -88,7 +91,11 @@ class Region:
         ):
             raise ValidationError("cells must be a pair of positive integers")
         object.__setattr__(self, "cells", cells)
-        if not isinstance(self.subdivision_depth, int) or self.subdivision_depth < 0:
+        if (
+            not isinstance(self.subdivision_depth, int)
+            or isinstance(self.subdivision_depth, bool)
+            or self.subdivision_depth < 0
+        ):
             raise ValidationError("subdivision_depth must be a nonnegative integer")
 
 
@@ -138,37 +145,47 @@ def _points3(x1, x2, t):
 
 
 class _Plan:
-    """Quadrature pieces at one time: points, weights and a side each."""
+    """Quadrature pieces at one time, in blocks of equal-size pieces:
+    points and weights of shape (pieces, points) and a side per piece."""
 
     def __init__(self, t: float):
         self.t = t
         self.x1: list[np.ndarray] = []
         self.x2: list[np.ndarray] = []
         self.weights: list[np.ndarray] = []
-        self.sides: list[int] = []
+        self.sides: list[np.ndarray] = []
+        self.pieces = 0
+
+    def block(self, x1, x2, weights, sides) -> range:
+        """Add a block of pieces; returns their indices."""
+        self.x1.append(np.reshape(x1, weights.shape))
+        self.x2.append(np.reshape(x2, weights.shape))
+        self.weights.append(weights)
+        self.sides.append(np.broadcast_to(np.asarray(sides, dtype=np.int8), weights.shape[:1]))
+        first = self.pieces
+        self.pieces += weights.shape[0]
+        return range(first, self.pieces)
 
     def piece(self, x1, x2, weights, side) -> int:
-        self.x1.append(np.ravel(x1))
-        self.x2.append(np.ravel(x2))
-        self.weights.append(weights)
-        self.sides.append(side)
-        return len(self.sides) - 1
+        (index,) = self.block(x1, x2, np.reshape(weights, (1, -1)), side)
+        return index
 
 
-def _piece_sums(field, entries, plan: _Plan, normals=None) -> list[list[float]]:
+def _piece_sums(field, entries, plan: _Plan, normals=None) -> np.ndarray:
     """Weighted sum of each law's density over each piece, or of P . n with
-    one normal per piece; one list of piece sums per law.  Jets are
+    one normal per piece; one row of piece sums per law.  Jets are
     evaluated once per side, in batches of at most _BATCH_POINTS points,
     and every law is applied to each jet batch."""
-    counts = [w.size for w in plan.weights]
-    x1, x2 = np.concatenate(plan.x1), np.concatenate(plan.x2)
-    sides = np.repeat(np.array(plan.sides, dtype=np.int8), counts)
+    sizes = np.concatenate([np.full(w.shape[0], w.shape[1]) for w in plan.weights])
+    x1 = np.concatenate([a.ravel() for a in plan.x1])
+    x2 = np.concatenate([a.ravel() for a in plan.x2])
+    sides = np.repeat(np.concatenate(plan.sides), sizes)
     resolve = np.flatnonzero(sides == _RESOLVE)
     if resolve.size:
         g = field.front.value(_points3(x1[resolve], x2[resolve], plan.t))
         sides[resolve] = np.where(g >= 0.0, _AHEAD, _BEHIND)
     if normals is not None:
-        normals = np.repeat(np.asarray(normals, dtype=np.float64), counts, axis=0)
+        normals = np.repeat(np.asarray(normals, dtype=np.float64), sizes, axis=0)
     vals = np.empty((len(entries), x1.size))
     for side, jet_side in _JET_SIDE.items():
         where = np.flatnonzero(sides == side)
@@ -183,11 +200,17 @@ def _piece_sums(field, entries, plan: _Plan, normals=None) -> list[list[float]]:
                 else:
                     row[batch] = df.flux.x1 * n[:, 0] + df.flux.x2 * n[:, 1]
             del jet  # free this batch's jets before the next batch is filled
-    bounds = np.cumsum(counts)[:-1]
-    return [
-        [float(np.dot(w, v)) for w, v in zip(plan.weights, np.split(row, bounds))]
-        for row in vals
-    ]
+    sums = np.empty((len(entries), plan.pieces))
+    start = first = 0
+    for w in plan.weights:
+        count, size = w.shape
+        block = vals[:, start : start + w.size].reshape(len(entries), count, size)
+        for k in range(count):
+            for row, v in zip(sums, block[:, k]):
+                row[first + k] = np.dot(w[k], v)
+        start += w.size
+        first += count
+    return sums
 
 
 def _nested_sum(node, sums) -> float:
@@ -200,11 +223,28 @@ def _nested_sum(node, sums) -> float:
     return total
 
 
+def _plan_rects(plan, xa, xb, ya, yb, order, sides) -> range:
+    """One tensor Gauss-Legendre piece per rectangle of the bound arrays,
+    nodes in meshgrid(..., indexing="ij") ravel order."""
+    g, w = _leggauss(order)
+    hx, hy = 0.5 * (xb - xa), 0.5 * (yb - ya)
+    xs = (0.5 * (xa + xb))[:, None] + hx[:, None] * g
+    ys = (0.5 * (ya + yb))[:, None] + hy[:, None] * g
+    wx, wy = hx[:, None] * w, hy[:, None] * w
+    shape = (xs.shape[0], order, order)
+    return plan.block(
+        np.broadcast_to(xs[:, :, None], shape),
+        np.broadcast_to(ys[:, None, :], shape),
+        (wx[:, :, None] * wy[:, None, :]).reshape(shape[0], order * order),
+        sides,
+    )
+
+
 def _plan_rect(plan, xa, xb, ya, yb, order, side) -> int:
-    xs, wx = _interval_nodes(xa, xb, order)
-    ys, wy = _interval_nodes(ya, yb, order)
-    x_grid, y_grid = np.meshgrid(xs, ys, indexing="ij")
-    return plan.piece(x_grid, y_grid, np.outer(wx, wy).ravel(), side)
+    (index,) = _plan_rects(
+        plan, np.array([xa]), np.array([xb]), np.array([ya]), np.array([yb]), order, side
+    )
+    return index
 
 
 def _dedupe_polygon(poly, tol):
@@ -258,44 +298,83 @@ def _plan_polygon(plan, poly, order, side, diag) -> list:
     ]
 
 
-def _plan_cell(plan, front, xa, xb, ya, yb, order, depth):
-    """Pieces of one cell: the whole cell on one side, its clipped polygons
-    for a straight front, or its quadrants for a curved one."""
+def _plan_cell(plan, front, xa, xb, ya, yb, order):
+    """Pieces of one cell for no front or a straight one: the whole cell
+    on one side, or its clipped polygons."""
     if front is None:
         return _plan_rect(plan, xa, xb, ya, yb, order, _NONE)
 
     corners = ((xa, ya), (xb, ya), (xb, yb), (xa, yb))
-    if front.is_straight:
-        a, b, c0 = front.spatial_line(plan.t)
-        vals = [a * x + b * y + c0 for x, y in corners]
-        if min(vals) >= 0.0:
-            return _plan_rect(plan, xa, xb, ya, yb, order, _AHEAD)
-        if max(vals) <= 0.0:
-            return _plan_rect(plan, xa, xb, ya, yb, order, _BEHIND)
-        diag = math.hypot(xb - xa, yb - ya)
-        return [
-            _plan_polygon(plan, _clip_halfplane(list(corners), a, b, c0, keep), order, side, diag)
-            for keep, side in ((True, _AHEAD), (False, _BEHIND))
-        ]
-
-    xm, ym = 0.5 * (xa + xb), 0.5 * (ya + yb)
-    samples = _points3(
-        [xa, xm, xb, xa, xm, xb, xa, xm, xb],
-        [ya, ya, ya, ym, ym, ym, yb, yb, yb],
-        plan.t,
-    )
-    g = np.asarray(front.value(samples), dtype=np.float64)
-    if np.all(g > 0.0):
+    a, b, c0 = front.spatial_line(plan.t)
+    vals = [a * x + b * y + c0 for x, y in corners]
+    if min(vals) >= 0.0:
         return _plan_rect(plan, xa, xb, ya, yb, order, _AHEAD)
-    if np.all(g < 0.0):
+    if max(vals) <= 0.0:
         return _plan_rect(plan, xa, xb, ya, yb, order, _BEHIND)
-    if depth == 0:
-        return _plan_rect(plan, xa, xb, ya, yb, order, _RESOLVE)
+    diag = math.hypot(xb - xa, yb - ya)
     return [
-        _plan_cell(plan, front, cxa, cxb, cya, cyb, order, depth - 1)
-        for cxa, cxb in ((xa, xm), (xm, xb))
-        for cya, cyb in ((ya, ym), (ym, yb))
+        _plan_polygon(plan, _clip_halfplane(list(corners), a, b, c0, keep), order, side, diag)
+        for keep, side in ((True, _AHEAD), (False, _BEHIND))
     ]
+
+
+_SPLIT = -1
+
+
+def _plan_curved(plan, front, xa, xb, ya, yb, order, depth):
+    """Plan cells cut by a curved front level by level, from arrays of
+    cell bounds.  Returns the function that adds up one law's piece sums.
+
+    At each level one front call classifies every cell by the sign of
+    the front at its corners, edge midpoints and center: a cell is ahead
+    or behind when all nine agree, and is otherwise split into quadrants,
+    or at the last level resolved per node.  Each level's leaves are one
+    block of pieces.  The sum runs bottom-up, each split cell adding its
+    four quadrants in order from 0.0, and the cells of the top level from
+    left to right, as a depth-first recursion over the cells would.
+    """
+    levels = []  # per level: the leaf mask and the leaves' piece indices
+    for level in range(depth + 1):
+        xm, ym = 0.5 * (xa + xb), 0.5 * (ya + yb)
+        sx = np.stack([xa, xm, xb], axis=1)
+        sy = np.stack([ya, ym, yb], axis=1)
+        samples = _points3(np.tile(sx, 3), np.repeat(sy, 3, axis=1), plan.t)
+        g = np.asarray(front.value(samples), dtype=np.float64).reshape(-1, 9)
+        side = np.full(g.shape[0], _SPLIT, dtype=np.int8)
+        side[np.all(g > 0.0, axis=1)] = _AHEAD
+        side[np.all(g < 0.0, axis=1)] = _BEHIND
+        if level == depth:
+            side[side == _SPLIT] = _RESOLVE
+        leaf = side != _SPLIT
+        levels.append(
+            (leaf, _plan_rects(plan, xa[leaf], xb[leaf], ya[leaf], yb[leaf], order, side[leaf]))
+        )
+        split = ~leaf
+        if not split.any():
+            break
+        # each split cell's quadrants, in the order (xa, xm) x (ya, ym),
+        # (xa, xm) x (ym, yb), (xm, xb) x (ya, ym), (xm, xb) x (ym, yb)
+        xa, xm, xb = xa[split], xm[split], xb[split]
+        ya, ym, yb = ya[split], ym[split], yb[split]
+        xa, xb = np.stack([xa, xa, xm, xm], axis=1), np.stack([xm, xm, xb, xb], axis=1)
+        ya, yb = np.stack([ya, ym, ya, ym], axis=1), np.stack([ym, yb, ym, yb], axis=1)
+        xa, xb, ya, yb = xa.ravel(), xb.ravel(), ya.ravel(), yb.ravel()
+
+    def total(sums) -> float:
+        children = None
+        for leaf, pieces in reversed(levels):
+            cells = np.empty(leaf.size)
+            cells[leaf] = sums[pieces.start : pieces.stop]
+            if children is not None:
+                c0, c1, c2, c3 = (children[k::4] for k in range(4))
+                cells[~leaf] = (((0.0 + c0) + c1) + c2) + c3
+            children = cells
+        out = 0.0
+        for value in children.tolist():
+            out += value
+        return out
+
+    return total
 
 
 def _density_integrals(field, entries, region: Region, t: float, order: int) -> list[float]:
@@ -304,6 +383,12 @@ def _density_integrals(field, entries, region: Region, t: float, order: int) -> 
     x_edges = np.linspace(region.x1_min, region.x1_max, region.cells[0] + 1)
     y_edges = np.linspace(region.x2_min, region.x2_max, region.cells[1] + 1)
     plan = _Plan(t)
+    if front is not None and not front.is_straight:
+        # the region grid in i-major order, as bound arrays
+        xa, ya = (e.ravel() for e in np.meshgrid(x_edges[:-1], y_edges[:-1], indexing="ij"))
+        xb, yb = (e.ravel() for e in np.meshgrid(x_edges[1:], y_edges[1:], indexing="ij"))
+        total = _plan_curved(plan, front, xa, xb, ya, yb, order, region.subdivision_depth)
+        return [total(sums) for sums in _piece_sums(field, entries, plan)]
     cells = [
         _plan_cell(
             plan,
@@ -313,12 +398,11 @@ def _density_integrals(field, entries, region: Region, t: float, order: int) -> 
             float(y_edges[j]),
             float(y_edges[j + 1]),
             order,
-            region.subdivision_depth,
         )
         for i in range(region.cells[0])
         for j in range(region.cells[1])
     ]
-    return [_nested_sum(cells, sums) for sums in _piece_sums(field, entries, plan)]
+    return [_nested_sum(cells, sums.tolist()) for sums in _piece_sums(field, entries, plan)]
 
 
 def density_integral(field, law_key, region: Region, t: float, quad_order=None) -> float:
@@ -332,12 +416,6 @@ def density_integral(field, law_key, region: Region, t: float, quad_order=None) 
 def _edge_crossings(front, p0, p1, t, length) -> list[float]:
     """Arc-length positions in (0, length) where the front crosses the edge."""
     ux, uy = (p1[0] - p0[0]) / length, (p1[1] - p0[1]) / length
-
-    def gamma_at(s):
-        return float(
-            front.value(np.array([p0[0] + s * ux, p0[1] + s * uy, t], dtype=np.float64))
-        )
-
     if front.is_straight:
         a, b, c0 = front.spatial_line(t)
         f0 = a * p0[0] + b * p0[1] + c0
@@ -355,24 +433,27 @@ def _edge_crossings(front, p0, p1, t, length) -> list[float]:
     n_scan = 64
     ss = np.linspace(0.0, length, n_scan + 1)
     vals = np.asarray(front.value(_points3(p0[0] + ss * ux, p0[1] + ss * uy, t)), dtype=np.float64)
-    crossings = []
-    for k in range(n_scan):
-        va, vb = vals[k], vals[k + 1]
-        if va == 0.0 or va * vb >= 0.0:
-            continue
-        lo, hi, flo = ss[k], ss[k + 1], va
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = gamma_at(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm > 0.0) == (flo > 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        crossings.append(0.5 * (lo + hi))
-    return crossings
+    va, vb = vals[:-1], vals[1:]
+    bracket = np.flatnonzero(~((va == 0.0) | (va * vb >= 0.0)))
+    if not bracket.size:
+        return []
+    # bisect every bracket at once, one front call per step; a bracket
+    # whose midpoint lands exactly on the front stops there
+    lo, hi, flo = ss[bracket], ss[bracket + 1], va[bracket]
+    active = np.ones(bracket.size, dtype=bool)
+    for _ in range(60):
+        if not active.any():
+            break
+        mid = 0.5 * (lo + hi)
+        fm = front.value(_points3(p0[0] + mid * ux, p0[1] + mid * uy, t))
+        zero = active & (fm == 0.0)
+        lo[zero] = hi[zero] = mid[zero]
+        active &= ~zero
+        up = active & ((fm > 0.0) == (flo > 0.0))
+        lo[up], flo[up] = mid[up], fm[up]
+        down = active & ~up
+        hi[down] = mid[down]
+    return (0.5 * (lo + hi)).tolist()
 
 
 def _plan_edge(plan, front, p0, p1, order, n_chunks) -> list[int]:
@@ -416,7 +497,10 @@ def _boundary_flux_integrals(field, entries, region: Region, t: float, order: in
         pieces = _plan_edge(plan, front, p0, p1, order, n_chunks)
         edge_pieces.append(pieces)
         normals += [normal] * len(pieces)
-    return [_nested_sum(edge_pieces, sums) for sums in _piece_sums(field, entries, plan, normals)]
+    return [
+        _nested_sum(edge_pieces, sums.tolist())
+        for sums in _piece_sums(field, entries, plan, normals)
+    ]
 
 
 def boundary_flux_integral(field, law_key, region: Region, t: float, quad_order=None) -> float:

@@ -255,10 +255,7 @@ def _run_closed_form_jump(scenario: Scenario, field, check, rng) -> list[CheckRe
         try:
             r = _closed_form_residuals(name, fj, field.params)
             _, s = _balance_jump_terms(name, fj, field.params)
-            worst = _worst(np.abs(r) / np.maximum(1.0, s))
-            # A nonzero finite residual stays the numpy scalar this row has
-            # always reported, which the csv report prints as np.float64(...).
-            residual = np.float64(worst) if worst > 0.0 else worst
+            residual = _worst(np.abs(r) / np.maximum(1.0, s))
             results.append(
                 CheckResult(
                     name=f"closed_form_jump[{name}]",

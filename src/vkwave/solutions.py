@@ -20,6 +20,7 @@ system on each side, with all jump content concentrated on the front.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -115,43 +116,64 @@ class PolynomialField:
 
     front = None
 
-    def _eval(self, exps: np.ndarray, coefs: np.ndarray, flat: np.ndarray) -> np.ndarray:
-        out = np.zeros((flat.shape[0], JET_SIZE))
-        if coefs.size == 0:
-            return out
-        for q in range(JET_SIZE):
-            slot = EXPONENTS[q]
-            sel = np.all(exps >= slot, axis=1)
-            if not sel.any():
-                continue
-            e = exps[sel]
-            # falling factorials per axis, then monomial evaluation
-            factors = coefs[sel].astype(np.float64).copy()
-            vals = np.ones((flat.shape[0], e.shape[0]))
-            for ax in range(3):
-                s = int(slot[ax])
-                for col, n in enumerate(e[:, ax]):
-                    n = int(n)
-                    factors[col] *= math.perm(n, s)
-                    if n - s > 0:
-                        vals[:, col] *= flat[:, ax] ** (n - s)
-            # term by term in a fixed order: a matrix-vector product rounds
-            # differently with the number of points, and a point's jet must
-            # not depend on the batch it is evaluated in
-            acc = vals[:, 0] * factors[0]
-            for col in range(1, factors.size):
-                acc = acc + vals[:, col] * factors[col]
-            out[:, q] = acc
-        return out
+    @functools.cached_property
+    def _w_terms(self):
+        return _slot_terms(self.w_exponents, self.w_coefficients)
+
+    @functools.cached_property
+    def _phi_terms(self):
+        return _slot_terms(self.phi_exponents, self.phi_coefficients)
 
     def jet(self, point, side: Side = Side.AUTO) -> FieldJet:
         pts, flat, single = _as_points(point)
-        out_w = self._eval(self.w_exponents, self.w_coefficients, flat)
-        out_phi = self._eval(self.phi_exponents, self.phi_coefficients, flat)
+        out_w = _eval_terms(self._w_terms, flat)
+        out_phi = _eval_terms(self._phi_terms, flat)
         shape = pts.shape[:-1] + (JET_SIZE,)
         if single:
             return FieldJet(pts, out_w[0], out_phi[0])
         return FieldJet(pts, out_w.reshape(shape), out_phi.reshape(shape))
+
+
+def _slot_terms(exps: np.ndarray, coefs: np.ndarray):
+    """Per jet slot with any nonzero term: the slot, each term's
+    coefficient times its falling factorials, and each term's remaining
+    powers as (axis, power) pairs."""
+    terms = []
+    for q in range(JET_SIZE):
+        slot = EXPONENTS[q]
+        sel = np.all(exps >= slot, axis=1)
+        if not sel.any():
+            continue
+        e = exps[sel]
+        factors = coefs[sel].astype(np.float64).copy()
+        powers = [[] for _ in range(e.shape[0])]
+        for ax in range(3):
+            s = int(slot[ax])
+            for col, n in enumerate(e[:, ax]):
+                n = int(n)
+                factors[col] *= math.perm(n, s)
+                if n - s > 0:
+                    powers[col].append((ax, n - s))
+        terms.append((q, factors, powers))
+    return terms
+
+
+def _eval_terms(terms, flat: np.ndarray) -> np.ndarray:
+    """The jet slots of one polynomial at points of shape (N, 3)."""
+    out = np.zeros((flat.shape[0], JET_SIZE))
+    for q, factors, powers in terms:
+        acc = None
+        for factor, pw in zip(factors, powers):
+            # monomial evaluation: the term's powers multiplied in axis order
+            vals = np.ones(flat.shape[0])
+            for ax, n in pw:
+                vals *= flat[:, ax] ** n
+            # term by term in a fixed order: a matrix-vector product rounds
+            # differently with the number of points, and a point's jet must
+            # not depend on the batch it is evaluated in
+            acc = vals * factor if acc is None else acc + vals * factor
+        out[:, q] = acc
+    return out
 
 
 def _poly_terms(name: str, terms: Mapping[tuple[int, int, int], float] | None):

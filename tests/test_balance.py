@@ -43,6 +43,7 @@ _EXAMPLE_SCENARIO = Path(__file__).resolve().parents[1] / "examples_scenarios" /
         dict(x1_min=0.0, x1_max=1.0, x2_min=0.0, x2_max=1.0, cells=(0, 4)),
         dict(x1_min=0.0, x1_max=1.0, x2_min=0.0, x2_max=1.0, subdivision_depth=-1),
         dict(x1_min=math.nan, x1_max=1.0, x2_min=0.0, x2_max=1.0),
+        dict(x1_min=0.0, x1_max=1.0, x2_min=0.0, x2_max=1.0, subdivision_depth=True),
     ],
 )
 def test_region_validation(kwargs):
@@ -326,3 +327,219 @@ def test_balance_residual_rejects_bad_dt(generic_params):
         balance_residual(field, 1, region, 0.0, dt=0.0)
     with pytest.raises(ValidationError):
         balance_residual(field, 1, region, 0.0, dt=math.inf)
+
+
+# The recursive curved-front planner that the level-by-level one replaced,
+# kept as the reference: one front call per visited cell, its quadrants
+# planned depth first, and the piece sums added in that nesting.
+def _reference_rect(plan, xa, xb, ya, yb, order, side):
+    xs, wx = balance._interval_nodes(xa, xb, order)
+    ys, wy = balance._interval_nodes(ya, yb, order)
+    x_grid, y_grid = np.meshgrid(xs, ys, indexing="ij")
+    return plan.piece(x_grid, y_grid, np.outer(wx, wy).ravel(), side)
+
+
+def _reference_curved_cell(plan, front, xa, xb, ya, yb, order, depth, leaf_depths):
+    xm, ym = 0.5 * (xa + xb), 0.5 * (ya + yb)
+    samples = balance._points3(
+        [xa, xm, xb, xa, xm, xb, xa, xm, xb],
+        [ya, ya, ya, ym, ym, ym, yb, yb, yb],
+        plan.t,
+    )
+    g = np.asarray(front.value(samples), dtype=np.float64)
+    if np.all(g > 0.0):
+        leaf_depths.add(depth)
+        return _reference_rect(plan, xa, xb, ya, yb, order, balance._AHEAD)
+    if np.all(g < 0.0):
+        leaf_depths.add(depth)
+        return _reference_rect(plan, xa, xb, ya, yb, order, balance._BEHIND)
+    if depth == 0:
+        leaf_depths.add(depth)
+        return _reference_rect(plan, xa, xb, ya, yb, order, balance._RESOLVE)
+    return [
+        _reference_curved_cell(plan, front, cxa, cxb, cya, cyb, order, depth - 1, leaf_depths)
+        for cxa, cxb in ((xa, xm), (xm, xb))
+        for cya, cyb in ((ya, ym), (ym, yb))
+    ]
+
+
+def _reference_nested_sum(node, sums):
+    if isinstance(node, int):
+        return sums[node]
+    total = 0.0
+    for child in node:
+        total += _reference_nested_sum(child, sums)
+    return total
+
+
+def _reference_density_integrals(field, entries, region, t, order, leaf_depths):
+    x_edges = np.linspace(region.x1_min, region.x1_max, region.cells[0] + 1)
+    y_edges = np.linspace(region.x2_min, region.x2_max, region.cells[1] + 1)
+    plan = balance._Plan(t)
+    cells = [
+        _reference_curved_cell(
+            plan,
+            field.front,
+            float(x_edges[i]),
+            float(x_edges[i + 1]),
+            float(y_edges[j]),
+            float(y_edges[j + 1]),
+            order,
+            region.subdivision_depth,
+            leaf_depths,
+        )
+        for i in range(region.cells[0])
+        for j in range(region.cells[1])
+    ]
+    return [
+        _reference_nested_sum(cells, sums.tolist())
+        for sums in balance._piece_sums(field, entries, plan)
+    ]
+
+
+def _random_polynomial(rng, terms=4):
+    return {
+        tuple(int(e) for e in rng.integers(0, 4, 3)): float(rng.normal())
+        for _ in range(terms)
+    }
+
+
+def _random_curved_field(rng, p):
+    front = CircleFront(
+        float(rng.uniform(-0.2, 0.3)),
+        float(rng.uniform(-0.3, 0.2)),
+        float(rng.uniform(0.15, 0.9)),
+        radial_speed=float(rng.uniform(-0.3, 0.3)),
+    )
+    ahead = polynomial_field(_random_polynomial(rng), _random_polynomial(rng), p)
+    behind = polynomial_field(_random_polynomial(rng), _random_polynomial(rng), p)
+    return PiecewiseField(ahead, behind, front, p)
+
+
+def test_curved_plan_matches_recursive_reference(generic_params):
+    # every law's density integral keeps the bits of the depth-first plan
+    rng = np.random.default_rng(20261018)
+    entries = [law for law in LAWS]
+    cases = []
+    for k in range(14):
+        region = Region(
+            -0.7, 0.9, -0.8, 0.7,
+            quad_order=int(rng.integers(4, 9)),
+            cells=(int(rng.integers(1, 6)), int(rng.integers(1, 6))),
+            subdivision_depth=k % 7,
+        )
+        t = float(rng.uniform(-0.3, 0.3))
+        cases.append((_random_curved_field(rng, generic_params), region, t))
+    # one cell whose first two levels are all split: no leaf lands there
+    centered = PiecewiseField(
+        polynomial_field(_random_polynomial(rng), _random_polynomial(rng), generic_params),
+        polynomial_field(_random_polynomial(rng), _random_polynomial(rng), generic_params),
+        CircleFront(0.0, 0.0, 0.5),
+        generic_params,
+    )
+    cases.append((centered, Region(-1.0, 1.0, -1.0, 1.0, cells=(1, 1), subdivision_depth=3), 0.0))
+
+    levels_without_leaves = set()
+    for field, region, t in cases:
+        leaf_depths = set()
+        want = _reference_density_integrals(
+            field, entries, region, t, region.quad_order, leaf_depths
+        )
+        got = balance._density_integrals(field, entries, region, t, region.quad_order)
+        assert got == want
+        assert all(type(v) is float for v in got)
+        depth = region.subdivision_depth
+        levels_with_leaves = {depth - d for d in leaf_depths}
+        levels_without_leaves |= set(range(depth + 1)) - levels_with_leaves
+    assert {0, 1} <= levels_without_leaves
+
+
+@pytest.mark.parametrize("depth", range(7))
+def test_curved_density_integral_front_calls_per_level(depth, generic_params, monkeypatch):
+    # one front call per subdivision level, plus one to resolve the nodes
+    # of the last level; the recursive plan made one per visited cell
+    field = _disc_field(generic_params)
+    region = Region(-0.7, 0.9, -0.8, 0.7, subdivision_depth=depth)
+    calls = []
+    value = CircleFront.value
+
+    def counted(self, point):
+        calls.append(len(point))
+        return value(self, point)
+
+    monkeypatch.setattr(CircleFront, "value", counted)
+    density_integral(field, 1, region, 0.0)
+    assert len(calls) <= depth + 2
+
+
+def _reference_edge_crossings(front, p0, p1, t, length):
+    """The scalar bisection the batched one replaced, and the number of
+    steps each crossing took."""
+    ux, uy = (p1[0] - p0[0]) / length, (p1[1] - p0[1]) / length
+
+    def gamma_at(s):
+        return float(front.value(np.array([p0[0] + s * ux, p0[1] + s * uy, t])))
+
+    ss = np.linspace(0.0, length, 65)
+    vals = np.asarray(front.value(balance._points3(p0[0] + ss * ux, p0[1] + ss * uy, t)))
+    crossings, steps = [], []
+    for k in range(64):
+        va, vb = vals[k], vals[k + 1]
+        if va == 0.0 or va * vb >= 0.0:
+            continue
+        lo, hi, flo = ss[k], ss[k + 1], va
+        for step in range(1, 61):
+            mid = 0.5 * (lo + hi)
+            fm = gamma_at(mid)
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if (fm > 0.0) == (flo > 0.0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        crossings.append(0.5 * (lo + hi))
+        steps.append(step)
+    return crossings, steps
+
+
+@pytest.mark.parametrize(
+    "front, region, t, edges_crossed",
+    [
+        # cuts the right and top edges of the region
+        (CircleFront(0.9, 0.7, 0.33, radial_speed=0.25), Region(-0.7, 0.9, -0.8, 0.7), 0.1, 2),
+        # cuts the right and top edges twice each
+        (CircleFront(0.7, 0.5, 0.27), Region(-0.7, 0.9, -0.8, 0.7), 0.0, 2),
+        # both crossings of the bottom edge are scan-interval midpoints, so
+        # the first bisection step lands exactly on the front and stops
+        (CircleFront(0.0, 0.0, 0.484375), Region(-1.0, 1.0, 0.0, 1.0), 0.0, 1),
+    ],
+    ids=["corner", "corner_twice", "exact_midpoint"],
+)
+def test_edge_crossings_match_scalar_bisection(front, region, t, edges_crossed, monkeypatch):
+    x1a, x1b, x2a, x2b = region.x1_min, region.x1_max, region.x2_min, region.x2_max
+    edges = (
+        ((x1a, x2a), (x1b, x2a)),
+        ((x1b, x2a), (x1b, x2b)),
+        ((x1b, x2b), (x1a, x2b)),
+        ((x1a, x2b), (x1a, x2a)),
+    )
+    crossings = []
+    for p0, p1 in edges:
+        length = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
+        want, steps = _reference_edge_crossings(front, p0, p1, t, length)
+        calls = []
+        value = CircleFront.value
+
+        def counted(self, point):
+            calls.append(len(point))
+            return value(self, point)
+
+        monkeypatch.setattr(CircleFront, "value", counted)
+        got = balance._edge_crossings(front, p0, p1, t, length)
+        monkeypatch.undo()
+        assert got == want
+        # one scan, then one call per bisection step for all brackets
+        assert len(calls) == 1 + max(steps, default=0)
+        crossings.append(len(want))
+    assert len(crossings) - crossings.count(0) == edges_crossed

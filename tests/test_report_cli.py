@@ -156,6 +156,17 @@ def test_csv_report_rows():
     assert all(row[2] == "pass" for row in rows[1:])
 
 
+def test_csv_residual_cells_are_plain_numbers():
+    # closed_form_jump rows used to print np.float64(...) here
+    report = run_scenario(scenario_from_dict(yaml.safe_load(_EXAMPLE_SCENARIO.read_text())))
+    rows = list(csv.DictReader(io.StringIO(emit_report(report, "csv").decode())))
+    residuals = [float(row["residual"]) for row in rows if row["residual"]]
+    assert len(residuals) == len(rows)
+    assert any(
+        row["kind"] == "closed_form_jump" and float(row["residual"]) > 0.0 for row in rows
+    )
+
+
 def test_human_report_summary_line():
     report = run_scenario(scenario_from_dict(failing_scenario()))
     text = emit_report(report, "human").decode()

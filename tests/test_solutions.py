@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vkwave.errors import SideRequiredError, ValidationError
+from vkwave.indexing import EXPONENTS, JET_SIZE
 from vkwave.solutions import (
     AccelerationWave,
     InvariantSolution,
@@ -83,6 +84,51 @@ def test_polynomial_jets_do_not_depend_on_the_batch(n, generic_params):
         single = field.jet(pts[k])
         assert single.w.tobytes() == batch.w[k].tobytes()
         assert single.phi.tobytes() == batch.phi[k].tobytes()
+
+
+def _reference_polynomial_slots(exps, coefs, flat):
+    """The per-call jet evaluation that the cached slot terms replaced."""
+    out = np.zeros((flat.shape[0], JET_SIZE))
+    if coefs.size == 0:
+        return out
+    for q in range(JET_SIZE):
+        slot = EXPONENTS[q]
+        sel = np.all(exps >= slot, axis=1)
+        if not sel.any():
+            continue
+        e = exps[sel]
+        factors = coefs[sel].astype(np.float64).copy()
+        vals = np.ones((flat.shape[0], e.shape[0]))
+        for ax in range(3):
+            s = int(slot[ax])
+            for col, n in enumerate(e[:, ax]):
+                n = int(n)
+                factors[col] *= math.perm(n, s)
+                if n - s > 0:
+                    vals[:, col] *= flat[:, ax] ** (n - s)
+        acc = vals[:, 0] * factors[0]
+        for col in range(1, factors.size):
+            acc = acc + vals[:, col] * factors[col]
+        out[:, q] = acc
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_polynomial_jets_match_per_call_reference(seed, generic_params):
+    rng = np.random.default_rng(seed)
+
+    def terms(k):
+        return {tuple(int(e) for e in rng.integers(0, 6, 3)): float(rng.normal()) for _ in range(k)}
+
+    w, phi = terms(int(rng.integers(1, 9))), terms(int(rng.integers(0, 9)))
+    field = polynomial_field(w, phi, generic_params)
+    pts = rng.uniform(-2.0, 2.0, (300, 3))
+    for _ in range(2):  # the second jet reuses the cached slot terms
+        jet = field.jet(pts)
+        want_w = _reference_polynomial_slots(field.w_exponents, field.w_coefficients, pts)
+        want_phi = _reference_polynomial_slots(field.phi_exponents, field.phi_coefficients, pts)
+        assert jet.w.tobytes() == want_w.tobytes()
+        assert jet.phi.tobytes() == want_phi.tobytes()
 
 
 def test_polynomial_field_batch_and_validation(generic_params):
