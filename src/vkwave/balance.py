@@ -161,7 +161,7 @@ class _Plan:
         self.x1.append(np.reshape(x1, weights.shape))
         self.x2.append(np.reshape(x2, weights.shape))
         self.weights.append(weights)
-        self.sides.append(np.broadcast_to(np.asarray(sides, dtype=np.int8), weights.shape[:1]))
+        self.sides.append(np.full(weights.shape[0], sides, dtype=np.int8))
         first = self.pieces
         self.pieces += weights.shape[0]
         return range(first, self.pieces)
@@ -171,21 +171,22 @@ class _Plan:
         return index
 
 
-def _piece_sums(field, entries, plan: _Plan, normals=None) -> np.ndarray:
+def _piece_sums(field, entries, plan: _Plan, normals=None) -> list[list[float]]:
     """Weighted sum of each law's density over each piece, or of P . n with
-    one normal per piece; one row of piece sums per law.  Jets are
+    one normal per piece; one list of piece sums per law.  Jets are
     evaluated once per side, in batches of at most _BATCH_POINTS points,
     and every law is applied to each jet batch."""
-    sizes = np.concatenate([np.full(w.shape[0], w.shape[1]) for w in plan.weights])
+    weights = [w for block in plan.weights for w in block]
+    counts = [w.size for w in weights]
     x1 = np.concatenate([a.ravel() for a in plan.x1])
     x2 = np.concatenate([a.ravel() for a in plan.x2])
-    sides = np.repeat(np.concatenate(plan.sides), sizes)
+    sides = np.repeat(np.concatenate(plan.sides), counts)
     resolve = np.flatnonzero(sides == _RESOLVE)
     if resolve.size:
         g = field.front.value(_points3(x1[resolve], x2[resolve], plan.t))
         sides[resolve] = np.where(g >= 0.0, _AHEAD, _BEHIND)
     if normals is not None:
-        normals = np.repeat(np.asarray(normals, dtype=np.float64), sizes, axis=0)
+        normals = np.repeat(np.asarray(normals, dtype=np.float64), counts, axis=0)
     vals = np.empty((len(entries), x1.size))
     for side, jet_side in _JET_SIDE.items():
         where = np.flatnonzero(sides == side)
@@ -200,17 +201,11 @@ def _piece_sums(field, entries, plan: _Plan, normals=None) -> np.ndarray:
                 else:
                     row[batch] = df.flux.x1 * n[:, 0] + df.flux.x2 * n[:, 1]
             del jet  # free this batch's jets before the next batch is filled
-    sums = np.empty((len(entries), plan.pieces))
-    start = first = 0
-    for w in plan.weights:
-        count, size = w.shape
-        block = vals[:, start : start + w.size].reshape(len(entries), count, size)
-        for k in range(count):
-            for row, v in zip(sums, block[:, k]):
-                row[first + k] = np.dot(w[k], v)
-        start += w.size
-        first += count
-    return sums
+    stops = np.cumsum(counts).tolist()
+    return [
+        [float(np.dot(w, row[a:b])) for w, a, b in zip(weights, [0] + stops, stops)]
+        for row in vals
+    ]
 
 
 def _nested_sum(node, sums) -> float:
@@ -226,11 +221,8 @@ def _nested_sum(node, sums) -> float:
 def _plan_rects(plan, xa, xb, ya, yb, order, sides) -> range:
     """One tensor Gauss-Legendre piece per rectangle of the bound arrays,
     nodes in meshgrid(..., indexing="ij") ravel order."""
-    g, w = _leggauss(order)
-    hx, hy = 0.5 * (xb - xa), 0.5 * (yb - ya)
-    xs = (0.5 * (xa + xb))[:, None] + hx[:, None] * g
-    ys = (0.5 * (ya + yb))[:, None] + hy[:, None] * g
-    wx, wy = hx[:, None] * w, hy[:, None] * w
+    xs, wx = _interval_nodes(xa[:, None], xb[:, None], order)
+    ys, wy = _interval_nodes(ya[:, None], yb[:, None], order)
     shape = (xs.shape[0], order, order)
     return plan.block(
         np.broadcast_to(xs[:, :, None], shape),
@@ -402,7 +394,7 @@ def _density_integrals(field, entries, region: Region, t: float, order: int) -> 
         for i in range(region.cells[0])
         for j in range(region.cells[1])
     ]
-    return [_nested_sum(cells, sums.tolist()) for sums in _piece_sums(field, entries, plan)]
+    return [_nested_sum(cells, sums) for sums in _piece_sums(field, entries, plan)]
 
 
 def density_integral(field, law_key, region: Region, t: float, quad_order=None) -> float:
@@ -416,6 +408,12 @@ def density_integral(field, law_key, region: Region, t: float, quad_order=None) 
 def _edge_crossings(front, p0, p1, t, length) -> list[float]:
     """Arc-length positions in (0, length) where the front crosses the edge."""
     ux, uy = (p1[0] - p0[0]) / length, (p1[1] - p0[1]) / length
+
+    def gamma_at(s):
+        return float(
+            front.value(np.array([p0[0] + s * ux, p0[1] + s * uy, t], dtype=np.float64))
+        )
+
     if front.is_straight:
         a, b, c0 = front.spatial_line(t)
         f0 = a * p0[0] + b * p0[1] + c0
@@ -433,27 +431,24 @@ def _edge_crossings(front, p0, p1, t, length) -> list[float]:
     n_scan = 64
     ss = np.linspace(0.0, length, n_scan + 1)
     vals = np.asarray(front.value(_points3(p0[0] + ss * ux, p0[1] + ss * uy, t)), dtype=np.float64)
-    va, vb = vals[:-1], vals[1:]
-    bracket = np.flatnonzero(~((va == 0.0) | (va * vb >= 0.0)))
-    if not bracket.size:
-        return []
-    # bisect every bracket at once, one front call per step; a bracket
-    # whose midpoint lands exactly on the front stops there
-    lo, hi, flo = ss[bracket], ss[bracket + 1], va[bracket]
-    active = np.ones(bracket.size, dtype=bool)
-    for _ in range(60):
-        if not active.any():
-            break
-        mid = 0.5 * (lo + hi)
-        fm = front.value(_points3(p0[0] + mid * ux, p0[1] + mid * uy, t))
-        zero = active & (fm == 0.0)
-        lo[zero] = hi[zero] = mid[zero]
-        active &= ~zero
-        up = active & ((fm > 0.0) == (flo > 0.0))
-        lo[up], flo[up] = mid[up], fm[up]
-        down = active & ~up
-        hi[down] = mid[down]
-    return (0.5 * (lo + hi)).tolist()
+    crossings = []
+    for k in range(n_scan):
+        va, vb = vals[k], vals[k + 1]
+        if va == 0.0 or va * vb >= 0.0:
+            continue
+        lo, hi, flo = ss[k], ss[k + 1], va
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            fm = gamma_at(mid)
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if (fm > 0.0) == (flo > 0.0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        crossings.append(0.5 * (lo + hi))
+    return crossings
 
 
 def _plan_edge(plan, front, p0, p1, order, n_chunks) -> list[int]:
@@ -497,10 +492,7 @@ def _boundary_flux_integrals(field, entries, region: Region, t: float, order: in
         pieces = _plan_edge(plan, front, p0, p1, order, n_chunks)
         edge_pieces.append(pieces)
         normals += [normal] * len(pieces)
-    return [
-        _nested_sum(edge_pieces, sums.tolist())
-        for sums in _piece_sums(field, entries, plan, normals)
-    ]
+    return [_nested_sum(edge_pieces, sums) for sums in _piece_sums(field, entries, plan, normals)]
 
 
 def boundary_flux_integral(field, law_key, region: Region, t: float, quad_order=None) -> float:

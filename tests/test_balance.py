@@ -391,10 +391,7 @@ def _reference_density_integrals(field, entries, region, t, order, leaf_depths):
         for i in range(region.cells[0])
         for j in range(region.cells[1])
     ]
-    return [
-        _reference_nested_sum(cells, sums.tolist())
-        for sums in balance._piece_sums(field, entries, plan)
-    ]
+    return [_reference_nested_sum(cells, sums) for sums in balance._piece_sums(field, entries, plan)]
 
 
 def _random_polynomial(rng, terms=4):
@@ -470,76 +467,3 @@ def test_curved_density_integral_front_calls_per_level(depth, generic_params, mo
     monkeypatch.setattr(CircleFront, "value", counted)
     density_integral(field, 1, region, 0.0)
     assert len(calls) <= depth + 2
-
-
-def _reference_edge_crossings(front, p0, p1, t, length):
-    """The scalar bisection the batched one replaced, and the number of
-    steps each crossing took."""
-    ux, uy = (p1[0] - p0[0]) / length, (p1[1] - p0[1]) / length
-
-    def gamma_at(s):
-        return float(front.value(np.array([p0[0] + s * ux, p0[1] + s * uy, t])))
-
-    ss = np.linspace(0.0, length, 65)
-    vals = np.asarray(front.value(balance._points3(p0[0] + ss * ux, p0[1] + ss * uy, t)))
-    crossings, steps = [], []
-    for k in range(64):
-        va, vb = vals[k], vals[k + 1]
-        if va == 0.0 or va * vb >= 0.0:
-            continue
-        lo, hi, flo = ss[k], ss[k + 1], va
-        for step in range(1, 61):
-            mid = 0.5 * (lo + hi)
-            fm = gamma_at(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm > 0.0) == (flo > 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        crossings.append(0.5 * (lo + hi))
-        steps.append(step)
-    return crossings, steps
-
-
-@pytest.mark.parametrize(
-    "front, region, t, edges_crossed",
-    [
-        # cuts the right and top edges of the region
-        (CircleFront(0.9, 0.7, 0.33, radial_speed=0.25), Region(-0.7, 0.9, -0.8, 0.7), 0.1, 2),
-        # cuts the right and top edges twice each
-        (CircleFront(0.7, 0.5, 0.27), Region(-0.7, 0.9, -0.8, 0.7), 0.0, 2),
-        # both crossings of the bottom edge are scan-interval midpoints, so
-        # the first bisection step lands exactly on the front and stops
-        (CircleFront(0.0, 0.0, 0.484375), Region(-1.0, 1.0, 0.0, 1.0), 0.0, 1),
-    ],
-    ids=["corner", "corner_twice", "exact_midpoint"],
-)
-def test_edge_crossings_match_scalar_bisection(front, region, t, edges_crossed, monkeypatch):
-    x1a, x1b, x2a, x2b = region.x1_min, region.x1_max, region.x2_min, region.x2_max
-    edges = (
-        ((x1a, x2a), (x1b, x2a)),
-        ((x1b, x2a), (x1b, x2b)),
-        ((x1b, x2b), (x1a, x2b)),
-        ((x1a, x2b), (x1a, x2a)),
-    )
-    crossings = []
-    for p0, p1 in edges:
-        length = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
-        want, steps = _reference_edge_crossings(front, p0, p1, t, length)
-        calls = []
-        value = CircleFront.value
-
-        def counted(self, point):
-            calls.append(len(point))
-            return value(self, point)
-
-        monkeypatch.setattr(CircleFront, "value", counted)
-        got = balance._edge_crossings(front, p0, p1, t, length)
-        monkeypatch.undo()
-        assert got == want
-        # one scan, then one call per bisection step for all brackets
-        assert len(calls) == 1 + max(steps, default=0)
-        crossings.append(len(want))
-    assert len(crossings) - crossings.count(0) == edges_crossed
