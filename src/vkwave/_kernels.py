@@ -9,6 +9,11 @@ fill the full 4-jets of w and phi at a block of points.  A derivative
 with subscript multiplicities (i, j, k) along (x1, x2, x3) equals the
 profile derivative of order i + k times (-c)^k, and vanishes whenever
 j > 0 because the profile does not depend on x2.
+
+Each of the eight coefficients is either one value for every point or an
+array of one value per point, so that two profiles sharing omega and c
+(the branches of an acceleration wave) fill one batch together, each
+point with its own branch's coefficients.
 """
 
 from __future__ import annotations
@@ -24,7 +29,13 @@ _SLOT_K = tuple(int(k) if j == 0 else None for _, j, k in EXPONENTS)
 
 
 def traveling_jet_fill(u, phi, omega, c, pts, out_w, out_phi) -> None:
-    """Fill ``out_w``/``out_phi`` (shape (n, 35)) at ``pts`` (shape (n, 3))."""
+    """Fill ``out_w``/``out_phi`` (shape (n, 35)) at ``pts`` (shape (n, 3)).
+
+    ``u`` and ``phi`` hold four coefficients each, as an array of shape
+    (4,) or (4, n): ``u[m]`` is a scalar or one value per point.  Either
+    way every point gets the same arithmetic, term by term, so a point's
+    jet is bit for bit the one its coefficients give as scalars.
+    """
     xi = pts[:, 0] - c * pts[:, 2]
     s = np.sin(omega * xi)
     co = np.cos(omega * xi)

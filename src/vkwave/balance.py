@@ -434,7 +434,12 @@ def _edge_crossings(front, p0, p1, t, length) -> list[float]:
     crossings = []
     for k in range(n_scan):
         va, vb = vals[k], vals[k + 1]
-        if va == 0.0 or va * vb >= 0.0:
+        if va == 0.0:
+            # the front crosses exactly at an interior scan point
+            if k > 0 and vals[k - 1] * vb < 0.0:
+                crossings.append(float(ss[k]))
+            continue
+        if va * vb >= 0.0:
             continue
         lo, hi, flo = ss[k], ss[k + 1], va
         for _ in range(60):

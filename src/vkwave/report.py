@@ -37,7 +37,7 @@ from .jumps import (
     extract_jumps,
 )
 from .scenario import Scenario, build_field, sample_front_point, scenario_to_dict
-from .solutions import pde_residual, pde_term_scales
+from .solutions import _pde_terms
 from .version import __version__
 
 
@@ -103,8 +103,7 @@ def _run_pde_residual(scenario: Scenario, field, check, rng) -> list[CheckResult
     maxima = []
     for start in range(0, len(pts), _BATCH_POINTS):
         jet = field.jet(pts[start : start + _BATCH_POINTS])
-        r1, r2 = pde_residual(jet, field.params)
-        s1, s2 = pde_term_scales(jet, field.params)
+        r1, r2, s1, s2 = _pde_terms(jet, field.params)
         maxima.append(
             (
                 np.max(np.abs(r1) / np.maximum(1.0, s1)),

@@ -226,6 +226,16 @@ class PiecewiseField:
         return self.front.value(point)
 
     def jet(self, point, side: Side = Side.AUTO) -> FieldJet:
+        """Jets of the ahead or behind branch, or with ``Side.AUTO`` of the
+        branch the sign of gamma picks at each point.
+
+        An AUTO batch of two traveling profiles with the same speed and
+        omega (an acceleration wave, or one solution on both sides) takes
+        one fill, with each point's coefficients chosen by its side; other
+        branches fill their points separately.  Both give each point the
+        jet its branch gives it.  Raises SideRequiredError where gamma is
+        0 and ValidationError where it is NaN.
+        """
         if side is Side.AHEAD:
             return self.ahead.jet(point)
         if side is Side.BEHIND:
@@ -237,16 +247,35 @@ class PiecewiseField:
             raise SideRequiredError(
                 "point lies exactly on the front; pass side=Side.AHEAD or Side.BEHIND"
             )
+        undefined = np.flatnonzero(np.isnan(g))
+        if undefined.size:
+            raise ValidationError(
+                f"front value is NaN at {tuple(flat[undefined[0]].tolist())}; "
+                "the point has no side"
+            )
         if single:
             return (self.ahead if g[0] > 0 else self.behind).jet(point)
 
+        ahead_mask = g > 0
         out_w = np.empty((flat.shape[0], JET_SIZE))
         out_phi = np.empty_like(out_w)
-        for branch, mask in ((self.ahead, g > 0), (self.behind, g < 0)):
-            if mask.any():
-                j = branch.jet(flat[mask])
-                out_w[mask] = j.w
-                out_phi[mask] = j.phi
+        a, b = self.ahead, self.behind
+        if (
+            isinstance(a, InvariantSolution)
+            and isinstance(b, InvariantSolution)
+            and a.wave_speed == b.wave_speed
+            and a.omega == b.omega
+        ):
+            # coefficient rows of shape (4, n): each point's own branch
+            u = np.where(ahead_mask, np.array(a.u)[:, None], np.array(b.u)[:, None])
+            phi = np.where(ahead_mask, np.array(a.phi)[:, None], np.array(b.phi)[:, None])
+            traveling_jet_fill(u, phi, a.omega, a.wave_speed, flat, out_w, out_phi)
+        else:
+            for branch, mask in ((a, ahead_mask), (b, ~ahead_mask)):
+                if mask.any():
+                    j = branch.jet(flat[mask])
+                    out_w[mask] = j.w
+                    out_phi[mask] = j.phi
         shape = pts.shape[:-1] + (JET_SIZE,)
         return FieldJet(pts, out_w.reshape(shape), out_phi.reshape(shape))
 
@@ -316,34 +345,41 @@ def eval_jet(field, point, side: Side = Side.AUTO) -> FieldJet:
     return field.jet(point, side)
 
 
+def _pde_terms(jet: FieldJet, p: PlateParams):
+    """Residuals (r1, r2) and term scales (s1, s2) of the two governing
+    equations at a jet, each term formed once for both."""
+    w11, w12, w22 = jet.w[..., S11], jet.w[..., S12], jet.w[..., S22]
+    p11, p12, p22 = jet.phi[..., S11], jet.phi[..., S12], jet.phi[..., S22]
+    bilap_w = jet.w[..., S1111] + 2.0 * jet.w[..., S1122] + jet.w[..., S2222]
+    bilap_phi = jet.phi[..., S1111] + 2.0 * jet.phi[..., S1122] + jet.phi[..., S2222]
+
+    bending = p.D * bilap_w
+    w11_p22, w22_p11 = w11 * p22, w22 * p11
+    inertia = p.rho * jet.w[..., S33]
+    membrane = bilap_phi / p.Eh
+    w11_w22, w12_w12 = w11 * w22, w12 * w12
+
+    coupling = w11_p22 + w22_p11 - 2.0 * w12 * p12
+    r1 = bending - coupling + inertia
+    r2 = membrane + (w11_w22 - w12_w12)
+    s1 = (
+        np.abs(bending)
+        + np.abs(w11_p22) + np.abs(w22_p11) + 2.0 * np.abs(w12 * p12)
+        + np.abs(inertia)
+    )
+    s2 = np.abs(membrane) + np.abs(w11_w22) + np.abs(w12_w12)
+    return r1, r2, s1, s2
+
+
 def pde_residual(jet: FieldJet, p: PlateParams):
     """Left-hand sides of the two governing equations at a jet.
 
     Returns (r1, r2); both vanish identically on exact solutions.
     """
-    w11, w12, w22 = jet.w[..., S11], jet.w[..., S12], jet.w[..., S22]
-    p11, p12, p22 = jet.phi[..., S11], jet.phi[..., S12], jet.phi[..., S22]
-    bilap_w = jet.w[..., S1111] + 2.0 * jet.w[..., S1122] + jet.w[..., S2222]
-    bilap_phi = jet.phi[..., S1111] + 2.0 * jet.phi[..., S1122] + jet.phi[..., S2222]
-
-    coupling = w11 * p22 + w22 * p11 - 2.0 * w12 * p12
-    r1 = p.D * bilap_w - coupling + p.rho * jet.w[..., S33]
-    r2 = bilap_phi / p.Eh + (w11 * w22 - w12 * w12)
-    return r1, r2
+    return _pde_terms(jet, p)[:2]
 
 
 def pde_term_scales(jet: FieldJet, p: PlateParams):
     """Sum of absolute term magnitudes for each equation, for relative
     residual comparisons."""
-    w11, w12, w22 = jet.w[..., S11], jet.w[..., S12], jet.w[..., S22]
-    p11, p12, p22 = jet.phi[..., S11], jet.phi[..., S12], jet.phi[..., S22]
-    bilap_w = jet.w[..., S1111] + 2.0 * jet.w[..., S1122] + jet.w[..., S2222]
-    bilap_phi = jet.phi[..., S1111] + 2.0 * jet.phi[..., S1122] + jet.phi[..., S2222]
-
-    s1 = (
-        np.abs(p.D * bilap_w)
-        + np.abs(w11 * p22) + np.abs(w22 * p11) + 2.0 * np.abs(w12 * p12)
-        + np.abs(p.rho * jet.w[..., S33])
-    )
-    s2 = np.abs(bilap_phi / p.Eh) + np.abs(w11 * w22) + np.abs(w12 * w12)
-    return s1, s2
+    return _pde_terms(jet, p)[2:]

@@ -70,9 +70,10 @@ class Front(abc.ABC):
     def time_derivative(self, point) -> float | np.ndarray:
         """d gamma/dx3 at ``point``."""
 
-    def exact_arc_rate(self, point) -> float | None:
-        """Closed-form arc-rate when known (oracle for the FD estimate)."""
-        return None
+    @abc.abstractmethod
+    def exact_arc_rate(self, point) -> float:
+        """Arc-rate a = t_a dn^a/ds of the time slice of the level set
+        through ``point``, in closed form."""
 
     def spatial_line(self, t: float) -> tuple[float, float, float] | None:
         """Coefficients (A, B, C0) with A x1 + B x2 + C0 = gamma at time t,
@@ -170,32 +171,6 @@ class CircleFront(Front):
         return 1.0 / float(r)
 
 
-def _unit_normal_at(front: Front, spatial, time: float) -> np.ndarray:
-    q = np.array([spatial[0], spatial[1], time])
-    g = np.asarray(front.spatial_gradient(q), dtype=np.float64)
-    norm = float(np.hypot(g[0], g[1]))
-    if norm < 1e-13:
-        raise SingularFrontError(
-            f"front normal undefined at {tuple(q)}: |grad gamma| = {norm:.3e}"
-        )
-    return g / norm
-
-
-def _project_to_front(front: Front, spatial, time: float, steps: int = 3):
-    """Newton-project a nearby spatial point onto the time-t level set."""
-    q = np.array([float(spatial[0]), float(spatial[1])])
-    for _ in range(steps):
-        point = np.array([q[0], q[1], time])
-        g = np.asarray(front.spatial_gradient(point), dtype=np.float64)
-        g2 = float(g @ g)
-        if g2 < 1e-26:
-            raise SingularFrontError(
-                f"cannot project onto front near {tuple(point)}: gradient vanishes"
-            )
-        q -= float(front.value(point)) / g2 * g
-    return q
-
-
 def _normal_and_speed(front: Front, points) -> tuple[np.ndarray, np.ndarray]:
     """Unit normal (shape (N, 2)) and speed (shape (N,)) of the front at
     points of shape (N, 3): n = grad gamma / |grad gamma| and
@@ -216,13 +191,8 @@ def _normal_and_speed(front: Front, points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def front_geometry(front: Front, point) -> FrontGeometry:
-    """Speed, frame, and arc-rate of the front at a space-time point.
-
-    The arc-rate a = t_a dn^a/ds is estimated by stepping +-ds along the
-    tangent, projecting back onto the level set at the same time, and
-    central-differencing the unit normal; for a straight front the normal
-    is constant so the estimate is exactly zero.
-    """
+    """Speed, frame, and arc-rate of the front at a space-time point; the
+    arc-rate is the front's closed form ``exact_arc_rate``."""
     p = np.asarray(point, dtype=np.float64)
     if p.shape != (3,):
         raise ValidationError(f"point must be a 3-vector, got shape {p.shape}")
@@ -230,16 +200,9 @@ def front_geometry(front: Front, point) -> FrontGeometry:
     normals, speeds = _normal_and_speed(front, p[None])
     n = normals[0]
     t = np.array([-n[1], n[0]])
-    speed = float(speeds[0])
-
-    ds = 1e-4 * (1.0 + float(np.hypot(p[0], p[1])))
-    time = float(p[2])
-    spatial = p[:2]
-    n_plus = _unit_normal_at(front, _project_to_front(front, spatial + ds * t, time), time)
-    n_minus = _unit_normal_at(front, _project_to_front(front, spatial - ds * t, time), time)
-    arc_rate = float(t @ (n_plus - n_minus)) / (2.0 * ds)
-
-    return FrontGeometry(speed=speed, normal=n, tangent=t, arc_rate=arc_rate)
+    return FrontGeometry(
+        speed=float(speeds[0]), normal=n, tangent=t, arc_rate=float(front.exact_arc_rate(p))
+    )
 
 
 @dataclass(frozen=True)

@@ -165,8 +165,8 @@ def test_acceptance_3_jump_compatibility(capsys):
     circle_geo = front_geometry(CircleFront(0.0, 0.0, 2.0, radial_speed=1.0), (2.0, 0.0, 0.0))
     want = -1.7 / 2.0
     got = required_third_amplitude(1.7, circle_geo)
-    if abs(got - want) > 1e-6 * abs(want):
-        failures.append(f"curved-front third amplitude {got:.6f} != {want:.6f}")
+    if abs(got - want) > 1e-15 * abs(want):
+        failures.append(f"curved-front third amplitude {got!r} != {want!r}")
     if required_third_amplitude(1.7, geo) != 0.0:
         failures.append("straight-front third amplitude must be exactly zero")
 

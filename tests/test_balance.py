@@ -269,6 +269,17 @@ def test_edge_on_front_is_rejected(generic_params):
         boundary_flux_integral(field, 1, region, 0.0)
 
 
+def test_edge_crossing_on_a_scan_point_is_kept():
+    # the circle is centred on the start of the top edge, which runs from
+    # (0.9, 0.7) to (-0.7, 0.7), and crosses it at s = 0.425: scan point
+    # 17 of 64, where gamma is exactly 0
+    front = CircleFront(0.9, 0.7, 0.4, radial_speed=0.25)
+    p0, p1, t, length = (0.9, 0.7), (-0.7, 0.7), 0.1, 1.6
+    s17 = np.linspace(0.0, length, 65)[17]
+    assert front.value((p0[0] - s17, p0[1], t)) == 0.0
+    assert balance._edge_crossings(front, p0, p1, t, length) == [pytest.approx(0.425, abs=1e-15)]
+
+
 def test_circle_front_density_and_jump(generic_params):
     p = generic_params
     radius = 0.35

@@ -104,3 +104,21 @@ def test_time_independent_slots_vanish_for_static_profile():
     assert w[:, idx(3)] == pytest.approx([0.0, 0.0])
     assert w[:, idx(1)] == pytest.approx([1.0, 1.0])
     assert not phi.any()
+
+
+@pytest.mark.parametrize("per_point", ["both", "u", "phi"])
+def test_per_point_coefficients_equal_row_by_row_scalar_fills(per_point):
+    rng = np.random.default_rng(11)
+    n = 257
+    pts = rng.uniform(-2, 2, (n, 3))
+    u = rng.uniform(-2, 2, (4, n)) if per_point in ("both", "u") else rng.uniform(-2, 2, 4)
+    ph = rng.uniform(-2, 2, (4, n)) if per_point in ("both", "phi") else rng.uniform(-2, 2, 4)
+    omega, c = 1.7, -0.8
+    got_w, got_phi = _fill(u, ph, omega, c, pts)
+    for k in range(n):
+        want_w, want_phi = _fill(
+            u[:, k] if u.ndim == 2 else u, ph[:, k] if ph.ndim == 2 else ph, omega, c, pts[k : k + 1]
+        )
+        assert np.array_equal(got_w[k], want_w[0])
+        assert np.array_equal(got_phi[k], want_phi[0])
+        assert np.array_equal(np.signbit(got_w[k]), np.signbit(want_w[0]))

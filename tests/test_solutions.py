@@ -230,3 +230,156 @@ def test_eval_jet_passthrough(generic_params):
     jet = eval_jet(field, (0.0, 0.0, 3.0))
     assert jet.dw(3) == pytest.approx(3.0, rel=1e-14)
     assert jet.dw(3, 3) == pytest.approx(1.0, rel=1e-14)
+
+
+def _per_branch(field, pts):
+    """Each point's jet from its own branch, filled branch by branch."""
+    g = field.front.value(pts)
+    out_w = np.full((len(pts), JET_SIZE), np.nan)
+    out_phi = np.full_like(out_w, np.nan)
+    for branch, mask in ((field.ahead, g > 0), (field.behind, g < 0)):
+        if mask.any():
+            j = branch.jet(pts[mask])
+            out_w[mask], out_phi[mask] = j.w, j.phi
+    return out_w, out_phi
+
+
+@pytest.fixture()
+def count_fills(monkeypatch):
+    """Record the point count of every traveling jet fill."""
+    import vkwave.solutions as solutions
+
+    sizes = []
+    fill = solutions.traveling_jet_fill
+
+    def counted(u, phi, omega, c, pts, out_w, out_phi):
+        sizes.append(len(pts))
+        return fill(u, phi, omega, c, pts, out_w, out_phi)
+
+    monkeypatch.setattr(solutions, "traveling_jet_fill", counted)
+    return sizes
+
+
+def _wave(params):
+    ahead = invariant_solution((0.4, -0.2, 0.9, 0.5), (0.3, 0.8, -0.6, 0.2), 1.3, params)
+    return acceleration_wave(ahead, c1=0.7, c2=-0.4)
+
+
+def _same_solution_across_circle():
+    from vkwave.scenario import build_field, scenario_from_dict
+
+    return build_field(
+        scenario_from_dict(
+            {
+                "plate": {"youngs_modulus": 2.1, "poisson_ratio": 0.27,
+                          "thickness": 0.31, "areal_density": 1.7},
+                "field": {"family": "invariant", "wave_speed": 0.8,
+                          "w_coefficients": [0.1, -0.2, 0.3, 0.4],
+                          "phi_coefficients": [0.0, 0.5, -0.6, 0.7]},
+                "front": {"kind": "circle", "center": [0.1, -0.2], "radius": 0.6,
+                          "radial_speed": 0.3},
+                "checks": [{"type": "pde_residual"}],
+            }
+        )
+    )
+
+
+@pytest.mark.parametrize("case", ["acceleration_wave", "same_branch_object"])
+def test_auto_batch_takes_one_fill_equal_to_per_branch_jets(case, generic_params, count_fills):
+    field = _wave(generic_params) if case == "acceleration_wave" else _same_solution_across_circle()
+    if case == "same_branch_object":
+        assert field.ahead is field.behind
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, (500, 3))
+    g = field.front.value(pts)
+    assert (g > 0).any() and (g < 0).any()
+    want_w, want_phi = _per_branch(field, pts)
+    count_fills.clear()
+    jet = field.jet(pts)
+    assert count_fills == [500]
+    assert np.array_equal(jet.w, want_w)
+    assert np.array_equal(jet.phi, want_phi)
+    # a batch shaped (..., 3) keeps its shape
+    grid = field.jet(pts.reshape(20, 25, 3))
+    assert np.array_equal(grid.w.reshape(500, JET_SIZE), want_w)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_auto_batch_on_one_side_equals_that_branch(sign, generic_params, count_fills):
+    wave = _wave(generic_params)
+    pts = np.random.default_rng(4).uniform(0.1, 1.0, (64, 3))
+    pts[:, 0] *= sign
+    pts[:, 2] = 0.0  # the front is x1 = 0 at t = 0
+    branch = wave.ahead if sign > 0 else wave.behind
+    want = branch.jet(pts)
+    count_fills.clear()
+    jet = wave.jet(pts)
+    assert count_fills == [64]
+    assert np.array_equal(jet.w, want.w)
+    assert np.array_equal(jet.phi, want.phi)
+
+
+def test_auto_single_point_takes_its_branch(generic_params):
+    wave = _wave(generic_params)
+    for point, branch in (((0.5, 0.2, 0.1), wave.ahead), ((-0.5, 0.2, 0.1), wave.behind)):
+        jet = wave.jet(point)
+        assert jet.w.shape == (JET_SIZE,)
+        assert np.array_equal(jet.w, branch.jet(point).w)
+        assert np.array_equal(jet.phi, branch.jet(point).phi)
+
+
+@pytest.mark.parametrize("case", ["polynomial", "unequal_speeds", "unequal_omegas"])
+def test_other_branches_fill_each_side_separately(case, generic_params, count_fills):
+    front = LineFront(1.0, 0.5, -1.0, 0.1)
+    if case == "polynomial":
+        ahead = polynomial_field({(2, 1, 0): 0.4, (0, 0, 3): -0.2}, {(1, 2, 1): 0.3}, generic_params)
+        behind = polynomial_field({(1, 0, 2): 0.7}, {(3, 0, 0): -0.1}, generic_params)
+    else:
+        ahead = invariant_solution((0.4, -0.2, 0.9, 0.5), (0.3, 0.8, -0.6, 0.2), 1.3, generic_params)
+        # one of speed and omega shared, so that each must be compared
+        speed, omega = (0.9, ahead.omega) if case == "unequal_speeds" else (1.3, 0.9)
+        behind = InvariantSolution(
+            (0.1, 0.2, -0.3, 0.5), (0.0, 0.1, 0.6, -0.2), speed, generic_params, omega
+        )
+    field = PiecewiseField(ahead, behind, front, generic_params)
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (300, 3))
+    n_ahead = int((front.value(pts) > 0).sum())
+    want_w, want_phi = _per_branch(field, pts)
+    count_fills.clear()
+    jet = field.jet(pts)
+    assert count_fills == ([] if case == "polynomial" else [n_ahead, 300 - n_ahead])
+    assert np.array_equal(jet.w, want_w)
+    assert np.array_equal(jet.phi, want_phi)
+
+
+@pytest.mark.parametrize("case", ["acceleration_wave", "polynomial"])
+def test_auto_needs_a_side_on_the_front(case, generic_params):
+    if case == "acceleration_wave":
+        field = _wave(generic_params)
+    else:
+        poly = polynomial_field({(1, 0, 0): 1.0}, None, generic_params)
+        field = PiecewiseField(poly, poly, LineFront(1.0, 0.0, -1.3, 0.0), generic_params)
+    pts = np.array([[0.5, 0.0, 0.0], [1.3 * 0.2, 0.4, 0.2], [-0.5, 0.0, 0.0]])
+    assert field.front.value(pts)[1] == 0.0
+    with pytest.raises(SideRequiredError):
+        field.jet(pts)
+    with pytest.raises(SideRequiredError):
+        field.jet(pts[1])
+
+
+@pytest.mark.parametrize("case", ["invariant", "polynomial"])
+def test_nan_front_value_is_an_error_not_a_side(case, generic_params):
+    # gamma = 2 x1 + 2 x2 overflows to inf - inf at finite points
+    front = LineFront(2.0, 2.0)
+    if case == "invariant":
+        sol = invariant_solution((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), 1.0, generic_params)
+    else:
+        sol = polynomial_field(None, None, generic_params)
+    field = PiecewiseField(sol, sol, front, generic_params)
+    bad = (1.7e308, -1.7e308, 0.0)
+    pts = np.array([[0.5, 0.0, 0.0], bad, [-0.5, 0.0, 0.0], [-1.7e308, 1.7e308, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(front.value(pts)).tolist() == [False, True, False, True]
+        with pytest.raises(ValidationError, match=r"NaN at \(1\.7e\+308, -1\.7e\+308, 0\.0\)"):
+            field.jet(pts)
+        with pytest.raises(ValidationError, match="NaN"):
+            field.jet(bad)

@@ -38,7 +38,7 @@ def test_line_front_oblique_geometry():
     assert geo.normal == pytest.approx([r, r])
     assert geo.tangent == pytest.approx([-r, r])
     assert geo.speed == pytest.approx(0.0)
-    assert geo.arc_rate == pytest.approx(0.0, abs=1e-9)
+    assert geo.arc_rate == 0.0
 
 
 def test_line_front_needs_spatial_dependence():
@@ -54,8 +54,18 @@ def test_circle_front_geometry():
     geo = front_geometry(front, point)
     assert geo.normal == pytest.approx([1.0, 0.0])
     assert geo.speed == pytest.approx(2.0)
-    assert geo.arc_rate == pytest.approx(1.0 / 1.1, rel=1e-6)
+    assert geo.arc_rate == pytest.approx(1.0 / 1.1, rel=1e-15)
     assert front.exact_arc_rate(point) == pytest.approx(1.0 / 1.1, rel=1e-15)
+
+
+def test_circle_arc_rate_is_the_closed_form_all_round():
+    front = CircleFront(0.1, -0.05, 0.35, radial_speed=0.25)
+    radius = 0.35 + 0.25 * 0.4
+    for theta in np.linspace(0.0, 2.0 * math.pi, 13)[:-1]:
+        point = (0.1 + radius * math.cos(theta), -0.05 + radius * math.sin(theta), 0.4)
+        geo = front_geometry(front, point)
+        assert geo.arc_rate == front.exact_arc_rate(point)
+        assert geo.arc_rate == pytest.approx(1.0 / radius, rel=1e-15)
 
 
 def test_circle_front_shrinking_speed_sign():
@@ -146,7 +156,7 @@ def test_sym3tensor_component_symmetry():
 def test_required_third_amplitude():
     front = CircleFront(0.0, 0.0, 2.0, radial_speed=1.0)
     geo = front_geometry(front, (0.0, 2.0, 0.0))
-    assert required_third_amplitude(1.5, geo) == pytest.approx(-1.5 / 2.0, rel=1e-6)
+    assert required_third_amplitude(1.5, geo) == pytest.approx(-1.5 / 2.0, rel=1e-15)
 
     line_geo = front_geometry(LineFront(1.0, 0.0, -1.0, 0.0), (0.0, 0.0, 0.0))
     assert required_third_amplitude(1.5, line_geo) == 0.0
