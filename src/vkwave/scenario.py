@@ -263,11 +263,7 @@ def _parse_front(data, path: str) -> FrontSpec:
 
 def _parse_region(data, path: str) -> Region:
     d = _need_mapping(data, path)
-    _check_keys(
-        d,
-        ("x1_min", "x1_max", "x2_min", "x2_max", "quad_order", "cells", "subdivision_depth"),
-        path,
-    )
+    _check_keys(d, ("x1_min", "x1_max", "x2_min", "x2_max", "quad_order", "cells"), path)
     cells_raw = d.get("cells", [4, 4])
     if (
         not isinstance(cells_raw, (list, tuple))
@@ -283,7 +279,6 @@ def _parse_region(data, path: str) -> Region:
             x2_max=_number(d, "x2_max", path),
             quad_order=_integer(d, "quad_order", path, default=8),
             cells=(int(cells_raw[0]), int(cells_raw[1])),
-            subdivision_depth=_integer(d, "subdivision_depth", path, default=6),
         )
     except ValidationError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
@@ -565,7 +560,6 @@ def _region_dict(region: Region) -> dict:
         "x2_max": region.x2_max,
         "quad_order": region.quad_order,
         "cells": list(region.cells),
-        "subdivision_depth": region.subdivision_depth,
     }
 
 

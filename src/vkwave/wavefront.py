@@ -54,8 +54,8 @@ class FrontGeometry:
 class Front(abc.ABC):
     """Moving curve given as the zero set of gamma(x1, x2, x3)."""
 
-    #: True when every time slice is a straight line (enables exact
-    #: polygon clipping in the balance quadrature).
+    #: True when every time slice is a straight line (the front jump
+    #: integral then runs along one clipped segment).
     is_straight: ClassVar[bool] = False
 
     @abc.abstractmethod
@@ -71,9 +71,33 @@ class Front(abc.ABC):
         """d gamma/dx3 at ``point``."""
 
     @abc.abstractmethod
-    def exact_arc_rate(self, point) -> float:
+    def exact_arc_rate(self, point) -> float | np.ndarray:
         """Arc-rate a = t_a dn^a/ds of the time slice of the level set
-        through ``point``, in closed form."""
+        through ``point``, in closed form; one value per point."""
+
+    @abc.abstractmethod
+    def crossings(self, p0, p1, t: float) -> np.ndarray:
+        """Where the segments p0 -> p1 (arrays of shape (n, 2)) cross the
+        time-t slice of the front, in closed form.
+
+        Returns the fractions s in [0, 1] of the points p0 + s (p1 - p0)
+        at which gamma changes sign, ascending, shape (n, k) with nan
+        where a segment has fewer than k crossings.  A root at which gamma
+        only touches zero (a tangent) is not a crossing, and neither is a
+        segment lying on the front.
+        """
+
+    @abc.abstractmethod
+    def value_range(self, lower, upper, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Least and greatest gamma at time t over each box lower <= x <= upper
+        (arrays of shape (n, 2)), in closed form."""
+
+    @abc.abstractmethod
+    def normal_range(self, lower, upper, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds (low, high), each of shape (n, 2), on the components of
+        the unit normal grad gamma / |grad gamma| at the points of the
+        time-t front inside each box lower <= x <= upper (arrays of shape
+        (n, 2)), in closed form."""
 
     def spatial_line(self, t: float) -> tuple[float, float, float] | None:
         """Coefficients (A, B, C0) with A x1 + B x2 + C0 = gamma at time t,
@@ -118,11 +142,37 @@ class LineFront(Front):
             return self.coef_t
         return np.full(p.shape[:-1], self.coef_t)
 
-    def exact_arc_rate(self, point) -> float:
-        return 0.0
+    def exact_arc_rate(self, point):
+        p = np.asarray(point, dtype=np.float64)
+        if p.ndim == 1:
+            return 0.0
+        return np.zeros(p.shape[:-1])
 
     def spatial_line(self, t: float) -> tuple[float, float, float]:
         return (self.coef_x1, self.coef_x2, self.coef_t * t + self.const)
+
+    def _spatial_value(self, x, t):
+        a, b, c0 = self.spatial_line(t)
+        return a * x[..., 0] + b * x[..., 1] + c0
+
+    def crossings(self, p0, p1, t):
+        f0 = self._spatial_value(np.asarray(p0, dtype=np.float64), t)
+        f1 = self._spatial_value(np.asarray(p1, dtype=np.float64), t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = f0 / (f0 - f1)
+        return np.where((s >= 0.0) & (s <= 1.0), s, np.nan)[:, None]
+
+    def value_range(self, lower, upper, t):
+        a, b, c0 = self.spatial_line(t)
+        lo, hi = np.asarray(lower, dtype=np.float64), np.asarray(upper, dtype=np.float64)
+        x_lo, x_hi = (lo[:, 0], hi[:, 0]) if a >= 0.0 else (hi[:, 0], lo[:, 0])
+        y_lo, y_hi = (lo[:, 1], hi[:, 1]) if b >= 0.0 else (hi[:, 1], lo[:, 1])
+        return a * x_lo + b * y_lo + c0, a * x_hi + b * y_hi + c0
+
+    def normal_range(self, lower, upper, t):
+        norm = np.hypot(self.coef_x1, self.coef_x2)
+        n = np.tile([self.coef_x1 / norm, self.coef_x2 / norm], (len(lower), 1))
+        return n, n
 
 
 @dataclass(frozen=True)
@@ -166,9 +216,66 @@ class CircleFront(Front):
             return -self.radial_speed
         return np.full(p.shape[:-1], -self.radial_speed)
 
-    def exact_arc_rate(self, point) -> float:
-        _, _, _, r = self._offsets(np.asarray(point, dtype=np.float64))
-        return 1.0 / float(r)
+    def exact_arc_rate(self, point):
+        p, _, _, r = self._offsets(point)
+        center = np.flatnonzero(np.ravel(r) == 0.0)
+        if center.size:
+            k = center[0]
+            raise SingularFrontError(
+                f"arc-rate undefined at the circle's centre {tuple(p.reshape(-1, 3)[k].tolist())}"
+            )
+        if p.ndim == 1:
+            return 1.0 / float(r)
+        return 1.0 / r
+
+    def _radius_at(self, t):
+        return self.radius + self.radial_speed * t
+
+    def crossings(self, p0, p1, t):
+        p0 = np.asarray(p0, dtype=np.float64)
+        d = np.asarray(p1, dtype=np.float64) - p0
+        fx, fy = p0[:, 0] - self.center_x1, p0[:, 1] - self.center_x2
+        radius = self._radius_at(t)
+        # |f + s d|^2 = radius^2, as a s^2 + 2 b s + c = 0; gamma > 0
+        # everywhere once the radius is negative
+        a = d[:, 0] ** 2 + d[:, 1] ** 2
+        b = fx * d[:, 0] + fy * d[:, 1]
+        c = (fx**2 + fy**2) - radius**2 if radius > 0.0 else np.full_like(a, np.inf)
+        disc = b * b - a * c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -(b + np.copysign(np.sqrt(disc), b))
+            roots = np.stack([q / a, c / q], axis=1)
+        keep = (disc > 0.0)[:, None] & (roots >= 0.0) & (roots <= 1.0)
+        return np.sort(np.where(keep, roots, np.nan), axis=1)
+
+    def value_range(self, lower, upper, t):
+        lo = np.asarray(lower, dtype=np.float64) - (self.center_x1, self.center_x2)
+        hi = np.asarray(upper, dtype=np.float64) - (self.center_x1, self.center_x2)
+        nearest = np.clip(0.0, lo, hi)
+        farthest = np.maximum(np.abs(lo), np.abs(hi))
+        radius = self._radius_at(t)
+        return (
+            np.hypot(nearest[:, 0], nearest[:, 1]) - radius,
+            np.hypot(farthest[:, 0], farthest[:, 1]) - radius,
+        )
+
+    def normal_range(self, lower, upper, t):
+        # a front point is c + radius * n, so n_h lies in the box's span of
+        # (x_h - c_h) / radius, and |n| = 1 keeps |n_h| at least
+        # sqrt(1 - n_o^2) for the largest |n_o| there
+        radius = self._radius_at(t)
+        if radius <= 0.0:
+            full = np.ones((len(lower), 2))
+            return -full, full
+        center = (self.center_x1, self.center_x2)
+        low = np.clip((np.asarray(lower, dtype=np.float64) - center) / radius, -1.0, 1.0)
+        high = np.clip((np.asarray(upper, dtype=np.float64) - center) / radius, -1.0, 1.0)
+        least = np.sqrt(1.0 - np.maximum(low**2, high**2))[:, ::-1]
+        no_negative, no_positive = low > -least, high < least
+        return (
+            np.where(no_negative & ~no_positive, np.maximum(low, least), low),
+            np.where(no_positive & ~no_negative, np.minimum(high, -least), high),
+        )
 
 
 def _normal_and_speed(front: Front, points) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,7 @@ from vkwave.solutions import (
     Side,
     acceleration_wave,
     invariant_solution,
+    pde_residual,
     polynomial_field,
 )
 from vkwave.wavefront import CircleFront, LineFront, front_geometry
@@ -41,9 +42,9 @@ _EXAMPLE_SCENARIO = Path(__file__).resolve().parents[1] / "examples_scenarios" /
         dict(x1_min=0.0, x1_max=1.0, x2_min=0.0, x2_max=1.0, quad_order=2),
         dict(x1_min=0.0, x1_max=1.0, x2_min=0.0, x2_max=1.0, quad_order=8.0),
         dict(x1_min=0.0, x1_max=1.0, x2_min=0.0, x2_max=1.0, cells=(0, 4)),
-        dict(x1_min=0.0, x1_max=1.0, x2_min=0.0, x2_max=1.0, subdivision_depth=-1),
+        dict(x1_min=0.0, x1_max=1.0, x2_min=0.0, x2_max=1.0, cells=(4, 4, 4)),
         dict(x1_min=math.nan, x1_max=1.0, x2_min=0.0, x2_max=1.0),
-        dict(x1_min=0.0, x1_max=1.0, x2_min=0.0, x2_max=1.0, subdivision_depth=True),
+        dict(x1_min=0.0, x1_max=1.0, x2_min=0.0, x2_max=1.0, quad_order=True),
     ],
 )
 def test_region_validation(kwargs):
@@ -174,9 +175,9 @@ def test_shared_balance_equals_per_law_balance(case, unit_params, generic_params
         field, t = _example_wave(unit_params), 0.1
         region = Region(-0.8, 0.9, -0.6, 0.7)
     else:
-        # depth 2 keeps the test quick and still splits a side at the cap
+        # the ahead side has more points than one jet batch holds
         field, t = _disc_field(generic_params), 0.0
-        region = Region(-0.7, 0.9, -0.8, 0.7, subdivision_depth=2)
+        region = Region(-0.7, 0.9, -0.8, 0.7)
     laws = range(1, 15)
     shared = balance._balance_reports(field, laws, region, t)
     assert len(shared) == len(laws)
@@ -271,13 +272,33 @@ def test_edge_on_front_is_rejected(generic_params):
 
 def test_edge_crossing_on_a_scan_point_is_kept():
     # the circle is centred on the start of the top edge, which runs from
-    # (0.9, 0.7) to (-0.7, 0.7), and crosses it at s = 0.425: scan point
-    # 17 of 64, where gamma is exactly 0
+    # (0.9, 0.7) to (-0.7, 0.7), and crosses it at s = 0.425, where the
+    # old 64-interval scan had a point with gamma exactly 0
     front = CircleFront(0.9, 0.7, 0.4, radial_speed=0.25)
     p0, p1, t, length = (0.9, 0.7), (-0.7, 0.7), 0.1, 1.6
-    s17 = np.linspace(0.0, length, 65)[17]
-    assert front.value((p0[0] - s17, p0[1], t)) == 0.0
-    assert balance._edge_crossings(front, p0, p1, t, length) == [pytest.approx(0.425, abs=1e-15)]
+    (s,) = front.crossings(np.array([p0]), np.array([p1]), t)
+    assert s[0] * length == pytest.approx(0.425, abs=1e-15)
+    assert np.isnan(s[1])
+
+
+def test_tangent_edge_adds_no_break(generic_params):
+    # the circle touches the bottom edge at (0.25, -0.75) from inside: a
+    # double root, where gamma does not change sign (every number here is
+    # exact in binary, so the discriminant is exactly 0)
+    front = CircleFront(0.25, -0.5, 0.25)
+    region = Region(-0.75, 1.0, -0.75, 0.75)
+    starts, ends, _ = balance._region_edges(region)
+    assert front.value((0.25, -0.75, 0.0)) == 0.0
+    assert np.isnan(front.crossings(starts, ends, 0.0)).all()
+    field = PiecewiseField(
+        polynomial_field({(4, 0, 0): 1.0}, None, generic_params),
+        polynomial_field({(2, 0, 1): 1.0}, None, generic_params),
+        front,
+        generic_params,
+    )
+    # the whole boundary lies ahead, so the flux is the ahead field's alone
+    flux = boundary_flux_integral(field, 1, region, 0.0)
+    assert flux == boundary_flux_integral(field.ahead, 1, region, 0.0)
 
 
 def test_circle_front_density_and_jump(generic_params):
@@ -288,7 +309,7 @@ def test_circle_front_density_and_jump(generic_params):
 
     # law 1 density is rho inside the disc and zero outside
     dens = density_integral(field, 1, region, 0.0)
-    assert dens == pytest.approx(p.rho * math.pi * radius**2, rel=5e-3)
+    assert dens == pytest.approx(p.rho * math.pi * radius**2, rel=1e-10)
 
     # transport by the expanding circle: C [Psi] integrates to v rho 2 pi r
     jump = front_segment_jump_integral(field, 1, region, 0.0)
@@ -297,6 +318,16 @@ def test_circle_front_density_and_jump(generic_params):
     # absolute variant bounds the signed one
     mag = front_segment_jump_integral(field, 1, region, 0.0, absolute=True)
     assert mag >= abs(jump)
+
+
+@pytest.mark.parametrize("t", [-0.2, 0.0, 0.1, 0.3])
+def test_disc_area_is_exact_as_the_circle_grows(t, generic_params):
+    # at t = -0.2 the circle's leftmost point lies on a cell boundary, so
+    # height lines there start on the front and must take their side
+    # from their middle
+    radius = 0.35 + 0.25 * t
+    dens = density_integral(_disc_field(generic_params), 1, Region(-0.7, 0.9, -0.8, 0.7), t)
+    assert dens == pytest.approx(generic_params.rho * math.pi * radius**2, rel=1e-12)
 
 
 @pytest.mark.parametrize("case", ["straight_wave", "disc"])
@@ -340,141 +371,226 @@ def test_balance_residual_rejects_bad_dt(generic_params):
         balance_residual(field, 1, region, 0.0, dt=math.inf)
 
 
-# The recursive curved-front planner that the level-by-level one replaced,
-# kept as the reference: one front call per visited cell, its quadrants
-# planned depth first, and the piece sums added in that nesting.
-def _reference_rect(plan, xa, xb, ya, yb, order, side):
-    xs, wx = balance._interval_nodes(xa, xb, order)
-    ys, wy = balance._interval_nodes(ya, yb, order)
-    x_grid, y_grid = np.meshgrid(xs, ys, indexing="ij")
-    return plan.piece(x_grid, y_grid, np.outer(wx, wy).ravel(), side)
 
 
-def _reference_curved_cell(plan, front, xa, xb, ya, yb, order, depth, leaf_depths):
-    xm, ym = 0.5 * (xa + xb), 0.5 * (ya + yb)
-    samples = balance._points3(
-        [xa, xm, xb, xa, xm, xb, xa, xm, xb],
-        [ya, ya, ya, ym, ym, ym, yb, yb, yb],
-        plan.t,
-    )
-    g = np.asarray(front.value(samples), dtype=np.float64)
-    if np.all(g > 0.0):
-        leaf_depths.add(depth)
-        return _reference_rect(plan, xa, xb, ya, yb, order, balance._AHEAD)
-    if np.all(g < 0.0):
-        leaf_depths.add(depth)
-        return _reference_rect(plan, xa, xb, ya, yb, order, balance._BEHIND)
-    if depth == 0:
-        leaf_depths.add(depth)
-        return _reference_rect(plan, xa, xb, ya, yb, order, balance._RESOLVE)
-    return [
-        _reference_curved_cell(plan, front, cxa, cxb, cya, cyb, order, depth - 1, leaf_depths)
-        for cxa, cxb in ((xa, xm), (xm, xb))
-        for cya, cyb in ((ya, ym), (ym, yb))
-    ]
+@pytest.mark.parametrize("levels", range(7))
+def test_curved_density_integral_front_calls_per_level(levels, generic_params, monkeypatch):
+    # a circle centred on the only cell's centre is split once more for
+    # each halving of its radius; every level takes one range and one
+    # normal-bound call for all its boxes, and at most two crossings calls
+    # (faces, then height lines) and one value call (lines that miss)
+    calls = {}
+    for name in ("value", "crossings", "value_range", "normal_range"):
+        method = getattr(CircleFront, name)
 
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _method(self, *args)
 
-def _reference_nested_sum(node, sums):
-    if isinstance(node, int):
-        return sums[node]
-    total = 0.0
-    for child in node:
-        total += _reference_nested_sum(child, sums)
-    return total
-
-
-def _reference_density_integrals(field, entries, region, t, order, leaf_depths):
-    x_edges = np.linspace(region.x1_min, region.x1_max, region.cells[0] + 1)
-    y_edges = np.linspace(region.x2_min, region.x2_max, region.cells[1] + 1)
-    plan = balance._Plan(t)
-    cells = [
-        _reference_curved_cell(
-            plan,
-            field.front,
-            float(x_edges[i]),
-            float(x_edges[i + 1]),
-            float(y_edges[j]),
-            float(y_edges[j + 1]),
-            order,
-            region.subdivision_depth,
-            leaf_depths,
-        )
-        for i in range(region.cells[0])
-        for j in range(region.cells[1])
-    ]
-    return [_reference_nested_sum(cells, sums) for sums in balance._piece_sums(field, entries, plan)]
-
-
-def _random_polynomial(rng, terms=4):
-    return {
-        tuple(int(e) for e in rng.integers(0, 4, 3)): float(rng.normal())
-        for _ in range(terms)
-    }
-
-
-def _random_curved_field(rng, p):
-    front = CircleFront(
-        float(rng.uniform(-0.2, 0.3)),
-        float(rng.uniform(-0.3, 0.2)),
-        float(rng.uniform(0.15, 0.9)),
-        radial_speed=float(rng.uniform(-0.3, 0.3)),
-    )
-    ahead = polynomial_field(_random_polynomial(rng), _random_polynomial(rng), p)
-    behind = polynomial_field(_random_polynomial(rng), _random_polynomial(rng), p)
-    return PiecewiseField(ahead, behind, front, p)
-
-
-def test_curved_plan_matches_recursive_reference(generic_params):
-    # every law's density integral keeps the bits of the depth-first plan
-    rng = np.random.default_rng(20261018)
-    entries = [law for law in LAWS]
-    cases = []
-    for k in range(14):
-        region = Region(
-            -0.7, 0.9, -0.8, 0.7,
-            quad_order=int(rng.integers(4, 9)),
-            cells=(int(rng.integers(1, 6)), int(rng.integers(1, 6))),
-            subdivision_depth=k % 7,
-        )
-        t = float(rng.uniform(-0.3, 0.3))
-        cases.append((_random_curved_field(rng, generic_params), region, t))
-    # one cell whose first two levels are all split: no leaf lands there
-    centered = PiecewiseField(
-        polynomial_field(_random_polynomial(rng), _random_polynomial(rng), generic_params),
-        polynomial_field(_random_polynomial(rng), _random_polynomial(rng), generic_params),
-        CircleFront(0.0, 0.0, 0.5),
+        monkeypatch.setattr(CircleFront, name, counted)
+    front = CircleFront(0.0, 0.0, 0.9 / 2**levels)
+    field = PiecewiseField(
+        polynomial_field(None, None, generic_params),
+        polynomial_field({(0, 0, 1): 1.0}, None, generic_params),
+        front,
         generic_params,
     )
-    cases.append((centered, Region(-1.0, 1.0, -1.0, 1.0, cells=(1, 1), subdivision_depth=3), 0.0))
-
-    levels_without_leaves = set()
-    for field, region, t in cases:
-        leaf_depths = set()
-        want = _reference_density_integrals(
-            field, entries, region, t, region.quad_order, leaf_depths
-        )
-        got = balance._density_integrals(field, entries, region, t, region.quad_order)
-        assert got == want
-        assert all(type(v) is float for v in got)
-        depth = region.subdivision_depth
-        levels_with_leaves = {depth - d for d in leaf_depths}
-        levels_without_leaves |= set(range(depth + 1)) - levels_with_leaves
-    assert {0, 1} <= levels_without_leaves
+    region = Region(-1.0, 1.0, -1.0, 1.0, cells=(1, 1))
+    dens = density_integral(field, 1, region, 0.0)
+    assert dens == pytest.approx(generic_params.rho * math.pi * front.radius**2, rel=1e-10)
+    depth = calls["value_range"]
+    assert depth == levels + 5
+    assert calls["normal_range"] == depth
+    assert calls["crossings"] <= 2 * depth
+    assert calls.get("value", 0) <= depth
 
 
-@pytest.mark.parametrize("depth", range(7))
-def test_curved_density_integral_front_calls_per_level(depth, generic_params, monkeypatch):
-    # one front call per subdivision level, plus one to resolve the nodes
-    # of the last level; the recursive plan made one per visited cell
+def test_disc_plan_choices_hold_across_the_time_step(generic_params, monkeypatch):
+    # the balance differentiates the density integral by a central
+    # difference in t: a different set of boxes, height axes or pieces at
+    # t - dt, t and t + dt would put a step of order E/dt into it
     field = _disc_field(generic_params)
-    region = Region(-0.7, 0.9, -0.8, 0.7, subdivision_depth=depth)
-    calls = []
-    value = CircleFront.value
+    region = Region(-0.7, 0.9, -0.8, 0.7)
+    graphs = []
+    plan_heights = balance._plan_heights
 
-    def counted(self, point):
-        calls.append(len(point))
-        return value(self, point)
+    def recorded(plan, front, lower, upper, axis, rising, order, owners):
+        graphs.append((lower.tolist(), upper.tolist(), axis.tolist(), rising.tolist()))
+        plan_heights(plan, front, lower, upper, axis, rising, order, owners)
 
-    monkeypatch.setattr(CircleFront, "value", counted)
-    density_integral(field, 1, region, 0.0)
-    assert len(calls) <= depth + 2
+    monkeypatch.setattr(balance, "_plan_heights", recorded)
+    dt = 1e-4
+    choices = []
+    for t in (-dt, 0.0, dt):
+        graphs.clear()
+        plan = balance._Plan(t)
+        balance._plan_cells(plan, field.front, region, region.quad_order)
+        sides = np.concatenate(plan.sides)
+        owners = np.concatenate(plan.owners)
+        choices.append((
+            list(graphs),
+            [w.shape for w in plan.weights],
+            int(np.sum(sides == balance._AHEAD)),
+            int(np.sum(sides == balance._BEHIND)),
+            owners.tolist(),
+        ))
+    assert choices[0] == choices[1] == choices[2]
+    axes = [a for _, _, box_axes, _ in choices[1][0] for a in box_axes]
+    assert set(axes) == {0, 1}  # both height axes occur
+
+
+# The smooth curved-front oracle: on each side of a moving circle w is
+# affine and phi a biharmonic polynomial, so both sides solve the field
+# equations exactly, while every law's density and flux jump across the
+# circle.  A balance across it must then equal the front line integral J.
+_INSIDE_W = {(0, 0, 0): 0.3, (1, 0, 0): 0.2, (0, 1, 0): -0.1, (0, 0, 1): 0.4}
+_INSIDE_PHI = {(3, 0, 0): 0.5, (2, 1, 0): -0.2, (4, 0, 0): 0.3, (2, 2, 0): -0.9, (0, 3, 1): 0.1}
+_OUTSIDE_W = {(0, 0, 0): -0.1, (1, 0, 0): 0.5, (0, 1, 0): 0.3, (0, 0, 1): -0.2}
+_OUTSIDE_PHI = {(1, 2, 0): 1.0, (2, 1, 0): 0.4, (0, 3, 0): 0.4, (4, 0, 2): 0.2, (0, 4, 2): -0.2}
+_SMOOTH_REGION = Region(-0.7, 0.9, -0.8, 0.7)
+
+
+def _smooth_circle_field(p, center=(0.1, -0.05)):
+    front = CircleFront(center[0], center[1], 0.35, radial_speed=0.25)
+    outside = polynomial_field(_OUTSIDE_W, _OUTSIDE_PHI, p)
+    inside = polynomial_field(_INSIDE_W, _INSIDE_PHI, p)
+    return PiecewiseField(outside, inside, front, p)
+
+
+def test_smooth_circle_field_solves_the_equations(generic_params):
+    field = _smooth_circle_field(generic_params)
+    pts = np.random.default_rng(7).uniform(-1.0, 1.0, (200, 3))
+    for branch in (field.ahead, field.behind):
+        r1, r2 = pde_residual(branch.jet(pts), generic_params)
+        assert np.abs(r1).max() <= 1e-14
+        assert np.abs(r2).max() <= 1e-14
+
+
+def _polar_density_reference(field, entry, region, t, n=24, n_theta=64):
+    """The ahead density over the rectangle plus the jump of the density
+    over the disc, which lies inside it, in polar coordinates about the
+    centre: both integrands are polynomials, so Gauss-Legendre in x1, x2
+    and r and the trapezoid rule in the angle are exact."""
+    p = field.params
+    g, w = np.polynomial.legendre.leggauss(n)
+    xs = region.x1_min + 0.5 * (region.x1_max - region.x1_min) * (g + 1.0)
+    ys = region.x2_min + 0.5 * (region.x2_max - region.x2_min) * (g + 1.0)
+    area = (region.x1_max - region.x1_min) * (region.x2_max - region.x2_min)
+    x_grid, y_grid = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.column_stack([x_grid.ravel(), y_grid.ravel(), np.full(x_grid.size, t)])
+    whole = np.dot(0.25 * area * np.outer(w, w).ravel(), density_flux(entry, field.ahead.jet(pts), p).density)
+
+    front = field.front
+    radius = front.radius + front.radial_speed * t
+    r, wr = 0.5 * radius * (g + 1.0), 0.5 * radius * w
+    theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
+    r_grid, t_grid = np.meshgrid(r, theta, indexing="ij")
+    pts = np.column_stack([
+        front.center_x1 + (r_grid * np.cos(t_grid)).ravel(),
+        front.center_x2 + (r_grid * np.sin(t_grid)).ravel(),
+        np.full(r_grid.size, t),
+    ])
+    jump = (
+        density_flux(entry, field.behind.jet(pts), p).density
+        - density_flux(entry, field.ahead.jet(pts), p).density
+    )
+    weights = np.outer(wr * r, np.full(n_theta, 2.0 * math.pi / n_theta)).ravel()
+    return whole + np.dot(weights, jump)
+
+
+def test_smooth_circle_density_integrals_match_polar_reference(generic_params):
+    field = _smooth_circle_field(generic_params)
+    t = 0.1
+    got = balance._density_integrals(field, LAWS, _SMOOTH_REGION, t, _SMOOTH_REGION.quad_order)
+    for entry, value in zip(LAWS, got):
+        want = _polar_density_reference(field, entry, _SMOOTH_REGION, t)
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-15), entry.name
+
+
+@pytest.mark.parametrize(
+    "center, edges_crossed",
+    [
+        ((0.1, -0.05), [False, False, False, False]),
+        ((0.1, 0.5), [False, False, True, False]),
+        ((0.75, 0.55), [False, True, True, False]),
+    ],
+    ids=["inside", "one_edge", "one_corner"],
+)
+def test_smooth_circle_balances_equal_front_integral(center, edges_crossed, generic_params):
+    # edges bottom, right, top, left: the circle lies inside the region,
+    # crosses the top edge only, or cuts off the top-right corner
+    field = _smooth_circle_field(generic_params, center)
+    region, t = _SMOOTH_REGION, 0.1
+    crossed = np.isfinite(field.front.crossings(*balance._region_edges(region)[:2], t))
+    assert crossed.any(axis=1).tolist() == edges_crossed
+    for report in balance._balance_reports(field, range(1, 15), region, t):
+        jump = front_segment_jump_integral(field, report.law, region, t)
+        scale = max(1.0, abs(report.time_derivative), abs(report.flux_integral))
+        assert abs(report.residual - jump) <= 1e-6 * scale, report.law.name
+
+
+def _scanned_circle_arcs(region, front, t, n_scan=512):
+    """The angle intervals of the circle inside the rectangle, found by a
+    512-point scan and a 60-step bisection of each inside/outside change."""
+    radius = front.radius + front.radial_speed * t
+    cx, cy = front.center_x1, front.center_x2
+
+    def inside(theta):
+        x = cx + radius * math.cos(theta)
+        y = cy + radius * math.sin(theta)
+        return region.x1_min <= x <= region.x1_max and region.x2_min <= y <= region.x2_max
+
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_scan, endpoint=False)
+    flags = [inside(th) for th in thetas]
+    if all(flags):
+        return [(0.0, 2.0 * math.pi)]
+
+    def refine(th_out, th_in):
+        for _ in range(60):
+            mid = 0.5 * (th_out + th_in)
+            if inside(mid):
+                th_in = mid
+            else:
+                th_out = mid
+        return 0.5 * (th_out + th_in)
+
+    step = 2.0 * math.pi / n_scan
+    arcs, entry_angle = [], None
+    k = next(k for k in range(n_scan) if not flags[k])
+    for _ in range(n_scan):
+        k_next = (k + 1) % n_scan
+        if not flags[k] and flags[k_next]:
+            entry_angle = refine(thetas[k], thetas[k] + step)
+        if flags[k] and not flags[k_next] and entry_angle is not None:
+            exit_angle = refine(thetas[k] + step, thetas[k])
+            if exit_angle < entry_angle:
+                exit_angle += 2.0 * math.pi
+            arcs.append((entry_angle, exit_angle))
+            entry_angle = None
+        k = k_next
+    return arcs
+
+
+@pytest.mark.parametrize(
+    "center", [(0.1, -0.05), (0.1, 0.5), (0.75, 0.55), (-0.5, 0.0)],
+    ids=["inside", "one_edge", "one_corner", "one_edge_across_angle_zero"],
+)
+def test_circle_arcs_match_the_scan(center):
+    front = CircleFront(center[0], center[1], 0.35, radial_speed=0.25)
+    region, t = _SMOOTH_REGION, 0.1
+    radius, got = balance._circle_arcs_inside(region, front, t)
+    want = _scanned_circle_arcs(region, front, t)
+    assert radius == 0.35 + 0.25 * t
+    assert len(got) == len(want) == 1
+    for (a, b), (c, d) in zip(sorted(got), sorted(want)):
+        shift = 2.0 * math.pi * round((c - a) / (2.0 * math.pi))
+        assert a + shift == pytest.approx(c, abs=1e-12)
+        assert b + shift == pytest.approx(d, abs=1e-12)
+
+
+def test_unresolved_front_is_an_error(generic_params):
+    # a circle far smaller than a box after the last level of splitting
+    field = _disc_field(generic_params)
+    tiny = dataclasses.replace(field, front=CircleFront(0.1, -0.05, 1e-14))
+    with pytest.raises(ValidationError, match="not resolved by 40 levels"):
+        density_integral(tiny, 1, Region(-0.7, 0.9, -0.8, 0.7), 0.0)

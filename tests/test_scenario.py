@@ -90,6 +90,24 @@ def test_unknown_keys_are_rejected():
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("where", ["scenario", "check"])
+def test_region_subdivision_depth_is_an_unknown_key(where):
+    # cut cells are integrated through height functions, with no depth
+    region = {"x1_min": -1.0, "x1_max": 1.0, "x2_min": -1.0, "x2_max": 1.0, "subdivision_depth": 6}
+    data = base_scenario()
+    data["checks"] = [{"type": "balance", "laws": ["energy"], "times": [0.1]}]
+    if where == "scenario":
+        data["region"] = region
+        path = r"^region: unknown key\(s\) \['subdivision_depth'\]"
+    else:
+        data["checks"][0]["region"] = region
+        path = r"^checks\[0\]\.region: unknown key\(s\) \['subdivision_depth'\]"
+    with pytest.raises(ScenarioError, match=path):
+        scenario_from_dict(data)
+    del region["subdivision_depth"]
+    assert "subdivision_depth" not in str(scenario_to_dict(scenario_from_dict(data)))
+
+
 def test_error_paths_are_dotted():
     data = base_scenario()
     data["field"]["family"] = "plane_wave"

@@ -68,6 +68,98 @@ def test_circle_arc_rate_is_the_closed_form_all_round():
         assert geo.arc_rate == pytest.approx(1.0 / radius, rel=1e-15)
 
 
+def test_arc_rate_takes_a_batch_of_points():
+    circle = CircleFront(0.1, -0.05, 0.35, radial_speed=0.25)
+    pts = np.array([(0.45, -0.05, 0.0), (0.1, 0.95, 0.2), (-0.9, -0.05, 0.4)])
+    rates = circle.exact_arc_rate(pts)
+    assert rates.shape == (3,)
+    assert rates.tolist() == [1.0 / 0.35, 1.0, 1.0]
+    assert rates.tolist() == [circle.exact_arc_rate(p) for p in pts]
+    line = LineFront(1.0, 2.0, 0.5, -1.0)
+    assert line.exact_arc_rate(pts).tolist() == [0.0, 0.0, 0.0]
+    assert line.exact_arc_rate(pts[0]) == 0.0
+
+
+def test_circle_arc_rate_is_singular_at_the_centre():
+    front = CircleFront(0.0, 0.0, 1.0)
+    with pytest.raises(SingularFrontError, match="centre"):
+        front.exact_arc_rate((0.0, 0.0, 0.0))
+    with pytest.raises(SingularFrontError, match=r"\(0\.0, 0\.0, 0\.5\)"):
+        front.exact_arc_rate(np.array([(1.0, 0.0, 0.0), (0.0, 0.0, 0.5)]))
+
+
+def test_line_crossings_are_the_closed_form():
+    front = LineFront(2.0, -1.0, 1.0, -0.5)  # 2 x1 - x2 + x3 - 0.5 = 0
+    p0 = np.array([(0.0, 0.0), (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
+    p1 = np.array([(1.0, 0.0), (0.0, 1.0), (1.0, 3.0), (2.0, 0.0), (0.2, 0.0)])
+    s = front.crossings(p0, p1, 0.0)
+    assert s.shape == (5, 1)
+    assert s[0, 0] == 0.25
+    assert np.isnan(s[1, 0])  # at x1 = 0 the line crosses x2 = -0.5, off the segment
+    assert np.isnan(s[2, 0])  # parallel to the front
+    assert np.isnan(s[3, 0])  # wholly ahead
+    assert np.isnan(s[4, 0])  # wholly behind, ending short of the front
+    assert front.crossings(p0[:1], p1[:1], 0.5)[0, 0] == 0.0  # the front passes p0
+
+
+def test_circle_crossings_are_the_roots_where_gamma_changes_sign():
+    front = CircleFront(0.0, 0.0, 1.0, radial_speed=-0.5)
+    p0 = np.array([(-2.0, 0.0), (0.0, 0.0), (-2.0, 1.0), (2.0, 2.0), (0.0, 0.0)])
+    p1 = np.array([(2.0, 0.0), (4.0, 0.0), (2.0, 1.0), (3.0, 2.0), (0.25, 0.0)])
+    s = front.crossings(p0, p1, 0.0)
+    assert s.shape == (5, 2)
+    assert s[0].tolist() == [0.25, 0.75]
+    assert s[1, 0] == 0.25 and np.isnan(s[1, 1])
+    assert np.isnan(s[2:]).all()  # a tangent, a miss, and a segment inside
+    # at t = 2 the radius is 0 and at t = 3 negative: nothing to cross
+    assert np.isnan(front.crossings(p0, p1, 2.0)).all()
+    assert np.isnan(front.crossings(p0, p1, 3.0)).all()
+
+
+@pytest.mark.parametrize(
+    "front", [LineFront(1.0, -2.0, 0.5, 0.3), LineFront(0.0, 1.0), CircleFront(0.1, -0.05, 0.35, 0.25)],
+    ids=["oblique_line", "level_line", "circle"],
+)
+def test_box_bounds_hold_at_every_sample(front):
+    # the closed-form range of gamma holds on a grid of points of each box,
+    # and the normal's range at the front points inside each box
+    rng = np.random.default_rng(3)
+    lower = rng.uniform(-1.0, 0.8, (200, 2))
+    upper = lower + rng.uniform(0.01, 0.6, (200, 2))
+    lower[:2] = [(0.1, -0.05), (0.3, 0.1)]  # a corner at the circle's centre
+    upper[:2] = [(0.4, 0.3), (0.5, 0.2)]
+    t = 0.2
+    lo, hi = front.value_range(lower, upper, t)
+    n_low, n_high = front.normal_range(lower, upper, t)
+    s = np.linspace(0.0, 1.0, 41)
+    theta = np.linspace(0.0, 2.0 * math.pi, 20001)
+    front_points = np.column_stack([0.1 + 0.4 * np.cos(theta), -0.05 + 0.4 * np.sin(theta)])
+    if isinstance(front, LineFront):
+        a, b, c0 = front.spatial_line(t)
+        along = np.linspace(-5.0, 5.0, 20001)
+        front_points = np.column_stack([-c0 * a, -c0 * b]) / (a * a + b * b) + np.outer(along, (-b, a))
+    normals = front.spatial_gradient(np.column_stack([front_points, np.full(len(front_points), t)]))
+    for k in range(len(lower)):
+        x1 = lower[k, 0] + s * (upper[k, 0] - lower[k, 0])
+        x2 = lower[k, 1] + s * (upper[k, 1] - lower[k, 1])
+        grid = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1).reshape(-1, 2)
+        g = front.value(np.column_stack([grid, np.full(len(grid), t)]))
+        assert lo[k] <= g.min() + 1e-15 and g.max() <= hi[k] + 1e-15
+        if isinstance(front, LineFront):
+            assert (lo[k], hi[k]) == pytest.approx((g.min(), g.max()), abs=1e-15)
+        inside = np.all((front_points >= lower[k]) & (front_points <= upper[k]), axis=1)
+        n = normals[inside] / np.hypot(*normals[inside].T)[:, None]
+        assert np.all(n >= n_low[k] - 1e-12) and np.all(n <= n_high[k] + 1e-12)
+    if isinstance(front, CircleFront):
+        # radius 0.4: the first box holds the arc where n_1 <= 0.3 / 0.4
+        # and n_2 <= 0.35 / 0.4, so that |n| = 1 bounds each component
+        # from below by the other's largest value
+        want_low = [math.sqrt(1.0 - 0.875**2), math.sqrt(1.0 - 0.75**2)]
+        assert n_low[0] == pytest.approx(want_low, rel=1e-12)
+        assert n_high[0] == pytest.approx([0.75, 0.875], rel=1e-12)
+        assert n_low[1, 0] == pytest.approx(math.sqrt(1.0 - (0.25 / 0.4) ** 2), rel=1e-12)
+
+
 def test_circle_front_shrinking_speed_sign():
     front = CircleFront(0.0, 0.0, 1.0, radial_speed=-0.5)
     geo = front_geometry(front, (1.0, 0.0, 0.0))
