@@ -300,7 +300,7 @@ def _run_balance(scenario: Scenario, field, check, rng) -> list[CheckResult]:
     tol = check.tolerance if check.tolerance is not None else scenario.tolerances.quadrature
     region = check.region if check.region is not None else scenario.region
     times = check.times if check.times is not None else (0.0,)
-    per_time = [_balance_reports(field, check.laws, region, t, check.dt) for t in times]
+    per_time = _balance_reports(field, check.laws, region, times, check.dt)
     results = []
     for i, name in enumerate(check.laws):
         reps = [reports[i] for reports in per_time]

@@ -146,6 +146,13 @@ def _number(data: dict, key: str, path: str, default=..., minimum=None):
     return float(v)
 
 
+def _positive_number(data: dict, key: str, path: str):
+    v = _number(data, key, path)
+    if not v > 0.0:
+        raise ScenarioError(f"{path}.{key}: must be > 0, got {v}")
+    return v
+
+
 def _integer(data: dict, key: str, path: str, default=..., minimum=None):
     if key not in data:
         if default is ...:
@@ -378,7 +385,7 @@ def _parse_check(data, path: str) -> CheckSpec:
         else None,
         tolerance=tolerance,
         step=_number(d, "step", path, minimum=0.0) if "step" in d else None,
-        dt=_number(d, "dt", path, minimum=0.0) if "dt" in d else None,
+        dt=_positive_number(d, "dt", path) if "dt" in d else None,
         region=_parse_region(d["region"], f"{path}.region") if "region" in d else None,
     )
 

@@ -76,9 +76,10 @@ class Front(abc.ABC):
         through ``point``, in closed form; one value per point."""
 
     @abc.abstractmethod
-    def crossings(self, p0, p1, t: float) -> np.ndarray:
+    def crossings(self, p0, p1, t) -> np.ndarray:
         """Where the segments p0 -> p1 (arrays of shape (n, 2)) cross the
-        time-t slice of the front, in closed form.
+        time-t slice of the front, in closed form; t is one time for all
+        segments or one per segment (shape (n,)).
 
         Returns the fractions s in [0, 1] of the points p0 + s (p1 - p0)
         at which gamma changes sign, ascending, shape (n, k) with nan
@@ -88,20 +89,22 @@ class Front(abc.ABC):
         """
 
     @abc.abstractmethod
-    def value_range(self, lower, upper, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def value_range(self, lower, upper, t) -> tuple[np.ndarray, np.ndarray]:
         """Least and greatest gamma at time t over each box lower <= x <= upper
-        (arrays of shape (n, 2)), in closed form."""
+        (arrays of shape (n, 2)), in closed form; t is one time for all
+        boxes or one per box (shape (n,))."""
 
     @abc.abstractmethod
-    def normal_range(self, lower, upper, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def normal_range(self, lower, upper, t) -> tuple[np.ndarray, np.ndarray]:
         """Bounds (low, high), each of shape (n, 2), on the components of
         the unit normal grad gamma / |grad gamma| at the points of the
         time-t front inside each box lower <= x <= upper (arrays of shape
-        (n, 2)), in closed form."""
+        (n, 2)), in closed form; t is one time for all boxes or one per
+        box (shape (n,))."""
 
-    def spatial_line(self, t: float) -> tuple[float, float, float] | None:
+    def spatial_line(self, t) -> tuple[float, float, float] | None:
         """Coefficients (A, B, C0) with A x1 + B x2 + C0 = gamma at time t,
-        for straight fronts; None otherwise."""
+        for straight fronts; None otherwise.  C0 has the shape of t."""
         return None
 
 
@@ -148,7 +151,7 @@ class LineFront(Front):
             return 0.0
         return np.zeros(p.shape[:-1])
 
-    def spatial_line(self, t: float) -> tuple[float, float, float]:
+    def spatial_line(self, t) -> tuple[float, float, float]:
         return (self.coef_x1, self.coef_x2, self.coef_t * t + self.const)
 
     def _spatial_value(self, x, t):
@@ -237,21 +240,24 @@ class CircleFront(Front):
         fx, fy = p0[:, 0] - self.center_x1, p0[:, 1] - self.center_x2
         radius = self._radius_at(t)
         # |f + s d|^2 = radius^2, as a s^2 + 2 b s + c = 0; gamma > 0
-        # everywhere once the radius is negative
+        # everywhere once the radius is not positive
         a = d[:, 0] ** 2 + d[:, 1] ** 2
         b = fx * d[:, 0] + fy * d[:, 1]
-        c = (fx**2 + fy**2) - radius**2 if radius > 0.0 else np.full_like(a, np.inf)
+        c = np.where(radius > 0.0, (fx**2 + fy**2) - radius**2, np.inf)
         disc = b * b - a * c
+        roots = np.empty((len(a), 2))
         with np.errstate(divide="ignore", invalid="ignore"):
             q = -(b + np.copysign(np.sqrt(disc), b))
-            roots = np.stack([q / a, c / q], axis=1)
+            np.divide(q, a, out=roots[:, 0])
+            np.divide(c, q, out=roots[:, 1])
         keep = (disc > 0.0)[:, None] & (roots >= 0.0) & (roots <= 1.0)
         return np.sort(np.where(keep, roots, np.nan), axis=1)
 
     def value_range(self, lower, upper, t):
-        lo = np.asarray(lower, dtype=np.float64) - (self.center_x1, self.center_x2)
-        hi = np.asarray(upper, dtype=np.float64) - (self.center_x1, self.center_x2)
-        nearest = np.clip(0.0, lo, hi)
+        center = np.array([self.center_x1, self.center_x2])
+        lo = np.asarray(lower, dtype=np.float64) - center
+        hi = np.asarray(upper, dtype=np.float64) - center
+        nearest = np.minimum(np.maximum(0.0, lo), hi)
         farthest = np.maximum(np.abs(lo), np.abs(hi))
         radius = self._radius_at(t)
         return (
@@ -262,19 +268,19 @@ class CircleFront(Front):
     def normal_range(self, lower, upper, t):
         # a front point is c + radius * n, so n_h lies in the box's span of
         # (x_h - c_h) / radius, and |n| = 1 keeps |n_h| at least
-        # sqrt(1 - n_o^2) for the largest |n_o| there
-        radius = self._radius_at(t)
-        if radius <= 0.0:
-            full = np.ones((len(lower), 2))
-            return -full, full
-        center = (self.center_x1, self.center_x2)
-        low = np.clip((np.asarray(lower, dtype=np.float64) - center) / radius, -1.0, 1.0)
-        high = np.clip((np.asarray(upper, dtype=np.float64) - center) / radius, -1.0, 1.0)
+        # sqrt(1 - n_o^2) for the largest |n_o| there; where the radius is
+        # not positive there is no front, and the bounds are [-1, 1]
+        radius = np.reshape(self._radius_at(t), (-1, 1))
+        none = radius <= 0.0
+        radius = np.where(none, 1.0, radius)
+        center = np.array([self.center_x1, self.center_x2])
+        low = ((np.asarray(lower, dtype=np.float64) - center) / radius).clip(-1.0, 1.0)
+        high = ((np.asarray(upper, dtype=np.float64) - center) / radius).clip(-1.0, 1.0)
         least = np.sqrt(1.0 - np.maximum(low**2, high**2))[:, ::-1]
         no_negative, no_positive = low > -least, high < least
         return (
-            np.where(no_negative & ~no_positive, np.maximum(low, least), low),
-            np.where(no_positive & ~no_negative, np.minimum(high, -least), high),
+            np.where(none, -1.0, np.where(no_negative & ~no_positive, np.maximum(low, least), low)),
+            np.where(none, 1.0, np.where(no_positive & ~no_negative, np.minimum(high, -least), high)),
         )
 
 
@@ -292,7 +298,7 @@ def _normal_and_speed(front: Front, points) -> tuple[np.ndarray, np.ndarray]:
     if singular.size:
         k = singular[0]
         raise SingularFrontError(
-            f"front normal undefined at {tuple(p[k])}: |grad gamma| = {norm[k]:.3e}"
+            f"front normal undefined at {tuple(p[k].tolist())}: |grad gamma| = {norm[k]:.3e}"
         )
     return g / norm[:, None], -g_t / norm
 

@@ -179,7 +179,7 @@ def test_shared_balance_equals_per_law_balance(case, unit_params, generic_params
         field, t = _disc_field(generic_params), 0.0
         region = Region(-0.7, 0.9, -0.8, 0.7)
     laws = range(1, 15)
-    shared = balance._balance_reports(field, laws, region, t)
+    (shared,) = balance._balance_reports(field, laws, region, (t,))
     assert len(shared) == len(laws)
     for key, report in zip(laws, shared):
         single = balance_residual(field, key, region, t)
@@ -216,6 +216,101 @@ def test_balance_check_shares_jets_across_laws(count_jet_calls):
     assert len(report.results) == 14
     assert all(r.status != "error" for r in report.results)
     assert len(sizes) <= 14 * len(times)
+
+
+@pytest.mark.parametrize("case", ["disc", "smooth_circle", "straight_wave"])
+def test_balance_check_is_planned_and_evaluated_once(case, unit_params, generic_params, monkeypatch):
+    # a check at two times plans its ten density slices in one level loop,
+    # one value_range call per level, and fills one jet batch per side per
+    # _BATCH_POINTS points in each of its two passes (densities, then
+    # fluxes); its reports are those composed from the one-slice integrals
+    if case == "disc":
+        field, region, times = _disc_field(generic_params), Region(-0.7, 0.9, -0.8, 0.7), (0.0, 0.1)
+    elif case == "smooth_circle":
+        field, region, times = _smooth_circle_field(generic_params), _SMOOTH_REGION, (0.1, 0.2)
+    else:
+        field, region, times = _example_wave(unit_params), Region(-0.8, 0.9, -0.6, 0.7), (0.1, 0.3)
+    laws = (1, 4, 12, 14)
+    composed = [[balance_residual(field, key, region, t) for key in laws] for t in times]
+
+    levels = []
+    value_range = type(field.front).value_range
+
+    def counted_range(self, *args):
+        levels.append(len(args[0]))
+        return value_range(self, *args)
+
+    def level_count(t):
+        levels.clear()
+        density_integral(field, 1, region, t)
+        return len(levels)
+
+    monkeypatch.setattr(type(field.front), "value_range", counted_range)
+    depth = max(level_count(t) for t in times)
+    if case == "disc":
+        assert depth == 4
+    passes = []
+    integrals = balance._integrals
+
+    def tagged(*args, **kwargs):
+        passes.append([])
+        return integrals(*args, **kwargs)
+
+    jet = type(field).jet
+
+    def counted_jet(self, point, side=Side.AUTO):
+        passes[-1].append((side, len(point)))
+        return jet(self, point, side)
+
+    monkeypatch.setattr(balance, "_integrals", tagged)
+    monkeypatch.setattr(type(field), "jet", counted_jet)
+    levels.clear()
+    shared = balance._balance_reports(field, laws, region, times)
+    assert len(levels) == depth
+    assert len(passes) == 2
+    for calls in passes:
+        for side in (Side.AHEAD, Side.BEHIND):
+            sizes = [n for s, n in calls if s is side]
+            assert len(sizes) == math.ceil(sum(sizes) / balance._BATCH_POINTS), side
+    assert shared == composed
+
+
+def test_long_balance_check_is_planned_a_few_times_at_a_time(unit_params, monkeypatch):
+    # a check's arrays grow with its times, so they are planned in groups
+    # of _TIMES_PER_PLAN, each time's five density slices in one plan
+    field, region = _example_wave(unit_params), Region(-0.8, 0.9, -0.6, 0.7)
+    times = (0.0, 0.05, 0.1, 0.15, 0.2, 0.3)
+    one_by_one = [balance._balance_reports(field, (1, 4), region, (t,))[0] for t in times]
+    planned = []
+    plan_cells = balance._plan_cells
+
+    def recorded(plan, front, region, slices):
+        planned.append(len(slices))
+        return plan_cells(plan, front, region, slices)
+
+    monkeypatch.setattr(balance, "_plan_cells", recorded)
+    assert balance._balance_reports(field, (1, 4), region, times) == one_by_one
+    assert planned == [5 * balance._TIMES_PER_PLAN, 5 * (len(times) - balance._TIMES_PER_PLAN)]
+
+
+def test_balance_check_raises_what_the_first_failing_integral_raises(generic_params):
+    # at t = 1000 the jets overflow; at t = 0 the circle, of radius 1e-14,
+    # is not resolved.  Planned together, t = 0 fails first; taken one at
+    # a time, as a balance takes its integrals, t = 1000 does
+    field = PiecewiseField(
+        polynomial_field(None, None, generic_params),
+        polynomial_field({(0, 0, 3): 1e300}, None, generic_params),
+        CircleFront(0.1, -0.05, 1e-14, radial_speed=1e-3),
+        generic_params,
+    )
+    region = Region(-0.7, 0.9, -0.8, 0.7)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValidationError, match="non-finite"):
+            balance_residual(field, 1, region, 1000.0)
+        with pytest.raises(ValidationError, match="non-finite"):
+            balance._balance_reports(field, (1, 2), region, (1000.0, 0.0))
+        with pytest.raises(ValidationError, match="not resolved .* at t = 0.0$"):
+            balance._balance_reports(field, (1, 2), region, (0.0, 1000.0))
 
 
 def test_balance_across_straight_front(unit_params):
@@ -369,6 +464,11 @@ def test_balance_residual_rejects_bad_dt(generic_params):
         balance_residual(field, 1, region, 0.0, dt=0.0)
     with pytest.raises(ValidationError):
         balance_residual(field, 1, region, 0.0, dt=math.inf)
+    # a bool is not a step, as it is not a Region bound either
+    with pytest.raises(ValidationError, match="got True"):
+        balance_residual(field, 1, region, 0.0, dt=True)
+    with pytest.raises(ValidationError, match="got True"):
+        balance._balance_reports(field, (1,), region, (0.0,), dt=True)
 
 
 
@@ -414,17 +514,17 @@ def test_disc_plan_choices_hold_across_the_time_step(generic_params, monkeypatch
     graphs = []
     plan_heights = balance._plan_heights
 
-    def recorded(plan, front, lower, upper, axis, rising, order, owners):
+    def recorded(plan, front, lower, upper, axis, rising, order, times, owners):
         graphs.append((lower.tolist(), upper.tolist(), axis.tolist(), rising.tolist()))
-        plan_heights(plan, front, lower, upper, axis, rising, order, owners)
+        plan_heights(plan, front, lower, upper, axis, rising, order, times, owners)
 
     monkeypatch.setattr(balance, "_plan_heights", recorded)
     dt = 1e-4
     choices = []
     for t in (-dt, 0.0, dt):
         graphs.clear()
-        plan = balance._Plan(t)
-        balance._plan_cells(plan, field.front, region, region.quad_order)
+        plan = balance._Plan()
+        balance._plan_cells(plan, field.front, region, ((t, region.quad_order),))
         sides = np.concatenate(plan.sides)
         owners = np.concatenate(plan.owners)
         choices.append((
@@ -501,7 +601,7 @@ def _polar_density_reference(field, entry, region, t, n=24, n_theta=64):
 def test_smooth_circle_density_integrals_match_polar_reference(generic_params):
     field = _smooth_circle_field(generic_params)
     t = 0.1
-    got = balance._density_integrals(field, LAWS, _SMOOTH_REGION, t, _SMOOTH_REGION.quad_order)
+    got = balance._density_integrals(field, LAWS, _SMOOTH_REGION, ((t, _SMOOTH_REGION.quad_order),))[:, 0]
     for entry, value in zip(LAWS, got):
         want = _polar_density_reference(field, entry, _SMOOTH_REGION, t)
         assert value == pytest.approx(want, rel=1e-12, abs=1e-15), entry.name
@@ -523,7 +623,8 @@ def test_smooth_circle_balances_equal_front_integral(center, edges_crossed, gene
     region, t = _SMOOTH_REGION, 0.1
     crossed = np.isfinite(field.front.crossings(*balance._region_edges(region)[:2], t))
     assert crossed.any(axis=1).tolist() == edges_crossed
-    for report in balance._balance_reports(field, range(1, 15), region, t):
+    (reports,) = balance._balance_reports(field, range(1, 15), region, (t,))
+    for report in reports:
         jump = front_segment_jump_integral(field, report.law, region, t)
         scale = max(1.0, abs(report.time_derivative), abs(report.flux_integral))
         assert abs(report.residual - jump) <= 1e-6 * scale, report.law.name
@@ -594,3 +695,19 @@ def test_unresolved_front_is_an_error(generic_params):
     tiny = dataclasses.replace(field, front=CircleFront(0.1, -0.05, 1e-14))
     with pytest.raises(ValidationError, match="not resolved by 40 levels"):
         density_integral(tiny, 1, Region(-0.7, 0.9, -0.8, 0.7), 0.0)
+
+
+def test_unresolved_slice_names_its_time(generic_params):
+    # the circle grows from a radius of 1e-14 at t = 0.5; planned together
+    # with slices where it is large, the one slice it is not resolved at
+    # is named
+    field = dataclasses.replace(
+        _disc_field(generic_params), front=CircleFront(0.1, -0.05, 0.25 + 1e-14, radial_speed=-0.5)
+    )
+    region = Region(-0.7, 0.9, -0.8, 0.7)
+    slices = ((0.0, 8), (0.2, 6), (0.5, 8), (0.7, 6))
+    with pytest.raises(ValidationError, match=r"not resolved by 40 levels .* at t = 0\.5$"):
+        balance._density_integrals(field, LAWS[:1], region, slices)
+    # each of the others is resolved alone; at t = 0.7 the radius is < 0
+    for t, order in (slices[0], slices[1], slices[3]):
+        density_integral(field, 1, region, t, order)

@@ -108,6 +108,18 @@ def test_region_subdivision_depth_is_an_unknown_key(where):
     assert "subdivision_depth" not in str(scenario_to_dict(scenario_from_dict(data)))
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3])
+def test_balance_dt_must_be_positive(dt):
+    # a zero step would divide by zero in the central difference
+    data = base_scenario()
+    data["region"] = {"x1_min": -1.0, "x1_max": 1.0, "x2_min": -1.0, "x2_max": 1.0}
+    data["checks"] = [{"type": "balance", "laws": ["energy"], "times": [0.1], "dt": dt}]
+    with pytest.raises(ScenarioError, match=r"^checks\[0\]\.dt: must be > 0"):
+        scenario_from_dict(data)
+    data["checks"][0]["dt"] = 1e-3
+    assert scenario_from_dict(data).checks[0].dt == 1e-3
+
+
 def test_error_paths_are_dotted():
     data = base_scenario()
     data["field"]["family"] = "plane_wave"

@@ -160,6 +160,40 @@ def test_box_bounds_hold_at_every_sample(front):
         assert n_low[1, 0] == pytest.approx(math.sqrt(1.0 - (0.25 / 0.4) ** 2), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "front",
+    [LineFront(1.0, -2.0, 0.5, 0.3), LineFront(0.0, 1.0, -1.0), CircleFront(0.1, -0.05, 0.35, -0.5)],
+    ids=["oblique_line", "moving_level_line", "shrinking_circle"],
+)
+def test_per_row_times_equal_scalar_calls(front):
+    # one time per segment or box gives, row by row, what a call at that
+    # time alone gives; the circle's radius is 0 at t = 0.7 and negative
+    # at t = 0.9
+    rng = np.random.default_rng(5)
+    n = 60
+    times = np.repeat([-0.2, 0.0, 0.3, 0.7, 0.9, 0.45], n // 6)
+    p0 = rng.uniform(-1.0, 1.0, (n, 2))
+    p1 = rng.uniform(-1.0, 1.0, (n, 2))
+    lower = np.minimum(p0, p1)
+    upper = np.maximum(p0, p1)
+    crossings = front.crossings(p0, p1, times)
+    v_low, v_high = front.value_range(lower, upper, times)
+    n_low, n_high = front.normal_range(lower, upper, times)
+    for k, t in enumerate(times):
+        one = slice(k, k + 1)
+        alone = front.crossings(p0[one], p1[one], t)[0]
+        assert np.array_equal(crossings[k], alone, equal_nan=True), (k, t)
+        lo, hi = front.value_range(lower[one], upper[one], t)
+        assert (v_low[k], v_high[k]) == (lo[0], hi[0]), (k, t)
+        lo, hi = front.normal_range(lower[one], upper[one], t)
+        assert (n_low[k].tolist(), n_high[k].tolist()) == (lo[0].tolist(), hi[0].tolist()), (k, t)
+    assert np.isfinite(crossings).any()
+    if isinstance(front, CircleFront):
+        gone = times >= 0.7
+        assert np.isnan(crossings[gone]).all()
+        assert (n_low[gone] == -1.0).all() and (n_high[gone] == 1.0).all()
+
+
 def test_circle_front_shrinking_speed_sign():
     front = CircleFront(0.0, 0.0, 1.0, radial_speed=-0.5)
     geo = front_geometry(front, (1.0, 0.0, 0.0))
@@ -168,8 +202,11 @@ def test_circle_front_shrinking_speed_sign():
 
 def test_circle_front_singular_at_center():
     front = CircleFront(0.0, 0.0, 1.0)
-    with pytest.raises(SingularFrontError):
+    with pytest.raises(SingularFrontError) as err:
         front_geometry(front, (0.0, 0.0, 0.0))
+    # the point prints as plain numbers, not as numpy scalars
+    assert "(0.0, 0.0, 0.0)" in str(err.value)
+    assert "np.float64" not in str(err.value)
 
 
 def test_circle_front_validation():
