@@ -26,27 +26,31 @@ split at its crossing, and each side of every outer interval is one
 Gauss-Legendre piece on which the integrand is smooth.  For a straight
 front this is exact clipping.
 
-A balance check is planned once and evaluated once.  Its slices are the
-(time, order) pairs its integrals need: the densities at t and t +- dt of
-every time at quad_order, and at t +- dt at quad_order - 2, and the
-boundary fluxes at t at both orders.  It runs in three steps:
+A balance check is planned once and evaluated once for up to
+_TIMES_PER_PLAN of its times.  Its slices are the (time, order) pairs its
+integrals need: the densities at t and t +- dt of every time at
+quad_order, and at t +- dt at quad_order - 2, and the boundary fluxes at
+t at both orders.  It runs in three steps:
 
 1. plan: the boxes of every density slice go through one level loop
    together, each at its slice's time, with one closed-form range of
-   gamma and one of the normal per level for all of them; the boundary
-   edges of every time are cut once and shared by both orders.  The plan is blocks of
+   gamma and one of the normal per level for all of them, and their
+   pieces are then made once per order; the boundary edges of every
+   time are cut once and shared by both orders.  The plan is blocks of
    quadrature pieces (points, weights, a time, a side: ahead, behind or
-   none, and the slice's cell or edge the piece belongs to);
+   none, the slice's cell or edge the piece belongs to, and a rank);
 2. evaluate: the jets are computed once per side over the pieces of all
    slices, each point at its own time, in batches of at most
    _BATCH_POINTS points, and every requested law's density or flux is
    taken from each jet batch;
 3. reduce: each block becomes piece sums in one vectorised sum, added
-   per cell or edge in plan order, and the cells or edges of each slice
-   in turn, giving one total per law and slice.  A cell's sum therefore
-   does not depend on the rest of the region, nor a law's on the other
-   laws, nor a slice's on the other slices: density_integral and
-   boundary_flux_integral are the one-slice case and give the same bits.
+   per cell or edge in rank order (level by level: uncut boxes, then
+   the pieces below the front, then those above) and plan order, and the
+   cells or edges of each slice in turn, giving one total per law and
+   slice.  A cell's sum therefore does not depend on the rest of the
+   region, nor a law's on the other laws, nor a slice's on the other
+   slices: density_integral and boundary_flux_integral are the one-slice
+   case and give the same bits.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from functools import lru_cache
 import numpy as np
 
 from .conservation import LawId, density_flux, law
-from .errors import ValidationError
+from .errors import ValidationError, VkwaveError
 from .params import PlateParams
 from .solutions import Side
 from .wavefront import _normal_and_speed
@@ -156,8 +160,9 @@ class _Plan:
     """Quadrature pieces of one or more slices, a slice being one time at
     one order, in blocks of equal-size pieces: points (x1, x2) of shape
     (pieces, points, 2) and weights of shape (pieces, points), and per
-    piece a time, a side and an owner, the slice's cell or edge whose sum
-    it adds to."""
+    piece a time, a side, an owner, the slice's cell or edge whose sum it
+    adds to, and a rank: an owner adds its pieces by rank, and pieces of
+    one rank in plan order."""
 
     def __init__(self):
         self.points: list[np.ndarray] = []
@@ -165,19 +170,22 @@ class _Plan:
         self.times: list[np.ndarray] = []
         self.sides: list[np.ndarray] = []
         self.owners: list[np.ndarray] = []
+        self.ranks: list[np.ndarray] = []
 
-    def block(self, points, weights, times, sides, owners) -> None:
+    def block(self, points, weights, times, sides, owners, ranks) -> None:
         """Add a block of pieces: weights of shape (pieces, ...), points of
-        that shape + (2,), and times, sides and owners of shape (pieces,)."""
+        that shape + (2,), and times, sides, owners and ranks of shape
+        (pieces,)."""
         if len(owners):
             self.points.append(points.reshape(-1, 2))
             self.weights.append(weights.reshape(len(owners), -1))
             self.times.append(times)
             self.sides.append(sides)
             self.owners.append(owners)
+            self.ranks.append(ranks)
 
 
-def _integrals(field, entries, plan: _Plan, n_slices: int, n_owners: int, normals=None) -> np.ndarray:
+def _integrals(field, entries, plan: _Plan, n_slices, n_owners, normals=None) -> np.ndarray:
     """Weighted sum of each law's density over each slice of the plan, or
     of P . n with one normal per piece, shape (laws, slices); owner k of
     slice j is j * n_owners + k.
@@ -185,9 +193,9 @@ def _integrals(field, entries, plan: _Plan, n_slices: int, n_owners: int, normal
     Jets are evaluated once per side for the points of every slice, each
     at its own time, in batches of at most _BATCH_POINTS points, and every
     law is applied to each jet batch.  Each block is reduced to piece sums
-    in one vectorised sum; the piece sums are added up per owner in plan
-    order, and the owners of a slice in turn, so that a law's integral
-    does not depend on the other laws, slices or cells."""
+    in one vectorised sum; the piece sums are added up per owner in rank
+    and plan order, and the owners of a slice in turn, so that a law's
+    integral does not depend on the other laws, slices or cells."""
     counts = np.concatenate([np.full(len(w), w.shape[1]) for w in plan.weights])
     pts = np.empty((counts.sum(), 3))
     pts[:, :2] = np.concatenate(plan.points)
@@ -216,12 +224,17 @@ def _integrals(field, entries, plan: _Plan, n_slices: int, n_owners: int, normal
         block = vals[:, start:stop].reshape((len(entries),) + weights.shape)
         sums.append(np.einsum("lpm,pm->lp", block, weights))
         start = stop
+    in_order = np.argsort(np.concatenate(plan.ranks), kind="stable")
     totals = np.zeros((len(entries), n_slices * n_owners))
-    np.add.at(totals, (slice(None), np.concatenate(plan.owners)), np.concatenate(sums, axis=1))
+    np.add.at(
+        totals,
+        (slice(None), np.concatenate(plan.owners)[in_order]),
+        np.concatenate(sums, axis=1)[:, in_order],
+    )
     return np.cumsum(totals.reshape(len(entries), n_slices, n_owners), axis=2)[:, :, -1]
 
 
-def _plan_boxes(plan, lower, upper, order, times, sides, owners) -> None:
+def _plan_boxes(plan, lower, upper, order, times, sides, owners, ranks) -> None:
     """One tensor Gauss-Legendre piece per box lower <= x <= upper, nodes
     in meshgrid(..., indexing="ij") ravel order."""
     xs, wx = _interval_nodes(lower[:, :1], upper[:, :1], order)
@@ -229,7 +242,7 @@ def _plan_boxes(plan, lower, upper, order, times, sides, owners) -> None:
     pts = np.empty((len(owners), order, order, 2))
     pts[..., 0] = xs[:, :, None]
     pts[..., 1] = ys[:, None, :]
-    plan.block(pts, wx[:, :, None] * wy[:, None, :], times, sides, owners)
+    plan.block(pts, wx[:, :, None] * wy[:, None, :], times, sides, owners, ranks)
 
 
 def _axis_points(along, height, axis):
@@ -243,11 +256,12 @@ def _axis_points(along, height, axis):
     return out
 
 
-def _plan_heights(plan, front, lower, upper, axis, rising, order, times, owners) -> None:
+def _plan_heights(plan, front, lower, upper, axis, rising, order, times, owners, ranks) -> None:
     """Pieces of boxes on which the front is a graph over the outer axis:
     d gamma/dx_h keeps one strict sign where the front meets each box at
     its time, along its height axis h (``axis``, per box), positive where
-    ``rising``.
+    ``rising``.  A box's pieces below the front take its rank + 1, those
+    above its rank + 2.
 
     The outer interval is split where the front crosses the faces
     x_h = const, so the height line through each outer node crosses the
@@ -292,12 +306,14 @@ def _plan_heights(plan, front, lower, upper, axis, rising, order, times, owners)
 
     below = np.where(rising[box], _BEHIND, _AHEAD)
     above = np.where(rising[box], _AHEAD, _BEHIND)
-    for a, b, side in ((line_a, cut, below), (cut, line_b, above)):
+    box_t, box_owner, box_rank = times[box], owners[box], ranks[box]
+    pieces = ((line_a, cut, below, box_rank + 1), (cut, line_b, above, box_rank + 2))
+    for a, b, side, rank in pieces:
         inner, w_inner = _interval_nodes(a[:, :, None], b[:, :, None], order)
         weights = w_outer[:, :, None] * w_inner
         keep = (weights != 0.0).any(axis=(1, 2))
         pts = _axis_points(outer[keep, :, None], inner[keep], line_axis[keep, :, None])
-        plan.block(pts, weights[keep], times[box][keep], side[keep], owners[box][keep])
+        plan.block(pts, weights[keep], box_t[keep], side[keep], box_owner[keep], rank[keep])
 
 
 #: Least distance from a height function's outer interval to its nearest
@@ -339,18 +355,21 @@ def _quadrants(lower, upper, owners):
 
 
 def _plan_cells(plan, front, region: Region, slices) -> int:
-    """Plan the region's cells for every slice (t, order), level by level;
-    returns the number of cells, owner j * cells + k being cell k (in
-    i-major order) of slice j.
+    """Plan the region's cells for every slice (t, order); returns the
+    number of cells, owner j * cells + k being cell k (in i-major order)
+    of slice j.
 
-    The boxes of all slices go through each level together, each box at
-    its slice's time.  At each level a closed-form range of gamma sorts
-    the boxes: a box the front does not cut is one tensor piece on its
-    side.  A cut box on which the front is a graph x_h = H(x_o) that
+    The boxes of all slices are classified level by level, each at its
+    slice's time.  At each level a closed-form range of gamma finds the
+    boxes the front does not cut: each is one tensor piece on its side.
+    A cut box on which the front is a graph x_h = H(x_o) that
     Gauss-Legendre resolves (_graph_margin) is planned by _plan_heights,
     along the axis with the larger margin; any other cut box is split into
-    quadrants for the next level.  The choices do not depend on the
-    order, and a straight front needs no split.
+    quadrants for the next level.  The classes do not depend on the
+    order, and a straight front needs no split.  The pieces of every
+    level are then made once per order, ranked so that each cell adds
+    them level by level: its uncut boxes, then the pieces below the
+    front, then those above.
     """
     x_edges = np.linspace(region.x1_min, region.x1_max, region.cells[0] + 1)
     y_edges = np.linspace(region.x2_min, region.x2_max, region.cells[1] + 1)
@@ -359,47 +378,65 @@ def _plan_cells(plan, front, region: Region, slices) -> int:
     n_cells = len(xa)
     times = np.array([t for t, _ in slices], dtype=np.float64)
     orders = np.array([order for _, order in slices])
-    distinct = list(dict.fromkeys(orders.tolist()))
     lower = np.tile(np.stack([xa, ya], axis=1), (len(slices), 1))
     upper = np.tile(np.stack([xb, yb], axis=1), (len(slices), 1))
     owners = np.arange(len(slices) * n_cells)
-    for _ in range(_MAX_LEVELS):
-        slice_of = owners // n_cells
-        box_t, box_order = times[slice_of], orders[slice_of]
+    uncut_boxes, graph_boxes = [], []
+    for level in range(_MAX_LEVELS):
+        rank = 3 * level
+        box_t = times[owners // n_cells]
         if front is None:
             sides = np.full(len(owners), _NONE)
         else:
             lo, hi = front.value_range(lower, upper, box_t)
             sides = np.where(lo >= 0.0, _AHEAD, np.where(hi <= 0.0, _BEHIND, _CUT))
-        whole = sides != _CUT
-        for order in distinct:
-            pick = whole & (box_order == order)
-            _plan_boxes(plan, lower[pick], upper[pick], order, box_t[pick], sides[pick], owners[pick])
-        if whole.all():
-            return n_cells
-        cut = ~whole
-        lower, upper, owners = lower[cut], upper[cut], owners[cut]
-        box_t, box_order = box_t[cut], box_order[cut]
+        uncut = sides != _CUT
+        uncut_boxes.append((
+            lower[uncut], upper[uncut], sides[uncut], owners[uncut],
+            np.full(np.count_nonzero(uncut), rank),
+        ))
+        if uncut.all():
+            break
+        cut = ~uncut
+        lower, upper, owners, box_t = lower[cut], upper[cut], owners[cut], box_t[cut]
         n_low, n_high = front.normal_range(lower, upper, box_t)
         margin = _graph_margin(n_low, n_high)
         axis = np.argmax(margin, axis=1)
         rows = np.arange(len(axis))
         graph = margin[rows, axis] >= 0.0
         rising = n_low[rows, axis] > 0.0
-        for order in distinct:
-            pick = graph & (box_order == order)
-            _plan_heights(
-                plan, front, lower[pick], upper[pick], axis[pick], rising[pick], order,
-                box_t[pick], owners[pick],
-            )
+        graph_boxes.append((
+            lower[graph], upper[graph], axis[graph], rising[graph], owners[graph],
+            np.full(np.count_nonzero(graph), rank),
+        ))
         if graph.all():
-            return n_cells
+            break
         split = ~graph
         lower, upper, owners = _quadrants(lower[split], upper[split], owners[split])
-    raise ValidationError(
-        f"the front is not resolved by {_MAX_LEVELS} levels of cell splitting"
-        f" at t = {float(times[owners[0] // n_cells])}"
-    )
+    else:
+        raise ValidationError(
+            f"the front is not resolved by {_MAX_LEVELS} levels of cell splitting"
+            f" at t = {float(times[owners[0] // n_cells])}"
+        )
+
+    lower, upper, sides, owners, ranks = map(np.concatenate, zip(*uncut_boxes))
+    slice_of = owners // n_cells
+    for order in dict.fromkeys(orders.tolist()):
+        pick = orders[slice_of] == order
+        _plan_boxes(
+            plan, lower[pick], upper[pick], order, times[slice_of[pick]], sides[pick],
+            owners[pick], ranks[pick],
+        )
+    if graph_boxes:
+        lower, upper, axis, rising, owners, ranks = map(np.concatenate, zip(*graph_boxes))
+        slice_of = owners // n_cells
+        for order in dict.fromkeys(orders.tolist()):
+            pick = orders[slice_of] == order
+            _plan_heights(
+                plan, front, lower[pick], upper[pick], axis[pick], rising[pick], order,
+                times[slice_of[pick]], owners[pick], ranks[pick],
+            )
+    return n_cells
 
 
 def _density_integrals(field, entries, region: Region, slices) -> np.ndarray:
@@ -475,7 +512,9 @@ def _boundary_flux_integrals(field, entries, region: Region, slices) -> np.ndarr
     else:
         mids = 0.5 * (span_a + span_b)
         g_mid = front.value(_points3(
-            starts[edge, 0] + mids * units[edge, 0], starts[edge, 1] + mids * units[edge, 1], chunk_t
+            starts[edge, 0] + mids * units[edge, 0],
+            starts[edge, 1] + mids * units[edge, 1],
+            chunk_t,
         ))
         sides = np.where(g_mid >= 0.0, _AHEAD, _BEHIND)
 
@@ -485,7 +524,7 @@ def _boundary_flux_integrals(field, entries, region: Region, slices) -> np.ndarr
         e = edge[pick]
         ss, ws = _interval_nodes(span_a[pick, None], span_b[pick, None], order)
         pts = starts[e, None, :] + ss[:, :, None] * units[e, None, :]
-        plan.block(pts, ws, chunk_t[pick], sides[pick], j * 4 + e)
+        plan.block(pts, ws, chunk_t[pick], sides[pick], j * 4 + e, np.zeros(len(e), dtype=int))
         piece_normals.append(normals[e])
     return _integrals(field, entries, plan, len(slices), 4, np.concatenate(piece_normals))
 
@@ -545,7 +584,9 @@ def _balance_reports(field, law_keys, region: Region, times, dt=None) -> list[li
         return [
             reports
             for k in range(0, len(times), _TIMES_PER_PLAN)
-            for reports in _balance_reports(field, law_keys, region, times[k : k + _TIMES_PER_PLAN], dt)
+            for reports in _balance_reports(
+                field, law_keys, region, times[k : k + _TIMES_PER_PLAN], dt
+            )
         ]
     entries = [law(key) for key in law_keys]
     steps = [_time_step(t, dt) for t in times]
@@ -561,7 +602,7 @@ def _balance_reports(field, law_keys, region: Region, times, dt=None) -> list[li
     try:
         dens = _density_integrals(field, entries, region, dens_slices).tolist()
         flux = _boundary_flux_integrals(field, entries, region, flux_slices).tolist()
-    except Exception:
+    except VkwaveError:
         # raise what the first failing integral raises when they are taken
         # one at a time, as balance_residual takes them; an error does not
         # depend on the law

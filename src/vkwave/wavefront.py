@@ -278,10 +278,9 @@ class CircleFront(Front):
         high = ((np.asarray(upper, dtype=np.float64) - center) / radius).clip(-1.0, 1.0)
         least = np.sqrt(1.0 - np.maximum(low**2, high**2))[:, ::-1]
         no_negative, no_positive = low > -least, high < least
-        return (
-            np.where(none, -1.0, np.where(no_negative & ~no_positive, np.maximum(low, least), low)),
-            np.where(none, 1.0, np.where(no_positive & ~no_negative, np.minimum(high, -least), high)),
-        )
+        low = np.where(no_negative & ~no_positive, np.maximum(low, least), low)
+        high = np.where(no_positive & ~no_negative, np.minimum(high, -least), high)
+        return np.where(none, -1.0, low), np.where(none, 1.0, high)
 
 
 def _normal_and_speed(front: Front, points) -> tuple[np.ndarray, np.ndarray]:

@@ -219,11 +219,14 @@ def test_balance_check_shares_jets_across_laws(count_jet_calls):
 
 
 @pytest.mark.parametrize("case", ["disc", "smooth_circle", "straight_wave"])
-def test_balance_check_is_planned_and_evaluated_once(case, unit_params, generic_params, monkeypatch):
+def test_balance_check_is_planned_and_evaluated_once(
+    case, unit_params, generic_params, monkeypatch
+):
     # a check at two times plans its ten density slices in one level loop,
-    # one value_range call per level, and fills one jet batch per side per
-    # _BATCH_POINTS points in each of its two passes (densities, then
-    # fluxes); its reports are those composed from the one-slice integrals
+    # one value_range call per level and one height-function pass per
+    # order, and fills one jet batch per side per _BATCH_POINTS points in
+    # each of its two passes (densities, then fluxes); its reports are
+    # those composed from the one-slice integrals
     if case == "disc":
         field, region, times = _disc_field(generic_params), Region(-0.7, 0.9, -0.8, 0.7), (0.0, 0.1)
     elif case == "smooth_circle":
@@ -262,11 +265,20 @@ def test_balance_check_is_planned_and_evaluated_once(case, unit_params, generic_
         passes[-1].append((side, len(point)))
         return jet(self, point, side)
 
+    heights = []
+    plan_heights = balance._plan_heights
+
+    def counted_heights(*args):
+        heights.append(args[6])
+        return plan_heights(*args)
+
     monkeypatch.setattr(balance, "_integrals", tagged)
+    monkeypatch.setattr(balance, "_plan_heights", counted_heights)
     monkeypatch.setattr(type(field), "jet", counted_jet)
     levels.clear()
     shared = balance._balance_reports(field, laws, region, times)
     assert len(levels) == depth
+    assert sorted(heights) == [region.quad_order - 2, region.quad_order]  # once per order
     assert len(passes) == 2
     for calls in passes:
         for side in (Side.AHEAD, Side.BEHIND):
@@ -477,8 +489,9 @@ def test_balance_residual_rejects_bad_dt(generic_params):
 def test_curved_density_integral_front_calls_per_level(levels, generic_params, monkeypatch):
     # a circle centred on the only cell's centre is split once more for
     # each halving of its radius; every level takes one range and one
-    # normal-bound call for all its boxes, and at most two crossings calls
-    # (faces, then height lines) and one value call (lines that miss)
+    # normal-bound call for all its boxes, and the height functions of all
+    # levels two crossings calls (faces, then height lines) and at most
+    # one value call (lines that miss)
     calls = {}
     for name in ("value", "crossings", "value_range", "normal_range"):
         method = getattr(CircleFront, name)
@@ -501,8 +514,8 @@ def test_curved_density_integral_front_calls_per_level(levels, generic_params, m
     depth = calls["value_range"]
     assert depth == levels + 5
     assert calls["normal_range"] == depth
-    assert calls["crossings"] <= 2 * depth
-    assert calls.get("value", 0) <= depth
+    assert calls["crossings"] == 2
+    assert calls.get("value", 0) <= 1
 
 
 def test_disc_plan_choices_hold_across_the_time_step(generic_params, monkeypatch):
@@ -514,9 +527,11 @@ def test_disc_plan_choices_hold_across_the_time_step(generic_params, monkeypatch
     graphs = []
     plan_heights = balance._plan_heights
 
-    def recorded(plan, front, lower, upper, axis, rising, order, times, owners):
-        graphs.append((lower.tolist(), upper.tolist(), axis.tolist(), rising.tolist()))
-        plan_heights(plan, front, lower, upper, axis, rising, order, times, owners)
+    def recorded(plan, front, lower, upper, axis, rising, order, times, owners, ranks):
+        graphs.append(
+            (lower.tolist(), upper.tolist(), axis.tolist(), rising.tolist(), ranks.tolist())
+        )
+        plan_heights(plan, front, lower, upper, axis, rising, order, times, owners, ranks)
 
     monkeypatch.setattr(balance, "_plan_heights", recorded)
     dt = 1e-4
@@ -535,7 +550,7 @@ def test_disc_plan_choices_hold_across_the_time_step(generic_params, monkeypatch
             owners.tolist(),
         ))
     assert choices[0] == choices[1] == choices[2]
-    axes = [a for _, _, box_axes, _ in choices[1][0] for a in box_axes]
+    axes = [a for _, _, box_axes, _, _ in choices[1][0] for a in box_axes]
     assert set(axes) == {0, 1}  # both height axes occur
 
 
@@ -601,7 +616,9 @@ def _polar_density_reference(field, entry, region, t, n=24, n_theta=64):
 def test_smooth_circle_density_integrals_match_polar_reference(generic_params):
     field = _smooth_circle_field(generic_params)
     t = 0.1
-    got = balance._density_integrals(field, LAWS, _SMOOTH_REGION, ((t, _SMOOTH_REGION.quad_order),))[:, 0]
+    (got,) = balance._density_integrals(
+        field, LAWS, _SMOOTH_REGION, ((t, _SMOOTH_REGION.quad_order),)
+    ).T
     for entry, value in zip(LAWS, got):
         want = _polar_density_reference(field, entry, _SMOOTH_REGION, t)
         assert value == pytest.approx(want, rel=1e-12, abs=1e-15), entry.name

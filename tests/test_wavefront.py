@@ -162,7 +162,11 @@ def test_box_bounds_hold_at_every_sample(front):
 
 @pytest.mark.parametrize(
     "front",
-    [LineFront(1.0, -2.0, 0.5, 0.3), LineFront(0.0, 1.0, -1.0), CircleFront(0.1, -0.05, 0.35, -0.5)],
+    [
+        LineFront(1.0, -2.0, 0.5, 0.3),
+        LineFront(0.0, 1.0, -1.0),
+        CircleFront(0.1, -0.05, 0.35, -0.5),
+    ],
     ids=["oblique_line", "moving_level_line", "shrinking_circle"],
 )
 def test_per_row_times_equal_scalar_calls(front):
