@@ -715,9 +715,9 @@ def test_unresolved_front_is_an_error(generic_params):
 
 
 def test_unresolved_slice_names_its_time(generic_params):
-    # the circle grows from a radius of 1e-14 at t = 0.5; planned together
-    # with slices where it is large, the one slice it is not resolved at
-    # is named
+    # the circle shrinks to a radius of 1e-14 at t = 0.5; planned
+    # together with slices where it is large or gone, the one slice it is
+    # not resolved at is named
     field = dataclasses.replace(
         _disc_field(generic_params), front=CircleFront(0.1, -0.05, 0.25 + 1e-14, radial_speed=-0.5)
     )
