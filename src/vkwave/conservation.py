@@ -34,6 +34,7 @@ from .tensors import (
     shear_force,
     strain_energy_density,
 )
+from .wavefront import _front_distance
 
 
 @dataclass(frozen=True)
@@ -294,33 +295,22 @@ def _guard_front_distance(field, point: np.ndarray, h: float) -> None:
     front = getattr(field, "front", None)
     if front is None:
         return
-    g_val = float(front.value(point))
-    grad = np.asarray(front.spatial_gradient(point), dtype=np.float64)
-    slope = float(np.hypot(grad[0], grad[1])) + abs(float(front.time_derivative(point)))
-    if slope == 0.0:
-        return
-    distance = abs(g_val) / slope
+    distance = _front_distance(front, point)
     if distance <= 4.0 * h:
         raise FrontProximityError(
-            f"point {tuple(point)} is {distance:.3e} from the front; "
+            f"point {tuple(point.tolist())} is {distance:.3e} from the front; "
             f"the stencil needs clearance > {4.0 * h:.3e}"
         )
 
 
 def _divergence_estimates(
-    field,
-    law_keys,
-    point,
-    p: PlateParams | None = None,
-    h: float = 1e-3,
-    use_richardson: bool = True,
+    field, law_keys, point, h: float = 1e-3, use_richardson: bool = True
 ) -> list[DivergenceEstimate]:
     """conservation_divergence for several laws at one point: the front
     guard and the stencil jets are shared by every law."""
     if h <= 0:
         raise ValidationError(f"step h must be positive, got {h}")
     entries = [law(key) for key in law_keys]
-    params = p if p is not None else field.params
     base = np.asarray(point, dtype=np.float64)
     if base.shape != (3,):
         raise ValidationError(f"point must be a 3-vector, got shape {base.shape}")
@@ -349,7 +339,7 @@ def _divergence_estimates(
 
     estimates = []
     for entry in entries:
-        df = density_flux(entry, jet, params)
+        df = density_flux(entry, jet, field.params)
         # component per axis: axis 0 -> P1, axis 1 -> P2, axis 2 -> Psi
         comps = (df.flux.x1, df.flux.x2, df.density)
         est = estimate(comps, 0)
@@ -364,29 +354,19 @@ def _divergence_estimates(
 
 
 def conservation_divergence(
-    field,
-    law_key,
-    point,
-    p: PlateParams | None = None,
-    h: float = 1e-3,
-    use_richardson: bool = True,
+    field, law_key, point, h: float = 1e-3, use_richardson: bool = True
 ) -> DivergenceEstimate:
     """FD estimate of (d3 Psi, d1 P1, d2 P2) at an off-front point.
 
     Differentiates the assembled density and flux through the field's
     analytic jets (central differences, one Richardson level by default).
     """
-    (est,) = _divergence_estimates(field, (law_key,), point, p, h, use_richardson)
+    (est,) = _divergence_estimates(field, (law_key,), point, h, use_richardson)
     return est
 
 
 def conservation_residual(
-    field,
-    law_key,
-    point,
-    p: PlateParams | None = None,
-    h: float = 1e-3,
-    use_richardson: bool = True,
+    field, law_key, point, h: float = 1e-3, use_richardson: bool = True
 ) -> float:
     """FD estimate of d3 Psi + d1 P1 + d2 P2; vanishes on smooth solutions."""
-    return conservation_divergence(field, law_key, point, p, h, use_richardson).residual
+    return conservation_divergence(field, law_key, point, h, use_richardson).residual

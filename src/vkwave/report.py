@@ -4,7 +4,9 @@ run_scenario executes every check of a validated scenario in listed order
 (a failing check never aborts the rest) and collects one CheckResult per
 law-resolved check.  Residuals are scaled: each raw residual is divided by
 the larger of 1 and the natural magnitude of the terms entering it, so
-tolerances compare like with like across parameter regimes.
+tolerances compare like with like across parameter regimes.  A check
+kind's runner only computes its scaled residuals; _run_check alone picks
+the tolerance, names the rows and gives their status.
 
 emit_report serializes a Report to json, csv, or a fixed-width human
 table.  Emitted bytes are deterministic for a given scenario and seed;
@@ -38,6 +40,7 @@ from .jumps import (
 )
 from .scenario import Scenario, build_field, sample_front_point, scenario_to_dict
 from .solutions import _pde_terms
+from .wavefront import _front_distance
 from .version import __version__
 
 
@@ -81,18 +84,13 @@ class Report:
         return 1 if self.failed else 0
 
 
-def _status(residual: float, tol: float) -> str:
-    return "pass" if residual < tol else "fail"
-
-
 def _worst(scaled) -> float:
     """The largest scaled residual, 0.0 for none; NaN if any is NaN, which
     the builtin max would drop."""
     return float(np.max(scaled, initial=0.0))
 
 
-def _run_pde_residual(scenario: Scenario, field, check, rng) -> list[CheckResult]:
-    tol = check.tolerance if check.tolerance is not None else scenario.tolerances.analytic
+def _run_pde_residual(scenario: Scenario, field, check, rng):
     if check.points is not None:
         pts = np.array(check.points, dtype=np.float64)
     else:
@@ -112,17 +110,7 @@ def _run_pde_residual(scenario: Scenario, field, check, rng) -> list[CheckResult
         )
         del jet  # free this batch's jets before the next batch is filled
     max1, max2 = np.max(maxima, axis=0)
-    scaled = max(float(max1), float(max2))
-    return [
-        CheckResult(
-            name="pde_residual",
-            kind="pde_residual",
-            status=_status(scaled, tol),
-            residual=scaled,
-            tolerance=tol,
-            detail=f"max over {len(pts)} points",
-        )
-    ]
+    yield None, max(float(max1), float(max2)), f"max over {len(pts)} points"
 
 
 def _sample_off_front(field, rng, n: int, h: float) -> np.ndarray:
@@ -139,44 +127,22 @@ def _sample_off_front(field, rng, n: int, h: float) -> np.ndarray:
                 "nearly fill the sampling box"
             )
         cand = rng.uniform(-1.0, 1.0, 3)
-        if front is not None:
-            g = float(front.value(cand))
-            grad = np.asarray(front.spatial_gradient(cand), dtype=np.float64)
-            slope = float(np.hypot(grad[0], grad[1])) + abs(
-                float(front.time_derivative(cand))
-            )
-            if slope > 0.0 and abs(g) / slope <= margin:
-                continue
+        if front is not None and _front_distance(front, cand) <= margin:
+            continue
         pts.append(cand)
     return np.array(pts)
 
 
-def _run_conservation(scenario: Scenario, field, check, rng) -> list[CheckResult]:
-    tol = (
-        check.tolerance
-        if check.tolerance is not None
-        else scenario.tolerances.finite_difference
-    )
+def _run_conservation(scenario: Scenario, field, check, rng):
     h = check.step if check.step is not None else 1e-3
     if check.points is not None:
         pts = np.array(check.points, dtype=np.float64)
     else:
         pts = _sample_off_front(field, rng, check.samples if check.samples else 3, h)
     per_point = [_divergence_estimates(field, check.laws, pt, h=h) for pt in pts]
-    results = []
     for i, name in enumerate(check.laws):
         res = _worst([abs(ests[i].residual) / np.maximum(1.0, ests[i].scale) for ests in per_point])
-        results.append(
-            CheckResult(
-                name=f"conservation[{name}]",
-                kind="conservation",
-                status=_status(res, tol),
-                residual=res,
-                tolerance=tol,
-                detail=f"h={h:g}, {pts.shape[0]} points",
-            )
-        )
-    return results
+        yield name, res, f"h={h:g}, {pts.shape[0]} points"
 
 
 def _front_batch(field, check, rng):
@@ -204,8 +170,7 @@ def _front_batch(field, check, rng):
         raise
 
 
-def _run_dynamic_jumps(scenario: Scenario, field, check, rng) -> list[CheckResult]:
-    tol = check.tolerance if check.tolerance is not None else scenario.tolerances.analytic
+def _run_dynamic_jumps(scenario: Scenario, field, check, rng):
     fj = _front_batch(field, check, rng)
     r_w, r_phi = _dynamic_residuals(fj, field.params)
     s_w, s_phi = _dynamic_scales(fj, field.params)
@@ -214,94 +179,39 @@ def _run_dynamic_jumps(scenario: Scenario, field, check, rng) -> list[CheckResul
             (np.abs(r_w) / np.maximum(1.0, s_w), np.abs(r_phi) / np.maximum(1.0, s_phi))
         )
     )
-    return [
-        CheckResult(
-            name="dynamic_jumps",
-            kind="dynamic_jumps",
-            status=_status(worst, tol),
-            residual=worst,
-            tolerance=tol,
-            detail=f"{len(fj.point)} front points",
-        )
-    ]
+    yield None, worst, f"{len(fj.point)} front points"
 
 
-def _run_balance_jump(scenario: Scenario, field, check, rng) -> list[CheckResult]:
-    tol = check.tolerance if check.tolerance is not None else scenario.tolerances.analytic
+def _run_balance_jump(scenario: Scenario, field, check, rng):
     fj = _front_batch(field, check, rng)
-    results = []
     for name in check.laws:
         r, s = _balance_jump_terms(name, fj, field.params)
-        worst = _worst(np.abs(r) / np.maximum(1.0, s))
-        results.append(
-            CheckResult(
-                name=f"balance_jump[{name}]",
-                kind="balance_jump",
-                status=_status(worst, tol),
-                residual=worst,
-                tolerance=tol,
-                detail=f"{len(fj.point)} front points",
-            )
-        )
-    return results
+        yield name, _worst(np.abs(r) / np.maximum(1.0, s)), f"{len(fj.point)} front points"
 
 
-def _run_closed_form_jump(scenario: Scenario, field, check, rng) -> list[CheckResult]:
-    tol = check.tolerance if check.tolerance is not None else scenario.tolerances.analytic
+def _run_closed_form_jump(scenario: Scenario, field, check, rng):
     fj = _front_batch(field, check, rng)
-    results = []
     for name in check.laws:
         try:
             r = _closed_form_residuals(name, fj, field.params)
             _, s = _balance_jump_terms(name, fj, field.params)
             residual = _worst(np.abs(r) / np.maximum(1.0, s))
-            results.append(
-                CheckResult(
-                    name=f"closed_form_jump[{name}]",
-                    kind="closed_form_jump",
-                    status=_status(residual, tol),
-                    residual=residual,
-                    tolerance=tol,
-                    detail=f"{len(fj.point)} front points",
-                )
-            )
         except Exception as exc:
-            results.append(
-                CheckResult(
-                    name=f"closed_form_jump[{name}]",
-                    kind="closed_form_jump",
-                    status="error",
-                    residual=None,
-                    tolerance=tol,
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
-            )
-    return results
+            residual = exc  # this law's row errors; the other laws still run
+        yield name, residual, f"{len(fj.point)} front points"
 
 
-def _run_wave_relations(scenario: Scenario, field, check, rng) -> list[CheckResult]:
-    tol = check.tolerance if check.tolerance is not None else scenario.tolerances.analytic
+def _run_wave_relations(scenario: Scenario, field, check, rng):
     r1, r2 = amplitude_relation_residuals(field)
     s1, s2 = amplitude_relation_scales(field)
     scaled = max(abs(r1) / max(1.0, s1), abs(r2) / max(1.0, s2))
-    return [
-        CheckResult(
-            name="wave_relations",
-            kind="wave_relations",
-            status=_status(scaled, tol),
-            residual=scaled,
-            tolerance=tol,
-            detail=f"residuals ({r1:.3e}, {r2:.3e})",
-        )
-    ]
+    yield None, scaled, f"residuals ({r1:.3e}, {r2:.3e})"
 
 
-def _run_balance(scenario: Scenario, field, check, rng) -> list[CheckResult]:
-    tol = check.tolerance if check.tolerance is not None else scenario.tolerances.quadrature
+def _run_balance(scenario: Scenario, field, check, rng):
     region = check.region if check.region is not None else scenario.region
     times = check.times if check.times is not None else (0.0,)
     per_time = _balance_reports(field, check.laws, region, times, check.dt)
-    results = []
     for i, name in enumerate(check.laws):
         reps = [reports[i] for reports in per_time]
         res = _worst(
@@ -312,44 +222,56 @@ def _run_balance(scenario: Scenario, field, check, rng) -> list[CheckResult]:
             ]
         )
         err = _worst([rep.quadrature_error for rep in reps])
-        results.append(
-            CheckResult(
-                name=f"balance[{name}]",
-                kind="balance",
-                status=_status(res, tol),
-                residual=res,
-                tolerance=tol,
-                detail=f"quadrature error {err:.2e}",
-            )
-        )
-    return results
+        yield name, res, f"quadrature error {err:.2e}"
 
 
-_RUNNERS = {
-    "pde_residual": _run_pde_residual,
-    "conservation": _run_conservation,
-    "dynamic_jumps": _run_dynamic_jumps,
-    "balance_jump": _run_balance_jump,
-    "closed_form_jump": _run_closed_form_jump,
-    "wave_relations": _run_wave_relations,
-    "balance": _run_balance,
+#: Each check kind's runner, and the class of scenario tolerance its rows
+#: take when the check sets none.  A runner yields one (law name or None,
+#: scaled residual, detail) per row; a law whose residual could not be
+#: computed gives the exception in place of its residual.
+_KINDS = {
+    "pde_residual": (_run_pde_residual, "analytic"),
+    "conservation": (_run_conservation, "finite_difference"),
+    "dynamic_jumps": (_run_dynamic_jumps, "analytic"),
+    "balance_jump": (_run_balance_jump, "analytic"),
+    "closed_form_jump": (_run_closed_form_jump, "analytic"),
+    "wave_relations": (_run_wave_relations, "analytic"),
+    "balance": (_run_balance, "quadrature"),
 }
 
 
+def _error_row(name: str, kind: str, tolerance: float | None, exc: Exception) -> CheckResult:
+    return CheckResult(
+        name=name,
+        kind=kind,
+        status="error",
+        residual=None,
+        tolerance=tolerance,
+        detail=f"{type(exc).__name__}: {exc}",
+    )
+
+
 def _run_check(scenario: Scenario, field, check, rng) -> list[CheckResult]:
+    """The rows of one check; a check whose runner raises gives one error
+    row without a tolerance."""
+    runner, tolerance_class = _KINDS[check.kind]
     try:
-        return _RUNNERS[check.kind](scenario, field, check, rng)
+        rows = list(runner(scenario, field, check, rng))
     except Exception as exc:
-        return [
-            CheckResult(
-                name=check.kind,
-                kind=check.kind,
-                status="error",
-                residual=None,
-                tolerance=None,
-                detail=f"{type(exc).__name__}: {exc}",
-            )
-        ]
+        return [_error_row(check.kind, check.kind, None, exc)]
+    tol = check.tolerance
+    if tol is None:
+        tol = getattr(scenario.tolerances, tolerance_class)
+    results = []
+    for law_name, residual, detail in rows:
+        name = check.kind if law_name is None else f"{check.kind}[{law_name}]"
+        if isinstance(residual, Exception):
+            results.append(_error_row(name, check.kind, tol, residual))
+        else:
+            # a NaN residual fails
+            status = "pass" if residual < tol else "fail"
+            results.append(CheckResult(name, check.kind, status, residual, tol, detail))
+    return results
 
 
 def run_scenario(scenario: Scenario) -> Report:

@@ -10,7 +10,7 @@ Validation errors carry the dotted path of the offending key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 import yaml
@@ -48,6 +48,8 @@ _CLOSED_FORM_DEFAULT_LAWS = (
 )
 
 _JUMP_CHECKS = ("dynamic_jumps", "balance_jump", "closed_form_jump")
+
+_PLATE_KEYS = ("youngs_modulus", "poisson_ratio", "thickness", "areal_density")
 
 
 @dataclass(frozen=True)
@@ -181,11 +183,8 @@ def _number_list(data: dict, key: str, path: str, length=None, default=...):
 
 def _parse_plate(data, path: str) -> PlateParams:
     d = _need_mapping(data, path)
-    _check_keys(d, ("youngs_modulus", "poisson_ratio", "thickness", "areal_density"), path)
-    kwargs = {
-        k: _number(d, k, path)
-        for k in ("youngs_modulus", "poisson_ratio", "thickness", "areal_density")
-    }
+    _check_keys(d, _PLATE_KEYS, path)
+    kwargs = {k: _number(d, k, path) for k in _PLATE_KEYS}
     try:
         return make_plate_params(**kwargs)
     except ValidationError as exc:
@@ -262,7 +261,7 @@ def _parse_front(data, path: str) -> FrontSpec:
         return FrontSpec(
             kind="circle",
             center=center,
-            radius=_number(d, "radius", path, minimum=0.0),
+            radius=_positive_number(d, "radius", path),
             radial_speed=_number(d, "radial_speed", path, default=0.0),
         )
     raise ScenarioError(f"{path}.kind: expected 'line' or 'circle', got {kind!r}")
@@ -354,12 +353,6 @@ def _parse_check(data, path: str) -> CheckSpec:
         raise ScenarioError(f"{path}.type: expected one of {CHECK_KINDS}, got {kind!r}")
     _check_keys(d, _CHECK_KEYS[kind], path)
 
-    tolerance = None
-    if "tolerance" in d:
-        tolerance = _number(d, "tolerance", path, minimum=0.0)
-        if tolerance <= 0.0:
-            raise ScenarioError(f"{path}.tolerance: must be positive")
-
     laws = None
     if kind in ("conservation", "balance_jump", "balance"):
         default = tuple(entry.name for entry in LAWS)
@@ -383,8 +376,8 @@ def _parse_check(data, path: str) -> CheckSpec:
         samples=_integer(d, "samples", path, default=None, minimum=1)
         if "samples" in d
         else None,
-        tolerance=tolerance,
-        step=_number(d, "step", path, minimum=0.0) if "step" in d else None,
+        tolerance=_positive_number(d, "tolerance", path) if "tolerance" in d else None,
+        step=_positive_number(d, "step", path) if "step" in d else None,
         dt=_positive_number(d, "dt", path) if "dt" in d else None,
         region=_parse_region(d["region"], f"{path}.region") if "region" in d else None,
     )
@@ -519,109 +512,46 @@ def build_field(scenario: Scenario):
     return PiecewiseField(ahead=base, behind=base, front=front, params=scenario.plate)
 
 
-def _field_dict(spec: FieldSpec) -> dict:
-    if spec.family == "polynomial":
-        return {
-            "family": spec.family,
-            "w_terms": [
-                {"exponents": list(e), "coefficient": c} for e, c in spec.w_terms
-            ],
-            "phi_terms": [
-                {"exponents": list(e), "coefficient": c} for e, c in spec.phi_terms
-            ],
-        }
-    out = {
-        "family": spec.family,
-        "wave_speed": spec.wave_speed,
-        "w_coefficients": list(spec.w_coefficients),
-        "phi_coefficients": list(spec.phi_coefficients),
-    }
-    if spec.family == "acceleration_wave":
-        out["c1"] = spec.c1
-        out["c2"] = spec.c2
-    return out
+#: Scenario keys that differ from their spec field's name.
+_RENAMED_KEYS = {
+    (Scenario, "field_spec"): "field",
+    (Scenario, "front_spec"): "front",
+    (CheckSpec, "kind"): "type",
+}
 
 
-def _front_dict(spec: FrontSpec) -> dict:
-    if spec.kind == "line":
-        return {
-            "kind": "line",
-            "coef_x1": spec.coef_x1,
-            "coef_x2": spec.coef_x2,
-            "coef_t": spec.coef_t,
-            "const": spec.const,
-        }
-    return {
-        "kind": "circle",
-        "center": list(spec.center),
-        "radius": spec.radius,
-        "radial_speed": spec.radial_speed,
-    }
-
-
-def _region_dict(region: Region) -> dict:
-    return {
-        "x1_min": region.x1_min,
-        "x1_max": region.x1_max,
-        "x2_min": region.x2_min,
-        "x2_max": region.x2_max,
-        "quad_order": region.quad_order,
-        "cells": list(region.cells),
-    }
-
-
-def _check_dict(check: CheckSpec) -> dict:
-    out = {"type": check.kind}
-    if check.laws is not None:
-        out["laws"] = list(check.laws)
-    if check.points is not None:
-        out["points"] = [list(p) for p in check.points]
-    if check.times is not None:
-        out["times"] = list(check.times)
-    if check.samples is not None:
-        out["samples"] = check.samples
-    if check.tolerance is not None:
-        out["tolerance"] = check.tolerance
-    if check.step is not None:
-        out["step"] = check.step
-    if check.dt is not None:
-        out["dt"] = check.dt
-    if check.region is not None:
-        out["region"] = _region_dict(check.region)
-    return out
+def _plain(value):
+    """The scenario-file form of a spec value: a spec dataclass becomes a
+    mapping of its set fields in field order, and a tuple a list."""
+    if isinstance(value, PlateParams):
+        return {key: getattr(value, key) for key in _PLATE_KEYS}
+    if is_dataclass(value):
+        out = {}
+        for f in fields(value):
+            v = getattr(value, f.name)
+            if v is None:
+                continue
+            if f.name in ("w_terms", "phi_terms"):
+                out[f.name] = [{"exponents": list(e), "coefficient": c} for e, c in v]
+            else:
+                out[_RENAMED_KEYS.get((type(value), f.name), f.name)] = _plain(v)
+        return out
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Normalized mapping form; feeding it back to scenario_from_dict
     reproduces an equal Scenario."""
-    out = {
-        "plate": {
-            "youngs_modulus": scenario.plate.youngs_modulus,
-            "poisson_ratio": scenario.plate.poisson_ratio,
-            "thickness": scenario.plate.thickness,
-            "areal_density": scenario.plate.areal_density,
-        },
-        "field": _field_dict(scenario.field_spec),
-    }
-    if scenario.front_spec is not None:
-        out["front"] = _front_dict(scenario.front_spec)
-    if scenario.region is not None:
-        out["region"] = _region_dict(scenario.region)
-    out["checks"] = [_check_dict(c) for c in scenario.checks]
-    out["tolerances"] = {
-        "analytic": scenario.tolerances.analytic,
-        "finite_difference": scenario.tolerances.finite_difference,
-        "quadrature": scenario.tolerances.quadrature,
-    }
-    out["seed"] = scenario.seed
-    return out
+    return _plain(scenario)
 
 
-def sample_front_point(front, t: float, draw: float, spread: float = 1.0) -> np.ndarray:
+def sample_front_point(front, t: float, draw: float) -> np.ndarray:
     """A point exactly on the front at time t.
 
-    draw parametrizes the position: arc-length offset for a line (scaled
-    by spread), angle fraction for a circle.
+    draw parametrizes the position: arc-length offset for a line, angle
+    fraction for a circle.
     """
     if isinstance(front, LineFront):
         a, b = front.coef_x1, front.coef_x2
@@ -630,8 +560,7 @@ def sample_front_point(front, t: float, draw: float, spread: float = 1.0) -> np.
         px, py = -e * a / norm2, -e * b / norm2
         norm = math.sqrt(norm2)
         ux, uy = -b / norm, a / norm
-        s = spread * draw
-        return np.array([px + s * ux, py + s * uy, t], dtype=np.float64)
+        return np.array([px + draw * ux, py + draw * uy, t], dtype=np.float64)
     if isinstance(front, CircleFront):
         radius = front.radius + front.radial_speed * t
         if radius <= 0.0:

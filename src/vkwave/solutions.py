@@ -222,9 +222,6 @@ class PiecewiseField:
             if getattr(branch, "params", None) != self.params:
                 raise ValidationError(f"{name} branch has different plate constants")
 
-    def gamma(self, point):
-        return self.front.value(point)
-
     def jet(self, point, side: Side = Side.AUTO) -> FieldJet:
         """Jets of the ahead or behind branch, or with ``Side.AUTO`` of the
         branch the sign of gamma picks at each point.

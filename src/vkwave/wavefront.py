@@ -12,6 +12,7 @@ builders below produce those jump tensors from scalar amplitudes.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -300,6 +301,16 @@ def _normal_and_speed(front: Front, points) -> tuple[np.ndarray, np.ndarray]:
             f"front normal undefined at {tuple(p[k].tolist())}: |grad gamma| = {norm[k]:.3e}"
         )
     return g / norm[:, None], -g_t / norm
+
+
+def _front_distance(front: Front, point) -> float:
+    """First-order estimate |gamma| / (|grad gamma| + |d gamma/dx3|) of how
+    far the space-time point (shape (3,)) lies from the front; inf where
+    gamma has no slope there."""
+    g = float(front.value(point))
+    grad = np.asarray(front.spatial_gradient(point), dtype=np.float64)
+    slope = float(np.hypot(grad[0], grad[1])) + abs(float(front.time_derivative(point)))
+    return abs(g) / slope if slope > 0.0 else math.inf
 
 
 def front_geometry(front: Front, point) -> FrontGeometry:

@@ -159,6 +159,18 @@ def test_front_proximity_guard(generic_params):
     assert abs(est.residual) <= 1e-6 * max(1.0, est.scale)
 
 
+def test_front_proximity_error_prints_plain_numbers(generic_params):
+    # the message reaches report error rows, which used to quote
+    # (np.float64(0.0001), np.float64(0.0), np.float64(0.0))
+    ahead = invariant_solution((0.2, 0.0, 0.5, 0.1), (0, 0.3, 0.2, 0), 1.0, generic_params)
+    wave = acceleration_wave(ahead, c1=0.5, c2=0.2)
+    with pytest.raises(FrontProximityError) as info:
+        conservation_divergence(wave, "energy", (1e-4, 0.0, 0.0), h=1e-3)
+    message = str(info.value)
+    assert "np.float64" not in message
+    assert message.startswith("point (0.0001, 0.0, 0.0) is ")
+
+
 @pytest.mark.parametrize("use_richardson", [True, False])
 def test_shared_stencils_match_per_law_divergence(use_richardson, generic_params, count_jet_calls):
     ahead = invariant_solution((0.2, 0.0, 0.5, 0.1), (0, 0.3, 0.2, 0), 1.0, generic_params)

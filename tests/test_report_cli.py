@@ -20,7 +20,7 @@ from vkwave.jumps import (
     extract_jumps,
 )
 from vkwave.report import emit_report, run_scenario
-from vkwave.scenario import build_field, sample_front_point, scenario_from_dict
+from vkwave.scenario import CHECK_KINDS, build_field, sample_front_point, scenario_from_dict
 from vkwave.solutions import PiecewiseField, pde_residual, pde_term_scales, polynomial_field
 from vkwave.wavefront import CircleFront
 
@@ -429,3 +429,62 @@ def test_nan_residual_fails_instead_of_passing():
     assert rows["dynamic_jumps"].residual == 0.0
     assert rows["conservation[compatibility]"].residual == 0.0
 
+
+
+def _every_kind_scenario() -> dict:
+    """One check of every kind on the example wave, with a distinct
+    scenario tolerance for each tolerance class."""
+    data = yaml.safe_load(_EXAMPLE_SCENARIO.read_text())
+    data["region"]["cells"] = [2, 2]
+    data["tolerances"] = {"analytic": 2e-9, "finite_difference": 3e-6, "quadrature": 4e-5}
+    data["checks"] = [
+        {"type": "pde_residual", "samples": 2},
+        {"type": "conservation", "laws": [1, 4], "samples": 1},
+        {"type": "dynamic_jumps", "samples": 1},
+        {"type": "balance_jump", "laws": [1, 4], "samples": 1},
+        {"type": "closed_form_jump", "laws": ["energy"], "samples": 1},
+        {"type": "wave_relations"},
+        {"type": "balance", "laws": [1], "times": [0.1]},
+    ]
+    return data
+
+
+def test_each_row_takes_its_class_tolerance_or_its_own():
+    data = _every_kind_scenario()
+    classes = {"conservation": 3e-6, "balance": 4e-5}
+    report = run_scenario(scenario_from_dict(data))
+    assert {r.kind for r in report.results} == set(CHECK_KINDS)
+    assert report.errors == 0
+    for r in report.results:
+        assert r.tolerance == classes.get(r.kind, 2e-9), r.name
+
+    own = {}
+    for i, check in enumerate(data["checks"]):
+        check["tolerance"] = own[check["type"]] = 1e-3 * (i + 1)
+    report = run_scenario(scenario_from_dict(data))
+    assert len(report.results) == 9
+    for r in report.results:
+        assert r.tolerance == own[r.kind], r.name
+
+
+def test_error_rows_keep_their_tolerance_only_per_law():
+    # a check that raises gives one row without a tolerance; a law of a
+    # closed-form check that raises gives its own row with the tolerance
+    data = erroring_scenario()
+    data["tolerances"] = {"analytic": 2e-9}
+    data["front"] = {"kind": "circle", "center": [0.0, 0.0], "radius": 0.5, "radial_speed": -0.3}
+    data["checks"] = [
+        {"type": "closed_form_jump", "laws": ["energy", "scaling"], "times": [0.0]},
+        {"type": "closed_form_jump", "laws": ["energy"], "times": [0.0], "tolerance": 1e-7},
+        {"type": "balance_jump", "laws": ["energy", "scaling"], "times": [2.0]},
+    ]
+    rows = run_scenario(scenario_from_dict(data)).results
+    assert [(r.name, r.status, r.tolerance) for r in rows] == [
+        ("closed_form_jump[energy]", "error", 2e-9),
+        ("closed_form_jump[scaling]", "error", 2e-9),
+        ("closed_form_jump[energy]", "error", 1e-7),
+        ("balance_jump", "error", None),
+    ]
+    assert all(r.residual is None for r in rows)
+    assert rows[0].detail.startswith("NonAdmissibleRecordError: record is not an acceleration wave")
+    assert rows[3].detail == "ValidationError: circular front has nonpositive radius at t=2.0"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from vkwave.errors import ScenarioError, ValidationError
@@ -293,3 +295,81 @@ def test_sample_front_point():
 
     with pytest.raises(ValidationError):
         sample_front_point(object(), 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "where, key, path",
+    [
+        ("check", "step", "checks[0].step"),
+        ("check", "tolerance", "checks[0].tolerance"),
+        ("front", "radius", "front.radius"),
+    ],
+)
+@pytest.mark.parametrize("value", [0.0, -1e-3])
+def test_positive_keys_are_rejected_with_their_path(where, key, path, value):
+    # step: 0 used to load and error at run time without a path, and
+    # radius: 0 to raise a bare ValidationError from build_field
+    data = base_scenario()
+    data["checks"] = [{"type": "conservation", "laws": ["energy"], "samples": 1}]
+    if where == "front":
+        data["front"] = {"kind": "circle", "center": [0.0, 0.0], "radius": 0.5}
+    section = data["front"] if where == "front" else data["checks"][0]
+    section[key] = value
+    with pytest.raises(ScenarioError, match=re.escape(f"{path}: must be > 0, got {value}") + "$"):
+        scenario_from_dict(data)
+    section[key] = 2e-3
+    assert scenario_from_dict(data)
+
+
+def test_scenario_to_dict_key_order():
+    # the report embeds this mapping, so its key order is part of the
+    # report bytes
+    data = wave_scenario()
+    data["region"] = {"x1_min": -1.0, "x1_max": 1.0, "x2_min": -1.0, "x2_max": 1.0}
+    data["tolerances"] = {"quadrature": 1e-4}
+    data["checks"] = [
+        {"type": "conservation", "laws": [1], "points": [[0.1, 0.2, 0.3]], "samples": 2,
+         "step": 1e-3, "tolerance": 1e-5},
+        {"type": "balance", "laws": [1], "times": [0.1], "dt": 1e-3,
+         "region": {"x1_min": -1.0, "x1_max": 1.0, "x2_min": -1.0, "x2_max": 1.0}},
+    ]
+    out = scenario_to_dict(scenario_from_dict(data))
+    assert list(out) == ["plate", "field", "region", "checks", "tolerances", "seed"]
+    assert list(out["plate"]) == [
+        "youngs_modulus", "poisson_ratio", "thickness", "areal_density"
+    ]
+    assert list(out["field"]) == [
+        "family", "wave_speed", "w_coefficients", "phi_coefficients", "c1", "c2"
+    ]
+    region_keys = ["x1_min", "x1_max", "x2_min", "x2_max", "quad_order", "cells"]
+    assert list(out["region"]) == region_keys
+    assert out["region"]["cells"] == [4, 4]
+    assert [list(c) for c in out["checks"]] == [
+        ["type", "laws", "points", "samples", "tolerance", "step"],
+        ["type", "laws", "times", "dt", "region"],
+    ]
+    assert out["checks"][0]["points"] == [[0.1, 0.2, 0.3]]
+    assert list(out["checks"][1]["region"]) == region_keys
+    assert list(out["tolerances"]) == ["analytic", "finite_difference", "quadrature"]
+
+    data = base_scenario()
+    data["front"] = {"kind": "line", "coef_x1": 1.0, "coef_x2": 0.5}
+    out = scenario_to_dict(scenario_from_dict(data))
+    assert list(out) == ["plate", "field", "front", "checks", "tolerances", "seed"]
+    assert list(out["field"]) == ["family", "wave_speed", "w_coefficients", "phi_coefficients"]
+    assert out["front"] == {"kind": "line", "coef_x1": 1.0, "coef_x2": 0.5, "coef_t": 0.0, "const": 0.0}
+
+    data["field"] = {
+        "family": "polynomial",
+        "w_terms": [{"exponents": [2, 0, 1], "coefficient": 0.5}],
+        "phi_terms": [],
+    }
+    data["front"] = {"kind": "circle", "center": [0.5, -0.5], "radius": 2.0}
+    out = scenario_to_dict(scenario_from_dict(data))
+    assert out["field"] == {
+        "family": "polynomial",
+        "w_terms": [{"exponents": [2, 0, 1], "coefficient": 0.5}],
+        "phi_terms": [],
+    }
+    assert list(out["front"]) == ["kind", "center", "radius", "radial_speed"]
+    assert out["front"]["center"] == [0.5, -0.5]

@@ -9,6 +9,7 @@ from vkwave.wavefront import (
     FrontGeometry,
     LineFront,
     Sym3Tensor,
+    _front_distance,
     front_geometry,
     required_third_amplitude,
     second_jumps_phi,
@@ -293,3 +294,12 @@ def test_required_third_amplitude():
 
     line_geo = front_geometry(LineFront(1.0, 0.0, -1.0, 0.0), (0.0, 0.0, 0.0))
     assert required_third_amplitude(1.5, line_geo) == 0.0
+
+
+def test_front_distance_divides_gamma_by_its_slope():
+    # |gamma| / (|grad gamma| + |d gamma/dx3|): here 2.4 / (5 + 2)
+    line = LineFront(3.0, 4.0, 2.0, 0.7)
+    assert _front_distance(line, np.array([0.3, 0.1, 0.2])) == pytest.approx(2.4 / 7.0)
+    assert _front_distance(line, np.array([0.3, 0.1, -1.0])) == pytest.approx(0.0, abs=1e-15)
+    # at a still circle's centre gamma has no slope, so no point is near
+    assert _front_distance(CircleFront(0.0, 0.0, 1.0), np.zeros(3)) == math.inf
