@@ -64,7 +64,8 @@ import numpy as np
 from .conservation import LawId, density_flux, law
 from .errors import ValidationError, VkwaveError
 from .params import PlateParams
-from .solutions import Side
+# _BATCH_POINTS: the jet batch size the docstrings here name
+from .solutions import _BATCH_POINTS, Side, _jet_batches  # noqa: F401
 from .wavefront import _normal_and_speed
 
 _MIN_QUAD_ORDER = 4
@@ -131,13 +132,6 @@ def _interval_nodes(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndar
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * g, half * w
 
-
-#: Points per jet call.  A jet takes 560 bytes a point, so a batch holds
-#: about 1 MB of jets.  At the default 4x4 cells and order 8 a slice has
-#: about 1.3e3 points across a straight front and 5e3 across a circle the
-#: size of a cell, a balance check five density slices per time, and finer
-#: grids or higher orders have many more.
-_BATCH_POINTS = 2048
 
 #: Side of a quadrature piece; _NONE on a field without a front.
 _NONE, _AHEAD, _BEHIND = range(3)
@@ -206,9 +200,8 @@ def _integrals(field, entries, plan: _Plan, n_slices, n_owners, normals=None) ->
     vals = np.empty((len(entries), len(pts)))
     for side, jet_side in _JET_SIDE.items():
         where = np.flatnonzero(sides == side)
-        for start in range(0, where.size, _BATCH_POINTS):
-            batch = where[start : start + _BATCH_POINTS]
-            jet = field.jet(pts[batch], jet_side)
+        for rows, jet in _jet_batches(field, pts[where], jet_side):
+            batch = where[rows]
             n = None if normals is None else normals[batch]
             for row, entry in zip(vals, entries):
                 df = density_flux(entry, jet, field.params)

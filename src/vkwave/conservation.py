@@ -10,6 +10,18 @@ Composite rows (scaling, rotation moment, boost moments) are assembled
 from the constituent rows, so the structural identities between rows hold
 exactly by construction.  A jet keeps every row and shared tensor built
 from it, so each is built once per jet however many laws use it.
+
+The divergence is estimated by central differences of Psi along x3, P1
+along x1 and P2 along x2, at step h and, for one Richardson level, h/2.
+A check of several laws at n points runs as one batch: one front guard
+for all n points, then the 6 stencil points per step of every point in
+jet batches of at most _BATCH_POINTS points, each law's density and flux
+taken once per jet batch, and the differences and the Richardson step
+as array operations over (law, point).  Each estimate has the bits it
+has when its law and point are estimated alone (conservation_divergence).
+When a point fails, the points are replayed one at a time, so that the
+error raised is that of the first failing point, its guard before its
+jets.
 """
 
 from __future__ import annotations
@@ -18,12 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrontProximityError, ValidationError
+from .errors import FrontProximityError, ValidationError, VkwaveError
 from .fdtools import richardson
 from .indexing import S0, S1, S2, S3, S11, S12, S13, S22, S23
 from .jets import FieldJet
 from .params import PlateParams
-from .solutions import Side
+from .solutions import _jet_batches
 from .tensors import (
     Vector2,
     f_vector,
@@ -276,81 +288,79 @@ def density_flux(law_key, jet: FieldJet, p: PlateParams) -> DensityFlux:
 
 @dataclass(frozen=True)
 class DivergenceEstimate:
-    """Finite-difference divergence of one law at a point."""
+    """Finite-difference divergence of one law at a point, or arrays of
+    them over (law, point)."""
 
-    d_density_dt: float
-    d_flux1_dx1: float
-    d_flux2_dx2: float
+    d_density_dt: float | np.ndarray
+    d_flux1_dx1: float | np.ndarray
+    d_flux2_dx2: float | np.ndarray
 
     @property
-    def residual(self) -> float:
+    def residual(self) -> float | np.ndarray:
         return self.d_density_dt + self.d_flux1_dx1 + self.d_flux2_dx2
 
     @property
-    def scale(self) -> float:
+    def scale(self) -> float | np.ndarray:
         return abs(self.d_density_dt) + abs(self.d_flux1_dx1) + abs(self.d_flux2_dx2)
 
 
-def _guard_front_distance(field, point: np.ndarray, h: float) -> None:
+def _guard_front_distance(field, points: np.ndarray, h: float) -> None:
+    """Raise for the first of ``points`` (shape (n, 3)) whose stencil would
+    reach the front."""
     front = getattr(field, "front", None)
     if front is None:
         return
-    distance = _front_distance(front, point)
-    if distance <= 4.0 * h:
+    distance = _front_distance(front, points)
+    close = np.flatnonzero(distance <= 4.0 * h)
+    if close.size:
+        k = close[0]
         raise FrontProximityError(
-            f"point {tuple(point.tolist())} is {distance:.3e} from the front; "
+            f"point {tuple(points[k].tolist())} is {distance[k]:.3e} from the front; "
             f"the stencil needs clearance > {4.0 * h:.3e}"
         )
 
 
 def _divergence_estimates(
-    field, law_keys, point, h: float = 1e-3, use_richardson: bool = True
-) -> list[DivergenceEstimate]:
-    """conservation_divergence for several laws at one point: the front
-    guard and the stencil jets are shared by every law."""
+    field, law_keys, points: np.ndarray, h: float = 1e-3, use_richardson: bool = True
+) -> DivergenceEstimate:
+    """conservation_divergence of several laws at points of shape (n, 3),
+    as arrays of shape (laws, n): one front guard for every point, and the
+    stencils of every point in shared jet batches."""
     if h <= 0:
         raise ValidationError(f"step h must be positive, got {h}")
     entries = [law(key) for key in law_keys]
-    base = np.asarray(point, dtype=np.float64)
-    if base.shape != (3,):
-        raise ValidationError(f"point must be a 3-vector, got shape {base.shape}")
-    _guard_front_distance(field, base, h)
-
-    # one jet batch holds the stencils of every step: 6 points each
-    steps = (h, h / 2.0) if use_richardson else (h,)
-    pts = np.empty((6 * len(steps), 3))
-    for n, step in enumerate(steps):
-        for ax in range(3):
-            row = 6 * n + 2 * ax
-            pts[row] = base
-            pts[row, ax] -= step
-            pts[row + 1] = base
-            pts[row + 1, ax] += step
-    jet = field.jet(pts, Side.AUTO)
-
-    def estimate(comps, n: int) -> np.ndarray:
-        row = 6 * n
-        return np.array(
-            [
-                (comps[ax][row + 2 * ax + 1] - comps[ax][row + 2 * ax]) / (2.0 * steps[n])
-                for ax in range(3)
-            ]
-        )
-
-    estimates = []
-    for entry in entries:
-        df = density_flux(entry, jet, field.params)
-        # component per axis: axis 0 -> P1, axis 1 -> P2, axis 2 -> Psi
-        comps = (df.flux.x1, df.flux.x2, df.density)
-        est = estimate(comps, 0)
-        if use_richardson:
-            est = richardson(est, estimate(comps, 1))
-        estimates.append(
-            DivergenceEstimate(
-                d_density_dt=float(est[2]), d_flux1_dx1=float(est[0]), d_flux2_dx2=float(est[1])
-            )
-        )
-    return estimates
+    steps = np.array((h, h / 2.0) if use_richardson else (h,))
+    # stencils of shape (point, step, axis, -/+, 3): the point moved by
+    # -step and +step along the axis; advanced indexing puts the axis first
+    stencils = np.repeat(points, 6 * len(steps), axis=0)
+    stencils = stencils.reshape(len(points), len(steps), 3, 2, 3)
+    axis = np.arange(3)
+    stencils[:, :, axis, :, axis] += steps[:, None] * np.array((-1.0, 1.0))
+    stencils = stencils.reshape(-1, 3)
+    # the component a stencil point differentiates: P1 along x1, P2 along
+    # x2, Psi along x3
+    component = np.arange(len(stencils)) // 2 % 3
+    vals = np.empty((len(entries), len(stencils)))
+    try:
+        _guard_front_distance(field, points, h)
+        for rows, jet in _jet_batches(field, stencils):
+            for row, entry in zip(vals, entries):
+                df = density_flux(entry, jet, field.params)
+                row[rows] = np.choose(component[rows], (df.flux.x1, df.flux.x2, df.density))
+            del jet  # free this batch's jets before the next batch is filled
+    except VkwaveError:
+        # Replay point by point, so that the error raised is that of the
+        # first failing point, its guard before its jets.
+        for point, stencil in zip(points, stencils.reshape(len(points), -1, 3)):
+            _guard_front_distance(field, point[None], h)
+            field.jet(stencil)
+        raise
+    vals = vals.reshape(len(entries), len(points), len(steps), 3, 2)
+    est = (vals[..., 1] - vals[..., 0]) / (2.0 * steps[:, None])
+    est = richardson(est[:, :, 0], est[:, :, 1]) if use_richardson else est[:, :, 0]
+    return DivergenceEstimate(
+        d_density_dt=est[..., 2], d_flux1_dx1=est[..., 0], d_flux2_dx2=est[..., 1]
+    )
 
 
 def conservation_divergence(
@@ -361,8 +371,13 @@ def conservation_divergence(
     Differentiates the assembled density and flux through the field's
     analytic jets (central differences, one Richardson level by default).
     """
-    (est,) = _divergence_estimates(field, (law_key,), point, h, use_richardson)
-    return est
+    base = np.asarray(point, dtype=np.float64)
+    if base.shape != (3,):
+        raise ValidationError(f"point must be a 3-vector, got shape {base.shape}")
+    est = _divergence_estimates(field, (law_key,), base[None], h, use_richardson)
+    return DivergenceEstimate(
+        float(est.d_density_dt[0, 0]), float(est.d_flux1_dx1[0, 0]), float(est.d_flux2_dx2[0, 0])
+    )
 
 
 def conservation_residual(

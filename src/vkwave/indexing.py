@@ -36,10 +36,6 @@ EXPONENTS: np.ndarray = np.array(
     [[m.count(1), m.count(2), m.count(3)] for m in MULTI_INDICES], dtype=np.int64
 )
 
-#: Two-dimensional alternating symbol, EPS[a-1, b-1] = eps^{ab}.
-EPS: np.ndarray = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
 def idx(*subscripts: int) -> int:
     """Flat slot of the partial derivative with the given subscripts.
 

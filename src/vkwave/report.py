@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import _BATCH_POINTS, _balance_reports
+from .balance import _balance_reports
 from .conservation import _divergence_estimates
 from .errors import ValidationError, VkwaveError
 from .jumps import (
@@ -39,7 +39,7 @@ from .jumps import (
     extract_jumps,
 )
 from .scenario import Scenario, build_field, sample_front_point, scenario_to_dict
-from .solutions import _pde_terms
+from .solutions import _jet_batches, _pde_terms
 from .wavefront import _front_distance
 from .version import __version__
 
@@ -96,11 +96,9 @@ def _run_pde_residual(scenario: Scenario, field, check, rng):
     else:
         n = check.samples if check.samples is not None else 20
         pts = rng.uniform(-1.0, 1.0, (n, 3))
-    # batched so that at most _BATCH_POINTS jets are held at once; np.max
-    # keeps a NaN from any batch
+    # np.max keeps a NaN from any batch
     maxima = []
-    for start in range(0, len(pts), _BATCH_POINTS):
-        jet = field.jet(pts[start : start + _BATCH_POINTS])
+    for _, jet in _jet_batches(field, pts):
         r1, r2, s1, s2 = _pde_terms(jet, field.params)
         maxima.append(
             (
@@ -139,10 +137,9 @@ def _run_conservation(scenario: Scenario, field, check, rng):
         pts = np.array(check.points, dtype=np.float64)
     else:
         pts = _sample_off_front(field, rng, check.samples if check.samples else 3, h)
-    per_point = [_divergence_estimates(field, check.laws, pt, h=h) for pt in pts]
-    for i, name in enumerate(check.laws):
-        res = _worst([abs(ests[i].residual) / np.maximum(1.0, ests[i].scale) for ests in per_point])
-        yield name, res, f"h={h:g}, {pts.shape[0]} points"
+    est = _divergence_estimates(field, check.laws, pts, h=h)
+    for name, scaled in zip(check.laws, np.abs(est.residual) / np.maximum(1.0, est.scale)):
+        yield name, _worst(scaled), f"h={h:g}, {pts.shape[0]} points"
 
 
 def _front_batch(field, check, rng):

@@ -49,6 +49,16 @@ _CLOSED_FORM_DEFAULT_LAWS = (
 
 _JUMP_CHECKS = ("dynamic_jumps", "balance_jump", "closed_form_jump")
 
+_ALL_LAWS = tuple(entry.name for entry in LAWS)
+
+#: The laws of each law-resolved check kind that names none.
+_DEFAULT_LAWS = {
+    "conservation": _ALL_LAWS,
+    "balance_jump": _ALL_LAWS,
+    "closed_form_jump": _CLOSED_FORM_DEFAULT_LAWS,
+    "balance": ("transversal_linear_momentum", "compatibility"),
+}
+
 _PLATE_KEYS = ("youngs_modulus", "poisson_ratio", "thickness", "areal_density")
 
 
@@ -135,7 +145,7 @@ def _check_keys(data: dict, allowed, path: str) -> None:
         )
 
 
-def _number(data: dict, key: str, path: str, default=..., minimum=None):
+def _number(data: dict, key: str, path: str, default=...):
     if key not in data:
         if default is ...:
             raise ScenarioError(f"{path}.{key}: required")
@@ -143,14 +153,12 @@ def _number(data: dict, key: str, path: str, default=..., minimum=None):
     v = data[key]
     if not _is_number(v):
         raise ScenarioError(f"{path}.{key}: expected a finite number, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ScenarioError(f"{path}.{key}: must be >= {minimum}, got {v}")
     return float(v)
 
 
-def _positive_number(data: dict, key: str, path: str):
-    v = _number(data, key, path)
-    if not v > 0.0:
+def _positive_number(data: dict, key: str, path: str, default=...):
+    v = _number(data, key, path, default)
+    if key in data and not v > 0.0:
         raise ScenarioError(f"{path}.{key}: must be > 0, got {v}")
     return v
 
@@ -295,9 +303,7 @@ def _parse_laws(data: dict, path: str, default, closed_form_only=False):
         return default
     v = data["laws"]
     if v == "all":
-        if closed_form_only:
-            return _CLOSED_FORM_DEFAULT_LAWS
-        return tuple(entry.name for entry in LAWS)
+        return _CLOSED_FORM_DEFAULT_LAWS if closed_form_only else _ALL_LAWS
     if not isinstance(v, list) or not v:
         raise ScenarioError(f"{path}.laws: expected 'all' or a non-empty list")
     names = []
@@ -353,14 +359,9 @@ def _parse_check(data, path: str) -> CheckSpec:
         raise ScenarioError(f"{path}.type: expected one of {CHECK_KINDS}, got {kind!r}")
     _check_keys(d, _CHECK_KEYS[kind], path)
 
-    laws = None
-    if kind in ("conservation", "balance_jump", "balance"):
-        default = tuple(entry.name for entry in LAWS)
-        if kind == "balance":
-            default = ("transversal_linear_momentum", "compatibility")
-        laws = _parse_laws(d, path, default)
-    elif kind == "closed_form_jump":
-        laws = _parse_laws(d, path, _CLOSED_FORM_DEFAULT_LAWS, closed_form_only=True)
+    closed_form = kind == "closed_form_jump"
+    laws = _parse_laws(d, path, _DEFAULT_LAWS.get(kind), closed_form_only=closed_form)
+    if closed_form:
         for name in laws:
             if name not in _CLOSED_FORM_DEFAULT_LAWS:
                 raise ScenarioError(
@@ -371,14 +372,12 @@ def _parse_check(data, path: str) -> CheckSpec:
     return CheckSpec(
         kind=kind,
         laws=laws,
-        points=_parse_points(d, path) if kind in ("pde_residual", "conservation") else None,
-        times=_parse_times(d, path) if kind in (*_JUMP_CHECKS, "balance") else None,
-        samples=_integer(d, "samples", path, default=None, minimum=1)
-        if "samples" in d
-        else None,
-        tolerance=_positive_number(d, "tolerance", path) if "tolerance" in d else None,
-        step=_positive_number(d, "step", path) if "step" in d else None,
-        dt=_positive_number(d, "dt", path) if "dt" in d else None,
+        points=_parse_points(d, path),
+        times=_parse_times(d, path),
+        samples=_integer(d, "samples", path, default=None, minimum=1),
+        tolerance=_positive_number(d, "tolerance", path, default=None),
+        step=_positive_number(d, "step", path, default=None),
+        dt=_positive_number(d, "dt", path, default=None),
         region=_parse_region(d["region"], f"{path}.region") if "region" in d else None,
     )
 
@@ -411,11 +410,9 @@ def scenario_from_dict(data) -> Scenario:
     _need_mapping(tol_data, tol_path)
     _check_keys(tol_data, ("analytic", "finite_difference", "quadrature"), tol_path)
     tolerances = Tolerances(
-        analytic=_number(tol_data, "analytic", tol_path, default=1e-9, minimum=0.0),
-        finite_difference=_number(
-            tol_data, "finite_difference", tol_path, default=1e-6, minimum=0.0
-        ),
-        quadrature=_number(tol_data, "quadrature", tol_path, default=1e-5, minimum=0.0),
+        analytic=_positive_number(tol_data, "analytic", tol_path, default=1e-9),
+        finite_difference=_positive_number(tol_data, "finite_difference", tol_path, default=1e-6),
+        quadrature=_positive_number(tol_data, "quadrature", tol_path, default=1e-5),
     )
 
     checks_raw = d["checks"]

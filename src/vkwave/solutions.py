@@ -342,6 +342,22 @@ def eval_jet(field, point, side: Side = Side.AUTO) -> FieldJet:
     return field.jet(point, side)
 
 
+#: Points per jet call.  A jet takes 560 bytes a point, so a batch holds
+#: about 1 MB of jets; a balance slice has thousands of points and a
+#: pde_residual check may sample many more.
+_BATCH_POINTS = 2048
+
+
+def _jet_batches(field, points: np.ndarray, side: Side = Side.AUTO):
+    """Jets of ``points`` (shape (n, 3)) in consecutive batches of at most
+    _BATCH_POINTS points: yields (rows, jet), ``rows`` the slice of
+    ``points`` the jet holds.  A caller deletes each jet before it asks
+    for the next, so that one batch of jets is held at a time."""
+    for start in range(0, len(points), _BATCH_POINTS):
+        rows = slice(start, start + _BATCH_POINTS)
+        yield rows, field.jet(points[rows], side)
+
+
 def _pde_terms(jet: FieldJet, p: PlateParams):
     """Residuals (r1, r2) and term scales (s1, s2) of the two governing
     equations at a jet, each term formed once for both."""

@@ -12,7 +12,6 @@ builders below produce those jump tensors from scalar amplitudes.
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -27,17 +26,15 @@ _FRAME_TOL = 1e-12
 class FrontGeometry:
     """Local front data at one point: speed, orthonormal frame, arc-rate.
 
-    ``arc_param`` is the arc-length coordinate of the point along the
-    front; its origin is arbitrary and it defaults to zero.  The frame
-    convention is t = (-n2, n1); the arc-rate is even under flipping t,
-    so downstream results do not depend on the orientation choice.
+    The frame convention is t = (-n2, n1); the arc-rate is even under
+    flipping t, so downstream results do not depend on the orientation
+    choice.
     """
 
     speed: float
     normal: np.ndarray
     tangent: np.ndarray
     arc_rate: float
-    arc_param: float = 0.0
 
     def __post_init__(self) -> None:
         n = np.asarray(self.normal, dtype=np.float64)
@@ -303,14 +300,15 @@ def _normal_and_speed(front: Front, points) -> tuple[np.ndarray, np.ndarray]:
     return g / norm[:, None], -g_t / norm
 
 
-def _front_distance(front: Front, point) -> float:
+def _front_distance(front: Front, points) -> np.ndarray:
     """First-order estimate |gamma| / (|grad gamma| + |d gamma/dx3|) of how
-    far the space-time point (shape (3,)) lies from the front; inf where
-    gamma has no slope there."""
-    g = float(front.value(point))
-    grad = np.asarray(front.spatial_gradient(point), dtype=np.float64)
-    slope = float(np.hypot(grad[0], grad[1])) + abs(float(front.time_derivative(point)))
-    return abs(g) / slope if slope > 0.0 else math.inf
+    far each space-time point (shape (..., 3)) lies from the front; inf
+    where gamma has no slope there."""
+    g = np.asarray(front.value(points), dtype=np.float64)
+    grad = np.asarray(front.spatial_gradient(points), dtype=np.float64)
+    slope = np.hypot(grad[..., 0], grad[..., 1]) + np.abs(front.time_derivative(points))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(slope > 0.0, np.abs(g) / slope, np.inf)
 
 
 def front_geometry(front: Front, point) -> FrontGeometry:

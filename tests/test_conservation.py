@@ -1,3 +1,6 @@
+import math
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from vkwave.conservation import (
 )
 from vkwave.errors import FrontProximityError, ValidationError
 from vkwave.jets import FieldJet
-from vkwave.solutions import acceleration_wave, invariant_solution, polynomial_field
+from vkwave.solutions import _BATCH_POINTS, acceleration_wave, invariant_solution, polynomial_field
 from vkwave.tensors import (
     f_vector,
     g_tensor,
@@ -171,21 +174,82 @@ def test_front_proximity_error_prints_plain_numbers(generic_params):
     assert message.startswith("point (0.0001, 0.0, 0.0) is ")
 
 
+def _acceleration_wave(params):
+    ahead = invariant_solution((0.2, 0.0, 0.5, 0.1), (0, 0.3, 0.2, 0), 1.0, params)
+    return acceleration_wave(ahead, c1=0.5, c2=0.2)
+
+
+def _bits_per_point(field, laws, points, use_richardson) -> bytes:
+    """conservation_divergence of each law at each point, one at a time,
+    as the bytes of a (law, point, component) array."""
+    def one(key, point):
+        return astuple(conservation_divergence(field, key, point, 1e-3, use_richardson))
+
+    return np.array([[one(key, point) for point in points] for key in laws]).tobytes()
+
+
+def _reference_bits(field, laws, points, use_richardson) -> bytes:
+    """The divergence one stencil at a time, central differences and the
+    Richardson step in scalar arithmetic, as _bits_per_point's bytes."""
+    h = 1e-3
+    steps = (h, h / 2.0) if use_richardson else (h,)
+    out = []
+    for key in laws:
+        for point in points:
+            per_step = []
+            for step in steps:
+                est = []
+                for ax, name in enumerate(("x1", "x2", "density")):
+                    minus, plus = np.array(point), np.array(point)
+                    minus[ax] -= step
+                    plus[ax] += step
+                    df = [density_flux(key, field.jet(x), field.params) for x in (minus, plus)]
+                    f = [d.density if name == "density" else getattr(d.flux, name) for d in df]
+                    est.append((f[1] - f[0]) / (2.0 * step))
+                per_step.append(est)
+            d1, d2, d3 = (
+                [(4.0 * f - c) / 3.0 for c, f in zip(*per_step)] if use_richardson else per_step[0]
+            )
+            out.append((d3, d1, d2))
+    return np.array(out).tobytes()
+
+
+def _bits_batched(est) -> bytes:
+    return np.stack((est.d_density_dt, est.d_flux1_dx1, est.d_flux2_dx2), axis=-1).tobytes()
+
+
 @pytest.mark.parametrize("use_richardson", [True, False])
 def test_shared_stencils_match_per_law_divergence(use_richardson, generic_params, count_jet_calls):
-    ahead = invariant_solution((0.2, 0.0, 0.5, 0.1), (0, 0.3, 0.2, 0), 1.0, generic_params)
-    wave = acceleration_wave(ahead, c1=0.5, c2=0.2)
+    wave = _acceleration_wave(generic_params)
     laws = [entry.index for entry in LAWS]
+    points = np.array([(0.6, -0.3, 0.2), (-0.5, 0.4, 0.1)])
     sizes = count_jet_calls(wave)
-    for point in ((0.6, -0.3, 0.2), (-0.5, 0.4, 0.1)):
-        single = [
-            conservation_divergence(wave, key, point, h=1e-3, use_richardson=use_richardson)
-            for key in laws
-        ]
-        sizes.clear()
-        shared = _divergence_estimates(wave, laws, point, h=1e-3, use_richardson=use_richardson)
-        assert shared == single
-        assert len(sizes) == 1  # one stencil batch serves all fourteen laws
+    single = _bits_per_point(wave, laws, points, use_richardson)
+    assert single == _reference_bits(wave, laws, points, use_richardson)
+    sizes.clear()
+    shared = _divergence_estimates(wave, laws, points, h=1e-3, use_richardson=use_richardson)
+    assert _bits_batched(shared) == single
+    assert len(sizes) == 1  # one stencil batch serves all fourteen laws at both points
+
+
+@pytest.mark.parametrize("use_richardson", [True, False])
+def test_batched_divergence_is_the_per_point_divergence(
+    use_richardson, generic_params, count_jet_calls
+):
+    # 200 points have 1,200 or 2,400 stencil points, so with Richardson
+    # they take two jet batches; each estimate keeps its per-point bits
+    wave = _acceleration_wave(generic_params)
+    laws = (1, 4, 5, 6, 10, 14)
+    rng = np.random.default_rng(7)
+    points = rng.uniform(-1.0, 1.0, (200, 3))
+    # on both sides of the front x1 = x3, at least 0.1 from it along x1
+    points[:, 0] = points[:, 2] + points[:, 0] + np.copysign(0.1, points[:, 0])
+    sizes = count_jet_calls(wave)
+    batched = _divergence_estimates(wave, laws, points, h=1e-3, use_richardson=use_richardson)
+    stencil_points = 200 * (12 if use_richardson else 6)
+    assert sum(sizes) == stencil_points
+    assert len(sizes) == math.ceil(stencil_points / _BATCH_POINTS)
+    assert _bits_batched(batched) == _bits_per_point(wave, laws, points, use_richardson)
 
 
 def test_step_validation(generic_params):

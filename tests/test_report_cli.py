@@ -402,6 +402,39 @@ def test_jump_check_error_takes_the_draws_up_to_the_failing_point():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "wave_speed, w_coefficients, detail",
+    [
+        (
+            1.0,
+            [0, 0, 0, 0],
+            "FrontProximityError: point (0.0001, 0.0, 0.0) is 5.000e-05 from the front; "
+            "the stencil needs clearance > 4.000e-03",
+        ),
+        (2.0, [0, 0, 1e308, 0], "ValidationError: w contains non-finite entries"),
+    ],
+)
+def test_conservation_error_is_the_first_failing_points(wave_speed, w_coefficients, detail):
+    # the check's points are a clear point, then one 1e-4 from the front;
+    # when the first point's jets overflow, their error comes first,
+    # although the second point is the one too close
+    data = passing_scenario()
+    data["field"]["wave_speed"] = wave_speed
+    data["field"]["w_coefficients"] = w_coefficients
+    data["checks"] = [
+        {
+            "type": "conservation",
+            "laws": ["energy", "scaling"],
+            "points": [[0.6, -0.3, 0.2], [1e-4, 0.0, 0.0]],
+        }
+    ]
+    (row,) = run_scenario(scenario_from_dict(data)).results
+    assert (row.name, row.status, row.tolerance, row.detail) == (
+        "conservation", "error", None, detail,
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_residual_fails_instead_of_passing():
     # products of 1e160 coefficients overflow to inf - inf in the energy
     # and scaling rows; the builtin max used to drop the NaN and pass

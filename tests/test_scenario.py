@@ -303,17 +303,21 @@ def test_sample_front_point():
         ("check", "step", "checks[0].step"),
         ("check", "tolerance", "checks[0].tolerance"),
         ("front", "radius", "front.radius"),
+        ("tolerances", "analytic", "tolerances.analytic"),
+        ("tolerances", "finite_difference", "tolerances.finite_difference"),
+        ("tolerances", "quadrature", "tolerances.quadrature"),
     ],
 )
 @pytest.mark.parametrize("value", [0.0, -1e-3])
 def test_positive_keys_are_rejected_with_their_path(where, key, path, value):
-    # step: 0 used to load and error at run time without a path, and
-    # radius: 0 to raise a bare ValidationError from build_field
+    # step: 0 used to load and error at run time without a path, radius: 0
+    # to raise a bare ValidationError from build_field, and a scenario
+    # tolerance of 0 to fail every row, even a residual of exactly 0.0
     data = base_scenario()
     data["checks"] = [{"type": "conservation", "laws": ["energy"], "samples": 1}]
-    if where == "front":
-        data["front"] = {"kind": "circle", "center": [0.0, 0.0], "radius": 0.5}
-    section = data["front"] if where == "front" else data["checks"][0]
+    data["front"] = {"kind": "circle", "center": [0.0, 0.0], "radius": 0.5}
+    data["tolerances"] = {}
+    section = data["checks"][0] if where == "check" else data[where]
     section[key] = value
     with pytest.raises(ScenarioError, match=re.escape(f"{path}: must be > 0, got {value}") + "$"):
         scenario_from_dict(data)
