@@ -40,8 +40,8 @@ t at both orders.  It runs in three steps:
    quadrature pieces (points, weights, a time, a side: ahead, behind or
    none, the slice's cell or edge the piece belongs to, and a rank);
 2. evaluate: the jets are computed once per side over the pieces of all
-   slices, each point at its own time, in batches of at most
-   _BATCH_POINTS points, and every requested law's density or flux is
+   slices, each point at its own time, in the batches of
+   solutions._jet_batches, and every requested law's density or flux is
    taken from each jet batch;
 3. reduce: each block becomes piece sums in one vectorised sum, added
    per cell or edge in rank order (level by level: uncut boxes, then
@@ -62,10 +62,9 @@ from functools import lru_cache
 import numpy as np
 
 from .conservation import LawId, density_flux, law
-from .errors import ValidationError, VkwaveError
+from .errors import ValidationError, _first_failure
 from .params import PlateParams
-# _BATCH_POINTS: the jet batch size the docstrings here name
-from .solutions import _BATCH_POINTS, Side, _jet_batches  # noqa: F401
+from .solutions import Side, _jet_batches
 from .wavefront import _normal_and_speed
 
 _MIN_QUAD_ORDER = 4
@@ -185,8 +184,8 @@ def _integrals(field, entries, plan: _Plan, n_slices, n_owners, normals=None) ->
     slice j is j * n_owners + k.
 
     Jets are evaluated once per side for the points of every slice, each
-    at its own time, in batches of at most _BATCH_POINTS points, and every
-    law is applied to each jet batch.  Each block is reduced to piece sums
+    at its own time, in the batches of _jet_batches, and every law is
+    applied to each jet batch.  Each block is reduced to piece sums
     in one vectorised sum; the piece sums are added up per owner in rank
     and plan order, and the owners of a slice in turn, so that a law's
     integral does not depend on the other laws, slices or cells."""
@@ -592,16 +591,16 @@ def _balance_reports(field, law_keys, region: Region, times, dt=None) -> list[li
         for s in ((t, order), (t + h, order), (t - h, order), (t + h, low), (t - h, low))
     ]
     flux_slices = [(t, o) for t in times for o in (order, low)]
-    try:
-        dens = _density_integrals(field, entries, region, dens_slices).tolist()
-        flux = _boundary_flux_integrals(field, entries, region, flux_slices).tolist()
-    except VkwaveError:
-        # raise what the first failing integral raises when they are taken
-        # one at a time, as balance_residual takes them; an error does not
-        # depend on the law
-        for t in times:
-            balance_residual(field, entries[0], region, t, dt)
-        raise
+    dens, flux = _first_failure(
+        lambda: (
+            _density_integrals(field, entries, region, dens_slices).tolist(),
+            _boundary_flux_integrals(field, entries, region, flux_slices).tolist(),
+        ),
+        # a time's integrals one at a time, as balance_residual takes them;
+        # an error does not depend on the law
+        lambda t: balance_residual(field, entries[0], region, t, dt),
+        times,
+    )
     return [
         [
             _report(entry, t, h, *d[5 * i : 5 * i + 5], *f[2 * i : 2 * i + 2])

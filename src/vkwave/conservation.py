@@ -15,13 +15,12 @@ The divergence is estimated by central differences of Psi along x3, P1
 along x1 and P2 along x2, at step h and, for one Richardson level, h/2.
 A check of several laws at n points runs as one batch: one front guard
 for all n points, then the 6 stencil points per step of every point in
-jet batches of at most _BATCH_POINTS points, each law's density and flux
+the jet batches of solutions._jet_batches, each law's density and flux
 taken once per jet batch, and the differences and the Richardson step
 as array operations over (law, point).  Each estimate has the bits it
 has when its law and point are estimated alone (conservation_divergence).
-When a point fails, the points are replayed one at a time, so that the
-error raised is that of the first failing point, its guard before its
-jets.
+An error is that of the first failing point, its guard before its jets
+(errors._first_failure).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrontProximityError, ValidationError, VkwaveError
+from .errors import FrontProximityError, ValidationError, _first_failure
 from .fdtools import richardson
 from .indexing import S0, S1, S2, S3, S11, S12, S13, S22, S23
 from .jets import FieldJet
@@ -307,10 +306,7 @@ class DivergenceEstimate:
 def _guard_front_distance(field, points: np.ndarray, h: float) -> None:
     """Raise for the first of ``points`` (shape (n, 3)) whose stencil would
     reach the front."""
-    front = getattr(field, "front", None)
-    if front is None:
-        return
-    distance = _front_distance(front, points)
+    distance = _front_distance(getattr(field, "front", None), points)
     close = np.flatnonzero(distance <= 4.0 * h)
     if close.size:
         k = close[0]
@@ -318,6 +314,29 @@ def _guard_front_distance(field, points: np.ndarray, h: float) -> None:
             f"point {tuple(points[k].tolist())} is {distance[k]:.3e} from the front; "
             f"the stencil needs clearance > {4.0 * h:.3e}"
         )
+
+
+def _stencil_values(field, entries, points: np.ndarray, steps: np.ndarray, h: float) -> np.ndarray:
+    """The component each stencil point differentiates, per law: shape
+    (laws, point, step, axis, -/+), after one front guard for every point."""
+    _guard_front_distance(field, points, h)
+    # stencils of shape (point, step, axis, -/+, 3): the point moved by
+    # -step and +step along the axis; advanced indexing puts the axis first
+    stencils = np.repeat(points, 6 * len(steps), axis=0)
+    stencils = stencils.reshape(len(points), len(steps), 3, 2, 3)
+    axis = np.arange(3)
+    stencils[:, :, axis, :, axis] += steps[:, None] * np.array((-1.0, 1.0))
+    stencils = stencils.reshape(-1, 3)
+    # the component a stencil point differentiates: P1 along x1, P2 along
+    # x2, Psi along x3
+    component = np.arange(len(stencils)) // 2 % 3
+    vals = np.empty((len(entries), len(stencils)))
+    for rows, jet in _jet_batches(field, stencils):
+        for row, entry in zip(vals, entries):
+            df = density_flux(entry, jet, field.params)
+            row[rows] = np.choose(component[rows], (df.flux.x1, df.flux.x2, df.density))
+        del jet  # free this batch's jets before the next batch is filled
+    return vals.reshape(len(entries), len(points), len(steps), 3, 2)
 
 
 def _divergence_estimates(
@@ -330,32 +349,11 @@ def _divergence_estimates(
         raise ValidationError(f"step h must be positive, got {h}")
     entries = [law(key) for key in law_keys]
     steps = np.array((h, h / 2.0) if use_richardson else (h,))
-    # stencils of shape (point, step, axis, -/+, 3): the point moved by
-    # -step and +step along the axis; advanced indexing puts the axis first
-    stencils = np.repeat(points, 6 * len(steps), axis=0)
-    stencils = stencils.reshape(len(points), len(steps), 3, 2, 3)
-    axis = np.arange(3)
-    stencils[:, :, axis, :, axis] += steps[:, None] * np.array((-1.0, 1.0))
-    stencils = stencils.reshape(-1, 3)
-    # the component a stencil point differentiates: P1 along x1, P2 along
-    # x2, Psi along x3
-    component = np.arange(len(stencils)) // 2 % 3
-    vals = np.empty((len(entries), len(stencils)))
-    try:
-        _guard_front_distance(field, points, h)
-        for rows, jet in _jet_batches(field, stencils):
-            for row, entry in zip(vals, entries):
-                df = density_flux(entry, jet, field.params)
-                row[rows] = np.choose(component[rows], (df.flux.x1, df.flux.x2, df.density))
-            del jet  # free this batch's jets before the next batch is filled
-    except VkwaveError:
-        # Replay point by point, so that the error raised is that of the
-        # first failing point, its guard before its jets.
-        for point, stencil in zip(points, stencils.reshape(len(points), -1, 3)):
-            _guard_front_distance(field, point[None], h)
-            field.jet(stencil)
-        raise
-    vals = vals.reshape(len(entries), len(points), len(steps), 3, 2)
+    vals = _first_failure(
+        lambda: _stencil_values(field, entries, points, steps, h),
+        lambda point: _stencil_values(field, entries, point[None], steps, h),
+        points,
+    )
     est = (vals[..., 1] - vals[..., 0]) / (2.0 * steps[:, None])
     est = richardson(est[:, :, 0], est[:, :, 1]) if use_richardson else est[:, :, 0]
     return DivergenceEstimate(

@@ -1,8 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule for which
+error a batched computation raises."""
 
 
 class VkwaveError(Exception):
     """Base class for all package-specific errors."""
+
+
+def _first_failure(batch, one, items):
+    """batch(), the batched form of one(item) over ``items``.
+
+    When batch raises a VkwaveError, one(item) runs for each item in turn,
+    and the error raised is that of the first item that fails on its own
+    (batch's own error when none does).  An error row therefore quotes the
+    first failing point, time or draw whatever batch holds it, and
+    ``items`` is consumed only up to that item.
+    """
+    try:
+        return batch()
+    except VkwaveError:
+        for item in items:
+            one(item)
+        raise
 
 
 class ValidationError(VkwaveError, ValueError):

@@ -18,8 +18,9 @@ record we evaluate, in increasing order of structure:
   closed forms reduce to for the exact wave family.
 
 Each condition is written once, over a batch of front points whose jets
-are filled with one call per side; a report check evaluates it on all of
-its points at once, and the public per-record functions on a batch of one.
+are filled with one call per side; a report check evaluates it on each
+jet batch of its points in turn, and the public per-record functions on
+a batch of one.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import NonAdmissibleRecordError, NotOnFrontError, ValidationError
 from .indexing import S0, S1, S2, S3, S11, S12, S13, S22, S23, S33
 from .jets import FieldJet
 from .params import PlateParams
-from .solutions import AccelerationWave, PiecewiseField, Side
+from .solutions import AccelerationWave, PiecewiseField, Side, _jet_batches
 from .tensors import f_vector, shear_force
 from .wavefront import FrontGeometry, _normal_and_speed, front_geometry
 
@@ -77,9 +78,11 @@ def _nn_contraction(d: np.ndarray, n: np.ndarray) -> np.ndarray:
     return d[:, S11] * n1 * n1 + 2.0 * d[:, S12] * n1 * n2 + d[:, S22] * n2 * n2
 
 
-def _front_jets(field: PiecewiseField, points: np.ndarray) -> _FrontJets:
-    """Jump data at front points of shape (N, 3), from one jet batch per
-    side.  Raises for the first point that is off the front."""
+def _front_jets(field: PiecewiseField, points: np.ndarray):
+    """Jump data at front points of shape (N, 3): one _FrontJets per jet
+    batch of each side (solutions._jet_batches), filled as it is asked
+    for.  Raises for the first point that is off the front, or where the
+    front has no normal, before the first jet is filled."""
     front = field.front
     g_val = np.asarray(front.value(points), dtype=np.float64)
     grad = np.asarray(front.spatial_gradient(points), dtype=np.float64)
@@ -93,19 +96,20 @@ def _front_jets(field: PiecewiseField, points: np.ndarray) -> _FrontJets:
         )
 
     normal, speed = _normal_and_speed(front, points)
-    ahead = field.jet(points, Side.AHEAD)
-    behind = field.jet(points, Side.BEHIND)
-    jump = behind - ahead
-    return _FrontJets(
-        point=points,
-        normal=normal,
-        speed=speed,
-        ahead=ahead,
-        behind=behind,
-        jump=jump,
-        lambda_=_nn_contraction(jump.w, normal),
-        mu=_nn_contraction(jump.phi, normal),
-    )
+    sides = zip(_jet_batches(field, points, Side.AHEAD), _jet_batches(field, points, Side.BEHIND))
+    for (rows, ahead), (_, behind) in sides:
+        jump = behind - ahead
+        yield _FrontJets(
+            point=points[rows],
+            normal=normal[rows],
+            speed=speed[rows],
+            ahead=ahead,
+            behind=behind,
+            jump=jump,
+            lambda_=_nn_contraction(jump.w, normal[rows]),
+            mu=_nn_contraction(jump.phi, normal[rows]),
+        )
+        del ahead, behind, jump  # free this batch's jets before the next is filled
 
 
 def _of_record(rec: JumpRecord) -> _FrontJets:
@@ -135,7 +139,7 @@ def extract_jumps(field: PiecewiseField, point) -> JumpRecord:
     if front is None:
         raise ValidationError("field has no front; jumps are undefined")
 
-    fj = _front_jets(field, p[None])
+    (fj,) = _front_jets(field, p[None])
     ahead, behind, jump = (FieldJet(p, j.w[0], j.phi[0]) for j in (fj.ahead, fj.behind, fj.jump))
     return JumpRecord(
         point=p,
@@ -205,7 +209,9 @@ def check_acceleration_wave(rec: JumpRecord, tol: float = 1e-9) -> WaveVerdict:
     return WaveVerdict(passed=not reasons, reasons=reasons)
 
 
-def _dynamic_residuals(fj: _FrontJets, p: PlateParams):
+def _dynamic_terms(fj: _FrontJets, p: PlateParams):
+    """The two dynamic residuals (r_w, r_phi) and their scales (s_w, s_phi),
+    the one-sided term sums, at every point."""
     n1, n2 = fj.normal[:, 0], fj.normal[:, 1]
     c = fj.speed
     q_b = _tensor(shear_force, fj.behind, p)
@@ -215,31 +221,23 @@ def _dynamic_residuals(fj: _FrontJets, p: PlateParams):
 
     r_w = c * p.rho * fj.jump.w[:, S3] + ((q_b.x1 - q_a.x1) * n1 + (q_b.x2 - q_a.x2) * n2)
     r_phi = (f_b.x1 - f_a.x1) * n1 + (f_b.x2 - f_a.x2) * n2
-    return r_w, r_phi
-
-
-def _dynamic_scales(fj: _FrontJets, p: PlateParams):
-    n1, n2 = fj.normal[:, 0], fj.normal[:, 1]
-    c = fj.speed
     s_w = 0.0
     s_phi = 0.0
-    for jet in (fj.ahead, fj.behind):
-        q = _tensor(shear_force, jet, p)
-        f = _tensor(f_vector, jet, p)
+    for jet, q, f in ((fj.ahead, q_a, f_a), (fj.behind, q_b, f_b)):
         s_w = s_w + (np.abs(c * p.rho * jet.w[:, S3]) + np.abs(q.x1 * n1 + q.x2 * n2))
         s_phi = s_phi + np.abs(f.x1 * n1 + f.x2 * n2)
-    return s_w, s_phi
+    return r_w, r_phi, s_w, s_phi
 
 
 def dynamic_jump_residuals(rec: JumpRecord, p: PlateParams) -> tuple[float, float]:
     """The two dynamic conditions: (C [rho w_{,3}] + [Q^a] n_a, [F^a] n_a)."""
-    r_w, r_phi = _dynamic_residuals(_of_record(rec), p)
+    r_w, r_phi, _, _ = _dynamic_terms(_of_record(rec), p)
     return float(r_w[0]), float(r_phi[0])
 
 
 def dynamic_jump_scales(rec: JumpRecord, p: PlateParams) -> tuple[float, float]:
     """Magnitude scales for the two dynamic residuals (one-sided term sums)."""
-    s_w, s_phi = _dynamic_scales(_of_record(rec), p)
+    _, _, s_w, s_phi = _dynamic_terms(_of_record(rec), p)
     return float(s_w[0]), float(s_phi[0])
 
 

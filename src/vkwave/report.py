@@ -22,21 +22,21 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import solutions
 from .balance import _balance_reports
 from .conservation import _divergence_estimates
-from .errors import ValidationError, VkwaveError
+from .errors import ValidationError, _first_failure
 from .jumps import (
     _balance_jump_terms,
     _closed_form_residuals,
-    _dynamic_residuals,
-    _dynamic_scales,
+    _dynamic_terms,
     _front_jets,
     amplitude_relation_residuals,
     amplitude_relation_scales,
-    extract_jumps,
 )
 from .scenario import Scenario, build_field, sample_front_point, scenario_to_dict
 from .solutions import _jet_batches, _pde_terms
@@ -90,45 +90,71 @@ def _worst(scaled) -> float:
     return float(np.max(scaled, initial=0.0))
 
 
+def _scaled(residual, scale):
+    """|residual| / max(1, scale): the scaled residual of a pointwise row."""
+    return np.abs(residual) / np.maximum(1.0, scale)
+
+
+def _batch_maxima(batches, keys, scaled, p) -> list:
+    """Each key's largest scaled residual over ``batches``: the _worst of
+    the per-batch maxima of scaled(key, batch, p), so a NaN in any batch
+    is kept.  A key whose scaled raises gives its first exception instead
+    and is not evaluated again; an error from ``batches`` propagates."""
+    found = [[] for _ in keys]
+    for batch in batches:
+        for i, key in enumerate(keys):
+            if isinstance(found[i], list):
+                try:
+                    found[i].append(np.max(scaled(key, batch, p)))
+                except Exception as exc:
+                    found[i] = exc  # this law's row errors; the other laws still run
+        del batch  # free this batch's jets before the next batch is filled
+    return [f if isinstance(f, Exception) else _worst(f) for f in found]
+
+
+def _pde_scaled(_, batch, p):
+    # batch is a (rows, jet) pair of _jet_batches
+    r1, r2, s1, s2 = _pde_terms(batch[1], p)
+    return np.maximum(_scaled(r1, s1), _scaled(r2, s2))
+
+
 def _run_pde_residual(scenario: Scenario, field, check, rng):
     if check.points is not None:
         pts = np.array(check.points, dtype=np.float64)
     else:
         n = check.samples if check.samples is not None else 20
         pts = rng.uniform(-1.0, 1.0, (n, 3))
-    # np.max keeps a NaN from any batch
-    maxima = []
-    for _, jet in _jet_batches(field, pts):
-        r1, r2, s1, s2 = _pde_terms(jet, field.params)
-        maxima.append(
-            (
-                np.max(np.abs(r1) / np.maximum(1.0, s1)),
-                np.max(np.abs(r2) / np.maximum(1.0, s2)),
-            )
-        )
-        del jet  # free this batch's jets before the next batch is filled
-    max1, max2 = np.max(maxima, axis=0)
-    yield None, max(float(max1), float(max2)), f"max over {len(pts)} points"
+    (worst,) = _batch_maxima(_jet_batches(field, pts), (None,), _pde_scaled, field.params)
+    yield None, worst, f"max over {len(pts)} points"
 
 
 def _sample_off_front(field, rng, n: int, h: float) -> np.ndarray:
-    """Uniform points in [-1,1]^3 kept clear of the front by the FD margin."""
+    """Uniform points in [-1,1]^3 kept clear of the front by the FD margin:
+    the first n clear ones of at most 200 n + 100 candidates, drawn in
+    blocks and tested a block at a time.  The generator is left where
+    drawing one candidate at a time would leave it."""
     front = getattr(field, "front", None)
     margin = max(0.05, 8.0 * h)
-    pts = []
-    attempts = 0
-    while len(pts) < n:
-        attempts += 1
-        if attempts > 200 * n + 100:
-            raise ValidationError(
-                "could not sample points clear of the front; the front may "
-                "nearly fill the sampling box"
-            )
-        cand = rng.uniform(-1.0, 1.0, 3)
-        if front is not None and _front_distance(front, cand) <= margin:
-            continue
-        pts.append(cand)
-    return np.array(pts)
+    limit = 200 * n + 100
+    blocks, found, drawn = [], 0, 0
+    while found < n and drawn < limit:
+        state = rng.bit_generator.state
+        block = rng.uniform(-1.0, 1.0, (min(solutions._BATCH_POINTS, limit - drawn), 3))
+        drawn += len(block)
+        # a candidate at a NaN distance is kept, as it is not near the front
+        clear = np.flatnonzero(~(_front_distance(front, block) <= margin))[: n - found]
+        blocks.append(block[clear])
+        found += len(clear)
+    if found < n:
+        raise ValidationError(
+            "could not sample points clear of the front; the front may "
+            "nearly fill the sampling box"
+        )
+    # leave the generator after the n-th clear candidate: redraw the last
+    # block up to it
+    rng.bit_generator.state = state
+    rng.uniform(-1.0, 1.0, (clear[-1] + 1, 3))
+    return np.concatenate(blocks)
 
 
 def _run_conservation(scenario: Scenario, field, check, rng):
@@ -138,64 +164,54 @@ def _run_conservation(scenario: Scenario, field, check, rng):
     else:
         pts = _sample_off_front(field, rng, check.samples if check.samples else 3, h)
     est = _divergence_estimates(field, check.laws, pts, h=h)
-    for name, scaled in zip(check.laws, np.abs(est.residual) / np.maximum(1.0, est.scale)):
+    for name, scaled in zip(check.laws, _scaled(est.residual, est.scale)):
         yield name, _worst(scaled), f"h={h:g}, {pts.shape[0]} points"
 
 
-def _front_batch(field, check, rng):
-    """Jump data at the check's front points, n seeded draws per time, with
-    one jet batch per side."""
+def _dynamic_scaled(_, fj, p):
+    r_w, r_phi, s_w, s_phi = _dynamic_terms(fj, p)
+    return np.maximum(_scaled(r_w, s_w), _scaled(r_phi, s_phi))
+
+
+def _balance_jump_scaled(name, fj, p):
+    return _scaled(*_balance_jump_terms(name, fj, p))
+
+
+def _closed_form_scaled(name, fj, p):
+    return _scaled(_closed_form_residuals(name, fj, p), _balance_jump_terms(name, fj, p)[1])
+
+
+def _run_jump_check(scaled, scenario: Scenario, field, check, rng):
+    """A jump check's rows: each law's (or the check's) _batch_maxima of
+    ``scaled`` over the jump data at its front points, n seeded draws per
+    time, a jet batch at a time.  An error is that of the first failing
+    draw, taken as if each point were drawn on its own, so that later
+    checks draw what they would have drawn."""
     times = check.times if check.times is not None else (0.0,)
     n = check.samples if check.samples is not None else 3
+    keys = check.laws if check.laws is not None else (None,)
     state = rng.bit_generator.state
-    try:
-        points = [
-            sample_front_point(field.front, t, float(draw))
-            for t in times
-            for draw in rng.uniform(-1.0, 1.0, n)
-        ]
-        return _front_jets(field, np.array(points))
-    except VkwaveError:
-        # Replay the same draws one point at a time, so that the error
-        # raised, and the draws taken before it, are those of the first
-        # failing point: later checks then draw what they would have drawn.
+
+    def batch():
+        points = np.array(
+            [
+                sample_front_point(field.front, t, float(draw))
+                for t in times
+                for draw in rng.uniform(-1.0, 1.0, n)
+            ]
+        )
+        return _batch_maxima(_front_jets(field, points), keys, scaled, field.params)
+
+    def redrawn():
+        # on an error only: the batch's draws again, one at a time
         rng.bit_generator.state = state
         for t in times:
             for _ in range(n):
-                point = sample_front_point(field.front, t, float(rng.uniform(-1.0, 1.0)))
-                extract_jumps(field, point)
-        raise
+                yield sample_front_point(field.front, t, float(rng.uniform(-1.0, 1.0)))
 
-
-def _run_dynamic_jumps(scenario: Scenario, field, check, rng):
-    fj = _front_batch(field, check, rng)
-    r_w, r_phi = _dynamic_residuals(fj, field.params)
-    s_w, s_phi = _dynamic_scales(fj, field.params)
-    worst = _worst(
-        np.concatenate(
-            (np.abs(r_w) / np.maximum(1.0, s_w), np.abs(r_phi) / np.maximum(1.0, s_phi))
-        )
-    )
-    yield None, worst, f"{len(fj.point)} front points"
-
-
-def _run_balance_jump(scenario: Scenario, field, check, rng):
-    fj = _front_batch(field, check, rng)
-    for name in check.laws:
-        r, s = _balance_jump_terms(name, fj, field.params)
-        yield name, _worst(np.abs(r) / np.maximum(1.0, s)), f"{len(fj.point)} front points"
-
-
-def _run_closed_form_jump(scenario: Scenario, field, check, rng):
-    fj = _front_batch(field, check, rng)
-    for name in check.laws:
-        try:
-            r = _closed_form_residuals(name, fj, field.params)
-            _, s = _balance_jump_terms(name, fj, field.params)
-            residual = _worst(np.abs(r) / np.maximum(1.0, s))
-        except Exception as exc:
-            residual = exc  # this law's row errors; the other laws still run
-        yield name, residual, f"{len(fj.point)} front points"
+    maxima = _first_failure(batch, lambda point: list(_front_jets(field, point[None])), redrawn())
+    for key, worst in zip(keys, maxima):
+        yield key, worst, f"{len(times) * n} front points"
 
 
 def _run_wave_relations(scenario: Scenario, field, check, rng):
@@ -229,9 +245,9 @@ def _run_balance(scenario: Scenario, field, check, rng):
 _KINDS = {
     "pde_residual": (_run_pde_residual, "analytic"),
     "conservation": (_run_conservation, "finite_difference"),
-    "dynamic_jumps": (_run_dynamic_jumps, "analytic"),
-    "balance_jump": (_run_balance_jump, "analytic"),
-    "closed_form_jump": (_run_closed_form_jump, "analytic"),
+    "dynamic_jumps": (partial(_run_jump_check, _dynamic_scaled), "analytic"),
+    "balance_jump": (partial(_run_jump_check, _balance_jump_scaled), "analytic"),
+    "closed_form_jump": (partial(_run_jump_check, _closed_form_scaled), "analytic"),
     "wave_relations": (_run_wave_relations, "analytic"),
     "balance": (_run_balance, "quadrature"),
 }

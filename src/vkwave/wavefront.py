@@ -300,10 +300,12 @@ def _normal_and_speed(front: Front, points) -> tuple[np.ndarray, np.ndarray]:
     return g / norm[:, None], -g_t / norm
 
 
-def _front_distance(front: Front, points) -> np.ndarray:
+def _front_distance(front: Front | None, points) -> np.ndarray:
     """First-order estimate |gamma| / (|grad gamma| + |d gamma/dx3|) of how
     far each space-time point (shape (..., 3)) lies from the front; inf
-    where gamma has no slope there."""
+    where gamma has no slope there, and everywhere for no front."""
+    if front is None:
+        return np.full(np.shape(points)[:-1], np.inf)
     g = np.asarray(front.value(points), dtype=np.float64)
     grad = np.asarray(front.spatial_gradient(points), dtype=np.float64)
     slope = np.hypot(grad[..., 0], grad[..., 1]) + np.abs(front.time_derivative(points))

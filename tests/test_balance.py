@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from vkwave import balance
+from vkwave import balance, solutions
 from vkwave.balance import (
     BalanceReport,
     Region,
@@ -143,7 +143,7 @@ def test_density_integral_is_independent_of_batching(
     sizes = count_jet_calls(field)
     whole = density_integral(field, law_key, region, t)
     if case == "disc":
-        assert max(sizes) == balance._BATCH_POINTS  # a side was split at the cap
+        assert max(sizes) == solutions._BATCH_POINTS  # a side was split at the cap
     rows = 0.0
     for i in range(region.cells[0]):
         for j in range(region.cells[1]):
@@ -283,7 +283,7 @@ def test_balance_check_is_planned_and_evaluated_once(
     for calls in passes:
         for side in (Side.AHEAD, Side.BEHIND):
             sizes = [n for s, n in calls if s is side]
-            assert len(sizes) == math.ceil(sum(sizes) / balance._BATCH_POINTS), side
+            assert len(sizes) == math.ceil(sum(sizes) / solutions._BATCH_POINTS), side
     assert shared == composed
 
 

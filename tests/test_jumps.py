@@ -69,7 +69,7 @@ def test_off_front_error_names_the_first_off_front_point(wave):
     c = wave.wave_speed
     pts = np.array([[0.0, 0.3, 0.0], [c * 0.5, -0.2, 0.5], [0.7, 0.1, 0.2], [2.0, 0.0, 0.0]])
     with pytest.raises(NotOnFrontError) as err:
-        _front_jets(wave, pts)
+        list(_front_jets(wave, pts))
     assert str(err.value) == _off_front_message(wave.front, pts[2])
 
 
@@ -78,7 +78,7 @@ def test_batched_jumps_equal_records(wave, generic_params):
     c = wave.wave_speed
     t = np.array([-0.4, 0.0, 0.3, 0.6])
     pts = np.stack([c * t, np.array([0.5, -1.1, 0.2, 0.9]), t], axis=1)
-    fj = _front_jets(wave, pts)
+    (fj,) = _front_jets(wave, pts)
     records = [extract_jumps(wave, pt) for pt in pts]
     assert fj.lambda_.tolist() == [rec.lambda_ for rec in records]
     assert fj.mu.tolist() == [rec.mu for rec in records]

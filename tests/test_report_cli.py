@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from vkwave import balance, cli
+from vkwave import cli, solutions
 from vkwave.errors import ValidationError
 from vkwave.jumps import (
     balance_jump_residual,
@@ -128,7 +128,7 @@ def test_pde_residual_check_is_batched(count_jet_calls):
     (result,) = run_scenario(scenario).results
     assert result.residual == expected
     assert sum(sizes) == n
-    assert max(sizes) <= balance._BATCH_POINTS
+    assert max(sizes) <= solutions._BATCH_POINTS
 
 
 def test_json_report_shape_and_determinism():
@@ -349,19 +349,22 @@ def _per_record_rows(scenario, field) -> list:
 @pytest.mark.parametrize("front", ["line", "circle"])
 def test_jump_checks_equal_per_record_maxima(front, monkeypatch):
     scenario, field = _jump_scenario(front, monkeypatch)
-    report = run_scenario(scenario)
-    got = [r.detail if r.status == "error" else r.residual for r in report.results]
-    assert got == _per_record_rows(scenario, field)
-    assert sum(isinstance(v, float) and v > 0.0 for v in got) >= 10
-    if front == "circle":
-        # the second closed-form check reaches t = 0.5, where the records
-        # fail the acceleration-wave test: its rows quote the first of them
-        errors = [r.detail for r in report.results if r.status == "error"]
-        assert len(errors) == 5
-        assert all(
-            d.startswith("NonAdmissibleRecordError: record is not an acceleration wave ([w] != 0")
-            for d in errors
-        )
+    expected = _per_record_rows(scenario, field)
+    # one point per jet batch puts a check's first failing point in a
+    # later batch than its first point
+    for batch_points in (solutions._BATCH_POINTS, 1):
+        monkeypatch.setattr(solutions, "_BATCH_POINTS", batch_points)
+        report = run_scenario(scenario)
+        got = [r.detail if r.status == "error" else r.residual for r in report.results]
+        assert got == expected, batch_points
+        assert sum(isinstance(v, float) and v > 0.0 for v in got) >= 10
+        if front == "circle":
+            # the second closed-form check reaches t = 0.5, where the records
+            # fail the acceleration-wave test: its rows quote the first of them
+            errors = [r.detail for r in report.results if r.status == "error"]
+            assert len(errors) == 5
+            prefix = "NonAdmissibleRecordError: record is not an acceleration wave ([w] != 0"
+            assert all(d.startswith(prefix) for d in errors)
 
 
 @pytest.mark.parametrize("front", ["line", "circle"])
@@ -375,7 +378,7 @@ def test_jump_checks_make_one_jet_call_per_side(front, monkeypatch, count_jet_ca
         assert sizes == [n, n], check.kind
 
 
-def test_jump_check_error_takes_the_draws_up_to_the_failing_point():
+def test_jump_check_error_takes_the_draws_up_to_the_failing_point(monkeypatch):
     # A shrinking circle has no points at t = 2, so the check errors there
     # after one draw, as if each point were drawn on its own: the check
     # after it samples what it samples after a check taking 3 + 1 draws.
@@ -393,12 +396,16 @@ def test_jump_check_error_takes_the_draws_up_to_the_failing_point():
         }
         return run_scenario(scenario_from_dict(data)).results
 
-    failed = run({"type": "balance_jump", "laws": [1], "times": [0.0, 2.0], "samples": 3})
-    same_draws = run({"type": "dynamic_jumps", "times": [0.0], "samples": 4})
-    assert failed[0].status == "error"
-    assert failed[0].detail == "ValidationError: circular front has nonpositive radius at t=2.0"
-    assert failed[1:] == same_draws[1:]
-    assert failed[1].residual > 0.0
+    for batch_points in (solutions._BATCH_POINTS, 1):
+        monkeypatch.setattr(solutions, "_BATCH_POINTS", batch_points)
+        failed = run({"type": "balance_jump", "laws": [1], "times": [0.0, 2.0], "samples": 3})
+        same_draws = run({"type": "dynamic_jumps", "times": [0.0], "samples": 4})
+        assert failed[0].status == "error"
+        assert failed[0].detail == (
+            "ValidationError: circular front has nonpositive radius at t=2.0"
+        )
+        assert failed[1:] == same_draws[1:]
+        assert failed[1].residual > 0.0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -414,7 +421,9 @@ def test_jump_check_error_takes_the_draws_up_to_the_failing_point():
         (2.0, [0, 0, 1e308, 0], "ValidationError: w contains non-finite entries"),
     ],
 )
-def test_conservation_error_is_the_first_failing_points(wave_speed, w_coefficients, detail):
+def test_conservation_error_is_the_first_failing_points(
+    wave_speed, w_coefficients, detail, monkeypatch
+):
     # the check's points are a clear point, then one 1e-4 from the front;
     # when the first point's jets overflow, their error comes first,
     # although the second point is the one too close
@@ -428,10 +437,12 @@ def test_conservation_error_is_the_first_failing_points(wave_speed, w_coefficien
             "points": [[0.6, -0.3, 0.2], [1e-4, 0.0, 0.0]],
         }
     ]
-    (row,) = run_scenario(scenario_from_dict(data)).results
-    assert (row.name, row.status, row.tolerance, row.detail) == (
-        "conservation", "error", None, detail,
-    )
+    for batch_points in (solutions._BATCH_POINTS, 1):
+        monkeypatch.setattr(solutions, "_BATCH_POINTS", batch_points)
+        (row,) = run_scenario(scenario_from_dict(data)).results
+        assert (row.name, row.status, row.tolerance, row.detail) == (
+            "conservation", "error", None, detail,
+        ), batch_points
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -462,6 +473,24 @@ def test_nan_residual_fails_instead_of_passing():
     assert rows["dynamic_jumps"].residual == 0.0
     assert rows["conservation[compatibility]"].residual == 0.0
 
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pde_residual_row_with_a_nan_second_equation_fails():
+    # w = 1e160 (x1^2 + x2^2 + x1 x2): w11 w22 and w12^2 both overflow, so
+    # the second equation is inf - inf at every point while the first is 0
+    data = passing_scenario()
+    data["field"] = {
+        "family": "polynomial",
+        "w_terms": [
+            {"exponents": e, "coefficient": 1e160} for e in ([2, 0, 0], [0, 2, 0], [1, 1, 0])
+        ],
+        "phi_terms": [],
+    }
+    data["checks"] = [{"type": "pde_residual", "samples": 3}]
+    (row,) = run_scenario(scenario_from_dict(data)).results
+    assert row.status == "fail"
+    assert math.isnan(row.residual)
 
 
 def _every_kind_scenario() -> dict:
@@ -521,3 +550,47 @@ def test_error_rows_keep_their_tolerance_only_per_law():
     assert all(r.residual is None for r in rows)
     assert rows[0].detail.startswith("NonAdmissibleRecordError: record is not an acceleration wave")
     assert rows[3].detail == "ValidationError: circular front has nonpositive radius at t=2.0"
+
+
+@pytest.mark.parametrize("batch_points", [1, 7])
+def test_report_bytes_do_not_depend_on_the_batch_size(batch_points, monkeypatch, count_jet_calls):
+    # nine draws per check, and two times for dynamic_jumps: every sampled
+    # check has more points than a batch holds
+    data = _every_kind_scenario()
+    for check in data["checks"]:
+        if "samples" in check:
+            check["samples"] = 9
+    data["checks"][2]["times"] = [0.0, 0.3]
+    scenario = scenario_from_dict(data)
+    expected = emit_report(run_scenario(scenario), "json")
+
+    monkeypatch.setattr(solutions, "_BATCH_POINTS", batch_points)
+    sizes = count_jet_calls(build_field(scenario))
+    assert emit_report(run_scenario(scenario), "json") == expected
+    assert max(sizes) <= batch_points
+
+
+def test_sampling_exhaustion_error_takes_every_candidate_draw(monkeypatch):
+    # step 1.0 makes the sampling margin 8, so no candidate in the box is
+    # clear of the front: the check errors after 200 n + 100 candidates of
+    # three draws each, and the check after it samples what it samples
+    # after a pde_residual check of as many points
+    def run(first_check):
+        data = yaml.safe_load(_EXAMPLE_SCENARIO.read_text())
+        data["checks"] = [first_check, {"type": "conservation", "laws": [4, 5], "samples": 2}]
+        return run_scenario(scenario_from_dict(data)).results
+
+    n = 2
+    for batch_points in (solutions._BATCH_POINTS, 1):
+        monkeypatch.setattr(solutions, "_BATCH_POINTS", batch_points)
+        failed = run({"type": "conservation", "laws": [1], "samples": n, "step": 1.0})
+        same_draws = run({"type": "pde_residual", "samples": 200 * n + 100})
+        assert (failed[0].name, failed[0].status, failed[0].tolerance) == (
+            "conservation", "error", None,
+        )
+        assert failed[0].detail == (
+            "ValidationError: could not sample points clear of the front; "
+            "the front may nearly fill the sampling box"
+        )
+        assert failed[1:] == same_draws[1:]
+        assert failed[1].residual > 0.0
