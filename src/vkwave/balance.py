@@ -63,9 +63,9 @@ import numpy as np
 
 from .conservation import LawId, density_flux, law
 from .errors import ValidationError, _first_failure
+from .jumps import _balance_jump_terms, _front_jets
 from .params import PlateParams
 from .solutions import Side, _jet_batches
-from .wavefront import _normal_and_speed
 
 _MIN_QUAD_ORDER = 4
 
@@ -688,23 +688,12 @@ def _circle_arcs_inside(region: Region, front, t):
     return radius, [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if inside(0.5 * (a + b))]
 
 
-def _jump_integrand_on_points(field, entry, pts3, absolute=False):
-    """C [Psi] - [P . n] per point, or the one-sided magnitude sum."""
-    p = field.params
-    df_a = density_flux(entry, field.jet(pts3, Side.AHEAD), p)
-    df_b = density_flux(entry, field.jet(pts3, Side.BEHIND), p)
-    normal, speed = _normal_and_speed(field.front, pts3)
-    n1, n2 = normal[:, 0], normal[:, 1]
-
-    if absolute:
-        return (
-            np.abs(speed) * (np.abs(df_b.density) + np.abs(df_a.density))
-            + np.abs(df_b.flux.x1 * n1 + df_b.flux.x2 * n2)
-            + np.abs(df_a.flux.x1 * n1 + df_a.flux.x2 * n2)
-        )
-    return speed * (df_b.density - df_a.density) - (
-        (df_b.flux.x1 - df_a.flux.x1) * n1 + (df_b.flux.x2 - df_a.flux.x2) * n2
-    )
+def _jump_integrand(field, entry, pts3, absolute):
+    """C [Psi] - [P . n] at front points of shape (n, 3), or with
+    ``absolute`` its one-sided magnitude sum: jumps._balance_jump_terms
+    over the jump data of the points."""
+    terms = [_balance_jump_terms(entry, fj, field.params) for fj in _front_jets(field, pts3)]
+    return np.concatenate([term[1 if absolute else 0] for term in terms])
 
 
 def front_segment_jump_integral(
@@ -730,7 +719,7 @@ def front_segment_jump_integral(
         px, py, ux, uy, s_lo, s_hi = seg
         ss, ws = _interval_nodes(s_lo, s_hi, order)
         pts = _points3(px + ss * ux, py + ss * uy, t)
-        vals = _jump_integrand_on_points(field, entry, pts, absolute)
+        vals = _jump_integrand(field, entry, pts, absolute)
         return float(np.dot(ws, vals))
 
     radius, arcs = _circle_arcs_inside(region, front, t)
@@ -742,6 +731,6 @@ def front_segment_jump_integral(
             front.center_x2 + radius * np.sin(ths),
             t,
         )
-        vals = _jump_integrand_on_points(field, entry, pts, absolute)
+        vals = _jump_integrand(field, entry, pts, absolute)
         total += float(np.dot(ws, vals)) * radius
     return total

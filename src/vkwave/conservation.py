@@ -11,16 +11,13 @@ from the constituent rows, so the structural identities between rows hold
 exactly by construction.  A jet keeps every row and shared tensor built
 from it, so each is built once per jet however many laws use it.
 
-The divergence is estimated by central differences of Psi along x3, P1
-along x1 and P2 along x2, at step h and, for one Richardson level, h/2.
-A check of several laws at n points runs as one batch: one front guard
-for all n points, then the 6 stencil points per step of every point in
-the jet batches of solutions._jet_batches, each law's density and flux
-taken once per jet batch, and the differences and the Richardson step
-as array operations over (law, point).  Each estimate has the bits it
-has when its law and point are estimated alone (conservation_divergence).
-An error is that of the first failing point, its guard before its jets
-(errors._first_failure).
+The conservation check takes the divergence d3 Psi + d1 P1 + d2 P2
+exactly, from the jets it already fills: the rows read no slot above
+order 3, so d/dx_a of a row is a complex step through the unchanged row
+code, on a complex jet built from the 4-jet (_exact_divergence).  Every
+law shares one complex jet per jet batch, and its rows.  The
+finite-difference conservation_divergence, at one point, is the
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -29,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrontProximityError, ValidationError, _first_failure
-from .fdtools import richardson
-from .indexing import S0, S1, S2, S3, S11, S12, S13, S22, S23
+from .errors import FrontProximityError, ValidationError
+from .fdtools import _check_step, richardson
+from .indexing import JET_SIZE, S0, S1, S2, S3, S11, S12, S13, S22, S23, SHIFT
 from .jets import FieldJet
 from .params import PlateParams
-from .solutions import _jet_batches
 from .tensors import (
     Vector2,
     f_vector,
@@ -287,8 +283,7 @@ def density_flux(law_key, jet: FieldJet, p: PlateParams) -> DensityFlux:
 
 @dataclass(frozen=True)
 class DivergenceEstimate:
-    """Finite-difference divergence of one law at a point, or arrays of
-    them over (law, point)."""
+    """The divergence terms of one law at a point, or arrays of them."""
 
     d_density_dt: float | np.ndarray
     d_flux1_dx1: float | np.ndarray
@@ -303,79 +298,86 @@ class DivergenceEstimate:
         return abs(self.d_density_dt) + abs(self.d_flux1_dx1) + abs(self.d_flux2_dx2)
 
 
-def _guard_front_distance(field, points: np.ndarray, h: float) -> None:
-    """Raise for the first of ``points`` (shape (n, 3)) whose stencil would
-    reach the front."""
-    distance = _front_distance(getattr(field, "front", None), points)
-    close = np.flatnonzero(distance <= 4.0 * h)
-    if close.size:
-        k = close[0]
-        raise FrontProximityError(
-            f"point {tuple(points[k].tolist())} is {distance[k]:.3e} from the front; "
-            f"the stencil needs clearance > {4.0 * h:.3e}"
-        )
+#: The imaginary step of the exact divergence.  A complex step subtracts
+#: nothing, so it can lie far below the round-off of the point.
+_COMPLEX_STEP = 1e-30
 
 
-def _stencil_values(field, entries, points: np.ndarray, steps: np.ndarray, h: float) -> np.ndarray:
-    """The component each stencil point differentiates, per law: shape
-    (laws, point, step, axis, -/+), after one front guard for every point."""
-    _guard_front_distance(field, points, h)
-    # stencils of shape (point, step, axis, -/+, 3): the point moved by
-    # -step and +step along the axis; advanced indexing puts the axis first
-    stencils = np.repeat(points, 6 * len(steps), axis=0)
-    stencils = stencils.reshape(len(points), len(steps), 3, 2, 3)
-    axis = np.arange(3)
-    stencils[:, :, axis, :, axis] += steps[:, None] * np.array((-1.0, 1.0))
-    stencils = stencils.reshape(-1, 3)
-    # the component a stencil point differentiates: P1 along x1, P2 along
-    # x2, Psi along x3
-    component = np.arange(len(stencils)) // 2 % 3
-    vals = np.empty((len(entries), len(stencils)))
-    for rows, jet in _jet_batches(field, stencils):
-        for row, entry in zip(vals, entries):
-            df = density_flux(entry, jet, field.params)
-            row[rows] = np.choose(component[rows], (df.flux.x1, df.flux.x2, df.density))
-        del jet  # free this batch's jets before the next batch is filled
-    return vals.reshape(len(entries), len(points), len(steps), 3, 2)
+def _complex_step_jet(jet: FieldJet, p: PlateParams) -> FieldJet:
+    """The jet J + i h d_a J at x + i h e_a of each of the N points of a
+    jet batch, for a = 1, 2, 3 in turn: a batch of 3N points, axis by
+    axis.  d_a J is J shifted by indexing.SHIFT; an order-4 slot has no
+    derivative in a 4-jet and gets a NaN imaginary part."""
+    n = len(jet.point)
+    h = _COMPLEX_STEP
+    point = np.tile(jet.point, (3, 1)).astype(complex)
+    point.imag = h * np.repeat(np.eye(3), n, axis=0)
+
+    def stepped(d: np.ndarray) -> np.ndarray:
+        padded = np.concatenate((d, np.full((n, 1), np.nan)), axis=1)
+        out = np.tile(d, (3, 1)).astype(complex)
+        out.imag = h * padded[:, SHIFT].transpose(1, 0, 2).reshape(3 * n, JET_SIZE)
+        return out
+
+    return FieldJet._unchecked(point, stepped(jet.w), stepped(jet.phi))
 
 
-def _divergence_estimates(
-    field, law_keys, points: np.ndarray, h: float = 1e-3, use_richardson: bool = True
-) -> DivergenceEstimate:
-    """conservation_divergence of several laws at points of shape (n, 3),
-    as arrays of shape (laws, n): one front guard for every point, and the
-    stencils of every point in shared jet batches."""
-    if h <= 0:
-        raise ValidationError(f"step h must be positive, got {h}")
-    entries = [law(key) for key in law_keys]
-    steps = np.array((h, h / 2.0) if use_richardson else (h,))
-    vals = _first_failure(
-        lambda: _stencil_values(field, entries, points, steps, h),
-        lambda point: _stencil_values(field, entries, point[None], steps, h),
-        points,
-    )
-    est = (vals[..., 1] - vals[..., 0]) / (2.0 * steps[:, None])
-    est = richardson(est[:, :, 0], est[:, :, 1]) if use_richardson else est[:, :, 0]
+def _exact_divergence(law_key, jet: FieldJet, p: PlateParams) -> DivergenceEstimate:
+    """(d3 Psi, d1 P1, d2 P2) of one law at every point of a jet batch,
+    exact to round-off.
+
+    Each term is a complex step (Squire & Trapp 1998) through the unchanged
+    row code: the imaginary part of a row at the complex-step jet, over h.
+    It holds because the rows read no slot above order 3 and are
+    complex-analytic (no abs, maximum or comparison).  The complex-step
+    jet and its rows are built once per jet, for every law.
+    """
+    df = density_flux(law_key, jet._derived("complex_step", _complex_step_jet, p), p)
+    n = len(jet.point)
     return DivergenceEstimate(
-        d_density_dt=est[..., 2], d_flux1_dx1=est[..., 0], d_flux2_dx2=est[..., 1]
+        d_density_dt=df.density[2 * n:].imag / _COMPLEX_STEP,
+        d_flux1_dx1=df.flux.x1[:n].imag / _COMPLEX_STEP,
+        d_flux2_dx2=df.flux.x2[n:2 * n].imag / _COMPLEX_STEP,
     )
 
 
 def conservation_divergence(
     field, law_key, point, h: float = 1e-3, use_richardson: bool = True
 ) -> DivergenceEstimate:
-    """FD estimate of (d3 Psi, d1 P1, d2 P2) at an off-front point.
+    """FD estimate of (d3 Psi, d1 P1, d2 P2) at an off-front point: the
+    reference for the exact divergence.
 
     Differentiates the assembled density and flux through the field's
-    analytic jets (central differences, one Richardson level by default).
+    analytic jets, by central differences at step h and, for one
+    Richardson level (the default), h/2; the stencil points of every
+    step take one jet call.  Raises FrontProximityError when the point is
+    within 4 h of the front.
     """
+    _check_step(h)
+    entry = law(law_key)
     base = np.asarray(point, dtype=np.float64)
     if base.shape != (3,):
         raise ValidationError(f"point must be a 3-vector, got shape {base.shape}")
-    est = _divergence_estimates(field, (law_key,), base[None], h, use_richardson)
-    return DivergenceEstimate(
-        float(est.d_density_dt[0, 0]), float(est.d_flux1_dx1[0, 0]), float(est.d_flux2_dx2[0, 0])
-    )
+    distance = float(_front_distance(getattr(field, "front", None), base))
+    if distance <= 4.0 * h:
+        raise FrontProximityError(
+            f"point {tuple(base.tolist())} is {distance:.3e} from the front; "
+            f"the stencil needs clearance > {4.0 * h:.3e}"
+        )
+    steps = np.array((h, h / 2.0) if use_richardson else (h,))
+    # stencils of shape (step, axis, -/+, 3): the point moved by -step and
+    # +step along the axis; advanced indexing puts the axis first
+    stencils = np.tile(base, (len(steps), 3, 2, 1))
+    axis = np.arange(3)
+    stencils[:, axis, :, axis] += steps[:, None] * np.array((-1.0, 1.0))
+    df = density_flux(entry, field.jet(stencils.reshape(-1, 3)), field.params)
+    # the component a stencil differentiates along its axis: P1 along x1,
+    # P2 along x2, Psi along x3, as (axis, step, -/+)
+    components = np.stack((df.flux.x1, df.flux.x2, df.density)).reshape(3, len(steps), 3, 2)
+    vals = components[axis, :, axis]
+    est = (vals[..., 1] - vals[..., 0]) / (2.0 * steps)
+    est = richardson(est[:, 0], est[:, 1]) if use_richardson else est[:, 0]
+    return DivergenceEstimate(float(est[2]), float(est[0]), float(est[1]))
 
 
 def conservation_residual(

@@ -11,6 +11,7 @@ under the truncation error at the default base step.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 from typing import Callable, Sequence
 
@@ -77,6 +78,12 @@ def richardson(coarse, fine):
     return (4.0 * np.asarray(fine) - np.asarray(coarse)) / 3.0
 
 
+def _check_step(h) -> None:
+    """Reject a step that is not a positive finite number, a bool included."""
+    if isinstance(h, bool) or not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
+        raise ValidationError(f"step h must be a positive finite number, got {h!r}")
+
+
 def fd_jet_oracle(
     value_fn: ValueFn,
     point,
@@ -90,8 +97,7 @@ def fd_jet_oracle(
     front).  Steps are h * ORDER_STEP_SCALE[total order] * (1 + |x_axis|)
     per axis, Richardson-extrapolated once by default.
     """
-    if h <= 0:
-        raise ValidationError(f"step h must be positive, got {h}")
+    _check_step(h)
     base = np.asarray(point, dtype=np.float64)
     if base.shape != (3,):
         raise ValidationError(f"point must be a 3-vector, got shape {base.shape}")

@@ -36,6 +36,14 @@ EXPONENTS: np.ndarray = np.array(
     [[m.count(1), m.count(2), m.count(3)] for m in MULTI_INDICES], dtype=np.int64
 )
 
+#: SHIFT[a - 1][q] = slot of d/dx_a of slot q.  The derivative of an
+#: order-4 slot is not in a 4-jet: it maps to JET_SIZE, a column a caller
+#: appends and fills with NaN, so that any formula reading it gives NaN.
+SHIFT: np.ndarray = np.array(
+    [[_POSITION.get(tuple(sorted(m + (a,))), JET_SIZE) for m in MULTI_INDICES] for a in (1, 2, 3)],
+    dtype=np.int64,
+)
+
 def idx(*subscripts: int) -> int:
     """Flat slot of the partial derivative with the given subscripts.
 

@@ -61,6 +61,16 @@ class FieldJet:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "_memo", {})
 
+    @classmethod
+    def _unchecked(cls, point, w, phi) -> "FieldJet":
+        """A jet of the given arrays as they are, without the float64 and
+        isfinite checks: for jets the package derives from checked ones,
+        such as the complex jets of conservation's exact divergence."""
+        jet = object.__new__(cls)
+        for name, value in (("point", point), ("w", w), ("phi", phi), ("_memo", {})):
+            object.__setattr__(jet, name, value)
+        return jet
+
     @property
     def is_batch(self) -> bool:
         return self.point.ndim > 1

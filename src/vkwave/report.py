@@ -28,7 +28,7 @@ import numpy as np
 
 from . import solutions
 from .balance import _balance_reports
-from .conservation import _divergence_estimates
+from .conservation import _exact_divergence
 from .errors import ValidationError, _first_failure
 from .jumps import (
     _balance_jump_terms,
@@ -38,7 +38,7 @@ from .jumps import (
     amplitude_relation_residuals,
     amplitude_relation_scales,
 )
-from .scenario import Scenario, build_field, sample_front_point, scenario_to_dict
+from .scenario import Scenario, _front_points, build_field, sample_front_point, scenario_to_dict
 from .solutions import _jet_batches, _pde_terms
 from .wavefront import _front_distance
 from .version import __version__
@@ -128,13 +128,12 @@ def _run_pde_residual(scenario: Scenario, field, check, rng):
     yield None, worst, f"max over {len(pts)} points"
 
 
-def _sample_off_front(field, rng, n: int, h: float) -> np.ndarray:
-    """Uniform points in [-1,1]^3 kept clear of the front by the FD margin:
-    the first n clear ones of at most 200 n + 100 candidates, drawn in
-    blocks and tested a block at a time.  The generator is left where
-    drawing one candidate at a time would leave it."""
+def _sample_off_front(field, rng, n: int) -> np.ndarray:
+    """Uniform points in [-1,1]^3 at least 0.05 from the front: the first
+    n clear ones of at most 200 n + 100 candidates, drawn in blocks and
+    tested a block at a time.  The generator is left where drawing one
+    candidate at a time would leave it."""
     front = getattr(field, "front", None)
-    margin = max(0.05, 8.0 * h)
     limit = 200 * n + 100
     blocks, found, drawn = [], 0, 0
     while found < n and drawn < limit:
@@ -142,7 +141,7 @@ def _sample_off_front(field, rng, n: int, h: float) -> np.ndarray:
         block = rng.uniform(-1.0, 1.0, (min(solutions._BATCH_POINTS, limit - drawn), 3))
         drawn += len(block)
         # a candidate at a NaN distance is kept, as it is not near the front
-        clear = np.flatnonzero(~(_front_distance(front, block) <= margin))[: n - found]
+        clear = np.flatnonzero(~(_front_distance(front, block) <= 0.05))[: n - found]
         blocks.append(block[clear])
         found += len(clear)
     if found < n:
@@ -157,15 +156,20 @@ def _sample_off_front(field, rng, n: int, h: float) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def _conservation_scaled(name, batch, p):
+    # batch is a (rows, jet) pair of _jet_batches
+    est = _exact_divergence(name, batch[1], p)
+    return _scaled(est.residual, est.scale)
+
+
 def _run_conservation(scenario: Scenario, field, check, rng):
-    h = check.step if check.step is not None else 1e-3
     if check.points is not None:
         pts = np.array(check.points, dtype=np.float64)
     else:
-        pts = _sample_off_front(field, rng, check.samples if check.samples else 3, h)
-    est = _divergence_estimates(field, check.laws, pts, h=h)
-    for name, scaled in zip(check.laws, _scaled(est.residual, est.scale)):
-        yield name, _worst(scaled), f"h={h:g}, {pts.shape[0]} points"
+        pts = _sample_off_front(field, rng, check.samples if check.samples else 3)
+    maxima = _batch_maxima(_jet_batches(field, pts), check.laws, _conservation_scaled, field.params)
+    for name, worst in zip(check.laws, maxima):
+        yield name, worst, f"exact divergence, {len(pts)} points"
 
 
 def _dynamic_scaled(_, fj, p):
@@ -193,12 +197,8 @@ def _run_jump_check(scaled, scenario: Scenario, field, check, rng):
     state = rng.bit_generator.state
 
     def batch():
-        points = np.array(
-            [
-                sample_front_point(field.front, t, float(draw))
-                for t in times
-                for draw in rng.uniform(-1.0, 1.0, n)
-            ]
+        points = np.concatenate(
+            [_front_points(field.front, t, rng.uniform(-1.0, 1.0, n)) for t in times]
         )
         return _batch_maxima(_front_jets(field, points), keys, scaled, field.params)
 
@@ -244,7 +244,7 @@ def _run_balance(scenario: Scenario, field, check, rng):
 #: computed gives the exception in place of its residual.
 _KINDS = {
     "pde_residual": (_run_pde_residual, "analytic"),
-    "conservation": (_run_conservation, "finite_difference"),
+    "conservation": (_run_conservation, "analytic"),
     "dynamic_jumps": (partial(_run_jump_check, _dynamic_scaled), "analytic"),
     "balance_jump": (partial(_run_jump_check, _balance_jump_scaled), "analytic"),
     "closed_form_jump": (partial(_run_jump_check, _closed_form_scaled), "analytic"),

@@ -67,7 +67,6 @@ class Tolerances:
     """Default pass thresholds by check class, each overridable per check."""
 
     analytic: float = 1e-9
-    finite_difference: float = 1e-6
     quadrature: float = 1e-5
 
 
@@ -109,7 +108,6 @@ class CheckSpec:
     times: tuple[float, ...] | None = None
     samples: int | None = None
     tolerance: float | None = None
-    step: float | None = None
     dt: float | None = None
     region: Region | None = None
 
@@ -343,7 +341,7 @@ def _parse_times(data: dict, path: str):
 
 _CHECK_KEYS = {
     "pde_residual": ("type", "points", "samples", "tolerance"),
-    "conservation": ("type", "laws", "points", "samples", "step", "tolerance"),
+    "conservation": ("type", "laws", "points", "samples", "tolerance"),
     "dynamic_jumps": ("type", "times", "samples", "tolerance"),
     "balance_jump": ("type", "laws", "times", "samples", "tolerance"),
     "closed_form_jump": ("type", "laws", "times", "samples", "tolerance"),
@@ -376,7 +374,6 @@ def _parse_check(data, path: str) -> CheckSpec:
         times=_parse_times(d, path),
         samples=_integer(d, "samples", path, default=None, minimum=1),
         tolerance=_positive_number(d, "tolerance", path, default=None),
-        step=_positive_number(d, "step", path, default=None),
         dt=_positive_number(d, "dt", path, default=None),
         region=_parse_region(d["region"], f"{path}.region") if "region" in d else None,
     )
@@ -408,10 +405,9 @@ def scenario_from_dict(data) -> Scenario:
     tol_data = d.get("tolerances", {})
     tol_path = "tolerances"
     _need_mapping(tol_data, tol_path)
-    _check_keys(tol_data, ("analytic", "finite_difference", "quadrature"), tol_path)
+    _check_keys(tol_data, ("analytic", "quadrature"), tol_path)
     tolerances = Tolerances(
         analytic=_positive_number(tol_data, "analytic", tol_path, default=1e-9),
-        finite_difference=_positive_number(tol_data, "finite_difference", tol_path, default=1e-6),
         quadrature=_positive_number(tol_data, "quadrature", tol_path, default=1e-5),
     )
 
@@ -544,31 +540,33 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return _plain(scenario)
 
 
-def sample_front_point(front, t: float, draw: float) -> np.ndarray:
-    """A point exactly on the front at time t.
-
-    draw parametrizes the position: arc-length offset for a line, angle
-    fraction for a circle.
-    """
+def _front_points(front, t: float, draws: np.ndarray) -> np.ndarray:
+    """The points (shape (n, 3)) exactly on the front at time t that
+    sample_front_point gives for each of ``draws``, with its bits."""
     if isinstance(front, LineFront):
         a, b = front.coef_x1, front.coef_x2
         e = front.coef_t * t + front.const
         norm2 = a * a + b * b
         px, py = -e * a / norm2, -e * b / norm2
         norm = math.sqrt(norm2)
-        ux, uy = -b / norm, a / norm
-        return np.array([px + draw * ux, py + draw * uy, t], dtype=np.float64)
-    if isinstance(front, CircleFront):
+        x1, x2 = px + draws * (-b / norm), py + draws * (a / norm)
+    elif isinstance(front, CircleFront):
         radius = front.radius + front.radial_speed * t
         if radius <= 0.0:
             raise ValidationError(f"circular front has nonpositive radius at t={t}")
-        theta = 2.0 * math.pi * draw
-        return np.array(
-            [
-                front.center_x1 + radius * math.cos(theta),
-                front.center_x2 + radius * math.sin(theta),
-                t,
-            ],
-            dtype=np.float64,
-        )
-    raise ValidationError(f"cannot sample points on front type {type(front).__name__}")
+        theta = 2.0 * math.pi * draws
+        # math.cos and math.sin, one draw at a time: numpy's may round differently
+        x1 = front.center_x1 + radius * np.array([math.cos(th) for th in theta.tolist()])
+        x2 = front.center_x2 + radius * np.array([math.sin(th) for th in theta.tolist()])
+    else:
+        raise ValidationError(f"cannot sample points on front type {type(front).__name__}")
+    return np.stack((x1, x2, np.full(len(draws), float(t))), axis=1)
+
+
+def sample_front_point(front, t: float, draw: float) -> np.ndarray:
+    """A point exactly on the front at time t.
+
+    draw parametrizes the position: arc-length offset for a line, angle
+    fraction for a circle.
+    """
+    return _front_points(front, t, np.array([float(draw)]))[0]

@@ -12,7 +12,8 @@ builders below produce those jump tensors from scalar amplitudes.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -105,6 +106,13 @@ class Front(abc.ABC):
         for straight fronts; None otherwise.  C0 has the shape of t."""
         return None
 
+    def _check_finite(self) -> None:
+        """Raise for the first coefficient of the front that is not finite."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value!r}")
+
 
 @dataclass(frozen=True)
 class LineFront(Front):
@@ -118,6 +126,7 @@ class LineFront(Front):
     is_straight: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
+        self._check_finite()
         if self.coef_x1 == 0.0 and self.coef_x2 == 0.0:
             raise ValidationError("line front needs a nonzero spatial gradient")
 
@@ -190,6 +199,7 @@ class CircleFront(Front):
     radial_speed: float = 0.0
 
     def __post_init__(self) -> None:
+        self._check_finite()
         if self.radius <= 0:
             raise ValidationError(f"radius must be positive, got {self.radius}")
 

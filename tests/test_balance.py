@@ -18,7 +18,13 @@ from vkwave.balance import (
 )
 from vkwave.conservation import LAWS, density_flux
 from vkwave.errors import ValidationError
-from vkwave.jumps import amplitude_relation_residuals, balance_jump_residual, extract_jumps
+from vkwave.jumps import (
+    _balance_jump_terms,
+    _front_jets,
+    amplitude_relation_residuals,
+    balance_jump_residual,
+    extract_jumps,
+)
 from vkwave.report import run_scenario
 from vkwave.scenario import build_field, scenario_from_dict
 from vkwave.solutions import (
@@ -439,7 +445,8 @@ def test_disc_area_is_exact_as_the_circle_grows(t, generic_params):
 
 @pytest.mark.parametrize("case", ["straight_wave", "disc"])
 def test_jump_integrand_matches_per_point_geometry(case, unit_params, generic_params):
-    # the batched normals and speeds give, bit for bit, the integrand that
+    # the jump terms front_segment_jump_integral integrates, from the
+    # batched normals and speeds, are bit for bit the integrand that
     # front_geometry evaluated at each point gives
     if case == "straight_wave":
         field, t = _example_wave(unit_params), 0.1
@@ -451,6 +458,7 @@ def test_jump_integrand_matches_per_point_geometry(case, unit_params, generic_pa
         x1, x2 = 0.1 + 0.35 * np.cos(theta), -0.05 + 0.35 * np.sin(theta)
         pts = np.stack([x1, x2, np.zeros(9)], axis=1)
     p = field.params
+    (fj,) = _front_jets(field, pts)
     for entry in LAWS:
         df_a = density_flux(entry, field.jet(pts, Side.AHEAD), p)
         df_b = density_flux(entry, field.jet(pts, Side.BEHIND), p)
@@ -465,8 +473,9 @@ def test_jump_integrand_matches_per_point_geometry(case, unit_params, generic_pa
             jump_2 = df_b.flux.x2[k] - df_a.flux.x2[k]
             signed.append(c * (d_b - d_a) - (jump_1 * n1 + jump_2 * n2))
             absolute.append(abs(c) * (abs(d_b) + abs(d_a)) + abs(pn_b) + abs(pn_a))
-        assert balance._jump_integrand_on_points(field, entry, pts).tolist() == signed
-        assert balance._jump_integrand_on_points(field, entry, pts, True).tolist() == absolute
+        shared_signed, shared_absolute = _balance_jump_terms(entry, fj, p)
+        assert shared_signed.tolist() == signed
+        assert shared_absolute.tolist() == absolute
 
 
 def test_balance_residual_rejects_bad_dt(generic_params):

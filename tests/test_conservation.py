@@ -1,20 +1,30 @@
-import math
+import dataclasses
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vkwave.conservation import (
     LAWS,
-    _divergence_estimates,
+    _exact_divergence,
     conservation_divergence,
     conservation_residual,
     density_flux,
     law,
 )
 from vkwave.errors import FrontProximityError, ValidationError
+from vkwave.indexing import S1, S2, S3, S1111
 from vkwave.jets import FieldJet
-from vkwave.solutions import _BATCH_POINTS, acceleration_wave, invariant_solution, polynomial_field
+from vkwave.report import run_scenario
+from vkwave.scenario import build_field, load_scenario
+from vkwave.solutions import (
+    PiecewiseField,
+    _pde_terms,
+    acceleration_wave,
+    invariant_solution,
+    polynomial_field,
+)
 from vkwave.tensors import (
     f_vector,
     g_tensor,
@@ -23,6 +33,7 @@ from vkwave.tensors import (
     shear_force,
     strain_energy_density,
 )
+from vkwave.wavefront import LineFront, _front_distance
 
 
 def test_registry_shape():
@@ -214,10 +225,6 @@ def _reference_bits(field, laws, points, use_richardson) -> bytes:
     return np.array(out).tobytes()
 
 
-def _bits_batched(est) -> bytes:
-    return np.stack((est.d_density_dt, est.d_flux1_dx1, est.d_flux2_dx2), axis=-1).tobytes()
-
-
 @pytest.mark.parametrize("use_richardson", [True, False])
 def test_shared_stencils_match_per_law_divergence(use_richardson, generic_params, count_jet_calls):
     wave = _acceleration_wave(generic_params)
@@ -225,31 +232,9 @@ def test_shared_stencils_match_per_law_divergence(use_richardson, generic_params
     points = np.array([(0.6, -0.3, 0.2), (-0.5, 0.4, 0.1)])
     sizes = count_jet_calls(wave)
     single = _bits_per_point(wave, laws, points, use_richardson)
+    # one jet call holds the stencils of every step of one law at one point
+    assert sizes == [12 if use_richardson else 6] * (len(laws) * len(points))
     assert single == _reference_bits(wave, laws, points, use_richardson)
-    sizes.clear()
-    shared = _divergence_estimates(wave, laws, points, h=1e-3, use_richardson=use_richardson)
-    assert _bits_batched(shared) == single
-    assert len(sizes) == 1  # one stencil batch serves all fourteen laws at both points
-
-
-@pytest.mark.parametrize("use_richardson", [True, False])
-def test_batched_divergence_is_the_per_point_divergence(
-    use_richardson, generic_params, count_jet_calls
-):
-    # 200 points have 1,200 or 2,400 stencil points, so with Richardson
-    # they take two jet batches; each estimate keeps its per-point bits
-    wave = _acceleration_wave(generic_params)
-    laws = (1, 4, 5, 6, 10, 14)
-    rng = np.random.default_rng(7)
-    points = rng.uniform(-1.0, 1.0, (200, 3))
-    # on both sides of the front x1 = x3, at least 0.1 from it along x1
-    points[:, 0] = points[:, 2] + points[:, 0] + np.copysign(0.1, points[:, 0])
-    sizes = count_jet_calls(wave)
-    batched = _divergence_estimates(wave, laws, points, h=1e-3, use_richardson=use_richardson)
-    stencil_points = 200 * (12 if use_richardson else 6)
-    assert sum(sizes) == stencil_points
-    assert len(sizes) == math.ceil(stencil_points / _BATCH_POINTS)
-    assert _bits_batched(batched) == _bits_per_point(wave, laws, points, use_richardson)
 
 
 def test_step_validation(generic_params):
@@ -258,6 +243,127 @@ def test_step_validation(generic_params):
         conservation_divergence(sol, 1, (0, 0, 0), h=-1.0)
     with pytest.raises(ValidationError):
         conservation_divergence(sol, 1, (0, 0), h=1e-3)
+
+
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), True])
+def test_step_must_be_a_positive_finite_number(h, generic_params):
+    # nan used to fail on a non-finite jet, inf as a point "inf from the
+    # front" of a field without one, and True ran with h = 1
+    sol = polynomial_field(None, None, generic_params)
+    with pytest.raises(ValidationError, match="^step h must be a positive finite number"):
+        conservation_divergence(sol, 1, (0.3, 0.2, 0.1), h=h)
+
+
+def _characteristics(jet) -> dict:
+    """(Q1, Q2) of every law at a jet batch: div(Psi_k, P_k) = Q_k1 r1 +
+    Q_k2 r2 on any jet, r1 and r2 the residuals of the two governing
+    equations (conservation laws in characteristic form: P. J. Olver,
+    Applications of Lie Groups to Differential Equations, 1986, chapters 4
+    and 5)."""
+    x1, x2, x3 = (jet.point[:, i] for i in range(3))
+    w1, w2, w3 = (jet.w[:, s] for s in (S1, S2, S3))
+    f1, f2, f3 = (jet.phi[:, s] for s in (S1, S2, S3))
+    one, zero = np.ones_like(x1), np.zeros_like(x1)
+    return {
+        1: (one, zero),
+        2: (-w1, f1),
+        3: (-w2, f2),
+        4: (w3, -f3),
+        5: (-(x1 * w1 + x2 * w2 + 2.0 * x3 * w3), x1 * f1 + x2 * f2 + 2.0 * x3 * f3),
+        6: (x1 * w2 - x2 * w1, x2 * f1 - x1 * f2),
+        7: (x1, zero),
+        8: (x2, zero),
+        9: (x3, zero),
+        10: (x1 * x3, zero),
+        11: (x2 * x3, zero),
+        12: (zero, x1),
+        13: (zero, x2),
+        14: (zero, one),
+    }
+
+
+def _x2_dependent_polynomials(p):
+    """Two polynomial fields of x1, x2 and x3, neither a solution."""
+    first = polynomial_field(
+        {(2, 1, 1): 0.3, (0, 3, 1): -0.2, (1, 2, 2): 0.7, (4, 1, 0): 0.1, (1, 1, 3): -0.4},
+        {(1, 1, 0): -0.2, (0, 4, 1): 0.3, (2, 2, 1): 0.5, (3, 1, 1): -0.6},
+        p,
+    )
+    second = polynomial_field(
+        {(3, 2, 0): -0.5, (1, 1, 2): 0.4, (0, 2, 3): 0.2, (2, 0, 1): 0.9},
+        {(2, 3, 0): 0.3, (1, 0, 4): -0.1, (4, 0, 1): 0.25},
+        p,
+    )
+    return first, second
+
+
+@pytest.mark.parametrize("jets", ["random", "polynomial"])
+def test_exact_divergence_is_the_characteristic_form(jets, generic_params):
+    # a row that stops being complex-analytic (an abs, a maximum or a
+    # comparison inside it) breaks this identity
+    p = generic_params
+    rng = np.random.default_rng(11)
+    points = rng.uniform(-1.0, 1.0, (50, 3))
+    if jets == "random":
+        jet = FieldJet(points, rng.uniform(-1.0, 1.0, (50, 35)), rng.uniform(-1.0, 1.0, (50, 35)))
+    else:
+        jet = _x2_dependent_polynomials(p)[0].jet(points)
+    r1, r2, _, _ = _pde_terms(jet, p)
+    characteristics = _characteristics(jet)
+    for entry in LAWS:
+        est = _exact_divergence(entry, jet, p)
+        q1, q2 = characteristics[entry.index]
+        scale = np.maximum(1.0, est.scale + np.abs(q1 * r1) + np.abs(q2 * r2))
+        worst = np.max(np.abs(est.residual - (q1 * r1 + q2 * r2)) / scale)
+        assert worst <= 1e-13, (entry.name, worst)
+
+
+def test_exact_divergence_matches_finite_differences(generic_params):
+    # two x2-dependent polynomial branches across a moving oblique line,
+    # at points off the front on both sides
+    first, second = _x2_dependent_polynomials(generic_params)
+    field = PiecewiseField(first, second, LineFront(1.0, 0.6, -0.4, 0.1), generic_params)
+    points = np.random.default_rng(12).uniform(-1.0, 1.0, (200, 3))
+    points = points[_front_distance(field.front, points) > 0.05][:40]
+    assert len(points) == 40
+    assert 0 < np.count_nonzero(field.front.value(points) > 0.0) < 40
+    jet = field.jet(points)
+    for entry in LAWS:
+        exact = _exact_divergence(entry, jet, generic_params)
+        for k, point in enumerate(points):
+            fd = conservation_divergence(field, entry, point, h=1e-3)
+            for term in ("d_density_dt", "d_flux1_dx1", "d_flux2_dx2"):
+                error = abs(getattr(exact, term)[k] - getattr(fd, term))
+                assert error <= 1e-8 * max(1.0, fd.scale), (entry.name, term, k)
+
+
+def test_a_row_reading_an_order_four_slot_fails(generic_params, monkeypatch):
+    # a 4-jet has no derivative of an order-4 slot: a row that read one
+    # would give a NaN divergence, which fails its check, not a wrong pass
+    import vkwave.conservation as conservation
+
+    sol = invariant_solution((0.2, -0.3, 0.5, 0.1), (0.1, 0.3, 0.2, -0.4), 1.1, generic_params)
+    jet = sol.jet(np.random.default_rng(6).uniform(-1.0, 1.0, (4, 3)))
+    monkeypatch.setitem(
+        conservation._ROWS, 14, lambda jet, p: (jet.w[..., S1111], jet.w[..., S1], jet.w[..., S2])
+    )
+    assert np.all(np.isnan(_exact_divergence(14, jet, generic_params).residual))
+
+
+def test_conservation_check_fills_one_jet_per_point(count_jet_calls):
+    # the pointwise benchmark's conservation check: 20 points, 14 laws
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "pointwise.yaml"
+    scenario = load_scenario(path)
+    scenario = dataclasses.replace(
+        scenario, checks=tuple(c for c in scenario.checks if c.kind == "conservation")
+    )
+    sizes = count_jet_calls(build_field(scenario))
+    rows = run_scenario(scenario).results
+    assert sizes == [20]
+    assert len(rows) == 14
+    for row in rows:
+        assert (row.status, row.tolerance) == ("pass", 1e-9), row.name
+        assert row.residual <= 1e-15, row.name
 
 
 def _bits(df) -> bytes:

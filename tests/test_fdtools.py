@@ -99,3 +99,11 @@ def test_fd_jet_oracle_validation(generic_params):
     field = polynomial_field(None, None, generic_params)
     with pytest.raises(ValidationError):
         fd_jet_oracle(field_value_fn(field), (0, 0, 0), h=0.0)
+
+
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), True])
+def test_fd_jet_oracle_rejects_a_step_that_is_not_a_positive_number(h, generic_params):
+    # nan used to fail later, on a non-finite jet; True ran with h = 1
+    field = polynomial_field(None, None, generic_params)
+    with pytest.raises(ValidationError, match="^step h must be a positive finite number"):
+        fd_jet_oracle(field_value_fn(field), (0, 0, 0), h=h)

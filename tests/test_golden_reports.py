@@ -14,9 +14,9 @@ _ROOT = Path(__file__).resolve().parents[1]
 
 #: scenario file -> (json, csv, human) sha256 prefixes
 _GOLDEN = {
-    "examples_scenarios/wave_check.yaml": ("0345e9d5bfb6f125", "cac5fcac8fa2a63c", "d89235687b4427da"),
-    "perfbench/scenarios/wave_balance.yaml": ("756c2b456ec21e01", "a229e6220065863a", "369e4cdf86188d88"),
-    "perfbench/scenarios/pointwise.yaml": ("d38008080e1ccefd", "3b90afaeac5f4386", "6672d71e7cefeb67"),
+    "examples_scenarios/wave_check.yaml": ("3f139765c21a9e7b", "9f4d86da9644a0a7", "a9ca696f933a8c2b"),
+    "perfbench/scenarios/wave_balance.yaml": ("bab5c4d66498bacc", "a229e6220065863a", "369e4cdf86188d88"),
+    "perfbench/scenarios/pointwise.yaml": ("6480065bf7da7c5a", "4fd766fd3659222a", "9b22762f1cbdcd13"),
 }
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from vkwave.indexing import EXPONENTS, JET_SIZE, MULTI_INDICES, idx
+from vkwave.indexing import EXPONENTS, JET_SIZE, MULTI_INDICES, SHIFT, idx
 
 
 def test_slot_count_and_grading():
@@ -25,6 +25,17 @@ def test_exponent_table_counts_subscripts():
     for slot, subs in enumerate(MULTI_INDICES):
         for ax in range(3):
             assert EXPONENTS[slot, ax] == sum(1 for s in subs if s == ax + 1)
+
+
+def test_shift_table_adds_one_subscript():
+    # an order-4 slot has no derivative in a 4-jet: it maps past the
+    # last slot, to the NaN column a caller appends
+    for a in (1, 2, 3):
+        for slot, subs in enumerate(MULTI_INDICES):
+            if len(subs) == 4:
+                assert SHIFT[a - 1, slot] == JET_SIZE
+            else:
+                assert SHIFT[a - 1, slot] == idx(*subs, a)
 
 
 def test_bad_subscripts_rejected():

@@ -1,11 +1,14 @@
+import math
 import re
 
+import numpy as np
 import pytest
 
 from vkwave.errors import ScenarioError, ValidationError
 from vkwave.scenario import (
     CHECK_KINDS,
     FAMILIES,
+    _front_points,
     build_field,
     build_front,
     load_scenario,
@@ -297,6 +300,41 @@ def test_sample_front_point():
         sample_front_point(object(), 0.0, 0.0)
 
 
+def _front_point_reference(front, t, draw):
+    """One point per draw in scalar arithmetic, with math.cos and math.sin."""
+    if isinstance(front, LineFront):
+        a, b = front.coef_x1, front.coef_x2
+        e = front.coef_t * t + front.const
+        norm2 = a * a + b * b
+        norm = math.sqrt(norm2)
+        return [-e * a / norm2 + draw * (-b / norm), -e * b / norm2 + draw * (a / norm), t]
+    radius = front.radius + front.radial_speed * t
+    theta = 2.0 * math.pi * draw
+    return [
+        front.center_x1 + radius * math.cos(theta),
+        front.center_x2 + radius * math.sin(theta),
+        t,
+    ]
+
+
+@pytest.mark.parametrize(
+    "front",
+    [LineFront(0.3, -1.7, 0.9, 0.2), CircleFront(-0.3, 0.7, 1.3, radial_speed=-0.37)],
+    ids=["line", "circle"],
+)
+def test_front_points_are_the_per_draw_points(front):
+    # one array call per time gives every draw's point with its bits
+    draws = np.random.default_rng(8).uniform(-1.0, 1.0, 2000)
+    for t in (0.0, 0.3, -0.2):
+        expected = np.array([_front_point_reference(front, t, float(d)) for d in draws])
+        assert _front_points(front, t, draws).tobytes() == expected.tobytes()
+        assert sample_front_point(front, t, draws[0]).tobytes() == expected[0].tobytes()
+    if isinstance(front, CircleFront):
+        message = "^circular front has nonpositive radius at t=4.0$"
+        with pytest.raises(ValidationError, match=message):
+            _front_points(front, 4.0, draws)
+
+
 @pytest.mark.parametrize(
     "where, key, path",
     [
@@ -310,15 +348,24 @@ def test_sample_front_point():
 )
 @pytest.mark.parametrize("value", [0.0, -1e-3])
 def test_positive_keys_are_rejected_with_their_path(where, key, path, value):
-    # step: 0 used to load and error at run time without a path, radius: 0
-    # to raise a bare ValidationError from build_field, and a scenario
-    # tolerance of 0 to fail every row, even a residual of exactly 0.0
+    # radius: 0 used to raise a bare ValidationError from build_field, and
+    # a scenario tolerance of 0 to fail every row, even a residual of
+    # exactly 0.0.  The conservation check takes its divergence exactly,
+    # so a step and the finite_difference tolerance class are gone: they
+    # are unknown keys, at any value
     data = base_scenario()
     data["checks"] = [{"type": "conservation", "laws": ["energy"], "samples": 1}]
     data["front"] = {"kind": "circle", "center": [0.0, 0.0], "radius": 0.5}
     data["tolerances"] = {}
     section = data["checks"][0] if where == "check" else data[where]
     section[key] = value
+    if key in ("step", "finite_difference"):
+        unknown = re.escape(f"{path.rpartition('.')[0]}: unknown key(s) ['{key}']")
+        for v in (value, 2e-3):
+            section[key] = v
+            with pytest.raises(ScenarioError, match="^" + unknown):
+                scenario_from_dict(data)
+        return
     with pytest.raises(ScenarioError, match=re.escape(f"{path}: must be > 0, got {value}") + "$"):
         scenario_from_dict(data)
     section[key] = 2e-3
@@ -333,7 +380,7 @@ def test_scenario_to_dict_key_order():
     data["tolerances"] = {"quadrature": 1e-4}
     data["checks"] = [
         {"type": "conservation", "laws": [1], "points": [[0.1, 0.2, 0.3]], "samples": 2,
-         "step": 1e-3, "tolerance": 1e-5},
+         "tolerance": 1e-5},
         {"type": "balance", "laws": [1], "times": [0.1], "dt": 1e-3,
          "region": {"x1_min": -1.0, "x1_max": 1.0, "x2_min": -1.0, "x2_max": 1.0}},
     ]
@@ -349,12 +396,12 @@ def test_scenario_to_dict_key_order():
     assert list(out["region"]) == region_keys
     assert out["region"]["cells"] == [4, 4]
     assert [list(c) for c in out["checks"]] == [
-        ["type", "laws", "points", "samples", "tolerance", "step"],
+        ["type", "laws", "points", "samples", "tolerance"],
         ["type", "laws", "times", "dt", "region"],
     ]
     assert out["checks"][0]["points"] == [[0.1, 0.2, 0.3]]
     assert list(out["checks"][1]["region"]) == region_keys
-    assert list(out["tolerances"]) == ["analytic", "finite_difference", "quadrature"]
+    assert list(out["tolerances"]) == ["analytic", "quadrature"]
 
     data = base_scenario()
     data["front"] = {"kind": "line", "coef_x1": 1.0, "coef_x2": 0.5}

@@ -221,6 +221,21 @@ def test_circle_front_validation():
         CircleFront(0.0, 0.0, -1.0)
 
 
+@pytest.mark.parametrize(
+    "front, args, name",
+    [
+        (LineFront, (math.nan, 0.0), "coef_x1"),
+        (LineFront, (1.0, math.inf), "coef_x2"),
+        (CircleFront, (0.0, 0.0, math.nan), "radius"),
+        (CircleFront, (0.0, 0.0, math.inf), "radius"),
+    ],
+)
+def test_front_coefficients_must_be_finite(front, args, name):
+    # each of these used to build a front
+    with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+        front(*args)
+
+
 def test_front_geometry_frame_validation():
     with pytest.raises(ValidationError):
         FrontGeometry(1.0, np.array([1.0, 1.0]), np.array([0.0, 1.0]), 0.0)
