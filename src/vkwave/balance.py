@@ -7,9 +7,11 @@ R, a solution should satisfy
 
 including when a discontinuity front crosses R, provided the corresponding
 jump condition holds on the front.  When it does not hold, the defect
-equals the line integral of C [Psi] - [P^a] n_a along the front segment
-inside R, which front_segment_jump_integral computes directly as an
-independent oracle.
+equals the line integral of C [Psi] - [P^a] n_a along the front inside
+R, which front_segment_jump_integral computes directly as an independent
+oracle.  It takes one path for every kind of front, along the front's own
+parametrisation (Front.curve), and keeps its own quadrature: the balance
+integrals below are what it is the reference for.
 
 Quadrature is tensor-product Gauss-Legendre on a cell grid, with the
 front handled by dimension reduction through height functions (R. Saye,
@@ -457,6 +459,21 @@ def _region_edges(region: Region):
     return starts, ends, normals
 
 
+def _check_edges_off_front(front, region: Region, times) -> None:
+    """Raise when a region edge lies on the front at one of the times: its
+    two ends and its middle all have |gamma| <= 1e-12 |grad gamma| (1 + L),
+    L its length.  One value and one gradient call for all times."""
+    starts, ends, _ = _region_edges(region)
+    lengths = np.hypot(*(ends - starts).T)
+    pts = np.empty((len(times), 4, 3, 3))  # (time, edge, start/middle/end, x)
+    pts[..., :2] = np.stack([starts, 0.5 * (starts + ends), ends], axis=1)
+    pts[..., 2] = np.reshape(times, (-1, 1, 1))
+    grad = front.spatial_gradient(pts)
+    tol = 1e-12 * np.hypot(grad[..., 0], grad[..., 1]) * (1.0 + lengths)[:, None]
+    if (np.abs(front.value(pts)) <= tol).all(axis=2).any():
+        raise ValidationError("a region edge lies on the front; shift the region boundary")
+
+
 def _boundary_flux_integrals(field, entries, region: Region, slices) -> np.ndarray:
     """Outward flux of each law through the region boundary for every
     slice (t, order), shape (laws, slices): one plan and one jet
@@ -470,18 +487,10 @@ def _boundary_flux_integrals(field, entries, region: Region, slices) -> np.ndarr
     lengths = np.hypot(*(ends - starts).T)
     units = (ends - starts) / lengths[:, None]
     times = list(dict.fromkeys(t for t, _ in slices))  # shared by both orders
-    if front is not None and front.is_straight:
-        for t in times:
-            a, b, c0 = front.spatial_line(t)
-            tol = 1e-12 * math.hypot(a, b) * (1.0 + lengths)
-            on_front = (np.abs(a * starts[:, 0] + b * starts[:, 1] + c0) <= tol) & (
-                np.abs(a * ends[:, 0] + b * ends[:, 1] + c0) <= tol
-            )
-            if on_front.any():
-                raise ValidationError("a region edge lies on the front; shift the region boundary")
     if front is None:
         crossings = np.empty((len(times), 4, 0))
     else:
+        _check_edges_off_front(front, region, times)
         crossings = front.crossings(
             np.tile(starts, (len(times), 1)), np.tile(ends, (len(times), 1)), np.repeat(times, 4)
         ).reshape(len(times), 4, -1)
@@ -641,51 +650,26 @@ def fundamental_balances(field, region: Region, t: float, dt=None) -> tuple[Bala
     return first, second
 
 
-def _segment_inside(region: Region, front, t):
-    """Clip the straight front line at time t to the region rectangle."""
-    a, b, c0 = front.spatial_line(t)
-    norm = math.hypot(a, b)
-    px, py = -c0 * a / norm**2, -c0 * b / norm**2
-    ux, uy = -b / norm, a / norm
-    s_lo, s_hi = -math.inf, math.inf
-    for coord, u, lo, hi in (
-        (px, ux, region.x1_min, region.x1_max),
-        (py, uy, region.x2_min, region.x2_max),
-    ):
-        if abs(u) < 1e-15:
-            if not lo <= coord <= hi:
-                return None
-            continue
-        s1, s2 = (lo - coord) / u, (hi - coord) / u
-        s_lo = max(s_lo, min(s1, s2))
-        s_hi = min(s_hi, max(s1, s2))
-    if not s_lo < s_hi:
-        return None
-    return (px, py, ux, uy, s_lo, s_hi)
-
-
-def _circle_arcs_inside(region: Region, front, t):
-    """Angle intervals of the circular front lying inside the rectangle,
-    between its closed-form crossings of the region edges."""
-    radius = front.radius + front.radial_speed * t
-    if radius <= 0.0:
-        return radius, []
-    cx, cy = front.center_x1, front.center_x2
+def _front_arcs(region: Region, front, t) -> list[tuple[float, float]]:
+    """Intervals (a, b) of the curve parameter of the time-t front that
+    lie inside the region, between its closed-form crossings of the
+    region edges (on a closed front, the last one wraps round to the
+    first); none when the front does not meet the region."""
+    lower = np.array([[region.x1_min, region.x2_min]])
+    upper = np.array([[region.x1_max, region.x2_max]])
+    low, high = front.value_range(lower, upper, t)
+    if low[0] >= 0.0 or high[0] <= 0.0:
+        return []
     starts, ends, _ = _region_edges(region)
     s = front.crossings(starts, ends, t)
     hits = starts[:, None, :] + s[:, :, None] * (ends - starts)[:, None, :]
-    hits = hits[~np.isnan(s)]
-    angles = np.unique(np.arctan2(hits[:, 1] - cy, hits[:, 0] - cx) % (2.0 * math.pi))
-
-    def inside(theta):
-        x = cx + radius * math.cos(theta)
-        y = cy + radius * math.sin(theta)
-        return region.x1_min <= x <= region.x1_max and region.x2_min <= y <= region.x2_max
-
-    if angles.size == 0:
-        return radius, [(0.0, 2.0 * math.pi)] if inside(0.0) else []
-    bounds = angles.tolist() + [angles[0] + 2.0 * math.pi]
-    return radius, [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if inside(0.5 * (a + b))]
+    bounds = np.unique(front.curve_param(t, hits[~np.isnan(s)]))
+    if front.period is not None:
+        bounds = bounds if bounds.size else np.zeros(1)
+        bounds = np.append(bounds, bounds[0] + front.period)
+    mids, _ = front.curve(t, 0.5 * (bounds[:-1] + bounds[1:]))
+    inside = ((mids >= lower) & (mids <= upper)).all(axis=1)
+    return [(a, b) for a, b, keep in zip(bounds[:-1], bounds[1:], inside) if keep]
 
 
 def _jump_integrand(field, entry, pts3, absolute):
@@ -696,41 +680,31 @@ def _jump_integrand(field, entry, pts3, absolute):
     return np.concatenate([term[1 if absolute else 0] for term in terms])
 
 
-def front_segment_jump_integral(
-    field, law_key, region: Region, t: float, quad_order=None, absolute=False
-) -> float:
+def front_segment_jump_integral(field, law_key, region: Region, t: float, absolute=False) -> float:
     """Line integral of C [Psi] - [P^a] n_a along the front inside the region.
 
     This is the independent oracle for the defect of a regional balance:
     when the law's jump condition fails on the front, the balance residual
     equals this integral.  With absolute=True the integrand is replaced by
     its one-sided magnitude sum, giving a scale for relative comparisons.
+
+    Every kind of front takes one path: the front's curve is cut at its
+    crossings of the region edges (_front_arcs), and each interval inside
+    the region is integrated by Gauss-Legendre of order
+    max(quad_order, 16) in the curve parameter, times the arc length per
+    unit of it.  The balance checks are tested against this integral, so
+    it keeps its own quadrature rather than the plan they share.
     """
     entry = law(law_key)
     front = getattr(field, "front", None)
     if front is None:
         raise ValidationError("field has no front; the jump integral is zero only trivially")
-    order = region.quad_order if quad_order is None else quad_order
-
-    if front.is_straight:
-        seg = _segment_inside(region, front, t)
-        if seg is None:
-            return 0.0
-        px, py, ux, uy, s_lo, s_hi = seg
-        ss, ws = _interval_nodes(s_lo, s_hi, order)
-        pts = _points3(px + ss * ux, py + ss * uy, t)
-        vals = _jump_integrand(field, entry, pts, absolute)
-        return float(np.dot(ws, vals))
-
-    radius, arcs = _circle_arcs_inside(region, front, t)
+    _check_edges_off_front(front, region, [t])
+    order = max(region.quad_order, 16)
     total = 0.0
-    for th_a, th_b in arcs:
-        ths, ws = _interval_nodes(th_a, th_b, max(order, 16))
-        pts = _points3(
-            front.center_x1 + radius * np.cos(ths),
-            front.center_x2 + radius * np.sin(ths),
-            t,
-        )
-        vals = _jump_integrand(field, entry, pts, absolute)
-        total += float(np.dot(ws, vals)) * radius
+    for a, b in _front_arcs(region, front, t):
+        ss, ws = _interval_nodes(a, b, order)
+        x, speed = front.curve(t, ss)
+        vals = _jump_integrand(field, entry, _points3(x[:, 0], x[:, 1], t), absolute)
+        total += float(np.dot(ws, vals)) * speed
     return total

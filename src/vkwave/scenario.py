@@ -543,30 +543,19 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def _front_points(front, t: float, draws: np.ndarray) -> np.ndarray:
     """The points (shape (n, 3)) exactly on the front at time t that
     sample_front_point gives for each of ``draws``, with its bits."""
-    if isinstance(front, LineFront):
-        a, b = front.coef_x1, front.coef_x2
-        e = front.coef_t * t + front.const
-        norm2 = a * a + b * b
-        px, py = -e * a / norm2, -e * b / norm2
-        norm = math.sqrt(norm2)
-        x1, x2 = px + draws * (-b / norm), py + draws * (a / norm)
-    elif isinstance(front, CircleFront):
-        radius = front.radius + front.radial_speed * t
-        if radius <= 0.0:
-            raise ValidationError(f"circular front has nonpositive radius at t={t}")
-        theta = 2.0 * math.pi * draws
-        # math.cos and math.sin, one draw at a time: numpy's may round differently
-        x1 = front.center_x1 + radius * np.array([math.cos(th) for th in theta.tolist()])
-        x2 = front.center_x2 + radius * np.array([math.sin(th) for th in theta.tolist()])
-    else:
+    if not hasattr(front, "curve"):
         raise ValidationError(f"cannot sample points on front type {type(front).__name__}")
-    return np.stack((x1, x2, np.full(len(draws), float(t))), axis=1)
+    if front.period is not None:
+        draws = front.period * draws
+    x, _ = front.curve(t, draws)
+    return np.column_stack((x, np.full(len(draws), float(t))))
 
 
 def sample_front_point(front, t: float, draw: float) -> np.ndarray:
     """A point exactly on the front at time t.
 
-    draw parametrizes the position: arc-length offset for a line, angle
-    fraction for a circle.
+    draw is the parameter of ``front.curve`` (arc length on a line), or
+    its fraction of the period on a closed front (the angle over 2 pi on
+    a circle).
     """
     return _front_points(front, t, np.array([float(draw)]))[0]

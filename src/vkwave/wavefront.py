@@ -53,9 +53,9 @@ class FrontGeometry:
 class Front(abc.ABC):
     """Moving curve given as the zero set of gamma(x1, x2, x3)."""
 
-    #: True when every time slice is a straight line (the front jump
-    #: integral then runs along one clipped segment).
-    is_straight: ClassVar[bool] = False
+    #: Period of the curve parameter s of a closed front; None on an open
+    #: one.
+    period: ClassVar[float | None] = None
 
     @abc.abstractmethod
     def value(self, point) -> float | np.ndarray:
@@ -101,10 +101,17 @@ class Front(abc.ABC):
         (n, 2)), in closed form; t is one time for all boxes or one per
         box (shape (n,))."""
 
-    def spatial_line(self, t) -> tuple[float, float, float] | None:
-        """Coefficients (A, B, C0) with A x1 + B x2 + C0 = gamma at time t,
-        for straight fronts; None otherwise.  C0 has the shape of t."""
-        return None
+    @abc.abstractmethod
+    def curve(self, t, s) -> tuple[np.ndarray, float]:
+        """The points (shape (n, 2)) of the time-t front at the curve
+        parameters s (shape (n,)), and the arc length per unit of s."""
+
+    @abc.abstractmethod
+    def curve_param(self, t, x) -> np.ndarray:
+        """The curve parameters (shape (n,)) of the points x (shape (n, 2))
+        of the time-t front, the inverse of ``curve``; reduced modulo the
+        period to [0, period] on a closed front (a rounded reduction of a
+        tiny negative value gives the period itself)."""
 
     def _check_finite(self) -> None:
         """Raise for the first coefficient of the front that is not finite."""
@@ -122,8 +129,6 @@ class LineFront(Front):
     coef_x2: float
     coef_t: float = 0.0
     const: float = 0.0
-
-    is_straight: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         self._check_finite()
@@ -159,7 +164,31 @@ class LineFront(Front):
         return np.zeros(p.shape[:-1])
 
     def spatial_line(self, t) -> tuple[float, float, float]:
+        """Coefficients (A, B, C0) with A x1 + B x2 + C0 = gamma at time t;
+        C0 has the shape of t."""
         return (self.coef_x1, self.coef_x2, self.coef_t * t + self.const)
+
+    def _foot_and_tangent(self, t) -> tuple[float, float, float, float]:
+        """The foot (px, py) of the normal through the origin at time t,
+        and the unit tangent (ux, uy) = (-n2, n1)."""
+        a, b, c0 = self.spatial_line(t)
+        norm2 = a * a + b * b
+        norm = math.sqrt(norm2)
+        return -c0 * a / norm2, -c0 * b / norm2, -b / norm, a / norm
+
+    def curve(self, t, s):
+        # s is arc length along the tangent from the foot
+        px, py, ux, uy = self._foot_and_tangent(t)
+        s = np.asarray(s, dtype=np.float64)
+        x = np.empty(s.shape + (2,))
+        x[..., 0] = px + s * ux
+        x[..., 1] = py + s * uy
+        return x, 1.0
+
+    def curve_param(self, t, x):
+        px, py, ux, uy = self._foot_and_tangent(t)
+        x = np.asarray(x, dtype=np.float64)
+        return (x[..., 0] - px) * ux + (x[..., 1] - py) * uy
 
     def _spatial_value(self, x, t):
         a, b, c0 = self.spatial_line(t)
@@ -197,6 +226,9 @@ class CircleFront(Front):
     center_x2: float
     radius: float
     radial_speed: float = 0.0
+
+    #: The curve parameter is the angle about the centre.
+    period: ClassVar[float] = 2.0 * math.pi
 
     def __post_init__(self) -> None:
         self._check_finite()
@@ -241,6 +273,21 @@ class CircleFront(Front):
 
     def _radius_at(self, t):
         return self.radius + self.radial_speed * t
+
+    def curve(self, t, s):
+        radius = self._radius_at(t)
+        if radius <= 0.0:
+            raise ValidationError(f"circular front has nonpositive radius at t={t}")
+        angles = np.asarray(s, dtype=np.float64).tolist()
+        x = np.empty((len(angles), 2))
+        # math.cos and math.sin, one angle at a time: numpy's may round differently
+        x[:, 0] = self.center_x1 + radius * np.array([math.cos(th) for th in angles])
+        x[:, 1] = self.center_x2 + radius * np.array([math.sin(th) for th in angles])
+        return x, radius
+
+    def curve_param(self, t, x):
+        x = np.asarray(x, dtype=np.float64)
+        return np.arctan2(x[..., 1] - self.center_x2, x[..., 0] - self.center_x1) % self.period
 
     def crossings(self, p0, p1, t):
         p0 = np.asarray(p0, dtype=np.float64)

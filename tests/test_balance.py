@@ -381,6 +381,8 @@ def test_edge_on_front_is_rejected(generic_params):
     region = Region(0.0, 1.0, 0.0, 0.5)
     with pytest.raises(ValidationError, match="shift the region boundary"):
         boundary_flux_integral(field, 1, region, 0.0)
+    with pytest.raises(ValidationError, match="shift the region boundary"):
+        front_segment_jump_integral(field, 1, region, 0.0)
 
 
 def test_edge_crossing_on_a_scan_point_is_kept():
@@ -431,6 +433,9 @@ def test_circle_front_density_and_jump(generic_params):
     # absolute variant bounds the signed one
     mag = front_segment_jump_integral(field, 1, region, 0.0, absolute=True)
     assert mag >= abs(jump)
+
+    # at t = -2 the radius 0.35 + 0.25 t is negative: there is no front
+    assert front_segment_jump_integral(field, 1, region, -2.0) == 0.0
 
 
 @pytest.mark.parametrize("t", [-0.2, 0.0, 0.1, 0.3])
@@ -705,14 +710,59 @@ def _scanned_circle_arcs(region, front, t, n_scan=512):
 def test_circle_arcs_match_the_scan(center):
     front = CircleFront(center[0], center[1], 0.35, radial_speed=0.25)
     region, t = _SMOOTH_REGION, 0.1
-    radius, got = balance._circle_arcs_inside(region, front, t)
+    got = balance._front_arcs(region, front, t)
     want = _scanned_circle_arcs(region, front, t)
-    assert radius == 0.35 + 0.25 * t
+    assert front.curve(t, [0.0])[1] == 0.35 + 0.25 * t
     assert len(got) == len(want) == 1
     for (a, b), (c, d) in zip(sorted(got), sorted(want)):
         shift = 2.0 * math.pi * round((c - a) / (2.0 * math.pi))
         assert a + shift == pytest.approx(c, abs=1e-12)
         assert b + shift == pytest.approx(d, abs=1e-12)
+
+
+def _clipped_line(region, front, t):
+    """Liang-Barsky clip of the line's curve parameter (arc length from the
+    foot of the normal through the origin) to the rectangle; None when
+    the line misses it."""
+    a, b, c0 = front.spatial_line(t)
+    norm = math.hypot(a, b)
+    px, py = -c0 * a / norm**2, -c0 * b / norm**2
+    ux, uy = -b / norm, a / norm
+    s_lo, s_hi = -math.inf, math.inf
+    for coord, u, lo, hi in (
+        (px, ux, region.x1_min, region.x1_max),
+        (py, uy, region.x2_min, region.x2_max),
+    ):
+        if abs(u) < 1e-15:
+            if not lo <= coord <= hi:
+                return None
+            continue
+        s1, s2 = (lo - coord) / u, (hi - coord) / u
+        s_lo = max(s_lo, min(s1, s2))
+        s_hi = min(s_hi, max(s1, s2))
+    return (s_lo, s_hi) if s_lo < s_hi else None
+
+
+@pytest.mark.parametrize(
+    "front",
+    [
+        LineFront(1.0, -2.0, 0.5, 0.3),
+        # through the corner (-0.7, -0.8), and across the top edge at x1 = 0.2
+        LineFront(1.5, -0.9, 0.0, 0.33),
+        LineFront(1.0, 1.0, 0.0, 3.0),
+    ],
+    ids=["oblique", "through_a_corner", "outside"],
+)
+def test_line_arcs_match_the_clip(front):
+    # the intervals inside the region join up into the clipped segment
+    region, t = _SMOOTH_REGION, 0.1
+    got = balance._front_arcs(region, front, t)
+    want = _clipped_line(region, front, t)
+    if want is None:
+        assert got == []
+        return
+    assert got and all(b == c for (_, b), (c, _) in zip(got[:-1], got[1:]))
+    assert (got[0][0], got[-1][1]) == pytest.approx(want, abs=1e-12)
 
 
 def test_unresolved_front_is_an_error(generic_params):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vkwave.errors import SingularFrontError, ValidationError
 from vkwave.wavefront import (
@@ -318,3 +320,37 @@ def test_front_distance_divides_gamma_by_its_slope():
     assert _front_distance(line, np.array([0.3, 0.1, -1.0])) == pytest.approx(0.0, abs=1e-15)
     # at a still circle's centre gamma has no slope, so no point is near
     assert _front_distance(CircleFront(0.0, 0.0, 1.0), np.zeros(3)) == math.inf
+
+
+_FRONTS = st.one_of(
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    .filter(lambda c: math.hypot(c[0], c[1]) >= 0.1)
+    .map(lambda c: LineFront(*c)),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.3, 2.0), st.floats(-0.5, 0.5))
+    .map(lambda c: CircleFront(*c)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    front=_FRONTS,
+    t=st.floats(-0.5, 0.5),
+    s=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=20),
+)
+def test_curve_lies_on_the_front_and_inverts(front, t, s):
+    # the points of the curve are on the front, curve_param maps them back
+    # to s (modulo the period of a closed front), and the arc length per
+    # unit of s is the length of a central difference of the points
+    s = np.array(s)
+    x, speed = front.curve(t, s)
+    scale = 1.0 + np.abs(x).max() + np.abs(s).max()
+    assert np.abs(front.value(np.column_stack([x, np.full(len(s), t)]))).max() <= 1e-12 * scale
+    back = front.curve_param(t, x)
+    gap = back - s
+    if front.period is not None:
+        assert np.all((back >= 0.0) & (back <= front.period))
+        gap = (gap + 0.5 * front.period) % front.period - 0.5 * front.period
+    assert np.abs(gap).max() <= 1e-12 * scale
+    h = 1e-6
+    step = np.hypot(*(front.curve(t, s + h)[0] - front.curve(t, s - h)[0]).T) / (2.0 * h)
+    assert step == pytest.approx(np.full(len(s), speed), rel=1e-7)
