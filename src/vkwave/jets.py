@@ -71,6 +71,18 @@ class FieldJet:
             object.__setattr__(jet, name, value)
         return jet
 
+    @classmethod
+    def _subset(cls, point, w, phi, slots) -> "FieldJet":
+        """A jet of float64 arrays filled only in ``slots`` (NaN in every
+        other slot), validated as a full jet is but on the filled slots:
+        a non-finite value there or in ``point`` raises ValidationError."""
+        for name, arr in (("w", w), ("phi", phi)):
+            if not np.isfinite(arr[..., slots]).all():
+                raise ValidationError(f"{name} contains non-finite entries")
+        if not np.isfinite(point).all():
+            raise ValidationError("point contains non-finite entries")
+        return cls._unchecked(point, w, phi)
+
     @property
     def is_batch(self) -> bool:
         return self.point.ndim > 1

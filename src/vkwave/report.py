@@ -39,7 +39,7 @@ from .jumps import (
     amplitude_relation_scales,
 )
 from .scenario import Scenario, _front_points, build_field, sample_front_point, scenario_to_dict
-from .solutions import _jet_batches, _pde_terms
+from .solutions import _PDE_SLOTS, Side, _jet_batches, _pde_terms
 from .wavefront import _front_distance
 from .version import __version__
 
@@ -124,7 +124,8 @@ def _run_pde_residual(scenario: Scenario, field, check, rng):
     else:
         n = check.samples if check.samples is not None else 20
         pts = rng.uniform(-1.0, 1.0, (n, 3))
-    (worst,) = _batch_maxima(_jet_batches(field, pts), (None,), _pde_scaled, field.params)
+    batches = _jet_batches(field, pts, Side.AUTO, _PDE_SLOTS)
+    (worst,) = _batch_maxima(batches, (None,), _pde_scaled, field.params)
     yield None, worst, f"max over {len(pts)} points"
 
 

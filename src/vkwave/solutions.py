@@ -73,18 +73,14 @@ class InvariantSolution:
 
     front = None
 
-    def jet(self, point, side: Side = Side.AUTO) -> FieldJet:
+    def jet(self, point, side: Side = Side.AUTO, slots=None) -> FieldJet:
         pts, flat, single = _as_points(point)
-        out_w = np.empty((flat.shape[0], JET_SIZE))
-        out_phi = np.empty_like(out_w)
+        out_w, out_phi = _jet_arrays(flat.shape[0], slots)
         traveling_jet_fill(
             np.asarray(self.u), np.asarray(self.phi), self.omega, self.wave_speed,
-            flat, out_w, out_phi,
+            flat, out_w, out_phi, slots,
         )
-        shape = pts.shape[:-1] + (JET_SIZE,)
-        if single:
-            return FieldJet(pts, out_w[0], out_phi[0])
-        return FieldJet(pts, out_w.reshape(shape), out_phi.reshape(shape))
+        return _field_jet(pts, single, out_w, out_phi, slots)
 
 
 def invariant_solution(u, phi, c: float, params: PlateParams) -> InvariantSolution:
@@ -124,14 +120,36 @@ class PolynomialField:
     def _phi_terms(self):
         return _slot_terms(self.phi_exponents, self.phi_coefficients)
 
-    def jet(self, point, side: Side = Side.AUTO) -> FieldJet:
+    def jet(self, point, side: Side = Side.AUTO, slots=None) -> FieldJet:
         pts, flat, single = _as_points(point)
-        out_w = _eval_terms(self._w_terms, flat)
-        out_phi = _eval_terms(self._phi_terms, flat)
+        out_w = _eval_terms(self._w_terms, flat, slots)
+        out_phi = _eval_terms(self._phi_terms, flat, slots)
+        return _field_jet(pts, single, out_w, out_phi, slots)
+
+
+def _jet_arrays(n: int, slots):
+    """Uninitialised w and phi jet arrays of shape (n, 35).  Those of a
+    subset jet are slot-major, so that each slot it fills and reads is one
+    contiguous run, and share one allocation: two separate blocks of a
+    2,048-point batch were each handed back to the system when freed and
+    faulted in again for the next batch, which cost more than the fill."""
+    if slots is None:
+        return np.empty((n, JET_SIZE)), np.empty((n, JET_SIZE))
+    w, phi = np.empty((2, JET_SIZE, n))
+    return w.T, phi.T
+
+
+def _field_jet(pts, single: bool, out_w, out_phi, slots) -> FieldJet:
+    """The FieldJet of (n, 35) arrays at ``pts``, reshaped to its batch
+    shape; a subset jet is checked on its filled slots only."""
+    if single:
+        w, phi = out_w[0], out_phi[0]
+    else:
         shape = pts.shape[:-1] + (JET_SIZE,)
-        if single:
-            return FieldJet(pts, out_w[0], out_phi[0])
-        return FieldJet(pts, out_w.reshape(shape), out_phi.reshape(shape))
+        w, phi = out_w.reshape(shape), out_phi.reshape(shape)
+    if slots is None:
+        return FieldJet(pts, w, phi)
+    return FieldJet._subset(pts, w, phi, slots)
 
 
 def _slot_terms(exps: np.ndarray, coefs: np.ndarray):
@@ -158,9 +176,13 @@ def _slot_terms(exps: np.ndarray, coefs: np.ndarray):
     return terms
 
 
-def _eval_terms(terms, flat: np.ndarray) -> np.ndarray:
-    """The jet slots of one polynomial at points of shape (N, 3)."""
+def _eval_terms(terms, flat: np.ndarray, slots=None) -> np.ndarray:
+    """The jet slots of one polynomial at points of shape (N, 3): all of
+    them, or ``slots`` only with NaN in every other slot."""
     out = np.zeros((flat.shape[0], JET_SIZE))
+    if slots is not None:
+        out[:, np.setdiff1d(np.arange(JET_SIZE), slots)] = np.nan
+        terms = [t for t in terms if t[0] in slots]
     for q, factors, powers in terms:
         acc = None
         for factor, pw in zip(factors, powers):
@@ -222,9 +244,10 @@ class PiecewiseField:
             if getattr(branch, "params", None) != self.params:
                 raise ValidationError(f"{name} branch has different plate constants")
 
-    def jet(self, point, side: Side = Side.AUTO) -> FieldJet:
+    def jet(self, point, side: Side = Side.AUTO, slots=None) -> FieldJet:
         """Jets of the ahead or behind branch, or with ``Side.AUTO`` of the
-        branch the sign of gamma picks at each point.
+        branch the sign of gamma picks at each point; with ``slots``, jets
+        filled in those slots only, as a branch's ``jet`` fills them.
 
         An AUTO batch of two traveling profiles with the same speed and
         omega (an acceleration wave, or one solution on both sides) takes
@@ -234,9 +257,9 @@ class PiecewiseField:
         0 and ValidationError where it is NaN.
         """
         if side is Side.AHEAD:
-            return self.ahead.jet(point)
+            return self.ahead.jet(point, slots=slots)
         if side is Side.BEHIND:
-            return self.behind.jet(point)
+            return self.behind.jet(point, slots=slots)
 
         pts, flat, single = _as_points(point)
         g = np.asarray(self.front.value(flat), dtype=np.float64)
@@ -251,11 +274,10 @@ class PiecewiseField:
                 "the point has no side"
             )
         if single:
-            return (self.ahead if g[0] > 0 else self.behind).jet(point)
+            return (self.ahead if g[0] > 0 else self.behind).jet(point, slots=slots)
 
         ahead_mask = g > 0
-        out_w = np.empty((flat.shape[0], JET_SIZE))
-        out_phi = np.empty_like(out_w)
+        out_w, out_phi = _jet_arrays(flat.shape[0], slots)
         a, b = self.ahead, self.behind
         if (
             isinstance(a, InvariantSolution)
@@ -263,18 +285,20 @@ class PiecewiseField:
             and a.wave_speed == b.wave_speed
             and a.omega == b.omega
         ):
-            # coefficient rows of shape (4, n): each point's own branch
-            u = np.where(ahead_mask, np.array(a.u)[:, None], np.array(b.u)[:, None])
-            phi = np.where(ahead_mask, np.array(a.phi)[:, None], np.array(b.phi)[:, None])
-            traveling_jet_fill(u, phi, a.omega, a.wave_speed, flat, out_w, out_phi)
+            # a coefficient both branches hold to the bit stays one value;
+            # any other is one value per point, its own branch's
+            u, phi = (
+                [x if float(x).hex() == float(y).hex() else np.where(ahead_mask, x, y) for x, y in pair]
+                for pair in (zip(a.u, b.u), zip(a.phi, b.phi))
+            )
+            traveling_jet_fill(u, phi, a.omega, a.wave_speed, flat, out_w, out_phi, slots)
         else:
             for branch, mask in ((a, ahead_mask), (b, ~ahead_mask)):
                 if mask.any():
-                    j = branch.jet(flat[mask])
+                    j = branch.jet(flat[mask], slots=slots)
                     out_w[mask] = j.w
                     out_phi[mask] = j.phi
-        shape = pts.shape[:-1] + (JET_SIZE,)
-        return FieldJet(pts, out_w.reshape(shape), out_phi.reshape(shape))
+        return _field_jet(pts, False, out_w, out_phi, slots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,19 +367,26 @@ def eval_jet(field, point, side: Side = Side.AUTO) -> FieldJet:
 
 
 #: Points per jet call.  A jet takes 560 bytes a point, so a batch holds
-#: about 1 MB of jets; a balance slice has thousands of points and a
+#: about 1 MB of jets whether every slot is filled or only a subset (the
+#: unfilled slots hold NaN); a balance slice has thousands of points and a
 #: pde_residual check may sample many more.
 _BATCH_POINTS = 2048
 
 
-def _jet_batches(field, points: np.ndarray, side: Side = Side.AUTO):
+def _jet_batches(field, points: np.ndarray, side: Side = Side.AUTO, slots=None):
     """Jets of ``points`` (shape (n, 3)) in consecutive batches of at most
     _BATCH_POINTS points: yields (rows, jet), ``rows`` the slice of
-    ``points`` the jet holds.  A caller deletes each jet before it asks
-    for the next, so that one batch of jets is held at a time."""
+    ``points`` the jet holds.  With ``slots``, each jet is filled in those
+    slots only.  A caller deletes each jet before it asks for the next, so
+    that one batch of jets is held at a time."""
     for start in range(0, len(points), _BATCH_POINTS):
         rows = slice(start, start + _BATCH_POINTS)
-        yield rows, field.jet(points[rows], side)
+        yield rows, field.jet(points[rows], side, slots)
+
+
+#: The jet slots _pde_terms reads, the same for w and phi: a pde_residual
+#: check fills only these.
+_PDE_SLOTS = (S11, S12, S22, S33, S1111, S1122, S2222)
 
 
 def _pde_terms(jet: FieldJet, p: PlateParams):

@@ -267,9 +267,9 @@ def test_balance_check_is_planned_and_evaluated_once(
 
     jet = type(field).jet
 
-    def counted_jet(self, point, side=Side.AUTO):
+    def counted_jet(self, point, side=Side.AUTO, slots=None):
         passes[-1].append((side, len(point)))
-        return jet(self, point, side)
+        return jet(self, point, side, slots)
 
     heights = []
     plan_heights = balance._plan_heights

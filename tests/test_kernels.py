@@ -122,3 +122,25 @@ def test_per_point_coefficients_equal_row_by_row_scalar_fills(per_point):
         assert np.array_equal(got_w[k], want_w[0])
         assert np.array_equal(got_phi[k], want_phi[0])
         assert np.array_equal(np.signbit(got_w[k]), np.signbit(want_w[0]))
+
+
+def test_slot_subset_matches_full_fill_bit_for_bit():
+    # the slots asked for get a full fill's bits, every other slot NaN,
+    # with scalar or per-point coefficients and any subset of slots
+    rng = np.random.default_rng(13)
+    for trial in range(100):
+        n = int(rng.integers(1, 40))
+        u = rng.uniform(-2, 2, (4, n) if trial % 2 else 4)
+        ph = rng.uniform(-2, 2, (4, n) if trial % 3 else 4)
+        omega = float(rng.uniform(0.2, 4.0))
+        c = float(rng.uniform(-3.0, 3.0))
+        pts = rng.uniform(-2, 2, (n, 3))
+        slots = tuple(int(q) for q in np.flatnonzero(rng.random(JET_SIZE) < 0.3))
+        unfilled = np.setdiff1d(np.arange(JET_SIZE), slots)
+        full = _fill(u, ph, omega, c, pts)
+        sub = [np.empty((n, JET_SIZE)), np.empty((n, JET_SIZE))]
+        traveling_jet_fill(u, ph, omega, c, pts, *sub, slots)
+        for g, w in zip(sub, full):
+            np.testing.assert_array_equal(g[:, list(slots)], w[:, list(slots)])
+            np.testing.assert_array_equal(np.signbit(g[:, list(slots)]), np.signbit(w[:, list(slots)]))
+            assert np.isnan(g[:, unfilled]).all()

@@ -496,6 +496,23 @@ def test_pde_residual_row_with_a_nan_second_equation_fails():
     assert math.isnan(row.residual)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pde_residual_overflow_in_a_filled_slot_is_an_error_row(monkeypatch):
+    # omega = 2 makes w11 = -4e308 sin(2 xi) overflow: the check fills only
+    # the slots the equations read, and an inf there still errors the row
+    data = passing_scenario()
+    data["field"]["wave_speed"] = 2.0
+    data["field"]["w_coefficients"] = [0, 0, 1e308, 0]
+    data["checks"] = [{"type": "pde_residual", "samples": 50}]
+    for batch_points in (solutions._BATCH_POINTS, 1):
+        monkeypatch.setattr(solutions, "_BATCH_POINTS", batch_points)
+        (row,) = run_scenario(scenario_from_dict(data)).results
+        assert (row.name, row.status, row.residual, row.tolerance, row.detail) == (
+            "pde_residual", "error", None, None,
+            "ValidationError: w contains non-finite entries",
+        ), batch_points
+
+
 def _every_kind_scenario() -> dict:
     """One check of every kind on the example wave, with a distinct
     scenario tolerance for each tolerance class."""

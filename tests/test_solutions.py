@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vkwave import solutions
 from vkwave.errors import SideRequiredError, ValidationError
 from vkwave.indexing import EXPONENTS, JET_SIZE
+from vkwave.jets import FieldJet
 from vkwave.solutions import (
     AccelerationWave,
     InvariantSolution,
@@ -252,9 +254,9 @@ def count_fills(monkeypatch):
     sizes = []
     fill = solutions.traveling_jet_fill
 
-    def counted(u, phi, omega, c, pts, out_w, out_phi):
+    def counted(u, phi, omega, c, pts, out_w, out_phi, slots=None):
         sizes.append(len(pts))
-        return fill(u, phi, omega, c, pts, out_w, out_phi)
+        return fill(u, phi, omega, c, pts, out_w, out_phi, slots)
 
     monkeypatch.setattr(solutions, "traveling_jet_fill", counted)
     return sizes
@@ -383,3 +385,97 @@ def test_nan_front_value_is_an_error_not_a_side(case, generic_params):
             field.jet(pts)
         with pytest.raises(ValidationError, match="NaN"):
             field.jet(bad)
+
+
+def _subset_case(case, params):
+    """A field of each kind the subset jet path reaches."""
+    front = LineFront(1.0, 0.5, -1.0, 0.1)
+    ahead = invariant_solution((0.4, -0.2, 0.9, 0.5), (0.3, 0.8, -0.6, 0.2), 1.3, params)
+    if case == "invariant":
+        return ahead
+    if case == "acceleration_wave":
+        return _wave(params)
+    if case == "same_branch_object":
+        return _same_solution_across_circle()
+    if case in ("unequal_speeds", "unequal_omegas"):
+        speed, omega = (0.9, ahead.omega) if case == "unequal_speeds" else (1.3, 0.9)
+        behind = InvariantSolution((0.1, 0.2, -0.3, 0.5), (0.0, 0.1, 0.6, -0.2), speed, params, omega)
+        return PiecewiseField(ahead, behind, front, params)
+    poly = polynomial_field(
+        {(2, 1, 0): 0.4, (0, 0, 3): -0.2, (2, 2, 0): 0.3, (4, 0, 1): 0.1},
+        {(1, 2, 1): 0.3, (0, 4, 0): -0.5, (1, 1, 0): 0.2},
+        params,
+    )
+    if case == "polynomial":
+        return poly
+    other = polynomial_field({(1, 0, 2): 0.7, (3, 1, 0): 0.2}, {(3, 0, 0): -0.1, (2, 2, 0): 0.4}, params)
+    return PiecewiseField(poly, other, front, params)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "invariant", "acceleration_wave", "same_branch_object", "unequal_speeds",
+        "unequal_omegas", "polynomial", "polynomial_branches",
+    ],
+)
+@pytest.mark.parametrize("slots", [solutions._PDE_SLOTS, (0, 3, 5, 9, 13, 19, 33, 34)])
+def test_subset_jet_equals_full_jet_in_its_slots(case, slots, generic_params, count_fills):
+    field = _subset_case(case, generic_params)
+    pts = np.random.default_rng(8).uniform(-1.0, 1.0, (400, 3))
+    unfilled = np.setdiff1d(np.arange(JET_SIZE), slots)
+    sides = [Side.AUTO] + ([Side.AHEAD, Side.BEHIND] if field.front is not None else [])
+    for side in sides:
+        full = field.jet(pts, side)
+        count_fills.clear()
+        sub = field.jet(pts, side, slots)
+        if case in ("acceleration_wave", "same_branch_object") and side is Side.AUTO:
+            assert count_fills == [400]  # still one fill
+        for got, want in ((sub.w, full.w), (sub.phi, full.phi)):
+            assert got.shape == want.shape
+            assert np.array_equal(got[:, list(slots)], want[:, list(slots)])
+            assert np.array_equal(np.signbit(got[:, list(slots)]), np.signbit(want[:, list(slots)]))
+            assert np.isnan(got[:, unfilled]).all()
+    # a single point and a batch shaped (..., 3) take the same path
+    for point in (pts[0], pts.reshape(20, 20, 3)):
+        full, sub = field.jet(point), field.jet(point, Side.AUTO, slots)
+        assert np.array_equal(sub.w[..., list(slots)], full.w[..., list(slots)])
+        assert np.isnan(sub.phi[..., unfilled]).all()
+    # _jet_batches forwards the subset
+    for rows, jet in solutions._jet_batches(field, pts, Side.AUTO, slots):
+        assert np.array_equal(jet.phi[:, list(slots)], field.jet(pts[rows]).phi[:, list(slots)])
+        assert np.isnan(jet.w[:, unfilled]).all()
+
+
+def test_pde_terms_read_only_the_pde_slots(generic_params):
+    # a jet that is NaN outside _PDE_SLOTS gives the full jet's residuals
+    # and scales: a term that read another slot would give NaN here
+    rng = np.random.default_rng(9)
+    w, phi = rng.uniform(-2.0, 2.0, (2, 50, JET_SIZE))
+    pts = rng.uniform(-1.0, 1.0, (50, 3))
+    unfilled = np.setdiff1d(np.arange(JET_SIZE), solutions._PDE_SLOTS)
+    w_sub, phi_sub = w.copy(), phi.copy()
+    w_sub[:, unfilled] = np.nan
+    phi_sub[:, unfilled] = np.nan
+    full = solutions._pde_terms(FieldJet(pts, w, phi), generic_params)
+    sub = solutions._pde_terms(FieldJet._unchecked(pts, w_sub, phi_sub), generic_params)
+    for got, want in zip(sub, full):
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, want)
+
+
+def test_subset_jet_is_checked_in_its_filled_slots(generic_params):
+    pts = np.zeros((2, 3))
+    w = np.full((2, JET_SIZE), np.nan)
+    phi = w.copy()
+    w[:, [1, 4]] = phi[:, [1, 4]] = 1.0
+    jet = FieldJet._subset(pts, w, phi, (1, 4))
+    assert jet.w is w and jet.phi is phi
+    phi[1, 4] = np.inf
+    with pytest.raises(ValidationError, match="^phi contains non-finite entries$"):
+        FieldJet._subset(pts, w, phi, (1, 4))
+    w[0, 1] = np.nan
+    with pytest.raises(ValidationError, match="^w contains non-finite entries$"):
+        FieldJet._subset(pts, w, phi, (1, 4))
+    with pytest.raises(ValidationError, match="^point contains non-finite entries$"):
+        FieldJet._subset(np.array([[0.0, np.nan, 0.0]] * 2), w, w, (4,))
