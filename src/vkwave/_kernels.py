@@ -6,10 +6,10 @@ Given profile coefficients for
     phi(x) = p0 + p1*xi + p2*xi^2 + p3*xi^3,      xi = x1 - c*x3,
 
 fill the 4-jets of w and phi at a block of points: every slot, or only
-the slots a caller asks for.  A derivative with subscript multiplicities
-(i, j, k) along (x1, x2, x3) equals the profile derivative of order
-i + k times (-c)^k, and vanishes whenever j > 0 because the profile does
-not depend on x2.
+the slots a caller asks for, in arrays that hold those slots alone.  A
+derivative with subscript multiplicities (i, j, k) along (x1, x2, x3)
+equals the profile derivative of order i + k times (-c)^k, and vanishes
+whenever j > 0 because the profile does not depend on x2.
 
 Each of the eight coefficients is either one value for every point or an
 array of one value per point, so that two profiles sharing omega and c
@@ -63,10 +63,10 @@ def traveling_jet_fill(u, phi, omega, c, pts, out_w, out_phi, slots=None) -> Non
     term by term, so a point's jet is bit for bit the one its
     coefficients give as scalars.
 
-    With ``slots`` (jet slot indices), only the profile columns those
-    slots read are computed, each of those slots gets the bits a full fill
-    gives it, and every other slot is NaN: a formula that reads a slot
-    it did not ask for gives NaN instead of a plausible number.
+    With ``slots`` (jet slot indices), the outputs have shape
+    (n, len(slots)) and column i gets slot ``slots[i]``, with the bits a
+    full fill gives that slot; only the profile columns those slots read
+    are computed, and no other slot is stored.
     """
     xi = pts[:, 0] - c * pts[:, 2]
     s = np.sin(omega * xi)
@@ -78,9 +78,7 @@ def traveling_jet_fill(u, phi, omega, c, pts, out_w, out_phi, slots=None) -> Non
         # profile columns by m, each computed when a slot first reads it;
         # column 5 is the x2 slots' zero, and phi's cubic has no m = 4
         w_cols, phi_cols = {5: 0.0}, {4: 0.0, 5: 0.0}
-        out_w.fill(np.nan)
-        out_phi.fill(np.nan)
-        for q in slots:
+        for i, q in enumerate(slots):
             m, k = _SLOT_M[q], _SLOT_K[q]
             if m not in w_cols:
                 w_cols[m] = _w_column(m, u, omega, xi, s, co)
@@ -88,8 +86,8 @@ def traveling_jet_fill(u, phi, omega, c, pts, out_w, out_phi, slots=None) -> Non
                 phi_cols[m] = _phi_column(m, phi, xi)
             # a factor of 1.0 leaves a value's bits as they are
             f = 1.0 if k is None else powc[k]
-            out_w[:, q] = w_cols[m] if f == 1.0 else w_cols[m] * f
-            out_phi[:, q] = phi_cols[m] if f == 1.0 else phi_cols[m] * f
+            out_w[:, i] = w_cols[m] if f == 1.0 else w_cols[m] * f
+            out_phi[:, i] = phi_cols[m] if f == 1.0 else phi_cols[m] * f
         return
 
     w_prof = np.zeros((xi.shape[0], 6))

@@ -27,6 +27,10 @@ class ValidationError(VkwaveError, ValueError):
     """A constructor argument is outside its admissible range."""
 
 
+class UnfilledSlotError(VkwaveError, LookupError):
+    """A jet filled in some slots only was read in a slot it does not hold."""
+
+
 class SingularFrontError(VkwaveError):
     """The spatial gradient of the level set vanishes, so the front has no
     well-defined normal direction or speed at the requested point."""

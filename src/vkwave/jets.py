@@ -13,8 +13,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ValidationError
-from .indexing import JET_SIZE, idx
+from .errors import UnfilledSlotError, ValidationError
+from .indexing import JET_SIZE, MULTI_INDICES, idx
 
 
 def _as_point(point) -> np.ndarray:
@@ -24,6 +24,34 @@ def _as_point(point) -> np.ndarray:
     return p
 
 
+class _SlotRows:
+    """One field of a jet filled in some slots only, read as a full jet's
+    array is: ``rows[..., q]`` gives slot q's values.  ``values`` has shape
+    (..., len(slots)), its column i holding slot ``slots[i]``; reading a
+    slot that is not among them raises UnfilledSlotError, and the object
+    is no array, so that nothing can read a column as the wrong slot."""
+
+    __slots__ = ("values", "_column")
+
+    def __init__(self, values: np.ndarray, slots) -> None:
+        self.values = values
+        self._column = {int(q): i for i, q in enumerate(slots)}
+
+    def __getitem__(self, key):
+        q = key[1] if isinstance(key, tuple) and len(key) == 2 and key[0] is Ellipsis else None
+        if not isinstance(q, (int, np.integer)):
+            raise TypeError(f"a subset jet is read one slot at a time, as [..., slot]; got {key!r}")
+        if q not in self._column:
+            name = f" {MULTI_INDICES[q]}" if 0 <= q < JET_SIZE else ""
+            raise UnfilledSlotError(
+                f"jet slot {q}{name} was not filled; the jet holds slots {tuple(self._column)}"
+            )
+        return self.values[..., self._column[q]]
+
+    def __array__(self, *args, **kwargs):
+        raise TypeError("a subset jet holds only some slots; read one as [..., slot]")
+
+
 @dataclass(frozen=True, eq=False)
 class FieldJet:
     """Derivatives of the deflection w and the force function phi at a point.
@@ -31,7 +59,9 @@ class FieldJet:
     ``point`` has shape (..., 3) and the derivative vectors shape
     (..., 35); a single point therefore carries plain 1-d vectors while a
     batch of N points carries (N, 3) and (N, 35) arrays, and all formula
-    code broadcasts over the leading axes unchanged.
+    code broadcasts over the leading axes unchanged.  A jet filled in some
+    slots only (``_subset``) holds each field as a _SlotRows instead,
+    which reads its slots the same way.
     """
 
     point: np.ndarray
@@ -73,15 +103,17 @@ class FieldJet:
 
     @classmethod
     def _subset(cls, point, w, phi, slots) -> "FieldJet":
-        """A jet of float64 arrays filled only in ``slots`` (NaN in every
-        other slot), validated as a full jet is but on the filled slots:
-        a non-finite value there or in ``point`` raises ValidationError."""
+        """A jet filled in ``slots`` only, of float64 arrays of shape
+        (..., len(slots)) whose column i holds slot ``slots[i]``, each
+        wrapped in a _SlotRows.  It is validated as a full jet is: a
+        non-finite value in either array or in ``point`` raises
+        ValidationError."""
         for name, arr in (("w", w), ("phi", phi)):
-            if not np.isfinite(arr[..., slots]).all():
+            if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} contains non-finite entries")
         if not np.isfinite(point).all():
             raise ValidationError("point contains non-finite entries")
-        return cls._unchecked(point, w, phi)
+        return cls._unchecked(point, _SlotRows(w, slots), _SlotRows(phi, slots))
 
     @property
     def is_batch(self) -> bool:
@@ -141,4 +173,6 @@ class FieldJet:
             return NotImplemented
         if not np.array_equal(self.point, other.point):
             raise ValidationError("jets taken at different points cannot be subtracted")
+        if isinstance(self.w, _SlotRows) or isinstance(other.w, _SlotRows):
+            raise ValidationError("jets filled in some slots only cannot be subtracted")
         return FieldJet(self.point, self.w - other.w, self.phi - other.phi)

@@ -75,12 +75,17 @@ class InvariantSolution:
 
     def jet(self, point, side: Side = Side.AUTO, slots=None) -> FieldJet:
         pts, flat, single = _as_points(point)
+        return _field_jet(pts, single, *self._jet_values(flat, slots), slots)
+
+    def _jet_values(self, flat: np.ndarray, slots):
+        """The w and phi arrays of the jets at ``flat``, as _jet_arrays
+        lays them out."""
         out_w, out_phi = _jet_arrays(flat.shape[0], slots)
         traveling_jet_fill(
             np.asarray(self.u), np.asarray(self.phi), self.omega, self.wave_speed,
             flat, out_w, out_phi, slots,
         )
-        return _field_jet(pts, single, out_w, out_phi, slots)
+        return out_w, out_phi
 
 
 def invariant_solution(u, phi, c: float, params: PlateParams) -> InvariantSolution:
@@ -122,30 +127,35 @@ class PolynomialField:
 
     def jet(self, point, side: Side = Side.AUTO, slots=None) -> FieldJet:
         pts, flat, single = _as_points(point)
-        out_w = _eval_terms(self._w_terms, flat, slots)
-        out_phi = _eval_terms(self._phi_terms, flat, slots)
-        return _field_jet(pts, single, out_w, out_phi, slots)
+        return _field_jet(pts, single, *self._jet_values(flat, slots), slots)
+
+    def _jet_values(self, flat: np.ndarray, slots):
+        """The w and phi arrays of the jets at ``flat``, laid out as
+        _jet_arrays lays them out."""
+        return _eval_terms(self._w_terms, flat, slots), _eval_terms(self._phi_terms, flat, slots)
 
 
 def _jet_arrays(n: int, slots):
-    """Uninitialised w and phi jet arrays of shape (n, 35).  Those of a
-    subset jet are slot-major, so that each slot it fills and reads is one
-    contiguous run, and share one allocation: two separate blocks of a
-    2,048-point batch were each handed back to the system when freed and
-    faulted in again for the next batch, which cost more than the fill."""
+    """Uninitialised w and phi jet arrays for n points: of shape (n, 35),
+    or with ``slots`` of shape (n, len(slots)), column i for slot
+    ``slots[i]``.  The two of a subset jet are views of one
+    (2, len(slots), n) block, row i of each holding slot ``slots[i]``, so
+    that each slot is one contiguous run and both share one allocation:
+    two separate blocks of a batch were each handed back to the system
+    when freed and faulted in again for the next batch, which cost more
+    than the fill."""
     if slots is None:
         return np.empty((n, JET_SIZE)), np.empty((n, JET_SIZE))
-    w, phi = np.empty((2, JET_SIZE, n))
-    return w.T, phi.T
+    return np.empty((2, len(slots), n)).transpose(0, 2, 1)
 
 
 def _field_jet(pts, single: bool, out_w, out_phi, slots) -> FieldJet:
-    """The FieldJet of (n, 35) arrays at ``pts``, reshaped to its batch
-    shape; a subset jet is checked on its filled slots only."""
+    """The FieldJet of the arrays of _jet_arrays at ``pts``, reshaped to
+    its batch shape; with ``slots``, a jet that holds those slots only."""
     if single:
         w, phi = out_w[0], out_phi[0]
     else:
-        shape = pts.shape[:-1] + (JET_SIZE,)
+        shape = pts.shape[:-1] + out_w.shape[-1:]
         w, phi = out_w.reshape(shape), out_phi.reshape(shape)
     if slots is None:
         return FieldJet(pts, w, phi)
@@ -178,12 +188,17 @@ def _slot_terms(exps: np.ndarray, coefs: np.ndarray):
 
 def _eval_terms(terms, flat: np.ndarray, slots=None) -> np.ndarray:
     """The jet slots of one polynomial at points of shape (N, 3): all of
-    them, or ``slots`` only with NaN in every other slot."""
-    out = np.zeros((flat.shape[0], JET_SIZE))
-    if slots is not None:
-        out[:, np.setdiff1d(np.arange(JET_SIZE), slots)] = np.nan
-        terms = [t for t in terms if t[0] in slots]
+    them in an (N, 35) array, or ``slots`` only in an (N, len(slots))
+    array whose column i, row i of its slot-major memory, holds slot
+    ``slots[i]``."""
+    n = flat.shape[0]
+    if slots is None:
+        out, column = np.zeros((n, JET_SIZE)), {q: q for q in range(JET_SIZE)}
+    else:
+        out, column = np.zeros((len(slots), n)).T, {q: i for i, q in enumerate(slots)}
     for q, factors, powers in terms:
+        if q not in column:
+            continue
         acc = None
         for factor, pw in zip(factors, powers):
             # monomial evaluation: the term's powers multiplied in axis order
@@ -194,7 +209,7 @@ def _eval_terms(terms, flat: np.ndarray, slots=None) -> np.ndarray:
             # differently with the number of points, and a point's jet must
             # not depend on the batch it is evaluated in
             acc = vals * factor if acc is None else acc + vals * factor
-        out[:, q] = acc
+        out[:, column[q]] = acc
     return out
 
 
@@ -295,9 +310,7 @@ class PiecewiseField:
         else:
             for branch, mask in ((a, ahead_mask), (b, ~ahead_mask)):
                 if mask.any():
-                    j = branch.jet(flat[mask], slots=slots)
-                    out_w[mask] = j.w
-                    out_phi[mask] = j.phi
+                    out_w[mask], out_phi[mask] = branch._jet_values(flat[mask], slots)
         return _field_jet(pts, False, out_w, out_phi, slots)
 
 
@@ -366,21 +379,24 @@ def eval_jet(field, point, side: Side = Side.AUTO) -> FieldJet:
     return field.jet(point, side)
 
 
-#: Points per jet call.  A jet takes 560 bytes a point, so a batch holds
-#: about 1 MB of jets whether every slot is filled or only a subset (the
-#: unfilled slots hold NaN); a balance slice has thousands of points and a
+#: Points per jet call of full jets.  A full jet takes 560 bytes a point,
+#: so a batch holds about 1 MB of jets; a jet filled in some slots only
+#: stores those slots alone, and its batches take as many more points as
+#: keep them at about 1 MB.  A balance slice has thousands of points and a
 #: pde_residual check may sample many more.
 _BATCH_POINTS = 2048
 
 
 def _jet_batches(field, points: np.ndarray, side: Side = Side.AUTO, slots=None):
     """Jets of ``points`` (shape (n, 3)) in consecutive batches of at most
-    _BATCH_POINTS points: yields (rows, jet), ``rows`` the slice of
-    ``points`` the jet holds.  With ``slots``, each jet is filled in those
-    slots only.  A caller deletes each jet before it asks for the next, so
-    that one batch of jets is held at a time."""
-    for start in range(0, len(points), _BATCH_POINTS):
-        rows = slice(start, start + _BATCH_POINTS)
+    _BATCH_POINTS * 35 jet values per field: _BATCH_POINTS points of full
+    jets, or _BATCH_POINTS * 35 // len(slots) points of jets filled in
+    ``slots`` only.  Yields (rows, jet), ``rows`` the slice of ``points``
+    the jet holds.  A caller deletes each jet before it asks for the next,
+    so that one batch of jets is held at a time."""
+    size = _BATCH_POINTS * JET_SIZE // (JET_SIZE if slots is None else len(slots))
+    for start in range(0, len(points), size):
+        rows = slice(start, start + size)
         yield rows, field.jet(points[rows], side, slots)
 
 

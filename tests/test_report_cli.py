@@ -11,6 +11,7 @@ import yaml
 
 from vkwave import cli, solutions
 from vkwave.errors import ValidationError
+from vkwave.indexing import JET_SIZE
 from vkwave.jumps import (
     balance_jump_residual,
     balance_jump_scale,
@@ -21,7 +22,7 @@ from vkwave.jumps import (
 )
 from vkwave.report import emit_report, run_scenario
 from vkwave.scenario import CHECK_KINDS, build_field, sample_front_point, scenario_from_dict
-from vkwave.solutions import PiecewiseField, pde_residual, pde_term_scales, polynomial_field
+from vkwave.solutions import _PDE_SLOTS, PiecewiseField, Side, pde_residual, pde_term_scales, polynomial_field
 from vkwave.wavefront import CircleFront
 
 _EXAMPLE_SCENARIO = Path(__file__).resolve().parents[1] / "examples_scenarios" / "wave_check.yaml"
@@ -128,7 +129,21 @@ def test_pde_residual_check_is_batched(count_jet_calls):
     (result,) = run_scenario(scenario).results
     assert result.residual == expected
     assert sum(sizes) == n
-    assert max(sizes) <= solutions._BATCH_POINTS
+    assert max(sizes) <= solutions._BATCH_POINTS * JET_SIZE // len(_PDE_SLOTS)
+
+
+def test_pde_residual_batches_are_sized_by_jet_values(count_jet_calls):
+    # a jet of the seven pde slots stores 7 of 35 values a point, so a
+    # batch takes five times _BATCH_POINTS points
+    data = passing_scenario()
+    data["checks"] = [{"type": "pde_residual", "samples": 200_000}]
+    scenario = scenario_from_dict(data)
+    sizes = count_jet_calls(build_field(scenario))
+    (result,) = run_scenario(scenario).results
+    assert result.status == "pass"
+    assert len(sizes) == 20
+    assert sizes[:-1] == [5 * solutions._BATCH_POINTS] * 19
+    assert sum(sizes) == 200_000
 
 
 def test_json_report_shape_and_determinism():
@@ -573,9 +588,9 @@ def test_error_rows_keep_their_tolerance_only_per_law():
 
 
 @pytest.mark.parametrize("batch_points", [1, 7])
-def test_report_bytes_do_not_depend_on_the_batch_size(batch_points, monkeypatch, count_jet_calls):
+def test_report_bytes_do_not_depend_on_the_batch_size(batch_points, monkeypatch):
     # nine draws per check, and two times for dynamic_jumps: every sampled
-    # check has more points than a batch holds
+    # check has more points than a batch of full jets holds
     data = _every_kind_scenario()
     for check in data["checks"]:
         if "samples" in check:
@@ -585,9 +600,18 @@ def test_report_bytes_do_not_depend_on_the_batch_size(batch_points, monkeypatch,
     expected = emit_report(run_scenario(scenario), "json")
 
     monkeypatch.setattr(solutions, "_BATCH_POINTS", batch_points)
-    sizes = count_jet_calls(build_field(scenario))
+    field = build_field(scenario)
+    jet, calls = type(field).jet, []
+
+    def counted(self, point, side=Side.AUTO, slots=None):
+        calls.append((len(point), slots))
+        return jet(self, point, side, slots)
+
+    monkeypatch.setattr(type(field), "jet", counted)
     assert emit_report(run_scenario(scenario), "json") == expected
-    assert max(sizes) <= batch_points
+    assert {slots for _, slots in calls} == {None, _PDE_SLOTS}
+    for n, slots in calls:
+        assert n <= (batch_points if slots is None else batch_points * JET_SIZE // len(slots))
 
 
 def test_sampling_exhaustion_error_takes_every_candidate_draw(monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vkwave import solutions
-from vkwave.errors import SideRequiredError, ValidationError
+from vkwave.errors import SideRequiredError, UnfilledSlotError, ValidationError
 from vkwave.indexing import EXPONENTS, JET_SIZE
 from vkwave.jets import FieldJet
 from vkwave.solutions import (
@@ -412,6 +412,20 @@ def _subset_case(case, params):
     return PiecewiseField(poly, other, front, params)
 
 
+def _assert_holds_slots(sub, full, slots):
+    """``sub`` holds ``full``'s bits in ``slots``, ``len(slots)`` values per
+    point per field, and reading any other slot raises."""
+    for got, want in ((sub.w, full.w), (sub.phi, full.phi)):
+        assert got.values.shape == want.shape[:-1] + (len(slots),)
+        for q in range(JET_SIZE):
+            if q in slots:
+                assert np.array_equal(got[..., q], want[..., q])
+                assert np.array_equal(np.signbit(got[..., q]), np.signbit(want[..., q]))
+            else:
+                with pytest.raises(UnfilledSlotError, match=f"^jet slot {q} "):
+                    got[..., q]
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -423,7 +437,6 @@ def _subset_case(case, params):
 def test_subset_jet_equals_full_jet_in_its_slots(case, slots, generic_params, count_fills):
     field = _subset_case(case, generic_params)
     pts = np.random.default_rng(8).uniform(-1.0, 1.0, (400, 3))
-    unfilled = np.setdiff1d(np.arange(JET_SIZE), slots)
     sides = [Side.AUTO] + ([Side.AHEAD, Side.BEHIND] if field.front is not None else [])
     for side in sides:
         full = field.jet(pts, side)
@@ -431,20 +444,13 @@ def test_subset_jet_equals_full_jet_in_its_slots(case, slots, generic_params, co
         sub = field.jet(pts, side, slots)
         if case in ("acceleration_wave", "same_branch_object") and side is Side.AUTO:
             assert count_fills == [400]  # still one fill
-        for got, want in ((sub.w, full.w), (sub.phi, full.phi)):
-            assert got.shape == want.shape
-            assert np.array_equal(got[:, list(slots)], want[:, list(slots)])
-            assert np.array_equal(np.signbit(got[:, list(slots)]), np.signbit(want[:, list(slots)]))
-            assert np.isnan(got[:, unfilled]).all()
+        _assert_holds_slots(sub, full, slots)
     # a single point and a batch shaped (..., 3) take the same path
     for point in (pts[0], pts.reshape(20, 20, 3)):
-        full, sub = field.jet(point), field.jet(point, Side.AUTO, slots)
-        assert np.array_equal(sub.w[..., list(slots)], full.w[..., list(slots)])
-        assert np.isnan(sub.phi[..., unfilled]).all()
+        _assert_holds_slots(field.jet(point, Side.AUTO, slots), field.jet(point), slots)
     # _jet_batches forwards the subset
     for rows, jet in solutions._jet_batches(field, pts, Side.AUTO, slots):
-        assert np.array_equal(jet.phi[:, list(slots)], field.jet(pts[rows]).phi[:, list(slots)])
-        assert np.isnan(jet.w[:, unfilled]).all()
+        _assert_holds_slots(jet, field.jet(pts[rows]), slots)
 
 
 def test_pde_terms_read_only_the_pde_slots(generic_params):
@@ -466,16 +472,56 @@ def test_pde_terms_read_only_the_pde_slots(generic_params):
 
 def test_subset_jet_is_checked_in_its_filled_slots(generic_params):
     pts = np.zeros((2, 3))
-    w = np.full((2, JET_SIZE), np.nan)
+    w = np.ones((2, 2))
     phi = w.copy()
-    w[:, [1, 4]] = phi[:, [1, 4]] = 1.0
     jet = FieldJet._subset(pts, w, phi, (1, 4))
-    assert jet.w is w and jet.phi is phi
-    phi[1, 4] = np.inf
+    assert jet.w.values is w and jet.phi.values is phi
+    assert jet.dw(1, 1)[0] == 1.0
+    phi[1, 1] = np.inf
     with pytest.raises(ValidationError, match="^phi contains non-finite entries$"):
         FieldJet._subset(pts, w, phi, (1, 4))
-    w[0, 1] = np.nan
+    w[0, 0] = np.nan
     with pytest.raises(ValidationError, match="^w contains non-finite entries$"):
         FieldJet._subset(pts, w, phi, (1, 4))
     with pytest.raises(ValidationError, match="^point contains non-finite entries$"):
-        FieldJet._subset(np.array([[0.0, np.nan, 0.0]] * 2), w, w, (4,))
+        FieldJet._subset(np.array([[0.0, np.nan, 0.0]] * 2), w[:, 1:], w[:, 1:], (4,))
+
+
+@pytest.mark.parametrize("case", ["acceleration_wave", "polynomial_branches"])
+def test_subset_batches_hold_only_their_slots(case, generic_params):
+    # a batch of n points holds len(slots) values per point per field, and
+    # the two fields of a traveling fill share one block of that size
+    field = _subset_case(case, generic_params)
+    slots = solutions._PDE_SLOTS
+    pts = np.random.default_rng(10).uniform(-1.0, 1.0, (25_000, 3))
+    sizes = []
+    for rows, jet in solutions._jet_batches(field, pts, Side.AUTO, slots):
+        n = len(pts[rows])
+        sizes.append(n)
+        for values in (jet.w.values, jet.phi.values):
+            assert values.nbytes == 8 * len(slots) * n
+        if case == "acceleration_wave":
+            assert jet.w.values.base is jet.phi.values.base
+            assert jet.w.values.base.nbytes == 2 * 8 * len(slots) * n
+    assert sizes == [10_240, 10_240, 4_520]
+
+
+def test_subset_jet_methods_read_filled_slots_or_raise(generic_params):
+    field = _subset_case("acceleration_wave", generic_params)
+    pts = np.random.default_rng(11).uniform(-1.0, 1.0, (30, 3))
+    full, sub = field.jet(pts), field.jet(pts, Side.AUTO, solutions._PDE_SLOTS)
+    assert sub.is_batch and not field.jet(pts[0], Side.AUTO, solutions._PDE_SLOTS).is_batch
+    assert np.array_equal(sub.dw(2, 1, 1, 2), full.dw(1, 1, 2, 2))
+    assert np.array_equal(sub.dphi(3, 3), full.dphi(3, 3))
+    with pytest.raises(UnfilledSlotError, match=r"^jet slot 1 \(1,\) was not filled; the jet holds slots \(4, "):
+        sub.dw(1)
+    with pytest.raises(UnfilledSlotError, match="^jet slot 0 "):
+        sub.dphi()
+    for key in ((slice(None), 4), 4, (Ellipsis, [4, 5])):
+        with pytest.raises(TypeError, match="one slot at a time"):
+            sub.w[key]
+    with pytest.raises(TypeError, match="read one as"):
+        np.asarray(sub.w)
+    for a, b in ((sub, sub), (sub, full), (full, sub)):
+        with pytest.raises(ValidationError, match="^jets filled in some slots only cannot be subtracted$"):
+            a - b
