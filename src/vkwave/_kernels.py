@@ -5,11 +5,11 @@ Given profile coefficients for
     w(x) = u0 + u1*xi + u2*sin(omega*xi) + u3*cos(omega*xi)
     phi(x) = p0 + p1*xi + p2*xi^2 + p3*xi^3,      xi = x1 - c*x3,
 
-fill the 4-jets of w and phi at a block of points: every slot, or only
-the slots a caller asks for, in arrays that hold those slots alone.  A
-derivative with subscript multiplicities (i, j, k) along (x1, x2, x3)
-equals the profile derivative of order i + k times (-c)^k, and vanishes
-whenever j > 0 because the profile does not depend on x2.
+fill the 4-jets of w and phi at a block of points, slot by slot: every
+slot, or only the slots a caller asks for, in arrays that hold those
+slots alone.  A derivative with subscript multiplicities (i, j, k) along
+(x1, x2, x3) equals the profile derivative of order i + k times (-c)^k,
+and vanishes whenever j > 0 because the profile does not depend on x2.
 
 Each of the eight coefficients is either one value for every point or an
 array of one value per point, so that two profiles sharing omega and c
@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .indexing import EXPONENTS
+from .indexing import EXPONENTS, JET_SIZE
 
 #: Profile column each jet slot reads; slots with an x2 subscript read the
 #: all-zero column 5.
-_SLOT_M = np.array([i + k if j == 0 else 5 for i, j, k in EXPONENTS], dtype=np.intp)
+_SLOT_M = tuple(int(i + k) if j == 0 else 5 for i, j, k in EXPONENTS)
 _SLOT_K = tuple(int(k) if j == 0 else None for _, j, k in EXPONENTS)
 
 
@@ -55,50 +55,32 @@ def _phi_column(m, phi, xi):
 
 
 def traveling_jet_fill(u, phi, omega, c, pts, out_w, out_phi, slots=None) -> None:
-    """Fill ``out_w``/``out_phi`` (shape (n, 35)) at ``pts`` (shape (n, 3)).
+    """Fill ``out_w``/``out_phi`` (shape (n, len(slots))) at ``pts`` (shape
+    (n, 3)): column i gets jet slot ``slots[i]``, every slot in order when
+    ``slots`` is None.  Only the profile columns those slots read are
+    computed, and no other slot is stored.
 
     ``u`` and ``phi`` hold four coefficients each, as an array of shape
     (4,) or (4, n) or a sequence of four: ``u[m]`` is a scalar or one
     value per point.  Either way every point gets the same arithmetic,
     term by term, so a point's jet is bit for bit the one its
     coefficients give as scalars.
-
-    With ``slots`` (jet slot indices), the outputs have shape
-    (n, len(slots)) and column i gets slot ``slots[i]``, with the bits a
-    full fill gives that slot; only the profile columns those slots read
-    are computed, and no other slot is stored.
     """
     xi = pts[:, 0] - c * pts[:, 2]
     s = np.sin(omega * xi)
     co = np.cos(omega * xi)
     # Python powers: numpy's (-c) ** k can differ from them in the last bit.
     powc = tuple((-c) ** k for k in range(5))
-
-    if slots is not None:
-        # profile columns by m, each computed when a slot first reads it;
-        # column 5 is the x2 slots' zero, and phi's cubic has no m = 4
-        w_cols, phi_cols = {5: 0.0}, {4: 0.0, 5: 0.0}
-        for i, q in enumerate(slots):
-            m, k = _SLOT_M[q], _SLOT_K[q]
-            if m not in w_cols:
-                w_cols[m] = _w_column(m, u, omega, xi, s, co)
-            if m not in phi_cols:
-                phi_cols[m] = _phi_column(m, phi, xi)
-            # a factor of 1.0 leaves a value's bits as they are
-            f = 1.0 if k is None else powc[k]
-            out_w[:, i] = w_cols[m] if f == 1.0 else w_cols[m] * f
-            out_phi[:, i] = phi_cols[m] if f == 1.0 else phi_cols[m] * f
-        return
-
-    w_prof = np.zeros((xi.shape[0], 6))
-    phi_prof = np.zeros_like(w_prof)
-    for m in range(5):
-        w_prof[:, m] = _w_column(m, u, omega, xi, s, co)
-    for m in range(4):
-        phi_prof[:, m] = _phi_column(m, phi, xi)
-    # Dead slots get factor 1.0 so that they stay +0.0.
-    factor = np.array([1.0 if k is None else powc[k] for k in _SLOT_K])
-    # mode="clip" writes straight into out; "raise" buffers an (n, 35) copy
-    for prof, out in ((w_prof, out_w), (phi_prof, out_phi)):
-        np.take(prof, _SLOT_M, axis=1, out=out, mode="clip")
-        out *= factor
+    # profile columns by m, each computed when a slot first reads it;
+    # column 5 is the x2 slots' zero, and phi's cubic has no m = 4
+    w_cols, phi_cols = {5: 0.0}, {4: 0.0, 5: 0.0}
+    for i, q in enumerate(range(JET_SIZE) if slots is None else slots):
+        m, k = _SLOT_M[q], _SLOT_K[q]
+        if m not in w_cols:
+            w_cols[m] = _w_column(m, u, omega, xi, s, co)
+        if m not in phi_cols:
+            phi_cols[m] = _phi_column(m, phi, xi)
+        # a factor of 1.0 leaves a value's bits as they are
+        f = 1.0 if k is None else powc[k]
+        out_w[:, i] = w_cols[m] if f == 1.0 else w_cols[m] * f
+        out_phi[:, i] = phi_cols[m] if f == 1.0 else phi_cols[m] * f

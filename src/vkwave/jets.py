@@ -27,7 +27,8 @@ def _as_point(point) -> np.ndarray:
 class _SlotRows:
     """One field of a jet filled in some slots only, read as a full jet's
     array is: ``rows[..., q]`` gives slot q's values.  ``values`` has shape
-    (..., len(slots)), its column i holding slot ``slots[i]``; reading a
+    (..., len(slots)), its column i holding slot ``slots[i]``, and is a
+    view of the same slot-major block as the other field's; reading a
     slot that is not among them raises UnfilledSlotError, and the object
     is no array, so that nothing can read a column as the wrong slot."""
 
@@ -59,8 +60,10 @@ class FieldJet:
     ``point`` has shape (..., 3) and the derivative vectors shape
     (..., 35); a single point therefore carries plain 1-d vectors while a
     batch of N points carries (N, 3) and (N, 35) arrays, and all formula
-    code broadcasts over the leading axes unchanged.  A jet filled in some
-    slots only (``_subset``) holds each field as a _SlotRows instead,
+    code broadcasts over the leading axes unchanged.  The jets the
+    package fills (``_filled``) hold w and phi as views of one slot-major
+    block, so that each slot of a batch is one contiguous run; a jet
+    filled in some slots only holds each field as a _SlotRows instead,
     which reads its slots the same way.
     """
 
@@ -102,18 +105,20 @@ class FieldJet:
         return jet
 
     @classmethod
-    def _subset(cls, point, w, phi, slots) -> "FieldJet":
-        """A jet filled in ``slots`` only, of float64 arrays of shape
-        (..., len(slots)) whose column i holds slot ``slots[i]``, each
-        wrapped in a _SlotRows.  It is validated as a full jet is: a
-        non-finite value in either array or in ``point`` raises
-        ValidationError."""
+    def _filled(cls, point, w, phi, slots=None) -> "FieldJet":
+        """A jet the package has filled: float64 arrays of shape (..., 35),
+        or with ``slots`` of shape (..., len(slots)) whose column i holds
+        slot ``slots[i]``, each then wrapped in a _SlotRows.  Only the
+        values are checked: a non-finite value in either array or in
+        ``point`` raises ValidationError, as for a jet built directly."""
         for name, arr in (("w", w), ("phi", phi)):
             if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} contains non-finite entries")
         if not np.isfinite(point).all():
             raise ValidationError("point contains non-finite entries")
-        return cls._unchecked(point, _SlotRows(w, slots), _SlotRows(phi, slots))
+        if slots is not None:
+            w, phi = _SlotRows(w, slots), _SlotRows(phi, slots)
+        return cls._unchecked(point, w, phi)
 
     @property
     def is_batch(self) -> bool:

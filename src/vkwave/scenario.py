@@ -18,6 +18,7 @@ import yaml
 from .balance import Region
 from .conservation import LAWS, law
 from .errors import ScenarioError, ValidationError
+from .jumps import _CLOSED_FORM_LAWS
 from .params import PlateParams, make_plate_params
 from .solutions import (
     PiecewiseField,
@@ -27,25 +28,22 @@ from .solutions import (
 )
 from .wavefront import CircleFront, LineFront
 
-CHECK_KINDS = (
-    "pde_residual",
-    "conservation",
-    "dynamic_jumps",
-    "balance_jump",
-    "closed_form_jump",
-    "wave_relations",
-    "balance",
-)
+#: The keys each check kind takes, in the order error messages list the kinds.
+_CHECK_KEYS = {
+    "pde_residual": ("type", "points", "samples", "tolerance"),
+    "conservation": ("type", "laws", "points", "samples", "tolerance"),
+    "dynamic_jumps": ("type", "times", "samples", "tolerance"),
+    "balance_jump": ("type", "laws", "times", "samples", "tolerance"),
+    "closed_form_jump": ("type", "laws", "times", "samples", "tolerance"),
+    "wave_relations": ("type", "tolerance"),
+    "balance": ("type", "laws", "times", "region", "dt", "tolerance"),
+}
+
+CHECK_KINDS = tuple(_CHECK_KEYS)
 
 FAMILIES = ("invariant", "acceleration_wave", "polynomial")
 
-_CLOSED_FORM_DEFAULT_LAWS = (
-    "wave_momentum_x1",
-    "wave_momentum_x2",
-    "energy",
-    "scaling",
-    "moment_of_wave_momentum",
-)
+_CLOSED_FORM_DEFAULT_LAWS = tuple(law(i).name for i in _CLOSED_FORM_LAWS)
 
 _JUMP_CHECKS = ("dynamic_jumps", "balance_jump", "closed_form_jump")
 
@@ -337,17 +335,6 @@ def _parse_times(data: dict, path: str):
     if not isinstance(v, list) or not v or not all(_is_number(x) for x in v):
         raise ScenarioError(f"{path}.times: expected a non-empty list of finite numbers")
     return tuple(float(x) for x in v)
-
-
-_CHECK_KEYS = {
-    "pde_residual": ("type", "points", "samples", "tolerance"),
-    "conservation": ("type", "laws", "points", "samples", "tolerance"),
-    "dynamic_jumps": ("type", "times", "samples", "tolerance"),
-    "balance_jump": ("type", "laws", "times", "samples", "tolerance"),
-    "closed_form_jump": ("type", "laws", "times", "samples", "tolerance"),
-    "wave_relations": ("type", "tolerance"),
-    "balance": ("type", "laws", "times", "region", "dt", "tolerance"),
-}
 
 
 def _parse_check(data, path: str) -> CheckSpec:

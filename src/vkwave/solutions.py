@@ -132,41 +132,41 @@ class PolynomialField:
     def _jet_values(self, flat: np.ndarray, slots):
         """The w and phi arrays of the jets at ``flat``, laid out as
         _jet_arrays lays them out."""
-        return _eval_terms(self._w_terms, flat, slots), _eval_terms(self._phi_terms, flat, slots)
+        out_w, out_phi = _jet_arrays(flat.shape[0], slots)
+        _eval_terms(self._w_terms, flat, out_w, slots)
+        _eval_terms(self._phi_terms, flat, out_phi, slots)
+        return out_w, out_phi
 
 
 def _jet_arrays(n: int, slots):
-    """Uninitialised w and phi jet arrays for n points: of shape (n, 35),
-    or with ``slots`` of shape (n, len(slots)), column i for slot
-    ``slots[i]``.  The two of a subset jet are views of one
+    """Uninitialised w and phi jet arrays of shape (n, len(slots)) for n
+    points, column i for slot ``slots[i]``, or (n, 35) for every slot
+    when ``slots`` is None.  The two are views of one slot-major
     (2, len(slots), n) block, row i of each holding slot ``slots[i]``, so
     that each slot is one contiguous run and both share one allocation:
     two separate blocks of a batch were each handed back to the system
     when freed and faulted in again for the next batch, which cost more
     than the fill."""
-    if slots is None:
-        return np.empty((n, JET_SIZE)), np.empty((n, JET_SIZE))
-    return np.empty((2, len(slots), n)).transpose(0, 2, 1)
+    return np.empty((2, JET_SIZE if slots is None else len(slots), n)).transpose(0, 2, 1)
 
 
 def _field_jet(pts, single: bool, out_w, out_phi, slots) -> FieldJet:
     """The FieldJet of the arrays of _jet_arrays at ``pts``, reshaped to
-    its batch shape; with ``slots``, a jet that holds those slots only."""
+    its batch shape: a full jet, or with ``slots`` one that holds those
+    slots only."""
     if single:
         w, phi = out_w[0], out_phi[0]
     else:
         shape = pts.shape[:-1] + out_w.shape[-1:]
         w, phi = out_w.reshape(shape), out_phi.reshape(shape)
-    if slots is None:
-        return FieldJet(pts, w, phi)
-    return FieldJet._subset(pts, w, phi, slots)
+    return FieldJet._filled(pts, w, phi, slots)
 
 
 def _slot_terms(exps: np.ndarray, coefs: np.ndarray):
-    """Per jet slot with any nonzero term: the slot, each term's
+    """By jet slot, for each slot with any nonzero term: each term's
     coefficient times its falling factorials, and each term's remaining
     powers as (axis, power) pairs."""
-    terms = []
+    terms = {}
     for q in range(JET_SIZE):
         slot = EXPONENTS[q]
         sel = np.all(exps >= slot, axis=1)
@@ -182,24 +182,22 @@ def _slot_terms(exps: np.ndarray, coefs: np.ndarray):
                 factors[col] *= math.perm(n, s)
                 if n - s > 0:
                     powers[col].append((ax, n - s))
-        terms.append((q, factors, powers))
+        terms[q] = (factors, powers)
     return terms
 
 
-def _eval_terms(terms, flat: np.ndarray, slots=None) -> np.ndarray:
-    """The jet slots of one polynomial at points of shape (N, 3): all of
-    them in an (N, 35) array, or ``slots`` only in an (N, len(slots))
-    array whose column i, row i of its slot-major memory, holds slot
-    ``slots[i]``."""
-    n = flat.shape[0]
-    if slots is None:
-        out, column = np.zeros((n, JET_SIZE)), {q: q for q in range(JET_SIZE)}
-    else:
-        out, column = np.zeros((len(slots), n)).T, {q: i for i, q in enumerate(slots)}
-    for q, factors, powers in terms:
-        if q not in column:
+def _eval_terms(terms, flat: np.ndarray, out: np.ndarray, slots) -> None:
+    """Fill ``out`` (an array of _jet_arrays) with the jet slots of one
+    polynomial at points of shape (N, 3): column i gets slot ``slots[i]``,
+    every slot in order when ``slots`` is None."""
+    # one fill for the slots with no term: a write per slot cost more
+    # than the whole fill on a polynomial with few terms
+    out.fill(0.0)
+    for i, q in enumerate(range(JET_SIZE) if slots is None else slots):
+        if q not in terms:
             continue
         acc = None
+        factors, powers = terms[q]
         for factor, pw in zip(factors, powers):
             # monomial evaluation: the term's powers multiplied in axis order
             vals = np.ones(flat.shape[0])
@@ -209,8 +207,7 @@ def _eval_terms(terms, flat: np.ndarray, slots=None) -> np.ndarray:
             # differently with the number of points, and a point's jet must
             # not depend on the batch it is evaluated in
             acc = vals * factor if acc is None else acc + vals * factor
-        out[:, column[q]] = acc
-    return out
+        out[:, i] = acc
 
 
 def _poly_terms(name: str, terms: Mapping[tuple[int, int, int], float] | None):
@@ -288,9 +285,6 @@ class PiecewiseField:
                 f"front value is NaN at {tuple(flat[undefined[0]].tolist())}; "
                 "the point has no side"
             )
-        if single:
-            return (self.ahead if g[0] > 0 else self.behind).jet(point, slots=slots)
-
         ahead_mask = g > 0
         out_w, out_phi = _jet_arrays(flat.shape[0], slots)
         a, b = self.ahead, self.behind
@@ -311,7 +305,7 @@ class PiecewiseField:
             for branch, mask in ((a, ahead_mask), (b, ~ahead_mask)):
                 if mask.any():
                     out_w[mask], out_phi[mask] = branch._jet_values(flat[mask], slots)
-        return _field_jet(pts, False, out_w, out_phi, slots)
+        return _field_jet(pts, single, out_w, out_phi, slots)
 
 
 @dataclass(frozen=True, eq=False)

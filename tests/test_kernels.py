@@ -125,7 +125,7 @@ def test_per_point_coefficients_equal_row_by_row_scalar_fills(per_point):
 
 
 def test_slot_subset_matches_full_fill_bit_for_bit():
-    # column i gets the bits a full fill gives slot slots[i], and no other
+    # column i gets the bits the reference fill gives slot slots[i], and no other
     # slot is stored, with scalar or per-point coefficients and any subset
     # of slots
     rng = np.random.default_rng(13)
@@ -137,7 +137,7 @@ def test_slot_subset_matches_full_fill_bit_for_bit():
         c = float(rng.uniform(-3.0, 3.0))
         pts = rng.uniform(-2, 2, (n, 3))
         slots = tuple(int(q) for q in np.flatnonzero(rng.random(JET_SIZE) < 0.3))
-        full = _fill(u, ph, omega, c, pts)
+        full = _reference_fill(u, ph, omega, c, pts)
         sub = np.full((2, len(slots), n), np.nan).transpose(0, 2, 1)
         traveling_jet_fill(u, ph, omega, c, pts, *sub, slots)
         for g, w in zip(sub, full):

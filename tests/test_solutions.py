@@ -453,6 +453,29 @@ def test_subset_jet_equals_full_jet_in_its_slots(case, slots, generic_params, co
         _assert_holds_slots(jet, field.jet(pts[rows]), slots)
 
 
+@pytest.mark.parametrize(
+    "case", ["invariant", "polynomial", "acceleration_wave", "unequal_speeds", "polynomial_branches"]
+)
+def test_every_fill_is_one_slot_major_block(case, generic_params):
+    # w and phi of every jet a field fills, full or in some slots, are views
+    # of one (2, k, n) block, slot by slot, so that each slot of a flat
+    # batch is one contiguous run
+    field = _subset_case(case, generic_params)
+    pts = np.random.default_rng(12).uniform(-1.0, 1.0, (400, 3))
+    sides = [Side.AUTO] + ([Side.AHEAD, Side.BEHIND] if field.front is not None else [])
+    for slots in (None, solutions._PDE_SLOTS):
+        k = JET_SIZE if slots is None else len(slots)
+        for side in sides:
+            for point, n in ((pts[0], 1), (pts, 400), (pts.reshape(20, 20, 3), 400)):
+                jet = field.jet(point, side, slots)
+                w, phi = (jet.w, jet.phi) if slots is None else (jet.w.values, jet.phi.values)
+                assert isinstance(w.base, np.ndarray) and w.base is phi.base
+                assert w.base.shape == (2, k, n)
+                if point.ndim == 2:
+                    for i in range(k):
+                        assert w[:, i].flags.c_contiguous and phi[:, i].flags.c_contiguous
+
+
 def test_pde_terms_read_only_the_pde_slots(generic_params):
     # a jet that is NaN outside _PDE_SLOTS gives the full jet's residuals
     # and scales: a term that read another slot would give NaN here
@@ -474,17 +497,17 @@ def test_subset_jet_is_checked_in_its_filled_slots(generic_params):
     pts = np.zeros((2, 3))
     w = np.ones((2, 2))
     phi = w.copy()
-    jet = FieldJet._subset(pts, w, phi, (1, 4))
+    jet = FieldJet._filled(pts, w, phi, (1, 4))
     assert jet.w.values is w and jet.phi.values is phi
     assert jet.dw(1, 1)[0] == 1.0
     phi[1, 1] = np.inf
     with pytest.raises(ValidationError, match="^phi contains non-finite entries$"):
-        FieldJet._subset(pts, w, phi, (1, 4))
+        FieldJet._filled(pts, w, phi, (1, 4))
     w[0, 0] = np.nan
     with pytest.raises(ValidationError, match="^w contains non-finite entries$"):
-        FieldJet._subset(pts, w, phi, (1, 4))
+        FieldJet._filled(pts, w, phi, (1, 4))
     with pytest.raises(ValidationError, match="^point contains non-finite entries$"):
-        FieldJet._subset(np.array([[0.0, np.nan, 0.0]] * 2), w[:, 1:], w[:, 1:], (4,))
+        FieldJet._filled(np.array([[0.0, np.nan, 0.0]] * 2), w[:, 1:], w[:, 1:], (4,))
 
 
 @pytest.mark.parametrize("case", ["acceleration_wave", "polynomial_branches"])
