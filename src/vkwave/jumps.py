@@ -173,7 +173,12 @@ _CONTINUITY_SLOTS: tuple[tuple[str, str, int], ...] = (
 )
 
 
-def _wave_conditions(fj: _FrontJets, tol: float) -> list[tuple[np.ndarray, np.ndarray, str]]:
+#: Relative size below which a jump counts as zero in the acceleration-wave
+#: test.
+_ADMISSIBILITY_TOL = 1e-9
+
+
+def _wave_conditions(fj: _FrontJets) -> list[tuple[np.ndarray, np.ndarray, str]]:
     """The acceleration-wave test as (failed, jump, reason) per condition:
     whether each point fails it, each point's jump, and the reason, to be
     formatted with a failing point's jump.  Each comparison is relative to
@@ -184,13 +189,13 @@ def _wave_conditions(fj: _FrontJets, tol: float) -> list[tuple[np.ndarray, np.nd
         behind = getattr(fj.behind, field)[:, slot]
         jump = getattr(fj.jump, field)[:, slot]
         scale = np.maximum(np.maximum(1.0, np.abs(ahead)), np.abs(behind))
-        conditions.append((np.abs(jump) > tol * scale, jump, f"{name} != 0 (jumps by {{:.3e}})"))
+        failed = np.abs(jump) > _ADMISSIBILITY_TOL * scale
+        conditions.append((failed, jump, f"{name} != 0 (jumps by {{:.3e}})"))
 
     w33 = fj.jump.w[:, S33]
     scale = np.maximum(np.maximum(1.0, np.abs(fj.ahead.w[:, S33])), np.abs(fj.behind.w[:, S33]))
-    conditions.append(
-        (np.abs(w33) <= tol * scale, w33, "[w,33] = 0 (second time derivative does not jump)")
-    )
+    failed = np.abs(w33) <= _ADMISSIBILITY_TOL * scale
+    conditions.append((failed, w33, "[w,33] = 0 (second time derivative does not jump)"))
     return conditions
 
 
@@ -201,11 +206,11 @@ def _wave_reasons(conditions, k: int) -> tuple[str, ...]:
     )
 
 
-def check_acceleration_wave(rec: JumpRecord, tol: float = 1e-9) -> WaveVerdict:
+def check_acceleration_wave(rec: JumpRecord) -> WaveVerdict:
     """Test the defining structure: value and first-derivative jumps vanish
     while [w_{,33}] does not.  Each comparison is relative to the larger
     one-sided magnitude (floored at 1)."""
-    reasons = _wave_reasons(_wave_conditions(_of_record(rec), tol), 0)
+    reasons = _wave_reasons(_wave_conditions(_of_record(rec)), 0)
     return WaveVerdict(passed=not reasons, reasons=reasons)
 
 
@@ -290,9 +295,7 @@ def _generator_applied(jet: FieldJet, field: str, beta: int, law_index: int) -> 
     raise ValidationError(f"no closed-form row for law index {law_index}")
 
 
-def _closed_form_residuals(
-    law_key, fj: _FrontJets, p: PlateParams, admissibility_tol: float = 1e-9
-) -> np.ndarray:
+def _closed_form_residuals(law_key, fj: _FrontJets, p: PlateParams) -> np.ndarray:
     """closed_form_jump_residual at every point; raises for the first point
     that is not an acceleration wave."""
     entry = law(law_key)
@@ -300,7 +303,7 @@ def _closed_form_residuals(
         raise ValidationError(
             f"closed form exists only for laws {_CLOSED_FORM_LAWS}, got {entry.index}"
         )
-    conditions = _wave_conditions(fj, admissibility_tol)
+    conditions = _wave_conditions(fj)
     failing = np.flatnonzero(np.any([failed for failed, _, _ in conditions], axis=0))
     if failing.size:
         raise NonAdmissibleRecordError(
@@ -346,9 +349,7 @@ def _closed_form_residuals(
     return lhs + d * lam * w_part - (mu / eh) * phi_part
 
 
-def closed_form_jump_residual(
-    law_key, rec: JumpRecord, p: PlateParams, admissibility_tol: float = 1e-9
-) -> float:
+def closed_form_jump_residual(law_key, rec: JumpRecord, p: PlateParams) -> float:
     """Closed-form balance jump residual (printed LHS minus RHS) in terms of
     the amplitudes and ahead-side derivatives.
 
@@ -357,7 +358,7 @@ def closed_form_jump_residual(
     test first: the closed forms assume rank-one jump structure.  Each
     value equals minus the generic balance_jump_residual of the same law.
     """
-    return float(_closed_form_residuals(law_key, _of_record(rec), p, admissibility_tol)[0])
+    return float(_closed_form_residuals(law_key, _of_record(rec), p)[0])
 
 
 def amplitude_relation_residuals(wave: AccelerationWave) -> tuple[float, float]:

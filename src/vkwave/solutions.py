@@ -368,11 +368,6 @@ def acceleration_wave(ahead: InvariantSolution, c1: float, c2: float) -> Acceler
     )
 
 
-def eval_jet(field, point, side: Side = Side.AUTO) -> FieldJet:
-    """Evaluate the 4-jet of any field object at a point (or batch)."""
-    return field.jet(point, side)
-
-
 #: Points per jet call of full jets.  A full jet takes 560 bytes a point,
 #: so a batch holds about 1 MB of jets; a jet filled in some slots only
 #: stores those slots alone, and its batches take as many more points as

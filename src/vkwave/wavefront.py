@@ -5,8 +5,9 @@ mid-plane into an "ahead" region (gamma > 0) and a "behind" region
 (gamma < 0).  From the level set we derive the displacement speed C, the
 unit normal n (pointing into the ahead region), the unit tangent t, and
 the arc-rate a = t_a dn^a/ds.  Compatibility of derivative jumps across
-such a curve forces rank-one structure in the normal direction; the
-builders below produce those jump tensors from scalar amplitudes.
+such a curve forces rank-one structure in the normal direction; the two
+kernels below give those jump tensors from the amplitudes, as array
+formulas over a batch of front points.
 """
 
 from __future__ import annotations
@@ -385,102 +386,49 @@ def front_geometry(front: Front, point) -> FrontGeometry:
     )
 
 
-@dataclass(frozen=True)
-class Sym3Tensor:
-    """Fully symmetric in-plane 3-tensor stored by sorted index triple."""
-
-    c111: float
-    c112: float
-    c122: float
-    c222: float
-
-    def component(self, a: int, b: int, c: int) -> float:
-        key = "c" + "".join(str(i) for i in sorted((a, b, c)))
-        try:
-            return getattr(self, key)
-        except AttributeError:
-            raise IndexError(f"in-plane indices must be 1 or 2, got {(a, b, c)}") from None
-
-    def contract(self, u, v, w) -> float:
-        total = 0.0
-        for a in (1, 2):
-            for b in (1, 2):
-                for c in (1, 2):
-                    total += self.component(a, b, c) * u[a - 1] * v[b - 1] * w[c - 1]
-        return total
+def second_jumps(amplitude, normal, speed):
+    """Second-order jumps of a field with normal-normal amplitude A (lambda
+    for w, mu for phi) across a front with unit normal n and speed C:
+    ([f_{,ab}], [f_{,a3}], [f_{,33}]) = (A n_a n_b, -A C n_a, A C^2), of
+    shapes (..., 2, 2), (..., 2) and (...) for amplitude and speed of
+    shape (...) and normal of shape (..., 2)."""
+    a = np.asarray(amplitude, dtype=np.float64)
+    n = np.asarray(normal, dtype=np.float64)
+    c = np.asarray(speed, dtype=np.float64)
+    spatial = a[..., None, None] * (n[..., :, None] * n[..., None, :])
+    return spatial, (-a * c)[..., None] * n, a * c * c
 
 
-@dataclass(frozen=True)
-class JumpTensors:
-    """Rank-one jump tensors of one field across the front.
-
-    Second-order constructors fill ``spatial`` [f_{,ab}], ``mixed``
-    [f_{,a3}], and ``temporal`` [f_{,33}]; third-order constructors fill
-    ``third`` [f_{,abc}].  ``amplitude`` is the normal-normal magnitude
-    (lambda or mu), ``third_amplitude`` its third-order analogue.
-    """
-
-    amplitude: float | None = None
-    spatial: "np.ndarray | None" = None
-    mixed: np.ndarray | None = None
-    temporal: float | None = None
-    third: Sym3Tensor | None = None
-    third_amplitude: float | None = None
-    arc_derivative: float | None = None
+#: The zero-based index triples (0,0,0), (0,0,1), (0,1,1), (1,1,1) of the
+#: four independent components of a symmetric in-plane 3-tensor, and the
+#: position a + b + c among them of component (a, b, c).
+_SORTED_TRIPLES = ([0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 1])
+_COMPONENT = np.add.outer(np.add.outer([0, 1], [0, 1]), [0, 1])
 
 
-def _second_jumps(amplitude: float, geo: FrontGeometry) -> JumpTensors:
-    n = geo.normal
-    c = geo.speed
-    spatial = amplitude * np.outer(n, n)
-    mixed = -amplitude * c * n
-    temporal = amplitude * c * c
-    return JumpTensors(
-        amplitude=amplitude, spatial=spatial, mixed=mixed, temporal=temporal
+def third_jumps(star, amplitude, d_ds, normal, arc_rate):
+    """In-plane third-order jumps [f_{,abc}], shape (..., 2, 2, 2), of a
+    field with third-order normal amplitude lambda* (``star``), amplitude
+    lambda and its arc derivative dlambda/ds, across a front with unit
+    normal n (shape (..., 2)) and arc-rate a:
+
+        lambda* nnn + dlambda/ds (nnt + ntn + tnn) + lambda a (ttn + tnt + ntt)
+
+    with t = (-n2, n1), as in FrontGeometry.  The array is exactly
+    symmetric: each component is computed once, for its sorted triple."""
+    n = np.asarray(normal, dtype=np.float64)
+    t = np.stack([-n[..., 1], n[..., 0]], axis=-1)
+    i, j, k = _SORTED_TRIPLES
+    ni, nj, nk, ti, tj, tk = n[..., i], n[..., j], n[..., k], t[..., i], t[..., j], t[..., k]
+    star, amplitude, d_ds, arc_rate = (
+        np.asarray(v, dtype=np.float64)[..., None] for v in (star, amplitude, d_ds, arc_rate)
     )
-
-
-def second_jumps_w(lam: float, geo: FrontGeometry) -> JumpTensors:
-    """[w_{,ab}] = lam n_a n_b, [w_{,a3}] = -lam C n_a, [w_{,33}] = lam C^2."""
-    return _second_jumps(lam, geo)
-
-
-def second_jumps_phi(mu: float, geo: FrontGeometry) -> JumpTensors:
-    """[phi_{,ab}] = mu n_a n_b, [phi_{,a3}] = -mu C n_a, [phi_{,33}] = mu C^2."""
-    return _second_jumps(mu, geo)
-
-
-def _third_jumps(star: float, amplitude: float, d_ds: float, geo: FrontGeometry) -> JumpTensors:
-    n, t, a = geo.normal, geo.tangent, geo.arc_rate
-
-    def comp(i: int, j: int, k: int) -> float:
-        ni, nj, nk = n[i - 1], n[j - 1], n[k - 1]
-        ti, tj, tk = t[i - 1], t[j - 1], t[k - 1]
-        return (
-            star * ni * nj * nk
-            + d_ds * (ni * nj * tk + ni * tj * nk + ti * nj * nk)
-            + amplitude * a * (ti * tj * nk + ti * nj * tk + ni * tj * tk)
-        )
-
-    third = Sym3Tensor(
-        c111=comp(1, 1, 1), c112=comp(1, 1, 2), c122=comp(1, 2, 2), c222=comp(2, 2, 2)
+    sorted_components = (
+        star * ni * nj * nk
+        + d_ds * (ni * nj * tk + ni * tj * nk + ti * nj * nk)
+        + amplitude * arc_rate * (ti * tj * nk + ti * nj * tk + ni * tj * tk)
     )
-    return JumpTensors(
-        amplitude=amplitude,
-        third=third,
-        third_amplitude=star,
-        arc_derivative=d_ds,
-    )
-
-
-def third_jumps_w(lam_star: float, lam: float, dlam_ds: float, geo: FrontGeometry) -> JumpTensors:
-    """[w_{,abc}] = lam* nnn + (dlam/ds)(nnt + ntn + tnn) + lam a (ttn + tnt + ntt)."""
-    return _third_jumps(lam_star, lam, dlam_ds, geo)
-
-
-def third_jumps_phi(mu_star: float, mu: float, dmu_ds: float, geo: FrontGeometry) -> JumpTensors:
-    """Third-order jump tensor of phi; same kernel with mu in place of lam."""
-    return _third_jumps(mu_star, mu, dmu_ds, geo)
+    return sorted_components[..., _COMPONENT]
 
 
 def required_third_amplitude(amplitude: float, geo: FrontGeometry) -> float:

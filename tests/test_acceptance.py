@@ -39,9 +39,8 @@ from vkwave.wavefront import (
     CircleFront,
     front_geometry,
     required_third_amplitude,
-    second_jumps_phi,
-    second_jumps_w,
-    third_jumps_w,
+    second_jumps,
+    third_jumps,
 )
 
 MODERATE = make_plate_params(1.0, 0.3, 1.0, 1.0)
@@ -144,22 +143,19 @@ def test_acceptance_3_jump_compatibility(capsys):
     geo = front_geometry(wave.front, point)
     n = geo.normal
 
-    for name, jumps in (
-        ("w", second_jumps_w(1.7, geo)),
-        ("phi", second_jumps_phi(-0.8, geo)),
-    ):
-        lam = jumps.amplitude
-        if float(n @ jumps.spatial @ n) != lam:
+    for name, amplitude in (("w", 1.7), ("phi", -0.8)):
+        spatial, mixed, temporal = second_jumps(amplitude, n, geo.speed)
+        if float(n @ spatial @ n) != amplitude:
             failures.append(f"{name} normal-normal contraction is inexact")
-        if not np.array_equal(jumps.mixed, -geo.speed * (jumps.spatial @ n)):
+        if not np.array_equal(mixed, -geo.speed * (spatial @ n)):
             failures.append(f"{name} mixed jump breaks time consistency")
-        if float(jumps.temporal) != float(-geo.speed * (jumps.mixed @ n)):
+        if float(temporal) != float(-geo.speed * (mixed @ n)):
             failures.append(f"{name} temporal jump breaks time consistency")
 
-    third = third_jumps_w(0.9, 1.7, -0.4, geo).third
-    if third.contract(n, n, n) != 0.9:
+    third = third_jumps(0.9, 1.7, -0.4, n, geo.arc_rate)
+    if third @ n @ n @ n != 0.9:
         failures.append("third-order normal contraction is inexact")
-    if third.contract(geo.tangent, geo.tangent, geo.tangent) != 0.0:
+    if third @ geo.tangent @ geo.tangent @ geo.tangent != 0.0:
         failures.append("third-order tangential contraction should vanish")
 
     circle_geo = front_geometry(CircleFront(0.0, 0.0, 2.0, radial_speed=1.0), (2.0, 0.0, 0.0))

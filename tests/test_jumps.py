@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from vkwave.conservation import LAWS
 from vkwave.errors import NonAdmissibleRecordError, NotOnFrontError, ValidationError
+from vkwave.indexing import idx
 from vkwave.jumps import (
     _balance_jump_terms,
     _front_jets,
@@ -24,7 +27,7 @@ from vkwave.solutions import (
     invariant_solution,
     polynomial_field,
 )
-from vkwave.wavefront import LineFront
+from vkwave.wavefront import LineFront, second_jumps, third_jumps
 
 
 @pytest.fixture()
@@ -87,6 +90,89 @@ def test_batched_jumps_equal_records(wave, generic_params):
         p = generic_params
         assert residual.tolist() == [balance_jump_residual(entry, rec, p) for rec in records]
         assert scale.tolist() == [balance_jump_scale(entry, rec, p) for rec in records]
+
+
+def _poly_product(p, q):
+    """The product of two {(i, j, k): coefficient} polynomials."""
+    out = {}
+    for (ep, cp), (eq, cq) in itertools.product(p.items(), q.items()):
+        key = tuple(a + b for a, b in zip(ep, eq))
+        out[key] = out.get(key, 0.0) + cp * cq
+    return out
+
+
+def _contact_pair(params):
+    """A field C^1 across the moving oblique line gamma = 3 x1 + 4 x2 + 2 x3
+    + 0.7: behind = ahead + gamma^2 g, with g linear and different for w and
+    phi, so that lambda* and dlambda/ds do not vanish."""
+    line = LineFront(3.0, 4.0, 2.0, 0.7)
+    gamma = {(1, 0, 0): 3.0, (0, 1, 0): 4.0, (0, 0, 1): 2.0, (0, 0, 0): 0.7}
+    gamma2 = _poly_product(gamma, gamma)
+    ahead = {
+        "w": {(2, 1, 0): 0.3, (0, 2, 1): -0.5, (3, 0, 0): 0.2, (1, 0, 2): 0.4},
+        "phi": {(1, 1, 1): 0.6, (0, 3, 0): -0.2, (2, 0, 0): 0.1},
+    }
+    g = {
+        "w": {(0, 0, 0): 0.7, (1, 0, 0): 0.3, (0, 1, 0): -0.5, (0, 0, 1): 0.2},
+        "phi": {(0, 0, 0): -0.9, (1, 0, 0): -0.4, (0, 1, 0): 0.6, (0, 0, 1): 0.1},
+    }
+    behind = {}
+    for name in ("w", "phi"):
+        behind[name] = dict(ahead[name])
+        for key, coef in _poly_product(gamma2, g[name]).items():
+            behind[name][key] = behind[name].get(key, 0.0) + coef
+    s = np.linspace(-1.0, 1.0, 5)
+    points = np.concatenate(
+        [np.column_stack([line.curve(t, s)[0], np.full(len(s), t)]) for t in (0.0, 0.1, 0.3)]
+    )
+    field = PiecewiseField(
+        ahead=polynomial_field(ahead["w"], ahead["phi"], params),
+        behind=polynomial_field(behind["w"], behind["phi"], params),
+        front=line,
+        params=params,
+    )
+    return field, points
+
+
+_SPATIAL = np.array([[idx(a, b) for b in (1, 2)] for a in (1, 2)])
+_MIXED = np.array([idx(1, 3), idx(2, 3)])
+_THIRD = np.array([[[idx(a, b, c) for c in (1, 2)] for b in (1, 2)] for a in (1, 2)])
+
+
+@pytest.mark.parametrize("case", ["acceleration_wave", "oblique_contact_pair"])
+def test_jump_kernels_equal_the_jumps_of_real_jets(case, wave, generic_params):
+    # Hadamard's compatibility conditions on the jets of both sides: the
+    # kernels, fed lambda, lambda* = [f,nnn] and dlambda/ds = [f,nnt] from
+    # the jump jets and the front's normal and speed, give every second-
+    # and in-plane third-order jump
+    if case == "acceleration_wave":
+        t = np.array([-0.4, 0.0, 0.3, 0.6, 1.1])
+        points = np.stack([wave.wave_speed * t, np.array([0.5, -1.1, 0.2, 0.9, 0.0]), t], axis=1)
+        field = wave
+    else:
+        field, points = _contact_pair(generic_params)
+    (fj,) = _front_jets(field, points)
+    n = fj.normal
+    t = np.stack([-n[:, 1], n[:, 0]], axis=1)
+    for name, amplitude in (("w", fj.lambda_), ("phi", fj.mu)):
+        jump = getattr(fj.jump, name)
+        sides = (getattr(fj.ahead, name), getattr(fj.behind, name))
+
+        def scale(slots):
+            return max(np.abs(side[:, slots]).max() for side in sides)
+
+        want = (jump[:, _SPATIAL], jump[:, _MIXED], jump[:, idx(3, 3)])
+        second_scale = scale(np.r_[_SPATIAL.ravel(), _MIXED, idx(3, 3)])
+        for got, exact in zip(second_jumps(amplitude, n, fj.speed), want):
+            assert np.abs(got - exact).max() <= 1e-13 * second_scale, name
+
+        third = jump[:, _THIRD]
+        star = np.einsum("pabc,pa,pb,pc->p", third, n, n, n)
+        d_ds = np.einsum("pabc,pa,pb,pc->p", third, n, n, t)
+        if case == "oblique_contact_pair":
+            assert np.all(np.abs(star) > 0.1) and np.all(np.abs(d_ds) > 0.1), name
+        got = third_jumps(star, amplitude, d_ds, n, 0.0)
+        assert np.abs(got - third).max() <= 1e-13 * scale(_THIRD.ravel()), name
 
 
 def test_extract_jumps_requires_a_front(generic_params):

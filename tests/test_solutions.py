@@ -15,7 +15,6 @@ from vkwave.solutions import (
     PiecewiseField,
     Side,
     acceleration_wave,
-    eval_jet,
     invariant_solution,
     pde_residual,
     pde_term_scales,
@@ -227,9 +226,9 @@ def test_pde_residual_hand_values(generic_params):
     assert r2 == pytest.approx(24.0 / p.Eh, rel=1e-13)
 
 
-def test_eval_jet_passthrough(generic_params):
+def test_polynomial_field_jet_time_slots(generic_params):
     field = polynomial_field({(0, 0, 2): 0.5}, None, generic_params)
-    jet = eval_jet(field, (0.0, 0.0, 3.0))
+    jet = field.jet((0.0, 0.0, 3.0))
     assert jet.dw(3) == pytest.approx(3.0, rel=1e-14)
     assert jet.dw(3, 3) == pytest.approx(1.0, rel=1e-14)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,13 +11,11 @@ from vkwave.wavefront import (
     CircleFront,
     FrontGeometry,
     LineFront,
-    Sym3Tensor,
     _front_distance,
     front_geometry,
     required_third_amplitude,
-    second_jumps_phi,
-    second_jumps_w,
-    third_jumps_w,
+    second_jumps,
+    third_jumps,
 )
 
 
@@ -257,51 +256,65 @@ def oblique_geo():
 def test_second_jump_tensors(oblique_geo):
     geo = oblique_geo
     lam = 1.7
-    jumps = second_jumps_w(lam, geo)
+    spatial, mixed, temporal = second_jumps(lam, geo.normal, geo.speed)
     n, t, c = geo.normal, geo.tangent, geo.speed
     assert c == pytest.approx(-2.0 / 5.0)
     # contraction recovery and the Hadamard compatibility chain
-    assert n @ jumps.spatial @ n == pytest.approx(lam, rel=1e-14)
-    assert t @ jumps.spatial @ t == pytest.approx(0.0, abs=1e-14)
-    np.testing.assert_allclose(jumps.mixed, -c * (jumps.spatial @ n), rtol=1e-14)
-    assert jumps.temporal == pytest.approx(-c * (jumps.mixed @ n), rel=1e-14)
-    assert jumps.temporal == pytest.approx(lam * c * c, rel=1e-14)
+    assert n @ spatial @ n == pytest.approx(lam, rel=1e-14)
+    assert t @ spatial @ t == pytest.approx(0.0, abs=1e-14)
+    np.testing.assert_allclose(mixed, -c * (spatial @ n), rtol=1e-14)
+    assert temporal == pytest.approx(-c * (mixed @ n), rel=1e-14)
+    assert temporal == pytest.approx(lam * c * c, rel=1e-14)
 
-    mu_jumps = second_jumps_phi(-0.8, geo)
-    assert n @ mu_jumps.spatial @ n == pytest.approx(-0.8, rel=1e-14)
+    mu_spatial, _, _ = second_jumps(-0.8, geo.normal, geo.speed)
+    assert n @ mu_spatial @ n == pytest.approx(-0.8, rel=1e-14)
 
 
 def test_third_jump_tensor_contractions(oblique_geo):
     geo = oblique_geo
     star, lam, dlam = 0.9, 1.7, -0.4
-    jumps = third_jumps_w(star, lam, dlam, geo)
+    third = third_jumps(star, lam, dlam, geo.normal, geo.arc_rate)
     n, t = geo.normal, geo.tangent
-    third = jumps.third
-    assert third.contract(n, n, n) == pytest.approx(star, rel=1e-13)
-    assert third.contract(n, n, t) == pytest.approx(dlam, rel=1e-13)
-    assert third.contract(t, t, n) == pytest.approx(lam * geo.arc_rate, abs=1e-13)
-    assert third.contract(t, t, t) == pytest.approx(0.0, abs=1e-13)
-    assert jumps.third_amplitude == star
-    assert jumps.arc_derivative == dlam
+    assert third @ n @ n @ n == pytest.approx(star, rel=1e-13)
+    assert third @ t @ n @ n == pytest.approx(dlam, rel=1e-13)
+    assert third @ n @ t @ t == pytest.approx(lam * geo.arc_rate, abs=1e-13)
+    assert third @ t @ t @ t == pytest.approx(0.0, abs=1e-13)
 
 
 def test_third_jump_tensor_axis_aligned_exact():
     front = LineFront(1.0, 0.0, -1.3, 0.0)
     geo = front_geometry(front, (1.3, 0.2, 1.0))
-    jumps = third_jumps_w(0.9, 1.7, -0.4, geo)
+    third = third_jumps(0.9, 1.7, -0.4, geo.normal, geo.arc_rate)
     # n = (1, 0): components reduce to the bare coefficients
-    assert jumps.third.component(1, 1, 1) == 0.9
-    assert jumps.third.component(1, 1, 2) == pytest.approx(-0.4)
-    assert jumps.third.component(1, 2, 2) == 0.0
-    assert jumps.third.component(2, 2, 2) == 0.0
+    assert third[0, 0, 0] == 0.9
+    assert third[0, 0, 1] == pytest.approx(-0.4)
+    assert third[0, 1, 1] == 0.0
+    assert third[1, 1, 1] == 0.0
 
 
-def test_sym3tensor_component_symmetry():
-    s = Sym3Tensor(1.0, 2.0, 3.0, 4.0)
-    assert s.component(1, 2, 1) == s.component(1, 1, 2) == 2.0
-    assert s.component(2, 1, 2) == 3.0
-    with pytest.raises(IndexError):
-        s.component(1, 2, 3)
+def test_third_jump_tensor_is_symmetric(oblique_geo):
+    third = third_jumps(0.9, 1.7, -0.4, oblique_geo.normal, 0.3)
+    assert third.shape == (2, 2, 2)
+    for axes in itertools.permutations(range(3)):
+        assert np.array_equal(third.transpose(axes), third)
+
+
+def test_jump_kernels_on_a_batch_equal_the_calls_per_point():
+    rng = np.random.default_rng(7)
+    angle = rng.uniform(0.0, 2.0 * math.pi, (3, 4))
+    normal = np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    star, amplitude, d_ds, speed, arc_rate = rng.normal(size=(5, 3, 4))
+
+    batch_second = second_jumps(amplitude, normal, speed)
+    batch_third = third_jumps(star, amplitude, d_ds, normal, arc_rate)
+    assert [a.shape for a in batch_second] == [(3, 4, 2, 2), (3, 4, 2), (3, 4)]
+    assert batch_third.shape == (3, 4, 2, 2, 2)
+    for k in np.ndindex(3, 4):
+        one = second_jumps(amplitude[k], normal[k], speed[k])
+        for got, want in zip(batch_second, one):
+            assert np.array_equal(got[k], want)
+        one = third_jumps(star[k], amplitude[k], d_ds[k], normal[k], arc_rate[k])
+        assert np.array_equal(batch_third[k], one)
 
 
 def test_required_third_amplitude():
