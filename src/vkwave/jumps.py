@@ -1,9 +1,10 @@
 """Pointwise jump conditions at the front of a piecewise field.
 
 Everything here works on a JumpRecord: the two one-sided jets at a front
-point together with the front geometry and the extracted normal-normal
-amplitudes lambda (deflection) and mu (stress function).  On top of the
-record we evaluate, in increasing order of structure:
+point, or at a batch of front points, together with the front geometry
+and the extracted normal-normal amplitudes lambda (deflection) and mu
+(stress function).  On top of the record we evaluate, in increasing order
+of structure:
 
 * the admissibility test for acceleration waves (field and first
   derivatives continuous, second time derivative of w jumping);
@@ -17,10 +18,10 @@ record we evaluate, in increasing order of structure:
 * the two scalar relations among traveling-wave constants that the
   closed forms reduce to for the exact wave family.
 
-Each condition is written once, over a batch of front points whose jets
-are filled with one call per side; a report check evaluates it on each
-jet batch of its points in turn, and the public per-record functions on
-a batch of one.
+Each condition is written once and broadcasts over the record's leading
+axes: a report check evaluates it on the record of each jet batch of its
+points in turn (_front_jets, one jet fill per side), and the public
+functions on the one-point record of extract_jumps, as it is.
 """
 
 from __future__ import annotations
@@ -36,58 +37,46 @@ from .jets import FieldJet
 from .params import PlateParams
 from .solutions import AccelerationWave, PiecewiseField, Side, _jet_batches
 from .tensors import f_vector, shear_force
-from .wavefront import FrontGeometry, _normal_and_speed, front_geometry
+from .wavefront import FrontGeometry, front_geometry
 
 
 @dataclass(frozen=True)
 class JumpRecord:
-    """One-sided jets and jump data at a single front point."""
+    """One-sided jets and jump data at a front point, or at a batch of N
+    front points.
+
+    At one point ``point`` has shape (3,), the jets are one-point jets and
+    ``lambda_`` and ``mu`` are floats; on a batch ``point`` has shape
+    (N, 3), the jets are N-point batches, ``lambda_`` and ``mu`` have shape
+    (N,), and ``geometry`` is the batch's FrontGeometry.  Every jump
+    formula broadcasts over the leading axes, so it takes either.
+    """
 
     point: np.ndarray
     geometry: FrontGeometry
     ahead: FieldJet
     behind: FieldJet
     jump: FieldJet
-    lambda_: float
-    mu: float
-
-
-@dataclass(frozen=True)
-class _FrontJets:
-    """Jump data at N front points: the batch form of JumpRecord.
-
-    ``point`` has shape (N, 3), ``normal`` (N, 2), and ``speed``,
-    ``lambda_`` and ``mu`` shape (N,); the jets are N-point batches.  Every
-    jump formula is written once, against this batch, and the public
-    per-record functions evaluate it on a batch of one.
-    """
-
-    point: np.ndarray
-    normal: np.ndarray
-    speed: np.ndarray
-    ahead: FieldJet
-    behind: FieldJet
-    jump: FieldJet
-    lambda_: np.ndarray
-    mu: np.ndarray
+    lambda_: float | np.ndarray
+    mu: float | np.ndarray
 
 
 def _nn_contraction(d: np.ndarray, n: np.ndarray) -> np.ndarray:
     """d_{,ab} n_a n_b from the jet array d of one field."""
-    n1, n2 = n[:, 0], n[:, 1]
-    return d[:, S11] * n1 * n1 + 2.0 * d[:, S12] * n1 * n2 + d[:, S22] * n2 * n2
+    n1, n2 = n[..., 0], n[..., 1]
+    return d[..., S11] * n1 * n1 + 2.0 * d[..., S12] * n1 * n2 + d[..., S22] * n2 * n2
 
 
 def _front_jets(field: PiecewiseField, points: np.ndarray):
-    """Jump data at front points of shape (N, 3): one _FrontJets per jet
+    """Jump data at front points of shape (N, 3): one JumpRecord per jet
     batch of each side (solutions._jet_batches), filled as it is asked
     for.  Raises for the first point that is off the front, or where the
     front has no normal, before the first jet is filled."""
     front = field.front
     g_val = np.asarray(front.value(points), dtype=np.float64)
     grad = np.asarray(front.spatial_gradient(points), dtype=np.float64)
-    slope = np.hypot(grad[:, 0], grad[:, 1]) + np.abs(front.time_derivative(points))
-    scale = np.maximum(slope, 1e-300) * (1.0 + np.abs(points).max(axis=1))
+    slope = np.hypot(grad[..., 0], grad[..., 1]) + np.abs(front.time_derivative(points))
+    scale = np.maximum(slope, 1e-300) * (1.0 + np.abs(points).max(axis=-1))
     off = np.flatnonzero(np.abs(g_val) > 1e-9 * scale)
     if off.size:
         k = off[0]
@@ -95,39 +84,21 @@ def _front_jets(field: PiecewiseField, points: np.ndarray):
             f"gamma(point) = {g_val[k]:.3e} exceeds the on-front tolerance {1e-9 * scale[k]:.3e}"
         )
 
-    normal, speed = _normal_and_speed(front, points)
+    geometry = front_geometry(front, points)
     sides = zip(_jet_batches(field, points, Side.AHEAD), _jet_batches(field, points, Side.BEHIND))
     for (rows, ahead), (_, behind) in sides:
+        geo = geometry[rows]
         jump = behind - ahead
-        yield _FrontJets(
+        yield JumpRecord(
             point=points[rows],
-            normal=normal[rows],
-            speed=speed[rows],
+            geometry=geo,
             ahead=ahead,
             behind=behind,
             jump=jump,
-            lambda_=_nn_contraction(jump.w, normal[rows]),
-            mu=_nn_contraction(jump.phi, normal[rows]),
+            lambda_=_nn_contraction(jump.w, geo.normal),
+            mu=_nn_contraction(jump.phi, geo.normal),
         )
         del ahead, behind, jump  # free this batch's jets before the next is filled
-
-
-def _of_record(rec: JumpRecord) -> _FrontJets:
-    """A record as a batch of one point."""
-
-    def one(jet: FieldJet) -> FieldJet:
-        return FieldJet(jet.point[None], jet.w[None], jet.phi[None])
-
-    return _FrontJets(
-        point=rec.point[None],
-        normal=rec.geometry.normal[None],
-        speed=np.array([rec.geometry.speed]),
-        ahead=one(rec.ahead),
-        behind=one(rec.behind),
-        jump=one(rec.jump),
-        lambda_=np.array([rec.lambda_]),
-        mu=np.array([rec.mu]),
-    )
 
 
 def extract_jumps(field: PiecewiseField, point) -> JumpRecord:
@@ -135,20 +106,20 @@ def extract_jumps(field: PiecewiseField, point) -> JumpRecord:
     p = np.asarray(point, dtype=np.float64)
     if p.shape != (3,):
         raise ValidationError(f"point must be a 3-vector, got shape {p.shape}")
-    front = getattr(field, "front", None)
-    if front is None:
+    if getattr(field, "front", None) is None:
         raise ValidationError("field has no front; jumps are undefined")
 
-    (fj,) = _front_jets(field, p[None])
-    ahead, behind, jump = (FieldJet(p, j.w[0], j.phi[0]) for j in (fj.ahead, fj.behind, fj.jump))
+    (batch,) = _front_jets(field, p[None])
+    jets = (batch.ahead, batch.behind, batch.jump)
+    ahead, behind, jump = (FieldJet(p, j.w[0], j.phi[0]) for j in jets)
     return JumpRecord(
         point=p,
-        geometry=front_geometry(front, p),
+        geometry=batch.geometry[0],
         ahead=ahead,
         behind=behind,
         jump=jump,
-        lambda_=float(fj.lambda_[0]),
-        mu=float(fj.mu[0]),
+        lambda_=float(batch.lambda_[0]),
+        mu=float(batch.mu[0]),
     )
 
 
@@ -178,29 +149,31 @@ _CONTINUITY_SLOTS: tuple[tuple[str, str, int], ...] = (
 _ADMISSIBILITY_TOL = 1e-9
 
 
-def _wave_conditions(fj: _FrontJets) -> list[tuple[np.ndarray, np.ndarray, str]]:
+def _wave_conditions(rec: JumpRecord) -> list[tuple[np.ndarray, np.ndarray, str]]:
     """The acceleration-wave test as (failed, jump, reason) per condition:
     whether each point fails it, each point's jump, and the reason, to be
     formatted with a failing point's jump.  Each comparison is relative to
     the larger one-sided magnitude (floored at 1)."""
     conditions = []
     for name, field, slot in _CONTINUITY_SLOTS:
-        ahead = getattr(fj.ahead, field)[:, slot]
-        behind = getattr(fj.behind, field)[:, slot]
-        jump = getattr(fj.jump, field)[:, slot]
+        ahead = getattr(rec.ahead, field)[..., slot]
+        behind = getattr(rec.behind, field)[..., slot]
+        jump = getattr(rec.jump, field)[..., slot]
         scale = np.maximum(np.maximum(1.0, np.abs(ahead)), np.abs(behind))
         failed = np.abs(jump) > _ADMISSIBILITY_TOL * scale
         conditions.append((failed, jump, f"{name} != 0 (jumps by {{:.3e}})"))
 
-    w33 = fj.jump.w[:, S33]
-    scale = np.maximum(np.maximum(1.0, np.abs(fj.ahead.w[:, S33])), np.abs(fj.behind.w[:, S33]))
+    w33 = rec.jump.w[..., S33]
+    ahead, behind = rec.ahead.w[..., S33], rec.behind.w[..., S33]
+    scale = np.maximum(np.maximum(1.0, np.abs(ahead)), np.abs(behind))
     failed = np.abs(w33) <= _ADMISSIBILITY_TOL * scale
     conditions.append((failed, w33, "[w,33] = 0 (second time derivative does not jump)"))
     return conditions
 
 
-def _wave_reasons(conditions, k: int) -> tuple[str, ...]:
-    """Why point k fails the acceleration-wave test; empty when it passes."""
+def _wave_reasons(conditions, k: tuple) -> tuple[str, ...]:
+    """Why the point at index k (() for a one-point record) fails the
+    acceleration-wave test; empty when it passes."""
     return tuple(
         reason.format(float(jump[k])) for failed, jump, reason in conditions if failed[k]
     )
@@ -210,49 +183,49 @@ def check_acceleration_wave(rec: JumpRecord) -> WaveVerdict:
     """Test the defining structure: value and first-derivative jumps vanish
     while [w_{,33}] does not.  Each comparison is relative to the larger
     one-sided magnitude (floored at 1)."""
-    reasons = _wave_reasons(_wave_conditions(_of_record(rec)), 0)
+    reasons = _wave_reasons(_wave_conditions(rec), ())
     return WaveVerdict(passed=not reasons, reasons=reasons)
 
 
-def _dynamic_terms(fj: _FrontJets, p: PlateParams):
+def _dynamic_terms(rec: JumpRecord, p: PlateParams):
     """The two dynamic residuals (r_w, r_phi) and their scales (s_w, s_phi),
     the one-sided term sums, at every point."""
-    n1, n2 = fj.normal[:, 0], fj.normal[:, 1]
-    c = fj.speed
-    q_b = _tensor(shear_force, fj.behind, p)
-    q_a = _tensor(shear_force, fj.ahead, p)
-    f_b = _tensor(f_vector, fj.behind, p)
-    f_a = _tensor(f_vector, fj.ahead, p)
+    n1, n2 = rec.geometry.normal[..., 0], rec.geometry.normal[..., 1]
+    c = rec.geometry.speed
+    q_b = _tensor(shear_force, rec.behind, p)
+    q_a = _tensor(shear_force, rec.ahead, p)
+    f_b = _tensor(f_vector, rec.behind, p)
+    f_a = _tensor(f_vector, rec.ahead, p)
 
-    r_w = c * p.rho * fj.jump.w[:, S3] + ((q_b.x1 - q_a.x1) * n1 + (q_b.x2 - q_a.x2) * n2)
+    r_w = c * p.rho * rec.jump.w[..., S3] + ((q_b.x1 - q_a.x1) * n1 + (q_b.x2 - q_a.x2) * n2)
     r_phi = (f_b.x1 - f_a.x1) * n1 + (f_b.x2 - f_a.x2) * n2
     s_w = 0.0
     s_phi = 0.0
-    for jet, q, f in ((fj.ahead, q_a, f_a), (fj.behind, q_b, f_b)):
-        s_w = s_w + (np.abs(c * p.rho * jet.w[:, S3]) + np.abs(q.x1 * n1 + q.x2 * n2))
+    for jet, q, f in ((rec.ahead, q_a, f_a), (rec.behind, q_b, f_b)):
+        s_w = s_w + (np.abs(c * p.rho * jet.w[..., S3]) + np.abs(q.x1 * n1 + q.x2 * n2))
         s_phi = s_phi + np.abs(f.x1 * n1 + f.x2 * n2)
     return r_w, r_phi, s_w, s_phi
 
 
 def dynamic_jump_residuals(rec: JumpRecord, p: PlateParams) -> tuple[float, float]:
     """The two dynamic conditions: (C [rho w_{,3}] + [Q^a] n_a, [F^a] n_a)."""
-    r_w, r_phi, _, _ = _dynamic_terms(_of_record(rec), p)
-    return float(r_w[0]), float(r_phi[0])
+    r_w, r_phi, _, _ = _dynamic_terms(rec, p)
+    return float(r_w), float(r_phi)
 
 
 def dynamic_jump_scales(rec: JumpRecord, p: PlateParams) -> tuple[float, float]:
     """Magnitude scales for the two dynamic residuals (one-sided term sums)."""
-    _, _, s_w, s_phi = _dynamic_terms(_of_record(rec), p)
-    return float(s_w[0]), float(s_phi[0])
+    _, _, s_w, s_phi = _dynamic_terms(rec, p)
+    return float(s_w), float(s_phi)
 
 
-def _balance_jump_terms(law_key, fj: _FrontJets, p: PlateParams):
+def _balance_jump_terms(law_key, rec: JumpRecord, p: PlateParams):
     """The generic balance jump residual and its scale at every point, from
     one density_flux per side."""
-    n1, n2 = fj.normal[:, 0], fj.normal[:, 1]
-    c = fj.speed
-    df_a = density_flux(law_key, fj.ahead, p)
-    df_b = density_flux(law_key, fj.behind, p)
+    n1, n2 = rec.geometry.normal[..., 0], rec.geometry.normal[..., 1]
+    c = rec.geometry.speed
+    df_a = density_flux(law_key, rec.ahead, p)
+    df_b = density_flux(law_key, rec.behind, p)
     jump_density = df_b.density - df_a.density
     jump_flux_n = (df_b.flux.x1 - df_a.flux.x1) * n1 + (df_b.flux.x2 - df_a.flux.x2) * n2
     s = 0.0
@@ -263,12 +236,12 @@ def _balance_jump_terms(law_key, fj: _FrontJets, p: PlateParams):
 
 def balance_jump_residual(law_key, rec: JumpRecord, p: PlateParams) -> float:
     """Generic balance jump condition C [Psi] - [P^a] n_a for one law."""
-    return float(_balance_jump_terms(law_key, _of_record(rec), p)[0][0])
+    return float(_balance_jump_terms(law_key, rec, p)[0])
 
 
 def balance_jump_scale(law_key, rec: JumpRecord, p: PlateParams) -> float:
     """One-sided magnitude scale for the generic balance jump residual."""
-    return float(_balance_jump_terms(law_key, _of_record(rec), p)[1][0])
+    return float(_balance_jump_terms(law_key, rec, p)[1])
 
 
 _CLOSED_FORM_LAWS = (2, 3, 4, 5, 6)
@@ -281,21 +254,21 @@ def _generator_applied(jet: FieldJet, field: str, beta: int, law_index: int) -> 
     """Apply the law's symmetry generator to f_{,beta} at the jet's points."""
     d = jet.w if field == "w" else jet.phi
     s1, s2, s3 = _SECOND_SLOTS[beta]
-    x1, x2, x3 = (jet.point[:, i] for i in range(3))
+    x1, x2, x3 = (jet.point[..., i] for i in range(3))
     if law_index == 4:
-        return d[:, s3]
+        return d[..., s3]
     if law_index == 2:
-        return d[:, s1]
+        return d[..., s1]
     if law_index == 3:
-        return d[:, s2]
+        return d[..., s2]
     if law_index == 6:
-        return x2 * d[:, s1] - x1 * d[:, s2]
+        return x2 * d[..., s1] - x1 * d[..., s2]
     if law_index == 5:
-        return x1 * d[:, s1] + x2 * d[:, s2] + 2.0 * x3 * d[:, s3]
+        return x1 * d[..., s1] + x2 * d[..., s2] + 2.0 * x3 * d[..., s3]
     raise ValidationError(f"no closed-form row for law index {law_index}")
 
 
-def _closed_form_residuals(law_key, fj: _FrontJets, p: PlateParams) -> np.ndarray:
+def _closed_form_residuals(law_key, rec: JumpRecord, p: PlateParams) -> np.ndarray:
     """closed_form_jump_residual at every point; raises for the first point
     that is not an acceleration wave."""
     entry = law(law_key)
@@ -303,25 +276,25 @@ def _closed_form_residuals(law_key, fj: _FrontJets, p: PlateParams) -> np.ndarra
         raise ValidationError(
             f"closed form exists only for laws {_CLOSED_FORM_LAWS}, got {entry.index}"
         )
-    conditions = _wave_conditions(fj)
-    failing = np.flatnonzero(np.any([failed for failed, _, _ in conditions], axis=0))
-    if failing.size:
+    conditions = _wave_conditions(rec)
+    failing = np.argwhere(np.any([failed for failed, _, _ in conditions], axis=0))
+    if len(failing):
         raise NonAdmissibleRecordError(
             "record is not an acceleration wave ("
-            + "; ".join(_wave_reasons(conditions, failing[0]))
+            + "; ".join(_wave_reasons(conditions, tuple(failing[0])))
             + "); run check_acceleration_wave for details"
         )
 
-    lam, mu = fj.lambda_, fj.mu
+    lam, mu = rec.lambda_, rec.mu
     d, eh = p.D, p.Eh
-    n = fj.normal
-    c = fj.speed
-    x1, x2, x3 = (fj.point[:, i] for i in range(3))
+    n = rec.geometry.normal
+    c = rec.geometry.speed
+    x1, x2, x3 = (rec.point[..., i] for i in range(3))
     quad = d * lam * lam - mu * mu / eh
 
     def gen_dot_n(field: str) -> np.ndarray:
         return sum(
-            _generator_applied(fj.ahead, field, beta, entry.index) * n[:, beta - 1]
+            _generator_applied(rec.ahead, field, beta, entry.index) * n[..., beta - 1]
             for beta in (1, 2)
         )
 
@@ -329,23 +302,23 @@ def _closed_form_residuals(law_key, fj: _FrontJets, p: PlateParams) -> np.ndarra
         return 0.5 * c * quad - (d * lam * gen_dot_n("w") - (mu / eh) * gen_dot_n("phi"))
 
     if entry.index in (2, 3):
-        n_comp = n[:, entry.index - 2]
+        n_comp = n[..., entry.index - 2]
         return 0.5 * quad * n_comp + d * lam * gen_dot_n("w") - (mu / eh) * gen_dot_n("phi")
 
-    w1, w2 = fj.ahead.w[:, S1], fj.ahead.w[:, S2]
-    f1, f2 = fj.ahead.phi[:, S1], fj.ahead.phi[:, S2]
+    w1, w2 = rec.ahead.w[..., S1], rec.ahead.w[..., S2]
+    f1, f2 = rec.ahead.phi[..., S1], rec.ahead.phi[..., S2]
 
     if entry.index == 6:
         # eps^a_{ b} v_a n^b = v1 n2 - v2 n1
-        lhs = 0.5 * (n[:, 0] * x2 - n[:, 1] * x1) * quad
-        w_part = (w1 * n[:, 1] - w2 * n[:, 0]) + gen_dot_n("w")
-        phi_part = (f1 * n[:, 1] - f2 * n[:, 0]) + gen_dot_n("phi")
+        lhs = 0.5 * (n[..., 0] * x2 - n[..., 1] * x1) * quad
+        w_part = (w1 * n[..., 1] - w2 * n[..., 0]) + gen_dot_n("w")
+        phi_part = (f1 * n[..., 1] - f2 * n[..., 0]) + gen_dot_n("phi")
         return lhs + d * lam * w_part - (mu / eh) * phi_part
 
     # scaling row
-    lhs = 0.5 * (x1 * n[:, 0] + x2 * n[:, 1] - 2.0 * c * x3) * quad
-    w_part = (w1 * n[:, 0] + w2 * n[:, 1]) + gen_dot_n("w")
-    phi_part = (f1 * n[:, 0] + f2 * n[:, 1]) + gen_dot_n("phi")
+    lhs = 0.5 * (x1 * n[..., 0] + x2 * n[..., 1] - 2.0 * c * x3) * quad
+    w_part = (w1 * n[..., 0] + w2 * n[..., 1]) + gen_dot_n("w")
+    phi_part = (f1 * n[..., 0] + f2 * n[..., 1]) + gen_dot_n("phi")
     return lhs + d * lam * w_part - (mu / eh) * phi_part
 
 
@@ -358,7 +331,7 @@ def closed_form_jump_residual(law_key, rec: JumpRecord, p: PlateParams) -> float
     test first: the closed forms assume rank-one jump structure.  Each
     value equals minus the generic balance_jump_residual of the same law.
     """
-    return float(_closed_form_residuals(law_key, _of_record(rec), p)[0])
+    return float(_closed_form_residuals(law_key, rec, p))
 
 
 def amplitude_relation_residuals(wave: AccelerationWave) -> tuple[float, float]:

@@ -38,7 +38,7 @@ from .jumps import (
     amplitude_relation_residuals,
     amplitude_relation_scales,
 )
-from .scenario import Scenario, _front_points, build_field, sample_front_point, scenario_to_dict
+from .scenario import Scenario, build_field, sample_front_point, scenario_to_dict
 from .solutions import _PDE_SLOTS, Side, _jet_batches, _pde_terms
 from .wavefront import _front_distance
 from .version import __version__
@@ -199,7 +199,7 @@ def _run_jump_check(scaled, scenario: Scenario, field, check, rng):
 
     def batch():
         points = np.concatenate(
-            [_front_points(field.front, t, rng.uniform(-1.0, 1.0, n)) for t in times]
+            [sample_front_point(field.front, t, rng.uniform(-1.0, 1.0, n)) for t in times]
         )
         return _batch_maxima(_front_jets(field, points), keys, scaled, field.params)
 

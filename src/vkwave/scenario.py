@@ -527,22 +527,20 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return _plain(scenario)
 
 
-def _front_points(front, t: float, draws: np.ndarray) -> np.ndarray:
-    """The points (shape (n, 3)) exactly on the front at time t that
-    sample_front_point gives for each of ``draws``, with its bits."""
-    if not hasattr(front, "curve"):
-        raise ValidationError(f"cannot sample points on front type {type(front).__name__}")
-    if front.period is not None:
-        draws = front.period * draws
-    x, _ = front.curve(t, draws)
-    return np.column_stack((x, np.full(len(draws), float(t))))
+def sample_front_point(front, t: float, draw) -> np.ndarray:
+    """A point exactly on the front at time t (shape (3,)) for one draw, or
+    one per draw (shape (n, 3)) for an array of n draws, each with the bits
+    of its own one-draw point.
 
-
-def sample_front_point(front, t: float, draw: float) -> np.ndarray:
-    """A point exactly on the front at time t.
-
-    draw is the parameter of ``front.curve`` (arc length on a line), or
+    A draw is the parameter of ``front.curve`` (arc length on a line), or
     its fraction of the period on a closed front (the angle over 2 pi on
     a circle).
     """
-    return _front_points(front, t, np.array([float(draw)]))[0]
+    if not hasattr(front, "curve"):
+        raise ValidationError(f"cannot sample points on front type {type(front).__name__}")
+    draws = np.asarray(draw, dtype=np.float64)
+    s = draws.reshape(-1)
+    if front.period is not None:
+        s = front.period * s
+    x, _ = front.curve(t, s)
+    return np.column_stack((x, np.full(len(s), float(t)))).reshape(draws.shape + (3,))

@@ -26,29 +26,38 @@ _FRAME_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FrontGeometry:
-    """Local front data at one point: speed, orthonormal frame, arc-rate.
+    """Local front data at one point or at a batch of N points: speed,
+    orthonormal frame, arc-rate.
 
-    The frame convention is t = (-n2, n1); the arc-rate is even under
-    flipping t, so downstream results do not depend on the orientation
-    choice.
+    ``normal`` and ``tangent`` have shape (2,) at one point and (N, 2) on a
+    batch; ``speed`` and ``arc_rate`` hold one value per point.  The frame
+    convention is t = (-n2, n1); the arc-rate is even under flipping t, so
+    downstream results do not depend on the orientation choice.
     """
 
-    speed: float
+    speed: float | np.ndarray
     normal: np.ndarray
     tangent: np.ndarray
-    arc_rate: float
+    arc_rate: float | np.ndarray
 
     def __post_init__(self) -> None:
         n = np.asarray(self.normal, dtype=np.float64)
         t = np.asarray(self.tangent, dtype=np.float64)
-        if n.shape != (2,) or t.shape != (2,):
+        if n.ndim not in (1, 2) or n.shape[-1] != 2 or t.shape != n.shape:
             raise ValidationError("normal and tangent must be 2-vectors")
-        if abs(n @ n - 1.0) > _FRAME_TOL or abs(t @ t - 1.0) > _FRAME_TOL:
+        if np.shape(self.speed) != n.shape[:-1] or np.shape(self.arc_rate) != n.shape[:-1]:
+            raise ValidationError("speed and arc_rate must hold one value per normal")
+        unit = np.abs(np.stack([np.sum(n * n, -1), np.sum(t * t, -1)]) - 1.0)
+        if (unit > _FRAME_TOL).any():
             raise ValidationError("normal and tangent must be unit vectors")
-        if abs(n @ t) > _FRAME_TOL:
+        if (np.abs(np.sum(n * t, -1)) > _FRAME_TOL).any():
             raise ValidationError("normal and tangent must be orthogonal")
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "tangent", t)
+
+    def __getitem__(self, rows) -> FrontGeometry:
+        """The geometry at the points ``rows`` of a batch."""
+        return FrontGeometry(*(np.asarray(getattr(self, f.name))[rows] for f in fields(self)))
 
 
 class Front(abc.ABC):
@@ -68,12 +77,12 @@ class Front(abc.ABC):
 
     @abc.abstractmethod
     def time_derivative(self, point) -> float | np.ndarray:
-        """d gamma/dx3 at ``point``."""
+        """d gamma/dx3 at ``point``, shape (...)."""
 
     @abc.abstractmethod
     def exact_arc_rate(self, point) -> float | np.ndarray:
         """Arc-rate a = t_a dn^a/ds of the time slice of the level set
-        through ``point``, in closed form; one value per point."""
+        through ``point``, in closed form; one value per point, shape (...)."""
 
     @abc.abstractmethod
     def crossings(self, p0, p1, t) -> np.ndarray:
@@ -153,16 +162,10 @@ class LineFront(Front):
         return g
 
     def time_derivative(self, point):
-        p = np.asarray(point, dtype=np.float64)
-        if p.ndim == 1:
-            return self.coef_t
-        return np.full(p.shape[:-1], self.coef_t)
+        return np.full(np.shape(point)[:-1], self.coef_t)
 
     def exact_arc_rate(self, point):
-        p = np.asarray(point, dtype=np.float64)
-        if p.ndim == 1:
-            return 0.0
-        return np.zeros(p.shape[:-1])
+        return np.zeros(np.shape(point)[:-1])
 
     def spatial_line(self, t) -> tuple[float, float, float]:
         """Coefficients (A, B, C0) with A x1 + B x2 + C0 = gamma at time t;
@@ -255,10 +258,7 @@ class CircleFront(Front):
         return g
 
     def time_derivative(self, point):
-        p = np.asarray(point, dtype=np.float64)
-        if p.ndim == 1:
-            return -self.radial_speed
-        return np.full(p.shape[:-1], -self.radial_speed)
+        return np.full(np.shape(point)[:-1], -self.radial_speed)
 
     def exact_arc_rate(self, point):
         p, _, _, r = self._offsets(point)
@@ -268,8 +268,6 @@ class CircleFront(Front):
             raise SingularFrontError(
                 f"arc-rate undefined at the circle's centre {tuple(p.reshape(-1, 3)[k].tolist())}"
             )
-        if p.ndim == 1:
-            return 1.0 / float(r)
         return 1.0 / r
 
     def _radius_at(self, t):
@@ -339,25 +337,6 @@ class CircleFront(Front):
         return np.where(none, -1.0, low), np.where(none, 1.0, high)
 
 
-def _normal_and_speed(front: Front, points) -> tuple[np.ndarray, np.ndarray]:
-    """Unit normal (shape (N, 2)) and speed (shape (N,)) of the front at
-    points of shape (N, 3): n = grad gamma / |grad gamma| and
-    C = -(d gamma/dx3) / |grad gamma|.  Raises for the first point where
-    the normal is undefined."""
-    p = np.asarray(points, dtype=np.float64)
-    g = np.asarray(front.spatial_gradient(p), dtype=np.float64)
-    g_t = np.asarray(front.time_derivative(p), dtype=np.float64)
-    norm = np.hypot(g[:, 0], g[:, 1])
-    scale = 1.0 + np.abs(p).max(axis=1) + np.abs(g_t)
-    singular = np.flatnonzero(norm <= 1e-13 * scale)
-    if singular.size:
-        k = singular[0]
-        raise SingularFrontError(
-            f"front normal undefined at {tuple(p[k].tolist())}: |grad gamma| = {norm[k]:.3e}"
-        )
-    return g / norm[:, None], -g_t / norm
-
-
 def _front_distance(front: Front | None, points) -> np.ndarray:
     """First-order estimate |gamma| / (|grad gamma| + |d gamma/dx3|) of how
     far each space-time point (shape (..., 3)) lies from the front; inf
@@ -372,17 +351,32 @@ def _front_distance(front: Front | None, points) -> np.ndarray:
 
 
 def front_geometry(front: Front, point) -> FrontGeometry:
-    """Speed, frame, and arc-rate of the front at a space-time point; the
-    arc-rate is the front's closed form ``exact_arc_rate``."""
+    """Speed, frame, and arc-rate of the front at a space-time point (shape
+    (3,)) or at each of a batch of them (shape (N, 3)):
+    n = grad gamma / |grad gamma|, C = -(d gamma/dx3) / |grad gamma|, and
+    the front's closed form ``exact_arc_rate``.  Raises for the first
+    point where the normal is undefined."""
     p = np.asarray(point, dtype=np.float64)
-    if p.shape != (3,):
-        raise ValidationError(f"point must be a 3-vector, got shape {p.shape}")
+    if p.ndim not in (1, 2) or p.shape[-1] != 3:
+        raise ValidationError(f"point must have shape (3,) or (N, 3), got shape {p.shape}")
 
-    normals, speeds = _normal_and_speed(front, p[None])
-    n = normals[0]
-    t = np.array([-n[1], n[0]])
+    g = np.asarray(front.spatial_gradient(p), dtype=np.float64)
+    g_t = np.asarray(front.time_derivative(p), dtype=np.float64)
+    norm = np.hypot(g[..., 0], g[..., 1])
+    scale = 1.0 + np.abs(p).max(axis=-1) + np.abs(g_t)
+    singular = np.flatnonzero(norm <= 1e-13 * scale)
+    if singular.size:
+        k = singular[0]
+        raise SingularFrontError(
+            f"front normal undefined at {tuple(np.atleast_2d(p)[k].tolist())}: "
+            f"|grad gamma| = {np.ravel(norm)[k]:.3e}"
+        )
+    n = g / norm[..., None]
     return FrontGeometry(
-        speed=float(speeds[0]), normal=n, tangent=t, arc_rate=float(front.exact_arc_rate(p))
+        speed=(-g_t / norm)[()],
+        normal=n,
+        tangent=np.stack([-n[..., 1], n[..., 0]], axis=-1),
+        arc_rate=np.asarray(front.exact_arc_rate(p), dtype=np.float64)[()],
     )
 
 

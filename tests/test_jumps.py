@@ -9,8 +9,13 @@ from vkwave.conservation import LAWS
 from vkwave.errors import NonAdmissibleRecordError, NotOnFrontError, ValidationError
 from vkwave.indexing import idx
 from vkwave.jumps import (
+    _CLOSED_FORM_LAWS,
     _balance_jump_terms,
+    _closed_form_residuals,
+    _dynamic_terms,
     _front_jets,
+    _wave_conditions,
+    _wave_reasons,
     amplitude_relation_residuals,
     amplitude_relation_scales,
     balance_jump_residual,
@@ -27,7 +32,8 @@ from vkwave.solutions import (
     invariant_solution,
     polynomial_field,
 )
-from vkwave.wavefront import LineFront, second_jumps, third_jumps
+from vkwave.scenario import sample_front_point
+from vkwave.wavefront import CircleFront, LineFront, second_jumps, third_jumps
 
 
 @pytest.fixture()
@@ -76,20 +82,71 @@ def test_off_front_error_names_the_first_off_front_point(wave):
     assert str(err.value) == _off_front_message(wave.front, pts[2])
 
 
+def _assert_records_equal_batch(field, pts, p):
+    """Each public jump function on a point's own record gives, bit for
+    bit, what the batch record of all the points gives at that point."""
+    (fj,) = _front_jets(field, pts)
+    records = [extract_jumps(field, pt) for pt in pts]
+    assert fj.lambda_.tolist() == [rec.lambda_ for rec in records]
+    assert fj.mu.tolist() == [rec.mu for rec in records]
+    for name in ("speed", "normal", "tangent", "arc_rate"):
+        want = np.array([getattr(rec.geometry, name) for rec in records])
+        assert getattr(fj.geometry, name).tobytes() == want.tobytes(), name
+
+    r_w, r_phi, s_w, s_phi = _dynamic_terms(fj, p)
+    assert list(zip(r_w.tolist(), r_phi.tolist())) == [
+        dynamic_jump_residuals(rec, p) for rec in records
+    ]
+    assert list(zip(s_w.tolist(), s_phi.tolist())) == [
+        dynamic_jump_scales(rec, p) for rec in records
+    ]
+    for entry in LAWS:
+        residual, scale = _balance_jump_terms(entry.index, fj, p)
+        assert residual.tolist() == [balance_jump_residual(entry, rec, p) for rec in records]
+        assert scale.tolist() == [balance_jump_scale(entry, rec, p) for rec in records]
+
+    conditions = _wave_conditions(fj)
+    verdicts = [check_acceleration_wave(rec) for rec in records]
+    reasons = [_wave_reasons(conditions, (k,)) for k in range(len(pts))]
+    assert [v.reasons for v in verdicts] == reasons
+    for index in _CLOSED_FORM_LAWS:
+        if all(v.passed for v in verdicts):
+            got = [closed_form_jump_residual(index, rec, p) for rec in records]
+            assert _closed_form_residuals(index, fj, p).tolist() == got, index
+            continue
+        # the batch raises the error of its first point that is no wave
+        first = next(rec for rec, v in zip(records, verdicts) if not v.passed)
+        with pytest.raises(NonAdmissibleRecordError) as want:
+            closed_form_jump_residual(index, first, p)
+        with pytest.raises(NonAdmissibleRecordError) as got:
+            _closed_form_residuals(index, fj, p)
+        assert str(got.value) == str(want.value), index
+
+
 def test_batched_jumps_equal_records(wave, generic_params):
     # the batch formulas give each point the value its own record gives
     c = wave.wave_speed
     t = np.array([-0.4, 0.0, 0.3, 0.6])
     pts = np.stack([c * t, np.array([0.5, -1.1, 0.2, 0.9]), t], axis=1)
-    (fj,) = _front_jets(wave, pts)
-    records = [extract_jumps(wave, pt) for pt in pts]
-    assert fj.lambda_.tolist() == [rec.lambda_ for rec in records]
-    assert fj.mu.tolist() == [rec.mu for rec in records]
-    for entry in LAWS:
-        residual, scale = _balance_jump_terms(entry.index, fj, generic_params)
-        p = generic_params
-        assert residual.tolist() == [balance_jump_residual(entry, rec, p) for rec in records]
-        assert scale.tolist() == [balance_jump_scale(entry, rec, p) for rec in records]
+    _assert_records_equal_batch(wave, pts, generic_params)
+
+
+def _circle_pair(params):
+    """Two different traveling solutions across a growing circle: every
+    value and derivative jumps, so no point is an acceleration wave."""
+    ahead = invariant_solution((0.4, -0.2, 0.9, 0.5), (0.3, 0.8, -0.6, 0.2), 0.8, params)
+    behind = invariant_solution((-0.1, 0.6, 0.3, -0.7), (0.5, -0.4, 0.2, 0.9), 1.3, params)
+    circle = CircleFront(0.1, -0.2, 0.6, radial_speed=0.25)
+    draws = np.linspace(-0.9, 0.8, 5)
+    points = np.concatenate([sample_front_point(circle, t, draws) for t in (0.0, 0.4)])
+    return PiecewiseField(ahead, behind, circle, params), points
+
+
+@pytest.mark.parametrize("case", ["oblique_contact_pair", "circle_pair"])
+def test_batched_jumps_equal_records_across_oblique_and_curved_fronts(case, generic_params):
+    make = _contact_pair if case == "oblique_contact_pair" else _circle_pair
+    field, points = make(generic_params)
+    _assert_records_equal_batch(field, points, generic_params)
 
 
 def _poly_product(p, q):
@@ -152,7 +209,7 @@ def test_jump_kernels_equal_the_jumps_of_real_jets(case, wave, generic_params):
     else:
         field, points = _contact_pair(generic_params)
     (fj,) = _front_jets(field, points)
-    n = fj.normal
+    n = fj.geometry.normal
     t = np.stack([-n[:, 1], n[:, 0]], axis=1)
     for name, amplitude in (("w", fj.lambda_), ("phi", fj.mu)):
         jump = getattr(fj.jump, name)
@@ -163,7 +220,7 @@ def test_jump_kernels_equal_the_jumps_of_real_jets(case, wave, generic_params):
 
         want = (jump[:, _SPATIAL], jump[:, _MIXED], jump[:, idx(3, 3)])
         second_scale = scale(np.r_[_SPATIAL.ravel(), _MIXED, idx(3, 3)])
-        for got, exact in zip(second_jumps(amplitude, n, fj.speed), want):
+        for got, exact in zip(second_jumps(amplitude, n, fj.geometry.speed), want):
             assert np.abs(got - exact).max() <= 1e-13 * second_scale, name
 
         third = jump[:, _THIRD]

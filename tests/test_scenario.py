@@ -8,7 +8,6 @@ from vkwave.errors import ScenarioError, ValidationError
 from vkwave.scenario import (
     CHECK_KINDS,
     FAMILIES,
-    _front_points,
     build_field,
     build_front,
     load_scenario,
@@ -327,12 +326,12 @@ def test_front_points_are_the_per_draw_points(front):
     draws = np.random.default_rng(8).uniform(-1.0, 1.0, 2000)
     for t in (0.0, 0.3, -0.2):
         expected = np.array([_front_point_reference(front, t, float(d)) for d in draws])
-        assert _front_points(front, t, draws).tobytes() == expected.tobytes()
+        assert sample_front_point(front, t, draws).tobytes() == expected.tobytes()
         assert sample_front_point(front, t, draws[0]).tobytes() == expected[0].tobytes()
     if isinstance(front, CircleFront):
         message = "^circular front has nonpositive radius at t=4.0$"
         with pytest.raises(ValidationError, match=message):
-            _front_points(front, 4.0, draws)
+            sample_front_point(front, 4.0, draws)
 
 
 @pytest.mark.parametrize(

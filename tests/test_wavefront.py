@@ -244,6 +244,39 @@ def test_front_geometry_frame_validation():
         FrontGeometry(1.0, np.array([1.0, 0.0]), np.array([1.0, 0.0]), 0.0)
 
 
+@pytest.mark.parametrize(
+    "front",
+    [LineFront(3.0, 4.0, 2.0, 0.7), CircleFront(0.1, -0.05, 0.35, radial_speed=0.25)],
+    ids=["oblique_moving_line", "moving_circle"],
+)
+def test_front_geometry_of_a_batch_is_the_geometry_per_point(front):
+    # points on the front at 12 times: one curve parameter each
+    rng = np.random.default_rng(3)
+    times = rng.uniform(-0.5, 0.5, 12)
+    params = rng.uniform(-1.0, 1.0, 12) * (front.period or 1.0)
+    points = np.array([[*front.curve(t, [s])[0][0], t] for t, s in zip(times, params)])
+    batch = front_geometry(front, points)
+    assert batch.normal.shape == batch.tangent.shape == (12, 2)
+    assert batch.speed.shape == batch.arc_rate.shape == (12,)
+    for name in ("speed", "normal", "tangent", "arc_rate"):
+        want = np.array([getattr(front_geometry(front, pt), name) for pt in points])
+        assert getattr(batch, name).tobytes() == want.tobytes(), name
+        assert getattr(batch[3:5], name).tobytes() == want[3:5].tobytes(), name
+
+    # a batch raises for its first point where the normal is undefined
+    circle = CircleFront(0.0, 0.0, 1.0)
+    singular = np.array([(1.0, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.0, 0.25)])
+    message = r"^front normal undefined at \(0\.0, 0\.0, 0\.5\): "
+    with pytest.raises(SingularFrontError, match=message):
+        front_geometry(circle, singular)
+
+    # and one non-unit normal in a batch is refused
+    normal = batch.normal.copy()
+    normal[7] *= 1.001
+    with pytest.raises(ValidationError, match="unit vectors"):
+        FrontGeometry(batch.speed, normal, batch.tangent, batch.arc_rate)
+
+
 @pytest.fixture()
 def oblique_geo():
     front = LineFront(3.0, 4.0, 2.0, 0.7)
