@@ -37,7 +37,7 @@ from .jets import FieldJet
 from .params import PlateParams
 from .solutions import AccelerationWave, PiecewiseField, Side, _jet_batches
 from .tensors import f_vector, shear_force
-from .wavefront import FrontGeometry, front_geometry
+from .wavefront import FrontGeometry, _value_and_slope, front_geometry
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,7 @@ def _front_jets(field: PiecewiseField, points: np.ndarray):
     for.  Raises for the first point that is off the front, or where the
     front has no normal, before the first jet is filled."""
     front = field.front
-    g_val = np.asarray(front.value(points), dtype=np.float64)
-    grad = np.asarray(front.spatial_gradient(points), dtype=np.float64)
-    slope = np.hypot(grad[..., 0], grad[..., 1]) + np.abs(front.time_derivative(points))
+    g_val, slope = _value_and_slope(front, points)
     scale = np.maximum(slope, 1e-300) * (1.0 + np.abs(points).max(axis=-1))
     off = np.flatnonzero(np.abs(g_val) > 1e-9 * scale)
     if off.size:

@@ -4,7 +4,9 @@ A scenario is a YAML document describing plate parameters, one solution
 field (optionally glued across a front), an optional integration region,
 and a list of checks to run.  This module parses and validates scenarios
 into plain frozen dataclasses and builds the runtime objects from them.
-Validation errors carry the dotted path of the offending key.
+Each section is read by one table of (key, reader, default) rows, so a
+key's reader and default are stated once.  Validation errors carry the
+dotted path of the offending key.
 """
 
 from __future__ import annotations
@@ -28,36 +30,11 @@ from .solutions import (
 )
 from .wavefront import CircleFront, LineFront
 
-#: The keys each check kind takes, in the order error messages list the kinds.
-_CHECK_KEYS = {
-    "pde_residual": ("type", "points", "samples", "tolerance"),
-    "conservation": ("type", "laws", "points", "samples", "tolerance"),
-    "dynamic_jumps": ("type", "times", "samples", "tolerance"),
-    "balance_jump": ("type", "laws", "times", "samples", "tolerance"),
-    "closed_form_jump": ("type", "laws", "times", "samples", "tolerance"),
-    "wave_relations": ("type", "tolerance"),
-    "balance": ("type", "laws", "times", "region", "dt", "tolerance"),
-}
-
-CHECK_KINDS = tuple(_CHECK_KEYS)
-
-FAMILIES = ("invariant", "acceleration_wave", "polynomial")
-
 _CLOSED_FORM_DEFAULT_LAWS = tuple(law(i).name for i in _CLOSED_FORM_LAWS)
 
 _JUMP_CHECKS = ("dynamic_jumps", "balance_jump", "closed_form_jump")
 
 _ALL_LAWS = tuple(entry.name for entry in LAWS)
-
-#: The laws of each law-resolved check kind that names none.
-_DEFAULT_LAWS = {
-    "conservation": _ALL_LAWS,
-    "balance_jump": _ALL_LAWS,
-    "closed_form_jump": _CLOSED_FORM_DEFAULT_LAWS,
-    "balance": ("transversal_linear_momentum", "compatibility"),
-}
-
-_PLATE_KEYS = ("youngs_modulus", "poisson_ratio", "thickness", "areal_density")
 
 
 @dataclass(frozen=True)
@@ -123,8 +100,135 @@ class Scenario:
     seed: int
 
 
+# Value readers: read(value, path) returns the value in its spec form or
+# raises a ScenarioError that names path.
+
+
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _number(value, path: str) -> float:
+    if not _is_number(value):
+        raise ScenarioError(f"{path}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _positive(value, path: str) -> float:
+    v = _number(value, path)
+    if not v > 0.0:
+        raise ScenarioError(f"{path}: must be > 0, got {v}")
+    return v
+
+
+def _integer(minimum=None):
+    """The reader of an integer, at least minimum when one is given."""
+
+    def read(value, path: str) -> int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ScenarioError(f"{path}: expected an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ScenarioError(f"{path}: must be >= {minimum}, got {value}")
+        return value
+
+    return read
+
+
+def _numbers(length: int):
+    """The reader of a list of length finite numbers."""
+
+    def read(value, path: str) -> tuple[float, ...]:
+        if not isinstance(value, (list, tuple)) or not all(_is_number(x) for x in value):
+            raise ScenarioError(f"{path}: expected a list of finite numbers")
+        if len(value) != length:
+            raise ScenarioError(f"{path}: expected {length} numbers, got {len(value)}")
+        return tuple(float(x) for x in value)
+
+    return read
+
+
+def _exponents(value, path: str) -> tuple[int, int, int]:
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 3
+        or not all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in value)
+    ):
+        raise ScenarioError(f"{path}: expected 3 nonnegative integers")
+    return tuple(value)
+
+
+def _terms(value, path: str):
+    """Polynomial terms, each monomial at most once: build_field keeps one
+    coefficient per exponent triple."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"{path}: expected a list of terms")
+    terms, first = [], {}
+    for i, entry in enumerate(value):
+        term = _section(entry, f"{path}[{i}]", _TERM_KEYS)
+        exponents = term["exponents"]
+        if exponents in first:
+            raise ScenarioError(
+                f"{path}[{i}].exponents: repeats {path}[{first[exponents]}].exponents "
+                f"{list(exponents)}"
+            )
+        first[exponents] = i
+        terms.append((exponents, term["coefficient"]))
+    return tuple(terms)
+
+
+def _laws(value, path: str) -> tuple[str, ...]:
+    if value == "all":
+        return _ALL_LAWS
+    if not isinstance(value, list) or not value:
+        raise ScenarioError(f"{path}: expected 'all' or a non-empty list")
+    names = []
+    for i, item in enumerate(value):
+        try:
+            names.append(law(item).name)
+        except ValidationError as exc:
+            raise ScenarioError(f"{path}[{i}]: {exc}") from exc
+    return tuple(names)
+
+
+def _closed_form_laws(value, path: str) -> tuple[str, ...]:
+    """_laws among those with a closed-form jump condition; 'all' is all of these."""
+    names = _CLOSED_FORM_DEFAULT_LAWS if value == "all" else _laws(value, path)
+    for name in names:
+        if name not in _CLOSED_FORM_DEFAULT_LAWS:
+            raise ScenarioError(
+                f"{path}: law '{name}' has no closed-form jump condition; "
+                f"valid choices are {_CLOSED_FORM_DEFAULT_LAWS}"
+            )
+    return names
+
+
+def _points(value, path: str):
+    if not isinstance(value, list) or not value:
+        raise ScenarioError(f"{path}: expected a non-empty list of 3-vectors")
+    points = []
+    for i, item in enumerate(value):
+        if not isinstance(item, (list, tuple)) or len(item) != 3 or not all(
+            _is_number(x) for x in item
+        ):
+            raise ScenarioError(f"{path}[{i}]: expected 3 finite numbers")
+        points.append((float(item[0]), float(item[1]), float(item[2])))
+    return tuple(points)
+
+
+def _times(value, path: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or not value or not all(_is_number(x) for x in value):
+        raise ScenarioError(f"{path}: expected a non-empty list of finite numbers")
+    return tuple(float(x) for x in value)
+
+
+def _cells(value, path: str) -> tuple[int, int]:
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or not all(isinstance(c, int) and not isinstance(c, bool) for c in value)
+    ):
+        raise ScenarioError(f"{path}: expected a pair of integers")
+    return (int(value[0]), int(value[1]))
 
 
 def _need_mapping(data, path: str) -> dict:
@@ -133,277 +237,183 @@ def _need_mapping(data, path: str) -> dict:
     return data
 
 
-def _check_keys(data: dict, allowed, path: str) -> None:
+def _section(data, path: str, rows, known=()) -> dict:
+    """The values of a mapping section read by its (key, reader, default)
+    rows, in row order; a default of ... marks a required key.  Keys
+    neither in a row nor known (read by the caller) are rejected."""
+    _need_mapping(data, path)
+    allowed = (*known, *(key for key, _, _ in rows))
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise ScenarioError(
             f"{path}: unknown key(s) {unknown}; allowed keys are {sorted(allowed)}"
         )
-
-
-def _number(data: dict, key: str, path: str, default=...):
-    if key not in data:
-        if default is ...:
+    values = {}
+    for key, read, default in rows:
+        if key in data:
+            values[key] = read(data[key], f"{path}.{key}")
+        elif default is ...:
             raise ScenarioError(f"{path}.{key}: required")
-        return default
-    v = data[key]
-    if not _is_number(v):
-        raise ScenarioError(f"{path}.{key}: expected a finite number, got {v!r}")
-    return float(v)
+        else:
+            values[key] = default
+    return values
 
 
-def _positive_number(data: dict, key: str, path: str, default=...):
-    v = _number(data, key, path, default)
-    if key in data and not v > 0.0:
-        raise ScenarioError(f"{path}.{key}: must be > 0, got {v}")
-    return v
+def _kinded(data, path: str, tag: str, tables) -> tuple[str, dict]:
+    """The kind a section's tag key names, and the section read by the
+    rows tables holds for that kind."""
+    kinds = tuple(tables)
+    kind = _need_mapping(data, path).get(tag)
+    if kind not in kinds:
+        expected = " or ".join(map(repr, kinds)) if len(kinds) == 2 else f"one of {kinds}"
+        raise ScenarioError(f"{path}.{tag}: expected {expected}, got {kind!r}")
+    return kind, _section(data, path, tables[kind], known=(tag,))
 
 
-def _integer(data: dict, key: str, path: str, default=..., minimum=None):
-    if key not in data:
-        if default is ...:
-            raise ScenarioError(f"{path}.{key}: required")
-        return default
-    v = data[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ScenarioError(f"{path}.{key}: expected an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ScenarioError(f"{path}.{key}: must be >= {minimum}, got {v}")
-    return v
+def _built(build, rows):
+    """The reader of a section whose values are build's keyword arguments;
+    a ValidationError from build names the section."""
 
-
-def _number_list(data: dict, key: str, path: str, length=None, default=...):
-    if key not in data:
-        if default is ...:
-            raise ScenarioError(f"{path}.{key}: required")
-        return default
-    v = data[key]
-    if not isinstance(v, (list, tuple)) or not all(_is_number(x) for x in v):
-        raise ScenarioError(f"{path}.{key}: expected a list of finite numbers")
-    if length is not None and len(v) != length:
-        raise ScenarioError(f"{path}.{key}: expected {length} numbers, got {len(v)}")
-    return tuple(float(x) for x in v)
-
-
-def _parse_plate(data, path: str) -> PlateParams:
-    d = _need_mapping(data, path)
-    _check_keys(d, _PLATE_KEYS, path)
-    kwargs = {k: _number(d, k, path) for k in _PLATE_KEYS}
-    try:
-        return make_plate_params(**kwargs)
-    except ValidationError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-
-
-def _parse_terms(data: dict, key: str, path: str):
-    if key not in data:
-        raise ScenarioError(f"{path}.{key}: required")
-    entries = data[key]
-    if not isinstance(entries, list):
-        raise ScenarioError(f"{path}.{key}: expected a list of terms")
-    terms = []
-    for i, entry in enumerate(entries):
-        tpath = f"{path}.{key}[{i}]"
-        d = _need_mapping(entry, tpath)
-        _check_keys(d, ("exponents", "coefficient"), tpath)
-        exps = d.get("exponents")
-        if (
-            not isinstance(exps, (list, tuple))
-            or len(exps) != 3
-            or not all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps)
-        ):
-            raise ScenarioError(f"{tpath}.exponents: expected 3 nonnegative integers")
-        coef = _number(d, "coefficient", tpath)
-        terms.append(((int(exps[0]), int(exps[1]), int(exps[2])), coef))
-    return tuple(terms)
-
-
-def _parse_field(data, path: str) -> FieldSpec:
-    d = _need_mapping(data, path)
-    family = d.get("family")
-    if family not in FAMILIES:
-        raise ScenarioError(f"{path}.family: expected one of {FAMILIES}, got {family!r}")
-
-    if family == "polynomial":
-        _check_keys(d, ("family", "w_terms", "phi_terms"), path)
-        return FieldSpec(
-            family=family,
-            w_terms=_parse_terms(d, "w_terms", path),
-            phi_terms=_parse_terms(d, "phi_terms", path),
-        )
-
-    keys = ["family", "wave_speed", "w_coefficients", "phi_coefficients"]
-    if family == "acceleration_wave":
-        keys += ["c1", "c2"]
-    _check_keys(d, keys, path)
-    spec = FieldSpec(
-        family=family,
-        wave_speed=_number(d, "wave_speed", path),
-        w_coefficients=_number_list(d, "w_coefficients", path, length=4),
-        phi_coefficients=_number_list(d, "phi_coefficients", path, length=4),
-        c1=_number(d, "c1", path) if family == "acceleration_wave" else None,
-        c2=_number(d, "c2", path) if family == "acceleration_wave" else None,
-    )
-    return spec
-
-
-def _parse_front(data, path: str) -> FrontSpec:
-    d = _need_mapping(data, path)
-    kind = d.get("kind")
-    if kind == "line":
-        _check_keys(d, ("kind", "coef_x1", "coef_x2", "coef_t", "const"), path)
-        return FrontSpec(
-            kind="line",
-            coef_x1=_number(d, "coef_x1", path),
-            coef_x2=_number(d, "coef_x2", path),
-            coef_t=_number(d, "coef_t", path, default=0.0),
-            const=_number(d, "const", path, default=0.0),
-        )
-    if kind == "circle":
-        _check_keys(d, ("kind", "center", "radius", "radial_speed"), path)
-        center = _number_list(d, "center", path, length=2)
-        return FrontSpec(
-            kind="circle",
-            center=center,
-            radius=_positive_number(d, "radius", path),
-            radial_speed=_number(d, "radial_speed", path, default=0.0),
-        )
-    raise ScenarioError(f"{path}.kind: expected 'line' or 'circle', got {kind!r}")
-
-
-def _parse_region(data, path: str) -> Region:
-    d = _need_mapping(data, path)
-    _check_keys(d, ("x1_min", "x1_max", "x2_min", "x2_max", "quad_order", "cells"), path)
-    cells_raw = d.get("cells", [4, 4])
-    if (
-        not isinstance(cells_raw, (list, tuple))
-        or len(cells_raw) != 2
-        or not all(isinstance(c, int) and not isinstance(c, bool) for c in cells_raw)
-    ):
-        raise ScenarioError(f"{path}.cells: expected a pair of integers")
-    try:
-        return Region(
-            x1_min=_number(d, "x1_min", path),
-            x1_max=_number(d, "x1_max", path),
-            x2_min=_number(d, "x2_min", path),
-            x2_max=_number(d, "x2_max", path),
-            quad_order=_integer(d, "quad_order", path, default=8),
-            cells=(int(cells_raw[0]), int(cells_raw[1])),
-        )
-    except ValidationError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-
-
-def _parse_laws(data: dict, path: str, default, closed_form_only=False):
-    if "laws" not in data:
-        return default
-    v = data["laws"]
-    if v == "all":
-        return _CLOSED_FORM_DEFAULT_LAWS if closed_form_only else _ALL_LAWS
-    if not isinstance(v, list) or not v:
-        raise ScenarioError(f"{path}.laws: expected 'all' or a non-empty list")
-    names = []
-    for i, item in enumerate(v):
+    def read(value, path: str):
+        values = _section(value, path, rows)
         try:
-            entry = law(item)
+            return build(**values)
         except ValidationError as exc:
-            raise ScenarioError(f"{path}.laws[{i}]: {exc}") from exc
-        names.append(entry.name)
-    return tuple(names)
+            raise ScenarioError(f"{path}: {exc}") from exc
+
+    return read
 
 
-def _parse_points(data: dict, path: str):
-    if "points" not in data:
-        return None
-    v = data["points"]
-    if not isinstance(v, list) or not v:
-        raise ScenarioError(f"{path}.points: expected a non-empty list of 3-vectors")
-    points = []
-    for i, item in enumerate(v):
-        if not isinstance(item, (list, tuple)) or len(item) != 3 or not all(
-            _is_number(x) for x in item
-        ):
-            raise ScenarioError(f"{path}.points[{i}]: expected 3 finite numbers")
-        points.append((float(item[0]), float(item[1]), float(item[2])))
-    return tuple(points)
+# Section tables: (key, reader, default) rows in the order a section reads
+# its keys, so that of two errors the earlier row's is reported.
+
+_PLATE_KEYS = tuple(
+    (key, _number, ...) for key in ("youngs_modulus", "poisson_ratio", "thickness", "areal_density")
+)
+
+_REGION_KEYS = (
+    ("cells", _cells, Region.cells),
+    ("x1_min", _number, ...),
+    ("x1_max", _number, ...),
+    ("x2_min", _number, ...),
+    ("x2_max", _number, ...),
+    ("quad_order", _integer(), Region.quad_order),
+)
+
+_TOLERANCE_KEYS = (
+    ("analytic", _positive, Tolerances.analytic),
+    ("quadrature", _positive, Tolerances.quadrature),
+)
+
+_TERM_KEYS = (("exponents", _exponents, ...), ("coefficient", _number, ...))
+
+_plate = _built(make_plate_params, _PLATE_KEYS)
+_region = _built(Region, _REGION_KEYS)
+_tolerances = _built(Tolerances, _TOLERANCE_KEYS)
+
+_INVARIANT_KEYS = (
+    ("wave_speed", _number, ...),
+    ("w_coefficients", _numbers(4), ...),
+    ("phi_coefficients", _numbers(4), ...),
+)
+
+_FAMILY_KEYS = {
+    "invariant": _INVARIANT_KEYS,
+    "acceleration_wave": _INVARIANT_KEYS + (("c1", _number, ...), ("c2", _number, ...)),
+    "polynomial": (("w_terms", _terms, ...), ("phi_terms", _terms, ...)),
+}
+
+_FRONT_KEYS = {
+    "line": (
+        ("coef_x1", _number, ...),
+        ("coef_x2", _number, ...),
+        ("coef_t", _number, LineFront.coef_t),
+        ("const", _number, LineFront.const),
+    ),
+    "circle": (
+        ("center", _numbers(2), ...),
+        ("radius", _positive, ...),
+        ("radial_speed", _number, CircleFront.radial_speed),
+    ),
+}
+
+_POINTS = ("points", _points, None)
+_TIMES = ("times", _times, None)
+_SAMPLES = ("samples", _integer(1), None)
+_TOLERANCE = ("tolerance", _positive, None)
+_EVERY_LAW = ("laws", _laws, _ALL_LAWS)
+
+#: The rows of each check kind, in the order error messages list the
+#: kinds; a law-resolved kind's laws row holds the laws it runs by default.
+_CHECK_KEYS = {
+    "pde_residual": (_POINTS, _SAMPLES, _TOLERANCE),
+    "conservation": (_EVERY_LAW, _POINTS, _SAMPLES, _TOLERANCE),
+    "dynamic_jumps": (_TIMES, _SAMPLES, _TOLERANCE),
+    "balance_jump": (_EVERY_LAW, _TIMES, _SAMPLES, _TOLERANCE),
+    "closed_form_jump": (
+        ("laws", _closed_form_laws, _CLOSED_FORM_DEFAULT_LAWS),
+        _TIMES,
+        _SAMPLES,
+        _TOLERANCE,
+    ),
+    "wave_relations": (_TOLERANCE,),
+    "balance": (
+        ("laws", _laws, ("transversal_linear_momentum", "compatibility")),
+        _TIMES,
+        _TOLERANCE,
+        ("dt", _positive, None),
+        ("region", _region, None),
+    ),
+}
+
+CHECK_KINDS = tuple(_CHECK_KEYS)
+
+FAMILIES = tuple(_FAMILY_KEYS)
 
 
-def _parse_times(data: dict, path: str):
-    if "times" not in data:
-        return None
-    v = data["times"]
-    if not isinstance(v, list) or not v or not all(_is_number(x) for x in v):
-        raise ScenarioError(f"{path}.times: expected a non-empty list of finite numbers")
-    return tuple(float(x) for x in v)
+def _field(data, path: str) -> FieldSpec:
+    family, values = _kinded(data, path, "family", _FAMILY_KEYS)
+    return FieldSpec(family, **values)
 
 
-def _parse_check(data, path: str) -> CheckSpec:
-    d = _need_mapping(data, path)
-    kind = d.get("type")
-    if kind not in CHECK_KINDS:
-        raise ScenarioError(f"{path}.type: expected one of {CHECK_KINDS}, got {kind!r}")
-    _check_keys(d, _CHECK_KEYS[kind], path)
+def _front(data, path: str) -> FrontSpec:
+    kind, values = _kinded(data, path, "kind", _FRONT_KEYS)
+    return FrontSpec(kind, **values)
 
-    closed_form = kind == "closed_form_jump"
-    laws = _parse_laws(d, path, _DEFAULT_LAWS.get(kind), closed_form_only=closed_form)
-    if closed_form:
-        for name in laws:
-            if name not in _CLOSED_FORM_DEFAULT_LAWS:
-                raise ScenarioError(
-                    f"{path}.laws: law '{name}' has no closed-form jump condition; "
-                    f"valid choices are {_CLOSED_FORM_DEFAULT_LAWS}"
-                )
 
-    return CheckSpec(
-        kind=kind,
-        laws=laws,
-        points=_parse_points(d, path),
-        times=_parse_times(d, path),
-        samples=_integer(d, "samples", path, default=None, minimum=1),
-        tolerance=_positive_number(d, "tolerance", path, default=None),
-        dt=_positive_number(d, "dt", path, default=None),
-        region=_parse_region(d["region"], f"{path}.region") if "region" in d else None,
-    )
+def _check(data, path: str) -> CheckSpec:
+    kind, values = _kinded(data, path, "type", _CHECK_KEYS)
+    if values.get("points") is not None and values.get("samples") is not None:
+        # a check with points runs on them alone
+        raise ScenarioError(f"{path}: takes points or samples, not both")
+    return CheckSpec(kind, **values)
 
 
 def scenario_from_dict(data) -> Scenario:
     """Validate a parsed scenario mapping and freeze it into a Scenario."""
-    d = _need_mapping(data, "scenario")
-    _check_keys(
-        d, ("plate", "field", "front", "region", "checks", "tolerances", "seed"), "scenario"
-    )
-    if "plate" not in d:
-        raise ScenarioError("plate: required")
-    if "field" not in d:
-        raise ScenarioError("field: required")
-    if "checks" not in d:
-        raise ScenarioError("checks: required")
+    d = data
+    keys = ("plate", "field", "front", "region", "checks", "tolerances", "seed")
+    _section(d, "scenario", (), known=keys)  # each key is read below
+    for key in ("plate", "field", "checks"):
+        if key not in d:
+            raise ScenarioError(f"{key}: required")
 
-    plate = _parse_plate(d["plate"], "plate")
-    field_spec = _parse_field(d["field"], "field")
-    front_spec = _parse_front(d["front"], "front") if "front" in d else None
-    region = _parse_region(d["region"], "region") if "region" in d else None
+    plate = _plate(d["plate"], "plate")
+    field_spec = _field(d["field"], "field")
+    front_spec = _front(d["front"], "front") if "front" in d else None
+    region = _region(d["region"], "region") if "region" in d else None
 
     if field_spec.family == "acceleration_wave" and front_spec is not None:
         raise ScenarioError(
             "front: an acceleration_wave field defines its own front; remove this section"
         )
 
-    tol_data = d.get("tolerances", {})
-    tol_path = "tolerances"
-    _need_mapping(tol_data, tol_path)
-    _check_keys(tol_data, ("analytic", "quadrature"), tol_path)
-    tolerances = Tolerances(
-        analytic=_positive_number(tol_data, "analytic", tol_path, default=1e-9),
-        quadrature=_positive_number(tol_data, "quadrature", tol_path, default=1e-5),
-    )
+    tolerances = _tolerances(d.get("tolerances", {}), "tolerances")
 
     checks_raw = d["checks"]
     if not isinstance(checks_raw, list) or not checks_raw:
         raise ScenarioError("checks: expected a non-empty list")
-    checks = tuple(
-        _parse_check(item, f"checks[{i}]") for i, item in enumerate(checks_raw)
-    )
+    checks = tuple(_check(item, f"checks[{i}]") for i, item in enumerate(checks_raw))
 
     has_front = front_spec is not None or field_spec.family == "acceleration_wave"
     for i, check in enumerate(checks):
@@ -421,7 +431,7 @@ def scenario_from_dict(data) -> Scenario:
                 f"checks[{i}]: balance requires a region (here or at scenario level)"
             )
 
-    seed = _integer(d, "seed", "scenario", default=0, minimum=0)
+    seed = _integer(0)(d["seed"], "scenario.seed") if "seed" in d else 0
     return Scenario(
         plate=plate,
         field_spec=field_spec,
@@ -504,7 +514,7 @@ def _plain(value):
     """The scenario-file form of a spec value: a spec dataclass becomes a
     mapping of its set fields in field order, and a tuple a list."""
     if isinstance(value, PlateParams):
-        return {key: getattr(value, key) for key in _PLATE_KEYS}
+        return {key: getattr(value, key) for key, _, _ in _PLATE_KEYS}
     if is_dataclass(value):
         out = {}
         for f in fields(value):

@@ -337,15 +337,21 @@ class CircleFront(Front):
         return np.where(none, -1.0, low), np.where(none, 1.0, high)
 
 
+def _value_and_slope(front: Front, points) -> tuple[np.ndarray, np.ndarray]:
+    """gamma and its space-time slope |grad gamma| + |d gamma/dx3| at each
+    space-time point (shape (..., 3))."""
+    g = np.asarray(front.value(points), dtype=np.float64)
+    grad = np.asarray(front.spatial_gradient(points), dtype=np.float64)
+    return g, np.hypot(grad[..., 0], grad[..., 1]) + np.abs(front.time_derivative(points))
+
+
 def _front_distance(front: Front | None, points) -> np.ndarray:
     """First-order estimate |gamma| / (|grad gamma| + |d gamma/dx3|) of how
     far each space-time point (shape (..., 3)) lies from the front; inf
     where gamma has no slope there, and everywhere for no front."""
     if front is None:
         return np.full(np.shape(points)[:-1], np.inf)
-    g = np.asarray(front.value(points), dtype=np.float64)
-    grad = np.asarray(front.spatial_gradient(points), dtype=np.float64)
-    slope = np.hypot(grad[..., 0], grad[..., 1]) + np.abs(front.time_derivative(points))
+    g, slope = _value_and_slope(front, points)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(slope > 0.0, np.abs(g) / slope, np.inf)
 

@@ -1,4 +1,4 @@
-"""The bytes `vkwave check` writes for four scenario files, pinned by the
+"""The bytes `vkwave check` writes for five scenario files, pinned by the
 first 16 hex digits of their sha256.  A change that alters any report
 byte (a residual's last bit, a row's order or text, the embedded
 scenario) fails here; a deliberate change updates the digests."""
@@ -16,6 +16,7 @@ _ROOT = Path(__file__).resolve().parents[1]
 _GOLDEN = {
     "examples_scenarios/wave_check.yaml": ("3f139765c21a9e7b", "9f4d86da9644a0a7", "a9ca696f933a8c2b"),
     "examples_scenarios/circle_jumps.yaml": ("42cb53aa21094919", "ebaa44076dfe8cb4", "7f241ef353b93349"),
+    "examples_scenarios/scenario_keys.yaml": ("661abd50ea87e0e3", "6a132bdefcb1922c", "4b215f35d6eb0c1f"),
     "perfbench/scenarios/wave_balance.yaml": ("bab5c4d66498bacc", "a229e6220065863a", "369e4cdf86188d88"),
     "perfbench/scenarios/pointwise.yaml": ("6480065bf7da7c5a", "4fd766fd3659222a", "9b22762f1cbdcd13"),
 }

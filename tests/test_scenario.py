@@ -378,10 +378,10 @@ def test_scenario_to_dict_key_order():
     data["region"] = {"x1_min": -1.0, "x1_max": 1.0, "x2_min": -1.0, "x2_max": 1.0}
     data["tolerances"] = {"quadrature": 1e-4}
     data["checks"] = [
-        {"type": "conservation", "laws": [1], "points": [[0.1, 0.2, 0.3]], "samples": 2,
-         "tolerance": 1e-5},
+        {"type": "conservation", "laws": [1], "points": [[0.1, 0.2, 0.3]], "tolerance": 1e-5},
         {"type": "balance", "laws": [1], "times": [0.1], "dt": 1e-3,
          "region": {"x1_min": -1.0, "x1_max": 1.0, "x2_min": -1.0, "x2_max": 1.0}},
+        {"type": "conservation", "laws": [1], "samples": 2, "tolerance": 1e-5},
     ]
     out = scenario_to_dict(scenario_from_dict(data))
     assert list(out) == ["plate", "field", "region", "checks", "tolerances", "seed"]
@@ -395,8 +395,9 @@ def test_scenario_to_dict_key_order():
     assert list(out["region"]) == region_keys
     assert out["region"]["cells"] == [4, 4]
     assert [list(c) for c in out["checks"]] == [
-        ["type", "laws", "points", "samples", "tolerance"],
+        ["type", "laws", "points", "tolerance"],
         ["type", "laws", "times", "dt", "region"],
+        ["type", "laws", "samples", "tolerance"],
     ]
     assert out["checks"][0]["points"] == [[0.1, 0.2, 0.3]]
     assert list(out["checks"][1]["region"]) == region_keys
