@@ -4,195 +4,75 @@ The package evaluates exact solution families of the coupled deflection /
 stress-function plate equations, the fourteen conservation-law rows they
 admit, pointwise jump conditions on moving discontinuity fronts, and
 regional balance integrals, plus a scenario-driven command line runner.
+
+``import vkwave`` runs no submodule: each public name below is looked up in
+its submodule on first use (PEP 562), so a balance or jump computation never
+loads the scenario reader, the report or PyYAML.  A resolved name is not
+stored in the package namespace; every ``vkwave.<name>`` reads the
+submodule's current attribute.
 """
 
-from .balance import (
-    BalanceReport,
-    Region,
-    balance_residual,
-    boundary_flux_integral,
-    density_integral,
-    front_segment_jump_integral,
-    fundamental_balances,
-)
-from .conservation import (
-    LAWS,
-    DensityFlux,
-    DivergenceEstimate,
-    LawId,
-    conservation_divergence,
-    conservation_residual,
-    density_flux,
-    law,
-)
-from .errors import (
-    FrontProximityError,
-    NonAdmissibleRecordError,
-    NotOnFrontError,
-    ScenarioError,
-    SideRequiredError,
-    SingularFrontError,
-    ValidationError,
-    VkwaveError,
-)
-from .fdtools import central_difference, fd_jet_oracle, field_value_fn, richardson
-from .indexing import JET_SIZE, MULTI_INDICES, idx
-from .jets import FieldJet
-from .jumps import (
-    JumpRecord,
-    WaveVerdict,
-    amplitude_relation_residuals,
-    amplitude_relation_scales,
-    balance_jump_residual,
-    balance_jump_scale,
-    check_acceleration_wave,
-    closed_form_jump_residual,
-    dynamic_jump_residuals,
-    dynamic_jump_scales,
-    extract_jumps,
-)
-from .params import PlateParams, make_plate_params
-from .report import CheckResult, Report, emit_report, run_scenario
-from .scenario import (
-    CheckSpec,
-    FieldSpec,
-    FrontSpec,
-    Scenario,
-    Tolerances,
-    build_field,
-    build_front,
-    load_scenario,
-    sample_front_point,
-    scenario_from_dict,
-    scenario_to_dict,
-)
-from .solutions import (
-    AccelerationWave,
-    InvariantSolution,
-    PiecewiseField,
-    PolynomialField,
-    Side,
-    acceleration_wave,
-    invariant_solution,
-    pde_residual,
-    pde_term_scales,
-    polynomial_field,
-)
-from .tensors import (
-    SymTensor2,
-    Vector2,
-    bending_tensor,
-    f_vector,
-    g_tensor,
-    kinetic_energy_density,
-    lagrangian_density,
-    membrane_strain,
-    membrane_stress,
-    moment_tensor,
-    shear_force,
-    strain_energy_density,
-)
-from .version import __version__
-from .wavefront import (
-    CircleFront,
-    Front,
-    FrontGeometry,
-    LineFront,
-    front_geometry,
-    required_third_amplitude,
-    second_jumps,
-    third_jumps,
-)
+import importlib
 
-__all__ = [
-    "__version__",
-    "VkwaveError",
-    "ValidationError",
-    "SingularFrontError",
-    "FrontProximityError",
-    "NotOnFrontError",
-    "SideRequiredError",
-    "NonAdmissibleRecordError",
-    "ScenarioError",
-    "PlateParams",
-    "make_plate_params",
-    "JET_SIZE",
-    "MULTI_INDICES",
-    "idx",
-    "FieldJet",
-    "Vector2",
-    "SymTensor2",
-    "membrane_stress",
-    "moment_tensor",
-    "shear_force",
-    "membrane_strain",
-    "bending_tensor",
-    "g_tensor",
-    "f_vector",
-    "strain_energy_density",
-    "kinetic_energy_density",
-    "lagrangian_density",
-    "Front",
-    "LineFront",
-    "CircleFront",
-    "FrontGeometry",
-    "front_geometry",
-    "second_jumps",
-    "third_jumps",
-    "required_third_amplitude",
-    "Side",
-    "InvariantSolution",
-    "invariant_solution",
-    "PolynomialField",
-    "polynomial_field",
-    "PiecewiseField",
-    "AccelerationWave",
-    "acceleration_wave",
-    "pde_residual",
-    "pde_term_scales",
-    "central_difference",
-    "richardson",
-    "fd_jet_oracle",
-    "field_value_fn",
-    "LawId",
-    "LAWS",
-    "law",
-    "DensityFlux",
-    "density_flux",
-    "DivergenceEstimate",
-    "conservation_divergence",
-    "conservation_residual",
-    "JumpRecord",
-    "WaveVerdict",
-    "extract_jumps",
-    "check_acceleration_wave",
-    "dynamic_jump_residuals",
-    "dynamic_jump_scales",
-    "balance_jump_residual",
-    "balance_jump_scale",
-    "closed_form_jump_residual",
-    "amplitude_relation_residuals",
-    "amplitude_relation_scales",
-    "Region",
-    "BalanceReport",
-    "density_integral",
-    "boundary_flux_integral",
-    "balance_residual",
-    "fundamental_balances",
-    "front_segment_jump_integral",
-    "Scenario",
-    "CheckSpec",
-    "FieldSpec",
-    "FrontSpec",
-    "Tolerances",
-    "load_scenario",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "build_field",
-    "build_front",
-    "sample_front_point",
-    "CheckResult",
-    "Report",
-    "run_scenario",
-    "emit_report",
-]
+#: Each submodule and the public names it exports, in ``__all__`` order.
+_EXPORTS = {
+    "version": ("__version__",),
+    "errors": (
+        "VkwaveError", "ValidationError", "SingularFrontError", "FrontProximityError",
+        "NotOnFrontError", "SideRequiredError", "NonAdmissibleRecordError", "ScenarioError",
+    ),
+    "params": ("PlateParams", "make_plate_params"),
+    "indexing": ("JET_SIZE", "MULTI_INDICES", "idx"),
+    "jets": ("FieldJet",),
+    "tensors": (
+        "Vector2", "SymTensor2", "membrane_stress", "moment_tensor", "shear_force",
+        "membrane_strain", "bending_tensor", "g_tensor", "f_vector", "strain_energy_density",
+        "kinetic_energy_density", "lagrangian_density",
+    ),
+    "wavefront": (
+        "Front", "LineFront", "CircleFront", "FrontGeometry", "front_geometry", "second_jumps",
+        "third_jumps", "required_third_amplitude",
+    ),
+    "solutions": (
+        "Side", "InvariantSolution", "invariant_solution", "PolynomialField", "polynomial_field",
+        "PiecewiseField", "AccelerationWave", "acceleration_wave", "pde_residual",
+        "pde_term_scales",
+    ),
+    "fdtools": ("central_difference", "richardson", "fd_jet_oracle", "field_value_fn"),
+    "conservation": (
+        "LawId", "LAWS", "law", "DensityFlux", "density_flux", "DivergenceEstimate",
+        "conservation_divergence", "conservation_residual",
+    ),
+    "jumps": (
+        "JumpRecord", "WaveVerdict", "extract_jumps", "check_acceleration_wave",
+        "dynamic_jump_residuals", "dynamic_jump_scales", "balance_jump_residual",
+        "balance_jump_scale", "closed_form_jump_residual", "amplitude_relation_residuals",
+        "amplitude_relation_scales",
+    ),
+    "balance": (
+        "Region", "BalanceReport", "density_integral", "boundary_flux_integral",
+        "balance_residual", "fundamental_balances", "front_segment_jump_integral",
+    ),
+    "scenario": (
+        "Scenario", "CheckSpec", "FieldSpec", "FrontSpec", "Tolerances", "load_scenario",
+        "scenario_from_dict", "scenario_to_dict", "build_field", "build_front",
+        "sample_front_point",
+    ),
+    "report": ("CheckResult", "Report", "run_scenario", "emit_report"),
+}
+
+_MODULE_OF = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(module), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -12,6 +12,7 @@ dotted path of the offending key.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -443,11 +444,24 @@ def scenario_from_dict(data) -> Scenario:
     )
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as ``1e-8`` and
+    ``1.0e5``, which YAML 1.1 leaves as strings.  The added pattern needs a
+    dot or an exponent, so integers still load as ``int``."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|[0-9]+[eE][-+]?[0-9]+)$"),
+    list("-+.0123456789"),
+)
+
+
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario YAML file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -322,7 +322,7 @@ def _jump_scenario(front: str, monkeypatch):
         }
     )
     field = _circle_jump_field(scenario.plate)
-    monkeypatch.setattr("vkwave.report.build_field", lambda _: field)
+    monkeypatch.setattr("vkwave.scenario.build_field", lambda _: field)
     return scenario, field
 
 

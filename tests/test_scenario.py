@@ -275,6 +275,41 @@ def test_load_scenario_files(tmp_path):
         load_scenario(bad)
 
 
+_YAML_DOCUMENT = (
+    "plate: {youngs_modulus: 1.0, poisson_ratio: 0.0, thickness: 1.0, areal_density: 1.0}\n"
+    "field: {family: invariant, wave_speed: 1.0,"
+    " w_coefficients: [0, 1, 0, 0], phi_coefficients: [0, 0, 0, 0]}\n"
+    "checks: [{type: pde_residual, samples: 40}]\n"
+    "seed: 12\n"
+    "tolerances: {analytic: %s, quadrature: %s}\n"
+)
+
+
+def test_load_scenario_reads_floats_without_a_dot(tmp_path):
+    # YAML 1.1 reads 1e-8 as a string; a scenario file reads it as YAML 1.2 does
+    path = tmp_path / "floats.yaml"
+    path.write_text(_YAML_DOCUMENT % ("1e-8", "1E5"))
+    tolerances = load_scenario(path).tolerances
+    assert (tolerances.analytic, tolerances.quadrature) == (1e-8, 1e5)
+
+
+def test_load_scenario_keeps_integers_int(tmp_path):
+    path = tmp_path / "integers.yaml"
+    path.write_text(_YAML_DOCUMENT % ("1.0e-8", "2"))
+    sc = load_scenario(path)
+    assert type(sc.seed) is int and sc.seed == 12
+    assert type(sc.checks[0].samples) is int and sc.checks[0].samples == 40
+    assert sc.tolerances.quadrature == 2.0
+
+
+def test_load_scenario_rejects_a_quoted_float(tmp_path):
+    path = tmp_path / "quoted.yaml"
+    path.write_text(_YAML_DOCUMENT % ('"1e-8"', "1e-5"))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert str(err.value) == "tolerances.analytic: expected a finite number, got '1e-8'"
+
+
 def test_shipped_example_scenario_loads():
     from pathlib import Path
 
