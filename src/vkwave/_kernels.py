@@ -67,8 +67,8 @@ def traveling_jet_fill(u, phi, omega, c, pts, out_w, out_phi, slots=None) -> Non
     coefficients give as scalars.
     """
     xi = pts[:, 0] - c * pts[:, 2]
-    s = np.sin(omega * xi)
-    co = np.cos(omega * xi)
+    phase = omega * xi
+    s, co = np.sin(phase), np.cos(phase)
     # Python powers: numpy's (-c) ** k can differ from them in the last bit.
     powc = tuple((-c) ** k for k in range(5))
     # profile columns by m, each computed when a slot first reads it;

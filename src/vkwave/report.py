@@ -36,7 +36,7 @@ from .conservation import _exact_divergence
 from .errors import ValidationError, _first_failure
 from .jumps import _balance_jump_terms, _closed_form_residuals, _dynamic_terms, _front_jets
 from .scenario import Scenario, sample_front_point, scenario_to_dict
-from .solutions import _PDE_SLOTS, Side, _jet_batches, _pde_terms
+from .solutions import _PDE_SLOTS, Side, _batch_size, _jet_batches, _pde_terms
 from .wavefront import _front_distance
 from .version import __version__
 
@@ -110,20 +110,41 @@ def _batch_maxima(batches, keys, scaled, p) -> list:
 
 
 def _pde_scaled(_, batch, p):
-    # batch is a (rows, jet) pair of _jet_batches
+    # batch is a (rows, jet) pair of _jet_batches or _sampled_pde_batches
     r1, r2, s1, s2 = _pde_terms(batch[1], p)
     return np.maximum(_scaled(r1, s1), _scaled(r2, s2))
+
+
+def _sampled_pde_batches(field, rng, n: int):
+    """The pde jets of n uniform points in [-1,1]^3, as _jet_batches gives
+    them, each batch of points drawn just before its jets are filled, so
+    that one batch is held at a time whatever n is.  The generator is left
+    where one draw of all n points would leave it, also when a batch
+    raises."""
+    size = _batch_size(_PDE_SLOTS)
+    for start in range(0, n, size):
+        pts = rng.uniform(-1.0, 1.0, (min(size, n - start), 3))
+        try:
+            jet = field.jet(pts, Side.AUTO, _PDE_SLOTS)
+        except Exception:
+            # draw and discard the rest, so that later checks draw what
+            # they would have drawn
+            for rest in range(start + size, n, size):
+                rng.uniform(-1.0, 1.0, (min(size, n - rest), 3))
+            raise
+        yield slice(start, start + len(pts)), jet
+        del pts, jet  # free this batch before the next one is drawn
 
 
 def _run_pde_residual(scenario: Scenario, field, check, rng):
     if check.points is not None:
         pts = np.array(check.points, dtype=np.float64)
+        n, batches = len(pts), _jet_batches(field, pts, Side.AUTO, _PDE_SLOTS)
     else:
         n = check.samples if check.samples is not None else 20
-        pts = rng.uniform(-1.0, 1.0, (n, 3))
-    batches = _jet_batches(field, pts, Side.AUTO, _PDE_SLOTS)
+        batches = _sampled_pde_batches(field, rng, n)
     (worst,) = _batch_maxima(batches, (None,), _pde_scaled, field.params)
-    yield None, worst, f"max over {len(pts)} points"
+    yield None, worst, f"max over {n} points"
 
 
 def _sample_off_front(field, rng, n: int) -> np.ndarray:

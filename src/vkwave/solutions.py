@@ -295,12 +295,18 @@ class PiecewiseField:
             and a.omega == b.omega
         ):
             # a coefficient both branches hold to the bit stays one value;
-            # any other is one value per point, its own branch's
-            u, phi = (
-                [x if float(x).hex() == float(y).hex() else np.where(ahead_mask, x, y) for x, y in pair]
-                for pair in (zip(a.u, b.u), zip(a.phi, b.phi))
+            # the others are one value per point, its own branch's, all
+            # gathered in one take of a (k, 2) table, column 1 ahead
+            pairs = list(zip(b.u + b.phi, a.u + a.phi))
+            coef = [x for _, x in pairs]
+            differ = [i for i, (y, x) in enumerate(pairs) if float(y).hex() != float(x).hex()]
+            if differ:
+                table = np.array([pairs[i] for i in differ], dtype=np.float64)
+                for i, row in zip(differ, table.take(ahead_mask.astype(np.intp), axis=1)):
+                    coef[i] = row
+            traveling_jet_fill(
+                coef[:4], coef[4:], a.omega, a.wave_speed, flat, out_w, out_phi, slots
             )
-            traveling_jet_fill(u, phi, a.omega, a.wave_speed, flat, out_w, out_phi, slots)
         else:
             for branch, mask in ((a, ahead_mask), (b, ~ahead_mask)):
                 if mask.any():
@@ -371,19 +377,27 @@ def acceleration_wave(ahead: InvariantSolution, c1: float, c2: float) -> Acceler
 #: Points per jet call of full jets.  A full jet takes 560 bytes a point,
 #: so a batch holds about 1 MB of jets; a jet filled in some slots only
 #: stores those slots alone, and its batches take as many more points as
-#: keep them at about 1 MB.  A balance slice has thousands of points and a
-#: pde_residual check may sample many more.
+#: keep them at about 1 MB.  A balance slice has thousands of points; a
+#: sampled pde_residual check draws its points a batch at a time, so it
+#: holds one batch whatever its sample count.
 _BATCH_POINTS = 2048
 
 
+def _batch_size(slots=None) -> int:
+    """Points per jet batch: _BATCH_POINTS for full jets, or as many
+    points of jets filled in ``slots`` only as hold _BATCH_POINTS * 35
+    jet values per field."""
+    return _BATCH_POINTS * JET_SIZE // (JET_SIZE if slots is None else len(slots))
+
+
 def _jet_batches(field, points: np.ndarray, side: Side = Side.AUTO, slots=None):
-    """Jets of ``points`` (shape (n, 3)) in consecutive batches of at most
-    _BATCH_POINTS * 35 jet values per field: _BATCH_POINTS points of full
-    jets, or _BATCH_POINTS * 35 // len(slots) points of jets filled in
-    ``slots`` only.  Yields (rows, jet), ``rows`` the slice of ``points``
-    the jet holds.  A caller deletes each jet before it asks for the next,
-    so that one batch of jets is held at a time."""
-    size = _BATCH_POINTS * JET_SIZE // (JET_SIZE if slots is None else len(slots))
+    """Jets of ``points`` (shape (n, 3)) in consecutive batches of
+    _batch_size(slots) points.  Yields (rows, jet), ``rows`` the slice of
+    ``points`` the jet holds.  A caller deletes each jet before it asks
+    for the next, so that one batch of jets is held at a time.  A sampled
+    pde_residual check takes batches of the same size but draws each
+    batch's points just before its jets, so that it never holds them all."""
+    size = _batch_size(slots)
     for start in range(0, len(points), size):
         rows = slice(start, start + size)
         yield rows, field.jet(points[rows], side, slots)

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from vkwave.jumps import (
     dynamic_jump_scales,
     extract_jumps,
 )
-from vkwave.report import emit_report, run_scenario
+from vkwave.report import _run_check, emit_report, run_scenario
 from vkwave.scenario import CHECK_KINDS, build_field, sample_front_point, scenario_from_dict
 from vkwave.solutions import _PDE_SLOTS, PiecewiseField, Side, pde_residual, pde_term_scales, polynomial_field
 from vkwave.wavefront import CircleFront
@@ -107,9 +108,11 @@ def test_run_scenario_reports_errors():
     assert bad[0].residual is None
 
 
-def test_pde_residual_check_is_batched(count_jet_calls):
+def test_pde_residual_check_is_batched(count_jet_calls, monkeypatch):
     # the batched maxima equal the maximum over one unbatched jet, computed
-    # here from the same seeded draws
+    # here from the same seeded draws; 256 points of full jets a batch put
+    # the 5,000 points in four pde batches
+    monkeypatch.setattr(solutions, "_BATCH_POINTS", 256)
     data = passing_scenario()
     n = 5000
     data["checks"] = [{"type": "pde_residual", "samples": n}]
@@ -129,6 +132,7 @@ def test_pde_residual_check_is_batched(count_jet_calls):
     (result,) = run_scenario(scenario).results
     assert result.residual == expected
     assert sum(sizes) == n
+    assert len(sizes) >= 3
     assert max(sizes) <= solutions._BATCH_POINTS * JET_SIZE // len(_PDE_SLOTS)
 
 
@@ -144,6 +148,65 @@ def test_pde_residual_batches_are_sized_by_jet_values(count_jet_calls):
     assert len(sizes) == 20
     assert sizes[:-1] == [5 * solutions._BATCH_POINTS] * 19
     assert sum(sizes) == 200_000
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", ["passing", "first_batch_raises"])
+def test_pde_residual_leaves_the_generator_after_all_its_draws(case, count_jet_calls):
+    # a sampled check draws its points a batch at a time, and leaves the
+    # generator where one draw of all of them leaves it, also when its
+    # first batch raises, so that the checks after it draw what they would
+    if case == "passing":
+        data, n = passing_scenario(), 25_000
+    else:
+        data, n = passing_scenario(), 30_000
+        data["field"] = {
+            "family": "polynomial",
+            "w_terms": [{"exponents": [4, 0, 0], "coefficient": 1.0e307}],
+            "phi_terms": [],
+        }
+        data["seed"] = 5
+    data["checks"] = [{"type": "pde_residual", "samples": n}]
+    scenario = scenario_from_dict(data)
+    field = build_field(scenario)
+    sizes = count_jet_calls(field)
+    rng = np.random.default_rng(scenario.seed)
+    (row,) = _run_check(scenario, field, scenario.checks[0], rng)
+    if case == "passing":
+        assert row.status == "pass"
+        assert len(sizes) >= 3
+    else:
+        assert (row.status, row.detail) == (
+            "error", "ValidationError: w contains non-finite entries",
+        )
+        assert len(sizes) == 1
+    assert sum(sizes) <= n
+    fresh = np.random.default_rng(scenario.seed)
+    fresh.uniform(-1.0, 1.0, (n, 3))
+    assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+def test_pde_residual_memory_does_not_grow_with_samples():
+    # the traced peak of one sampled check holds one batch of points and
+    # jets, not one array of every point
+    data = passing_scenario()
+
+    def peak(n):
+        data["checks"] = [{"type": "pde_residual", "samples": n}]
+        scenario = scenario_from_dict(data)
+        field = build_field(scenario)
+        rng = np.random.default_rng(scenario.seed)
+        tracemalloc.start()
+        try:
+            (row,) = _run_check(scenario, field, scenario.checks[0], rng)
+            assert row.status == "pass"
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2_048)  # one-time allocations out of the way
+    small, large = peak(20_480), peak(204_800)
+    assert large <= 1.25 * small, (small, large)
 
 
 def test_json_report_shape_and_determinism():

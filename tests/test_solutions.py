@@ -233,15 +233,25 @@ def test_polynomial_field_jet_time_slots(generic_params):
     assert jet.dw(3, 3) == pytest.approx(1.0, rel=1e-14)
 
 
-def _per_branch(field, pts):
+def _values(rows):
+    """The value array of a jet field, full or filled in some slots only."""
+    return getattr(rows, "values", rows)
+
+
+def _bits(values):
+    """The bit patterns of float64 values, which tell 0.0 from -0.0."""
+    return np.asarray(values).view(np.uint64)
+
+
+def _per_branch(field, pts, slots=None):
     """Each point's jet from its own branch, filled branch by branch."""
     g = field.front.value(pts)
-    out_w = np.full((len(pts), JET_SIZE), np.nan)
+    out_w = np.full((len(pts), JET_SIZE if slots is None else len(slots)), np.nan)
     out_phi = np.full_like(out_w, np.nan)
     for branch, mask in ((field.ahead, g > 0), (field.behind, g < 0)):
         if mask.any():
-            j = branch.jet(pts[mask])
-            out_w[mask], out_phi[mask] = j.w, j.phi
+            j = branch.jet(pts[mask], slots=slots)
+            out_w[mask], out_phi[mask] = _values(j.w), _values(j.phi)
     return out_w, out_phi
 
 
@@ -285,23 +295,57 @@ def _same_solution_across_circle():
     )
 
 
-@pytest.mark.parametrize("case", ["acceleration_wave", "same_branch_object"])
+def _same_speed_pair(case, params):
+    """Two traveling profiles with one speed and omega across an oblique
+    front, whose coefficients differ only by the sign of zero (zero
+    profiles of second order and up, so that the pde slots hold signed
+    zeros), or differ all eight."""
+    if case == "signed_zeros":
+        u_a, phi_a = (0.0, -0.2, 0.0, -0.0), (0.3, 0.0, -0.0, 0.0)
+        u_b, phi_b = (-0.0, -0.2, -0.0, 0.0), (0.3, -0.0, 0.0, -0.0)
+    else:
+        u_a, phi_a = (0.4, -0.2, 0.9, 0.5), (0.3, 0.8, -0.6, 0.2)
+        u_b, phi_b = (0.1, 0.2, -0.3, -0.5), (0.0, 0.1, 0.6, -0.2)
+    ahead = invariant_solution(u_a, phi_a, 1.3, params)
+    behind = InvariantSolution(u_b, phi_b, ahead.wave_speed, params, ahead.omega)
+    return PiecewiseField(ahead, behind, LineFront(1.0, 0.5, -1.0, 0.1), params)
+
+
+def _one_fill_case(case, params):
+    """A piecewise field whose AUTO batches take one fill."""
+    if case == "acceleration_wave":
+        return _wave(params)
+    if case == "same_branch_object":
+        return _same_solution_across_circle()
+    return _same_speed_pair(case, params)
+
+
+_ONE_FILL_CASES = ["acceleration_wave", "same_branch_object", "signed_zeros", "all_eight_differ"]
+
+
+@pytest.mark.parametrize("case", _ONE_FILL_CASES)
 def test_auto_batch_takes_one_fill_equal_to_per_branch_jets(case, generic_params, count_fills):
-    field = _wave(generic_params) if case == "acceleration_wave" else _same_solution_across_circle()
+    field = _one_fill_case(case, generic_params)
     if case == "same_branch_object":
         assert field.ahead is field.behind
     pts = np.random.default_rng(3).uniform(-1.0, 1.0, (500, 3))
     g = field.front.value(pts)
     assert (g > 0).any() and (g < 0).any()
-    want_w, want_phi = _per_branch(field, pts)
-    count_fills.clear()
-    jet = field.jet(pts)
-    assert count_fills == [500]
-    assert np.array_equal(jet.w, want_w)
-    assert np.array_equal(jet.phi, want_phi)
-    # a batch shaped (..., 3) keeps its shape
-    grid = field.jet(pts.reshape(20, 25, 3))
-    assert np.array_equal(grid.w.reshape(500, JET_SIZE), want_w)
+    for slots in (None, solutions._PDE_SLOTS):
+        want_w, want_phi = _per_branch(field, pts, slots)
+        if case == "signed_zeros":
+            # the branches' jets are equal in value but not in bits
+            a, b = (branch.jet(pts, slots=slots) for branch in (field.ahead, field.behind))
+            assert np.array_equal(_values(a.phi), _values(b.phi))
+            assert not np.array_equal(_bits(_values(a.phi)), _bits(_values(b.phi)))
+        count_fills.clear()
+        jet = field.jet(pts, Side.AUTO, slots)
+        assert count_fills == [500]
+        assert np.array_equal(_bits(_values(jet.w)), _bits(want_w)), slots
+        assert np.array_equal(_bits(_values(jet.phi)), _bits(want_phi)), slots
+        # a batch shaped (..., 3) keeps its shape
+        grid = field.jet(pts.reshape(20, 25, 3), Side.AUTO, slots)
+        assert np.array_equal(_bits(_values(grid.w)).reshape(want_w.shape), _bits(want_w))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -394,8 +438,8 @@ def _subset_case(case, params):
         return ahead
     if case == "acceleration_wave":
         return _wave(params)
-    if case == "same_branch_object":
-        return _same_solution_across_circle()
+    if case in ("same_branch_object", "signed_zeros", "all_eight_differ"):
+        return _one_fill_case(case, params)
     if case in ("unequal_speeds", "unequal_omegas"):
         speed, omega = (0.9, ahead.omega) if case == "unequal_speeds" else (1.3, 0.9)
         behind = InvariantSolution((0.1, 0.2, -0.3, 0.5), (0.0, 0.1, 0.6, -0.2), speed, params, omega)
@@ -418,8 +462,7 @@ def _assert_holds_slots(sub, full, slots):
         assert got.values.shape == want.shape[:-1] + (len(slots),)
         for q in range(JET_SIZE):
             if q in slots:
-                assert np.array_equal(got[..., q], want[..., q])
-                assert np.array_equal(np.signbit(got[..., q]), np.signbit(want[..., q]))
+                assert np.array_equal(_bits(got[..., q]), _bits(want[..., q]))
             else:
                 with pytest.raises(UnfilledSlotError, match=f"^jet slot {q} "):
                     got[..., q]
@@ -428,8 +471,9 @@ def _assert_holds_slots(sub, full, slots):
 @pytest.mark.parametrize(
     "case",
     [
-        "invariant", "acceleration_wave", "same_branch_object", "unequal_speeds",
-        "unequal_omegas", "polynomial", "polynomial_branches",
+        "invariant", "acceleration_wave", "same_branch_object", "signed_zeros",
+        "all_eight_differ", "unequal_speeds", "unequal_omegas", "polynomial",
+        "polynomial_branches",
     ],
 )
 @pytest.mark.parametrize("slots", [solutions._PDE_SLOTS, (0, 3, 5, 9, 13, 19, 33, 34)])
@@ -441,7 +485,7 @@ def test_subset_jet_equals_full_jet_in_its_slots(case, slots, generic_params, co
         full = field.jet(pts, side)
         count_fills.clear()
         sub = field.jet(pts, side, slots)
-        if case in ("acceleration_wave", "same_branch_object") and side is Side.AUTO:
+        if case in _ONE_FILL_CASES and side is Side.AUTO:
             assert count_fills == [400]  # still one fill
         _assert_holds_slots(sub, full, slots)
     # a single point and a batch shaped (..., 3) take the same path
