@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the rule for which
-error a batched computation raises."""
+"""Exception types shared across the package, the rule for which error a
+batched computation raises, and the test of a number argument."""
+
+import math
+import numbers
 
 
 class VkwaveError(Exception):
@@ -25,6 +28,21 @@ def _first_failure(batch, one, items):
 
 class ValidationError(VkwaveError, ValueError):
     """A constructor argument is outside its admissible range."""
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number; a bool or a str is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; raises ValidationError naming ``name`` unless
+    it is a finite real number."""
+    if not _is_real(value):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
 class UnfilledSlotError(VkwaveError, LookupError):

@@ -26,7 +26,7 @@ functions on the one-point record of extract_jumps, as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,15 +50,28 @@ class JumpRecord:
     (N, 3), the jets are N-point batches, ``lambda_`` and ``mu`` have shape
     (N,), and ``geometry`` is the batch's FrontGeometry.  Every jump
     formula broadcasts over the leading axes, so it takes either.
+
+    The jump behind - ahead and its normal-normal amplitudes are derived
+    from the two jets and the normal.
     """
 
     point: np.ndarray
     geometry: FrontGeometry
     ahead: FieldJet
     behind: FieldJet
-    jump: FieldJet
-    lambda_: float | np.ndarray
-    mu: float | np.ndarray
+    jump: FieldJet = field(init=False)
+    lambda_: float | np.ndarray = field(init=False)
+    mu: float | np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        jump = self.behind - self.ahead
+        n = self.geometry.normal
+        lam, mu = _nn_contraction(jump.w, n), _nn_contraction(jump.phi, n)
+        if n.ndim == 1:
+            lam, mu = float(lam), float(mu)
+        object.__setattr__(self, "jump", jump)
+        object.__setattr__(self, "lambda_", lam)
+        object.__setattr__(self, "mu", mu)
 
 
 def _nn_contraction(d: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -85,18 +98,8 @@ def _front_jets(field: PiecewiseField, points: np.ndarray):
     geometry = front_geometry(front, points)
     sides = zip(_jet_batches(field, points, Side.AHEAD), _jet_batches(field, points, Side.BEHIND))
     for (rows, ahead), (_, behind) in sides:
-        geo = geometry[rows]
-        jump = behind - ahead
-        yield JumpRecord(
-            point=points[rows],
-            geometry=geo,
-            ahead=ahead,
-            behind=behind,
-            jump=jump,
-            lambda_=_nn_contraction(jump.w, geo.normal),
-            mu=_nn_contraction(jump.phi, geo.normal),
-        )
-        del ahead, behind, jump  # free this batch's jets before the next is filled
+        yield JumpRecord(points[rows], geometry[rows], ahead, behind)
+        del ahead, behind  # free this batch's jets before the next is filled
 
 
 def extract_jumps(field: PiecewiseField, point) -> JumpRecord:
@@ -108,25 +111,21 @@ def extract_jumps(field: PiecewiseField, point) -> JumpRecord:
         raise ValidationError("field has no front; jumps are undefined")
 
     (batch,) = _front_jets(field, p[None])
-    jets = (batch.ahead, batch.behind, batch.jump)
-    ahead, behind, jump = (FieldJet(p, j.w[0], j.phi[0]) for j in jets)
-    return JumpRecord(
-        point=p,
-        geometry=batch.geometry[0],
-        ahead=ahead,
-        behind=behind,
-        jump=jump,
-        lambda_=float(batch.lambda_[0]),
-        mu=float(batch.mu[0]),
-    )
+    ahead, behind = (FieldJet(p, j.w[0], j.phi[0]) for j in (batch.ahead, batch.behind))
+    return JumpRecord(p, batch.geometry[0], ahead, behind)
 
 
 @dataclass(frozen=True)
 class WaveVerdict:
-    """Outcome of the acceleration-wave admissibility test."""
+    """Outcome of the acceleration-wave admissibility test: why it fails,
+    and whether it passes, which it does when there is no reason."""
 
-    passed: bool
+    passed: bool = field(init=False)
     reasons: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "reasons", tuple(self.reasons))
+        object.__setattr__(self, "passed", not self.reasons)
 
 
 #: (name, field, slot) of each value and first derivative that must not jump.
@@ -182,7 +181,7 @@ def check_acceleration_wave(rec: JumpRecord) -> WaveVerdict:
     while [w_{,33}] does not.  Each comparison is relative to the larger
     one-sided magnitude (floored at 1)."""
     reasons = _wave_reasons(_wave_conditions(rec), ())
-    return WaveVerdict(passed=not reasons, reasons=reasons)
+    return WaveVerdict(reasons)
 
 
 def _dynamic_terms(rec: JumpRecord, p: PlateParams):

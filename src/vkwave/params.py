@@ -2,27 +2,48 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
-from .errors import ValidationError
+from .errors import ValidationError, _real
 
 
 @dataclass(frozen=True)
 class PlateParams:
-    """Plate constants plus the derived stiffnesses.
+    """Plate constants (E, nu, h, rho) plus the derived stiffnesses.
 
     ``bending_rigidity`` is E h^3 / (12 (1 - nu^2)) and
     ``membrane_stiffness`` is E h; both appear throughout the governing
     equations, so they are computed once here.
+
+    Requires E > 0, -1 < nu < 0.5, h > 0, rho > 0; every value must be a
+    finite real number.  Raises :class:`ValidationError` naming the
+    offending field.
     """
 
     youngs_modulus: float
     poisson_ratio: float
     thickness: float
     areal_density: float
-    bending_rigidity: float
-    membrane_stiffness: float
+    bending_rigidity: float = field(init=False)
+    membrane_stiffness: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        given = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        values = {name: _real(name, value) for name, value in given.items()}
+        e, nu, h, rho = given.values()
+        if e <= 0:
+            raise ValidationError(f"youngs_modulus must be positive, got {e}")
+        if not -1.0 < nu < 0.5:
+            raise ValidationError(f"poisson_ratio must lie in (-1, 0.5), got {nu}")
+        if h <= 0:
+            raise ValidationError(f"thickness must be positive, got {h}")
+        if rho <= 0:
+            raise ValidationError(f"areal_density must be positive, got {rho}")
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+        e, nu, h = values["youngs_modulus"], values["poisson_ratio"], values["thickness"]
+        object.__setattr__(self, "bending_rigidity", e * h**3 / (12.0 * (1.0 - nu**2)))
+        object.__setattr__(self, "membrane_stiffness", e * h)
 
     @property
     def D(self) -> float:
@@ -41,45 +62,5 @@ class PlateParams:
         return self.areal_density
 
 
-def make_plate_params(
-    youngs_modulus: float,
-    poisson_ratio: float,
-    thickness: float,
-    areal_density: float,
-) -> PlateParams:
-    """Validate the raw constants and derive the stiffnesses.
-
-    Requires E > 0, -1 < nu < 0.5, h > 0, rho > 0; every value must be
-    finite.  Raises :class:`ValidationError` naming the offending field.
-    """
-    fields = {
-        "youngs_modulus": youngs_modulus,
-        "poisson_ratio": poisson_ratio,
-        "thickness": thickness,
-        "areal_density": areal_density,
-    }
-    for name, value in fields.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValidationError(f"{name} must be a real number, got {value!r}")
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
-    if youngs_modulus <= 0:
-        raise ValidationError(f"youngs_modulus must be positive, got {youngs_modulus}")
-    if not -1.0 < poisson_ratio < 0.5:
-        raise ValidationError(
-            f"poisson_ratio must lie in (-1, 0.5), got {poisson_ratio}"
-        )
-    if thickness <= 0:
-        raise ValidationError(f"thickness must be positive, got {thickness}")
-    if areal_density <= 0:
-        raise ValidationError(f"areal_density must be positive, got {areal_density}")
-
-    e, nu, h = float(youngs_modulus), float(poisson_ratio), float(thickness)
-    return PlateParams(
-        youngs_modulus=e,
-        poisson_ratio=nu,
-        thickness=h,
-        areal_density=float(areal_density),
-        bending_rigidity=e * h**3 / (12.0 * (1.0 - nu**2)),
-        membrane_stiffness=e * h,
-    )
+#: The validating constructor under its historical name.
+make_plate_params = PlateParams

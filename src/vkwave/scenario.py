@@ -20,15 +20,10 @@ import yaml
 
 from .balance import Region
 from .conservation import LAWS, law
-from .errors import ScenarioError, ValidationError
+from .errors import ScenarioError, ValidationError, _is_real
 from .jumps import _CLOSED_FORM_LAWS
-from .params import PlateParams, make_plate_params
-from .solutions import (
-    PiecewiseField,
-    acceleration_wave,
-    invariant_solution,
-    polynomial_field,
-)
+from .params import PlateParams
+from .solutions import AccelerationWave, InvariantSolution, PiecewiseField, PolynomialField
 from .wavefront import CircleFront, LineFront
 
 _CLOSED_FORM_DEFAULT_LAWS = tuple(law(i).name for i in _CLOSED_FORM_LAWS)
@@ -106,7 +101,7 @@ class Scenario:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    return _is_real(v) and math.isfinite(v)
 
 
 def _number(value, path: str) -> float:
@@ -308,7 +303,7 @@ _TOLERANCE_KEYS = (
 
 _TERM_KEYS = (("exponents", _exponents, ...), ("coefficient", _number, ...))
 
-_plate = _built(make_plate_params, _PLATE_KEYS)
+_plate = _built(PlateParams, _PLATE_KEYS)
 _region = _built(Region, _REGION_KEYS)
 _tolerances = _built(Tolerances, _TOLERANCE_KEYS)
 
@@ -495,18 +490,16 @@ def build_field(scenario: Scenario):
     spec = scenario.field_spec
     try:
         if spec.family == "polynomial":
-            base = polynomial_field(
-                dict(spec.w_terms), dict(spec.phi_terms), scenario.plate
-            )
+            base = PolynomialField(dict(spec.w_terms), dict(spec.phi_terms), scenario.plate)
         else:
-            base = invariant_solution(
+            base = InvariantSolution(
                 spec.w_coefficients,
                 spec.phi_coefficients,
                 spec.wave_speed,
                 scenario.plate,
             )
         if spec.family == "acceleration_wave":
-            return acceleration_wave(base, spec.c1, spec.c2)
+            return AccelerationWave(base, spec.c1, spec.c2)
     except ValidationError as exc:
         raise ScenarioError(f"field: {exc}") from exc
 
@@ -526,14 +519,12 @@ _RENAMED_KEYS = {
 
 def _plain(value):
     """The scenario-file form of a spec value: a spec dataclass becomes a
-    mapping of its set fields in field order, and a tuple a list."""
-    if isinstance(value, PlateParams):
-        return {key: getattr(value, key) for key, _, _ in _PLATE_KEYS}
+    mapping of its set init fields in field order, and a tuple a list."""
     if is_dataclass(value):
         out = {}
         for f in fields(value):
             v = getattr(value, f.name)
-            if v is None:
+            if v is None or not f.init:
                 continue
             if f.name in ("w_terms", "phi_terms"):
                 out[f.name] = [{"exponents": list(e), "coefficient": c} for e, c in v]

