@@ -28,7 +28,9 @@ import numpy as np
 
 from .errors import FrontProximityError, ValidationError
 from .fdtools import _check_step, richardson
-from .indexing import JET_SIZE, S0, S1, S2, S3, S11, S12, S13, S22, S23, SHIFT
+from .indexing import (
+    JET_SIZE, S0, S1, S2, S3, S11, S12, S13, S22, S23, S111, S112, S122, S222, SHIFT,
+)
 from .jets import FieldJet
 from .params import PlateParams
 from .tensors import (
@@ -266,6 +268,10 @@ _ROWS = {
     13: lambda jet, p: _row_phi_linear(2, jet, p),
     14: _row_14,
 }
+
+#: The jet slots the rows and the tensors they share read, the same for w
+#: and phi: a balance integral fills only these.
+_ROW_SLOTS = (S0, S1, S2, S3, S11, S12, S13, S22, S23, S111, S112, S122, S222)
 
 
 def density_flux(law_key, jet: FieldJet, p: PlateParams) -> DensityFlux:

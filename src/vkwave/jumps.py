@@ -80,12 +80,9 @@ def _nn_contraction(d: np.ndarray, n: np.ndarray) -> np.ndarray:
     return d[..., S11] * n1 * n1 + 2.0 * d[..., S12] * n1 * n2 + d[..., S22] * n2 * n2
 
 
-def _front_jets(field: PiecewiseField, points: np.ndarray):
-    """Jump data at front points of shape (N, 3): one JumpRecord per jet
-    batch of each side (solutions._jet_batches), filled as it is asked
-    for.  Raises for the first point that is off the front, or where the
-    front has no normal, before the first jet is filled."""
-    front = field.front
+def _check_on_front(front, points: np.ndarray) -> None:
+    """Raise NotOnFrontError for the first of the points (shape (N, 3))
+    that is off the front."""
     g_val, slope = _value_and_slope(front, points)
     scale = np.maximum(slope, 1e-300) * (1.0 + np.abs(points).max(axis=-1))
     off = np.flatnonzero(np.abs(g_val) > 1e-9 * scale)
@@ -95,7 +92,14 @@ def _front_jets(field: PiecewiseField, points: np.ndarray):
             f"gamma(point) = {g_val[k]:.3e} exceeds the on-front tolerance {1e-9 * scale[k]:.3e}"
         )
 
-    geometry = front_geometry(front, points)
+
+def _front_jets(field: PiecewiseField, points: np.ndarray):
+    """Jump data at front points of shape (N, 3): one JumpRecord per jet
+    batch of each side (solutions._jet_batches), filled as it is asked
+    for.  Raises for the first point that is off the front, or where the
+    front has no normal, before the first jet is filled."""
+    _check_on_front(field.front, points)
+    geometry = front_geometry(field.front, points)
     sides = zip(_jet_batches(field, points, Side.AHEAD), _jet_batches(field, points, Side.BEHIND))
     for (rows, ahead), (_, behind) in sides:
         yield JumpRecord(points[rows], geometry[rows], ahead, behind)
@@ -110,9 +114,9 @@ def extract_jumps(field: PiecewiseField, point) -> JumpRecord:
     if getattr(field, "front", None) is None:
         raise ValidationError("field has no front; jumps are undefined")
 
-    (batch,) = _front_jets(field, p[None])
-    ahead, behind = (FieldJet(p, j.w[0], j.phi[0]) for j in (batch.ahead, batch.behind))
-    return JumpRecord(p, batch.geometry[0], ahead, behind)
+    _check_on_front(field.front, p[None])
+    geometry = front_geometry(field.front, p)
+    return JumpRecord(p, geometry, field.jet(p, Side.AHEAD), field.jet(p, Side.BEHIND))
 
 
 @dataclass(frozen=True)

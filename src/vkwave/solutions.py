@@ -54,6 +54,11 @@ def _as_points(point) -> tuple[np.ndarray, np.ndarray, bool]:
     return pts, flat, single
 
 
+def _check_params(params) -> None:
+    if not isinstance(params, PlateParams):
+        raise ValidationError(f"params must be a PlateParams, got {type(params).__name__}")
+
+
 def _coeff4(name: str, values) -> tuple[float, float, float, float]:
     vals = tuple(values)
     if len(vals) != 4:
@@ -89,6 +94,7 @@ class InvariantSolution:
         c = float(c)
         if not math.isfinite(c) or c == 0.0:
             raise ValidationError(f"wave speed c must be finite and nonzero, got {c}")
+        _check_params(self.params)
         omega = c * math.sqrt(self.params.rho / self.params.D)
         object.__setattr__(self, "u", _coeff4("u", self.u))
         object.__setattr__(self, "phi", _coeff4("phi", self.phi))
@@ -145,6 +151,7 @@ class PolynomialField:
             object.__setattr__(self, f"{name}_exponents", exps)
             coefs = np.array(list(terms.values()), dtype=np.float64)
             object.__setattr__(self, f"{name}_coefficients", coefs)
+        _check_params(self.params)
 
     @functools.cached_property
     def _w_terms(self):
@@ -272,6 +279,7 @@ class PiecewiseField:
     def __post_init__(self) -> None:
         if not isinstance(self.front, Front):
             raise ValidationError(f"front must be a Front, got {type(self.front).__name__}")
+        _check_params(self.params)
         for name, branch in (("ahead", self.ahead), ("behind", self.behind)):
             if getattr(branch, "params", None) != self.params:
                 raise ValidationError(f"{name} branch has different plate constants")
@@ -406,9 +414,10 @@ acceleration_wave = AccelerationWave
 #: Points per jet call of full jets.  A full jet takes 560 bytes a point,
 #: so a batch holds about 1 MB of jets; a jet filled in some slots only
 #: stores those slots alone, and its batches take as many more points as
-#: keep them at about 1 MB.  A balance slice has thousands of points; a
-#: sampled pde_residual check draws its points a batch at a time, so it
-#: holds one batch whatever its sample count.
+#: keep them at about 1 MB: 5,513 for a balance integral's 13 row slots,
+#: 10,240 for a pde_residual check's 7.  A balance slice has thousands of
+#: points; a sampled pde_residual check draws its points a batch at a
+#: time, so it holds one batch whatever its sample count.
 _BATCH_POINTS = 2048
 
 

@@ -16,8 +16,9 @@ from vkwave.balance import (
     front_segment_jump_integral,
     fundamental_balances,
 )
-from vkwave.conservation import LAWS, density_flux
-from vkwave.errors import ValidationError
+from vkwave.conservation import _ROW_SLOTS, LAWS, density_flux
+from vkwave.errors import UnfilledSlotError, ValidationError
+from vkwave.indexing import MULTI_INDICES, S1, S2, S1111
 from vkwave.jumps import (
     _balance_jump_terms,
     _front_jets,
@@ -134,7 +135,7 @@ def _example_wave(unit_params):
 
 @pytest.mark.parametrize("case", ["straight_wave", "disc"])
 def test_density_integral_is_independent_of_batching(
-    case, unit_params, generic_params, count_jet_calls
+    case, unit_params, generic_params, count_jet_calls, monkeypatch
 ):
     # the whole region evaluates every cell in shared jet batches, the
     # single-cell regions each in their own; the sums must agree exactly
@@ -144,12 +145,15 @@ def test_density_integral_is_independent_of_batching(
     else:
         field, law_key, t = _disc_field(generic_params), 1, 0.0
         region = Region(-0.7, 0.9, -0.8, 0.7)
+        # the disc's sides have 3,328 and 1,280 points; at this cap a batch
+        # of row-slot jets holds 2,756, so the larger side is split
+        monkeypatch.setattr(solutions, "_BATCH_POINTS", 1024)
     x_edges = np.linspace(region.x1_min, region.x1_max, region.cells[0] + 1)
     y_edges = np.linspace(region.x2_min, region.x2_max, region.cells[1] + 1)
     sizes = count_jet_calls(field)
     whole = density_integral(field, law_key, region, t)
     if case == "disc":
-        assert max(sizes) == solutions._BATCH_POINTS  # a side was split at the cap
+        assert max(sizes) == solutions._batch_size(_ROW_SLOTS)  # a side was split at the cap
     rows = 0.0
     for i in range(region.cells[0]):
         for j in range(region.cells[1]):
@@ -171,6 +175,91 @@ def test_quadrature_makes_one_jet_call_per_side(unit_params, count_jet_calls):
     sizes.clear()
     boundary_flux_integral(wave, "energy", region, 0.1)
     assert len(sizes) <= 2
+
+
+def _every_monomial(rng):
+    """A monomial map with every term of degree <= 4, so that every jet
+    slot of the polynomial is nonzero."""
+    return {
+        (i, j, k): float(rng.uniform(0.5, 1.5))
+        for i in range(5) for j in range(5 - i) for k in range(5 - i - j)
+    }
+
+
+def _row_slot_case(case, p):
+    """A field, points and the sides to take its jets on."""
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1.0, 1.0, (40, 3))
+    if case == "traveling":
+        # two traveling solutions of different speeds across an oblique line:
+        # each branch on its own, and each point's own branch
+        a = invariant_solution((0.2, -0.3, 0.5, 0.1), (0.1, 0.3, 0.2, -0.4), 1.1, p)
+        b = invariant_solution((-0.1, 0.4, 0.3, -0.6), (0.2, -0.1, 0.5, 0.3), -0.7, p)
+        field = PiecewiseField(a, b, LineFront(0.6, 0.8, -0.3, 0.0), p)
+        assert set(np.sign(field.front.value(pts))) == {-1.0, 1.0}
+        return field, pts, (Side.AHEAD, Side.BEHIND, Side.AUTO)
+    if case == "polynomial":
+        field = polynomial_field(_every_monomial(rng), _every_monomial(rng), p)
+        full = field.jet(pts)
+        assert (full.w != 0.0).all() and (full.phi != 0.0).all()
+        return field, pts, (Side.AUTO,)
+    return _example_wave(p), pts, (Side.AHEAD, Side.BEHIND)
+
+
+def _row_bits(df) -> np.ndarray:
+    return np.stack([df.density, df.flux.x1, df.flux.x2]).view(np.uint64)
+
+
+@pytest.mark.parametrize("case", ["traveling", "polynomial", "acceleration_wave"])
+def test_row_slot_jets_give_the_full_jets_rows(case, generic_params):
+    # a balance integral fills its jets in _ROW_SLOTS only; every law's
+    # density and flux there keep the bits they have at the full jet
+    field, pts, sides = _row_slot_case(case, generic_params)
+    for side in sides:
+        full = field.jet(pts, side)
+        sub = field.jet(pts, side, _ROW_SLOTS)
+        for entry in LAWS:
+            want = _row_bits(density_flux(entry, full, generic_params))
+            got = _row_bits(density_flux(entry, sub, generic_params))
+            assert np.array_equal(got, want), (side, entry.name)
+
+
+def test_every_row_slot_is_read_by_some_law(generic_params):
+    field, pts, _ = _row_slot_case("polynomial", generic_params)
+    for q in _ROW_SLOTS:
+        jet = field.jet(pts, Side.AUTO, tuple(s for s in _ROW_SLOTS if s != q))
+        with pytest.raises(UnfilledSlotError, match=f"jet slot {q} "):
+            for entry in LAWS:
+                density_flux(entry, jet, generic_params)
+
+
+def test_a_row_reading_a_slot_outside_the_row_slots_errors_the_balance(monkeypatch):
+    import vkwave.conservation as conservation
+
+    monkeypatch.setitem(
+        conservation._ROWS, 1, lambda jet, p: (jet.w[..., S1111], jet.w[..., S1], jet.w[..., S2])
+    )
+    data = yaml.safe_load(_EXAMPLE_SCENARIO.read_text())
+    data["checks"] = [{"type": "balance", "laws": [1], "times": [0.1]}]
+    (row,) = run_scenario(scenario_from_dict(data)).results
+    assert row.status == "error"
+    assert row.detail.startswith(
+        f"UnfilledSlotError: jet slot {S1111} {MULTI_INDICES[S1111]} was not filled"
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_balance_jets_are_checked_for_finite_values_in_the_row_slots_only(generic_params):
+    # w = 3e307 x3^4 overflows in w_33 = 3.6e308 x3^2 and in w_333 and
+    # w_3333, which no row reads, so its compatibility balance (a zero
+    # density and flux) holds; an overflow in a slot the rows read, w_11 of
+    # 1e308 x1^2, still raises
+    region = Region(0.0, 1.0, 0.0, 1.0)
+    quiet = polynomial_field({(0, 0, 4): 3e307}, None, generic_params)
+    assert balance_residual(quiet, 14, region, 0.1).residual == 0.0
+    loud = polynomial_field({(2, 0, 0): 1e308}, None, generic_params)
+    with pytest.raises(ValidationError, match="^w contains non-finite entries$"):
+        balance_residual(loud, 14, region, 0.1)
 
 
 @pytest.mark.parametrize("case", ["straight_wave", "disc"])
@@ -230,9 +319,10 @@ def test_balance_check_is_planned_and_evaluated_once(
 ):
     # a check at two times plans its ten density slices in one level loop,
     # one value_range call per level and one height-function pass per
-    # order, and fills one jet batch per side per _BATCH_POINTS points in
-    # each of its two passes (densities, then fluxes); its reports are
-    # those composed from the one-slice integrals
+    # order, and fills one jet batch of row-slot jets per side per
+    # _batch_size(_ROW_SLOTS) points in each of its two passes (densities,
+    # then fluxes); its reports are those composed from the one-slice
+    # integrals
     if case == "disc":
         field, region, times = _disc_field(generic_params), Region(-0.7, 0.9, -0.8, 0.7), (0.0, 0.1)
     elif case == "smooth_circle":
@@ -289,7 +379,7 @@ def test_balance_check_is_planned_and_evaluated_once(
     for calls in passes:
         for side in (Side.AHEAD, Side.BEHIND):
             sizes = [n for s, n in calls if s is side]
-            assert len(sizes) == math.ceil(sum(sizes) / solutions._BATCH_POINTS), side
+            assert len(sizes) == math.ceil(sum(sizes) / solutions._batch_size(_ROW_SLOTS)), side
     assert shared == composed
 
 

@@ -132,6 +132,22 @@ def test_polynomial_jets_match_per_call_reference(seed, generic_params):
         assert jet.phi.tobytes() == want_phi.tobytes()
 
 
+def test_invariant_solution_requires_plate_params():
+    with pytest.raises(ValidationError, match="params must be a PlateParams, got NoneType"):
+        InvariantSolution((0, 0, 0, 0), (0, 0, 0, 0), 1.0, None)
+
+
+def test_polynomial_field_requires_plate_params():
+    with pytest.raises(ValidationError, match="params must be a PlateParams, got NoneType"):
+        polynomial_field({(2, 0, 0): 1.0}, None, None)
+
+
+def test_piecewise_field_requires_plate_params(generic_params):
+    branch = polynomial_field(None, None, generic_params)
+    with pytest.raises(ValidationError, match="params must be a PlateParams, got NoneType"):
+        PiecewiseField(branch, branch, LineFront(1.0, 0.0, -1.0, 0.0), None)
+
+
 def test_polynomial_field_batch_and_validation(generic_params):
     field = polynomial_field({(1, 0, 0): 2.0}, None, generic_params)
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])

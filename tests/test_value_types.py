@@ -21,6 +21,8 @@ from vkwave import (
     PiecewiseField,
     PlateParams,
     PolynomialField,
+    Side,
+    SideRequiredError,
     ValidationError,
     WaveVerdict,
     extract_jumps,
@@ -78,7 +80,9 @@ CASES = {
             w.behind.u, w.behind.phi, w.behind.wave_speed, w.behind.omega,
             [getattr(w.front, f.name) for f in dataclasses.fields(w.front)],
             [getattr(w.params, name) for name in ("youngs_modulus", "poisson_ratio", "thickness", "areal_density")],
-            w.lambda_amplitude, w.mu_amplitude, w.jet(POINT).w, w.jet(POINT).phi,
+            w.lambda_amplitude, w.mu_amplitude,
+            # both branches by name: POINT may lie on the front
+            *((j.w, j.phi) for j in (w.jet(POINT, Side.AHEAD), w.jet(POINT, Side.BEHIND))),
         ),
     ),
     FrontGeometry: (
@@ -119,6 +123,18 @@ def test_replacing_an_input_derives_the_rest_afresh(cls, data):
     value = data.draw(inputs[name], "value")
     fresh = cls(**{**{n: getattr(obj, n) for n in inputs}, name: value})
     assert _bits(derived(dataclasses.replace(obj, **{name: value}))) == _bits(derived(fresh))
+
+
+def test_a_wave_whose_front_passes_through_the_point_derives_afresh():
+    # x1 - c x3 is exactly 0 at POINT for this speed, so the point has no
+    # side of its own and only a named branch has a jet there
+    ahead = InvariantSolution((0,) * 4, (0,) * 4, 2.9999999999999996, PlateParams(1, 0, 1, 1))
+    wave = AccelerationWave(ahead, 1.0, 0.0)
+    with pytest.raises(SideRequiredError):
+        wave.jet(POINT)
+    _, _, derived = CASES[AccelerationWave]
+    fresh = AccelerationWave(ahead, -0.5, 0.0)
+    assert _bits(derived(dataclasses.replace(wave, c1=-0.5))) == _bits(derived(fresh))
 
 
 def test_a_replaced_wave_amplitude_is_the_extracted_one(generic_params):
