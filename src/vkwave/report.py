@@ -110,9 +110,13 @@ def _batch_maxima(batches, keys, scaled, p) -> list:
 
 
 def _pde_scaled(_, batch, p):
-    # batch is a (rows, jet) pair of _jet_batches or _sampled_pde_batches
+    # batch is a (rows, jet) pair of _jet_batches or _sampled_pde_batches;
+    # each equation's _scaled, then their maximum, formed in the buffers
+    # _pde_terms returns
     r1, r2, s1, s2 = _pde_terms(batch[1], p)
-    return np.maximum(_scaled(r1, s1), _scaled(r2, s2))
+    for r, s in ((r1, s1), (r2, s2)):
+        np.divide(np.abs(r, out=r), np.maximum(1.0, s, out=s), out=r)
+    return np.maximum(r1, r2, out=r1)
 
 
 def _sampled_pde_batches(field, rng, n: int):

@@ -439,10 +439,12 @@ def scenario_from_dict(data) -> Scenario:
     )
 
 
-class _Loader(yaml.SafeLoader):
+class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
     """SafeLoader that also reads YAML 1.2 floats such as ``1e-8`` and
     ``1.0e5``, which YAML 1.1 leaves as strings.  The added pattern needs a
-    dot or an exponent, so integers still load as ``int``."""
+    dot or an exponent, so integers still load as ``int``.  Where PyYAML
+    has libyaml, its C parser reads the text; tags are still resolved and
+    values built by the same Python resolver and SafeConstructor."""
 
 
 _Loader.add_implicit_resolver(

@@ -446,30 +446,63 @@ def _jet_batches(field, points: np.ndarray, side: Side = Side.AUTO, slots=None):
 _PDE_SLOTS = (S11, S12, S22, S33, S1111, S1122, S2222)
 
 
+def _bilaplacian(f, out: np.ndarray) -> np.ndarray:
+    """f_1111 + 2 f_1122 + f_2222 of one field's jet, formed in ``out``."""
+    np.multiply(2.0, f[..., S1122], out=out)
+    np.add(f[..., S1111], out, out=out)
+    return np.add(out, f[..., S2222], out=out)
+
+
 def _pde_terms(jet: FieldJet, p: PlateParams):
     """Residuals (r1, r2) and term scales (s1, s2) of the two governing
-    equations at a jet, each term formed once for both."""
-    w11, w12, w22 = jet.w[..., S11], jet.w[..., S12], jet.w[..., S22]
-    p11, p12, p22 = jet.phi[..., S11], jet.phi[..., S12], jet.phi[..., S22]
-    bilap_w = jet.w[..., S1111] + 2.0 * jet.w[..., S1122] + jet.w[..., S2222]
-    bilap_phi = jet.phi[..., S1111] + 2.0 * jet.phi[..., S1122] + jet.phi[..., S2222]
+    equations at a jet, each term formed once for both:
 
-    bending = p.D * bilap_w
-    w11_p22, w22_p11 = w11 * p22, w22 * p11
-    inertia = p.rho * jet.w[..., S33]
-    membrane = bilap_phi / p.Eh
-    w11_w22, w12_w12 = w11 * w22, w12 * w12
+        r1 = D bilap(w) - (w11 p22 + w22 p11 - 2 w12 p12) + rho w_33
+        r2 = bilap(phi) / Eh + (w11 w22 - w12 w12)
 
-    coupling = w11_p22 + w22_p11 - 2.0 * w12 * p12
-    r1 = bending - coupling + inertia
-    r2 = membrane + (w11_w22 - w12_w12)
-    s1 = (
-        np.abs(bending)
-        + np.abs(w11_p22) + np.abs(w22_p11) + 2.0 * np.abs(w12 * p12)
-        + np.abs(inertia)
-    )
-    s2 = np.abs(membrane) + np.abs(w11_w22) + np.abs(w12_w12)
-    return r1, r2, s1, s2
+    and s1, s2 the sums of the magnitudes of those terms.  Each is formed
+    by the same operations in the same order as the plain expressions, but
+    in ten arrays allocated here and rewritten in place, never in the jet,
+    so that a batch makes ten arrays where the expressions made 37.  No two
+    results share memory, nor any with the jet, so a caller may overwrite
+    them; at a one-point jet they are numpy scalars."""
+    w, phi = jet.w, jet.phi
+    w11, w12, w22 = w[..., S11], w[..., S12], w[..., S22]
+    p11, p12, p22 = phi[..., S11], phi[..., S12], phi[..., S22]
+    shape = np.shape(w11)
+
+    bending = _bilaplacian(w, np.empty(shape))
+    np.multiply(p.D, bending, out=bending)
+    w11_p22 = np.multiply(w11, p22, out=np.empty(shape))
+    w22_p11 = np.multiply(w22, p11, out=np.empty(shape))
+    inertia = np.multiply(p.rho, w[..., S33], out=np.empty(shape))
+    membrane = _bilaplacian(phi, np.empty(shape))
+    np.divide(membrane, p.Eh, out=membrane)
+    w11_w22 = np.multiply(w11, w22, out=np.empty(shape))
+    w12_w12 = np.multiply(w12, w12, out=np.empty(shape))
+
+    # r1 = bending - (w11_p22 + w22_p11 - 2.0 * w12 * p12) + inertia
+    r1 = np.add(w11_p22, w22_p11, out=np.empty(shape))
+    w12_p12 = np.multiply(2.0, w12, out=np.empty(shape))
+    np.subtract(r1, np.multiply(w12_p12, p12, out=w12_p12), out=r1)
+    np.subtract(bending, r1, out=r1)
+    np.add(r1, inertia, out=r1)
+    # r2 = membrane + (w11_w22 - w12_w12)
+    r2 = np.subtract(w11_w22, w12_w12, out=np.empty(shape))
+    np.add(membrane, r2, out=r2)
+    # s1 = |bending| + |w11_p22| + |w22_p11| + 2.0 * |w12 * p12| + |inertia|
+    s1 = np.abs(bending, out=bending)
+    np.add(s1, np.abs(w11_p22, out=w11_p22), out=s1)
+    np.add(s1, np.abs(w22_p11, out=w22_p11), out=s1)
+    np.abs(np.multiply(w12, p12, out=w12_p12), out=w12_p12)
+    np.add(s1, np.multiply(2.0, w12_p12, out=w12_p12), out=s1)
+    np.add(s1, np.abs(inertia, out=inertia), out=s1)
+    # s2 = |membrane| + |w11_w22| + |w12_w12|
+    s2 = np.abs(membrane, out=membrane)
+    np.add(s2, np.abs(w11_w22, out=w11_w22), out=s2)
+    np.add(s2, np.abs(w12_w12, out=w12_w12), out=s2)
+    # [()] views a batch's whole array, and turns a 0-d one into its scalar
+    return r1[()], r2[()], s1[()], s2[()]
 
 
 def pde_residual(jet: FieldJet, p: PlateParams):

@@ -1,9 +1,12 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from vkwave import scenario
 from vkwave.errors import ScenarioError, ValidationError
 from vkwave.scenario import (
     CHECK_KINDS,
@@ -291,6 +294,50 @@ def test_load_scenario_reads_floats_without_a_dot(tmp_path):
     path.write_text(_YAML_DOCUMENT % ("1e-8", "1E5"))
     tolerances = load_scenario(path).tolerances
     assert (tolerances.analytic, tolerances.quadrature) == (1e-8, 1e5)
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+_SCENARIO_FILES = sorted(_ROOT.glob("examples_scenarios/*.yaml")) + sorted(_ROOT.glob("perfbench/scenarios/*.yaml"))
+_YAML_BASES = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+def _loader_on(base):
+    """scenario._Loader's tag resolvers, YAML 1.2 floats included, on a
+    given PyYAML loader."""
+    return type("Loader", (base,), {"yaml_implicit_resolvers": scenario._Loader.yaml_implicit_resolvers})
+
+
+def test_scenario_loader_parses_with_libyaml_when_pyyaml_has_it():
+    assert issubclass(scenario._Loader, yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("path", _SCENARIO_FILES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_scenario_files_load_the_same_with_either_yaml_parser(path, monkeypatch):
+    assert len(_SCENARIO_FILES) >= 5
+    loaded = []
+    for base in _YAML_BASES:
+        monkeypatch.setattr(scenario, "_Loader", _loader_on(base))
+        data = yaml.load(path.read_text(encoding="utf-8"), Loader=scenario._Loader)
+        loaded.append((repr(data), data, load_scenario(path)))
+    for other in loaded[1:]:
+        assert other == loaded[0]  # repr also tells 1 from 1.0
+
+
+@pytest.mark.parametrize("base", _YAML_BASES, ids=lambda base: base.__name__)
+def test_load_scenario_reads_yaml_12_floats_and_rejects_malformed_yaml_with_either_parser(
+    base, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(scenario, "_Loader", _loader_on(base))
+    path = tmp_path / "floats.yaml"
+    path.write_text(_YAML_DOCUMENT % ("1e-8", "2"))
+    tolerances = yaml.load(path.read_text(), Loader=scenario._Loader)["tolerances"]
+    assert [(v, type(v)) for v in tolerances.values()] == [(1e-8, float), (2, int)]
+    assert load_scenario(path).tolerances.analytic == 1e-8
+    for i, text in enumerate(("plate: [unclosed\n", "plate: a: b\n", "a: 1\n- 2\n", "a: *missing\n")):
+        bad = tmp_path / f"bad{i}.yaml"
+        bad.write_text(text)
+        with pytest.raises(ScenarioError, match=f"^scenario file {re.escape(str(bad))} is not valid YAML: "):
+            load_scenario(bad)
 
 
 def test_load_scenario_keeps_integers_int(tmp_path):

@@ -1,14 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vkwave import solutions
+from vkwave import report, solutions
 from vkwave.errors import SideRequiredError, UnfilledSlotError, ValidationError
-from vkwave.indexing import EXPONENTS, JET_SIZE
+from vkwave.indexing import EXPONENTS, JET_SIZE, S11, S12, S22, S33, S1111, S1122, S2222
 from vkwave.jets import FieldJet
+from vkwave.scenario import build_field, load_scenario
 from vkwave.solutions import (
     AccelerationWave,
     InvariantSolution,
@@ -545,6 +547,87 @@ def test_pde_terms_read_only_the_pde_slots(generic_params):
     for got, want in zip(sub, full):
         assert np.isfinite(got).all()
         assert np.array_equal(got, want)
+
+
+def _expression_pde_terms(jet, p):
+    """_pde_terms as plain expressions, each operation making a new array:
+    the reference its in-place form must match bit for bit."""
+    w11, w12, w22 = jet.w[..., S11], jet.w[..., S12], jet.w[..., S22]
+    p11, p12, p22 = jet.phi[..., S11], jet.phi[..., S12], jet.phi[..., S22]
+    bilap_w = jet.w[..., S1111] + 2.0 * jet.w[..., S1122] + jet.w[..., S2222]
+    bilap_phi = jet.phi[..., S1111] + 2.0 * jet.phi[..., S1122] + jet.phi[..., S2222]
+
+    bending = p.D * bilap_w
+    w11_p22, w22_p11 = w11 * p22, w22 * p11
+    inertia = p.rho * jet.w[..., S33]
+    membrane = bilap_phi / p.Eh
+    w11_w22, w12_w12 = w11 * w22, w12 * w12
+
+    coupling = w11_p22 + w22_p11 - 2.0 * w12 * p12
+    r1 = bending - coupling + inertia
+    r2 = membrane + (w11_w22 - w12_w12)
+    s1 = (
+        np.abs(bending)
+        + np.abs(w11_p22) + np.abs(w22_p11) + 2.0 * np.abs(w12 * p12)
+        + np.abs(inertia)
+    )
+    s2 = np.abs(membrane) + np.abs(w11_w22) + np.abs(w12_w12)
+    return r1, r2, s1, s2
+
+
+def _pde_cases(p):
+    """(field, points) pairs: the example acceleration wave on both sides of
+    its front, and a polynomial field whose w and phi vary with x2."""
+    wave_check = Path(__file__).resolve().parents[1] / "examples_scenarios" / "wave_check.yaml"
+    wave = build_field(load_scenario(wave_check))
+    poly = polynomial_field(
+        {(2, 1, 1): 0.3, (0, 3, 1): -0.2, (2, 2, 2): 0.7, (4, 1, 0): 0.1, (0, 4, 2): -0.4},
+        {(1, 1, 0): -0.2, (0, 4, 1): 0.3, (2, 2, 1): 0.5, (3, 2, 1): -0.6},
+        p,
+    )
+    rng = np.random.default_rng(24)
+    return [(wave, rng.uniform(-1.0, 1.0, (3000, 3))), (poly, rng.uniform(-2.0, 2.0, (500, 3)))]
+
+
+def _jet_values(jet):
+    """Copies of the arrays a full or subset jet holds."""
+    return [getattr(f, "values", f).copy() for f in (jet.w, jet.phi)]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["acceleration_wave", "x2_polynomial"])
+@pytest.mark.parametrize("slots", [None, solutions._PDE_SLOTS], ids=["full", "pde_slots"])
+def test_pde_terms_in_place_match_the_expressions_bit_for_bit(case, slots, generic_params):
+    field, pts = _pde_cases(generic_params)[case]
+    p = field.params
+    jets = [field.jet(pts, Side.AUTO, slots)] + [field.jet(pt, Side.AUTO, slots) for pt in pts[:20]]
+    if case == 1:
+        for q in (S12, S22, S1122, S2222):
+            assert np.all(jets[0].w[..., q] != 0.0) and np.all(jets[0].phi[..., q] != 0.0)
+    for jet in jets:
+        before = _jet_values(jet)
+        got, want = solutions._pde_terms(jet, p), _expression_pde_terms(jet, p)
+        for name, g, w in zip(("r1", "r2", "s1", "s2"), got, want):
+            assert type(g) is type(w) and np.shape(g) == np.shape(w), name
+            assert g.tobytes() == w.tobytes(), name
+        assert np.shape(got[0]) == () or np.ptp(got[2]) > 0.0  # a batch holds distinct terms
+        for a, b in zip(_jet_values(jet), before):
+            assert a.tobytes() == b.tobytes()
+        # the public pair functions return the same values
+        for g, w in zip(pde_residual(jet, p) + pde_term_scales(jet, p), want):
+            assert type(g) is type(w) and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["acceleration_wave", "x2_polynomial"])
+def test_pde_scaled_in_place_matches_the_expressions_bit_for_bit(case, generic_params):
+    field, pts = _pde_cases(generic_params)[case]
+    jet = field.jet(pts, Side.AUTO, solutions._PDE_SLOTS)
+    before = _jet_values(jet)
+    r1, r2, s1, s2 = _expression_pde_terms(jet, field.params)
+    want = np.maximum(report._scaled(r1, s1), report._scaled(r2, s2))
+    got = report._pde_scaled(None, (slice(0, len(pts)), jet), field.params)
+    assert got.tobytes() == want.tobytes()
+    for a, b in zip(_jet_values(jet), before):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_subset_jet_is_checked_in_its_filled_slots(generic_params):
