@@ -43,9 +43,11 @@ t at both orders.  It runs in three steps:
    none, the slice's cell or edge the piece belongs to, and a rank);
 2. evaluate: the jets are computed once per side over the pieces of all
    slices, each point at its own time, in the batches of
-   solutions._jet_batches, filled in the slots the rows read
-   (conservation._ROW_SLOTS) only, and every requested law's density or
-   flux is taken from each jet batch;
+   solutions._jet_batches, and every requested law's density or flux is
+   taken from each jet batch.  The density pass fills only the 7 slots
+   per field the densities read (conservation._DENSITY_SLOTS) and builds
+   densities only; the flux pass fills the 13 the fluxes read
+   (conservation._ROW_SLOTS);
 3. reduce: each block becomes piece sums in one vectorised sum, added
    per cell or edge in rank order (level by level: uncut boxes, then
    the pieces below the front, then those above) and plan order, and the
@@ -64,7 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conservation import _ROW_SLOTS, LawId, density_flux, law
+from .conservation import _DENSITY_SLOTS, _ROW_SLOTS, LawId, density_flux, law
 from .errors import ValidationError, _first_failure
 from .jumps import _balance_jump_terms, _front_jets
 from .params import PlateParams
@@ -187,12 +189,13 @@ def _integrals(field, entries, plan: _Plan, n_slices, n_owners, normals=None) ->
     slice j is j * n_owners + k.
 
     Jets are evaluated once per side for the points of every slice, each
-    at its own time, in the batches of _jet_batches and in _ROW_SLOTS only,
-    and every law is applied to each jet batch.  Each block is reduced to
-    piece sums in one vectorised sum; the piece sums are added up per
-    owner in rank and plan order, and the owners of a slice in turn, so
-    that a law's integral does not depend on the other laws, slices or
-    cells."""
+    at its own time, in the batches of _jet_batches, and every law is
+    applied to each jet batch.  A density pass fills the jets in
+    _DENSITY_SLOTS only and reads only densities; a flux pass fills them
+    in _ROW_SLOTS.  Each block is reduced to piece sums in one vectorised
+    sum; the piece sums are added up per owner in rank and plan order,
+    and the owners of a slice in turn, so that a law's integral does not
+    depend on the other laws, slices or cells."""
     counts = np.concatenate([np.full(len(w), w.shape[1]) for w in plan.weights])
     pts = np.empty((counts.sum(), 3))
     pts[:, :2] = np.concatenate(plan.points)
@@ -200,10 +203,11 @@ def _integrals(field, entries, plan: _Plan, n_slices, n_owners, normals=None) ->
     sides = np.repeat(np.concatenate(plan.sides), counts)
     if normals is not None:
         normals = np.repeat(normals, counts, axis=0)
+    slots = _DENSITY_SLOTS if normals is None else _ROW_SLOTS
     vals = np.empty((len(entries), len(pts)))
     for side, jet_side in _JET_SIDE.items():
         where = np.flatnonzero(sides == side)
-        for rows, jet in _jet_batches(field, pts[where], jet_side, _ROW_SLOTS):
+        for rows, jet in _jet_batches(field, pts[where], jet_side, slots):
             batch = where[rows]
             n = None if normals is None else normals[batch]
             for row, entry in zip(vals, entries):
@@ -212,7 +216,9 @@ def _integrals(field, entries, plan: _Plan, n_slices, n_owners, normals=None) ->
                     row[batch] = df.density
                 else:
                     row[batch] = df.flux.x1 * n[:, 0] + df.flux.x2 * n[:, 1]
-            del jet  # free this batch's jets before the next batch is filled
+            # free this batch's jets, which the last view holds too, before
+            # the next batch is filled
+            del jet, df
     sums = []
     start = 0
     for weights in plan.weights:

@@ -227,11 +227,13 @@ def _balance_jump_terms(law_key, rec: JumpRecord, p: PlateParams):
     c = rec.geometry.speed
     df_a = density_flux(law_key, rec.ahead, p)
     df_b = density_flux(law_key, rec.behind, p)
-    jump_density = df_b.density - df_a.density
-    jump_flux_n = (df_b.flux.x1 - df_a.flux.x1) * n1 + (df_b.flux.x2 - df_a.flux.x2) * n2
+    psi_a, psi_b = df_a.density, df_b.density
+    flux_a, flux_b = df_a.flux, df_b.flux
+    jump_density = psi_b - psi_a
+    jump_flux_n = (flux_b.x1 - flux_a.x1) * n1 + (flux_b.x2 - flux_a.x2) * n2
     s = 0.0
-    for df in (df_a, df_b):
-        s = s + (np.abs(c * df.density) + np.abs(df.flux.x1 * n1 + df.flux.x2 * n2))
+    for psi, flux in ((psi_a, flux_a), (psi_b, flux_b)):
+        s = s + (np.abs(c * psi) + np.abs(flux.x1 * n1 + flux.x2 * n2))
     return c * jump_density - jump_flux_n, s
 
 

@@ -414,8 +414,9 @@ acceleration_wave = AccelerationWave
 #: Points per jet call of full jets.  A full jet takes 560 bytes a point,
 #: so a batch holds about 1 MB of jets; a jet filled in some slots only
 #: stores those slots alone, and its batches take as many more points as
-#: keep them at about 1 MB: 5,513 for a balance integral's 13 row slots,
-#: 10,240 for a pde_residual check's 7.  A balance slice has thousands of
+#: keep them at about 1 MB: 5,513 for a balance flux integral's 13 row
+#: slots, 10,240 for a balance density integral's 7 density slots and for
+#: a pde_residual check's 7.  A balance slice has thousands of
 #: points; a sampled pde_residual check draws its points a batch at a
 #: time, so it holds one batch whatever its sample count.
 _BATCH_POINTS = 2048

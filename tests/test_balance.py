@@ -16,9 +16,9 @@ from vkwave.balance import (
     front_segment_jump_integral,
     fundamental_balances,
 )
-from vkwave.conservation import _ROW_SLOTS, LAWS, density_flux
+from vkwave.conservation import _DENSITY_SLOTS, _ROW_SLOTS, LAWS, density_flux
 from vkwave.errors import UnfilledSlotError, ValidationError
-from vkwave.indexing import MULTI_INDICES, S1, S2, S1111
+from vkwave.indexing import MULTI_INDICES, S2, S1111
 from vkwave.jumps import (
     _balance_jump_terms,
     _front_jets,
@@ -36,6 +36,7 @@ from vkwave.solutions import (
     pde_residual,
     polynomial_field,
 )
+from vkwave.tensors import Vector2
 from vkwave.wavefront import CircleFront, LineFront, front_geometry
 
 _EXAMPLE_SCENARIO = Path(__file__).resolve().parents[1] / "examples_scenarios" / "wave_check.yaml"
@@ -146,14 +147,14 @@ def test_density_integral_is_independent_of_batching(
         field, law_key, t = _disc_field(generic_params), 1, 0.0
         region = Region(-0.7, 0.9, -0.8, 0.7)
         # the disc's sides have 3,328 and 1,280 points; at this cap a batch
-        # of row-slot jets holds 2,756, so the larger side is split
-        monkeypatch.setattr(solutions, "_BATCH_POINTS", 1024)
+        # of density-slot jets holds 2,560, so the larger side is split
+        monkeypatch.setattr(solutions, "_BATCH_POINTS", 512)
     x_edges = np.linspace(region.x1_min, region.x1_max, region.cells[0] + 1)
     y_edges = np.linspace(region.x2_min, region.x2_max, region.cells[1] + 1)
     sizes = count_jet_calls(field)
     whole = density_integral(field, law_key, region, t)
     if case == "disc":
-        assert max(sizes) == solutions._batch_size(_ROW_SLOTS)  # a side was split at the cap
+        assert max(sizes) == solutions._batch_size(_DENSITY_SLOTS)  # a side was split at the cap
     rows = 0.0
     for i in range(region.cells[0]):
         for j in range(region.cells[1]):
@@ -210,18 +211,26 @@ def _row_bits(df) -> np.ndarray:
     return np.stack([df.density, df.flux.x1, df.flux.x2]).view(np.uint64)
 
 
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
 @pytest.mark.parametrize("case", ["traveling", "polynomial", "acceleration_wave"])
 def test_row_slot_jets_give_the_full_jets_rows(case, generic_params):
-    # a balance integral fills its jets in _ROW_SLOTS only; every law's
-    # density and flux there keep the bits they have at the full jet
+    # a balance's flux integrals fill their jets in _ROW_SLOTS only, and its
+    # density integrals in _DENSITY_SLOTS only; every law's density and
+    # flux there keep the bits they have at the full jet
     field, pts, sides = _row_slot_case(case, generic_params)
     for side in sides:
         full = field.jet(pts, side)
         sub = field.jet(pts, side, _ROW_SLOTS)
+        dens = field.jet(pts, side, _DENSITY_SLOTS)
         for entry in LAWS:
-            want = _row_bits(density_flux(entry, full, generic_params))
+            want = density_flux(entry, full, generic_params)
             got = _row_bits(density_flux(entry, sub, generic_params))
-            assert np.array_equal(got, want), (side, entry.name)
+            assert np.array_equal(got, _row_bits(want)), (side, entry.name)
+            got = _bits(density_flux(entry, dens, generic_params).density)
+            assert np.array_equal(got, _bits(want.density)), (side, entry.name)
 
 
 def test_every_row_slot_is_read_by_some_law(generic_params):
@@ -230,22 +239,37 @@ def test_every_row_slot_is_read_by_some_law(generic_params):
         jet = field.jet(pts, Side.AUTO, tuple(s for s in _ROW_SLOTS if s != q))
         with pytest.raises(UnfilledSlotError, match=f"jet slot {q} "):
             for entry in LAWS:
-                density_flux(entry, jet, generic_params)
+                _row_bits(density_flux(entry, jet, generic_params))
+
+
+def test_every_density_slot_is_read_by_some_laws_density(generic_params):
+    field, pts, _ = _row_slot_case("polynomial", generic_params)
+    for q in _DENSITY_SLOTS:
+        jet = field.jet(pts, Side.AUTO, tuple(s for s in _DENSITY_SLOTS if s != q))
+        with pytest.raises(UnfilledSlotError, match=f"jet slot {q} "):
+            for entry in LAWS:
+                density_flux(entry, jet, generic_params).density
 
 
 def test_a_row_reading_a_slot_outside_the_row_slots_errors_the_balance(monkeypatch):
+    # a density that reads a slot outside _DENSITY_SLOTS errors the
+    # balance through its density integrals, and a flux that reads one
+    # outside _ROW_SLOTS through its flux integrals
     import vkwave.conservation as conservation
 
-    monkeypatch.setitem(
-        conservation._ROWS, 1, lambda jet, p: (jet.w[..., S1111], jet.w[..., S1], jet.w[..., S2])
-    )
     data = yaml.safe_load(_EXAMPLE_SCENARIO.read_text())
     data["checks"] = [{"type": "balance", "laws": [1], "times": [0.1]}]
-    (row,) = run_scenario(scenario_from_dict(data)).results
-    assert row.status == "error"
-    assert row.detail.startswith(
-        f"UnfilledSlotError: jet slot {S1111} {MULTI_INDICES[S1111]} was not filled"
-    )
+    for table, half in (
+        (conservation._DENSITIES, lambda jet, p: jet.w[..., S1111]),
+        (conservation._FLUXES, lambda jet, p: Vector2(jet.w[..., S1111], jet.w[..., S2])),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setitem(table, 1, half)
+            (row,) = run_scenario(scenario_from_dict(data)).results
+        assert row.status == "error"
+        assert row.detail.startswith(
+            f"UnfilledSlotError: jet slot {S1111} {MULTI_INDICES[S1111]} was not filled"
+        )
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -260,6 +284,23 @@ def test_balance_jets_are_checked_for_finite_values_in_the_row_slots_only(generi
     loud = polynomial_field({(2, 0, 0): 1e308}, None, generic_params)
     with pytest.raises(ValidationError, match="^w contains non-finite entries$"):
         balance_residual(loud, 14, region, 0.1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_density_integrals_are_checked_for_finite_values_in_the_density_slots_only(
+    generic_params,
+):
+    # w = 1e307 x1^4 overflows in w_111 = 2.4e308 x1, which only fluxes
+    # read, and not in w_11 = 1.2e308 x1^2: its law-1 density integral
+    # (of rho w_3 = 0) is a number, and its balance still errors through
+    # the flux integrals
+    region = Region(0.0, 1.0, 0.0, 1.0)
+    field = polynomial_field({(4, 0, 0): 1e307}, None, generic_params)
+    assert density_integral(field, 1, region, 0.1) == 0.0
+    with pytest.raises(ValidationError, match="^w contains non-finite entries$"):
+        boundary_flux_integral(field, 1, region, 0.1)
+    with pytest.raises(ValidationError, match="^w contains non-finite entries$"):
+        balance_residual(field, 1, region, 0.1)
 
 
 @pytest.mark.parametrize("case", ["straight_wave", "disc"])
@@ -319,10 +360,10 @@ def test_balance_check_is_planned_and_evaluated_once(
 ):
     # a check at two times plans its ten density slices in one level loop,
     # one value_range call per level and one height-function pass per
-    # order, and fills one jet batch of row-slot jets per side per
-    # _batch_size(_ROW_SLOTS) points in each of its two passes (densities,
-    # then fluxes); its reports are those composed from the one-slice
-    # integrals
+    # order, and fills one jet batch per side per _batch_size(slots) points
+    # in each of its two passes: density-slot jets for the densities, then
+    # row-slot jets for the fluxes; its reports are those composed from
+    # the one-slice integrals
     if case == "disc":
         field, region, times = _disc_field(generic_params), Region(-0.7, 0.9, -0.8, 0.7), (0.0, 0.1)
     elif case == "smooth_circle":
@@ -358,7 +399,7 @@ def test_balance_check_is_planned_and_evaluated_once(
     jet = type(field).jet
 
     def counted_jet(self, point, side=Side.AUTO, slots=None):
-        passes[-1].append((side, len(point)))
+        passes[-1].append((side, len(point), slots))
         return jet(self, point, side, slots)
 
     heights = []
@@ -376,10 +417,11 @@ def test_balance_check_is_planned_and_evaluated_once(
     assert len(levels) == depth
     assert sorted(heights) == [region.quad_order - 2, region.quad_order]  # once per order
     assert len(passes) == 2
-    for calls in passes:
+    for calls, slots in zip(passes, (_DENSITY_SLOTS, _ROW_SLOTS)):
+        assert {filled for _, _, filled in calls} == {slots}
         for side in (Side.AHEAD, Side.BEHIND):
-            sizes = [n for s, n in calls if s is side]
-            assert len(sizes) == math.ceil(sum(sizes) / solutions._batch_size(_ROW_SLOTS)), side
+            sizes = [n for s, n, _ in calls if s is side]
+            assert len(sizes) == math.ceil(sum(sizes) / solutions._batch_size(slots)), side
     assert shared == composed
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from dataclasses import astuple
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from vkwave.conservation import (
+    _DENSITY_SLOTS,
     LAWS,
     _exact_divergence,
     conservation_divergence,
@@ -13,8 +15,8 @@ from vkwave.conservation import (
     density_flux,
     law,
 )
-from vkwave.errors import FrontProximityError, ValidationError
-from vkwave.indexing import S1, S2, S3, S1111
+from vkwave.errors import FrontProximityError, UnfilledSlotError, ValidationError
+from vkwave.indexing import MULTI_INDICES, S1, S2, S3, S111, S1111
 from vkwave.jets import FieldJet
 from vkwave.report import run_scenario
 from vkwave.scenario import build_field, load_scenario
@@ -26,6 +28,7 @@ from vkwave.solutions import (
     polynomial_field,
 )
 from vkwave.tensors import (
+    Vector2,
     f_vector,
     g_tensor,
     kinetic_energy_density,
@@ -338,16 +341,22 @@ def test_exact_divergence_matches_finite_differences(generic_params):
 
 
 def test_a_row_reading_an_order_four_slot_fails(generic_params, monkeypatch):
-    # a 4-jet has no derivative of an order-4 slot: a row that read one
-    # would give a NaN divergence, which fails its check, not a wrong pass
+    # a 4-jet has no derivative of an order-4 slot: a density or a flux
+    # that read one would give a NaN divergence, which fails its check,
+    # not a wrong pass
     import vkwave.conservation as conservation
 
     sol = invariant_solution((0.2, -0.3, 0.5, 0.1), (0.1, 0.3, 0.2, -0.4), 1.1, generic_params)
-    jet = sol.jet(np.random.default_rng(6).uniform(-1.0, 1.0, (4, 3)))
-    monkeypatch.setitem(
-        conservation._ROWS, 14, lambda jet, p: (jet.w[..., S1111], jet.w[..., S1], jet.w[..., S2])
-    )
-    assert np.all(np.isnan(_exact_divergence(14, jet, generic_params).residual))
+    pts = np.random.default_rng(6).uniform(-1.0, 1.0, (4, 3))
+    for table, half in (
+        (conservation._DENSITIES, lambda jet, p: jet.w[..., S1111]),
+        (conservation._FLUXES, lambda jet, p: Vector2(jet.w[..., S1111], jet.w[..., S2])),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setitem(table, 14, half)
+            # a fresh jet, as a jet keeps the halves built from it
+            residual = _exact_divergence(14, sol.jet(pts), generic_params).residual
+        assert np.all(np.isnan(residual)), table is conservation._FLUXES
 
 
 def test_conservation_check_fills_one_jet_per_point(count_jet_calls):
@@ -385,15 +394,18 @@ def test_rows_built_once_per_jet_equal_fresh_jets(order, generic_params):
         assert _bits(density_flux(key, shared, generic_params)) == _bits(fresh), key
 
 
-def test_fourteen_laws_build_each_tensor_once(generic_params, monkeypatch):
+_TENSOR_NAMES = (
+    "shear_force", "moment_tensor", "f_vector", "g_tensor",
+    "lagrangian_density", "kinetic_energy_density", "strain_energy_density",
+)
+
+
+def _counted_tensors(monkeypatch) -> list:
+    """Record the name of each tensor the laws build; returns the list."""
     import vkwave.conservation as conservation
 
-    names = (
-        "shear_force", "moment_tensor", "f_vector", "g_tensor",
-        "lagrangian_density", "kinetic_energy_density", "strain_energy_density",
-    )
     calls = []
-    for name in names:
+    for name in _TENSOR_NAMES:
         original = getattr(conservation, name)
 
         def counted(jet, p, _original=original):
@@ -402,11 +414,46 @@ def test_fourteen_laws_build_each_tensor_once(generic_params, monkeypatch):
 
         counted.__name__ = name
         monkeypatch.setattr(conservation, name, counted)
+    return calls
+
+
+def test_fourteen_laws_build_each_tensor_once(generic_params, monkeypatch):
+    calls = _counted_tensors(monkeypatch)
     sol = invariant_solution((0.2, -0.3, 0.5, 0.1), (0.1, 0.3, 0.2, -0.4), 1.1, generic_params)
     jet = sol.jet(np.random.default_rng(4).uniform(-1.0, 1.0, (5, 3)))
     for entry in LAWS:
-        density_flux(entry, jet, generic_params)
-    assert sorted(calls) == sorted(names)
+        df = density_flux(entry, jet, generic_params)
+        df.density, df.flux
+    assert sorted(calls) == sorted(_TENSOR_NAMES)
+
+
+def test_fourteen_densities_build_no_flux_tensor(generic_params, monkeypatch):
+    # a balance's density pass reads only densities: they share the two
+    # energies and build none of the tensors that only fluxes read
+    calls = _counted_tensors(monkeypatch)
+    sol = invariant_solution((0.2, -0.3, 0.5, 0.1), (0.1, 0.3, 0.2, -0.4), 1.1, generic_params)
+    jet = sol.jet(np.random.default_rng(4).uniform(-1.0, 1.0, (5, 3)))
+    for entry in LAWS:
+        density_flux(entry, jet, generic_params).density
+    assert sorted(calls) == ["kinetic_energy_density", "strain_energy_density"]
+
+
+def test_density_flux_checks_its_law_at_the_call_and_its_slots_when_read(generic_params):
+    # the law is resolved at the call; a half that reads a slot the jet
+    # does not hold raises when it is read, naming the slot
+    sol = invariant_solution((0.2, -0.3, 0.5, 0.1), (0.1, 0.3, 0.2, -0.4), 1.1, generic_params)
+    pts = np.random.default_rng(7).uniform(-1.0, 1.0, (5, 3))
+    jet = sol.jet(pts, slots=_DENSITY_SLOTS)
+    for key in (0, 15, "momentum"):
+        with pytest.raises(ValidationError):
+            density_flux(key, jet, generic_params)
+    df = density_flux(1, jet, generic_params)
+    assert np.array_equal(df.density, density_flux(1, sol.jet(pts), generic_params).density)
+    with pytest.raises(UnfilledSlotError, match=re.escape(f"jet slot {S111} {MULTI_INDICES[S111]} was not filled")):
+        df.flux
+    df = density_flux(1, sol.jet(pts, slots=tuple(q for q in _DENSITY_SLOTS if q != S3)), generic_params)
+    with pytest.raises(UnfilledSlotError, match=re.escape(f"jet slot {S3} {MULTI_INDICES[S3]} was not filled")):
+        df.density
 
 
 def test_jet_is_not_served_tensors_of_other_constants(unit_params, generic_params):

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 from vkwave import cli, solutions
-from vkwave.conservation import _ROW_SLOTS
+from vkwave.conservation import _DENSITY_SLOTS, _ROW_SLOTS
 from vkwave.errors import ValidationError
 from vkwave.indexing import JET_SIZE
 from vkwave.jumps import (
@@ -673,7 +673,7 @@ def test_report_bytes_do_not_depend_on_the_batch_size(batch_points, monkeypatch)
 
     monkeypatch.setattr(type(field), "jet", counted)
     assert emit_report(run_scenario(scenario), "json") == expected
-    assert {slots for _, slots in calls} == {None, _PDE_SLOTS, _ROW_SLOTS}
+    assert {slots for _, slots in calls} == {None, _PDE_SLOTS, _DENSITY_SLOTS, _ROW_SLOTS}
     for n, slots in calls:
         assert n <= (batch_points if slots is None else batch_points * JET_SIZE // len(slots))
 
