@@ -41,13 +41,14 @@ t at both orders.  It runs in three steps:
    time are cut once and shared by both orders.  The plan is blocks of
    quadrature pieces (points, weights, a time, a side: ahead, behind or
    none, the slice's cell or edge the piece belongs to, and a rank);
-2. evaluate: the jets are computed once per side over the pieces of all
-   slices, each point at its own time, in the batches of
-   solutions._jet_batches, and every requested law's density or flux is
-   taken from each jet batch.  The density pass fills only the 7 slots
-   per field the densities read (conservation._DENSITY_SLOTS) and builds
-   densities only; the flux pass fills the 13 the fluxes read
-   (conservation._ROW_SLOTS);
+2. evaluate: the jets are computed over the pieces of all slices in
+   plan order, each point at its own time, one jet call per batch for
+   both sides of the front, and every requested law's density or flux is
+   taken from each jet batch; a batch's jets and its laws' rows together
+   hold no more values than one batch of solutions._batch_size.  The
+   density pass fills only the 7 slots per field the densities read
+   (conservation._DENSITY_SLOTS) and builds densities only; the flux
+   pass fills the 13 the fluxes read (conservation._ROW_SLOTS);
 3. reduce: each block becomes piece sums in one vectorised sum, added
    per cell or edge in rank order (level by level: uncut boxes, then
    the pieces below the front, then those above) and plan order, and the
@@ -70,7 +71,7 @@ from .conservation import _DENSITY_SLOTS, _ROW_SLOTS, LawId, density_flux, law
 from .errors import ValidationError, _first_failure
 from .jumps import _balance_jump_terms, _front_jets
 from .params import PlateParams
-from .solutions import Side, _jet_batches
+from .solutions import Side, _batch_size
 
 _MIN_QUAD_ORDER = 4
 
@@ -139,7 +140,6 @@ def _interval_nodes(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndar
 
 #: Side of a quadrature piece; _NONE on a field without a front.
 _NONE, _AHEAD, _BEHIND = range(3)
-_JET_SIDE = {_NONE: Side.AUTO, _AHEAD: Side.AHEAD, _BEHIND: Side.BEHIND}
 _CUT = -1
 
 #: Levels of cell splitting before a cut cell must have a height axis.
@@ -188,37 +188,44 @@ def _integrals(field, entries, plan: _Plan, n_slices, n_owners, normals=None) ->
     of P . n with one normal per piece, shape (laws, slices); owner k of
     slice j is j * n_owners + k.
 
-    Jets are evaluated once per side for the points of every slice, each
-    at its own time, in the batches of _jet_batches, and every law is
-    applied to each jet batch.  A density pass fills the jets in
-    _DENSITY_SLOTS only and reads only densities; a flux pass fills them
-    in _ROW_SLOTS.  Each block is reduced to piece sums in one vectorised
-    sum; the piece sums are added up per owner in rank and plan order,
-    and the owners of a slice in turn, so that a law's integral does not
-    depend on the other laws, slices or cells."""
+    The points of every slice are evaluated in plan order, each at its
+    own time, one jet call per batch for both sides of the front (each
+    point's side as the field's ``side`` mask), and every law is applied
+    to each jet batch.  A density pass fills the jets in _DENSITY_SLOTS
+    only and reads only densities; a flux pass fills them in _ROW_SLOTS.
+    A batch's jets hold 2 len(slots) values a point and its laws' rows,
+    memoised on the jets, len(entries) more, so a batch takes as many
+    points as keep both within the values of one _batch_size(slots)
+    batch of one field's jets: larger transient arrays were handed back
+    to the system after each pass and faulted in again for the next.
+    Each block is reduced to piece sums in one vectorised sum; the
+    piece sums are added up per owner in rank and plan order, and the
+    owners of a slice in turn, so that a law's integral does not depend
+    on the other laws, slices or cells."""
     counts = np.concatenate([np.full(len(w), w.shape[1]) for w in plan.weights])
     pts = np.empty((counts.sum(), 3))
     pts[:, :2] = np.concatenate(plan.points)
     pts[:, 2] = np.repeat(np.concatenate(plan.times), counts)
     sides = np.repeat(np.concatenate(plan.sides), counts)
+    ahead = None if (sides == _NONE).all() else sides == _AHEAD
     if normals is not None:
         normals = np.repeat(normals, counts, axis=0)
     slots = _DENSITY_SLOTS if normals is None else _ROW_SLOTS
+    size = max(1, _batch_size(slots) * len(slots) // (2 * len(slots) + len(entries)))
     vals = np.empty((len(entries), len(pts)))
-    for side, jet_side in _JET_SIDE.items():
-        where = np.flatnonzero(sides == side)
-        for rows, jet in _jet_batches(field, pts[where], jet_side, slots):
-            batch = where[rows]
-            n = None if normals is None else normals[batch]
-            for row, entry in zip(vals, entries):
-                df = density_flux(entry, jet, field.params)
-                if n is None:
-                    row[batch] = df.density
-                else:
-                    row[batch] = df.flux.x1 * n[:, 0] + df.flux.x2 * n[:, 1]
-            # free this batch's jets, which the last view holds too, before
-            # the next batch is filled
-            del jet, df
+    for start in range(0, len(pts), size):
+        rows = slice(start, start + size)
+        jet = field.jet(pts[rows], Side.AUTO if ahead is None else ahead[rows], slots)
+        n = None if normals is None else normals[rows]
+        for row, entry in zip(vals, entries):
+            df = density_flux(entry, jet, field.params)
+            if n is None:
+                row[rows] = df.density
+            else:
+                row[rows] = df.flux.x1 * n[:, 0] + df.flux.x2 * n[:, 1]
+        # free this batch's jets, which the last view holds too, before
+        # the next batch is filled
+        del jet, df
     sums = []
     start = 0
     for weights in plan.weights:
@@ -373,16 +380,18 @@ def _plan_cells(plan, front, region: Region, slices) -> int:
     them level by level: its uncut boxes, then the pieces below the
     front, then those above.
     """
-    x_edges = np.linspace(region.x1_min, region.x1_max, region.cells[0] + 1)
-    y_edges = np.linspace(region.x2_min, region.x2_max, region.cells[1] + 1)
-    xa, ya = (e.ravel() for e in np.meshgrid(x_edges[:-1], y_edges[:-1], indexing="ij"))
-    xb, yb = (e.ravel() for e in np.meshgrid(x_edges[1:], y_edges[1:], indexing="ij"))
-    n_cells = len(xa)
+    nx, ny = region.cells
+    x_edges = np.linspace(region.x1_min, region.x1_max, nx + 1)
+    y_edges = np.linspace(region.x2_min, region.x2_max, ny + 1)
+    n_cells = nx * ny
     times = np.array([t for t, _ in slices], dtype=np.float64)
     orders = np.array([order for _, order in slices])
-    lower = np.tile(np.stack([xa, ya], axis=1), (len(slices), 1))
-    upper = np.tile(np.stack([xb, yb], axis=1), (len(slices), 1))
     owners = np.arange(len(slices) * n_cells)
+    # the corners of every slice's cells, each slice's in i-major order
+    lower, upper = np.empty((len(owners), 2)), np.empty((len(owners), 2))
+    for corner, edges in ((lower, slice(None, -1)), (upper, slice(1, None))):
+        corner[:, 0] = np.tile(np.repeat(x_edges[edges], ny), len(slices))
+        corner[:, 1] = np.tile(y_edges[edges], nx * len(slices))
     uncut_boxes, graph_boxes = [], []
     for level in range(_MAX_LEVELS):
         rank = 3 * level

@@ -26,6 +26,7 @@ functions on the one-point record of extract_jumps, as it is.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,12 @@ class JumpRecord:
         object.__setattr__(self, "jump", jump)
         object.__setattr__(self, "lambda_", lam)
         object.__setattr__(self, "mu", mu)
+
+    @functools.cached_property
+    def _wave_conditions(self):
+        """_wave_conditions of the record, computed once: a check reads it
+        for every closed-form law of a batch."""
+        return _wave_conditions(self)
 
 
 def _nn_contraction(d: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -184,7 +191,7 @@ def check_acceleration_wave(rec: JumpRecord) -> WaveVerdict:
     """Test the defining structure: value and first-derivative jumps vanish
     while [w_{,33}] does not.  Each comparison is relative to the larger
     one-sided magnitude (floored at 1)."""
-    reasons = _wave_reasons(_wave_conditions(rec), ())
+    reasons = _wave_reasons(rec._wave_conditions, ())
     return WaveVerdict(reasons)
 
 
@@ -279,7 +286,7 @@ def _closed_form_residuals(law_key, rec: JumpRecord, p: PlateParams) -> np.ndarr
         raise ValidationError(
             f"closed form exists only for laws {_CLOSED_FORM_LAWS}, got {entry.index}"
         )
-    conditions = _wave_conditions(rec)
+    conditions = rec._wave_conditions
     failing = np.argwhere(np.any([failed for failed, _, _ in conditions], axis=0))
     if len(failing):
         raise NonAdmissibleRecordError(

@@ -115,6 +115,14 @@ class InvariantSolution:
         )
         return out_w, out_phi
 
+    def _write_rows(self, flat: np.ndarray, rows_w, rows_phi, slots, at) -> None:
+        """Write the jets at ``flat`` into columns ``at`` of the slot-major
+        (len(slots), n) rows of a block, slot row by slot row."""
+        own_w, own_phi = self._jet_values(flat, slots)
+        for rows, own in ((rows_w, own_w.T), (rows_phi, own_phi.T)):
+            for row, values in zip(rows, own):
+                row[at] = values
+
 
 #: The validating constructor under its historical name.
 invariant_solution = InvariantSolution
@@ -168,26 +176,34 @@ class PolynomialField:
     def _jet_values(self, flat: np.ndarray, slots):
         """The w and phi arrays of the jets at ``flat``, laid out as
         _jet_arrays lays them out."""
-        out_w, out_phi = _jet_arrays(flat.shape[0], slots)
-        _eval_terms(self._w_terms, flat, out_w, slots)
-        _eval_terms(self._phi_terms, flat, out_phi, slots)
+        # one zeroed block for the slots with no term: a write per slot
+        # cost more than the whole fill on a polynomial with few terms
+        out_w, out_phi = _jet_arrays(flat.shape[0], slots, np.zeros)
+        self._write_rows(flat, out_w.T, out_phi.T, slots, slice(None))
         return out_w, out_phi
+
+    def _write_rows(self, flat: np.ndarray, rows_w, rows_phi, slots, at) -> None:
+        """Write the jets at ``flat`` into columns ``at`` of the slot-major
+        (len(slots), n) rows of a zeroed block, only in the slots that
+        have terms."""
+        _eval_terms(self._w_terms, flat, rows_w, slots, at)
+        _eval_terms(self._phi_terms, flat, rows_phi, slots, at)
 
 
 #: The validating constructor under its historical name.
 polynomial_field = PolynomialField
 
 
-def _jet_arrays(n: int, slots):
-    """Uninitialised w and phi jet arrays of shape (n, len(slots)) for n
-    points, column i for slot ``slots[i]``, or (n, 35) for every slot
-    when ``slots`` is None.  The two are views of one slot-major
-    (2, len(slots), n) block, row i of each holding slot ``slots[i]``, so
-    that each slot is one contiguous run and both share one allocation:
-    two separate blocks of a batch were each handed back to the system
-    when freed and faulted in again for the next batch, which cost more
-    than the fill."""
-    return np.empty((2, JET_SIZE if slots is None else len(slots), n)).transpose(0, 2, 1)
+def _jet_arrays(n: int, slots, alloc=np.empty):
+    """w and phi jet arrays of shape (n, len(slots)) for n points, column
+    i for slot ``slots[i]``, or (n, 35) for every slot when ``slots`` is
+    None; uninitialised, or as ``alloc`` (np.zeros) makes them.  The two
+    are views of one slot-major (2, len(slots), n) block, row i of each
+    holding slot ``slots[i]``, so that each slot is one contiguous run
+    (a field's ``.T``) and both share one allocation: two separate blocks
+    of a batch were each handed back to the system when freed and faulted
+    in again for the next batch, which cost more than the fill."""
+    return alloc((2, JET_SIZE if slots is None else len(slots), n)).transpose(0, 2, 1)
 
 
 def _field_jet(pts, single: bool, out_w, out_phi, slots) -> FieldJet:
@@ -226,13 +242,11 @@ def _slot_terms(exps: np.ndarray, coefs: np.ndarray):
     return terms
 
 
-def _eval_terms(terms, flat: np.ndarray, out: np.ndarray, slots) -> None:
-    """Fill ``out`` (an array of _jet_arrays) with the jet slots of one
-    polynomial at points of shape (N, 3): column i gets slot ``slots[i]``,
-    every slot in order when ``slots`` is None."""
-    # one fill for the slots with no term: a write per slot cost more
-    # than the whole fill on a polynomial with few terms
-    out.fill(0.0)
+def _eval_terms(terms, flat: np.ndarray, rows: np.ndarray, slots, at) -> None:
+    """Write the jet slots of one polynomial at points of shape (m, 3) into
+    columns ``at`` (a slice or m indices) of the slot-major ``rows``: row i
+    gets slot ``slots[i]``, every slot in order when ``slots`` is None.
+    Only the slots with terms are written; the others keep their zeros."""
     for i, q in enumerate(range(JET_SIZE) if slots is None else slots):
         if q not in terms:
             continue
@@ -247,7 +261,7 @@ def _eval_terms(terms, flat: np.ndarray, out: np.ndarray, slots) -> None:
             # differently with the number of points, and a point's jet must
             # not depend on the batch it is evaluated in
             acc = vals * factor if acc is None else acc + vals * factor
-        out[:, i] = acc
+        rows[i, at] = acc
 
 
 def _poly_terms(name: str, terms: Mapping[tuple[int, int, int], float] | None) -> dict:
@@ -284,17 +298,22 @@ class PiecewiseField:
             if getattr(branch, "params", None) != self.params:
                 raise ValidationError(f"{name} branch has different plate constants")
 
-    def jet(self, point, side: Side = Side.AUTO, slots=None) -> FieldJet:
-        """Jets of the ahead or behind branch, or with ``Side.AUTO`` of the
-        branch the sign of gamma picks at each point; with ``slots``, jets
-        filled in those slots only, as a branch's ``jet`` fills them.
+    def jet(self, point, side: Side | np.ndarray = Side.AUTO, slots=None) -> FieldJet:
+        """Jets of the ahead or behind branch, or of each point's own
+        branch: with ``Side.AUTO`` the one the sign of gamma picks, and
+        with a boolean array of the batch's shape for ``side`` the ahead
+        branch where it is True and the behind branch elsewhere.  With
+        ``slots``, jets filled in those slots only, as a branch's ``jet``
+        fills them.
 
-        An AUTO batch of two traveling profiles with the same speed, and so
-        the same omega (an acceleration wave, or one solution on both
+        A mixed batch of two traveling profiles with the same speed, and
+        so the same omega (an acceleration wave, or one solution on both
         sides), takes one fill, with each point's coefficients chosen by
-        its side; other branches fill their points separately.  Both give
-        each point the jet its branch gives it.  Raises SideRequiredError
-        where gamma is 0 and ValidationError where it is NaN.
+        its side.  Other branches write their own points into one zeroed
+        slot-major block.  Both give each point the jet its branch gives
+        it.  With ``Side.AUTO``, raises SideRequiredError where gamma is 0
+        and ValidationError where it is NaN; raises ValidationError for a
+        ``side`` array of another shape or dtype.
         """
         if side is Side.AHEAD:
             return self.ahead.jet(point, slots=slots)
@@ -302,25 +321,34 @@ class PiecewiseField:
             return self.behind.jet(point, slots=slots)
 
         pts, flat, single = _as_points(point)
-        g = np.asarray(self.front.value(flat), dtype=np.float64)
-        if np.any(g == 0.0):
-            raise SideRequiredError(
-                "point lies exactly on the front; pass side=Side.AHEAD or Side.BEHIND"
-            )
-        undefined = np.flatnonzero(np.isnan(g))
-        if undefined.size:
-            raise ValidationError(
-                f"front value is NaN at {tuple(flat[undefined[0]].tolist())}; "
-                "the point has no side"
-            )
-        ahead_mask = g > 0
-        out_w, out_phi = _jet_arrays(flat.shape[0], slots)
+        if side is Side.AUTO:
+            g = np.asarray(self.front.value(flat), dtype=np.float64)
+            if np.any(g == 0.0):
+                raise SideRequiredError(
+                    "point lies exactly on the front; pass side=Side.AHEAD or Side.BEHIND"
+                )
+            undefined = np.flatnonzero(np.isnan(g))
+            if undefined.size:
+                raise ValidationError(
+                    f"front value is NaN at {tuple(flat[undefined[0]].tolist())}; "
+                    "the point has no side"
+                )
+            ahead_mask = g > 0
+        else:
+            mask = np.asarray(side)
+            if mask.dtype != np.bool_ or mask.shape != pts.shape[:-1]:
+                raise ValidationError(
+                    "side must be a Side or a boolean array of the batch shape "
+                    f"{pts.shape[:-1]}, got {mask.dtype} of shape {mask.shape}"
+                )
+            ahead_mask = mask.reshape(-1)
         a, b = self.ahead, self.behind
         if (
             isinstance(a, InvariantSolution)
             and isinstance(b, InvariantSolution)
             and a.wave_speed == b.wave_speed
         ):
+            out_w, out_phi = _jet_arrays(flat.shape[0], slots)
             # a coefficient both branches hold to the bit stays one value;
             # the others are one value per point, its own branch's, all
             # gathered in one take of a (k, 2) table, column 1 ahead
@@ -335,9 +363,13 @@ class PiecewiseField:
                 coef[:4], coef[4:], a.omega, a.wave_speed, flat, out_w, out_phi, slots
             )
         else:
+            # each branch writes its own points, slot row by slot row: a
+            # masked write through the (n, k) views cost more than the fill
+            out_w, out_phi = _jet_arrays(flat.shape[0], slots, np.zeros)
             for branch, mask in ((a, ahead_mask), (b, ~ahead_mask)):
-                if mask.any():
-                    out_w[mask], out_phi[mask] = branch._jet_values(flat[mask], slots)
+                at = np.flatnonzero(mask)
+                if at.size:
+                    branch._write_rows(flat[at], out_w.T, out_phi.T, slots, at)
         return _field_jet(pts, single, out_w, out_phi, slots)
 
 
@@ -414,11 +446,14 @@ acceleration_wave = AccelerationWave
 #: Points per jet call of full jets.  A full jet takes 560 bytes a point,
 #: so a batch holds about 1 MB of jets; a jet filled in some slots only
 #: stores those slots alone, and its batches take as many more points as
-#: keep them at about 1 MB: 5,513 for a balance flux integral's 13 row
-#: slots, 10,240 for a balance density integral's 7 density slots and for
-#: a pde_residual check's 7.  A balance slice has thousands of
-#: points; a sampled pde_residual check draws its points a batch at a
-#: time, so it holds one batch whatever its sample count.
+#: keep them at about 1 MB: 10,240 for a pde_residual check's 7 slots.
+#: A balance pass fills both sides of the front in one batch and keeps
+#: every law's row with it, so its batches hold the values of one field's
+#: jets of such a batch, jets and rows together: 2,560 points for a
+#: 14-law density pass (7 slots) and 1,791 for a flux pass (13), 4,778
+#: and 2,654 for one law.  A balance slice has thousands of points; a
+#: sampled pde_residual check draws its points a batch at a time, so it
+#: holds one batch whatever its sample count.
 _BATCH_POINTS = 2048
 
 

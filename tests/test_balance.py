@@ -129,6 +129,14 @@ def _disc_field(p):
     return PiecewiseField(outside, inside, front, p)
 
 
+def _pass_cap(slots, n_laws):
+    """Points per jet batch of a balance pass of n_laws laws filling
+    ``slots``: its jets (2 len(slots) values a point) and its rows (n_laws
+    more) hold at most the values of one field's jets in a batch of
+    _batch_size(slots)."""
+    return solutions._batch_size(slots) * len(slots) // (2 * len(slots) + n_laws)
+
+
 def _example_wave(unit_params):
     ahead = invariant_solution((0, 0, 0, 0), (0, 0, 0, 0), 1.0, unit_params)
     return acceleration_wave(ahead, c1=1.0, c2=0.5)
@@ -147,14 +155,16 @@ def test_density_integral_is_independent_of_batching(
         field, law_key, t = _disc_field(generic_params), 1, 0.0
         region = Region(-0.7, 0.9, -0.8, 0.7)
         # the disc's sides have 3,328 and 1,280 points; at this cap a batch
-        # of density-slot jets holds 2,560, so the larger side is split
+        # of one law's density-slot jets and rows holds 1,194, so the pass
+        # is split into four mixed batches
         monkeypatch.setattr(solutions, "_BATCH_POINTS", 512)
     x_edges = np.linspace(region.x1_min, region.x1_max, region.cells[0] + 1)
     y_edges = np.linspace(region.x2_min, region.x2_max, region.cells[1] + 1)
     sizes = count_jet_calls(field)
     whole = density_integral(field, law_key, region, t)
     if case == "disc":
-        assert max(sizes) == solutions._batch_size(_DENSITY_SLOTS)  # a side was split at the cap
+        assert max(sizes) == _pass_cap(_DENSITY_SLOTS, 1) == 1194  # split at the cap
+        assert len(sizes) == math.ceil(sum(sizes) / 1194) > 1
     rows = 0.0
     for i in range(region.cells[0]):
         for j in range(region.cells[1]):
@@ -360,7 +370,7 @@ def test_balance_check_is_planned_and_evaluated_once(
 ):
     # a check at two times plans its ten density slices in one level loop,
     # one value_range call per level and one height-function pass per
-    # order, and fills one jet batch per side per _batch_size(slots) points
+    # order, and fills one jet batch for both sides per _pass_cap points
     # in each of its two passes: density-slot jets for the densities, then
     # row-slot jets for the fluxes; its reports are those composed from
     # the one-slice integrals
@@ -399,7 +409,7 @@ def test_balance_check_is_planned_and_evaluated_once(
     jet = type(field).jet
 
     def counted_jet(self, point, side=Side.AUTO, slots=None):
-        passes[-1].append((side, len(point), slots))
+        passes[-1].append((np.copy(side), len(point), slots))
         return jet(self, point, side, slots)
 
     heights = []
@@ -419,10 +429,60 @@ def test_balance_check_is_planned_and_evaluated_once(
     assert len(passes) == 2
     for calls, slots in zip(passes, (_DENSITY_SLOTS, _ROW_SLOTS)):
         assert {filled for _, _, filled in calls} == {slots}
-        for side in (Side.AHEAD, Side.BEHIND):
-            sizes = [n for s, n, _ in calls if s is side]
-            assert len(sizes) == math.ceil(sum(sizes) / solutions._batch_size(slots)), side
+        # every call takes a side mask of its points; the density pieces
+        # lie on both sides of the front (a disc's boundary is all ahead)
+        assert all(m.dtype == bool and m.shape == (n,) for m, n, _ in calls)
+        masks = np.concatenate([m for m, _, _ in calls])
+        assert masks.any() and (slots is _ROW_SLOTS or not masks.all())
+        sizes = [n for _, n, _ in calls]
+        cap = _pass_cap(slots, len(laws))
+        assert len(sizes) == math.ceil(sum(sizes) / cap)
+        assert sizes[:-1] == [cap] * (len(sizes) - 1)
     assert shared == composed
+
+
+def test_fourteen_law_pass_fills_one_batch_for_both_sides(unit_params, monkeypatch):
+    # each pass of a 14-law check calls field.jet once per batch for both
+    # sides of the front and density_flux once per law per batch, at
+    # 2,560 points a density batch and 1,791 a flux batch; one law takes
+    # 4,778 and 2,654
+    assert [_pass_cap(_DENSITY_SLOTS, n) for n in (14, 1)] == [2560, 4778]
+    assert [_pass_cap(_ROW_SLOTS, n) for n in (14, 1)] == [1791, 2654]
+    field, region = _example_wave(unit_params), Region(-0.8, 0.9, -0.6, 0.7, cells=(8, 8))
+    laws, times = tuple(range(1, 15)), (0.1, 0.2, 0.3, 0.4)
+    expected = balance._balance_reports(field, laws, region, times)
+    passes = []
+    integrals = balance._integrals
+
+    def tagged(*args, **kwargs):
+        passes.append([])
+        return integrals(*args, **kwargs)
+
+    jet = type(field).jet
+
+    def counted_jet(self, point, side=Side.AUTO, slots=None):
+        passes[-1].append((len(point), np.copy(side), slots, []))
+        return jet(self, point, side, slots)
+
+    def counted_density_flux(entry, jet, p):
+        passes[-1][-1][3].append(len(jet.point))
+        return density_flux(entry, jet, p)
+
+    monkeypatch.setattr(balance, "_integrals", tagged)
+    monkeypatch.setattr(type(field), "jet", counted_jet)
+    monkeypatch.setattr(balance, "density_flux", counted_density_flux)
+    assert balance._balance_reports(field, laws, region, times) == expected
+    assert len(passes) == 2
+    for batches, slots in zip(passes, (_DENSITY_SLOTS, _ROW_SLOTS)):
+        cap = _pass_cap(slots, len(laws))
+        sizes = [n for n, _, _, _ in batches]
+        assert len(sizes) == math.ceil(sum(sizes) / cap) > 1
+        assert sizes[:-1] == [cap] * (len(sizes) - 1)
+        for n, mask, filled, rows in batches:
+            assert filled is slots and mask.shape == (n,)
+            assert rows == [n] * len(laws)  # every law's row once per batch
+        masks = np.concatenate([mask for _, mask, _, _ in batches])
+        assert masks.any() and not masks.all()
 
 
 def test_long_balance_check_is_planned_a_few_times_at_a_time(unit_params, monkeypatch):

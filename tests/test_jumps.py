@@ -123,6 +123,29 @@ def _assert_records_equal_batch(field, pts, p):
         assert str(got.value) == str(want.value), index
 
 
+def test_closed_form_laws_run_the_wave_test_once_per_record(wave, generic_params, monkeypatch):
+    # a check reads the closed form of every law on one batch record; the
+    # acceleration-wave test behind each is run once and kept on the record
+    import vkwave.jumps as jumps
+
+    p = generic_params
+    pts = np.array([sample_front_point(wave.front, 0.2, s) for s in (-0.5, 0.1, 0.7)])
+    # each law on a fresh record of the same points
+    want = [_closed_form_residuals(k, next(_front_jets(wave, pts)), p) for k in _CLOSED_FORM_LAWS]
+    calls = []
+
+    def counted(rec):
+        calls.append(rec)
+        return _wave_conditions(rec)
+
+    monkeypatch.setattr(jumps, "_wave_conditions", counted)
+    (fj,) = _front_jets(wave, pts)
+    got = [_closed_form_residuals(index, fj, p) for index in _CLOSED_FORM_LAWS]
+    assert calls == [fj]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_batched_jumps_equal_records(wave, generic_params):
     # the batch formulas give each point the value its own record gives
     c = wave.wave_speed

@@ -22,7 +22,8 @@ from vkwave.solutions import (
     pde_term_scales,
     polynomial_field,
 )
-from vkwave.wavefront import LineFront
+from vkwave.conservation import _DENSITY_SLOTS, _ROW_SLOTS
+from vkwave.wavefront import CircleFront, LineFront
 
 
 def test_invariant_profile_hand_values(unit_params):
@@ -423,6 +424,9 @@ def test_auto_needs_a_side_on_the_front(case, generic_params):
         field.jet(pts)
     with pytest.raises(SideRequiredError):
         field.jet(pts[1])
+    # a mask gives a point on the front the side it names
+    jet = field.jet(pts, np.array([True, True, False]))
+    assert np.array_equal(jet.w[1], field.ahead.jet(pts[1]).w)
 
 
 @pytest.mark.parametrize("case", ["invariant", "polynomial"])
@@ -442,6 +446,67 @@ def test_nan_front_value_is_an_error_not_a_side(case, generic_params):
             field.jet(pts)
         with pytest.raises(ValidationError, match="NaN"):
             field.jet(bad)
+
+
+def _mixed_side_case(case, params):
+    """A piecewise field of each kind a balance pass fills mixed batches of."""
+    if case == "disc":
+        # the disc balance's pair: the ahead branch has no terms at all
+        inside = polynomial_field({(0, 0, 1): 1.0}, None, params)
+        outside = polynomial_field(None, None, params)
+        front = CircleFront(0.1, -0.05, 0.35, radial_speed=0.25)
+        return PiecewiseField(outside, inside, front, params)
+    return _subset_case(case, params)
+
+
+@pytest.mark.parametrize(
+    "case", ["acceleration_wave", "unequal_speeds", "disc", "polynomial_branches"]
+)
+@pytest.mark.parametrize(
+    "slots", [None, _DENSITY_SLOTS, _ROW_SLOTS], ids=["full", "density", "row"]
+)
+def test_masked_jet_equals_the_per_side_jets_bit_for_bit(case, slots, generic_params):
+    field = _mixed_side_case(case, generic_params)
+    if case == "polynomial_branches":
+        # the branches fill different slots
+        assert set(field.ahead._w_terms) != set(field.behind._w_terms)
+    pts = np.random.default_rng(21).uniform(-1.0, 1.0, (300, 3))
+    ahead = np.random.default_rng(22).uniform(size=300) < 0.4
+    a = field.jet(pts, Side.AHEAD, slots)
+    b = field.jet(pts, Side.BEHIND, slots)
+    for point, mask in ((pts, ahead), (pts.reshape(15, 20, 3), ahead.reshape(15, 20))):
+        jet = field.jet(point, mask, slots)
+        for got, want_a, want_b in ((jet.w, a.w, b.w), (jet.phi, a.phi, b.phi)):
+            got = _bits(_values(got)).reshape(300, -1)
+            assert np.array_equal(got[ahead], _bits(_values(want_a))[ahead])
+            assert np.array_equal(got[~ahead], _bits(_values(want_b))[~ahead])
+    # AUTO is the mask of the sign of gamma; a single point takes a 0-d mask
+    g = field.front.value(pts) > 0
+    for got, want in zip(
+        (field.jet(pts, Side.AUTO, slots), field.jet(pts[7], np.bool_(g[7]), slots)),
+        (field.jet(pts, g, slots), field.jet(pts[7], Side.AHEAD if g[7] else Side.BEHIND, slots)),
+    ):
+        assert np.array_equal(_bits(_values(got.w)), _bits(_values(want.w)))
+        assert np.array_equal(_bits(_values(got.phi)), _bits(_values(want.phi)))
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        np.ones(39, dtype=bool),
+        np.ones((40, 1), dtype=bool),
+        np.ones(40, dtype=np.int64),
+        np.ones(40),
+        "ahead",
+    ],
+    ids=["short", "column", "int", "float", "string"],
+)
+@pytest.mark.parametrize("case", ["acceleration_wave", "disc"])
+def test_side_mask_of_wrong_shape_or_dtype_is_an_error(case, mask, generic_params):
+    field = _mixed_side_case(case, generic_params)
+    pts = np.random.default_rng(23).uniform(-1.0, 1.0, (40, 3))
+    with pytest.raises(ValidationError, match="boolean array of the batch shape"):
+        field.jet(pts, mask)
 
 
 def _subset_case(case, params):
