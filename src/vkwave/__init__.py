@@ -7,9 +7,11 @@ regional balance integrals, plus a scenario-driven command line runner.
 
 ``import vkwave`` runs no submodule: each public name below is looked up in
 its submodule on first use (PEP 562), so a balance or jump computation never
-loads the scenario reader, the report or PyYAML.  A resolved name is not
-stored in the package namespace; every ``vkwave.<name>`` reads the
-submodule's current attribute.
+loads the scenario reader, the report or PyYAML.  The inputs a check names
+(plate constants, Region and the law ids) live in ``params``, so loading a
+scenario or building a field never loads the balance, jump or conservation
+layers either.  A resolved name is not stored in the package namespace;
+every ``vkwave.<name>`` reads the submodule's current attribute.
 """
 
 import importlib
@@ -21,7 +23,7 @@ _EXPORTS = {
         "VkwaveError", "ValidationError", "SingularFrontError", "FrontProximityError",
         "NotOnFrontError", "SideRequiredError", "NonAdmissibleRecordError", "ScenarioError",
     ),
-    "params": ("PlateParams", "make_plate_params"),
+    "params": ("PlateParams", "make_plate_params", "Region", "LawId", "LAWS", "law"),
     "indexing": ("JET_SIZE", "MULTI_INDICES", "idx"),
     "jets": ("FieldJet",),
     "tensors": (
@@ -40,8 +42,8 @@ _EXPORTS = {
     ),
     "fdtools": ("central_difference", "richardson", "fd_jet_oracle", "field_value_fn"),
     "conservation": (
-        "LawId", "LAWS", "law", "DensityFlux", "density_flux", "DivergenceEstimate",
-        "conservation_divergence", "conservation_residual",
+        "DensityFlux", "density_flux", "DivergenceEstimate", "conservation_divergence",
+        "conservation_residual",
     ),
     "jumps": (
         "JumpRecord", "WaveVerdict", "extract_jumps", "check_acceleration_wave",
@@ -50,8 +52,8 @@ _EXPORTS = {
         "amplitude_relation_scales",
     ),
     "balance": (
-        "Region", "BalanceReport", "density_integral", "boundary_flux_integral",
-        "balance_residual", "fundamental_balances", "front_segment_jump_integral",
+        "BalanceReport", "density_integral", "boundary_flux_integral", "balance_residual",
+        "fundamental_balances", "front_segment_jump_integral",
     ),
     "scenario": (
         "Scenario", "CheckSpec", "FieldSpec", "FrontSpec", "Tolerances", "load_scenario",

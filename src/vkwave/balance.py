@@ -67,51 +67,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conservation import _DENSITY_SLOTS, _ROW_SLOTS, LawId, density_flux, law
+from .conservation import _DENSITY_SLOTS, _ROW_SLOTS, density_flux
 from .errors import ValidationError, _first_failure
 from .jumps import _balance_jump_terms, _front_jets
-from .params import PlateParams
+from .params import LawId, Region, law
 from .solutions import Side, _batch_size
-
-_MIN_QUAD_ORDER = 4
-
-
-@dataclass(frozen=True)
-class Region:
-    """Axis-aligned rectangle with quadrature settings.
-
-    quad_order is the Gauss-Legendre order per axis per quadrature piece,
-    and cells the grid the rectangle is divided into.
-    """
-
-    x1_min: float
-    x1_max: float
-    x2_min: float
-    x2_max: float
-    quad_order: int = 8
-    cells: tuple[int, int] = (4, 4)
-
-    def __post_init__(self):
-        for name in ("x1_min", "x1_max", "x2_min", "x2_max"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ValidationError(f"{name} must be a finite number, got {v!r}")
-            object.__setattr__(self, name, float(v))
-        if not self.x1_min < self.x1_max:
-            raise ValidationError("region requires x1_min < x1_max")
-        if not self.x2_min < self.x2_max:
-            raise ValidationError("region requires x2_min < x2_max")
-        if not isinstance(self.quad_order, int) or isinstance(self.quad_order, bool):
-            raise ValidationError("quad_order must be an integer")
-        if self.quad_order < _MIN_QUAD_ORDER:
-            raise ValidationError(f"quad_order must be at least {_MIN_QUAD_ORDER}")
-        cells = tuple(self.cells)
-        if len(cells) != 2 or any(
-            not isinstance(c, int) or isinstance(c, bool) or c < 1 for c in cells
-        ):
-            raise ValidationError("cells must be a pair of positive integers")
-        object.__setattr__(self, "cells", cells)
-
 
 @dataclass(frozen=True)
 class BalanceReport:

@@ -4,7 +4,9 @@ Each law is a pair (density Psi, flux P = (P1, P2)) built from a field
 jet such that d Psi/dx3 + dP1/dx1 + dP2/dx2 = 0 on smooth solutions.
 The rows correspond to the variational symmetries of the system: shifts
 of w and phi, space and time translations, rotation, scaling, rigid
-rotations of the deflection, Galilean boosts, and their moments.
+rotations of the deflection, Galilean boosts, and their moments.  The
+table of law ids (LawId, LAWS, law) is kept in params, so that a scenario
+names laws without loading this module; it is re-exported here.
 
 Each row has two halves, the density and the flux, built apart: the
 densities read 7 jet slots per field (_DENSITY_SLOTS) and no flux
@@ -36,7 +38,7 @@ from .indexing import (
     JET_SIZE, S0, S1, S2, S3, S11, S12, S13, S22, S23, S111, S112, S122, S222, SHIFT,
 )
 from .jets import FieldJet
-from .params import PlateParams
+from .params import LAWS, LawId, PlateParams, law  # LAWS and LawId re-exported
 from .tensors import (
     Vector2,
     f_vector,
@@ -48,58 +50,6 @@ from .tensors import (
     strain_energy_density,
 )
 from .wavefront import _front_distance
-
-
-@dataclass(frozen=True)
-class LawId:
-    """One row of the conservation-law table: stable index and name."""
-
-    index: int
-    name: str
-
-
-LAWS: tuple[LawId, ...] = (
-    LawId(1, "transversal_linear_momentum"),
-    LawId(2, "wave_momentum_x1"),
-    LawId(3, "wave_momentum_x2"),
-    LawId(4, "energy"),
-    LawId(5, "scaling"),
-    LawId(6, "moment_of_wave_momentum"),
-    LawId(7, "angular_momentum_x1"),
-    LawId(8, "angular_momentum_x2"),
-    LawId(9, "center_of_mass"),
-    LawId(10, "galilean_moment_x1"),
-    LawId(11, "galilean_moment_x2"),
-    LawId(12, "phi_linear_x1"),
-    LawId(13, "phi_linear_x2"),
-    LawId(14, "compatibility"),
-)
-
-_BY_INDEX = {law.index: law for law in LAWS}
-_BY_NAME = {law.name: law for law in LAWS}
-
-
-def law(key) -> LawId:
-    """Resolve an index, name, or LawId to the registry entry."""
-    if isinstance(key, LawId):
-        if _BY_INDEX.get(key.index) != key:
-            raise ValidationError(f"unknown law {key!r}")
-        return key
-    if isinstance(key, (int, np.integer)) and not isinstance(key, bool):
-        try:
-            return _BY_INDEX[int(key)]
-        except KeyError:
-            raise ValidationError(
-                f"law index must be 1..14, got {key}"
-            ) from None
-    if isinstance(key, str):
-        try:
-            return _BY_NAME[key]
-        except KeyError:
-            raise ValidationError(
-                f"unknown law name {key!r}; valid names: {', '.join(sorted(_BY_NAME))}"
-            ) from None
-    raise ValidationError(f"law must be an index, name, or LawId, got {key!r}")
 
 
 class DensityFlux:

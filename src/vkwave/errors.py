@@ -35,6 +35,11 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _real(name: str, value) -> float:
     """``value`` as a float; raises ValidationError naming ``name`` unless
     it is a finite real number."""

@@ -31,11 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conservation import _tensor, density_flux, law
+from .conservation import _tensor, density_flux
 from .errors import NonAdmissibleRecordError, NotOnFrontError, ValidationError
 from .indexing import S0, S1, S2, S3, S11, S12, S13, S22, S23, S33
 from .jets import FieldJet
-from .params import PlateParams
+from .params import _CLOSED_FORM_LAWS, PlateParams, law
 from .solutions import AccelerationWave, PiecewiseField, Side, _jet_batches
 from .tensors import f_vector, shear_force
 from .wavefront import FrontGeometry, _value_and_slope, front_geometry
@@ -253,8 +253,6 @@ def balance_jump_scale(law_key, rec: JumpRecord, p: PlateParams) -> float:
     """One-sided magnitude scale for the generic balance jump residual."""
     return float(_balance_jump_terms(law_key, rec, p)[1])
 
-
-_CLOSED_FORM_LAWS = (2, 3, 4, 5, 6)
 
 #: Slots of f_{,b1}, f_{,b2} and f_{,b3} for the in-plane direction b.
 _SECOND_SLOTS = {1: (S11, S12, S13), 2: (S12, S22, S23)}

@@ -18,11 +18,8 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 import yaml
 
-from .balance import Region
-from .conservation import LAWS, law
 from .errors import ScenarioError, ValidationError, _is_real
-from .jumps import _CLOSED_FORM_LAWS
-from .params import PlateParams
+from .params import _CLOSED_FORM_LAWS, LAWS, PlateParams, Region, law
 from .solutions import AccelerationWave, InvariantSolution, PiecewiseField, PolynomialField
 from .wavefront import CircleFront, LineFront
 

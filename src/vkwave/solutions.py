@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -30,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from ._kernels import traveling_jet_fill
-from .errors import SideRequiredError, ValidationError, _is_real, _real
+from .errors import SideRequiredError, ValidationError, _is_integer, _is_real, _real
 from .indexing import EXPONENTS, JET_SIZE, S11, S12, S22, S33, S1111, S1122, S2222
 from .jets import FieldJet
 from .params import PlateParams
@@ -271,8 +270,7 @@ def _poly_terms(name: str, terms: Mapping[tuple[int, int, int], float] | None) -
     out = {}
     for key, value in (terms or {}).items():
         k = key if isinstance(key, tuple) else ()
-        exponents = all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in k)
-        if len(k) != 3 or not exponents or any(i < 0 for i in k):
+        if len(k) != 3 or not all(_is_integer(i) and i >= 0 for i in k):
             raise ValidationError(
                 f"{name} monomial keys must be 3 nonnegative exponents, got {key!r}"
             )

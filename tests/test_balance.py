@@ -53,11 +53,25 @@ _EXAMPLE_SCENARIO = Path(__file__).resolve().parents[1] / "examples_scenarios" /
         dict(x1_min=0.0, x1_max=1.0, x2_min=0.0, x2_max=1.0, cells=(4, 4, 4)),
         dict(x1_min=math.nan, x1_max=1.0, x2_min=0.0, x2_max=1.0),
         dict(x1_min=0.0, x1_max=1.0, x2_min=0.0, x2_max=1.0, quad_order=True),
+        dict(x1_min=0.0, x1_max=1.0, x2_min=0.0, x2_max=1.0, cells=4),
+        dict(x1_min=0.0, x1_max=1.0, x2_min=0.0, x2_max=1.0, cells=None),
+        dict(x1_min="0", x1_max=1.0, x2_min=0.0, x2_max=1.0),
     ],
 )
 def test_region_validation(kwargs):
     with pytest.raises(ValidationError):
         Region(**kwargs)
+
+
+def test_numpy_scalars_build_the_same_region():
+    plain = Region(0, 1.0, -0.5, 0.5, quad_order=8, cells=(2, 3))
+    scalars = Region(
+        np.int64(0), np.float64(1.0), np.float32(-0.5), 0.5,
+        quad_order=np.int64(8), cells=(np.int64(2), np.int32(3)),
+    )
+    assert scalars == plain
+    *bounds, quad_order, cells = dataclasses.astuple(scalars)
+    assert [type(v) for v in (*bounds, quad_order, *cells)] == [float] * 4 + [int] * 3
 
 
 def test_density_integral_constant_density(generic_params):

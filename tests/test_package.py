@@ -8,16 +8,18 @@ from pathlib import Path
 import vkwave
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
+_SCENARIOS = _SRC.parent / "examples_scenarios"
 
-#: The disc_balance benchmark inputs and one balance over them.
-_DISC_BALANCE = """
+#: The disc_balance benchmark inputs, then one balance over them.
+_DISC_INPUTS = """
 p = vkwave.make_plate_params(2.1, 0.27, 0.31, 1.7)
 front = vkwave.CircleFront(0.1, -0.05, 0.35, radial_speed=0.25)
 inside = vkwave.polynomial_field({(0, 0, 1): 1.0}, None, p)
 outside = vkwave.polynomial_field(None, None, p)
 field = vkwave.PiecewiseField(outside, inside, front, p)
-vkwave.balance_residual(field, vkwave.law(1), vkwave.Region(-0.7, 0.9, -0.8, 0.7), 0.0)
+law, region = vkwave.law(1), vkwave.Region(-0.7, 0.9, -0.8, 0.7)
 """
+_DISC_BALANCE = _DISC_INPUTS + "vkwave.balance_residual(field, law, region, 0.0)\n"
 
 
 def _fresh(code: str):
@@ -55,6 +57,21 @@ def test_a_balance_never_loads_the_scenario_reader_the_report_or_yaml():
         " ('vkwave.balance', 'vkwave.report', 'vkwave.scenario', 'yaml')]))"
     )
     assert loaded == ["vkwave.balance"]
+
+
+def test_loading_scenarios_and_building_fields_loads_no_check_layer():
+    # set-up needs only the input layer; the check layers load with a check
+    loaded = _fresh(
+        "from pathlib import Path\n"
+        f"paths = sorted(Path({str(_SCENARIOS)!r}).glob('*.yaml'))\n"
+        "assert paths\n"
+        "for path in paths:\n"
+        "    vkwave.build_field(vkwave.load_scenario(path))\n"
+        + _DISC_INPUTS
+        + "print(json.dumps([m for m in sys.modules if m in ('vkwave.balance', 'vkwave.jumps',"
+        " 'vkwave.conservation', 'vkwave.tensors', 'vkwave.fdtools', 'vkwave.report')]))"
+    )
+    assert loaded == []
 
 
 def test_star_import_binds_all_and_dir_lists_every_name():
