@@ -40,7 +40,6 @@ _EXPORTS = {
         "PiecewiseField", "AccelerationWave", "acceleration_wave", "pde_residual",
         "pde_term_scales",
     ),
-    "fdtools": ("central_difference", "richardson", "fd_jet_oracle", "field_value_fn"),
     "conservation": (
         "DensityFlux", "density_flux", "DivergenceEstimate", "conservation_divergence",
         "conservation_residual",

@@ -68,7 +68,7 @@ from functools import lru_cache
 import numpy as np
 
 from .conservation import _DENSITY_SLOTS, _ROW_SLOTS, density_flux
-from .errors import ValidationError, _first_failure
+from .errors import ValidationError, _first_failure, _positive_number
 from .jumps import _balance_jump_terms, _front_jets
 from .params import LawId, Region, law
 from .solutions import Side, _batch_size
@@ -518,10 +518,7 @@ def _time_step(t: float, dt) -> float:
     """The central-difference step of a balance at time t."""
     if dt is None:
         dt = 1e-4 * (1.0 + abs(t))
-    if isinstance(dt, bool) or not (
-        isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0
-    ):
-        raise ValidationError(f"dt must be a positive finite number, got {dt!r}")
+    _positive_number("dt", dt)
     return dt
 
 

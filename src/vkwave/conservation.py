@@ -21,9 +21,10 @@ The conservation check takes the divergence d3 Psi + d1 P1 + d2 P2
 exactly, from the jets it already fills: the rows read no slot above
 order 3, so d/dx_a of a row is a complex step through the unchanged row
 code, on a complex jet built from the 4-jet (_exact_divergence).  Every
-law shares one complex jet per jet batch, and its rows.  The
-finite-difference conservation_divergence, at one point, is the
-reference it is tested against.
+law shares one complex jet per jet batch, and its rows.
+conservation_divergence is a public finite-difference estimate of the
+same terms at one point; the tests hold the exact divergence to the
+symbolic total derivative of the rows.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrontProximityError, ValidationError
-from .fdtools import _check_step, richardson
+from .errors import FrontProximityError, ValidationError, _positive_number
 from .indexing import (
     JET_SIZE, S0, S1, S2, S3, S11, S12, S13, S22, S23, S111, S112, S122, S222, SHIFT,
 )
@@ -348,8 +348,8 @@ def _exact_divergence(law_key, jet: FieldJet, p: PlateParams) -> DivergenceEstim
 def conservation_divergence(
     field, law_key, point, h: float = 1e-3, use_richardson: bool = True
 ) -> DivergenceEstimate:
-    """FD estimate of (d3 Psi, d1 P1, d2 P2) at an off-front point: the
-    reference for the exact divergence.
+    """Finite-difference estimate of (d3 Psi, d1 P1, d2 P2) at an
+    off-front point.
 
     Differentiates the assembled density and flux through the field's
     analytic jets, by central differences at step h and, for one
@@ -357,7 +357,7 @@ def conservation_divergence(
     step take one jet call.  Raises FrontProximityError when the point is
     within 4 h of the front.
     """
-    _check_step(h)
+    _positive_number("step h", h)
     entry = law(law_key)
     base = np.asarray(point, dtype=np.float64)
     if base.shape != (3,):
@@ -380,7 +380,8 @@ def conservation_divergence(
     components = np.stack((df.flux.x1, df.flux.x2, df.density)).reshape(3, len(steps), 3, 2)
     vals = components[axis, :, axis]
     est = (vals[..., 1] - vals[..., 0]) / (2.0 * steps)
-    est = richardson(est[:, 0], est[:, 1]) if use_richardson else est[:, 0]
+    # one Richardson level for the O(h^2) differences: (4 A(h/2) - A(h)) / 3
+    est = (4.0 * est[:, 1] - est[:, 0]) / 3.0 if use_richardson else est[:, 0]
     return DivergenceEstimate(float(est[2]), float(est[0]), float(est[1]))
 
 

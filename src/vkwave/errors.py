@@ -50,6 +50,15 @@ def _real(name: str, value) -> float:
     return float(value)
 
 
+def _positive_number(name: str, value) -> None:
+    """Raise ValidationError naming ``name`` unless ``value`` is a positive
+    finite int or float; a bool is not a number here."""
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+    ):
+        raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
+
+
 class UnfilledSlotError(VkwaveError, LookupError):
     """A jet filled in some slots only was read in a slot it does not hold."""
 

@@ -2,8 +2,8 @@
 
 Every downstream formula (stress tensors, conservation-law densities,
 jump conditions) is written against this container, so analytic solutions,
-finite-difference reconstructions, and hand-built test data all flow
-through the same code path.
+hand-built test data, and jets of sympy symbols in the tests' exact
+references all flow through the same code path.
 """
 
 from __future__ import annotations

@@ -218,26 +218,28 @@ def _field_jet(pts, single: bool, out_w, out_phi, slots) -> FieldJet:
 
 
 def _slot_terms(exps: np.ndarray, coefs: np.ndarray):
-    """By jet slot, for each slot with any nonzero term: each term's
-    coefficient times its falling factorials, and each term's remaining
-    powers as (axis, power) pairs."""
+    """By jet slot, for each slot with any nonzero term: for each term the
+    factors that the product of its remaining powers is multiplied by in
+    turn, and those powers as (axis, power) pairs.  A term's one factor is
+    its coefficient times its falling factorials; where that product
+    overflows, though the term's value need not, its factors are the
+    coefficient and then the falling factorials."""
     terms = {}
     for q in range(JET_SIZE):
-        slot = EXPONENTS[q]
-        sel = np.all(exps >= slot, axis=1)
-        if not sel.any():
-            continue
-        e = exps[sel]
-        factors = coefs[sel].astype(np.float64).copy()
-        powers = [[] for _ in range(e.shape[0])]
-        for ax in range(3):
-            s = int(slot[ax])
-            for col, n in enumerate(e[:, ax]):
-                n = int(n)
-                factors[col] *= math.perm(n, s)
-                if n - s > 0:
-                    powers[col].append((ax, n - s))
-        terms[q] = (factors, powers)
+        slot = EXPONENTS[q].tolist()
+        factors, powers = [], []
+        for e, coef in zip(exps.tolist(), coefs.tolist()):
+            if any(n < s for n, s in zip(e, slot)):
+                continue
+            factor, falling = coef, 1
+            for n, s in zip(e, slot):
+                perm = math.perm(n, s)
+                factor *= perm
+                falling *= perm
+            factors.append((factor,) if math.isfinite(factor) else (coef, float(falling)))
+            powers.append([(ax, n - s) for ax, (n, s) in enumerate(zip(e, slot)) if n > s])
+        if factors:
+            terms[q] = (factors, powers)
     return terms
 
 
@@ -250,16 +252,18 @@ def _eval_terms(terms, flat: np.ndarray, rows: np.ndarray, slots, at) -> None:
         if q not in terms:
             continue
         acc = None
-        factors, powers = terms[q]
-        for factor, pw in zip(factors, powers):
+        for factors, pw in zip(*terms[q]):
             # monomial evaluation: the term's powers multiplied in axis order
             vals = np.ones(flat.shape[0])
             for ax, n in pw:
                 vals *= flat[:, ax] ** n
+            term = vals * factors[0]
+            for factor in factors[1:]:
+                term *= factor
             # term by term in a fixed order: a matrix-vector product rounds
             # differently with the number of points, and a point's jet must
             # not depend on the batch it is evaluated in
-            acc = vals * factor if acc is None else acc + vals * factor
+            acc = term if acc is None else acc + term
         rows[i, at] = acc
 
 

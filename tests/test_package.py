@@ -69,9 +69,22 @@ def test_loading_scenarios_and_building_fields_loads_no_check_layer():
         "    vkwave.build_field(vkwave.load_scenario(path))\n"
         + _DISC_INPUTS
         + "print(json.dumps([m for m in sys.modules if m in ('vkwave.balance', 'vkwave.jumps',"
-        " 'vkwave.conservation', 'vkwave.tensors', 'vkwave.fdtools', 'vkwave.report')]))"
+        " 'vkwave.conservation', 'vkwave.tensors', 'vkwave.report')]))"
     )
     assert loaded == []
+
+
+def test_running_every_example_scenario_never_loads_sympy():
+    # sympy is a test dependency: the exact references live in tests/
+    loaded = _fresh(
+        "from pathlib import Path\n"
+        f"paths = sorted(Path({str(_SCENARIOS)!r}).glob('*.yaml'))\n"
+        "assert paths\n"
+        "for path in paths:\n"
+        "    vkwave.run_scenario(vkwave.load_scenario(path))\n"
+        "print(json.dumps('sympy' in sys.modules))"
+    )
+    assert loaded is False
 
 
 def test_star_import_binds_all_and_dir_lists_every_name():
