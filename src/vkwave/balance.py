@@ -30,9 +30,10 @@ front this is exact clipping.
 
 A balance check is planned once and evaluated once for up to
 _TIMES_PER_PLAN of its times.  Its slices are the (time, order) pairs its
-integrals need: the densities at t and t +- dt of every time at
-quad_order, and at t +- dt at quad_order - 2, and the boundary fluxes at
-t at both orders.  It runs in three steps:
+integrals need: the densities at t +- dt of every time at quad_order and
+at quad_order - 2, and the boundary fluxes at t at both orders.  No row of
+a report reads the density at t, so only the BalanceReports of library
+callers add it, as one more slice per time.  It runs in three steps:
 
 1. plan: the boxes of every density slice go through one level loop
    together, each at its slice's time, with one closed-form range of
@@ -75,7 +76,11 @@ from .solutions import Side, _batch_size
 
 @dataclass(frozen=True)
 class BalanceReport:
-    """Result of one regional balance evaluation."""
+    """Result of one regional balance evaluation.
+
+    density_integral, the integral at t itself, is for library callers:
+    no report row reads it, and a scenario's balance check does not
+    compute it."""
 
     law: LawId
     time: float
@@ -518,78 +523,90 @@ def _time_step(t: float, dt) -> float:
     """The central-difference step of a balance at time t."""
     if dt is None:
         dt = 1e-4 * (1.0 + abs(t))
-    _positive_number("dt", dt)
-    return dt
+    return _positive_number("dt", dt)
 
 
-def _report(entry, t, dt, now, plus, minus, plus_low, minus_low, flux, flux_low) -> BalanceReport:
-    """The balance of one law at time t from its five density integrals
-    (at t and t +- dt, and at t +- dt one order lower) and two fluxes."""
+def _balance_arithmetic(dt, plus, minus, plus_low, minus_low, flux, flux_low):
+    """The time derivative of a density integral, the balance residual and
+    its quadrature error, from the densities at t +- dt (at quad_order, and
+    one order lower) and the fluxes at both orders: floats, or arrays of
+    them with the same bits per element."""
     deriv = (plus - minus) / (2.0 * dt)
     deriv_low = (plus_low - minus_low) / (2.0 * dt)
-    return BalanceReport(
-        law=entry,
-        time=float(t),
-        density_integral=now,
-        flux_integral=flux,
-        time_derivative=deriv,
-        residual=deriv + flux,
-        quadrature_error=abs(deriv - deriv_low) + abs(flux - flux_low),
-    )
+    return deriv, deriv + flux, abs(deriv - deriv_low) + abs(flux - flux_low)
 
 
 #: Times of a balance check planned and evaluated together.  Each time
-#: adds five density slices, about 4 MB of arrays for fourteen laws across
-#: a circle on the default grid, and planning eight times together was
-#: only a few percent faster than two plans of four.
+#: adds four density slices (five when the reports read the density at t),
+#: about 4 MB of arrays for fourteen laws across a circle on the default
+#: grid, and planning eight times together was only a few percent faster
+#: than two plans of four.
 _TIMES_PER_PLAN = 4
+
+
+def _balance_terms(field, law_keys, region: Region, times, dt, now=False):
+    """The balances of several laws at several times as arrays of shape
+    (laws, times): the time derivative of each law's density integral, its
+    boundary flux, the residual and the quadrature error
+    (_balance_arithmetic), and the density integral at t, which is
+    computed only with ``now`` (of shape (laws, 0) without it).
+
+    Up to _TIMES_PER_PLAN times are planned once and evaluated once: the
+    density integrals at t +- dt of every time, at quad_order and
+    quad_order - 2 (and at t at quad_order with ``now``), are one plan and
+    one jet pass, and so are the boundary fluxes at both orders of every
+    time.  An error is the one balance_residual gives at the first time
+    that fails.
+    """
+    entries = [law(key) for key in law_keys]
+    order, low = region.quad_order, region.quad_order - 2
+    parts = []
+    for k in range(0, len(times), _TIMES_PER_PLAN):
+        group = times[k : k + _TIMES_PER_PLAN]
+        steps = [_time_step(t, dt) for t in group]
+        # per time, the four density slices in the order _balance_arithmetic
+        # takes them; then, with now, the density at t of every time
+        dens_slices = [
+            s
+            for t, h in zip(group, steps)
+            for s in ((t + h, order), (t - h, order), (t + h, low), (t - h, low))
+        ]
+        if now:
+            dens_slices += [(t, order) for t in group]
+        flux_slices = [(t, o) for t in group for o in (order, low)]
+        dens, flux = _first_failure(
+            lambda: (
+                _density_integrals(field, entries, region, dens_slices),
+                _boundary_flux_integrals(field, entries, region, flux_slices),
+            ),
+            # a time's integrals one at a time, as balance_residual takes
+            # them; an error does not depend on the law
+            lambda t: balance_residual(field, entries[0], region, t, dt),
+            group,
+        )
+        n = len(group)
+        plus, minus, plus_low, minus_low = np.moveaxis(
+            dens[:, : 4 * n].reshape(len(entries), n, 4), 2, 0
+        )
+        flux, flux_low = flux[:, 0::2], flux[:, 1::2]
+        deriv, residual, error = _balance_arithmetic(
+            np.array(steps), plus, minus, plus_low, minus_low, flux, flux_low
+        )
+        parts.append((deriv, flux, residual, error, dens[:, 4 * n :]))
+    return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*parts))
 
 
 def _balance_reports(field, law_keys, region: Region, times, dt=None) -> list[list[BalanceReport]]:
     """balance_residual for several laws at several times: one list of
-    reports per time, one report per law.
-
-    Up to _TIMES_PER_PLAN times are planned once and evaluated once: the
-    density integrals at t and t +- dt of every time, at quad_order and
-    (at t +- dt) quad_order - 2, are one plan and one jet pass, and so are
-    the boundary fluxes at both orders of every time.  Every report equals
-    the one balance_residual gives.
-    """
-    if len(times) > _TIMES_PER_PLAN:
-        return [
-            reports
-            for k in range(0, len(times), _TIMES_PER_PLAN)
-            for reports in _balance_reports(
-                field, law_keys, region, times[k : k + _TIMES_PER_PLAN], dt
-            )
-        ]
-    entries = [law(key) for key in law_keys]
-    steps = [_time_step(t, dt) for t in times]
-    order, low = region.quad_order, region.quad_order - 2
-    # per time, the five density slices and the two flux slices in the
-    # order _report takes them
-    dens_slices = [
-        s
-        for t, h in zip(times, steps)
-        for s in ((t, order), (t + h, order), (t - h, order), (t + h, low), (t - h, low))
-    ]
-    flux_slices = [(t, o) for t in times for o in (order, low)]
-    dens, flux = _first_failure(
-        lambda: (
-            _density_integrals(field, entries, region, dens_slices).tolist(),
-            _boundary_flux_integrals(field, entries, region, flux_slices).tolist(),
-        ),
-        # a time's integrals one at a time, as balance_residual takes them;
-        # an error does not depend on the law
-        lambda t: balance_residual(field, entries[0], region, t, dt),
-        times,
+    reports per time, one report per law, from one _balance_terms.  Every
+    report equals the one balance_residual gives."""
+    deriv, flux, residual, error, density = (
+        a.T.tolist() for a in _balance_terms(field, law_keys, region, times, dt, now=True)
     )
+    entries = [law(key) for key in law_keys]
     return [
-        [
-            _report(entry, t, h, *d[5 * i : 5 * i + 5], *f[2 * i : 2 * i + 2])
-            for entry, d, f in zip(entries, dens, flux)
-        ]
-        for i, (t, h) in enumerate(zip(times, steps))
+        [BalanceReport(entry, float(t), *row) for entry, *row in zip(entries, *per_law)]
+        for t, *per_law in zip(times, density, flux, deriv, residual, error)
     ]
 
 
@@ -615,7 +632,10 @@ def balance_residual(field, law_key, region: Region, t: float, dt=None) -> Balan
     flux_low = boundary_flux_integral(field, entry, region, t, low)
     plus_low = density_integral(field, entry, region, t + dt, low)
     minus_low = density_integral(field, entry, region, t - dt, low)
-    return _report(entry, t, dt, now, plus, minus, plus_low, minus_low, flux, flux_low)
+    deriv, residual, error = _balance_arithmetic(
+        dt, plus, minus, plus_low, minus_low, flux, flux_low
+    )
+    return BalanceReport(entry, float(t), now, flux, deriv, residual, error)
 
 
 def fundamental_balances(field, region: Region, t: float, dt=None) -> tuple[BalanceReport, BalanceReport]:

@@ -357,7 +357,7 @@ def conservation_divergence(
     step take one jet call.  Raises FrontProximityError when the point is
     within 4 h of the front.
     """
-    _positive_number("step h", h)
+    h = _positive_number("step h", h)
     entry = law(law_key)
     base = np.asarray(point, dtype=np.float64)
     if base.shape != (3,):

@@ -50,13 +50,14 @@ def _real(name: str, value) -> float:
     return float(value)
 
 
-def _positive_number(name: str, value) -> None:
-    """Raise ValidationError naming ``name`` unless ``value`` is a positive
-    finite int or float; a bool is not a number here."""
-    if isinstance(value, bool) or not (
-        isinstance(value, (int, float)) and math.isfinite(value) and value > 0
-    ):
+def _positive_number(name: str, value) -> float:
+    """``value`` as a float; raises ValidationError naming ``name`` unless
+    it is a positive finite real number (numpy's included; a bool is not
+    a number here).  The float keeps a numpy scalar's type out of the
+    caller's arithmetic: t + np.float32(dt) is a float32."""
+    if not (_is_real(value) and math.isfinite(value) and value > 0):
         raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
 
 
 class UnfilledSlotError(VkwaveError, LookupError):

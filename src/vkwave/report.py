@@ -31,7 +31,7 @@ import numpy as np
 # their modules at call time, never bound here by `from ... import`.
 from . import jumps, solutions
 from . import scenario as scenario_module
-from .balance import _balance_reports
+from .balance import _balance_terms
 from .conservation import _exact_divergence
 from .errors import ValidationError, _first_failure
 from .jumps import _balance_jump_terms, _closed_form_residuals, _dynamic_terms, _front_jets
@@ -247,17 +247,13 @@ def _run_wave_relations(scenario: Scenario, field, check, rng):
 def _run_balance(scenario: Scenario, field, check, rng):
     region = check.region if check.region is not None else scenario.region
     times = check.times if check.times is not None else (0.0,)
-    per_time = _balance_reports(field, check.laws, region, times, check.dt)
-    for i, name in enumerate(check.laws):
-        reps = [reports[i] for reports in per_time]
-        res = _worst(
-            [
-                abs(rep.residual)
-                / np.max([1.0, abs(rep.time_derivative), abs(rep.flux_integral)])
-                for rep in reps
-            ]
-        )
-        err = _worst([rep.quadrature_error for rep in reps])
+    deriv, flux, residual, error, _ = _balance_terms(field, check.laws, region, times, check.dt)
+    scaled = _scaled(residual, np.maximum(np.abs(deriv), np.abs(flux)))
+    # each law's largest over its times, 0.0 for none and NaN if any is
+    # NaN, as _worst gives it
+    worst = np.max(scaled, axis=1, initial=0.0).tolist()
+    quad_errors = np.max(error, axis=1, initial=0.0).tolist()
+    for name, res, err in zip(check.laws, worst, quad_errors):
         yield name, res, f"quadrature error {err:.2e}"
 
 

@@ -26,7 +26,7 @@ from vkwave.jumps import (
     balance_jump_residual,
     extract_jumps,
 )
-from vkwave.report import run_scenario
+from vkwave.report import CheckResult, run_scenario
 from vkwave.scenario import build_field, scenario_from_dict
 from vkwave.solutions import (
     PiecewiseField,
@@ -517,6 +517,104 @@ def test_long_balance_check_is_planned_a_few_times_at_a_time(unit_params, monkey
     assert planned == [5 * balance._TIMES_PER_PLAN, 5 * (len(times) - balance._TIMES_PER_PLAN)]
 
 
+def _balance_check(laws, times, region, **keys) -> dict:
+    """The example scenario with one balance check of ``laws`` at ``times``
+    over ``region``, and any other check keys."""
+    data = yaml.safe_load(_EXAMPLE_SCENARIO.read_text())
+    bounds = {k: getattr(region, k) for k in ("x1_min", "x1_max", "x2_min", "x2_max")}
+    data["checks"] = [
+        {"type": "balance", "laws": list(laws), "times": list(times), "region": bounds, **keys}
+    ]
+    return data
+
+
+@pytest.mark.parametrize("case", ["straight_wave", "disc", "smooth_circle"])
+def test_balance_check_rows_are_those_of_the_balance_reports(
+    case, unit_params, generic_params, monkeypatch
+):
+    # no row reads the density integral at t, so a check's rows plan four
+    # density slices per time where its reports plan five; six times span
+    # two plans, and every row keeps the bits of the rows composed from
+    # the reports
+    if case == "straight_wave":
+        field, region = _example_wave(unit_params), Region(-0.8, 0.9, -0.6, 0.7)
+    elif case == "disc":
+        field, region = _disc_field(generic_params), Region(-0.7, 0.9, -0.8, 0.7)
+    else:
+        field, region = _smooth_circle_field(generic_params), _SMOOTH_REGION
+    laws, times, dt = (1, 4, 12, 14), (0.0, 0.05, 0.1, 0.15, 0.2, 0.3), 2e-4
+    assert len(times) > balance._TIMES_PER_PLAN
+    scenario = scenario_from_dict(_balance_check(laws, times, region, dt=dt))
+    monkeypatch.setattr("vkwave.scenario.build_field", lambda _: field)
+    planned = []
+    plan_cells = balance._plan_cells
+
+    def recorded(plan, front, region, slices):
+        planned.append(len(slices))
+        return plan_cells(plan, front, region, slices)
+
+    monkeypatch.setattr(balance, "_plan_cells", recorded)
+    per_time = balance._balance_reports(field, laws, region, times, dt)
+    assert planned == [5 * balance._TIMES_PER_PLAN, 5 * (len(times) - balance._TIMES_PER_PLAN)]
+    planned.clear()
+    rows = run_scenario(scenario).results
+    assert planned == [4 * balance._TIMES_PER_PLAN, 4 * (len(times) - balance._TIMES_PER_PLAN)]
+    expected = []
+    for i in range(len(laws)):
+        reps = [reports[i] for reports in per_time]
+        scaled = max(
+            abs(r.residual) / max(1.0, abs(r.time_derivative), abs(r.flux_integral)) for r in reps
+        )
+        err = max(r.quadrature_error for r in reps)
+        expected.append((f"balance[{reps[0].law.name}]", scaled, f"quadrature error {err:.2e}"))
+    assert [(r.name, r.residual, r.detail) for r in rows] == expected
+    assert all(type(r.residual) is float for r in rows)
+
+
+def test_a_nan_integral_fails_its_own_balance_row_only(monkeypatch):
+    # a NaN density gives a NaN residual, which fails its row; the other
+    # laws' rows do not move
+    import vkwave.conservation as conservation
+
+    region = Region(-0.8, 0.9, -0.6, 0.7)
+    scenario = scenario_from_dict(_balance_check((1, 4, 14), (0.1, 0.3), region))
+    before = run_scenario(scenario).results
+    energy = conservation._DENSITIES[4]
+    monkeypatch.setitem(conservation._DENSITIES, 4, lambda jet, p: energy(jet, p) * math.nan)
+    after = run_scenario(scenario).results
+    assert after[1].status == "fail" and math.isnan(after[1].residual)
+    assert after[1].detail == "quadrature error nan"
+    assert before[1].status == "pass"
+    assert [after[0], after[2]] == [before[0], before[2]]
+
+
+def test_a_balance_check_whose_integral_raises_gives_one_error_row():
+    # the example wave's front is x1 = t: at t = 0.1 it runs along the
+    # region's left edge
+    region = Region(0.1, 0.9, -0.6, 0.7)
+    scenario = scenario_from_dict(_balance_check((1, 4), (0.3, 0.1), region))
+    (row,) = run_scenario(scenario).results
+    assert row == CheckResult(
+        name="balance",
+        kind="balance",
+        status="error",
+        residual=None,
+        tolerance=None,
+        detail="ValidationError: a region edge lies on the front; shift the region boundary",
+    )
+
+
+def test_numpy_scalar_steps_give_the_reports_of_their_floats(generic_params):
+    # a numpy step is taken as its float, so a float32 step does not turn
+    # the slice times t +- dt into float32
+    field = _disc_field(generic_params)
+    region = Region(-0.7, 0.9, -0.8, 0.7)
+    for scalar in (np.float64(1e-4), np.float32(1e-3), np.int64(1)):
+        want = balance_residual(field, 1, region, 0.1, dt=float(scalar))
+        assert balance_residual(field, 1, region, 0.1, dt=scalar) == want
+        assert balance._balance_reports(field, (1,), region, (0.1,), dt=scalar) == [[want]]
+
+
 def test_balance_check_raises_what_the_first_failing_integral_raises(generic_params):
     # at t = 1000 the jets overflow; at t = 0 the circle, of radius 1e-14,
     # is not resolved.  Planned together, t = 0 fails first; taken one at
@@ -701,6 +799,8 @@ def test_balance_residual_rejects_bad_dt(generic_params):
         balance_residual(field, 1, region, 0.0, dt=True)
     with pytest.raises(ValidationError, match="got True"):
         balance._balance_reports(field, (1,), region, (0.0,), dt=True)
+    with pytest.raises(ValidationError, match=r"^dt must be a positive finite number, got np.True_$"):
+        balance_residual(field, 1, region, 0.0, dt=np.True_)
 
 
 

@@ -248,7 +248,15 @@ def test_step_validation(generic_params):
         conservation_divergence(sol, 1, (0, 0), h=1e-3)
 
 
-@pytest.mark.parametrize("h", [float("nan"), float("inf"), True])
+@pytest.mark.parametrize("h", [np.float32(1e-3), np.int64(1), np.float64(2e-3)])
+def test_numpy_scalar_steps_give_the_estimates_of_their_floats(h, generic_params):
+    sol = polynomial_field({(2, 1, 1): 0.4}, {(1, 2, 0): -0.3}, generic_params)
+    point = (0.3, 0.2, 0.1)
+    want = conservation_divergence(sol, 4, point, h=float(h))
+    assert conservation_divergence(sol, 4, point, h=h) == want
+
+
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), True, np.True_])
 def test_step_must_be_a_positive_finite_number(h, generic_params):
     # nan used to fail on a non-finite jet, inf as a point "inf from the
     # front" of a field without one, and True ran with h = 1
