@@ -20,8 +20,8 @@ import importlib
 _EXPORTS = {
     "version": ("__version__",),
     "errors": (
-        "VkwaveError", "ValidationError", "SingularFrontError", "FrontProximityError",
-        "NotOnFrontError", "SideRequiredError", "NonAdmissibleRecordError", "ScenarioError",
+        "VkwaveError", "ValidationError", "SingularFrontError", "NotOnFrontError",
+        "SideRequiredError", "NonAdmissibleRecordError", "ScenarioError",
     ),
     "params": ("PlateParams", "make_plate_params", "Region", "LawId", "LAWS", "law"),
     "indexing": ("JET_SIZE", "MULTI_INDICES", "idx"),

@@ -69,7 +69,7 @@ from functools import lru_cache
 import numpy as np
 
 from .conservation import _DENSITY_SLOTS, _ROW_SLOTS, density_flux
-from .errors import ValidationError, _first_failure, _positive_number
+from .errors import ValidationError, _first_failure, _positive_number, _real
 from .jumps import _balance_jump_terms, _front_jets
 from .params import LawId, Region, law
 from .solutions import Side, _batch_size
@@ -426,6 +426,7 @@ def _density_integrals(field, entries, region: Region, slices) -> np.ndarray:
 def density_integral(field, law_key, region: Region, t: float, quad_order=None) -> float:
     """Integral of the law's density over the region at time t."""
     entry = law(law_key)
+    t = _real("t", t)
     order = region.quad_order if quad_order is None else quad_order
     return _density_integrals(field, (entry,), region, ((t, order),))[0, 0].item()
 
@@ -515,6 +516,7 @@ def _boundary_flux_integrals(field, entries, region: Region, slices) -> np.ndarr
 def boundary_flux_integral(field, law_key, region: Region, t: float, quad_order=None) -> float:
     """Outward flux of the law through the region boundary at time t."""
     entry = law(law_key)
+    t = _real("t", t)
     order = region.quad_order if quad_order is None else quad_order
     return _boundary_flux_integrals(field, (entry,), region, ((t, order),))[0, 0].item()
 
@@ -623,6 +625,7 @@ def balance_residual(field, law_key, region: Region, t: float, dt=None) -> Balan
     # self-test counts five and two calls); _balance_reports plans a whole
     # check at once and gives the same reports.
     entry = law(law_key)
+    t = _real("t", t)
     dt = _time_step(t, dt)
     order, low = region.quad_order, region.quad_order - 2
     now = density_integral(field, entry, region, t, order)
@@ -635,12 +638,12 @@ def balance_residual(field, law_key, region: Region, t: float, dt=None) -> Balan
     deriv, residual, error = _balance_arithmetic(
         dt, plus, minus, plus_low, minus_low, flux, flux_low
     )
-    return BalanceReport(entry, float(t), now, flux, deriv, residual, error)
+    return BalanceReport(entry, t, now, flux, deriv, residual, error)
 
 
 def fundamental_balances(field, region: Region, t: float, dt=None) -> tuple[BalanceReport, BalanceReport]:
     """Balance reports for the two laws equivalent to the governing equations."""
-    ((first, second),) = _balance_reports(field, (1, 14), region, (t,), dt)
+    ((first, second),) = _balance_reports(field, (1, 14), region, (_real("t", t),), dt)
     return first, second
 
 
@@ -690,6 +693,7 @@ def front_segment_jump_integral(field, law_key, region: Region, t: float, absolu
     it keeps its own quadrature rather than the plan they share.
     """
     entry = law(law_key)
+    t = _real("t", t)
     front = getattr(field, "front", None)
     if front is None:
         raise ValidationError("field has no front; the jump integral is zero only trivially")

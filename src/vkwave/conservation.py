@@ -22,18 +22,17 @@ exactly, from the jets it already fills: the rows read no slot above
 order 3, so d/dx_a of a row is a complex step through the unchanged row
 code, on a complex jet built from the 4-jet (_exact_divergence).  Every
 law shares one complex jet per jet batch, and its rows.
-conservation_divergence is a public finite-difference estimate of the
-same terms at one point; the tests hold the exact divergence to the
-symbolic total derivative of the rows.
+conservation_divergence is the same divergence at one point, a batch of
+one; the tests hold it to the symbolic total derivative of the rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import FrontProximityError, ValidationError, _positive_number
+from .errors import ValidationError
 from .indexing import (
     JET_SIZE, S0, S1, S2, S3, S11, S12, S13, S22, S23, S111, S112, S122, S222, SHIFT,
 )
@@ -49,7 +48,6 @@ from .tensors import (
     shear_force,
     strain_energy_density,
 )
-from .wavefront import _front_distance
 
 
 class DensityFlux:
@@ -345,48 +343,21 @@ def _exact_divergence(law_key, jet: FieldJet, p: PlateParams) -> DivergenceEstim
     )
 
 
-def conservation_divergence(
-    field, law_key, point, h: float = 1e-3, use_richardson: bool = True
-) -> DivergenceEstimate:
-    """Finite-difference estimate of (d3 Psi, d1 P1, d2 P2) at an
-    off-front point.
-
-    Differentiates the assembled density and flux through the field's
-    analytic jets, by central differences at step h and, for one
-    Richardson level (the default), h/2; the stencil points of every
-    step take one jet call.  Raises FrontProximityError when the point is
-    within 4 h of the front.
+def conservation_divergence(field, law_key, point) -> DivergenceEstimate:
+    """(d3 Psi, d1 P1, d2 P2) of one law at one point, exact to round-off:
+    _exact_divergence on the one-point batch of the point's jet, on the
+    branch the sign of gamma picks (Side.AUTO), as floats.  A point
+    exactly on a front raises SideRequiredError.
     """
-    h = _positive_number("step h", h)
     entry = law(law_key)
     base = np.asarray(point, dtype=np.float64)
     if base.shape != (3,):
         raise ValidationError(f"point must be a 3-vector, got shape {base.shape}")
-    distance = float(_front_distance(getattr(field, "front", None), base))
-    if distance <= 4.0 * h:
-        raise FrontProximityError(
-            f"point {tuple(base.tolist())} is {distance:.3e} from the front; "
-            f"the stencil needs clearance > {4.0 * h:.3e}"
-        )
-    steps = np.array((h, h / 2.0) if use_richardson else (h,))
-    # stencils of shape (step, axis, -/+, 3): the point moved by -step and
-    # +step along the axis; advanced indexing puts the axis first
-    stencils = np.tile(base, (len(steps), 3, 2, 1))
-    axis = np.arange(3)
-    stencils[:, axis, :, axis] += steps[:, None] * np.array((-1.0, 1.0))
-    df = density_flux(entry, field.jet(stencils.reshape(-1, 3)), field.params)
-    # the component a stencil differentiates along its axis: P1 along x1,
-    # P2 along x2, Psi along x3, as (axis, step, -/+)
-    components = np.stack((df.flux.x1, df.flux.x2, df.density)).reshape(3, len(steps), 3, 2)
-    vals = components[axis, :, axis]
-    est = (vals[..., 1] - vals[..., 0]) / (2.0 * steps)
-    # one Richardson level for the O(h^2) differences: (4 A(h/2) - A(h)) / 3
-    est = (4.0 * est[:, 1] - est[:, 0]) / 3.0 if use_richardson else est[:, 0]
-    return DivergenceEstimate(float(est[2]), float(est[0]), float(est[1]))
+    est = _exact_divergence(entry, field.jet(base[None]), field.params)
+    return DivergenceEstimate(*(term.item() for term in astuple(est)))
 
 
-def conservation_residual(
-    field, law_key, point, h: float = 1e-3, use_richardson: bool = True
-) -> float:
-    """FD estimate of d3 Psi + d1 P1 + d2 P2; vanishes on smooth solutions."""
-    return conservation_divergence(field, law_key, point, h, use_richardson).residual
+def conservation_residual(field, law_key, point) -> float:
+    """d3 Psi + d1 P1 + d2 P2 at one point (conservation_divergence);
+    vanishes on smooth solutions."""
+    return conservation_divergence(field, law_key, point).residual

@@ -69,11 +69,6 @@ class SingularFrontError(VkwaveError):
     well-defined normal direction or speed at the requested point."""
 
 
-class FrontProximityError(VkwaveError):
-    """A finite-difference stencil would straddle the discontinuity front,
-    which would silently mix values from the two branches."""
-
-
 class NotOnFrontError(VkwaveError):
     """A jump quantity was requested at a point that does not lie on the
     front within tolerance."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 import yaml
 
-from .errors import ScenarioError, ValidationError, _is_real
+from .errors import ScenarioError, ValidationError, _is_real, _real
 from .params import _CLOSED_FORM_LAWS, LAWS, PlateParams, Region, law
 from .solutions import AccelerationWave, InvariantSolution, PiecewiseField, PolynomialField
 from .wavefront import CircleFront, LineFront
@@ -548,13 +548,18 @@ def sample_front_point(front, t: float, draw) -> np.ndarray:
 
     A draw is the parameter of ``front.curve`` (arc length on a line), or
     its fraction of the period on a closed front (the angle over 2 pi on
-    a circle).
+    a circle).  t and every draw must be finite real numbers (a bool or
+    a str is not one).
     """
     if not hasattr(front, "curve"):
         raise ValidationError(f"cannot sample points on front type {type(front).__name__}")
-    draws = np.asarray(draw, dtype=np.float64)
+    t = _real("t", t)
+    draws = np.asarray(draw)
+    if draws.dtype.kind not in "iuf" or not np.isfinite(draws).all():
+        raise ValidationError(f"draw must be finite real numbers, got {draw!r}")
+    draws = np.asarray(draws, dtype=np.float64)
     s = draws.reshape(-1)
     if front.period is not None:
         s = front.period * s
     x, _ = front.curve(t, s)
-    return np.column_stack((x, np.full(len(s), float(t)))).reshape(draws.shape + (3,))
+    return np.column_stack((x, np.full(len(s), t))).reshape(draws.shape + (3,))

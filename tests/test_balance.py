@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -801,6 +802,56 @@ def test_balance_residual_rejects_bad_dt(generic_params):
         balance._balance_reports(field, (1,), region, (0.0,), dt=True)
     with pytest.raises(ValidationError, match=r"^dt must be a positive finite number, got np.True_$"):
         balance_residual(field, 1, region, 0.0, dt=np.True_)
+
+
+def _time_functions(field, region):
+    """The balance functions of a time t, each as a call of t alone."""
+    return [
+        lambda t: density_integral(field, 1, region, t),
+        lambda t: boundary_flux_integral(field, 1, region, t),
+        lambda t: balance_residual(field, 1, region, t),
+        lambda t: fundamental_balances(field, region, t),
+        lambda t: front_segment_jump_integral(field, 1, region, t),
+    ]
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        (math.nan, "finite, got nan"),
+        (-math.inf, "finite, got -inf"),
+        ("0.1", "a real number, got '0.1'"),
+        (True, "a real number, got True"),
+        (np.True_, "a real number, got np.True_"),
+    ],
+    ids=["nan", "-inf", "str", "True", "np.True_"],
+)
+def test_balance_functions_reject_a_time_that_is_not_a_finite_real(t, message, unit_params, generic_params):
+    # nan and inf used to give a jump integral of 0.0, a str a density
+    # integral but a numpy type error from the flux, and nan a complaint
+    # about dt from balance_residual
+    cases = [
+        (_example_wave(unit_params), Region(-0.8, 0.9, -0.6, 0.7)),
+        (_disc_field(generic_params), Region(-0.7, 0.9, -0.8, 0.7)),
+    ]
+    for field, region in cases:
+        for call in _time_functions(field, region):
+            with pytest.raises(ValidationError, match=f"^t must be {re.escape(message)}$"):
+                call(t)
+
+
+def test_a_numpy_scalar_time_gives_the_results_of_its_float(unit_params, generic_params):
+    # a float32 time used to put the front's curve in float32, off the
+    # front by more than extract_jumps allows
+    ahead = invariant_solution((0, 0, 0, 0), (0, 0, 0, 0), 1.0, unit_params)
+    cases = [
+        (acceleration_wave(ahead, c1=1.0, c2=0.4), Region(-0.8, 0.9, -0.6, 0.7)),
+        (_disc_field(generic_params), Region(-0.7, 0.9, -0.8, 0.7)),
+    ]
+    for field, region in cases:
+        for call in _time_functions(field, region):
+            for t in (np.float32(0.1), np.int64(0)):
+                assert call(t) == call(float(t))
 
 
 

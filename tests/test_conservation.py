@@ -15,7 +15,7 @@ from vkwave.conservation import (
     density_flux,
     law,
 )
-from vkwave.errors import FrontProximityError, UnfilledSlotError, ValidationError
+from vkwave.errors import SideRequiredError, UnfilledSlotError, ValidationError
 from vkwave.indexing import MULTI_INDICES, S1, S2, S3, S111, S1111
 from vkwave.jets import FieldJet
 from vkwave.report import run_scenario
@@ -37,6 +37,8 @@ from vkwave.tensors import (
     strain_energy_density,
 )
 from vkwave.wavefront import LineFront, _front_distance
+
+from finite_differences import fd_divergence
 
 
 def test_registry_shape():
@@ -166,103 +168,48 @@ def test_divergence_recovers_field_equations(generic_params):
     assert res == pytest.approx(24.0 / p.Eh, rel=1e-7)
 
 
-def test_front_proximity_guard(generic_params):
-    ahead = invariant_solution((0.2, 0.0, 0.5, 0.1), (0, 0.3, 0.2, 0), 1.0, generic_params)
-    wave = acceleration_wave(ahead, c1=0.5, c2=0.2)
-    with pytest.raises(FrontProximityError):
-        conservation_divergence(wave, "energy", (1e-4, 0.0, 0.0), h=1e-3)
-    # far away the estimate goes through
-    est = conservation_divergence(wave, "energy", (2.0, 0.0, 0.0), h=1e-3)
-    assert abs(est.residual) <= 1e-6 * max(1.0, est.scale)
-
-
-def test_front_proximity_error_prints_plain_numbers(generic_params):
-    # the message reaches report error rows, which used to quote
-    # (np.float64(0.0001), np.float64(0.0), np.float64(0.0))
-    ahead = invariant_solution((0.2, 0.0, 0.5, 0.1), (0, 0.3, 0.2, 0), 1.0, generic_params)
-    wave = acceleration_wave(ahead, c1=0.5, c2=0.2)
-    with pytest.raises(FrontProximityError) as info:
-        conservation_divergence(wave, "energy", (1e-4, 0.0, 0.0), h=1e-3)
-    message = str(info.value)
-    assert "np.float64" not in message
-    assert message.startswith("point (0.0001, 0.0, 0.0) is ")
-
-
 def _acceleration_wave(params):
     ahead = invariant_solution((0.2, 0.0, 0.5, 0.1), (0, 0.3, 0.2, 0), 1.0, params)
     return acceleration_wave(ahead, c1=0.5, c2=0.2)
 
 
-def _bits_per_point(field, laws, points, use_richardson) -> bytes:
-    """conservation_divergence of each law at each point, one at a time,
-    as the bytes of a (law, point, component) array."""
-    def one(key, point):
-        return astuple(conservation_divergence(field, key, point, 1e-3, use_richardson))
-
-    return np.array([[one(key, point) for point in points] for key in laws]).tobytes()
-
-
-def _reference_bits(field, laws, points, use_richardson) -> bytes:
-    """The divergence one stencil at a time, central differences and the
-    Richardson step in scalar arithmetic, as _bits_per_point's bytes."""
-    h = 1e-3
-    steps = (h, h / 2.0) if use_richardson else (h,)
-    out = []
-    for key in laws:
-        for point in points:
-            per_step = []
-            for step in steps:
-                est = []
-                for ax, name in enumerate(("x1", "x2", "density")):
-                    minus, plus = np.array(point), np.array(point)
-                    minus[ax] -= step
-                    plus[ax] += step
-                    df = [density_flux(key, field.jet(x), field.params) for x in (minus, plus)]
-                    f = [d.density if name == "density" else getattr(d.flux, name) for d in df]
-                    est.append((f[1] - f[0]) / (2.0 * step))
-                per_step.append(est)
-            d1, d2, d3 = (
-                [(4.0 * f - c) / 3.0 for c, f in zip(*per_step)] if use_richardson else per_step[0]
-            )
-            out.append((d3, d1, d2))
-    return np.array(out).tobytes()
-
-
-@pytest.mark.parametrize("use_richardson", [True, False])
-def test_shared_stencils_match_per_law_divergence(use_richardson, generic_params, count_jet_calls):
+def test_divergence_is_the_exact_divergence_of_a_one_point_batch(generic_params):
     wave = _acceleration_wave(generic_params)
-    laws = [entry.index for entry in LAWS]
-    points = np.array([(0.6, -0.3, 0.2), (-0.5, 0.4, 0.1)])
-    sizes = count_jet_calls(wave)
-    single = _bits_per_point(wave, laws, points, use_richardson)
-    # one jet call holds the stencils of every step of one law at one point
-    assert sizes == [12 if use_richardson else 6] * (len(laws) * len(points))
-    assert single == _reference_bits(wave, laws, points, use_richardson)
+    for point in ((0.6, -0.3, 0.2), (-0.5, 0.4, 0.1)):
+        jet = wave.jet(np.array([point]))
+        for entry in LAWS:
+            want = tuple(term[0] for term in astuple(_exact_divergence(entry, jet, generic_params)))
+            got = astuple(conservation_divergence(wave, entry, point))
+            assert all(type(term) is float for term in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), entry.name
+            assert conservation_residual(wave, entry, point) == conservation_divergence(wave, entry, point).residual
 
 
-def test_step_validation(generic_params):
+@pytest.mark.parametrize("offset", [1e-4, -1e-4, 0.3, -0.3])
+def test_divergence_is_taken_on_either_side_up_to_the_front(offset, generic_params):
+    # the front of the wave is x1 = t: 1e-4 from it, where a finite
+    # difference stencil would straddle it, each side is its own branch
+    wave = _acceleration_wave(generic_params)
+    point = (0.2 + offset, -0.3, 0.2)
+    branch = wave.ahead if offset > 0 else wave.behind
+    for entry in LAWS:
+        est = conservation_divergence(wave, entry, point)
+        assert astuple(est) == astuple(conservation_divergence(branch, entry, point)), entry.name
+        assert abs(est.residual) <= 1e-12 * max(1.0, est.scale), entry.name
+
+
+def test_divergence_on_the_front_needs_a_side(generic_params):
+    wave = _acceleration_wave(generic_params)
+    with pytest.raises(SideRequiredError, match="exactly on the front"):
+        conservation_divergence(wave, "energy", (0.2, -0.3, 0.2))
+    with pytest.raises(SideRequiredError):
+        conservation_residual(wave, 1, (0.0, 0.5, 0.0))
+
+
+def test_divergence_point_must_be_a_3_vector(generic_params):
     sol = polynomial_field(None, None, generic_params)
-    with pytest.raises(ValidationError):
-        conservation_divergence(sol, 1, (0, 0, 0), h=-1.0)
-    with pytest.raises(ValidationError):
-        conservation_divergence(sol, 1, (0, 0), h=1e-3)
-
-
-@pytest.mark.parametrize("h", [np.float32(1e-3), np.int64(1), np.float64(2e-3)])
-def test_numpy_scalar_steps_give_the_estimates_of_their_floats(h, generic_params):
-    sol = polynomial_field({(2, 1, 1): 0.4}, {(1, 2, 0): -0.3}, generic_params)
-    point = (0.3, 0.2, 0.1)
-    want = conservation_divergence(sol, 4, point, h=float(h))
-    assert conservation_divergence(sol, 4, point, h=h) == want
-
-
-@pytest.mark.parametrize("h", [float("nan"), float("inf"), True, np.True_])
-def test_step_must_be_a_positive_finite_number(h, generic_params):
-    # nan used to fail on a non-finite jet, inf as a point "inf from the
-    # front" of a field without one, and True ran with h = 1
-    sol = polynomial_field(None, None, generic_params)
-    with pytest.raises(ValidationError, match="^step h must be a positive finite number"):
-        conservation_divergence(sol, 1, (0.3, 0.2, 0.1), h=h)
+    with pytest.raises(ValidationError, match=r"^point must be a 3-vector, got shape \(2,\)$"):
+        conservation_divergence(sol, 1, (0, 0))
 
 
 def _characteristics(jet) -> dict:
@@ -342,7 +289,7 @@ def test_exact_divergence_matches_finite_differences(generic_params):
     for entry in LAWS:
         exact = _exact_divergence(entry, jet, generic_params)
         for k, point in enumerate(points):
-            fd = conservation_divergence(field, entry, point, h=1e-3)
+            fd = fd_divergence(field, entry, point, h=1e-3)
             for term in ("d_density_dt", "d_flux1_dx1", "d_flux2_dx2"):
                 error = abs(getattr(exact, term)[k] - getattr(fd, term))
                 assert error <= 1e-8 * max(1.0, fd.scale), (entry.name, term, k)

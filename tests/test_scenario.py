@@ -381,6 +381,28 @@ def test_sample_front_point():
         sample_front_point(object(), 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "t, draw, message",
+    [
+        (math.nan, 0.1, "t must be finite, got nan"),
+        (math.inf, 0.1, "t must be finite, got inf"),
+        (True, 0.1, "t must be a real number, got True"),
+        ("0.1", 0.1, "t must be a real number, got '0.1'"),
+        (0.1, math.inf, "draw must be finite real numbers, got inf"),
+        (0.1, np.array([0.2, math.nan]), "draw must be finite real numbers, got array([0.2, nan])"),
+        (0.1, True, "draw must be finite real numbers, got True"),
+        (0.1, "0.1", "draw must be finite real numbers, got '0.1'"),
+    ],
+    ids=["t-nan", "t-inf", "t-True", "t-str", "draw-inf", "draw-array-nan", "draw-True", "draw-str"],
+)
+def test_sample_front_point_rejects_what_is_not_a_finite_real(t, draw, message):
+    # t = nan gave [nan nan nan], a draw of inf [nan inf 0.1], and True
+    # was taken as 1.0
+    for front in (LineFront(3.0, 4.0, 2.0, 0.7), CircleFront(1.0, -1.0, 0.5, radial_speed=1.0)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            sample_front_point(front, t, draw)
+
+
 def _front_point_reference(front, t, draw):
     """One point per draw in scalar arithmetic, with math.cos and math.sin."""
     if isinstance(front, LineFront):
