@@ -42,7 +42,6 @@ _EXPORTS = {
     ),
     "conservation": (
         "DensityFlux", "density_flux", "DivergenceEstimate", "conservation_divergence",
-        "conservation_residual",
     ),
     "jumps": (
         "JumpRecord", "WaveVerdict", "extract_jumps", "check_acceleration_wave",
@@ -52,7 +51,7 @@ _EXPORTS = {
     ),
     "balance": (
         "BalanceReport", "density_integral", "boundary_flux_integral", "balance_residual",
-        "fundamental_balances", "front_segment_jump_integral",
+        "front_segment_jump_integral",
     ),
     "scenario": (
         "Scenario", "CheckSpec", "FieldSpec", "FrontSpec", "Tolerances", "load_scenario",

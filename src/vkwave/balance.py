@@ -31,9 +31,8 @@ front this is exact clipping.
 A balance check is planned once and evaluated once for up to
 _TIMES_PER_PLAN of its times.  Its slices are the (time, order) pairs its
 integrals need: the densities at t +- dt of every time at quad_order and
-at quad_order - 2, and the boundary fluxes at t at both orders.  No row of
-a report reads the density at t, so only the BalanceReports of library
-callers add it, as one more slice per time.  It runs in three steps:
+at quad_order - 2, and the boundary fluxes at t at both orders.  It runs
+in three steps:
 
 1. plan: the boxes of every density slice go through one level loop
    together, each at its slice's time, with one closed-form range of
@@ -69,7 +68,7 @@ from functools import lru_cache
 import numpy as np
 
 from .conservation import _DENSITY_SLOTS, _ROW_SLOTS, density_flux
-from .errors import ValidationError, _first_failure, _positive_number, _real
+from .errors import ValidationError, _first_failure, _is_integer, _positive_number, _real
 from .jumps import _balance_jump_terms, _front_jets
 from .params import LawId, Region, law
 from .solutions import Side, _batch_size
@@ -423,11 +422,22 @@ def _density_integrals(field, entries, region: Region, slices) -> np.ndarray:
     return _integrals(field, entries, plan, len(slices), n_cells)
 
 
+def _order(region: Region, quad_order) -> int:
+    """The Gauss-Legendre order of a one-slice integral: the region's, or
+    ``quad_order``, an integer (numpy's included; a bool is not) of at
+    least 1."""
+    if quad_order is None:
+        return region.quad_order
+    if not (_is_integer(quad_order) and quad_order >= 1):
+        raise ValidationError(f"quad_order must be an integer of at least 1, got {quad_order!r}")
+    return int(quad_order)
+
+
 def density_integral(field, law_key, region: Region, t: float, quad_order=None) -> float:
     """Integral of the law's density over the region at time t."""
     entry = law(law_key)
     t = _real("t", t)
-    order = region.quad_order if quad_order is None else quad_order
+    order = _order(region, quad_order)
     return _density_integrals(field, (entry,), region, ((t, order),))[0, 0].item()
 
 
@@ -517,7 +527,7 @@ def boundary_flux_integral(field, law_key, region: Region, t: float, quad_order=
     """Outward flux of the law through the region boundary at time t."""
     entry = law(law_key)
     t = _real("t", t)
-    order = region.quad_order if quad_order is None else quad_order
+    order = _order(region, quad_order)
     return _boundary_flux_integrals(field, (entry,), region, ((t, order),))[0, 0].item()
 
 
@@ -539,26 +549,23 @@ def _balance_arithmetic(dt, plus, minus, plus_low, minus_low, flux, flux_low):
 
 
 #: Times of a balance check planned and evaluated together.  Each time
-#: adds four density slices (five when the reports read the density at t),
-#: about 4 MB of arrays for fourteen laws across a circle on the default
-#: grid, and planning eight times together was only a few percent faster
-#: than two plans of four.
+#: adds four density slices, about 4 MB of arrays for fourteen laws across
+#: a circle on the default grid, and planning eight times together was
+#: only a few percent faster than two plans of four.
 _TIMES_PER_PLAN = 4
 
 
-def _balance_terms(field, law_keys, region: Region, times, dt, now=False):
+def _balance_terms(field, law_keys, region: Region, times, dt):
     """The balances of several laws at several times as arrays of shape
     (laws, times): the time derivative of each law's density integral, its
     boundary flux, the residual and the quadrature error
-    (_balance_arithmetic), and the density integral at t, which is
-    computed only with ``now`` (of shape (laws, 0) without it).
+    (_balance_arithmetic), each with the bits of balance_residual's.
 
     Up to _TIMES_PER_PLAN times are planned once and evaluated once: the
     density integrals at t +- dt of every time, at quad_order and
-    quad_order - 2 (and at t at quad_order with ``now``), are one plan and
-    one jet pass, and so are the boundary fluxes at both orders of every
-    time.  An error is the one balance_residual gives at the first time
-    that fails.
+    quad_order - 2, are one plan and one jet pass, and so are the boundary
+    fluxes at both orders of every time.  An error is the one
+    balance_residual gives at the first time that fails.
     """
     entries = [law(key) for key in law_keys]
     order, low = region.quad_order, region.quad_order - 2
@@ -567,14 +574,12 @@ def _balance_terms(field, law_keys, region: Region, times, dt, now=False):
         group = times[k : k + _TIMES_PER_PLAN]
         steps = [_time_step(t, dt) for t in group]
         # per time, the four density slices in the order _balance_arithmetic
-        # takes them; then, with now, the density at t of every time
+        # takes them
         dens_slices = [
             s
             for t, h in zip(group, steps)
             for s in ((t + h, order), (t - h, order), (t + h, low), (t - h, low))
         ]
-        if now:
-            dens_slices += [(t, order) for t in group]
         flux_slices = [(t, o) for t in group for o in (order, low)]
         dens, flux = _first_failure(
             lambda: (
@@ -586,30 +591,15 @@ def _balance_terms(field, law_keys, region: Region, times, dt, now=False):
             lambda t: balance_residual(field, entries[0], region, t, dt),
             group,
         )
-        n = len(group)
         plus, minus, plus_low, minus_low = np.moveaxis(
-            dens[:, : 4 * n].reshape(len(entries), n, 4), 2, 0
+            dens.reshape(len(entries), len(group), 4), 2, 0
         )
         flux, flux_low = flux[:, 0::2], flux[:, 1::2]
         deriv, residual, error = _balance_arithmetic(
             np.array(steps), plus, minus, plus_low, minus_low, flux, flux_low
         )
-        parts.append((deriv, flux, residual, error, dens[:, 4 * n :]))
+        parts.append((deriv, flux, residual, error))
     return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*parts))
-
-
-def _balance_reports(field, law_keys, region: Region, times, dt=None) -> list[list[BalanceReport]]:
-    """balance_residual for several laws at several times: one list of
-    reports per time, one report per law, from one _balance_terms.  Every
-    report equals the one balance_residual gives."""
-    deriv, flux, residual, error, density = (
-        a.T.tolist() for a in _balance_terms(field, law_keys, region, times, dt, now=True)
-    )
-    entries = [law(key) for key in law_keys]
-    return [
-        [BalanceReport(entry, float(t), *row) for entry, *row in zip(entries, *per_law)]
-        for t, *per_law in zip(times, density, flux, deriv, residual, error)
-    ]
 
 
 def balance_residual(field, law_key, region: Region, t: float, dt=None) -> BalanceReport:
@@ -622,8 +612,8 @@ def balance_residual(field, law_key, region: Region, t: float, dt=None) -> Balan
     # One law at one time takes its seven integrals one slice at a time
     # through density_integral and boundary_flux_integral, so anything that
     # wraps those names sees each of them (the benchmark's tracer, whose
-    # self-test counts five and two calls); _balance_reports plans a whole
-    # check at once and gives the same reports.
+    # self-test counts five and two calls); _balance_terms plans a whole
+    # check at once and gives the same bits.
     entry = law(law_key)
     t = _real("t", t)
     dt = _time_step(t, dt)
@@ -639,12 +629,6 @@ def balance_residual(field, law_key, region: Region, t: float, dt=None) -> Balan
         dt, plus, minus, plus_low, minus_low, flux, flux_low
     )
     return BalanceReport(entry, t, now, flux, deriv, residual, error)
-
-
-def fundamental_balances(field, region: Region, t: float, dt=None) -> tuple[BalanceReport, BalanceReport]:
-    """Balance reports for the two laws equivalent to the governing equations."""
-    ((first, second),) = _balance_reports(field, (1, 14), region, (_real("t", t),), dt)
-    return first, second
 
 
 def _front_arcs(region: Region, front, t) -> list[tuple[float, float]]:

@@ -355,9 +355,3 @@ def conservation_divergence(field, law_key, point) -> DivergenceEstimate:
         raise ValidationError(f"point must be a 3-vector, got shape {base.shape}")
     est = _exact_divergence(entry, field.jet(base[None]), field.params)
     return DivergenceEstimate(*(term.item() for term in astuple(est)))
-
-
-def conservation_residual(field, law_key, point) -> float:
-    """d3 Psi + d1 P1 + d2 P2 at one point (conservation_divergence);
-    vanishes on smooth solutions."""
-    return conservation_divergence(field, law_key, point).residual

@@ -9,12 +9,11 @@ references all flow through the same code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .errors import UnfilledSlotError, ValidationError
-from .indexing import JET_SIZE, MULTI_INDICES, idx
+from .indexing import JET_SIZE, MULTI_INDICES
 
 
 def _as_point(point) -> np.ndarray:
@@ -119,45 +118,6 @@ class FieldJet:
         if slots is not None:
             w, phi = _SlotRows(w, slots), _SlotRows(phi, slots)
         return cls._unchecked(point, w, phi)
-
-    @property
-    def is_batch(self) -> bool:
-        return self.point.ndim > 1
-
-    @staticmethod
-    def zero(point) -> "FieldJet":
-        p = _as_point(point)
-        shape = p.shape[:-1] + (JET_SIZE,)
-        return FieldJet(p, np.zeros(shape), np.zeros(shape))
-
-    @staticmethod
-    def from_partials(
-        point,
-        w: Mapping[tuple[int, ...], float] | None = None,
-        phi: Mapping[tuple[int, ...], float] | None = None,
-    ) -> "FieldJet":
-        """Build a jet from sparse {subscripts: value} maps.
-
-        Subscript tuples may list indices in any order; () sets the field
-        value.  Unnamed slots are zero.  Only single points are supported.
-        """
-        p = _as_point(point)
-        if p.ndim != 1:
-            raise ValidationError("from_partials builds single-point jets only")
-        wv = np.zeros(JET_SIZE)
-        pv = np.zeros(JET_SIZE)
-        for target, source in ((wv, w), (pv, phi)):
-            for subs, value in (source or {}).items():
-                target[idx(*subs)] = value
-        return FieldJet(p, wv, pv)
-
-    def dw(self, *subscripts: int) -> float | np.ndarray:
-        """Derivative of w with the given subscripts (any order)."""
-        return self.w[..., idx(*subscripts)]
-
-    def dphi(self, *subscripts: int) -> float | np.ndarray:
-        """Derivative of phi with the given subscripts (any order)."""
-        return self.phi[..., idx(*subscripts)]
 
     def _derived(self, key, build, p):
         """build(self, p), computed once per key and plate constants.

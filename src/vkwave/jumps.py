@@ -342,6 +342,34 @@ def closed_form_jump_residual(law_key, rec: JumpRecord, p: PlateParams) -> float
     return float(_closed_form_residuals(law_key, rec, p))
 
 
+def _amplitude_relation_terms(wave: AccelerationWave):
+    """The two amplitude relations (r1, r2) and their term-magnitude
+    scales (s1, s2)."""
+    if not isinstance(wave, AccelerationWave):
+        raise ValidationError("amplitude relations are defined for acceleration waves")
+    p = wave.params
+    omega = wave.omega
+    u = wave.ahead.u
+    ph = wave.ahead.phi
+    deh = p.D * p.Eh
+    r1 = deh * omega**4 * wave.c1 * (wave.c1 - 2.0 * u[3]) - 4.0 * wave.c2 * (
+        wave.c2 + 2.0 * ph[2]
+    )
+    r2 = deh * omega**2 * wave.c1 * (u[1] + omega * u[2]) - 2.0 * wave.c2 * ph[1]
+    s1 = (
+        abs(deh * omega**4 * wave.c1 * wave.c1)
+        + abs(2.0 * deh * omega**4 * wave.c1 * u[3])
+        + abs(4.0 * wave.c2 * wave.c2)
+        + abs(8.0 * wave.c2 * ph[2])
+    )
+    s2 = (
+        abs(deh * omega**2 * wave.c1 * u[1])
+        + abs(deh * omega**3 * wave.c1 * u[2])
+        + abs(2.0 * wave.c2 * ph[1])
+    )
+    return r1, r2, s1, s2
+
+
 def amplitude_relation_residuals(wave: AccelerationWave) -> tuple[float, float]:
     """The two scalar relations among traveling-wave constants.
 
@@ -354,36 +382,11 @@ def amplitude_relation_residuals(wave: AccelerationWave) -> tuple[float, float]:
 
     with w the angular frequency of the wave profiles.
     """
-    if not isinstance(wave, AccelerationWave):
-        raise ValidationError("amplitude relations are defined for acceleration waves")
-    p = wave.params
-    omega = wave.omega
-    u = wave.ahead.u
-    ph = wave.ahead.phi
-    deh = p.D * p.Eh
-    r1 = deh * omega**4 * wave.c1 * (wave.c1 - 2.0 * u[3]) - 4.0 * wave.c2 * (
-        wave.c2 + 2.0 * ph[2]
-    )
-    r2 = deh * omega**2 * wave.c1 * (u[1] + omega * u[2]) - 2.0 * wave.c2 * ph[1]
+    r1, r2, _, _ = _amplitude_relation_terms(wave)
     return r1, r2
 
 
 def amplitude_relation_scales(wave: AccelerationWave) -> tuple[float, float]:
     """Term-magnitude scales matching amplitude_relation_residuals."""
-    p = wave.params
-    omega = wave.omega
-    u = wave.ahead.u
-    ph = wave.ahead.phi
-    deh = p.D * p.Eh
-    s1 = (
-        abs(deh * omega**4 * wave.c1 * wave.c1)
-        + abs(2.0 * deh * omega**4 * wave.c1 * u[3])
-        + abs(4.0 * wave.c2 * wave.c2)
-        + abs(8.0 * wave.c2 * ph[2])
-    )
-    s2 = (
-        abs(deh * omega**2 * wave.c1 * u[1])
-        + abs(deh * omega**3 * wave.c1 * u[2])
-        + abs(2.0 * wave.c2 * ph[1])
-    )
+    _, _, s1, s2 = _amplitude_relation_terms(wave)
     return s1, s2

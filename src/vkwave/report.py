@@ -247,7 +247,7 @@ def _run_wave_relations(scenario: Scenario, field, check, rng):
 def _run_balance(scenario: Scenario, field, check, rng):
     region = check.region if check.region is not None else scenario.region
     times = check.times if check.times is not None else (0.0,)
-    deriv, flux, residual, error, _ = _balance_terms(field, check.laws, region, times, check.dt)
+    deriv, flux, residual, error = _balance_terms(field, check.laws, region, times, check.dt)
     scaled = _scaled(residual, np.maximum(np.abs(deriv), np.abs(flux)))
     # each law's largest over its times, 0.0 for none and NaN if any is
     # NaN, as _worst gives it

@@ -263,16 +263,21 @@ def _kinded(data, path: str, tag: str, tables) -> tuple[str, dict]:
     return kind, _section(data, path, tables[kind], known=(tag,))
 
 
+def _validated(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), a ValidationError from it raised as a
+    ScenarioError that names path."""
+    try:
+        return build(*args, **kwargs)
+    except ValidationError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
 def _built(build, rows):
     """The reader of a section whose values are build's keyword arguments;
     a ValidationError from build names the section."""
 
     def read(value, path: str):
-        values = _section(value, path, rows)
-        try:
-            return build(**values)
-        except ValidationError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
+        return _validated(path, build, **_section(value, path, rows))
 
     return read
 
@@ -370,8 +375,12 @@ def _field(data, path: str) -> FieldSpec:
 
 
 def _front(data, path: str) -> FrontSpec:
+    """The front section, whose front is built once so that a front its
+    constructor refuses fails at load."""
     kind, values = _kinded(data, path, "kind", _FRONT_KEYS)
-    return FrontSpec(kind, **values)
+    spec = FrontSpec(kind, **values)
+    _validated(path, build_front, spec)
+    return spec
 
 
 def _check(data, path: str) -> CheckSpec:

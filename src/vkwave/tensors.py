@@ -30,13 +30,6 @@ class Vector2:
     x1: float | np.ndarray
     x2: float | np.ndarray
 
-    def __getitem__(self, alpha: int):
-        if alpha == 1:
-            return self.x1
-        if alpha == 2:
-            return self.x2
-        raise IndexError(f"in-plane index must be 1 or 2, got {alpha}")
-
 
 @dataclass(frozen=True)
 class SymTensor2:
@@ -45,13 +38,6 @@ class SymTensor2:
     c11: float | np.ndarray
     c12: float | np.ndarray
     c22: float | np.ndarray
-
-    def component(self, alpha: int, beta: int):
-        pair = (alpha, beta) if alpha <= beta else (beta, alpha)
-        try:
-            return {(1, 1): self.c11, (1, 2): self.c12, (2, 2): self.c22}[pair]
-        except KeyError:
-            raise IndexError(f"in-plane indices must be 1 or 2, got {(alpha, beta)}") from None
 
 
 def membrane_stress(jet: FieldJet) -> SymTensor2:

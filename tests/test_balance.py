@@ -15,7 +15,6 @@ from vkwave.balance import (
     boundary_flux_integral,
     density_integral,
     front_segment_jump_integral,
-    fundamental_balances,
 )
 from vkwave.conservation import _DENSITY_SLOTS, _ROW_SLOTS, LAWS, density_flux
 from vkwave.errors import UnfilledSlotError, ValidationError
@@ -150,6 +149,18 @@ def _pass_cap(slots, n_laws):
     more) hold at most the values of one field's jets in a batch of
     _batch_size(slots)."""
     return solutions._batch_size(slots) * len(slots) // (2 * len(slots) + n_laws)
+
+
+def _terms(field, laws, region, times, dt=None):
+    """balance._balance_terms as one list per time of one (time_derivative,
+    flux_integral, residual, quadrature_error) tuple per law."""
+    arrays = balance._balance_terms(field, laws, region, times, dt)
+    return [list(zip(*per_time)) for per_time in zip(*(a.T.tolist() for a in arrays))]
+
+
+def _report_terms(report: BalanceReport):
+    """The four fields of a BalanceReport that _terms gives."""
+    return (report.time_derivative, report.flux_integral, report.residual, report.quadrature_error)
 
 
 def _example_wave(unit_params):
@@ -331,7 +342,7 @@ def test_density_integrals_are_checked_for_finite_values_in_the_density_slots_on
 @pytest.mark.parametrize("case", ["straight_wave", "disc"])
 def test_shared_balance_equals_per_law_balance(case, unit_params, generic_params):
     # every law read off one set of plans and jets keeps the bits of its
-    # own balance_residual
+    # own balance_residual: time derivative, flux, residual and error
     if case == "straight_wave":
         field, t = _example_wave(unit_params), 0.1
         region = Region(-0.8, 0.9, -0.6, 0.7)
@@ -340,12 +351,10 @@ def test_shared_balance_equals_per_law_balance(case, unit_params, generic_params
         field, t = _disc_field(generic_params), 0.0
         region = Region(-0.7, 0.9, -0.8, 0.7)
     laws = range(1, 15)
-    (shared,) = balance._balance_reports(field, laws, region, (t,))
+    (shared,) = _terms(field, laws, region, (t,))
     assert len(shared) == len(laws)
-    for key, report in zip(laws, shared):
-        single = balance_residual(field, key, region, t)
-        for f in dataclasses.fields(BalanceReport):
-            assert getattr(report, f.name) == getattr(single, f.name), (key, f.name)
+    for key, terms in zip(laws, shared):
+        assert terms == _report_terms(balance_residual(field, key, region, t)), key
 
 
 def test_balance_residual_calls_the_public_integrals(unit_params, monkeypatch):
@@ -396,7 +405,9 @@ def test_balance_check_is_planned_and_evaluated_once(
     else:
         field, region, times = _example_wave(unit_params), Region(-0.8, 0.9, -0.6, 0.7), (0.1, 0.3)
     laws = (1, 4, 12, 14)
-    composed = [[balance_residual(field, key, region, t) for key in laws] for t in times]
+    composed = [
+        [_report_terms(balance_residual(field, key, region, t)) for key in laws] for t in times
+    ]
 
     levels = []
     value_range = type(field.front).value_range
@@ -438,7 +449,7 @@ def test_balance_check_is_planned_and_evaluated_once(
     monkeypatch.setattr(balance, "_plan_heights", counted_heights)
     monkeypatch.setattr(type(field), "jet", counted_jet)
     levels.clear()
-    shared = balance._balance_reports(field, laws, region, times)
+    shared = _terms(field, laws, region, times)
     assert len(levels) == depth
     assert sorted(heights) == [region.quad_order - 2, region.quad_order]  # once per order
     assert len(passes) == 2
@@ -465,7 +476,7 @@ def test_fourteen_law_pass_fills_one_batch_for_both_sides(unit_params, monkeypat
     assert [_pass_cap(_ROW_SLOTS, n) for n in (14, 1)] == [1791, 2654]
     field, region = _example_wave(unit_params), Region(-0.8, 0.9, -0.6, 0.7, cells=(8, 8))
     laws, times = tuple(range(1, 15)), (0.1, 0.2, 0.3, 0.4)
-    expected = balance._balance_reports(field, laws, region, times)
+    expected = _terms(field, laws, region, times)
     passes = []
     integrals = balance._integrals
 
@@ -486,7 +497,7 @@ def test_fourteen_law_pass_fills_one_batch_for_both_sides(unit_params, monkeypat
     monkeypatch.setattr(balance, "_integrals", tagged)
     monkeypatch.setattr(type(field), "jet", counted_jet)
     monkeypatch.setattr(balance, "density_flux", counted_density_flux)
-    assert balance._balance_reports(field, laws, region, times) == expected
+    assert _terms(field, laws, region, times) == expected
     assert len(passes) == 2
     for batches, slots in zip(passes, (_DENSITY_SLOTS, _ROW_SLOTS)):
         cap = _pass_cap(slots, len(laws))
@@ -502,10 +513,10 @@ def test_fourteen_law_pass_fills_one_batch_for_both_sides(unit_params, monkeypat
 
 def test_long_balance_check_is_planned_a_few_times_at_a_time(unit_params, monkeypatch):
     # a check's arrays grow with its times, so they are planned in groups
-    # of _TIMES_PER_PLAN, each time's five density slices in one plan
+    # of _TIMES_PER_PLAN, each time's four density slices in one plan
     field, region = _example_wave(unit_params), Region(-0.8, 0.9, -0.6, 0.7)
     times = (0.0, 0.05, 0.1, 0.15, 0.2, 0.3)
-    one_by_one = [balance._balance_reports(field, (1, 4), region, (t,))[0] for t in times]
+    one_by_one = [_terms(field, (1, 4), region, (t,))[0] for t in times]
     planned = []
     plan_cells = balance._plan_cells
 
@@ -514,8 +525,8 @@ def test_long_balance_check_is_planned_a_few_times_at_a_time(unit_params, monkey
         return plan_cells(plan, front, region, slices)
 
     monkeypatch.setattr(balance, "_plan_cells", recorded)
-    assert balance._balance_reports(field, (1, 4), region, times) == one_by_one
-    assert planned == [5 * balance._TIMES_PER_PLAN, 5 * (len(times) - balance._TIMES_PER_PLAN)]
+    assert _terms(field, (1, 4), region, times) == one_by_one
+    assert planned == [4 * balance._TIMES_PER_PLAN, 4 * (len(times) - balance._TIMES_PER_PLAN)]
 
 
 def _balance_check(laws, times, region, **keys) -> dict:
@@ -533,10 +544,9 @@ def _balance_check(laws, times, region, **keys) -> dict:
 def test_balance_check_rows_are_those_of_the_balance_reports(
     case, unit_params, generic_params, monkeypatch
 ):
-    # no row reads the density integral at t, so a check's rows plan four
-    # density slices per time where its reports plan five; six times span
-    # two plans, and every row keeps the bits of the rows composed from
-    # the reports
+    # a check's rows plan four density slices per time; six times span two
+    # plans, and every row keeps the bits of the rows composed from the
+    # reports of balance_residual
     if case == "straight_wave":
         field, region = _example_wave(unit_params), Region(-0.8, 0.9, -0.6, 0.7)
     elif case == "disc":
@@ -554,10 +564,8 @@ def test_balance_check_rows_are_those_of_the_balance_reports(
         planned.append(len(slices))
         return plan_cells(plan, front, region, slices)
 
+    per_time = [[balance_residual(field, key, region, t, dt) for key in laws] for t in times]
     monkeypatch.setattr(balance, "_plan_cells", recorded)
-    per_time = balance._balance_reports(field, laws, region, times, dt)
-    assert planned == [5 * balance._TIMES_PER_PLAN, 5 * (len(times) - balance._TIMES_PER_PLAN)]
-    planned.clear()
     rows = run_scenario(scenario).results
     assert planned == [4 * balance._TIMES_PER_PLAN, 4 * (len(times) - balance._TIMES_PER_PLAN)]
     expected = []
@@ -613,7 +621,7 @@ def test_numpy_scalar_steps_give_the_reports_of_their_floats(generic_params):
     for scalar in (np.float64(1e-4), np.float32(1e-3), np.int64(1)):
         want = balance_residual(field, 1, region, 0.1, dt=float(scalar))
         assert balance_residual(field, 1, region, 0.1, dt=scalar) == want
-        assert balance._balance_reports(field, (1,), region, (0.1,), dt=scalar) == [[want]]
+        assert _terms(field, (1,), region, (0.1,), dt=scalar) == [[_report_terms(want)]]
 
 
 def test_balance_check_raises_what_the_first_failing_integral_raises(generic_params):
@@ -631,9 +639,9 @@ def test_balance_check_raises_what_the_first_failing_integral_raises(generic_par
         with pytest.raises(ValidationError, match="non-finite"):
             balance_residual(field, 1, region, 1000.0)
         with pytest.raises(ValidationError, match="non-finite"):
-            balance._balance_reports(field, (1, 2), region, (1000.0, 0.0))
+            balance._balance_terms(field, (1, 2), region, (1000.0, 0.0), None)
         with pytest.raises(ValidationError, match="not resolved .* at t = 0.0$"):
-            balance._balance_reports(field, (1, 2), region, (0.0, 1000.0))
+            balance._balance_terms(field, (1, 2), region, (0.0, 1000.0), None)
 
 
 def test_balance_across_straight_front(unit_params):
@@ -641,7 +649,8 @@ def test_balance_across_straight_front(unit_params):
     wave = acceleration_wave(ahead, c1=1.0, c2=0.5)
     region = Region(-0.8, 0.9, -0.6, 0.7)
     t = 0.1
-    for report in fundamental_balances(wave, region, t):
+    for key in (1, 14):
+        report = balance_residual(wave, key, region, t)
         scale = max(1.0, abs(report.time_derivative), abs(report.flux_integral))
         assert abs(report.residual) <= 1e-6 * scale, report.law.name
 
@@ -799,9 +808,35 @@ def test_balance_residual_rejects_bad_dt(generic_params):
     with pytest.raises(ValidationError, match="got True"):
         balance_residual(field, 1, region, 0.0, dt=True)
     with pytest.raises(ValidationError, match="got True"):
-        balance._balance_reports(field, (1,), region, (0.0,), dt=True)
+        balance._balance_terms(field, (1,), region, (0.0,), dt=True)
     with pytest.raises(ValidationError, match=r"^dt must be a positive finite number, got np.True_$"):
         balance_residual(field, 1, region, 0.0, dt=np.True_)
+
+
+@pytest.mark.parametrize(
+    "quad_order", [2.5, 8.0, True, np.True_, 0, -1, "8"], ids=lambda v: repr(v)
+)
+def test_one_slice_integrals_reject_a_quad_order_that_is_not_a_positive_integer(
+    quad_order, generic_params
+):
+    # 2.5 and True used to raise a numpy TypeError, 0 and -1 a numpy
+    # ValueError
+    field = polynomial_field({(2, 1, 0): 0.3}, None, generic_params)
+    region = Region(0.0, 1.0, 0.0, 1.0)
+    message = f"^quad_order must be an integer of at least 1, got {re.escape(repr(quad_order))}$"
+    for integral in (density_integral, boundary_flux_integral):
+        with pytest.raises(ValidationError, match=message):
+            integral(field, 1, region, 0.1, quad_order)
+
+
+def test_one_slice_integrals_take_a_numpy_integer_quad_order_as_its_int(generic_params):
+    field = polynomial_field({(2, 1, 0): 0.3, (0, 3, 1): -0.2}, None, generic_params)
+    region = Region(0.0, 1.0, 0.0, 1.0)
+    for integral in (density_integral, boundary_flux_integral):
+        for order in (1, 5):
+            want = integral(field, 1, region, 0.1, order)
+            assert integral(field, 1, region, 0.1, np.int64(order)) == want
+            assert integral(field, 1, region, 0.1, np.uint8(order)) == want
 
 
 def _time_functions(field, region):
@@ -810,7 +845,6 @@ def _time_functions(field, region):
         lambda t: density_integral(field, 1, region, t),
         lambda t: boundary_flux_integral(field, 1, region, t),
         lambda t: balance_residual(field, 1, region, t),
-        lambda t: fundamental_balances(field, region, t),
         lambda t: front_segment_jump_integral(field, 1, region, t),
     ]
 
@@ -1011,11 +1045,11 @@ def test_smooth_circle_balances_equal_front_integral(center, edges_crossed, gene
     region, t = _SMOOTH_REGION, 0.1
     crossed = np.isfinite(field.front.crossings(*balance._region_edges(region)[:2], t))
     assert crossed.any(axis=1).tolist() == edges_crossed
-    (reports,) = balance._balance_reports(field, range(1, 15), region, (t,))
-    for report in reports:
-        jump = front_segment_jump_integral(field, report.law, region, t)
-        scale = max(1.0, abs(report.time_derivative), abs(report.flux_integral))
-        assert abs(report.residual - jump) <= 1e-6 * scale, report.law.name
+    (terms,) = _terms(field, range(1, 15), region, (t,))
+    for key, (deriv, flux, residual, _) in zip(range(1, 15), terms):
+        jump = front_segment_jump_integral(field, key, region, t)
+        scale = max(1.0, abs(deriv), abs(flux))
+        assert abs(residual - jump) <= 1e-6 * scale, key
 
 
 def _scanned_circle_arcs(region, front, t, n_scan=512):

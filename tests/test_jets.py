@@ -2,45 +2,23 @@ import numpy as np
 import pytest
 
 from vkwave import FieldJet, ValidationError
-from vkwave.indexing import JET_SIZE
-
-
-def test_from_partials_and_accessors():
-    jet = FieldJet.from_partials(
-        [0.1, 0.2, 0.3],
-        w={(): 1.5, (1,): -0.5, (1, 2): 2.0, (3, 3): 4.0},
-        phi={(2, 2): -1.0},
-    )
-    assert jet.dw() == 1.5
-    assert jet.dw(1) == -0.5
-    assert jet.dw(2, 1) == 2.0
-    assert jet.dw(3, 3) == 4.0
-    assert jet.dphi(2, 2) == -1.0
-    assert jet.dphi(1, 1, 1, 1) == 0.0
-
-
-def test_zero_jet():
-    jet = FieldJet.zero([1.0, 2.0, 3.0])
-    assert jet.w.shape == (JET_SIZE,)
-    assert not jet.w.any()
-    assert not jet.phi.any()
-    assert not jet.is_batch
+from vkwave.indexing import JET_SIZE, S0, S11
 
 
 def test_batch_shapes():
     pts = np.zeros((4, 3))
-    jet = FieldJet.zero(pts)
-    assert jet.is_batch
+    jet = FieldJet(pts, np.zeros((4, JET_SIZE)), np.zeros((4, JET_SIZE)))
     assert jet.w.shape == (4, JET_SIZE)
-    assert jet.dw(1, 1).shape == (4,)
+    assert jet.w[..., S11].shape == (4,)
 
 
 def test_subtraction_requires_matching_points():
-    a = FieldJet.from_partials([0, 0, 0], w={(): 2.0})
-    b = FieldJet.from_partials([0, 0, 0], w={(): 0.5})
+    w = np.zeros(JET_SIZE)
+    a = FieldJet([0, 0, 0], w + 2.0, w)
+    b = FieldJet([0, 0, 0], w + 0.5, w)
     diff = a - b
-    assert diff.dw() == 1.5
-    c = FieldJet.zero([1, 0, 0])
+    assert diff.w[..., S0] == 1.5
+    c = FieldJet([1, 0, 0], w, w)
     with pytest.raises(ValidationError):
         _ = a - c
 
@@ -58,7 +36,3 @@ def test_shape_and_finiteness_validation(kwargs):
     with pytest.raises(ValidationError):
         FieldJet(**kwargs)
 
-
-def test_from_partials_rejects_batches():
-    with pytest.raises(ValidationError):
-        FieldJet.from_partials(np.zeros((2, 3)), w={(): 1.0})

@@ -266,8 +266,8 @@ def test_amplitude_extraction(wave, record):
     assert record.lambda_ == pytest.approx(0.7 * omega**2, rel=1e-12)
     assert record.mu == pytest.approx(-0.8, rel=1e-12)
     # jump sign convention: behind minus ahead
-    assert record.jump.dw(3, 3) == pytest.approx(
-        record.behind.dw(3, 3) - record.ahead.dw(3, 3), rel=1e-14
+    assert record.jump.w[..., idx(3, 3)] == pytest.approx(
+        record.behind.w[..., idx(3, 3)] - record.ahead.w[..., idx(3, 3)], rel=1e-14
     )
 
 
@@ -429,9 +429,18 @@ def test_amplitude_relations_oj_cancellation(generic_params):
 
 
 def test_amplitude_relations_reject_non_wave(generic_params):
-    field = polynomial_field(None, None, generic_params)
-    with pytest.raises(ValidationError):
-        amplitude_relation_residuals(field)
+    # an invariant solution has no ahead branch: the scales raised an
+    # AttributeError for it where the residuals raised ValidationError
+    fields = (
+        polynomial_field(None, None, generic_params),
+        invariant_solution((0.2, 0.0, 0.5, 0.1), (0, 0.3, 0.2, 0), 1.0, generic_params),
+    )
+    for field in fields:
+        for relations in (amplitude_relation_residuals, amplitude_relation_scales):
+            with pytest.raises(
+                ValidationError, match="^amplitude relations are defined for acceleration waves$"
+            ):
+                relations(field)
 
 
 def test_balance_jump_scale_positive(record, generic_params):

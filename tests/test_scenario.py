@@ -8,6 +8,7 @@ import yaml
 
 from vkwave import scenario
 from vkwave.errors import ScenarioError, ValidationError
+from vkwave.indexing import S11
 from vkwave.scenario import (
     CHECK_KINDS,
     FAMILIES,
@@ -233,7 +234,7 @@ def test_build_field_types():
     sc = scenario_from_dict(data)
     field = build_field(sc)
     assert isinstance(field, PolynomialField)
-    assert field.jet((1.0, 0.0, 0.0)).dw(1, 1) == pytest.approx(1.0)
+    assert field.jet((1.0, 0.0, 0.0)).w[..., S11] == pytest.approx(1.0)
 
 
 def test_build_front_types():

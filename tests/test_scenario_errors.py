@@ -220,6 +220,10 @@ _MALFORMED = {
         [(("front",), {"kind": "line", "coef_x1": 1.0})],
         "front.coef_x2: required",
     ),
+    "front_line_no_gradient": (
+        [(("front",), {"kind": "line", "coef_x1": 0, "coef_x2": 0})],
+        "front: line front needs a nonzero spatial gradient",
+    ),
     "front_line_unknown": (
         [(("front",), {"kind": "line", "coef_x1": 1.0, "coef_x2": 0.5, "radius": 1.0})],
         "front: unknown key(s) ['radius']; allowed keys are "

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from vkwave import report, solutions
 from vkwave.errors import SideRequiredError, UnfilledSlotError, ValidationError
-from vkwave.indexing import EXPONENTS, JET_SIZE, S11, S12, S22, S33, S1111, S1122, S2222
+from vkwave.indexing import EXPONENTS, JET_SIZE, S11, S12, S22, S33, S1111, S1122, S2222, idx
 from vkwave.jets import FieldJet
 from vkwave.scenario import build_field, load_scenario
 from vkwave.solutions import (
@@ -31,10 +31,10 @@ def test_invariant_profile_hand_values(unit_params):
     assert sol.omega == pytest.approx(1.0, rel=1e-12)
     jet = sol.jet((1.5, 2.0, 0.5))
     xi = 1.0
-    assert jet.dw() == pytest.approx(0.3 - 1.0 + 0.7 * math.sin(1) + 0.4 * math.cos(1), rel=1e-14)
-    assert jet.dw(3) == pytest.approx(-(-1.0 + 0.7 * math.cos(1) - 0.4 * math.sin(1)), rel=1e-14)
-    assert jet.dphi(1, 1) == pytest.approx(2 * (-0.5) + 6 * 0.9 * xi, rel=1e-14)
-    assert jet.dphi(2) == 0.0
+    assert jet.w[..., idx()] == pytest.approx(0.3 - 1.0 + 0.7 * math.sin(1) + 0.4 * math.cos(1), rel=1e-14)
+    assert jet.w[..., idx(3)] == pytest.approx(-(-1.0 + 0.7 * math.cos(1) - 0.4 * math.sin(1)), rel=1e-14)
+    assert jet.phi[..., idx(1, 1)] == pytest.approx(2 * (-0.5) + 6 * 0.9 * xi, rel=1e-14)
+    assert jet.phi[..., idx(2)] == 0.0
 
 
 coef = st.floats(-2.0, 2.0)
@@ -64,13 +64,13 @@ def test_invariant_solution_validation(generic_params):
 def test_polynomial_field_hand_derivatives(generic_params):
     field = polynomial_field({(2, 1, 1): 0.7}, {(0, 5, 0): 1.0}, generic_params)
     jet = field.jet((0.4, -0.3, 0.2))
-    assert jet.dw() == pytest.approx(0.7 * 0.16 * (-0.3) * 0.2, rel=1e-14)
-    assert jet.dw(1, 2) == pytest.approx(1.4 * 0.4 * 0.2, rel=1e-14)
-    assert jet.dw(1, 1, 2, 3) == pytest.approx(1.4, rel=1e-14)
-    assert jet.dw(2, 2) == 0.0
+    assert jet.w[..., idx()] == pytest.approx(0.7 * 0.16 * (-0.3) * 0.2, rel=1e-14)
+    assert jet.w[..., idx(1, 2)] == pytest.approx(1.4 * 0.4 * 0.2, rel=1e-14)
+    assert jet.w[..., idx(1, 1, 2, 3)] == pytest.approx(1.4, rel=1e-14)
+    assert jet.w[..., idx(2, 2)] == 0.0
     # x2^5 keeps a linear fourth derivative
-    assert jet.dphi(2, 2, 2, 2) == pytest.approx(120 * (-0.3), rel=1e-14)
-    assert jet.dphi(2, 2, 2) == pytest.approx(60 * 0.09, rel=1e-14)
+    assert jet.phi[..., idx(2, 2, 2, 2)] == pytest.approx(120 * (-0.3), rel=1e-14)
+    assert jet.phi[..., idx(2, 2, 2)] == pytest.approx(60 * 0.09, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [2, 40, 1000])
@@ -155,8 +155,8 @@ def test_polynomial_field_batch_and_validation(generic_params):
     field = polynomial_field({(1, 0, 0): 2.0}, None, generic_params)
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
     jet = field.jet(pts)
-    assert jet.dw().shape == (2,)
-    np.testing.assert_allclose(jet.dw(1), [2.0, 2.0])
+    assert jet.w[..., idx()].shape == (2,)
+    np.testing.assert_allclose(jet.w[..., idx(1)], [2.0, 2.0])
     with pytest.raises(ValidationError):
         polynomial_field({(1, 0): 2.0}, None, generic_params)
     with pytest.raises(ValidationError):
@@ -169,15 +169,15 @@ def test_piecewise_field_side_resolution(generic_params):
     front = LineFront(1.0, 0.0, -2.0, 0.0)
     field = PiecewiseField(ahead, behind, front, generic_params)
 
-    assert field.jet((0.5, 0.0, 0.0)).dw(3) == 0.0
-    assert field.jet((-0.5, 0.0, 0.0)).dw(3) == 1.0
-    assert field.jet((0.5, 0.0, 0.0), Side.BEHIND).dw(3) == 1.0
+    assert field.jet((0.5, 0.0, 0.0)).w[..., idx(3)] == 0.0
+    assert field.jet((-0.5, 0.0, 0.0)).w[..., idx(3)] == 1.0
+    assert field.jet((0.5, 0.0, 0.0), Side.BEHIND).w[..., idx(3)] == 1.0
     with pytest.raises(SideRequiredError):
         field.jet((0.0, 0.0, 0.0))
-    assert field.jet((0.0, 0.0, 0.0), Side.AHEAD).dw(3) == 0.0
+    assert field.jet((0.0, 0.0, 0.0), Side.AHEAD).w[..., idx(3)] == 0.0
 
     pts = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
-    np.testing.assert_allclose(field.jet(pts).dw(3), [0.0, 1.0])
+    np.testing.assert_allclose(field.jet(pts).w[..., idx(3)], [0.0, 1.0])
 
 
 def test_piecewise_field_param_mismatch(unit_params, generic_params):
@@ -199,12 +199,12 @@ def test_acceleration_wave_jump_structure(generic_params):
     ja = wave.jet(point, Side.AHEAD)
     jb = wave.jet(point, Side.BEHIND)
     # continuous through first order, jumps confined to second order
-    assert jb.dw() == pytest.approx(ja.dw(), rel=1e-12)
-    assert jb.dw(1) == pytest.approx(ja.dw(1), rel=1e-12)
-    assert jb.dw(3) == pytest.approx(ja.dw(3), rel=1e-12)
-    assert jb.dphi(1) == pytest.approx(ja.dphi(1), rel=1e-12)
-    assert jb.dw(3, 3) - ja.dw(3, 3) == pytest.approx(0.7 * omega**2 * c**2, rel=1e-10)
-    assert jb.dphi(1, 1) - ja.dphi(1, 1) == pytest.approx(2 * (-0.4), rel=1e-10)
+    assert jb.w[..., idx()] == pytest.approx(ja.w[..., idx()], rel=1e-12)
+    assert jb.w[..., idx(1)] == pytest.approx(ja.w[..., idx(1)], rel=1e-12)
+    assert jb.w[..., idx(3)] == pytest.approx(ja.w[..., idx(3)], rel=1e-12)
+    assert jb.phi[..., idx(1)] == pytest.approx(ja.phi[..., idx(1)], rel=1e-12)
+    assert jb.w[..., idx(3, 3)] - ja.w[..., idx(3, 3)] == pytest.approx(0.7 * omega**2 * c**2, rel=1e-10)
+    assert jb.phi[..., idx(1, 1)] - ja.phi[..., idx(1, 1)] == pytest.approx(2 * (-0.4), rel=1e-10)
     assert wave.lambda_amplitude == pytest.approx(0.7 * omega**2, rel=1e-14)
     assert wave.mu_amplitude == pytest.approx(-0.8, rel=1e-14)
 
@@ -248,8 +248,8 @@ def test_pde_residual_hand_values(generic_params):
 def test_polynomial_field_jet_time_slots(generic_params):
     field = polynomial_field({(0, 0, 2): 0.5}, None, generic_params)
     jet = field.jet((0.0, 0.0, 3.0))
-    assert jet.dw(3) == pytest.approx(3.0, rel=1e-14)
-    assert jet.dw(3, 3) == pytest.approx(1.0, rel=1e-14)
+    assert jet.w[..., idx(3)] == pytest.approx(3.0, rel=1e-14)
+    assert jet.w[..., idx(3, 3)] == pytest.approx(1.0, rel=1e-14)
 
 
 def _values(rows):
@@ -701,7 +701,7 @@ def test_subset_jet_is_checked_in_its_filled_slots(generic_params):
     phi = w.copy()
     jet = FieldJet._filled(pts, w, phi, (1, 4))
     assert jet.w.values is w and jet.phi.values is phi
-    assert jet.dw(1, 1)[0] == 1.0
+    assert jet.w[..., idx(1, 1)][0] == 1.0
     phi[1, 1] = np.inf
     with pytest.raises(ValidationError, match="^phi contains non-finite entries$"):
         FieldJet._filled(pts, w, phi, (1, 4))
@@ -735,13 +735,14 @@ def test_subset_jet_methods_read_filled_slots_or_raise(generic_params):
     field = _subset_case("acceleration_wave", generic_params)
     pts = np.random.default_rng(11).uniform(-1.0, 1.0, (30, 3))
     full, sub = field.jet(pts), field.jet(pts, Side.AUTO, solutions._PDE_SLOTS)
-    assert sub.is_batch and not field.jet(pts[0], Side.AUTO, solutions._PDE_SLOTS).is_batch
-    assert np.array_equal(sub.dw(2, 1, 1, 2), full.dw(1, 1, 2, 2))
-    assert np.array_equal(sub.dphi(3, 3), full.dphi(3, 3))
+    assert sub.point.shape == (30, 3)
+    assert field.jet(pts[0], Side.AUTO, solutions._PDE_SLOTS).point.shape == (3,)
+    assert np.array_equal(sub.w[..., idx(2, 1, 1, 2)], full.w[..., idx(1, 1, 2, 2)])
+    assert np.array_equal(sub.phi[..., idx(3, 3)], full.phi[..., idx(3, 3)])
     with pytest.raises(UnfilledSlotError, match=r"^jet slot 1 \(1,\) was not filled; the jet holds slots \(4, "):
-        sub.dw(1)
+        sub.w[..., idx(1)]
     with pytest.raises(UnfilledSlotError, match="^jet slot 0 "):
-        sub.dphi()
+        sub.phi[..., idx()]
     for key in ((slice(None), 4), 4, (Ellipsis, [4, 5])):
         with pytest.raises(TypeError, match="one slot at a time"):
             sub.w[key]

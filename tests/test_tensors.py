@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
+from vkwave.indexing import JET_SIZE, idx
 from vkwave.jets import FieldJet
 from vkwave.tensors import (
-    SymTensor2,
-    Vector2,
     bending_tensor,
     f_vector,
     g_tensor,
@@ -45,19 +44,11 @@ def jet():
         (1, 1, 2): -0.4,
         (2, 2, 2): 0.5,
     }
-    return FieldJet.from_partials(POINT, w=w, phi=phi)
-
-
-def test_vector2_and_symtensor2_access():
-    v = Vector2(3.0, -4.0)
-    assert v[1] == 3.0 and v[2] == -4.0
-    with pytest.raises(IndexError):
-        v[0]
-
-    s = SymTensor2(1.0, 2.0, 5.0)
-    assert s.component(1, 2) == s.component(2, 1) == 2.0
-    with pytest.raises(IndexError):
-        s.component(1, 3)
+    arrays = np.zeros((2, JET_SIZE))
+    for row, partials in zip(arrays, (w, phi)):
+        for subscripts, value in partials.items():
+            row[idx(*subscripts)] = value
+    return FieldJet(POINT, *arrays)
 
 
 def test_membrane_stress(jet):
@@ -90,8 +81,8 @@ def test_shear_force(jet, generic_params):
     d = generic_params.D
     q = shear_force(jet, generic_params)
     # grad(laplace w) = (0.2, 0.3) plus membrane transport N.grad(w)
-    assert q[1] == pytest.approx(-d * 0.2 - 0.38, rel=1e-14)
-    assert q[2] == pytest.approx(-d * 0.3 - 0.7, rel=1e-14)
+    assert q.x1 == pytest.approx(-d * 0.2 - 0.38, rel=1e-14)
+    assert q.x2 == pytest.approx(-d * 0.3 - 0.7, rel=1e-14)
 
 
 def test_g_tensor(jet, generic_params):
@@ -105,8 +96,8 @@ def test_g_tensor(jet, generic_params):
 def test_f_vector(jet, generic_params):
     eh = generic_params.Eh
     f = f_vector(jet, generic_params)
-    assert f[1] == pytest.approx(1.5 / eh + 0.17, rel=1e-14)
-    assert f[2] == pytest.approx(0.1 / eh + 0.035, rel=1e-14)
+    assert f.x1 == pytest.approx(1.5 / eh + 0.17, rel=1e-14)
+    assert f.x2 == pytest.approx(0.1 / eh + 0.035, rel=1e-14)
 
 
 def test_energy_densities(jet, generic_params):
