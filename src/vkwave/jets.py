@@ -52,6 +52,21 @@ class _SlotRows:
         raise TypeError("a subset jet holds only some slots; read one as [..., slot]")
 
 
+def _slot_arrays(f, slots, skip=frozenset()) -> list:
+    """f[..., q] for each q of ``slots``, with None for each q in ``skip``,
+    which is not read; f is one field of a jet, its array or its _SlotRows.
+    The filled slots of a _SlotRows are read straight from its values: its
+    key check cost more than the row's read."""
+    if not isinstance(f, _SlotRows):
+        return [None if q in skip else f[..., q] for q in slots]
+    values, column = f.values, f._column
+    # an unfilled slot goes through f[..., q], which raises its error
+    return [
+        None if q in skip else values[..., column[q]] if q in column else f[..., q]
+        for q in slots
+    ]
+
+
 @dataclass(frozen=True, eq=False)
 class FieldJet:
     """Derivatives of the deflection w and the force function phi at a point.

@@ -36,7 +36,7 @@ from .conservation import _exact_divergence
 from .errors import ValidationError, _first_failure
 from .jumps import _balance_jump_terms, _closed_form_residuals, _dynamic_terms, _front_jets
 from .scenario import Scenario, sample_front_point, scenario_to_dict
-from .solutions import _PDE_SLOTS, Side, _batch_size, _jet_batches, _pde_terms
+from .solutions import _NO_ZERO_SLOTS, _PDE_SLOTS, Side, _batch_size, _jet_batches, _pde_rows
 from .wavefront import _front_distance
 from .version import __version__
 
@@ -109,14 +109,13 @@ def _batch_maxima(batches, keys, scaled, p) -> list:
     return [f if isinstance(f, Exception) else _worst(f) for f in found]
 
 
-def _pde_scaled(_, batch, p):
-    # batch is a (rows, jet) pair of _jet_batches or _sampled_pde_batches;
-    # each equation's _scaled, then their maximum, formed in the buffers
-    # _pde_terms returns
-    r1, r2, s1, s2 = _pde_terms(batch[1], p)
-    for r, s in ((r1, s1), (r2, s2)):
-        np.divide(np.abs(r, out=r), np.maximum(1.0, s, out=s), out=r)
-    return np.maximum(r1, r2, out=r1)
+def _pde_scaled(_, batch, p, zero=_NO_ZERO_SLOTS):
+    # batch is a (rows, jet) pair of _jet_batches or _sampled_pde_batches,
+    # and zero the field's _zero_slots; each equation's _scaled, then their
+    # maximum, formed in the rows _pde_rows returns
+    r, s = _pde_rows(batch[1], p, zero)
+    np.divide(np.abs(r, out=r), np.maximum(1.0, s, out=s), out=r)
+    return np.maximum(r[0], r[1], out=r[0])
 
 
 def _sampled_pde_batches(field, rng, n: int):
@@ -147,7 +146,11 @@ def _run_pde_residual(scenario: Scenario, field, check, rng):
     else:
         n = check.samples if check.samples is not None else 20
         batches = _sampled_pde_batches(field, rng, n)
-    (worst,) = _batch_maxima(batches, (None,), _pde_scaled, field.params)
+    # the terms of the slots the field makes identically zero are left
+    # out: their sums are the same numbers but for the sign of a zero,
+    # which _scaled drops
+    zero = getattr(field, "_zero_slots", _NO_ZERO_SLOTS)
+    (worst,) = _batch_maxima(batches, (None,), partial(_pde_scaled, zero=zero), field.params)
     yield None, worst, f"max over {n} points"
 
 

@@ -450,7 +450,27 @@ class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
     ``1.0e5``, which YAML 1.1 leaves as strings.  The added pattern needs a
     dot or an exponent, so integers still load as ``int``.  Where PyYAML
     has libyaml, its C parser reads the text; tags are still resolved and
-    values built by the same Python resolver and SafeConstructor."""
+    values built by the same Python resolver and SafeConstructor.  A key
+    given twice in one mapping is an error, where YAML would keep its last
+    value and drop the first without a word."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # a merge key's entries may be overridden
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                repeated = key in seen
+            except TypeError:
+                continue  # unhashable: SafeConstructor raises its own error
+            if repeated:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark,
+                )
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 _Loader.add_implicit_resolver(

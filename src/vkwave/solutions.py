@@ -31,7 +31,7 @@ import numpy as np
 from ._kernels import traveling_jet_fill
 from .errors import SideRequiredError, ValidationError, _is_integer, _is_real, _real
 from .indexing import EXPONENTS, JET_SIZE, S11, S12, S22, S33, S1111, S1122, S2222
-from .jets import FieldJet
+from .jets import FieldJet, _slot_arrays
 from .params import PlateParams
 from .wavefront import Front, LineFront
 
@@ -85,6 +85,14 @@ class InvariantSolution:
     omega: float = field(init=False)
 
     front = None
+
+    #: The slots that every profile makes identically zero, (w's, phi's):
+    #: those with an x2 subscript, and for phi's cubic also those of order
+    #: 4 in (x1, x3).
+    _zero_slots = (
+        frozenset(q for q, (i, j, k) in enumerate(EXPONENTS.tolist()) if j > 0),
+        frozenset(q for q, (i, j, k) in enumerate(EXPONENTS.tolist()) if j > 0 or i + k >= 4),
+    )
 
     def __post_init__(self) -> None:
         c = self.wave_speed
@@ -167,6 +175,13 @@ class PolynomialField:
     @functools.cached_property
     def _phi_terms(self):
         return _slot_terms(self.phi_exponents, self.phi_coefficients)
+
+    @functools.cached_property
+    def _zero_slots(self):
+        """The slots of w and of phi that no term reaches, and so are zero."""
+        return tuple(
+            frozenset(range(JET_SIZE)).difference(terms) for terms in (self._w_terms, self._phi_terms)
+        )
 
     def jet(self, point, side: Side = Side.AUTO, slots=None) -> FieldJet:
         pts, flat, single = _as_points(point)
@@ -299,6 +314,13 @@ class PiecewiseField:
         for name, branch in (("ahead", self.ahead), ("behind", self.behind)):
             if getattr(branch, "params", None) != self.params:
                 raise ValidationError(f"{name} branch has different plate constants")
+
+    @functools.cached_property
+    def _zero_slots(self):
+        """The slots of w and of phi that both branches make identically
+        zero; a branch that declares none has none."""
+        a, b = (getattr(f, "_zero_slots", _NO_ZERO_SLOTS) for f in (self.ahead, self.behind))
+        return (a[0] & b[0], a[1] & b[1])
 
     def jet(self, point, side: Side | np.ndarray = Side.AUTO, slots=None) -> FieldJet:
         """Jets of the ahead or behind branch, or of each point's own
@@ -483,15 +505,124 @@ def _jet_batches(field, points: np.ndarray, side: Side = Side.AUTO, slots=None):
 #: check fills only these.
 _PDE_SLOTS = (S11, S12, S22, S33, S1111, S1122, S2222)
 
-
-def _bilaplacian(f, out: np.ndarray) -> np.ndarray:
-    """f_1111 + 2 f_1122 + f_2222 of one field's jet, formed in ``out``."""
-    np.multiply(2.0, f[..., S1122], out=out)
-    np.add(f[..., S1111], out, out=out)
-    return np.add(out, f[..., S2222], out=out)
+#: The zero slots of a field that declares none: no slot of w or of phi is
+#: taken to be identically zero.
+_NO_ZERO_SLOTS = (frozenset(), frozenset())
 
 
-def _pde_terms(jet: FieldJet, p: PlateParams):
+def _add(x, y, out: np.ndarray):
+    """x + y formed in ``out``, None standing for an identically zero term:
+    the other term itself when one is None, and None when both are."""
+    if x is None or y is None:
+        return y if x is None else x
+    return np.add(x, y, out=out)
+
+
+def _subtract(x, y, out: np.ndarray):
+    """x - y as _add forms x + y, and -y formed in ``out`` when x is None."""
+    if y is None:
+        return x
+    if x is None:
+        return np.negative(y, out=out)
+    return np.subtract(x, y, out=out)
+
+
+def _hold(x, out: np.ndarray) -> None:
+    """Make ``out`` hold x, a sum of _add and _subtract: zeros for None,
+    and a copy of a term that is its own row."""
+    if x is None:
+        out.fill(0.0)
+    elif x is not out:
+        np.copyto(out, x)
+
+
+def _product(x, y, rows):
+    """x * y formed in the next of ``rows``; None, taking no row, when
+    either factor is None."""
+    if x is None or y is None:
+        return None
+    return np.multiply(x, y, out=next(rows))
+
+
+def _bilaplacian(f1111, f1122, f2222, scale, by, rows):
+    """scale(f_1111 + 2 f_1122 + f_2222, by) of one field's jet, its None
+    slots left out of the sum, formed in the next of ``rows``; None, taking
+    no row, when all three are None."""
+    if f1111 is None and f1122 is None and f2222 is None:
+        return None
+    out = next(rows)
+    # x + x is 2.0 * x to the bit, without the call converting a float
+    twice = None if f1122 is None else np.add(f1122, f1122, out=out)
+    return scale(_add(_add(f1111, twice, out), f2222, out), by, out=out)
+
+
+def _sum(terms, out: np.ndarray) -> None:
+    """terms[0] + terms[1] + ..., added in order, formed in ``out``."""
+    if len(terms) < 2:
+        return _hold(terms[0] if len(terms) else None, out)
+    np.add(terms[0], terms[1], out=out)
+    for term in terms[2:]:
+        np.add(out, term, out=out)
+
+
+def _pde_rows(jet: FieldJet, p: PlateParams, zero=_NO_ZERO_SLOTS):
+    """The results of _pde_terms as the rows of two arrays, (r1, r2) and
+    (s1, s2), of shape (2,) + the batch shape, or (2, 1) at one point."""
+    zw, zp = zero
+    w11, w12, w22, w33, w1111, w1122, w2222 = _slot_arrays(jet.w, _PDE_SLOTS, zw)
+    p11, p12, p22, p1111, p1122, p2222 = _slot_arrays(
+        jet.phi, (S11, S12, S22, S1111, S1122, S2222), zp
+    )
+    # one array: the four results, then a row for each term left, in the
+    # order the scales add them, s1's five and then s2's three
+    s1_left = (
+        (w1111 is not None or w1122 is not None or w2222 is not None)  # bending
+        + (w11 is not None and p22 is not None)
+        + (w22 is not None and p11 is not None)
+        + (w12 is not None and p12 is not None)
+        + (w33 is not None)  # inertia
+    )
+    s2_left = (
+        (p1111 is not None or p1122 is not None or p2222 is not None)  # membrane
+        + (w11 is not None and w22 is not None)
+        + (w12 is not None)
+    )
+    block = np.empty((4 + s1_left + s2_left,) + (jet.point.shape[:-1] or (1,)))
+    r1, r2, s1, s2, *rows = block
+    rows = iter(rows)
+
+    bending = _bilaplacian(w1111, w1122, w2222, np.multiply, p.D, rows)
+    w11_p22 = _product(w11, p22, rows)
+    w22_p11 = _product(w22, p11, rows)
+    w12_p12 = None
+    if w12 is not None and p12 is not None:
+        # (2.0 * w12) * p12, as the expression groups it
+        w12_p12 = np.add(w12, w12, out=next(rows))
+        np.multiply(w12_p12, p12, out=w12_p12)
+    inertia = _product(p.rho, w33, rows)
+    membrane = _bilaplacian(p1111, p1122, p2222, np.divide, p.Eh, rows)
+    w11_w22 = _product(w11, w22, rows)
+    w12_w12 = _product(w12, w12, rows)
+
+    # r1 = bending - (w11_p22 + w22_p11 - 2.0 * w12 * p12) + inertia
+    coupling = _subtract(_add(w11_p22, w22_p11, r1), w12_p12, r1)
+    _hold(_add(_subtract(bending, coupling, r1), inertia, r1), r1)
+    # r2 = membrane + (w11_w22 - w12_w12)
+    _hold(_add(membrane, _subtract(w11_w22, w12_w12, r2), r2), r2)
+    # s1 = |bending| + |w11_p22| + |w22_p11| + 2.0 * |w12 * p12| + |inertia|
+    # s2 = |membrane| + |w11_w22| + |w12_w12|
+    if w12_p12 is not None:
+        # 2.0 * (w12 * p12), whose magnitude is 2.0 * |w12 * p12| exactly
+        np.multiply(w12, p12, out=w12_p12)
+        np.add(w12_p12, w12_p12, out=w12_p12)
+    terms = block[4:]
+    np.abs(terms, out=terms)
+    _sum(terms[:s1_left], s1)
+    _sum(terms[s1_left:], s2)
+    return block[:2], block[2:4]
+
+
+def _pde_terms(jet: FieldJet, p: PlateParams, zero=_NO_ZERO_SLOTS):
     """Residuals (r1, r2) and term scales (s1, s2) of the two governing
     equations at a jet, each term formed once for both:
 
@@ -500,47 +631,21 @@ def _pde_terms(jet: FieldJet, p: PlateParams):
 
     and s1, s2 the sums of the magnitudes of those terms.  Each is formed
     by the same operations in the same order as the plain expressions, but
-    in ten arrays allocated here and rewritten in place, never in the jet,
-    so that a batch makes ten arrays where the expressions made 37.  No two
-    results share memory, nor any with the jet, so a caller may overwrite
-    them; at a one-point jet they are numpy scalars."""
-    w, phi = jet.w, jet.phi
-    w11, w12, w22 = w[..., S11], w[..., S12], w[..., S22]
-    p11, p12, p22 = phi[..., S11], phi[..., S12], phi[..., S22]
-    shape = np.shape(w11)
+    in the rows of one array allocated here and rewritten in place, never
+    in the jet, so that a batch makes one array where the expressions made
+    37.  No two results share memory, nor any with the jet, so a caller
+    may overwrite them; at a one-point jet they are numpy scalars.
 
-    bending = _bilaplacian(w, np.empty(shape))
-    np.multiply(p.D, bending, out=bending)
-    w11_p22 = np.multiply(w11, p22, out=np.empty(shape))
-    w22_p11 = np.multiply(w22, p11, out=np.empty(shape))
-    inertia = np.multiply(p.rho, w[..., S33], out=np.empty(shape))
-    membrane = _bilaplacian(phi, np.empty(shape))
-    np.divide(membrane, p.Eh, out=membrane)
-    w11_w22 = np.multiply(w11, w22, out=np.empty(shape))
-    w12_w12 = np.multiply(w12, w12, out=np.empty(shape))
-
-    # r1 = bending - (w11_p22 + w22_p11 - 2.0 * w12 * p12) + inertia
-    r1 = np.add(w11_p22, w22_p11, out=np.empty(shape))
-    w12_p12 = np.multiply(2.0, w12, out=np.empty(shape))
-    np.subtract(r1, np.multiply(w12_p12, p12, out=w12_p12), out=r1)
-    np.subtract(bending, r1, out=r1)
-    np.add(r1, inertia, out=r1)
-    # r2 = membrane + (w11_w22 - w12_w12)
-    r2 = np.subtract(w11_w22, w12_w12, out=np.empty(shape))
-    np.add(membrane, r2, out=r2)
-    # s1 = |bending| + |w11_p22| + |w22_p11| + 2.0 * |w12 * p12| + |inertia|
-    s1 = np.abs(bending, out=bending)
-    np.add(s1, np.abs(w11_p22, out=w11_p22), out=s1)
-    np.add(s1, np.abs(w22_p11, out=w22_p11), out=s1)
-    np.abs(np.multiply(w12, p12, out=w12_p12), out=w12_p12)
-    np.add(s1, np.multiply(2.0, w12_p12, out=w12_p12), out=s1)
-    np.add(s1, np.abs(inertia, out=inertia), out=s1)
-    # s2 = |membrane| + |w11_w22| + |w12_w12|
-    s2 = np.abs(membrane, out=membrane)
-    np.add(s2, np.abs(w11_w22, out=w11_w22), out=s2)
-    np.add(s2, np.abs(w12_w12, out=w12_w12), out=s2)
-    # [()] views a batch's whole array, and turns a 0-d one into its scalar
-    return r1[()], r2[()], s1[()], s2[()]
+    ``zero`` holds the slots of w and of phi that the field makes
+    identically zero (its ``_zero_slots``), which are never read.  Every
+    product with such a slot as a factor and every bilaplacian term of one
+    is left out of its sum, and a sum with no term left is zeros.  An
+    exact zero added or subtracted leaves a sum's value as it is, so the
+    results are the numbers of the full sums, though a zero may differ in
+    sign."""
+    shape = (2,) + jet.point.shape[:-1]
+    (r1, r2), (s1, s2) = (x.reshape(shape) for x in _pde_rows(jet, p, zero))
+    return r1, r2, s1, s2
 
 
 def pde_residual(jet: FieldJet, p: PlateParams):

@@ -11,7 +11,7 @@ import pytest
 
 from vkwave.errors import ScenarioError
 from vkwave.indexing import S0
-from vkwave.scenario import build_field, scenario_from_dict, scenario_to_dict
+from vkwave.scenario import build_field, load_scenario, scenario_from_dict, scenario_to_dict
 
 _BASE = {
     "plate": {"youngs_modulus": 2.1, "poisson_ratio": 0.27, "thickness": 0.31, "areal_density": 1.7},
@@ -316,3 +316,24 @@ def test_points_and_samples_exclude_each_other():
         assert str(info.value) == "checks[0]: takes points or samples, not both"
         del data["checks"][0]["samples"]
         assert scenario_to_dict(scenario_from_dict(data))["checks"][0]["points"] == [[0.1, 0.2, 0.3]]
+
+
+@pytest.mark.parametrize(
+    "text, key, line",
+    [
+        ("field:\n  wave_speed: 1.0\n  wave_speed: 2.0\n", "wave_speed", 3),
+        ("checks: [{type: pde_residual}]\nseed: 1\nchecks: [{type: conservation}]\n", "checks", 3),
+        ("plate: {thickness: 0.3, thickness: 0.4}\n", "thickness", 1),
+    ],
+    ids=["field_key", "top_level_key", "flow_mapping_key"],
+)
+def test_a_key_given_twice_fails_to_load(tmp_path, text, key, line):
+    # YAML keeps a repeated key's last value, which would drop the first
+    # without a word: the second wave_speed, or the first checks list
+    path = tmp_path / "repeated.yaml"
+    path.write_text(text)
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(path)
+    message = str(info.value)
+    assert message.startswith(f"scenario file {path} is not valid YAML: while constructing a mapping")
+    assert f"found duplicate key {key!r}\n  in \"{path}\", line {line}," in message

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from vkwave import report, solutions
 from vkwave.errors import SideRequiredError, UnfilledSlotError, ValidationError
 from vkwave.indexing import EXPONENTS, JET_SIZE, S11, S12, S22, S33, S1111, S1122, S2222, idx
-from vkwave.jets import FieldJet
+from vkwave.jets import FieldJet, _SlotRows
 from vkwave.scenario import build_field, load_scenario
 from vkwave.solutions import (
     AccelerationWave,
@@ -693,6 +693,147 @@ def test_pde_scaled_in_place_matches_the_expressions_bit_for_bit(case, generic_p
     assert got.tobytes() == want.tobytes()
     for a, b in zip(_jet_values(jet), before):
         assert a.tobytes() == b.tobytes()
+
+
+def _random_branch(rng, p, family):
+    """A random InvariantSolution or PolynomialField on plate p; some of
+    its coefficients are zero."""
+    if family == "invariant":
+        u, phi = rng.uniform(-2.0, 2.0, (2, 4)) * (rng.random((2, 4)) < 0.7)
+        speed = rng.uniform(0.3, 3.0) * rng.choice((-1.0, 1.0))
+        return InvariantSolution(tuple(u), tuple(phi), speed, p)
+    terms = [
+        {tuple(rng.integers(0, 6, 3).tolist()): float(rng.uniform(-1.0, 1.0) * (rng.random() < 0.9))
+         for _ in range(rng.integers(0, 6))}
+        for _ in range(2)
+    ]
+    return polynomial_field(*terms, p)
+
+
+_FAMILIES = ("invariant", "acceleration_wave", "polynomial", "piecewise")
+
+
+def _random_field(rng, p, family):
+    """A random field of one family: an acceleration wave has a random
+    ahead solution, and a piecewise field two random branches, invariant
+    or polynomial (at times the same speed, for the shared fill) across a
+    random line or circle."""
+    if family in ("invariant", "polynomial"):
+        return _random_branch(rng, p, family)
+    if family == "acceleration_wave":
+        return AccelerationWave(_random_branch(rng, p, "invariant"), rng.uniform(0.1, 2.0), rng.uniform(-1.0, 1.0))
+    ahead, behind = (_random_branch(rng, p, rng.choice(("invariant", "polynomial"))) for _ in range(2))
+    if isinstance(ahead, InvariantSolution) and isinstance(behind, InvariantSolution) and rng.random() < 0.5:
+        behind = InvariantSolution(behind.u, behind.phi, ahead.wave_speed, p)
+    if rng.random() < 0.5:
+        front = LineFront(*rng.uniform(-1.0, 1.0, 2), rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
+    else:
+        front = CircleFront(*rng.uniform(-0.3, 0.3, 2), rng.uniform(0.4, 0.8), radial_speed=rng.uniform(-0.2, 0.2))
+    return PiecewiseField(ahead, behind, front, p)
+
+
+def _no_zero_slots(field):
+    return getattr(field, "_zero_slots", solutions._NO_ZERO_SLOTS)
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_declared_zero_slots_are_zero_in_a_full_fill(family, generic_params):
+    # every slot a field declares identically zero holds exactly 0 in its
+    # full jets, in a batch and at one point, on both sides of a front
+    rng = np.random.default_rng(["invariant", "acceleration_wave", "polynomial", "piecewise"].index(family))
+    for _ in range(40):
+        field = _random_field(rng, generic_params, family)
+        zw, zp = field._zero_slots
+        assert isinstance(zw, frozenset) and isinstance(zp, frozenset)
+        pts = rng.uniform(-1.0, 1.0, (300, 3))
+        if field.front is not None:
+            gamma = field.front.value(pts)
+            pts = pts[gamma != 0.0]
+            assert (gamma > 0).any() and (gamma < 0).any()
+        for jet in [field.jet(pts)] + [field.jet(pt) for pt in pts[:3]] + [field.jet(pts[3:4])]:
+            assert not jet.w[..., sorted(zw)].any() and not jet.phi[..., sorted(zp)].any()
+        if isinstance(field, PiecewiseField):
+            ahead, behind = _no_zero_slots(field.ahead), _no_zero_slots(field.behind)
+            assert field._zero_slots == (ahead[0] & behind[0], ahead[1] & behind[1])
+
+
+def test_zero_slots_of_each_family(generic_params):
+    p = generic_params
+    x2 = frozenset(q for q in range(JET_SIZE) if EXPONENTS[q][1] > 0)
+    order4 = frozenset(q for q in range(JET_SIZE) if EXPONENTS[q].sum() == 4)
+    sol = InvariantSolution((0.1, 0.2, 0.3, 0.4), (0.5, 0.6, 0.7, 0.8), 1.3, p)
+    assert sol._zero_slots == (x2, x2 | order4)
+    # a polynomial is zero in the slots no term reaches: every slot above
+    # x1^2 x3 for w, and all of them for a phi with no terms
+    poly = polynomial_field({(2, 0, 1): 1.0}, None, p)
+    reached = {idx(), idx(1), idx(3), idx(1, 1), idx(1, 3), idx(1, 1, 3)}
+    assert poly._zero_slots == (frozenset(range(JET_SIZE)) - reached, frozenset(range(JET_SIZE)))
+    # a branch that declares nothing leaves its piecewise field nothing
+    class Bare:
+        params = p
+
+        def jet(self, point, side=Side.AUTO, slots=None):
+            return sol.jet(point, slots=slots)
+
+    glued = PiecewiseField(poly, Bare(), LineFront(1.0, 0.0, 0.0, 0.0), p)
+    assert glued._zero_slots == (frozenset(), frozenset())
+    assert PiecewiseField(poly, sol, LineFront(1.0, 0.0, 0.0, 0.0), p)._zero_slots == (
+        poly._zero_slots[0] & x2, x2 | order4
+    )
+
+
+def _zero_slot_cases(p):
+    """(field, jets) for 240 random fields, 60 of each family: a 500-point
+    batch of pde-slot jets, as a check fills them, and the full jets of a
+    (3,) point and a (1, 3) batch."""
+    rng = np.random.default_rng(33)
+    for i in range(240):
+        field = _random_field(rng, p, _FAMILIES[i % 4])
+        pts = rng.uniform(-1.0, 1.0, (500, 3))
+        yield field, (field.jet(pts, Side.AUTO, solutions._PDE_SLOTS), field.jet(pts[0]), field.jet(pts[:1]))
+
+
+def test_pde_terms_without_the_zero_slots_equal_the_full_terms(generic_params):
+    # leaving out the terms of the declared zero slots gives the same scaled
+    # residuals to the bit, and residuals and scales equal as values (an
+    # exact zero may differ in sign)
+    skipped = 0
+    for field, jets in _zero_slot_cases(generic_params):
+        zero = field._zero_slots
+        for jet in jets:
+            batch = (slice(None), jet)
+            sparse = report._pde_scaled(None, batch, field.params, zero)
+            full = report._pde_scaled(None, batch, field.params)
+            assert sparse.tobytes() == full.tobytes()
+            for got, want in zip(solutions._pde_terms(jet, field.params, zero), solutions._pde_terms(jet, field.params)):
+                assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+        skipped += bool(set(solutions._PDE_SLOTS) & (zero[0] | zero[1]))
+    assert skipped > 200  # most fields leave some term out
+
+
+def test_pde_terms_never_read_the_zero_slots(generic_params):
+    # a jet whose declared zero slots hold NaN gives the scaled residuals of
+    # the clean jet: a term that read one would give NaN.  Both a full jet
+    # and a jet of the pde slots only, as the check fills, are poisoned.
+    rng = np.random.default_rng(34)
+    p = generic_params
+    for i in range(40):
+        field = _random_field(rng, p, _FAMILIES[i % 4])
+        zw, zp = field._zero_slots
+        pts = rng.uniform(-1.0, 1.0, (200, 3))
+        for slots in (None, solutions._PDE_SLOTS):
+            jet = field.jet(pts, Side.AUTO, slots)
+            columns = range(JET_SIZE) if slots is None else slots
+            w, phi = _jet_values(jet)
+            w[:, [c for c, q in enumerate(columns) if q in zw]] = np.nan
+            phi[:, [c for c, q in enumerate(columns) if q in zp]] = np.nan
+            if slots is not None:
+                w, phi = _SlotRows(w, slots), _SlotRows(phi, slots)
+            poisoned = FieldJet._unchecked(jet.point, w, phi)
+            got = report._pde_scaled(None, (slice(None), poisoned), p, field._zero_slots)
+            want = report._pde_scaled(None, (slice(None), jet), p)
+            assert np.isfinite(got).all()
+            assert got.tobytes() == want.tobytes()
 
 
 def test_subset_jet_is_checked_in_its_filled_slots(generic_params):
