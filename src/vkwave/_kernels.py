@@ -27,6 +27,14 @@ from .indexing import EXPONENTS, JET_SIZE
 #: all-zero column 5.
 _SLOT_M = tuple(int(i + k) if j == 0 else 5 for i, j, k in EXPONENTS)
 _SLOT_K = tuple(int(k) if j == 0 else None for _, j, k in EXPONENTS)
+#: Profile columns that are zero whatever the coefficients, by m, (w's,
+#: phi's): column 5, and for phi's cubic also its fourth derivative, m = 4.
+_ZERO_COLUMNS = ({5: 0.0}, {4: 0.0, 5: 0.0})
+#: The slots every profile makes identically zero, (w's, phi's): those
+#: that read a zero column.
+ZERO_SLOTS = tuple(
+    frozenset(q for q, m in enumerate(_SLOT_M) if m in columns) for columns in _ZERO_COLUMNS
+)
 
 
 def _w_column(m, u, omega, xi, s, co):
@@ -71,9 +79,8 @@ def traveling_jet_fill(u, phi, omega, c, pts, out_w, out_phi, slots=None) -> Non
     s, co = np.sin(phase), np.cos(phase)
     # Python powers: numpy's (-c) ** k can differ from them in the last bit.
     powc = tuple((-c) ** k for k in range(5))
-    # profile columns by m, each computed when a slot first reads it;
-    # column 5 is the x2 slots' zero, and phi's cubic has no m = 4
-    w_cols, phi_cols = {5: 0.0}, {4: 0.0, 5: 0.0}
+    # profile columns by m, each computed when a slot first reads it
+    w_cols, phi_cols = _ZERO_COLUMNS[0].copy(), _ZERO_COLUMNS[1].copy()
     for i, q in enumerate(range(JET_SIZE) if slots is None else slots):
         m, k = _SLOT_M[q], _SLOT_K[q]
         if m not in w_cols:

@@ -38,6 +38,12 @@ class _SlotRows:
         self._column = {int(q): i for i, q in enumerate(slots)}
 
     def __getitem__(self, key):
+        try:
+            # the common read first: [..., q] of a filled slot q, an int
+            if type(key) is tuple and key[0] is Ellipsis and type(key[1]) is int and len(key) == 2:
+                return self.values[..., self._column[key[1]]]
+        except (TypeError, IndexError, KeyError):
+            pass
         q = key[1] if isinstance(key, tuple) and len(key) == 2 and key[0] is Ellipsis else None
         if not isinstance(q, (int, np.integer)):
             raise TypeError(f"a subset jet is read one slot at a time, as [..., slot]; got {key!r}")
@@ -50,21 +56,6 @@ class _SlotRows:
 
     def __array__(self, *args, **kwargs):
         raise TypeError("a subset jet holds only some slots; read one as [..., slot]")
-
-
-def _slot_arrays(f, slots, skip=frozenset()) -> list:
-    """f[..., q] for each q of ``slots``, with None for each q in ``skip``,
-    which is not read; f is one field of a jet, its array or its _SlotRows.
-    The filled slots of a _SlotRows are read straight from its values: its
-    key check cost more than the row's read."""
-    if not isinstance(f, _SlotRows):
-        return [None if q in skip else f[..., q] for q in slots]
-    values, column = f.values, f._column
-    # an unfilled slot goes through f[..., q], which raises its error
-    return [
-        None if q in skip else values[..., column[q]] if q in column else f[..., q]
-        for q in slots
-    ]
 
 
 @dataclass(frozen=True, eq=False)

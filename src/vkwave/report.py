@@ -109,7 +109,7 @@ def _batch_maxima(batches, keys, scaled, p) -> list:
     return [f if isinstance(f, Exception) else _worst(f) for f in found]
 
 
-def _pde_scaled(_, batch, p, zero=_NO_ZERO_SLOTS):
+def _pde_scaled(_, batch, p, zero):
     # batch is a (rows, jet) pair of _jet_batches or _sampled_pde_batches,
     # and zero the field's _zero_slots; each equation's _scaled, then their
     # maximum, formed in the rows _pde_rows returns

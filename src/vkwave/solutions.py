@@ -28,10 +28,10 @@ from typing import Mapping
 
 import numpy as np
 
-from ._kernels import traveling_jet_fill
+from ._kernels import ZERO_SLOTS, traveling_jet_fill
 from .errors import SideRequiredError, ValidationError, _is_integer, _is_real, _real
 from .indexing import EXPONENTS, JET_SIZE, S11, S12, S22, S33, S1111, S1122, S2222
-from .jets import FieldJet, _slot_arrays
+from .jets import FieldJet
 from .params import PlateParams
 from .wavefront import Front, LineFront
 
@@ -88,11 +88,8 @@ class InvariantSolution:
 
     #: The slots that every profile makes identically zero, (w's, phi's):
     #: those with an x2 subscript, and for phi's cubic also those of order
-    #: 4 in (x1, x3).
-    _zero_slots = (
-        frozenset(q for q, (i, j, k) in enumerate(EXPONENTS.tolist()) if j > 0),
-        frozenset(q for q, (i, j, k) in enumerate(EXPONENTS.tolist()) if j > 0 or i + k >= 4),
-    )
+    #: 4 in (x1, x3), as the fill defines them.
+    _zero_slots = ZERO_SLOTS
 
     def __post_init__(self) -> None:
         c = self.wave_speed
@@ -556,22 +553,21 @@ def _bilaplacian(f1111, f1122, f2222, scale, by, rows):
     return scale(_add(_add(f1111, twice, out), f2222, out), by, out=out)
 
 
-def _sum(terms, out: np.ndarray) -> None:
-    """terms[0] + terms[1] + ..., added in order, formed in ``out``."""
-    if len(terms) < 2:
-        return _hold(terms[0] if len(terms) else None, out)
-    np.add(terms[0], terms[1], out=out)
-    for term in terms[2:]:
-        np.add(out, term, out=out)
-
-
 def _pde_rows(jet: FieldJet, p: PlateParams, zero=_NO_ZERO_SLOTS):
     """The results of _pde_terms as the rows of two arrays, (r1, r2) and
-    (s1, s2), of shape (2,) + the batch shape, or (2, 1) at one point."""
-    zw, zp = zero
-    w11, w12, w22, w33, w1111, w1122, w2222 = _slot_arrays(jet.w, _PDE_SLOTS, zw)
-    p11, p12, p22, p1111, p1122, p2222 = _slot_arrays(
-        jet.phi, (S11, S12, S22, S1111, S1122, S2222), zp
+    (s1, s2), of shape (2,) + the batch shape, or (2, 1) at one point.
+
+    ``zero`` holds the slots of w and of phi that the field makes
+    identically zero (its ``_zero_slots``), which are never read.  Every
+    product with such a slot as a factor and every bilaplacian term of one
+    is left out of its sum, and a sum with no term left is zeros.  An
+    exact zero added or subtracted leaves a sum's value as it is, so the
+    results are the numbers of the full sums, though a zero may differ in
+    sign."""
+    (zw, zp), w, phi = zero, jet.w, jet.phi
+    w11, w12, w22, w33, w1111, w1122, w2222 = (None if q in zw else w[..., q] for q in _PDE_SLOTS)
+    p11, p12, p22, p1111, p1122, p2222 = (
+        None if q in zp else phi[..., q] for q in (S11, S12, S22, S1111, S1122, S2222)
     )
     # one array: the four results, then a row for each term left, in the
     # order the scales add them, s1's five and then s2's three
@@ -617,12 +613,15 @@ def _pde_rows(jet: FieldJet, p: PlateParams, zero=_NO_ZERO_SLOTS):
         np.add(w12_p12, w12_p12, out=w12_p12)
     terms = block[4:]
     np.abs(terms, out=terms)
-    _sum(terms[:s1_left], s1)
-    _sum(terms[s1_left:], s2)
+    # numpy reduces fewer than eight rows over the first axis by adding
+    # them in order, one after another, as the sums are written; no rows
+    # give zeros
+    np.add.reduce(terms[:s1_left], axis=0, out=s1)
+    np.add.reduce(terms[s1_left:], axis=0, out=s2)
     return block[:2], block[2:4]
 
 
-def _pde_terms(jet: FieldJet, p: PlateParams, zero=_NO_ZERO_SLOTS):
+def _pde_terms(jet: FieldJet, p: PlateParams):
     """Residuals (r1, r2) and term scales (s1, s2) of the two governing
     equations at a jet, each term formed once for both:
 
@@ -634,17 +633,9 @@ def _pde_terms(jet: FieldJet, p: PlateParams, zero=_NO_ZERO_SLOTS):
     in the rows of one array allocated here and rewritten in place, never
     in the jet, so that a batch makes one array where the expressions made
     37.  No two results share memory, nor any with the jet, so a caller
-    may overwrite them; at a one-point jet they are numpy scalars.
-
-    ``zero`` holds the slots of w and of phi that the field makes
-    identically zero (its ``_zero_slots``), which are never read.  Every
-    product with such a slot as a factor and every bilaplacian term of one
-    is left out of its sum, and a sum with no term left is zeros.  An
-    exact zero added or subtracted leaves a sum's value as it is, so the
-    results are the numbers of the full sums, though a zero may differ in
-    sign."""
+    may overwrite them; at a one-point jet they are numpy scalars."""
     shape = (2,) + jet.point.shape[:-1]
-    (r1, r2), (s1, s2) = (x.reshape(shape) for x in _pde_rows(jet, p, zero))
+    (r1, r2), (s1, s2) = (x.reshape(shape) for x in _pde_rows(jet, p))
     return r1, r2, s1, s2
 
 

@@ -689,7 +689,7 @@ def test_pde_scaled_in_place_matches_the_expressions_bit_for_bit(case, generic_p
     before = _jet_values(jet)
     r1, r2, s1, s2 = _expression_pde_terms(jet, field.params)
     want = np.maximum(report._scaled(r1, s1), report._scaled(r2, s2))
-    got = report._pde_scaled(None, (slice(0, len(pts)), jet), field.params)
+    got = report._pde_scaled(None, (slice(0, len(pts)), jet), field.params, solutions._NO_ZERO_SLOTS)
     assert got.tobytes() == want.tobytes()
     for a, b in zip(_jet_values(jet), before):
         assert a.tobytes() == b.tobytes()
@@ -803,10 +803,12 @@ def test_pde_terms_without_the_zero_slots_equal_the_full_terms(generic_params):
         for jet in jets:
             batch = (slice(None), jet)
             sparse = report._pde_scaled(None, batch, field.params, zero)
-            full = report._pde_scaled(None, batch, field.params)
+            full = report._pde_scaled(None, batch, field.params, solutions._NO_ZERO_SLOTS)
             assert sparse.tobytes() == full.tobytes()
-            for got, want in zip(solutions._pde_terms(jet, field.params, zero), solutions._pde_terms(jet, field.params)):
-                assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+            got = solutions._pde_rows(jet, field.params, zero)
+            want = solutions._pde_rows(jet, field.params)
+            for g, w in zip(got, want):
+                assert np.shape(g) == np.shape(w) and np.array_equal(g, w)
         skipped += bool(set(solutions._PDE_SLOTS) & (zero[0] | zero[1]))
     assert skipped > 200  # most fields leave some term out
 
@@ -831,7 +833,7 @@ def test_pde_terms_never_read_the_zero_slots(generic_params):
                 w, phi = _SlotRows(w, slots), _SlotRows(phi, slots)
             poisoned = FieldJet._unchecked(jet.point, w, phi)
             got = report._pde_scaled(None, (slice(None), poisoned), p, field._zero_slots)
-            want = report._pde_scaled(None, (slice(None), jet), p)
+            want = report._pde_scaled(None, (slice(None), jet), p, solutions._NO_ZERO_SLOTS)
             assert np.isfinite(got).all()
             assert got.tobytes() == want.tobytes()
 
