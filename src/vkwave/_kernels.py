@@ -15,6 +15,15 @@ Each of the eight coefficients is either one value for every point or an
 array of one value per point, so that two profiles sharing omega and c
 (the branches of an acceleration wave) fill one batch together, each
 point with its own branch's coefficients.
+
+sin and cos of the phase are taken only when a requested profile column
+reads them with a coefficient that is not zero at every point: even
+columns read u2 sin and u3 cos, odd columns u2 cos and u3 sin.  A term
+whose coefficient is zero is an exact zero whatever its trig factor, so
+0.0 stands in for a function not taken, and no value changes: a column
+that is zero may at most differ in the sign of its zeros.  (float64 sin
+and cos cost about ten times exp per value, and the example wave has
+u2 = 0 on both branches.)
 """
 
 from __future__ import annotations
@@ -66,22 +75,34 @@ def traveling_jet_fill(u, phi, omega, c, pts, out_w, out_phi, slots=None) -> Non
     """Fill ``out_w``/``out_phi`` (shape (n, len(slots))) at ``pts`` (shape
     (n, 3)): column i gets jet slot ``slots[i]``, every slot in order when
     ``slots`` is None.  Only the profile columns those slots read are
-    computed, and no other slot is stored.
+    computed, and no other slot is stored; sin and cos are taken only as
+    the module docstring says.
 
     ``u`` and ``phi`` hold four coefficients each, as an array of shape
     (4,) or (4, n) or a sequence of four: ``u[m]`` is a scalar or one
     value per point.  Either way every point gets the same arithmetic,
     term by term, so a point's jet is bit for bit the one its
-    coefficients give as scalars.
+    coefficients give as scalars, but for the trig rule: where per-point
+    u2 or u3 is zero at some points only, those points read a trig value
+    where their scalar fill reads 0.0, and a column that is zero there
+    may differ in the sign of its zeros.
     """
     xi = pts[:, 0] - c * pts[:, 2]
-    phase = omega * xi
-    s, co = np.sin(phase), np.cos(phase)
+    # the trig rule of the module docstring: a function not taken stands
+    # in as 0.0, which only terms whose coefficient is all zeros read
+    requested = range(JET_SIZE) if slots is None else slots
+    parities = {_SLOT_M[q] % 2 for q in requested if _SLOT_M[q] != 5}
+    even, odd = 0 in parities, 1 in parities
+    u2, u3 = (bool(np.any(x)) if np.ndim(x) else x != 0.0 for x in (u[2], u[3]))
+    need_sin, need_cos = (even and u2) or (odd and u3), (even and u3) or (odd and u2)
+    phase = omega * xi if need_sin or need_cos else None
+    s = np.sin(phase) if need_sin else 0.0
+    co = np.cos(phase) if need_cos else 0.0
     # Python powers: numpy's (-c) ** k can differ from them in the last bit.
     powc = tuple((-c) ** k for k in range(5))
     # profile columns by m, each computed when a slot first reads it
     w_cols, phi_cols = _ZERO_COLUMNS[0].copy(), _ZERO_COLUMNS[1].copy()
-    for i, q in enumerate(range(JET_SIZE) if slots is None else slots):
+    for i, q in enumerate(requested):
         m, k = _SLOT_M[q], _SLOT_K[q]
         if m not in w_cols:
             w_cols[m] = _w_column(m, u, omega, xi, s, co)

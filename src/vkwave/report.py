@@ -36,7 +36,9 @@ from .conservation import _exact_divergence
 from .errors import ValidationError, _first_failure
 from .jumps import _balance_jump_terms, _closed_form_residuals, _dynamic_terms, _front_jets
 from .scenario import Scenario, sample_front_point, scenario_to_dict
-from .solutions import _NO_ZERO_SLOTS, _PDE_SLOTS, Side, _batch_size, _jet_batches, _pde_rows
+from .solutions import (
+    _NO_ZERO_SLOTS, _PDE_SLOTS, Side, _batch_size, _jet_batches, _pde_rows, _pde_slots,
+)
 from .wavefront import _front_distance
 from .version import __version__
 
@@ -110,46 +112,61 @@ def _batch_maxima(batches, keys, scaled, p) -> list:
 
 
 def _pde_scaled(_, batch, p, zero):
-    # batch is a (rows, jet) pair of _jet_batches or _sampled_pde_batches,
-    # and zero the field's _zero_slots; each equation's _scaled, then their
-    # maximum, formed in the rows _pde_rows returns
+    # batch is a (rows, jet) pair of _pde_batches, and zero the field's
+    # _zero_slots; each equation's _scaled, then their maximum, formed in
+    # the rows _pde_rows returns
     r, s = _pde_rows(batch[1], p, zero)
     np.divide(np.abs(r, out=r), np.maximum(1.0, s, out=s), out=r)
     return np.maximum(r[0], r[1], out=r[0])
 
 
-def _sampled_pde_batches(field, rng, n: int):
-    """The pde jets of n uniform points in [-1,1]^3, as _jet_batches gives
-    them, each batch of points drawn just before its jets are filled, so
-    that one batch is held at a time whatever n is.  The generator is left
-    where one draw of all n points would leave it, also when a batch
-    raises."""
-    size = _batch_size(_PDE_SLOTS)
+def _pde_batches(field, n: int, take, zero):
+    """The (rows, jet) pairs a pde_residual check reads at n points, as
+    _jet_batches yields them: batches of _batch_size(_PDE_SLOTS) points,
+    whatever they fill.  Each batch's points are taken by
+    take(start, stop) just before its jets are filled, so that one batch
+    is held at a time whatever n is; on an error the rest are taken and
+    discarded, so that a take that draws from a generator leaves it where
+    one draw of all n points would.
+
+    Only the slots _pde_slots gives for the field's zero slots ``zero``
+    are filled, every batch into the front of one block allocated here:
+    a new block for each batch was handed back to the system when freed
+    and faulted in again for the next.  The block has room for all seven
+    _PDE_SLOTS, though only the part a batch fills is ever touched:
+    glibc hands the free top of its heap back to the system once it
+    exceeds twice the largest block it has mapped and then freed, and a
+    block of the filled slots alone left that below what a batch's
+    temporaries free, which were then faulted in again on every batch.
+    The next batch overwrites the jets of the one before, so a caller
+    reads each batch before it asks for the next and keeps nothing of
+    it."""
+    slots, size = _pde_slots(zero), _batch_size(_PDE_SLOTS)
+    block = np.empty(2 * len(_PDE_SLOTS) * min(size, n))
     for start in range(0, n, size):
-        pts = rng.uniform(-1.0, 1.0, (min(size, n - start), 3))
+        pts = take(start, min(start + size, n))
         try:
-            jet = field.jet(pts, Side.AUTO, _PDE_SLOTS)
+            jet = field.jet(pts, Side.AUTO, slots, _block=block)
         except Exception:
-            # draw and discard the rest, so that later checks draw what
-            # they would have drawn
             for rest in range(start + size, n, size):
-                rng.uniform(-1.0, 1.0, (min(size, n - rest), 3))
+                take(rest, min(rest + size, n))
             raise
         yield slice(start, start + len(pts)), jet
-        del pts, jet  # free this batch before the next one is drawn
+        del pts, jet  # hold nothing of this batch while the next is taken
 
 
 def _run_pde_residual(scenario: Scenario, field, check, rng):
+    # the terms of the slots the field makes identically zero are left
+    # out, and only the slots the other terms read are filled: their sums
+    # are the same numbers but for the sign of a zero, which _scaled drops
+    zero = getattr(field, "_zero_slots", _NO_ZERO_SLOTS)
     if check.points is not None:
         pts = np.array(check.points, dtype=np.float64)
-        n, batches = len(pts), _jet_batches(field, pts, Side.AUTO, _PDE_SLOTS)
+        n, take = len(pts), lambda start, stop: pts[start:stop]
     else:
         n = check.samples if check.samples is not None else 20
-        batches = _sampled_pde_batches(field, rng, n)
-    # the terms of the slots the field makes identically zero are left
-    # out: their sums are the same numbers but for the sign of a zero,
-    # which _scaled drops
-    zero = getattr(field, "_zero_slots", _NO_ZERO_SLOTS)
+        take = lambda start, stop: rng.uniform(-1.0, 1.0, (stop - start, 3))
+    batches = _pde_batches(field, n, take, zero)
     (worst,) = _batch_maxima(batches, (None,), partial(_pde_scaled, zero=zero), field.params)
     yield None, worst, f"max over {n} points"
 

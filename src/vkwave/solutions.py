@@ -105,14 +105,14 @@ class InvariantSolution:
         object.__setattr__(self, "wave_speed", c)
         object.__setattr__(self, "omega", omega)
 
-    def jet(self, point, side: Side = Side.AUTO, slots=None) -> FieldJet:
+    def jet(self, point, side: Side = Side.AUTO, slots=None, *, _block=None) -> FieldJet:
         pts, flat, single = _as_points(point)
-        return _field_jet(pts, single, *self._jet_values(flat, slots), slots)
+        return _field_jet(pts, single, *self._jet_values(flat, slots, _block), slots)
 
-    def _jet_values(self, flat: np.ndarray, slots):
+    def _jet_values(self, flat: np.ndarray, slots, block=None):
         """The w and phi arrays of the jets at ``flat``, as _jet_arrays
-        lays them out."""
-        out_w, out_phi = _jet_arrays(flat.shape[0], slots)
+        lays them out, in ``block`` if given."""
+        out_w, out_phi = _jet_arrays(flat.shape[0], slots, block)
         traveling_jet_fill(
             np.asarray(self.u), np.asarray(self.phi), self.omega, self.wave_speed,
             flat, out_w, out_phi, slots,
@@ -180,16 +180,16 @@ class PolynomialField:
             frozenset(range(JET_SIZE)).difference(terms) for terms in (self._w_terms, self._phi_terms)
         )
 
-    def jet(self, point, side: Side = Side.AUTO, slots=None) -> FieldJet:
+    def jet(self, point, side: Side = Side.AUTO, slots=None, *, _block=None) -> FieldJet:
         pts, flat, single = _as_points(point)
-        return _field_jet(pts, single, *self._jet_values(flat, slots), slots)
+        return _field_jet(pts, single, *self._jet_values(flat, slots, _block), slots)
 
-    def _jet_values(self, flat: np.ndarray, slots):
+    def _jet_values(self, flat: np.ndarray, slots, block=None):
         """The w and phi arrays of the jets at ``flat``, laid out as
-        _jet_arrays lays them out."""
+        _jet_arrays lays them out, in ``block`` if given."""
         # one zeroed block for the slots with no term: a write per slot
         # cost more than the whole fill on a polynomial with few terms
-        out_w, out_phi = _jet_arrays(flat.shape[0], slots, np.zeros)
+        out_w, out_phi = _jet_arrays(flat.shape[0], slots, block, zeroed=True)
         self._write_rows(flat, out_w.T, out_phi.T, slots, slice(None))
         return out_w, out_phi
 
@@ -205,16 +205,29 @@ class PolynomialField:
 polynomial_field = PolynomialField
 
 
-def _jet_arrays(n: int, slots, alloc=np.empty):
+def _jet_arrays(n: int, slots, block=None, zeroed: bool = False):
     """w and phi jet arrays of shape (n, len(slots)) for n points, column
     i for slot ``slots[i]``, or (n, 35) for every slot when ``slots`` is
-    None; uninitialised, or as ``alloc`` (np.zeros) makes them.  The two
-    are views of one slot-major (2, len(slots), n) block, row i of each
-    holding slot ``slots[i]``, so that each slot is one contiguous run
-    (a field's ``.T``) and both share one allocation: two separate blocks
-    of a batch were each handed back to the system when freed and faulted
-    in again for the next batch, which cost more than the fill."""
-    return alloc((2, JET_SIZE if slots is None else len(slots), n)).transpose(0, 2, 1)
+    None; uninitialised, or zeros when ``zeroed``.  The two are views of
+    one slot-major (2, len(slots), n) block, row i of each holding slot
+    ``slots[i]``, so that each slot is one contiguous run (a field's
+    ``.T``) and both share one allocation: two separate blocks of a batch
+    were each handed back to the system when freed and faulted in again
+    for the next batch, which cost more than the fill.
+
+    That block is a new array, or with ``block`` (a flat float64 array of
+    at least 2 len(slots) n values) its leading values, so that a caller
+    that fills batch after batch keeps one allocation; every jet of the
+    earlier batch then holds the new batch's values, so such a caller
+    reads each batch's jets before it fills the next."""
+    shape = (2, JET_SIZE if slots is None else len(slots), n)
+    if block is None:
+        out = (np.zeros if zeroed else np.empty)(shape)
+    else:
+        out = block[: math.prod(shape)].reshape(shape)
+        if zeroed:
+            out.fill(0.0)
+    return out.transpose(0, 2, 1)
 
 
 def _field_jet(pts, single: bool, out_w, out_phi, slots) -> FieldJet:
@@ -319,21 +332,27 @@ class PiecewiseField:
         a, b = (getattr(f, "_zero_slots", _NO_ZERO_SLOTS) for f in (self.ahead, self.behind))
         return (a[0] & b[0], a[1] & b[1])
 
-    def jet(self, point, side: Side | np.ndarray = Side.AUTO, slots=None) -> FieldJet:
+    def jet(
+        self, point, side: Side | np.ndarray = Side.AUTO, slots=None, *, _block=None
+    ) -> FieldJet:
         """Jets of the ahead or behind branch, or of each point's own
         branch: with ``Side.AUTO`` the one the sign of gamma picks, and
         with a boolean array of the batch's shape for ``side`` the ahead
         branch where it is True and the behind branch elsewhere.  With
         ``slots``, jets filled in those slots only, as a branch's ``jet``
-        fills them.
+        fills them.  With ``_block``, a fill of each point's own branch
+        goes into that block, as _jet_arrays lays a batch out in one; a
+        one-branch ``side`` is that branch's ``jet`` as it is.
 
         A mixed batch of two traveling profiles with the same speed, and
         so the same omega (an acceleration wave, or one solution on both
         sides), takes one fill, with each point's coefficients chosen by
         its side.  Other branches write their own points into one zeroed
         slot-major block.  Both give each point the jet its branch gives
-        it.  With ``Side.AUTO``, raises SideRequiredError where gamma is 0
-        and ValidationError where it is NaN; raises ValidationError for a
+        it, but that the one fill may differ in the sign of a zero where a
+        column is zero (traveling_jet_fill's trig rule).  With
+        ``Side.AUTO``, raises SideRequiredError where gamma is 0 and
+        ValidationError where it is NaN; raises ValidationError for a
         ``side`` array of another shape or dtype.
         """
         if side is Side.AHEAD:
@@ -369,7 +388,7 @@ class PiecewiseField:
             and isinstance(b, InvariantSolution)
             and a.wave_speed == b.wave_speed
         ):
-            out_w, out_phi = _jet_arrays(flat.shape[0], slots)
+            out_w, out_phi = _jet_arrays(flat.shape[0], slots, _block)
             # a coefficient both branches hold to the bit stays one value;
             # the others are one value per point, its own branch's, all
             # gathered in one take of a (k, 2) table, column 1 ahead
@@ -386,7 +405,7 @@ class PiecewiseField:
         else:
             # each branch writes its own points, slot row by slot row: a
             # masked write through the (n, k) views cost more than the fill
-            out_w, out_phi = _jet_arrays(flat.shape[0], slots, np.zeros)
+            out_w, out_phi = _jet_arrays(flat.shape[0], slots, _block, zeroed=True)
             for branch, mask in ((a, ahead_mask), (b, ~ahead_mask)):
                 at = np.flatnonzero(mask)
                 if at.size:
@@ -467,7 +486,9 @@ acceleration_wave = AccelerationWave
 #: Points per jet call of full jets.  A full jet takes 560 bytes a point,
 #: so a batch holds about 1 MB of jets; a jet filled in some slots only
 #: stores those slots alone, and its batches take as many more points as
-#: keep them at about 1 MB: 10,240 for a pde_residual check's 7 slots.
+#: keep them at about 1 MB: 10,240 for the 7 _PDE_SLOTS.  A pde_residual
+#: check fills at most those 7 and takes batches of 10,240 points whatever
+#: it fills, into one block it keeps across its batches.
 #: A balance pass fills both sides of the front in one batch and keeps
 #: every law's row with it, so its batches hold the values of one field's
 #: jets of such a batch, jets and rows together: 2,560 points for a
@@ -489,9 +510,9 @@ def _jet_batches(field, points: np.ndarray, side: Side = Side.AUTO, slots=None):
     """Jets of ``points`` (shape (n, 3)) in consecutive batches of
     _batch_size(slots) points.  Yields (rows, jet), ``rows`` the slice of
     ``points`` the jet holds.  A caller deletes each jet before it asks
-    for the next, so that one batch of jets is held at a time.  A sampled
-    pde_residual check takes batches of the same size but draws each
-    batch's points just before its jets, so that it never holds them all."""
+    for the next, so that one batch of jets is held at a time.  A
+    pde_residual check takes its batches from report._pde_batches
+    instead, which fills them all into one block."""
     size = _batch_size(slots)
     for start in range(0, len(points), size):
         rows = slice(start, start + size)
@@ -499,12 +520,40 @@ def _jet_batches(field, points: np.ndarray, side: Side = Side.AUTO, slots=None):
 
 
 #: The jet slots _pde_terms reads, the same for w and phi: a pde_residual
-#: check fills only these.
+#: check fills at most these, and only those of them _pde_slots gives.
 _PDE_SLOTS = (S11, S12, S22, S33, S1111, S1122, S2222)
 
 #: The zero slots of a field that declares none: no slot of w or of phi is
 #: taken to be identically zero.
 _NO_ZERO_SLOTS = (frozenset(), frozenset())
+
+#: The terms of the two governing equations by the jet slots they read, as
+#: (field, slot) pairs, field 0 for w and 1 for phi: the products, and then
+#: the terms that read one slot (bilaplacians term by term, and inertia).
+_PDE_PRODUCTS = (
+    ((0, S11), (1, S22)), ((0, S22), (1, S11)), ((0, S12), (1, S12)),
+    ((0, S11), (0, S22)), ((0, S12), (0, S12)),
+)
+_PDE_SINGLES = tuple((f, q) for f in (0, 1) for q in (S1111, S1122, S2222)) + ((0, S33),)
+
+
+@functools.lru_cache(maxsize=64)
+def _pde_reads(zero):
+    """The slots of w and of phi that _pde_rows reads for a field whose
+    identically zero slots are ``zero``, a pair of frozensets: each factor
+    of a term none of whose factors is such a slot.  So w11 is read only
+    when it is not zero and phi22 or w22 is not either, and phi33 never."""
+    kept = [t for t in _PDE_SINGLES if t[1] not in zero[t[0]]]
+    kept += [f for term in _PDE_PRODUCTS if all(q not in zero[i] for i, q in term) for f in term]
+    return tuple(frozenset(q for i, q in kept if i == field) for field in (0, 1))
+
+
+def _pde_slots(zero) -> tuple:
+    """The slots, in _PDE_SLOTS order, that a pde_residual check fills for a
+    field whose identically zero slots are ``zero``: those _pde_reads
+    gives for w or for phi, as a fill stores each slot of both."""
+    w, phi = _pde_reads(zero)
+    return tuple(q for q in _PDE_SLOTS if q in w or q in phi)
 
 
 def _add(x, y, out: np.ndarray):
@@ -558,16 +607,16 @@ def _pde_rows(jet: FieldJet, p: PlateParams, zero=_NO_ZERO_SLOTS):
     (s1, s2), of shape (2,) + the batch shape, or (2, 1) at one point.
 
     ``zero`` holds the slots of w and of phi that the field makes
-    identically zero (its ``_zero_slots``), which are never read.  Every
-    product with such a slot as a factor and every bilaplacian term of one
-    is left out of its sum, and a sum with no term left is zeros.  An
-    exact zero added or subtracted leaves a sum's value as it is, so the
-    results are the numbers of the full sums, though a zero may differ in
-    sign."""
-    (zw, zp), w, phi = zero, jet.w, jet.phi
-    w11, w12, w22, w33, w1111, w1122, w2222 = (None if q in zw else w[..., q] for q in _PDE_SLOTS)
+    identically zero (its ``_zero_slots``).  Every product with such a
+    slot as a factor and every bilaplacian term of one is left out of its
+    sum, and a sum with no term left is zeros; only the slots _pde_reads
+    gives are read, the factors of the terms left.  An exact zero added or
+    subtracted leaves a sum's value as it is, so the results are the
+    numbers of the full sums, though a zero may differ in sign."""
+    (rw, rp), w, phi = _pde_reads(zero), jet.w, jet.phi
+    w11, w12, w22, w33, w1111, w1122, w2222 = (w[..., q] if q in rw else None for q in _PDE_SLOTS)
     p11, p12, p22, p1111, p1122, p2222 = (
-        None if q in zp else phi[..., q] for q in (S11, S12, S22, S1111, S1122, S2222)
+        phi[..., q] if q in rp else None for q in (S11, S12, S22, S1111, S1122, S2222)
     )
     # one array: the four results, then a row for each term left, in the
     # order the scales add them, s1's five and then s2's three

@@ -35,9 +35,9 @@ def count_jet_calls(monkeypatch):
         sizes = []
         jet = type(field).jet
 
-        def counted(self, point, *args):
+        def counted(self, point, *args, **kwargs):
             sizes.append(len(point))
-            return jet(self, point, *args)
+            return jet(self, point, *args, **kwargs)
 
         monkeypatch.setattr(type(field), "jet", counted)
         return sizes

@@ -143,3 +143,99 @@ def test_slot_subset_matches_full_fill_bit_for_bit():
         for g, w in zip(sub, full):
             np.testing.assert_array_equal(g, w[:, list(slots)])
             np.testing.assert_array_equal(np.signbit(g), np.signbit(w[:, list(slots)]))
+
+
+def _slots_of_parity(parity):
+    """The slots without an x2 subscript whose profile column has that parity."""
+    return tuple(q for q, (i, j, k) in enumerate(EXPONENTS) if j == 0 and (i + k) % 2 == parity)
+
+
+@pytest.fixture
+def count_trig(monkeypatch):
+    """Counts of the np.sin and np.cos calls made while a test runs."""
+    counts = {"sin": 0, "cos": 0}
+    for name in counts:
+        func = getattr(np, name)
+
+        def counted(*args, _name=name, _func=func, **kwargs):
+            counts[_name] += 1
+            return _func(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "zero, parity, taken",
+    [
+        (2, 0, {"cos"}),  # even columns read u2 sin and u3 cos
+        (3, 0, {"sin"}),
+        (2, 1, {"sin"}),  # odd columns read u2 cos and u3 sin
+        (3, 1, {"cos"}),
+        ((2, 3), 0, set()),
+        ((2, 3), None, set()),
+        ((), None, {"sin", "cos"}),
+    ],
+)
+def test_trig_functions_are_taken_only_for_a_nonzero_coefficient(zero, parity, taken, count_trig):
+    # a scalar-zero coefficient takes no trig function for the columns
+    # it alone reads, and the values are the reference's; only a column
+    # that is zero may differ in the sign of its zeros
+    rng = np.random.default_rng(17)
+    u, ph = rng.uniform(-2, 2, (2, 4))
+    u[list(np.atleast_1d(zero))] = 0.0
+    pts = rng.uniform(-2, 2, (30, 3))
+    omega, c = 1.3, -0.7
+    slots = None if parity is None else _slots_of_parity(parity)
+    want = _reference_fill(u, ph, omega, c, pts)
+    count_trig.update(sin=0, cos=0)
+    n = JET_SIZE if slots is None else len(slots)
+    got = np.full((2, n, len(pts)), np.nan).transpose(0, 2, 1)
+    traveling_jet_fill(u, ph, omega, c, pts, *got, slots)
+    assert {name for name, count in count_trig.items() if count} == taken
+    assert max(count_trig.values()) <= 1
+    for g, w in zip(got, want):
+        w = w if slots is None else w[:, list(slots)]
+        np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(np.signbit(g[g != 0.0]), np.signbit(w[w != 0.0]))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_per_point_coefficients_with_zeros_take_the_trig_function(m, count_trig):
+    # a per-point coefficient array that holds zeros is not a scalar zero:
+    # the fill takes both functions and gives the reference's bits
+    rng = np.random.default_rng(19)
+    n = 40
+    u = rng.uniform(-2, 2, (4, n))
+    u[m, ::2] = 0.0
+    ph = rng.uniform(-2, 2, 4)
+    pts = rng.uniform(-2, 2, (n, 3))
+    count_trig.update(sin=0, cos=0)
+    got = _fill(u, ph, 0.9, 1.4, pts)
+    assert count_trig == {"sin": 1, "cos": 1}
+    for g, w in zip(got, _reference_fill(u, ph, 0.9, 1.4, pts)):
+        np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(np.signbit(g), np.signbit(w))
+
+
+def test_per_point_zeros_of_either_sign_take_no_trig_function(count_trig):
+    # a per-point coefficient that is zero at every point, as when two
+    # branches differ only in the sign of a zero, takes no trig function
+    # for the columns it alone reads, and each point gets the bits of its
+    # own scalar fill
+    rng = np.random.default_rng(18)
+    n = 20
+    u = np.repeat(rng.uniform(-2, 2, (4, 1)), n, axis=1)
+    u[2] = np.where(np.arange(n) % 2, -0.0, 0.0)
+    ph = rng.uniform(-2, 2, 4)
+    pts = rng.uniform(-2, 2, (n, 3))
+    slots = _slots_of_parity(0)
+    got = np.empty((2, len(slots), n)).transpose(0, 2, 1)
+    count_trig.update(sin=0, cos=0)
+    traveling_jet_fill(u, ph, 0.9, 1.4, pts, *got, slots)
+    assert count_trig == {"sin": 0, "cos": 1}
+    for k in range(n):
+        want = np.empty((2, len(slots), 1)).transpose(0, 2, 1)
+        traveling_jet_fill(u[:, k], ph, 0.9, 1.4, pts[k : k + 1], *want, slots)
+        for g, w in zip(got, want):
+            assert g[k].tobytes() == w[0].tobytes()

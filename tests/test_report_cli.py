@@ -13,7 +13,7 @@ import yaml
 from vkwave import cli, solutions
 from vkwave.conservation import _DENSITY_SLOTS, _ROW_SLOTS
 from vkwave.errors import ValidationError
-from vkwave.indexing import JET_SIZE
+from vkwave.indexing import JET_SIZE, S33, S1111
 from vkwave.jumps import (
     balance_jump_residual,
     balance_jump_scale,
@@ -667,15 +667,66 @@ def test_report_bytes_do_not_depend_on_the_batch_size(batch_points, monkeypatch)
     field = build_field(scenario)
     jet, calls = type(field).jet, []
 
-    def counted(self, point, side=Side.AUTO, slots=None):
+    def counted(self, point, side=Side.AUTO, slots=None, **kwargs):
         calls.append((len(point), slots))
-        return jet(self, point, side, slots)
+        return jet(self, point, side, slots, **kwargs)
 
     monkeypatch.setattr(type(field), "jet", counted)
     assert emit_report(run_scenario(scenario), "json") == expected
-    assert {slots for _, slots in calls} == {None, _PDE_SLOTS, _DENSITY_SLOTS, _ROW_SLOTS}
+    # the pde check fills the slots its nonzero terms read, in batches
+    # sized for all seven _PDE_SLOTS
+    pde = solutions._pde_slots(field._zero_slots)
+    assert pde == (S33, S1111)
+    assert {slots for _, slots in calls} == {None, pde, _DENSITY_SLOTS, _ROW_SLOTS}
     for n, slots in calls:
-        assert n <= (batch_points if slots is None else batch_points * JET_SIZE // len(slots))
+        assert n <= solutions._batch_size(_PDE_SLOTS if slots == pde else slots)
+
+
+def test_pde_points_and_samples_fill_the_same_slots_into_a_kept_block(monkeypatch):
+    # both forms of the check fill the slots the wave's nonzero terms read,
+    # each batch into the one block the check keeps
+    data = _every_kind_scenario()
+    data["checks"] = [
+        {"type": "pde_residual", "samples": 30},
+        {"type": "pde_residual", "points": np.random.default_rng(3).uniform(-1.0, 1.0, (30, 3)).tolist()},
+    ]
+    scenario = scenario_from_dict(data)
+    field = build_field(scenario)
+    jet, calls = type(field).jet, []
+
+    def counted(self, point, side=Side.AUTO, slots=None, **kwargs):
+        calls.append((slots, kwargs["_block"]))
+        return jet(self, point, side, slots, **kwargs)
+
+    monkeypatch.setattr(solutions, "_BATCH_POINTS", 2)
+    monkeypatch.setattr(type(field), "jet", counted)
+    assert [r.status for r in run_scenario(scenario).results] == ["pass", "pass"]
+    assert len(calls) == 6
+    assert {slots for slots, _ in calls} == {(S33, S1111)}
+    for check in (calls[:3], calls[3:]):
+        assert all(block is check[0][1] for _, block in check)
+
+
+def _polynomial_pde_scenario(w_terms) -> dict:
+    data = passing_scenario()
+    data["field"] = {"family": "polynomial", "w_terms": w_terms, "phi_terms": []}
+    data["checks"] = [{"type": "pde_residual", "points": [[0.5, 0.2, 0.3], [-0.4, 0.5, 0.0]]}]
+    return data
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pde_residual_checks_the_slots_it_reads_for_finite_values():
+    # w_1111 overflows: the check reads it, and gives an error row
+    big = {"exponents": [4, 0, 0], "coefficient": 1e308}
+    (row,) = run_scenario(scenario_from_dict(_polynomial_pde_scenario([big]))).results
+    assert (row.status, row.detail) == ("error", "ValidationError: w contains non-finite entries")
+    # w_11 overflows, but no term that reads it is left beside w_22 = phi_22
+    # = 0, so it is not filled, and the row is the zero residual
+    big = {"exponents": [2, 0, 0], "coefficient": 1e308}
+    scenario = scenario_from_dict(_polynomial_pde_scenario([big]))
+    assert solutions._pde_slots(build_field(scenario)._zero_slots) == ()
+    (row,) = run_scenario(scenario).results
+    assert (row.status, row.residual) == ("pass", 0.0)
 
 
 def test_sampling_exhaustion_error_takes_every_candidate_draw(monkeypatch):

@@ -894,3 +894,83 @@ def test_subset_jet_methods_read_filled_slots_or_raise(generic_params):
     for a, b in ((sub, sub), (sub, full), (full, sub)):
         with pytest.raises(ValidationError, match="^jets filled in some slots only cannot be subtracted$"):
             a - b
+
+
+def test_pde_fill_holds_the_slots_its_terms_read(generic_params):
+    # the example wave leaves r1 = D w_1111 + rho w_33, and the x2
+    # polynomial declares none of the pde slots zero
+    (wave, _), (poly, _) = _pde_cases(generic_params)
+    assert solutions._pde_reads(wave._zero_slots) == (frozenset({S33, S1111}), frozenset())
+    assert solutions._pde_slots(wave._zero_slots) == (S33, S1111)
+    assert solutions._pde_slots(poly._zero_slots) == solutions._PDE_SLOTS
+    full = set(solutions._PDE_SLOTS)
+    assert solutions._pde_reads(solutions._NO_ZERO_SLOTS) == (frozenset(full), frozenset(full - {S33}))
+    # w11 is read only with p22 or w22 beside it
+    zero = frozenset(full - {S11, S1111})
+    assert solutions._pde_slots((zero, frozenset(full))) == (S1111,)
+    assert solutions._pde_slots((zero - {S22}, frozenset(full))) == (S11, S22, S1111)
+    assert solutions._pde_slots((zero, frozenset(full - {S22}))) == (S11, S22, S1111)
+    assert solutions._pde_reads((zero, frozenset(full - {S22}))) == (
+        frozenset({S11, S1111}), frozenset({S22})
+    )
+
+
+def test_pde_terms_of_the_derived_fill_equal_the_full_fill(generic_params):
+    # the scaled residuals of jets filled in the derived slots only, with
+    # the field's zero slots, are those of the full 7-slot fill with every
+    # term, to the bit
+    rng = np.random.default_rng(35)
+    smaller = 0
+    for i in range(240):
+        field = _random_field(rng, generic_params, _FAMILIES[i % 4])
+        zero, p = field._zero_slots, field.params
+        slots = solutions._pde_slots(zero)
+        pts = rng.uniform(-1.0, 1.0, (500, 3))
+        sub = field.jet(pts, Side.AUTO, slots)
+        full = field.jet(pts, Side.AUTO, solutions._PDE_SLOTS)
+        got = report._pde_scaled(None, (slice(None), sub), p, zero)
+        want = report._pde_scaled(None, (slice(None), full), p, solutions._NO_ZERO_SLOTS)
+        assert got.tobytes() == want.tobytes()
+        smaller += len(slots) < len(solutions._PDE_SLOTS)
+    assert smaller > 150  # most fields fill fewer slots
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["acceleration_wave", "x2_polynomial"])
+def test_pde_batches_fill_one_kept_block(case, generic_params, monkeypatch):
+    # batch after batch is filled into one block, in the derived slots,
+    # and each batch's scaled residuals equal those of one full fill
+    monkeypatch.setattr(solutions, "_BATCH_POINTS", 8)
+    field, pts = _pde_cases(generic_params)[case]
+    zero, p = field._zero_slots, field.params
+    slots = solutions._pde_slots(zero)
+    want = report._pde_scaled(
+        None, (slice(None), field.jet(pts, Side.AUTO, solutions._PDE_SLOTS)), p, solutions._NO_ZERO_SLOTS
+    )
+    got, blocks, size = [], [], solutions._batch_size(solutions._PDE_SLOTS)
+    for rows, jet in report._pde_batches(field, len(pts), lambda a, b: pts[a:b], zero):
+        assert len(pts[rows]) == min(size, len(pts) - rows.start)
+        assert jet.w.values.shape == (len(pts[rows]), len(slots))
+        blocks.append(jet.w.values.base)
+        got.append(report._pde_scaled(None, (rows, jet), p, zero).copy())
+        del jet
+    assert len(got) > 5 and all(block is blocks[0] for block in blocks)
+    assert np.concatenate(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", ["polynomial", "piecewise"])
+def test_a_zeroed_fill_into_the_kept_block_clears_it(family, generic_params):
+    # a fill that leaves the slots without terms at zero does so in a block
+    # that held another batch's values
+    poly = polynomial_field({(2, 0, 0): 0.5}, {(0, 2, 0): 0.25, (4, 0, 0): 1.0}, generic_params)
+    field = poly
+    if family == "piecewise":
+        other = polynomial_field({(0, 0, 2): 1.5}, None, generic_params)
+        field = PiecewiseField(poly, other, LineFront(1.0, 0.0, 0.0, 0.0), generic_params)
+    pts = np.random.default_rng(36).uniform(-1.0, 1.0, (50, 3))
+    slots = solutions._PDE_SLOTS
+    block = np.full(2 * len(slots) * len(pts), np.nan)
+    got = field.jet(pts, Side.AUTO, slots, _block=block)
+    want = field.jet(pts, Side.AUTO, slots)
+    assert np.shares_memory(got.w.values, block)
+    for a, b in zip(_jet_values(got), _jet_values(want)):
+        assert a.tobytes() == b.tobytes()

@@ -14,7 +14,12 @@ when they are freed is faulted in again by the next batch, which the
 wall time alone does not tell apart from slower arithmetic.  A fresh
 interpreter each matters: glibc sizes what it keeps by the blocks freed
 before, so a workload run after another can fault where it does not
-alone.
+alone.  Nor does a count of about 1 here prove a fill immune: what the
+interpreter allocated while importing counts too, so an edit elsewhere
+in the source, or a block held before vkwave loads, can turn it into
+hundreds.  To check a fill, also run its workload after another in one
+interpreter, or after allocating some blocks of assorted sizes, through
+``measure``.
 """
 
 from __future__ import annotations
