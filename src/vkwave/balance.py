@@ -29,18 +29,21 @@ Gauss-Legendre piece on which the integrand is smooth.  For a straight
 front this is exact clipping.
 
 A balance check is planned once and evaluated once for up to
-_TIMES_PER_PLAN of its times.  Its slices are the (time, order) pairs its
-integrals need: the densities at t +- dt of every time at quad_order and
-at quad_order - 2, and the boundary fluxes at t at both orders.  It runs
-in three steps:
+_TIMES_PER_PLAN of its times.  Its integrals are a grid of times x
+orders: the densities at t +- dt of every time, and the boundary fluxes
+at t, each at quad_order and at quad_order - 2.  The order moves the
+Gauss nodes only; it never changes which boxes the front cuts.  A check
+runs in three steps:
 
-1. plan: the boxes of every density slice go through one level loop
-   together, each at its slice's time, with one closed-form range of
-   gamma and one of the normal per level for all of them, and their
-   pieces are then made once per order; the boundary edges of every
-   time are cut once and shared by both orders.  The plan is blocks of
-   quadrature pieces (points, weights, a time, a side: ahead, behind or
-   none, the slice's cell or edge the piece belongs to, and a rank);
+1. plan: the boxes of every density time go through one level loop
+   together, each at its time, with one closed-form range of gamma and
+   one of the normal per level for all of them, and the front's
+   crossings of each graph box's faces are found once; the pieces are
+   then made once per order from the same classes.  The boundary edges
+   of every time are cut once, and each order adds one block of their
+   chunks.  The plan is blocks of quadrature pieces (points, weights, a
+   time, a side: ahead, behind or none, the cell or edge of the (order,
+   time) slice the piece belongs to, and a rank);
 2. evaluate: the jets are computed over the pieces of all slices in
    plan order, each point at its own time, one jet call per batch for
    both sides of the front, and every requested law's density or flux is
@@ -52,11 +55,11 @@ in three steps:
 3. reduce: each block becomes piece sums in one vectorised sum, added
    per cell or edge in rank order (level by level: uncut boxes, then
    the pieces below the front, then those above) and plan order, and the
-   cells or edges of each slice in turn, giving one total per law and
-   slice.  A cell's sum therefore does not depend on the rest of the
+   cells or edges of each slice in turn, giving one total per law, order
+   and time.  A cell's sum therefore does not depend on the rest of the
    region, nor a law's on the other laws, nor a slice's on the other
-   slices: density_integral and boundary_flux_integral are the one-slice
-   case and give the same bits.
+   slices: density_integral and boundary_flux_integral are the case of
+   one time and one order and give the same bits.
 """
 
 from __future__ import annotations
@@ -147,10 +150,11 @@ class _Plan:
             self.ranks.append(ranks)
 
 
-def _integrals(field, entries, plan: _Plan, n_slices, n_owners, normals=None) -> np.ndarray:
+def _integrals(field, entries, plan: _Plan, grid, n_owners, normals=None) -> np.ndarray:
     """Weighted sum of each law's density over each slice of the plan, or
-    of P . n with one normal per piece, shape (laws, slices); owner k of
-    slice j is j * n_owners + k.
+    of P . n with one normal per piece, shape (laws, orders, times) for
+    ``grid`` (orders, times); owner k of the slice at order j and time i
+    is (j * times + i) * n_owners + k.
 
     The points of every slice are evaluated in plan order, each at its
     own time, one jet call per batch for both sides of the front (each
@@ -198,13 +202,13 @@ def _integrals(field, entries, plan: _Plan, n_slices, n_owners, normals=None) ->
         sums.append(np.einsum("lpm,pm->lp", block, weights))
         start = stop
     in_order = np.argsort(np.concatenate(plan.ranks), kind="stable")
-    totals = np.zeros((len(entries), n_slices * n_owners))
+    totals = np.zeros((len(entries), math.prod(grid) * n_owners))
     np.add.at(
         totals,
         (slice(None), np.concatenate(plan.owners)[in_order]),
         np.concatenate(sums, axis=1)[:, in_order],
     )
-    return np.cumsum(totals.reshape(len(entries), n_slices, n_owners), axis=2)[:, :, -1]
+    return np.cumsum(totals.reshape(len(entries), *grid, n_owners), axis=-1)[..., -1]
 
 
 def _plan_boxes(plan, lower, upper, order, times, sides, owners, ranks) -> None:
@@ -229,22 +233,24 @@ def _axis_points(along, height, axis):
     return out
 
 
-def _plan_heights(plan, front, lower, upper, axis, rising, order, times, owners, ranks) -> None:
-    """Pieces of boxes on which the front is a graph over the outer axis:
-    d gamma/dx_h keeps one strict sign where the front meets each box at
-    its time, along its height axis h (``axis``, per box), positive where
-    ``rising``.  A box's pieces below the front take its rank + 1, those
-    above its rank + 2.
+def _plan_heights(plan, front, lower, upper, axis, rising, orders, times, owners, ranks) -> None:
+    """Pieces of boxes on which the front is a graph over the outer axis,
+    at each of the orders: d gamma/dx_h keeps one strict sign where the
+    front meets each box at its time, along its height axis h (``axis``,
+    per box), positive where ``rising``.  ``owners`` has one row per
+    order, the owner of each box's pieces at that order.  A box's pieces
+    below the front take its rank + 1, those above its rank + 2.
 
     The outer interval is split where the front crosses the faces
-    x_h = const, so the height line through each outer node crosses the
-    front at most once and its crossing moves smoothly between breaks.
-    Each line is split at its crossing, and each side of every outer
+    x_h = const, once for all orders, so the height line through each
+    outer node crosses the front at most once and its crossing moves
+    smoothly between breaks.  Each order then places its outer nodes,
+    each line is split at its crossing, and each side of every outer
     interval is one Gauss-Legendre piece.
     """
-    if not len(owners):
+    if not len(ranks):
         return
-    rows = np.arange(len(owners))
+    rows = np.arange(len(ranks))
     oa, ob = lower[rows, 1 - axis], upper[rows, 1 - axis]
     ha, hb = lower[rows, axis], upper[rows, axis]
     # the faces x_h = ha and x_h = hb, each running from oa to ob
@@ -257,36 +263,37 @@ def _plan_heights(plan, front, lower, upper, axis, rising, order, times, owners,
     breaks = np.sort(np.concatenate([oa[:, None], ob[:, None], *faces], axis=1), axis=1)
     inside = breaks[:, 1:] > breaks[:, :-1]
     box = np.nonzero(inside)[0]
-    outer, w_outer = _interval_nodes(
-        breaks[:, :-1][inside][:, None], breaks[:, 1:][inside][:, None], order
-    )
-
-    # every height line's crossing, as a fraction of (ha, hb)
+    break_a, break_b = breaks[:, :-1][inside][:, None], breaks[:, 1:][inside][:, None]
     line_axis, line_a, line_b = axis[box, None], ha[box, None], hb[box, None]
-    starts = _axis_points(outer, line_a, line_axis).reshape(-1, 2)
-    ends = _axis_points(outer, line_b, line_axis).reshape(-1, 2)
-    line_t = np.repeat(times[box], order)
-    s = np.fmin.reduce(front.crossings(starts, ends, line_t), axis=1)
-    missed = np.flatnonzero(np.isnan(s))
-    if missed.size:
-        # a line that misses the front lies wholly on one side: below the
-        # front (s = 1) when its middle has the side of the lower part
-        mids = 0.5 * (starts[missed] + ends[missed])
-        g = front.value(_points3(mids[:, 0], mids[:, 1], line_t[missed]))
-        lower_ahead = ~np.repeat(rising[box], order)[missed]
-        s[missed] = np.where((g >= 0.0) == lower_ahead, 1.0, 0.0)
-    cut = line_a + s.reshape(outer.shape) * (line_b - line_a)
-
     below = np.where(rising[box], _BEHIND, _AHEAD)
     above = np.where(rising[box], _AHEAD, _BEHIND)
-    box_t, box_owner, box_rank = times[box], owners[box], ranks[box]
-    pieces = ((line_a, cut, below, box_rank + 1), (cut, line_b, above, box_rank + 2))
-    for a, b, side, rank in pieces:
-        inner, w_inner = _interval_nodes(a[:, :, None], b[:, :, None], order)
-        weights = w_outer[:, :, None] * w_inner
-        keep = (weights != 0.0).any(axis=(1, 2))
-        pts = _axis_points(outer[keep, :, None], inner[keep], line_axis[keep, :, None])
-        plan.block(pts, weights[keep], box_t[keep], side[keep], box_owner[keep], rank[keep])
+    box_t, box_rank = times[box], ranks[box]
+
+    for order, order_owners in zip(orders, owners):
+        outer, w_outer = _interval_nodes(break_a, break_b, order)
+        # every height line's crossing, as a fraction of (ha, hb)
+        starts = _axis_points(outer, line_a, line_axis).reshape(-1, 2)
+        ends = _axis_points(outer, line_b, line_axis).reshape(-1, 2)
+        line_t = np.repeat(box_t, order)
+        s = np.fmin.reduce(front.crossings(starts, ends, line_t), axis=1)
+        missed = np.flatnonzero(np.isnan(s))
+        if missed.size:
+            # a line that misses the front lies wholly on one side: below
+            # the front (s = 1) when its middle has the side of the lower part
+            mids = 0.5 * (starts[missed] + ends[missed])
+            g = front.value(_points3(mids[:, 0], mids[:, 1], line_t[missed]))
+            lower_ahead = ~np.repeat(rising[box], order)[missed]
+            s[missed] = np.where((g >= 0.0) == lower_ahead, 1.0, 0.0)
+        cut = line_a + s.reshape(outer.shape) * (line_b - line_a)
+
+        box_owner = order_owners[box]
+        pieces = ((line_a, cut, below, box_rank + 1), (cut, line_b, above, box_rank + 2))
+        for a, b, side, rank in pieces:
+            inner, w_inner = _interval_nodes(a[:, :, None], b[:, :, None], order)
+            weights = w_outer[:, :, None] * w_inner
+            keep = (weights != 0.0).any(axis=(1, 2))
+            pts = _axis_points(outer[keep, :, None], inner[keep], line_axis[keep, :, None])
+            plan.block(pts, weights[keep], box_t[keep], side[keep], box_owner[keep], rank[keep])
 
 
 #: Least distance from a height function's outer interval to its nearest
@@ -327,35 +334,36 @@ def _quadrants(lower, upper, owners):
     )
 
 
-def _plan_cells(plan, front, region: Region, slices) -> int:
-    """Plan the region's cells for every slice (t, order); returns the
-    number of cells, owner j * cells + k being cell k (in i-major order)
-    of slice j.
+def _plan_cells(plan, front, region: Region, times, orders) -> int:
+    """Plan the region's cells at every time and order; returns the
+    number of cells, owner (j * len(times) + i) * cells + k being cell k
+    (in i-major order) at time i and order j.
 
-    The boxes of all slices are classified level by level, each at its
-    slice's time.  At each level a closed-form range of gamma finds the
-    boxes the front does not cut: each is one tensor piece on its side.
-    A cut box on which the front is a graph x_h = H(x_o) that
-    Gauss-Legendre resolves (_graph_margin) is planned by _plan_heights,
-    along the axis with the larger margin; any other cut box is split into
-    quadrants for the next level.  The classes do not depend on the
-    order, and a straight front needs no split.  The pieces of every
-    level are then made once per order, ranked so that each cell adds
-    them level by level: its uncut boxes, then the pieces below the
+    The boxes of all times are classified level by level, each at its
+    time.  At each level a closed-form range of gamma finds the boxes the
+    front does not cut: each is one tensor piece on its side.  A cut box
+    on which the front is a graph x_h = H(x_o) that Gauss-Legendre
+    resolves (_graph_margin) is planned by _plan_heights, along the axis
+    with the larger margin; any other cut box is split into quadrants for
+    the next level.  The classes do not depend on the order, and a
+    straight front needs no split.  The pieces of every level are then
+    made once per order from the same classes, ranked so that each cell
+    adds them level by level: its uncut boxes, then the pieces below the
     front, then those above.
     """
     nx, ny = region.cells
     x_edges = np.linspace(region.x1_min, region.x1_max, nx + 1)
     y_edges = np.linspace(region.x2_min, region.x2_max, ny + 1)
     n_cells = nx * ny
-    times = np.array([t for t, _ in slices], dtype=np.float64)
-    orders = np.array([order for _, order in slices])
-    owners = np.arange(len(slices) * n_cells)
-    # the corners of every slice's cells, each slice's in i-major order
+    times = np.asarray(times, dtype=np.float64)
+    owners = np.arange(len(times) * n_cells)
+    # added to a box's owner, the owner of its pieces at each order
+    per_order = len(owners) * np.arange(len(orders))[:, None]
+    # the corners of every time's cells, each time's in i-major order
     lower, upper = np.empty((len(owners), 2)), np.empty((len(owners), 2))
     for corner, edges in ((lower, slice(None, -1)), (upper, slice(1, None))):
-        corner[:, 0] = np.tile(np.repeat(x_edges[edges], ny), len(slices))
-        corner[:, 1] = np.tile(y_edges[edges], nx * len(slices))
+        corner[:, 0] = np.tile(np.repeat(x_edges[edges], ny), len(times))
+        corner[:, 1] = np.tile(y_edges[edges], nx * len(times))
     uncut_boxes, graph_boxes = [], []
     for level in range(_MAX_LEVELS):
         rank = 3 * level
@@ -395,31 +403,23 @@ def _plan_cells(plan, front, region: Region, slices) -> int:
         )
 
     lower, upper, sides, owners, ranks = map(np.concatenate, zip(*uncut_boxes))
-    slice_of = owners // n_cells
-    for order in dict.fromkeys(orders.tolist()):
-        pick = orders[slice_of] == order
-        _plan_boxes(
-            plan, lower[pick], upper[pick], order, times[slice_of[pick]], sides[pick],
-            owners[pick], ranks[pick],
-        )
+    for order, order_owners in zip(orders, owners + per_order):
+        _plan_boxes(plan, lower, upper, order, times[owners // n_cells], sides, order_owners, ranks)
     if graph_boxes:
         lower, upper, axis, rising, owners, ranks = map(np.concatenate, zip(*graph_boxes))
-        slice_of = owners // n_cells
-        for order in dict.fromkeys(orders.tolist()):
-            pick = orders[slice_of] == order
-            _plan_heights(
-                plan, front, lower[pick], upper[pick], axis[pick], rising[pick], order,
-                times[slice_of[pick]], owners[pick], ranks[pick],
-            )
+        _plan_heights(
+            plan, front, lower, upper, axis, rising, orders, times[owners // n_cells],
+            owners + per_order, ranks,
+        )
     return n_cells
 
 
-def _density_integrals(field, entries, region: Region, slices) -> np.ndarray:
-    """Integral of each law's density over the region for every slice
-    (t, order), shape (laws, slices): one plan and one jet evaluation."""
+def _density_integrals(field, entries, region: Region, times, orders) -> np.ndarray:
+    """Integral of each law's density over the region at every time and
+    order, shape (laws, orders, times): one plan and one jet evaluation."""
     plan = _Plan()
-    n_cells = _plan_cells(plan, getattr(field, "front", None), region, slices)
-    return _integrals(field, entries, plan, len(slices), n_cells)
+    n_cells = _plan_cells(plan, getattr(field, "front", None), region, times, orders)
+    return _integrals(field, entries, plan, (len(orders), len(times)), n_cells)
 
 
 def _order(region: Region, quad_order) -> int:
@@ -438,7 +438,7 @@ def density_integral(field, law_key, region: Region, t: float, quad_order=None) 
     entry = law(law_key)
     t = _real("t", t)
     order = _order(region, quad_order)
-    return _density_integrals(field, (entry,), region, ((t, order),))[0, 0].item()
+    return _density_integrals(field, (entry,), region, (t,), (order,))[0, 0, 0].item()
 
 
 def _region_edges(region: Region):
@@ -467,19 +467,18 @@ def _check_edges_off_front(front, region: Region, times) -> None:
         raise ValidationError("a region edge lies on the front; shift the region boundary")
 
 
-def _boundary_flux_integrals(field, entries, region: Region, slices) -> np.ndarray:
-    """Outward flux of each law through the region boundary for every
-    slice (t, order), shape (laws, slices): one plan and one jet
+def _boundary_flux_integrals(field, entries, region: Region, times, orders) -> np.ndarray:
+    """Outward flux of each law through the region boundary at every time
+    and order, shape (laws, orders, times): one plan and one jet
     evaluation.
 
     Each edge is cut into as many equal chunks as the region has cells
-    along it, and chunks are split where the front crosses the edge at the
-    slice's time; the slices at one time share their chunks."""
+    along it, and chunks are split where the front crosses the edge at
+    their time; each order adds one block of the chunks of every time."""
     front = getattr(field, "front", None)
     starts, ends, normals = _region_edges(region)
     lengths = np.hypot(*(ends - starts).T)
     units = (ends - starts) / lengths[:, None]
-    times = list(dict.fromkeys(t for t, _ in slices))  # shared by both orders
     if front is None:
         crossings = np.empty((len(times), 4, 0))
     else:
@@ -512,15 +511,14 @@ def _boundary_flux_integrals(field, entries, region: Region, slices) -> np.ndarr
         ))
         sides = np.where(g_mid >= 0.0, _AHEAD, _BEHIND)
 
-    plan, piece_normals = _Plan(), []
-    for j, (t, order) in enumerate(slices):
-        pick = np.flatnonzero(chunk_time == times.index(t))
-        e = edge[pick]
-        ss, ws = _interval_nodes(span_a[pick, None], span_b[pick, None], order)
-        pts = starts[e, None, :] + ss[:, :, None] * units[e, None, :]
-        plan.block(pts, ws, chunk_t[pick], sides[pick], j * 4 + e, np.zeros(len(e), dtype=int))
-        piece_normals.append(normals[e])
-    return _integrals(field, entries, plan, len(slices), 4, np.concatenate(piece_normals))
+    plan = _Plan()
+    for j, order in enumerate(orders):
+        ss, ws = _interval_nodes(span_a[:, None], span_b[:, None], order)
+        pts = starts[edge, None, :] + ss[:, :, None] * units[edge, None, :]
+        owners = (j * len(times) + chunk_time) * 4 + edge
+        plan.block(pts, ws, chunk_t, sides, owners, np.zeros(len(edge), dtype=int))
+    piece_normals = np.tile(normals[edge], (len(orders), 1))
+    return _integrals(field, entries, plan, (len(orders), len(times)), 4, piece_normals)
 
 
 def boundary_flux_integral(field, law_key, region: Region, t: float, quad_order=None) -> float:
@@ -528,7 +526,7 @@ def boundary_flux_integral(field, law_key, region: Region, t: float, quad_order=
     entry = law(law_key)
     t = _real("t", t)
     order = _order(region, quad_order)
-    return _boundary_flux_integrals(field, (entry,), region, ((t, order),))[0, 0].item()
+    return _boundary_flux_integrals(field, (entry,), region, (t,), (order,))[0, 0, 0].item()
 
 
 def _time_step(t: float, dt) -> float:
@@ -549,9 +547,9 @@ def _balance_arithmetic(dt, plus, minus, plus_low, minus_low, flux, flux_low):
 
 
 #: Times of a balance check planned and evaluated together.  Each time
-#: adds four density slices, about 4 MB of arrays for fourteen laws across
-#: a circle on the default grid, and planning eight times together was
-#: only a few percent faster than two plans of four.
+#: adds its densities at t +- dt at both orders, about 4 MB of arrays for
+#: fourteen laws across a circle on the default grid, and planning eight
+#: times together was only a few percent faster than two plans of four.
 _TIMES_PER_PLAN = 4
 
 
@@ -568,37 +566,28 @@ def _balance_terms(field, law_keys, region: Region, times, dt):
     balance_residual gives at the first time that fails.
     """
     entries = [law(key) for key in law_keys]
-    order, low = region.quad_order, region.quad_order - 2
+    orders = (region.quad_order, region.quad_order - 2)
     parts = []
     for k in range(0, len(times), _TIMES_PER_PLAN):
         group = times[k : k + _TIMES_PER_PLAN]
         steps = [_time_step(t, dt) for t in group]
-        # per time, the four density slices in the order _balance_arithmetic
-        # takes them
-        dens_slices = [
-            s
-            for t, h in zip(group, steps)
-            for s in ((t + h, order), (t - h, order), (t + h, low), (t - h, low))
-        ]
-        flux_slices = [(t, o) for t in group for o in (order, low)]
+        dens_times = [s for t, h in zip(group, steps) for s in (t + h, t - h)]
         dens, flux = _first_failure(
             lambda: (
-                _density_integrals(field, entries, region, dens_slices),
-                _boundary_flux_integrals(field, entries, region, flux_slices),
+                _density_integrals(field, entries, region, dens_times, orders),
+                _boundary_flux_integrals(field, entries, region, group, orders),
             ),
             # a time's integrals one at a time, as balance_residual takes
             # them; an error does not depend on the law
             lambda t: balance_residual(field, entries[0], region, t, dt),
             group,
         )
-        plus, minus, plus_low, minus_low = np.moveaxis(
-            dens.reshape(len(entries), len(group), 4), 2, 0
-        )
-        flux, flux_low = flux[:, 0::2], flux[:, 1::2]
+        plus, minus = dens[:, :, 0::2], dens[:, :, 1::2]
         deriv, residual, error = _balance_arithmetic(
-            np.array(steps), plus, minus, plus_low, minus_low, flux, flux_low
+            np.array(steps), plus[:, 0], minus[:, 0], plus[:, 1], minus[:, 1], flux[:, 0],
+            flux[:, 1],
         )
-        parts.append((deriv, flux, residual, error))
+        parts.append((deriv, flux[:, 0], residual, error))
     return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*parts))
 
 

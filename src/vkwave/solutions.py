@@ -31,7 +31,7 @@ import numpy as np
 from ._kernels import ZERO_SLOTS, traveling_jet_fill
 from .errors import SideRequiredError, ValidationError, _is_integer, _is_real, _real
 from .indexing import EXPONENTS, JET_SIZE, S11, S12, S22, S33, S1111, S1122, S2222
-from .jets import FieldJet
+from .jets import FieldJet, _as_point
 from .params import PlateParams
 from .wavefront import Front, LineFront
 
@@ -45,9 +45,7 @@ class Side(enum.Enum):
 
 
 def _as_points(point) -> tuple[np.ndarray, np.ndarray, bool]:
-    pts = np.asarray(point, dtype=np.float64)
-    if pts.ndim == 0 or pts.shape[-1] != 3:
-        raise ValidationError(f"point must have shape (..., 3), got {pts.shape}")
+    pts = _as_point(point)
     single = pts.ndim == 1
     flat = np.ascontiguousarray(pts.reshape(-1, 3))
     return pts, flat, single

@@ -276,11 +276,10 @@ class CircleFront(Front):
         radius = self._radius_at(t)
         if radius <= 0.0:
             raise ValidationError(f"circular front has nonpositive radius at t={t}")
-        angles = np.asarray(s, dtype=np.float64).tolist()
-        x = np.empty((len(angles), 2))
-        # math.cos and math.sin, one angle at a time: numpy's may round differently
-        x[:, 0] = self.center_x1 + radius * np.array([math.cos(th) for th in angles])
-        x[:, 1] = self.center_x2 + radius * np.array([math.sin(th) for th in angles])
+        angles = np.asarray(s, dtype=np.float64)
+        x = np.empty(angles.shape + (2,))
+        x[..., 0] = self.center_x1 + radius * np.cos(angles)
+        x[..., 1] = self.center_x2 + radius * np.sin(angles)
         return x, radius
 
     def curve_param(self, t, x):

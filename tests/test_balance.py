@@ -442,7 +442,7 @@ def test_balance_check_is_planned_and_evaluated_once(
     plan_heights = balance._plan_heights
 
     def counted_heights(*args):
-        heights.append(args[6])
+        heights.append(tuple(args[6]))
         return plan_heights(*args)
 
     monkeypatch.setattr(balance, "_integrals", tagged)
@@ -451,7 +451,7 @@ def test_balance_check_is_planned_and_evaluated_once(
     levels.clear()
     shared = _terms(field, laws, region, times)
     assert len(levels) == depth
-    assert sorted(heights) == [region.quad_order - 2, region.quad_order]  # once per order
+    assert heights == [(region.quad_order, region.quad_order - 2)]  # once, both orders
     assert len(passes) == 2
     for calls, slots in zip(passes, (_DENSITY_SLOTS, _ROW_SLOTS)):
         assert {filled for _, _, filled in calls} == {slots}
@@ -513,20 +513,65 @@ def test_fourteen_law_pass_fills_one_batch_for_both_sides(unit_params, monkeypat
 
 def test_long_balance_check_is_planned_a_few_times_at_a_time(unit_params, monkeypatch):
     # a check's arrays grow with its times, so they are planned in groups
-    # of _TIMES_PER_PLAN, each time's four density slices in one plan
+    # of _TIMES_PER_PLAN, each time's densities at t +- dt at both orders
+    # in one plan
     field, region = _example_wave(unit_params), Region(-0.8, 0.9, -0.6, 0.7)
     times = (0.0, 0.05, 0.1, 0.15, 0.2, 0.3)
     one_by_one = [_terms(field, (1, 4), region, (t,))[0] for t in times]
     planned = []
     plan_cells = balance._plan_cells
 
-    def recorded(plan, front, region, slices):
-        planned.append(len(slices))
-        return plan_cells(plan, front, region, slices)
+    def recorded(plan, front, region, times, orders):
+        planned.append((len(times), tuple(orders)))
+        return plan_cells(plan, front, region, times, orders)
 
     monkeypatch.setattr(balance, "_plan_cells", recorded)
     assert _terms(field, (1, 4), region, times) == one_by_one
-    assert planned == [4 * balance._TIMES_PER_PLAN, 4 * (len(times) - balance._TIMES_PER_PLAN)]
+    orders = (region.quad_order, region.quad_order - 2)
+    assert planned == [
+        (2 * balance._TIMES_PER_PLAN, orders),
+        (2 * (len(times) - balance._TIMES_PER_PLAN), orders),
+    ]
+
+
+def test_each_time_is_classified_once_for_both_orders(unit_params, monkeypatch):
+    # the 14-law check of the wave_balance benchmark: its two times take
+    # densities at four, t +- dt, each at two orders.  Level 0 classifies
+    # the 16 cells of each of the four times once, and the straight front
+    # cuts some cells of each into graph boxes, whose faces are crossed
+    # once before one line-crossing call per order
+    field, region = _example_wave(unit_params), Region(-0.8, 0.9, -0.6, 0.7)
+    laws, times = tuple(range(1, 15)), (0.1, 0.3)
+    expected = _terms(field, laws, region, times)
+    front_type = type(field.front)
+    value_range, crossings = front_type.value_range, front_type.crossings
+    plan_heights = balance._plan_heights
+    boxes, segments, heights = [], [], []
+
+    def counted_range(self, lower, upper, t):
+        boxes.append(len(lower))
+        return value_range(self, lower, upper, t)
+
+    def counted_crossings(self, p0, p1, t):
+        segments.append(len(p0))
+        return crossings(self, p0, p1, t)
+
+    def counted_heights(plan, front, lower, *args):
+        first = len(segments)
+        plan_heights(plan, front, lower, *args)
+        heights.append((len(lower), segments[first:]))
+
+    monkeypatch.setattr(front_type, "value_range", counted_range)
+    monkeypatch.setattr(front_type, "crossings", counted_crossings)
+    monkeypatch.setattr(balance, "_plan_heights", counted_heights)
+    assert _terms(field, laws, region, times) == expected
+    assert region.cells == (4, 4)
+    assert boxes == [2 * len(times) * 16]
+    ((graph_boxes, calls),) = heights
+    assert 0 < graph_boxes < boxes[0]
+    faces, lines, lines_low = calls
+    assert faces == 2 * graph_boxes
+    assert lines // region.quad_order == lines_low // (region.quad_order - 2) > 0
 
 
 def _balance_check(laws, times, region, **keys) -> dict:
@@ -544,9 +589,9 @@ def _balance_check(laws, times, region, **keys) -> dict:
 def test_balance_check_rows_are_those_of_the_balance_reports(
     case, unit_params, generic_params, monkeypatch
 ):
-    # a check's rows plan four density slices per time; six times span two
-    # plans, and every row keeps the bits of the rows composed from the
-    # reports of balance_residual
+    # a check's rows plan the densities at t +- dt of each time at two
+    # orders; six times span two plans, and every row keeps the bits of
+    # the rows composed from the reports of balance_residual
     if case == "straight_wave":
         field, region = _example_wave(unit_params), Region(-0.8, 0.9, -0.6, 0.7)
     elif case == "disc":
@@ -560,14 +605,18 @@ def test_balance_check_rows_are_those_of_the_balance_reports(
     planned = []
     plan_cells = balance._plan_cells
 
-    def recorded(plan, front, region, slices):
-        planned.append(len(slices))
-        return plan_cells(plan, front, region, slices)
+    def recorded(plan, front, region, times, orders):
+        planned.append((len(times), tuple(orders)))
+        return plan_cells(plan, front, region, times, orders)
 
     per_time = [[balance_residual(field, key, region, t, dt) for key in laws] for t in times]
     monkeypatch.setattr(balance, "_plan_cells", recorded)
     rows = run_scenario(scenario).results
-    assert planned == [4 * balance._TIMES_PER_PLAN, 4 * (len(times) - balance._TIMES_PER_PLAN)]
+    orders = (region.quad_order, region.quad_order - 2)
+    assert planned == [
+        (2 * balance._TIMES_PER_PLAN, orders),
+        (2 * (len(times) - balance._TIMES_PER_PLAN), orders),
+    ]
     expected = []
     for i in range(len(laws)):
         reps = [reports[i] for reports in per_time]
@@ -932,11 +981,11 @@ def test_disc_plan_choices_hold_across_the_time_step(generic_params, monkeypatch
     graphs = []
     plan_heights = balance._plan_heights
 
-    def recorded(plan, front, lower, upper, axis, rising, order, times, owners, ranks):
+    def recorded(plan, front, lower, upper, axis, rising, orders, times, owners, ranks):
         graphs.append(
             (lower.tolist(), upper.tolist(), axis.tolist(), rising.tolist(), ranks.tolist())
         )
-        plan_heights(plan, front, lower, upper, axis, rising, order, times, owners, ranks)
+        plan_heights(plan, front, lower, upper, axis, rising, orders, times, owners, ranks)
 
     monkeypatch.setattr(balance, "_plan_heights", recorded)
     dt = 1e-4
@@ -944,7 +993,7 @@ def test_disc_plan_choices_hold_across_the_time_step(generic_params, monkeypatch
     for t in (-dt, 0.0, dt):
         graphs.clear()
         plan = balance._Plan()
-        balance._plan_cells(plan, field.front, region, ((t, region.quad_order),))
+        balance._plan_cells(plan, field.front, region, (t,), (region.quad_order,))
         sides = np.concatenate(plan.sides)
         owners = np.concatenate(plan.owners)
         choices.append((
@@ -1021,9 +1070,9 @@ def _polar_density_reference(field, entry, region, t, n=24, n_theta=64):
 def test_smooth_circle_density_integrals_match_polar_reference(generic_params):
     field = _smooth_circle_field(generic_params)
     t = 0.1
-    (got,) = balance._density_integrals(
-        field, LAWS, _SMOOTH_REGION, ((t, _SMOOTH_REGION.quad_order),)
-    ).T
+    got = balance._density_integrals(
+        field, LAWS, _SMOOTH_REGION, (t,), (_SMOOTH_REGION.quad_order,)
+    )[:, 0, 0]
     for entry, value in zip(LAWS, got):
         want = _polar_density_reference(field, entry, _SMOOTH_REGION, t)
         assert value == pytest.approx(want, rel=1e-12, abs=1e-15), entry.name
@@ -1050,6 +1099,50 @@ def test_smooth_circle_balances_equal_front_integral(center, edges_crossed, gene
         jump = front_segment_jump_integral(field, key, region, t)
         scale = max(1.0, abs(deriv), abs(flux))
         assert abs(residual - jump) <= 1e-6 * scale, key
+
+
+@pytest.mark.parametrize(
+    "case, want",
+    [
+        ("disc", ("0x0.0p+0", "0x1.de87033a2d6a0p-1", "0x1.de87033a2d6a0p-1", "0x1.1085a00000000p-30")),
+        (
+            "inside",
+            (
+                "0x1.ad5742da76400p-12", "0x1.f2fe694d08ba2p-6",
+                "0x1.f9b3c65872932p-6", "0x1.e72be8da00000p-27",
+            ),
+        ),
+        (
+            "one_edge",
+            (
+                "0x1.af3e190749cb1p-3", "0x1.3dec6d14f6b8bp-2",
+                "0x1.0ac5bccc4dcf2p-1", "0x1.b303ac0000000p-33",
+            ),
+        ),
+        (
+            "one_corner",
+            (
+                "-0x1.b2d0084afc4dcp-4", "-0x1.60de4c20d2ab9p-1",
+                "-0x1.97384d2a32354p-1", "0x1.440a8c0000000p-31",
+            ),
+        ),
+    ],
+)
+def test_curved_front_balance_bits_are_pinned(case, want, generic_params):
+    # every golden report balances across a straight line, where the
+    # order in which a cell adds its pieces hardly moves the sums; these
+    # balances across circles pin flux_integral, time_derivative, residual
+    # and quadrature_error bit for bit: the benchmark's disc (law 1 at
+    # t = 0) and the smooth circle pair (energy at t = 0.1)
+    if case == "disc":
+        field, key, region, t = _disc_field(generic_params), 1, Region(-0.7, 0.9, -0.8, 0.7), 0.0
+    else:
+        center = {"inside": (0.1, -0.05), "one_edge": (0.1, 0.5), "one_corner": (0.75, 0.55)}
+        field, key = _smooth_circle_field(generic_params, center[case]), "energy"
+        region, t = _SMOOTH_REGION, 0.1
+    report = balance_residual(field, key, region, t)
+    got = (report.flux_integral, report.time_derivative, report.residual, report.quadrature_error)
+    assert tuple(v.hex() for v in got) == want
 
 
 def _scanned_circle_arcs(region, front, t, n_scan=512):
@@ -1166,15 +1259,16 @@ def test_unresolved_front_is_an_error(generic_params):
 
 def test_unresolved_slice_names_its_time(generic_params):
     # the circle shrinks to a radius of 1e-14 at t = 0.5; planned
-    # together with slices where it is large or gone, the one slice it is
+    # together with times where it is large or gone, the one time it is
     # not resolved at is named
     field = dataclasses.replace(
         _disc_field(generic_params), front=CircleFront(0.1, -0.05, 0.25 + 1e-14, radial_speed=-0.5)
     )
     region = Region(-0.7, 0.9, -0.8, 0.7)
-    slices = ((0.0, 8), (0.2, 6), (0.5, 8), (0.7, 6))
+    times, orders = (0.0, 0.2, 0.5, 0.7), (8, 6)
     with pytest.raises(ValidationError, match=r"not resolved by 40 levels .* at t = 0\.5$"):
-        balance._density_integrals(field, LAWS[:1], region, slices)
+        balance._density_integrals(field, LAWS[:1], region, times, orders)
     # each of the others is resolved alone; at t = 0.7 the radius is < 0
-    for t, order in (slices[0], slices[1], slices[3]):
-        density_integral(field, 1, region, t, order)
+    for t in (0.0, 0.2, 0.7):
+        for order in orders:
+            density_integral(field, 1, region, t, order)

@@ -405,3 +405,20 @@ def test_curve_lies_on_the_front_and_inverts(front, t, s):
     h = 1e-6
     step = np.hypot(*(front.curve(t, s + h)[0] - front.curve(t, s - h)[0]).T) / (2.0 * h)
     assert step == pytest.approx(np.full(len(s), speed), rel=1e-7)
+
+
+def test_circle_curve_has_the_bits_of_math_cos_and_sin():
+    # a circle's points take numpy's cos and sin over all their angles at
+    # once; each must have the bits of math.cos and math.sin of its own
+    # angle, or the front points a report samples would move.  120,000
+    # angles: the sampled range of +-2 pi, a narrower and two wider ones
+    front = CircleFront(0.1, -0.05, 0.35, radial_speed=0.25)
+    t = 0.1
+    radius = 0.35 + 0.25 * t
+    rng = np.random.default_rng(11)
+    for scale in (0.25 * math.pi, 2.0 * math.pi, 100.0, 1e4):
+        angles = rng.uniform(-scale, scale, 30_000)
+        x, speed = front.curve(t, angles)
+        assert speed == radius
+        assert x[:, 0].tolist() == [0.1 + radius * math.cos(a) for a in angles.tolist()]
+        assert x[:, 1].tolist() == [-0.05 + radius * math.sin(a) for a in angles.tolist()]
