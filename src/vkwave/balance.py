@@ -159,13 +159,14 @@ def _integrals(field, entries, plan: _Plan, grid, n_owners, normals=None) -> np.
     The points of every slice are evaluated in plan order, each at its
     own time, one jet call per batch for both sides of the front (each
     point's side as the field's ``side`` mask), and every law is applied
-    to each jet batch.  A density pass fills the jets in _DENSITY_SLOTS
-    only and reads only densities; a flux pass fills them in _ROW_SLOTS.
-    A batch's jets hold 2 len(slots) values a point and its laws' rows,
-    memoised on the jets, len(entries) more, so a batch takes as many
-    points as keep both within the values of one _batch_size(slots)
-    batch of one field's jets: larger transient arrays were handed back
-    to the system after each pass and faulted in again for the next.
+    to each jet batch.  A density pass fills the jets of both fields in
+    _DENSITY_SLOTS only and reads only densities; a flux pass fills them
+    in _ROW_SLOTS.  A batch's jets hold 2 len(slots) values a point and
+    its laws' rows, memoised on the jets, len(entries) more, so a batch
+    takes as many points as keep both within the values of one
+    _batch_size batch of one field's jets in those slots: larger
+    transient arrays were handed back to the system after each pass and
+    faulted in again for the next.
     Each block is reduced to piece sums in one vectorised sum; the
     piece sums are added up per owner in rank and plan order, and the
     owners of a slice in turn, so that a law's integral does not depend
@@ -179,11 +180,12 @@ def _integrals(field, entries, plan: _Plan, grid, n_owners, normals=None) -> np.
     if normals is not None:
         normals = np.repeat(normals, counts, axis=0)
     slots = _DENSITY_SLOTS if normals is None else _ROW_SLOTS
-    size = max(1, _batch_size(slots) * len(slots) // (2 * len(slots) + len(entries)))
+    fill = (slots, slots)
+    size = max(1, _batch_size(fill) * len(slots) // (2 * len(slots) + len(entries)))
     vals = np.empty((len(entries), len(pts)))
     for start in range(0, len(pts), size):
         rows = slice(start, start + size)
-        jet = field.jet(pts[rows], Side.AUTO if ahead is None else ahead[rows], slots)
+        jet = field.jet(pts[rows], Side.AUTO if ahead is None else ahead[rows], fill)
         n = None if normals is None else normals[rows]
         for row, entry in zip(vals, entries):
             df = density_flux(entry, jet, field.params)

@@ -27,9 +27,10 @@ class _SlotRows:
     """One field of a jet filled in some slots only, read as a full jet's
     array is: ``rows[..., q]`` gives slot q's values.  ``values`` has shape
     (..., len(slots)), its column i holding slot ``slots[i]``, and is a
-    view of the same slot-major block as the other field's; reading a
-    slot that is not among them raises UnfilledSlotError, and the object
-    is no array, so that nothing can read a column as the wrong slot."""
+    view of the same slot-major block as the other field's, which holds
+    slots of its own; reading a slot that is not among them raises
+    UnfilledSlotError, and the object is no array, so that nothing can
+    read a column as the wrong slot."""
 
     __slots__ = ("values", "_column")
 
@@ -112,9 +113,10 @@ class FieldJet:
     @classmethod
     def _filled(cls, point, w, phi, slots=None) -> "FieldJet":
         """A jet the package has filled: float64 arrays of shape (..., 35),
-        or with ``slots`` of shape (..., len(slots)) whose column i holds
-        slot ``slots[i]``, each then wrapped in a _SlotRows.  Only the
-        values are checked: a non-finite value in either array or in
+        or with ``slots``, a pair (w's, phi's) of slot sequences, w of
+        shape (..., len(w's)) whose column i holds slot ``w's[i]`` and phi
+        likewise, each then wrapped in a _SlotRows of its own slots.  Only
+        the values are checked: a non-finite value in either array or in
         ``point`` raises ValidationError, as for a jet built directly."""
         for name, arr in (("w", w), ("phi", phi)):
             if not np.isfinite(arr).all():
@@ -122,7 +124,7 @@ class FieldJet:
         if not np.isfinite(point).all():
             raise ValidationError("point contains non-finite entries")
         if slots is not None:
-            w, phi = _SlotRows(w, slots), _SlotRows(phi, slots)
+            w, phi = _SlotRows(w, slots[0]), _SlotRows(phi, slots[1])
         return cls._unchecked(point, w, phi)
 
     def _derived(self, key, build, p):

@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._kernels import ZERO_SLOTS, traveling_jet_fill
+from ._kernels import ZERO_SLOTS, read_coefficients, traveling_jet_fill
 from .errors import SideRequiredError, ValidationError, _is_integer, _is_real, _real
 from .indexing import EXPONENTS, JET_SIZE, S11, S12, S22, S33, S1111, S1122, S2222
 from .jets import FieldJet, _as_point
@@ -119,7 +119,8 @@ class InvariantSolution:
 
     def _write_rows(self, flat: np.ndarray, rows_w, rows_phi, slots, at) -> None:
         """Write the jets at ``flat`` into columns ``at`` of the slot-major
-        (len(slots), n) rows of a block, slot row by slot row."""
+        rows of a block, (len(w's), n) and (len(phi's), n) for ``slots``
+        (w's, phi's), slot row by slot row."""
         own_w, own_phi = self._jet_values(flat, slots)
         for rows, own in ((rows_w, own_w.T), (rows_phi, own_phi.T)):
             for row, values in zip(rows, own):
@@ -193,10 +194,11 @@ class PolynomialField:
 
     def _write_rows(self, flat: np.ndarray, rows_w, rows_phi, slots, at) -> None:
         """Write the jets at ``flat`` into columns ``at`` of the slot-major
-        (len(slots), n) rows of a zeroed block, only in the slots that
-        have terms."""
-        _eval_terms(self._w_terms, flat, rows_w, slots, at)
-        _eval_terms(self._phi_terms, flat, rows_phi, slots, at)
+        rows of a zeroed block, as InvariantSolution._write_rows lays them
+        out, only in the slots that have terms."""
+        w_slots, phi_slots = (None, None) if slots is None else slots
+        _eval_terms(self._w_terms, flat, rows_w, w_slots, at)
+        _eval_terms(self._phi_terms, flat, rows_phi, phi_slots, at)
 
 
 #: The validating constructor under its historical name.
@@ -204,39 +206,41 @@ polynomial_field = PolynomialField
 
 
 def _jet_arrays(n: int, slots, block=None, zeroed: bool = False):
-    """w and phi jet arrays of shape (n, len(slots)) for n points, column
-    i for slot ``slots[i]``, or (n, 35) for every slot when ``slots`` is
-    None; uninitialised, or zeros when ``zeroed``.  The two are views of
-    one slot-major (2, len(slots), n) block, row i of each holding slot
-    ``slots[i]``, so that each slot is one contiguous run (a field's
-    ``.T``) and both share one allocation: two separate blocks of a batch
-    were each handed back to the system when freed and faulted in again
-    for the next batch, which cost more than the fill.
+    """w and phi jet arrays for n points: with ``slots`` a pair (w's,
+    phi's), w of shape (n, len(w's)), column i for slot ``w's[i]``, and
+    phi likewise; (n, 35) each for every slot when ``slots`` is None.
+    They are uninitialised, or zeros when ``zeroed``.  The two are views
+    of one slot-major block of len(w's) + len(phi's) rows of n values,
+    w's rows first, row i of each field holding its slot i, so that each
+    slot is one contiguous run (a field's ``.T``) and both share one
+    allocation: two separate blocks of a batch were each handed back to
+    the system when freed and faulted in again for the next batch, which
+    cost more than the fill.
 
     That block is a new array, or with ``block`` (a flat float64 array of
-    at least 2 len(slots) n values) its leading values, so that a caller
-    that fills batch after batch keeps one allocation; every jet of the
-    earlier batch then holds the new batch's values, so such a caller
-    reads each batch's jets before it fills the next."""
-    shape = (2, JET_SIZE if slots is None else len(slots), n)
+    at least (len(w's) + len(phi's)) n values) its leading values, so
+    that a caller that fills batch after batch keeps one allocation;
+    every jet of the earlier batch then holds the new batch's values, so
+    such a caller reads each batch's jets before it fills the next."""
+    k = JET_SIZE if slots is None else len(slots[0])
+    shape = (2 * JET_SIZE if slots is None else k + len(slots[1]), n)
     if block is None:
         out = (np.zeros if zeroed else np.empty)(shape)
     else:
         out = block[: math.prod(shape)].reshape(shape)
         if zeroed:
             out.fill(0.0)
-    return out.transpose(0, 2, 1)
+    return out[:k].T, out[k:].T
 
 
 def _field_jet(pts, single: bool, out_w, out_phi, slots) -> FieldJet:
     """The FieldJet of the arrays of _jet_arrays at ``pts``, reshaped to
-    its batch shape: a full jet, or with ``slots`` one that holds those
-    slots only."""
+    its batch shape: a full jet, or with ``slots`` (w's, phi's) one whose
+    fields hold those slots only."""
     if single:
         w, phi = out_w[0], out_phi[0]
     else:
-        shape = pts.shape[:-1] + out_w.shape[-1:]
-        w, phi = out_w.reshape(shape), out_phi.reshape(shape)
+        w, phi = (out.reshape(pts.shape[:-1] + out.shape[-1:]) for out in (out_w, out_phi))
     return FieldJet._filled(pts, w, phi, slots)
 
 
@@ -269,7 +273,8 @@ def _slot_terms(exps: np.ndarray, coefs: np.ndarray):
 def _eval_terms(terms, flat: np.ndarray, rows: np.ndarray, slots, at) -> None:
     """Write the jet slots of one polynomial at points of shape (m, 3) into
     columns ``at`` (a slice or m indices) of the slot-major ``rows``: row i
-    gets slot ``slots[i]``, every slot in order when ``slots`` is None.
+    gets slot ``slots[i]`` of this field, every slot in order when
+    ``slots`` is None.
     Only the slots with terms are written; the others keep their zeros."""
     for i, q in enumerate(range(JET_SIZE) if slots is None else slots):
         if q not in terms:
@@ -330,6 +335,24 @@ class PiecewiseField:
         a, b = (getattr(f, "_zero_slots", _NO_ZERO_SLOTS) for f in (self.ahead, self.behind))
         return (a[0] & b[0], a[1] & b[1])
 
+    @functools.cached_property
+    def _traveling_pair(self):
+        """For two traveling branches of one speed, and so one omega, which
+        one fill serves: the ahead branch's eight coefficients, u's and
+        then phi's, the indices of those the behind branch does not hold
+        to the bit, and a (8, 2) table of each coefficient's behind and
+        ahead values.  None for other branches."""
+        a, b = self.ahead, self.behind
+        if not (
+            isinstance(a, InvariantSolution)
+            and isinstance(b, InvariantSolution)
+            and a.wave_speed == b.wave_speed
+        ):
+            return None
+        pairs = list(zip(b.u + b.phi, a.u + a.phi))
+        differ = frozenset(i for i, (y, x) in enumerate(pairs) if float(y).hex() != float(x).hex())
+        return a.u + a.phi, differ, np.array(pairs, dtype=np.float64)
+
     def jet(
         self, point, side: Side | np.ndarray = Side.AUTO, slots=None, *, _block=None
     ) -> FieldJet:
@@ -345,13 +368,16 @@ class PiecewiseField:
         A mixed batch of two traveling profiles with the same speed, and
         so the same omega (an acceleration wave, or one solution on both
         sides), takes one fill, with each point's coefficients chosen by
-        its side.  Other branches write their own points into one zeroed
-        slot-major block.  Both give each point the jet its branch gives
-        it, but that the one fill may differ in the sign of a zero where a
-        column is zero (traveling_jet_fill's trig rule).  With
-        ``Side.AUTO``, raises SideRequiredError where gamma is 0 and
-        ValidationError where it is NaN; raises ValidationError for a
-        ``side`` array of another shape or dtype.
+        its side: those the requested columns read and the branches do
+        not hold to the bit are gathered per point.  Other branches write
+        their own points into one zeroed slot-major block.  Both give each
+        point the jet its branch gives it, but that the one fill may
+        differ in the sign of a zero where a column is zero
+        (traveling_jet_fill's trig rule).  With ``Side.AUTO``, raises
+        SideRequiredError where gamma is 0 at some point, or else
+        ValidationError where it is NaN, naming the first such point;
+        raises ValidationError for a ``side`` array of another shape or
+        dtype.
         """
         if side is Side.AHEAD:
             return self.ahead.jet(point, slots=slots)
@@ -361,17 +387,19 @@ class PiecewiseField:
         pts, flat, single = _as_points(point)
         if side is Side.AUTO:
             g = np.asarray(self.front.value(flat), dtype=np.float64)
-            if np.any(g == 0.0):
-                raise SideRequiredError(
-                    "point lies exactly on the front; pass side=Side.AHEAD or Side.BEHIND"
-                )
-            undefined = np.flatnonzero(np.isnan(g))
-            if undefined.size:
+            ahead_mask = g > 0
+            # a point of neither sign is on the front or at a NaN: look for
+            # them only when the two counts miss a point
+            if np.count_nonzero(ahead_mask) + np.count_nonzero(g < 0) < g.size:
+                if np.any(g == 0.0):
+                    raise SideRequiredError(
+                        "point lies exactly on the front; pass side=Side.AHEAD or Side.BEHIND"
+                    )
+                undefined = np.flatnonzero(np.isnan(g))
                 raise ValidationError(
                     f"front value is NaN at {tuple(flat[undefined[0]].tolist())}; "
                     "the point has no side"
                 )
-            ahead_mask = g > 0
         else:
             mask = np.asarray(side)
             if mask.dtype != np.bool_ or mask.shape != pts.shape[:-1]:
@@ -380,23 +408,19 @@ class PiecewiseField:
                     f"{pts.shape[:-1]}, got {mask.dtype} of shape {mask.shape}"
                 )
             ahead_mask = mask.reshape(-1)
-        a, b = self.ahead, self.behind
-        if (
-            isinstance(a, InvariantSolution)
-            and isinstance(b, InvariantSolution)
-            and a.wave_speed == b.wave_speed
-        ):
+        if self._traveling_pair is not None:
+            coef, differ, table = self._traveling_pair
             out_w, out_phi = _jet_arrays(flat.shape[0], slots, _block)
-            # a coefficient both branches hold to the bit stays one value;
-            # the others are one value per point, its own branch's, all
-            # gathered in one take of a (k, 2) table, column 1 ahead
-            pairs = list(zip(b.u + b.phi, a.u + a.phi))
-            coef = [x for _, x in pairs]
-            differ = [i for i, (y, x) in enumerate(pairs) if float(y).hex() != float(x).hex()]
-            if differ:
-                table = np.array([pairs[i] for i in differ], dtype=np.float64)
-                for i, row in zip(differ, table.take(ahead_mask.astype(np.intp), axis=1)):
+            # a coefficient both branches hold to the bit, or that no
+            # requested column reads, stays one value; the others are one
+            # value per point, its own branch's, all gathered in one take
+            # of the table's rows, column 1 ahead
+            gather = sorted(differ & read_coefficients(slots))
+            if gather:
+                coef = list(coef)
+                for i, row in zip(gather, table[gather].take(ahead_mask.astype(np.intp), axis=1)):
                     coef[i] = row
+            a = self.ahead
             traveling_jet_fill(
                 coef[:4], coef[4:], a.omega, a.wave_speed, flat, out_w, out_phi, slots
             )
@@ -404,7 +428,7 @@ class PiecewiseField:
             # each branch writes its own points, slot row by slot row: a
             # masked write through the (n, k) views cost more than the fill
             out_w, out_phi = _jet_arrays(flat.shape[0], slots, _block, zeroed=True)
-            for branch, mask in ((a, ahead_mask), (b, ~ahead_mask)):
+            for branch, mask in ((self.ahead, ahead_mask), (self.behind, ~ahead_mask)):
                 at = np.flatnonzero(mask)
                 if at.size:
                     branch._write_rows(flat[at], out_w.T, out_phi.T, slots, at)
@@ -484,9 +508,15 @@ acceleration_wave = AccelerationWave
 #: Points per jet call of full jets.  A full jet takes 560 bytes a point,
 #: so a batch holds about 1 MB of jets; a jet filled in some slots only
 #: stores those slots alone, and its batches take as many more points as
-#: keep them at about 1 MB: 10,240 for the 7 _PDE_SLOTS.  A pde_residual
-#: check fills at most those 7 and takes batches of 10,240 points whatever
-#: it fills, into one block it keeps across its batches.
+#: keep them at about 1 MB: 10,240 for the 7 _PDE_SLOTS of both fields.
+#: A pde_residual check fills only the slots of each field that its terms
+#: read, w_33 and w_1111 alone on the example wave, but takes batches of
+#: 10,240 points whatever it fills, into one block kept across its batches
+#: with room for all 7 _PDE_SLOTS of both fields: glibc hands the free top
+#: of its heap back to the system once it exceeds twice the largest block
+#: mapped and then freed, and a block of the filled slots alone set that
+#: threshold below what a batch's temporaries free, which were then
+#: faulted in again on every batch.
 #: A balance pass fills both sides of the front in one batch and keeps
 #: every law's row with it, so its batches hold the values of one field's
 #: jets of such a batch, jets and rows together: 2,560 points for a
@@ -499,9 +529,10 @@ _BATCH_POINTS = 2048
 
 def _batch_size(slots=None) -> int:
     """Points per jet batch: _BATCH_POINTS for full jets, or as many
-    points of jets filled in ``slots`` only as hold _BATCH_POINTS * 35
-    jet values per field."""
-    return _BATCH_POINTS * JET_SIZE // (JET_SIZE if slots is None else len(slots))
+    points of jets filled in ``slots`` (w's, phi's) only as hold
+    _BATCH_POINTS * 70 jet values of the two fields."""
+    per_point = 2 * JET_SIZE if slots is None else len(slots[0]) + len(slots[1])
+    return _BATCH_POINTS * 2 * JET_SIZE // per_point
 
 
 def _jet_batches(field, points: np.ndarray, side: Side = Side.AUTO, slots=None):
@@ -525,33 +556,58 @@ _PDE_SLOTS = (S11, S12, S22, S33, S1111, S1122, S2222)
 #: taken to be identically zero.
 _NO_ZERO_SLOTS = (frozenset(), frozenset())
 
-#: The terms of the two governing equations by the jet slots they read, as
-#: (field, slot) pairs, field 0 for w and 1 for phi: the products, and then
-#: the terms that read one slot (bilaplacians term by term, and inertia).
-_PDE_PRODUCTS = (
-    ((0, S11), (1, S22)), ((0, S22), (1, S11)), ((0, S12), (1, S12)),
-    ((0, S11), (0, S22)), ((0, S12), (0, S12)),
+#: The terms of the two governing equations, r1's and then r2's, by the
+#: jet slots they read, as (field, slot) pairs, field 0 for w and 1 for
+#: phi: each bilaplacian term by term, then the products, then inertia.
+_PDE_EQUATIONS = (
+    (
+        ((0, S1111),), ((0, S1122),), ((0, S2222),),
+        ((0, S11), (1, S22)), ((0, S22), (1, S11)), ((0, S12), (1, S12)),
+        ((0, S33),),
+    ),
+    (
+        ((1, S1111),), ((1, S1122),), ((1, S2222),),
+        ((0, S11), (0, S22)), ((0, S12), (0, S12)),
+    ),
 )
-_PDE_SINGLES = tuple((f, q) for f in (0, 1) for q in (S1111, S1122, S2222)) + ((0, S33),)
+
+
+@functools.lru_cache(maxsize=64)
+def _pde_kept(zero):
+    """The terms of each equation, as _PDE_EQUATIONS gives them, that are
+    left for a field whose identically zero slots are ``zero``, a pair of
+    frozensets: those none of whose factors is such a slot."""
+    return tuple(
+        tuple(term for term in terms if all(q not in zero[f] for f, q in term))
+        for terms in _PDE_EQUATIONS
+    )
 
 
 @functools.lru_cache(maxsize=64)
 def _pde_reads(zero):
     """The slots of w and of phi that _pde_rows reads for a field whose
-    identically zero slots are ``zero``, a pair of frozensets: each factor
-    of a term none of whose factors is such a slot.  So w11 is read only
-    when it is not zero and phi22 or w22 is not either, and phi33 never."""
-    kept = [t for t in _PDE_SINGLES if t[1] not in zero[t[0]]]
-    kept += [f for term in _PDE_PRODUCTS if all(q not in zero[i] for i, q in term) for f in term]
-    return tuple(frozenset(q for i, q in kept if i == field) for field in (0, 1))
+    identically zero slots are ``zero``: each factor of a term _pde_kept
+    leaves.  So w11 is read only when it is not zero and phi22 or w22 is
+    not either, and phi33 never."""
+    factors = [f for terms in _pde_kept(zero) for term in terms for f in term]
+    return tuple(frozenset(q for i, q in factors if i == field) for field in (0, 1))
 
 
 def _pde_slots(zero) -> tuple:
-    """The slots, in _PDE_SLOTS order, that a pde_residual check fills for a
-    field whose identically zero slots are ``zero``: those _pde_reads
-    gives for w or for phi, as a fill stores each slot of both."""
-    w, phi = _pde_reads(zero)
-    return tuple(q for q in _PDE_SLOTS if q in w or q in phi)
+    """The slots a pde_residual check fills for a field whose identically
+    zero slots are ``zero``, as a fill's pair (w's, phi's): for each field
+    those _pde_reads gives, in _PDE_SLOTS order."""
+    return tuple(tuple(q for q in _PDE_SLOTS if q in read) for read in _pde_reads(zero))
+
+
+@functools.lru_cache(maxsize=64)
+def _pde_live(zero) -> slice:
+    """The equations that have a term left for a field whose identically
+    zero slots are ``zero``, as a slice of (r1, r2), or r1 alone when
+    neither has one: _pde_rows gives an equation with no term left zero
+    residuals and scales."""
+    live = [i for i, terms in enumerate(_pde_kept(zero)) if terms]
+    return slice(live[0], live[-1] + 1) if live else slice(0, 1)
 
 
 def _add(x, y, out: np.ndarray):

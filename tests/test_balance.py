@@ -145,10 +145,10 @@ def _disc_field(p):
 
 def _pass_cap(slots, n_laws):
     """Points per jet batch of a balance pass of n_laws laws filling
-    ``slots``: its jets (2 len(slots) values a point) and its rows (n_laws
-    more) hold at most the values of one field's jets in a batch of
-    _batch_size(slots)."""
-    return solutions._batch_size(slots) * len(slots) // (2 * len(slots) + n_laws)
+    ``slots`` of both fields: its jets (2 len(slots) values a point) and
+    its rows (n_laws more) hold at most the values of one field's jets in
+    a batch of _batch_size((slots, slots))."""
+    return solutions._batch_size((slots, slots)) * len(slots) // (2 * len(slots) + n_laws)
 
 
 def _terms(field, laws, region, times, dt=None):
@@ -259,8 +259,8 @@ def test_row_slot_jets_give_the_full_jets_rows(case, generic_params):
     field, pts, sides = _row_slot_case(case, generic_params)
     for side in sides:
         full = field.jet(pts, side)
-        sub = field.jet(pts, side, _ROW_SLOTS)
-        dens = field.jet(pts, side, _DENSITY_SLOTS)
+        sub = field.jet(pts, side, (_ROW_SLOTS, _ROW_SLOTS))
+        dens = field.jet(pts, side, (_DENSITY_SLOTS, _DENSITY_SLOTS))
         for entry in LAWS:
             want = density_flux(entry, full, generic_params)
             got = _row_bits(density_flux(entry, sub, generic_params))
@@ -272,7 +272,8 @@ def test_row_slot_jets_give_the_full_jets_rows(case, generic_params):
 def test_every_row_slot_is_read_by_some_law(generic_params):
     field, pts, _ = _row_slot_case("polynomial", generic_params)
     for q in _ROW_SLOTS:
-        jet = field.jet(pts, Side.AUTO, tuple(s for s in _ROW_SLOTS if s != q))
+        rest = tuple(s for s in _ROW_SLOTS if s != q)
+        jet = field.jet(pts, Side.AUTO, (rest, rest))
         with pytest.raises(UnfilledSlotError, match=f"jet slot {q} "):
             for entry in LAWS:
                 _row_bits(density_flux(entry, jet, generic_params))
@@ -281,7 +282,8 @@ def test_every_row_slot_is_read_by_some_law(generic_params):
 def test_every_density_slot_is_read_by_some_laws_density(generic_params):
     field, pts, _ = _row_slot_case("polynomial", generic_params)
     for q in _DENSITY_SLOTS:
-        jet = field.jet(pts, Side.AUTO, tuple(s for s in _DENSITY_SLOTS if s != q))
+        rest = tuple(s for s in _DENSITY_SLOTS if s != q)
+        jet = field.jet(pts, Side.AUTO, (rest, rest))
         with pytest.raises(UnfilledSlotError, match=f"jet slot {q} "):
             for entry in LAWS:
                 density_flux(entry, jet, generic_params).density
@@ -454,7 +456,7 @@ def test_balance_check_is_planned_and_evaluated_once(
     assert heights == [(region.quad_order, region.quad_order - 2)]  # once, both orders
     assert len(passes) == 2
     for calls, slots in zip(passes, (_DENSITY_SLOTS, _ROW_SLOTS)):
-        assert {filled for _, _, filled in calls} == {slots}
+        assert {filled for _, _, filled in calls} == {(slots, slots)}
         # every call takes a side mask of its points; the density pieces
         # lie on both sides of the front (a disc's boundary is all ahead)
         assert all(m.dtype == bool and m.shape == (n,) for m, n, _ in calls)
@@ -505,7 +507,7 @@ def test_fourteen_law_pass_fills_one_batch_for_both_sides(unit_params, monkeypat
         assert len(sizes) == math.ceil(sum(sizes) / cap) > 1
         assert sizes[:-1] == [cap] * (len(sizes) - 1)
         for n, mask, filled, rows in batches:
-            assert filled is slots and mask.shape == (n,)
+            assert filled == (slots, slots) and mask.shape == (n,)
             assert rows == [n] * len(laws)  # every law's row once per batch
         masks = np.concatenate([mask for _, mask, _, _ in batches])
         assert masks.any() and not masks.all()

@@ -389,7 +389,7 @@ def test_density_flux_checks_its_law_at_the_call_and_its_slots_when_read(generic
     # does not hold raises when it is read, naming the slot
     sol = invariant_solution((0.2, -0.3, 0.5, 0.1), (0.1, 0.3, 0.2, -0.4), 1.1, generic_params)
     pts = np.random.default_rng(7).uniform(-1.0, 1.0, (5, 3))
-    jet = sol.jet(pts, slots=_DENSITY_SLOTS)
+    jet = sol.jet(pts, slots=(_DENSITY_SLOTS, _DENSITY_SLOTS))
     for key in (0, 15, "momentum"):
         with pytest.raises(ValidationError):
             density_flux(key, jet, generic_params)
@@ -397,7 +397,8 @@ def test_density_flux_checks_its_law_at_the_call_and_its_slots_when_read(generic
     assert np.array_equal(df.density, density_flux(1, sol.jet(pts), generic_params).density)
     with pytest.raises(UnfilledSlotError, match=re.escape(f"jet slot {S111} {MULTI_INDICES[S111]} was not filled")):
         df.flux
-    df = density_flux(1, sol.jet(pts, slots=tuple(q for q in _DENSITY_SLOTS if q != S3)), generic_params)
+    rest = tuple(q for q in _DENSITY_SLOTS if q != S3)
+    df = density_flux(1, sol.jet(pts, slots=(rest, rest)), generic_params)
     with pytest.raises(UnfilledSlotError, match=re.escape(f"jet slot {S3} {MULTI_INDICES[S3]} was not filled")):
         df.density
 

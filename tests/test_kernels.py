@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from vkwave._kernels import traveling_jet_fill
+from vkwave._kernels import read_coefficients, traveling_jet_fill
 from vkwave.indexing import EXPONENTS, JET_SIZE
 
 
-def _fill(u, phi, omega, c, pts):
-    out_w = np.zeros((pts.shape[0], JET_SIZE))
-    out_phi = np.zeros_like(out_w)
+def _fill(u, phi, omega, c, pts, slots=None):
+    """The fill of ``slots``, a pair (w's, phi's), or of every slot when it
+    is None, into NaN-filled slot-major arrays."""
+    w_slots, phi_slots = (range(JET_SIZE),) * 2 if slots is None else slots
+    out_w, out_phi = (np.full((len(k), len(pts)), np.nan).T for k in (w_slots, phi_slots))
     traveling_jet_fill(
         np.asarray(u, dtype=np.float64),
         np.asarray(phi, dtype=np.float64),
@@ -18,8 +20,18 @@ def _fill(u, phi, omega, c, pts):
         np.ascontiguousarray(pts, dtype=np.float64),
         out_w,
         out_phi,
+        slots,
     )
     return out_w, out_phi
+
+
+def _random_pair(rng):
+    """Random (w's, phi's) slot sets of a fill, drawn apart; either may be
+    empty."""
+    return tuple(
+        tuple(int(q) for q in np.flatnonzero(rng.random(JET_SIZE) < rng.choice((0.0, 0.3, 0.6))))
+        for _ in range(2)
+    )
 
 
 def test_pure_python_hand_values():
@@ -106,6 +118,11 @@ def test_time_independent_slots_vanish_for_static_profile():
     assert not phi.any()
 
 
+#: Fills of every slot, of w_33 and w_1111 alone (the example wave's pde
+#: check), of phi's slots alone, and of different slots per field.
+_PAIRS = (None, ((9, 20), ()), ((), (4, 9, 13, 20)), ((0, 3, 5, 9, 19, 33), (1, 4, 11, 20, 34)))
+
+
 @pytest.mark.parametrize("per_point", ["both", "u", "phi"])
 def test_per_point_coefficients_equal_row_by_row_scalar_fills(per_point):
     rng = np.random.default_rng(11)
@@ -114,21 +131,23 @@ def test_per_point_coefficients_equal_row_by_row_scalar_fills(per_point):
     u = rng.uniform(-2, 2, (4, n)) if per_point in ("both", "u") else rng.uniform(-2, 2, 4)
     ph = rng.uniform(-2, 2, (4, n)) if per_point in ("both", "phi") else rng.uniform(-2, 2, 4)
     omega, c = 1.7, -0.8
-    got_w, got_phi = _fill(u, ph, omega, c, pts)
-    for k in range(n):
-        want_w, want_phi = _fill(
-            u[:, k] if u.ndim == 2 else u, ph[:, k] if ph.ndim == 2 else ph, omega, c, pts[k : k + 1]
-        )
-        assert np.array_equal(got_w[k], want_w[0])
-        assert np.array_equal(got_phi[k], want_phi[0])
-        assert np.array_equal(np.signbit(got_w[k]), np.signbit(want_w[0]))
+    for slots in _PAIRS:
+        got_w, got_phi = _fill(u, ph, omega, c, pts, slots)
+        for k in range(n):
+            want_w, want_phi = _fill(
+                u[:, k] if u.ndim == 2 else u, ph[:, k] if ph.ndim == 2 else ph, omega, c,
+                pts[k : k + 1], slots,
+            )
+            assert got_w[k].tobytes() == want_w[0].tobytes(), slots
+            assert got_phi[k].tobytes() == want_phi[0].tobytes(), slots
 
 
 def test_slot_subset_matches_full_fill_bit_for_bit():
-    # column i gets the bits the reference fill gives slot slots[i], and no other
-    # slot is stored, with scalar or per-point coefficients and any subset
-    # of slots
+    # column i of each field gets the bits the reference fill gives that
+    # field's slot i, and no other slot is stored, with scalar or
+    # per-point coefficients and any pair of subsets, either one empty
     rng = np.random.default_rng(13)
+    empty = [0, 0]
     for trial in range(100):
         n = int(rng.integers(1, 40))
         u = rng.uniform(-2, 2, (4, n) if trial % 2 else 4)
@@ -136,13 +155,15 @@ def test_slot_subset_matches_full_fill_bit_for_bit():
         omega = float(rng.uniform(0.2, 4.0))
         c = float(rng.uniform(-3.0, 3.0))
         pts = rng.uniform(-2, 2, (n, 3))
-        slots = tuple(int(q) for q in np.flatnonzero(rng.random(JET_SIZE) < 0.3))
+        slots = _random_pair(rng)
         full = _reference_fill(u, ph, omega, c, pts)
-        sub = np.full((2, len(slots), n), np.nan).transpose(0, 2, 1)
-        traveling_jet_fill(u, ph, omega, c, pts, *sub, slots)
-        for g, w in zip(sub, full):
-            np.testing.assert_array_equal(g, w[:, list(slots)])
-            np.testing.assert_array_equal(np.signbit(g), np.signbit(w[:, list(slots)]))
+        sub = _fill(u, ph, omega, c, pts, slots)
+        for g, w, field_slots, i in zip(sub, full, slots, (0, 1)):
+            assert g.shape == (n, len(field_slots))
+            np.testing.assert_array_equal(g, w[:, list(field_slots)])
+            np.testing.assert_array_equal(np.signbit(g), np.signbit(w[:, list(field_slots)]))
+            empty[i] += not field_slots
+    assert min(empty) > 10
 
 
 def _slots_of_parity(parity):
@@ -186,16 +207,14 @@ def test_trig_functions_are_taken_only_for_a_nonzero_coefficient(zero, parity, t
     u[list(np.atleast_1d(zero))] = 0.0
     pts = rng.uniform(-2, 2, (30, 3))
     omega, c = 1.3, -0.7
-    slots = None if parity is None else _slots_of_parity(parity)
+    slots = None if parity is None else (_slots_of_parity(parity),) * 2
     want = _reference_fill(u, ph, omega, c, pts)
     count_trig.update(sin=0, cos=0)
-    n = JET_SIZE if slots is None else len(slots)
-    got = np.full((2, n, len(pts)), np.nan).transpose(0, 2, 1)
-    traveling_jet_fill(u, ph, omega, c, pts, *got, slots)
+    got = _fill(u, ph, omega, c, pts, slots)
     assert {name for name, count in count_trig.items() if count} == taken
     assert max(count_trig.values()) <= 1
     for g, w in zip(got, want):
-        w = w if slots is None else w[:, list(slots)]
+        w = w if slots is None else w[:, list(slots[0])]
         np.testing.assert_array_equal(g, w)
         np.testing.assert_array_equal(np.signbit(g[g != 0.0]), np.signbit(w[w != 0.0]))
 
@@ -229,13 +248,45 @@ def test_per_point_zeros_of_either_sign_take_no_trig_function(count_trig):
     u[2] = np.where(np.arange(n) % 2, -0.0, 0.0)
     ph = rng.uniform(-2, 2, 4)
     pts = rng.uniform(-2, 2, (n, 3))
-    slots = _slots_of_parity(0)
-    got = np.empty((2, len(slots), n)).transpose(0, 2, 1)
+    slots = (_slots_of_parity(0),) * 2
     count_trig.update(sin=0, cos=0)
-    traveling_jet_fill(u, ph, 0.9, 1.4, pts, *got, slots)
+    got = _fill(u, ph, 0.9, 1.4, pts, slots)
     assert count_trig == {"sin": 0, "cos": 1}
     for k in range(n):
-        want = np.empty((2, len(slots), 1)).transpose(0, 2, 1)
-        traveling_jet_fill(u[:, k], ph, 0.9, 1.4, pts[k : k + 1], *want, slots)
+        want = _fill(u[:, k], ph, 0.9, 1.4, pts[k : k + 1], slots)
         for g, w in zip(got, want):
             assert g[k].tobytes() == w[0].tobytes()
+
+
+def test_phi_slots_take_no_trig_function(count_trig):
+    # only w's columns read sin and cos: a fill of phi's slots alone takes
+    # neither, whatever u holds
+    rng = np.random.default_rng(20)
+    u, ph = rng.uniform(-2, 2, (2, 4))
+    pts = rng.uniform(-2, 2, (30, 3))
+    slots = ((), tuple(range(JET_SIZE)))
+    count_trig.update(sin=0, cos=0)
+    got_w, got_phi = _fill(u, ph, 0.9, 1.4, pts, slots)
+    assert count_trig == {"sin": 0, "cos": 0}
+    assert got_w.shape == (30, 0)
+    assert got_phi.tobytes() == _reference_fill(u, ph, 0.9, 1.4, pts)[1].tobytes()
+
+
+def test_read_coefficients_are_those_a_column_reads():
+    # a fill with every coefficient not read set to NaN gives the bits of
+    # the full fill in the requested slots
+    rng = np.random.default_rng(21)
+    pts = rng.uniform(-2, 2, (20, 3))
+    assert read_coefficients(None) == frozenset(range(8))
+    assert read_coefficients(((9, 20), ())) == frozenset({2, 3})
+    for _ in range(100):
+        slots = _random_pair(rng)
+        u, ph = rng.uniform(-2, 2, (2, 4))
+        coef = np.concatenate([u, ph])
+        unread = [i for i in range(8) if i not in read_coefficients(slots)]
+        poisoned = coef.copy()
+        poisoned[unread] = np.nan
+        got = _fill(poisoned[:4], poisoned[4:], 0.9, 1.4, pts, slots)
+        want = _fill(u, ph, 0.9, 1.4, pts, slots)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()

@@ -673,18 +673,21 @@ def test_report_bytes_do_not_depend_on_the_batch_size(batch_points, monkeypatch)
 
     monkeypatch.setattr(type(field), "jet", counted)
     assert emit_report(run_scenario(scenario), "json") == expected
-    # the pde check fills the slots its nonzero terms read, in batches
-    # sized for all seven _PDE_SLOTS
+    # the pde check fills the slots of each field its nonzero terms read,
+    # in batches sized for all seven _PDE_SLOTS of both fields; a balance
+    # pass fills the same slots of both fields
     pde = solutions._pde_slots(field._zero_slots)
-    assert pde == (S33, S1111)
-    assert {slots for _, slots in calls} == {None, pde, _DENSITY_SLOTS, _ROW_SLOTS}
+    assert pde == ((S33, S1111), ())
+    density, row = (_DENSITY_SLOTS, _DENSITY_SLOTS), (_ROW_SLOTS, _ROW_SLOTS)
+    assert {slots for _, slots in calls} == {None, pde, density, row}
     for n, slots in calls:
-        assert n <= solutions._batch_size(_PDE_SLOTS if slots == pde else slots)
+        assert n <= solutions._batch_size((_PDE_SLOTS, _PDE_SLOTS) if slots == pde else slots)
 
 
 def test_pde_points_and_samples_fill_the_same_slots_into_a_kept_block(monkeypatch):
     # both forms of the check fill the slots the wave's nonzero terms read,
-    # each batch into the one block the check keeps
+    # w_33 and w_1111 and no phi slot, each batch into the one block the
+    # check keeps
     data = _every_kind_scenario()
     data["checks"] = [
         {"type": "pde_residual", "samples": 30},
@@ -695,16 +698,17 @@ def test_pde_points_and_samples_fill_the_same_slots_into_a_kept_block(monkeypatc
     jet, calls = type(field).jet, []
 
     def counted(self, point, side=Side.AUTO, slots=None, **kwargs):
-        calls.append((slots, kwargs["_block"]))
-        return jet(self, point, side, slots, **kwargs)
+        filled = jet(self, point, side, slots, **kwargs)
+        calls.append((slots, kwargs["_block"], filled.w.values.shape[1:], filled.phi.values.shape[1:]))
+        return filled
 
     monkeypatch.setattr(solutions, "_BATCH_POINTS", 2)
     monkeypatch.setattr(type(field), "jet", counted)
     assert [r.status for r in run_scenario(scenario).results] == ["pass", "pass"]
     assert len(calls) == 6
-    assert {slots for slots, _ in calls} == {(S33, S1111)}
+    assert {(slots, w, phi) for slots, _, w, phi in calls} == {(((S33, S1111), ()), (2,), (0,))}
     for check in (calls[:3], calls[3:]):
-        assert all(block is check[0][1] for _, block in check)
+        assert all(block is check[0][1] for _, block, _, _ in check)
 
 
 def _polynomial_pde_scenario(w_terms) -> dict:
@@ -724,7 +728,7 @@ def test_pde_residual_checks_the_slots_it_reads_for_finite_values():
     # = 0, so it is not filled, and the row is the zero residual
     big = {"exponents": [2, 0, 0], "coefficient": 1e308}
     scenario = scenario_from_dict(_polynomial_pde_scenario([big]))
-    assert solutions._pde_slots(build_field(scenario)._zero_slots) == ()
+    assert solutions._pde_slots(build_field(scenario)._zero_slots) == ((), ())
     (row,) = run_scenario(scenario).results
     assert (row.status, row.residual) == ("pass", 0.0)
 

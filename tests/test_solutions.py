@@ -25,6 +25,18 @@ from vkwave.solutions import (
 from vkwave.conservation import _DENSITY_SLOTS, _ROW_SLOTS
 from vkwave.wavefront import CircleFront, LineFront
 
+#: The fill of all 7 pde slots of both fields, and the example wave's
+#: pde fill: w_33 and w_1111 alone.
+_PDE_PAIR = (solutions._PDE_SLOTS, solutions._PDE_SLOTS)
+_WAVE_PDE = ((S33, S1111), ())
+#: A fill whose fields hold different slots.
+_APART = ((0, 3, 5, 9, 13, 19, 33), (1, 4, 11, 20, 34))
+
+
+def _both(slots):
+    """The fill of ``slots`` in both fields, or of every slot for None."""
+    return None if slots is None else (slots, slots)
+
 
 def test_invariant_profile_hand_values(unit_params):
     sol = invariant_solution((0.3, -1.0, 0.7, 0.4), (0.1, 0.2, -0.5, 0.9), 1.0, unit_params)
@@ -265,8 +277,9 @@ def _bits(values):
 def _per_branch(field, pts, slots=None):
     """Each point's jet from its own branch, filled branch by branch."""
     g = field.front.value(pts)
-    out_w = np.full((len(pts), JET_SIZE if slots is None else len(slots)), np.nan)
-    out_phi = np.full_like(out_w, np.nan)
+    w_slots, phi_slots = (range(JET_SIZE),) * 2 if slots is None else slots
+    out_w = np.full((len(pts), len(w_slots)), np.nan)
+    out_phi = np.full((len(pts), len(phi_slots)), np.nan)
     for branch, mask in ((field.ahead, g > 0), (field.behind, g < 0)):
         if mask.any():
             j = branch.jet(pts[mask], slots=slots)
@@ -350,9 +363,9 @@ def test_auto_batch_takes_one_fill_equal_to_per_branch_jets(case, generic_params
     pts = np.random.default_rng(3).uniform(-1.0, 1.0, (500, 3))
     g = field.front.value(pts)
     assert (g > 0).any() and (g < 0).any()
-    for slots in (None, solutions._PDE_SLOTS):
+    for slots in (None, _PDE_PAIR, _WAVE_PDE, _APART):
         want_w, want_phi = _per_branch(field, pts, slots)
-        if case == "signed_zeros":
+        if case == "signed_zeros" and slots in (None, _PDE_PAIR):
             # the branches' jets are equal in value but not in bits
             a, b = (branch.jet(pts, slots=slots) for branch in (field.ahead, field.behind))
             assert np.array_equal(_values(a.phi), _values(b.phi))
@@ -463,7 +476,9 @@ def _mixed_side_case(case, params):
     "case", ["acceleration_wave", "unequal_speeds", "disc", "polynomial_branches"]
 )
 @pytest.mark.parametrize(
-    "slots", [None, _DENSITY_SLOTS, _ROW_SLOTS], ids=["full", "density", "row"]
+    "slots",
+    [None, _both(_DENSITY_SLOTS), _both(_ROW_SLOTS), _APART],
+    ids=["full", "density", "row", "apart"],
 )
 def test_masked_jet_equals_the_per_side_jets_bit_for_bit(case, slots, generic_params):
     field = _mixed_side_case(case, generic_params)
@@ -534,12 +549,13 @@ def _subset_case(case, params):
 
 
 def _assert_holds_slots(sub, full, slots):
-    """``sub`` holds ``full``'s bits in ``slots``, ``len(slots)`` values per
-    point per field, and reading any other slot raises."""
-    for got, want in ((sub.w, full.w), (sub.phi, full.phi)):
-        assert got.values.shape == want.shape[:-1] + (len(slots),)
+    """``sub`` holds ``full``'s bits in ``slots`` (w's, phi's), each field
+    as many values per point as it has slots, and reading any other slot
+    raises."""
+    for got, want, field_slots in ((sub.w, full.w, slots[0]), (sub.phi, full.phi, slots[1])):
+        assert got.values.shape == want.shape[:-1] + (len(field_slots),)
         for q in range(JET_SIZE):
-            if q in slots:
+            if q in field_slots:
                 assert np.array_equal(_bits(got[..., q]), _bits(want[..., q]))
             else:
                 with pytest.raises(UnfilledSlotError, match=f"^jet slot {q} "):
@@ -554,7 +570,7 @@ def _assert_holds_slots(sub, full, slots):
         "polynomial_branches",
     ],
 )
-@pytest.mark.parametrize("slots", [solutions._PDE_SLOTS, (0, 3, 5, 9, 13, 19, 33, 34)])
+@pytest.mark.parametrize("slots", [_PDE_PAIR, _both((0, 3, 5, 9, 13, 19, 33, 34)), _WAVE_PDE, _APART])
 def test_subset_jet_equals_full_jet_in_its_slots(case, slots, generic_params, count_fills):
     field = _subset_case(case, generic_params)
     pts = np.random.default_rng(8).uniform(-1.0, 1.0, (400, 3))
@@ -579,22 +595,24 @@ def test_subset_jet_equals_full_jet_in_its_slots(case, slots, generic_params, co
 )
 def test_every_fill_is_one_slot_major_block(case, generic_params):
     # w and phi of every jet a field fills, full or in some slots, are views
-    # of one (2, k, n) block, slot by slot, so that each slot of a flat
-    # batch is one contiguous run
+    # of one block of len(w's) + len(phi's) rows of n values, slot by slot,
+    # so that each slot of a flat batch is one contiguous run
     field = _subset_case(case, generic_params)
     pts = np.random.default_rng(12).uniform(-1.0, 1.0, (400, 3))
     sides = [Side.AUTO] + ([Side.AHEAD, Side.BEHIND] if field.front is not None else [])
-    for slots in (None, solutions._PDE_SLOTS):
-        k = JET_SIZE if slots is None else len(slots)
+    for slots in (None, _PDE_PAIR, _WAVE_PDE, _APART):
+        kw, kp = (JET_SIZE, JET_SIZE) if slots is None else map(len, slots)
         for side in sides:
             for point, n in ((pts[0], 1), (pts, 400), (pts.reshape(20, 20, 3), 400)):
                 jet = field.jet(point, side, slots)
                 w, phi = (jet.w, jet.phi) if slots is None else (jet.w.values, jet.phi.values)
                 assert isinstance(w.base, np.ndarray) and w.base is phi.base
-                assert w.base.shape == (2, k, n)
+                assert w.base.shape == (kw + kp, n)
+                assert w.shape[-1] == kw and phi.shape[-1] == kp
                 if point.ndim == 2:
-                    for i in range(k):
-                        assert w[:, i].flags.c_contiguous and phi[:, i].flags.c_contiguous
+                    for values, k in ((w, kw), (phi, kp)):
+                        for i in range(k):
+                            assert values[:, i].flags.c_contiguous
 
 
 def test_pde_terms_read_only_the_pde_slots(generic_params):
@@ -660,7 +678,7 @@ def _jet_values(jet):
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["acceleration_wave", "x2_polynomial"])
-@pytest.mark.parametrize("slots", [None, solutions._PDE_SLOTS], ids=["full", "pde_slots"])
+@pytest.mark.parametrize("slots", [None, _PDE_PAIR], ids=["full", "pde_slots"])
 def test_pde_terms_in_place_match_the_expressions_bit_for_bit(case, slots, generic_params):
     field, pts = _pde_cases(generic_params)[case]
     p = field.params
@@ -685,7 +703,7 @@ def test_pde_terms_in_place_match_the_expressions_bit_for_bit(case, slots, gener
 @pytest.mark.parametrize("case", [0, 1], ids=["acceleration_wave", "x2_polynomial"])
 def test_pde_scaled_in_place_matches_the_expressions_bit_for_bit(case, generic_params):
     field, pts = _pde_cases(generic_params)[case]
-    jet = field.jet(pts, Side.AUTO, solutions._PDE_SLOTS)
+    jet = field.jet(pts, Side.AUTO, _PDE_PAIR)
     before = _jet_values(jet)
     r1, r2, s1, s2 = _expression_pde_terms(jet, field.params)
     want = np.maximum(report._scaled(r1, s1), report._scaled(r2, s2))
@@ -730,6 +748,93 @@ def _random_field(rng, p, family):
     else:
         front = CircleFront(*rng.uniform(-0.3, 0.3, 2), rng.uniform(0.4, 0.8), radial_speed=rng.uniform(-0.2, 0.2))
     return PiecewiseField(ahead, behind, front, p)
+
+
+@pytest.mark.parametrize("case", ["traveling", "polynomial"])
+def test_auto_side_errors_keep_their_priority(case, generic_params):
+    # a batch that holds a point on the front and a NaN point raises
+    # SideRequiredError in whichever order they come; NaN points alone
+    # raise the ValidationError that names the first of them
+    front = LineFront(2.0, 2.0)
+    if case == "traveling":
+        sol = invariant_solution((0.1, 0.2, 0.3, 0.4), (0.5, 0.6, 0.7, 0.8), 1.0, generic_params)
+    else:
+        sol = polynomial_field({(1, 0, 0): 1.0}, None, generic_params)
+    field = PiecewiseField(sol, sol, front, generic_params)
+    on, ahead, behind = (0.5, -0.5, 0.0), (0.5, 0.0, 0.0), (-0.5, 0.0, 0.0)
+    nan_a, nan_b = (1.7e308, -1.7e308, 0.0), (-1.7e308, 1.7e308, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert front.value(np.array(on)) == 0.0
+        for pts in ([nan_a, on, ahead], [ahead, on, nan_a], [on, nan_b], [behind, nan_a, on]):
+            with pytest.raises(SideRequiredError, match="exactly on the front"):
+                field.jet(np.array(pts))
+        for pts, first in (([behind, nan_b, ahead, nan_a], r"\(-1\.7e\+308, 1\.7e\+308, 0\.0\)"),
+                           ([nan_a], r"\(1\.7e\+308, -1\.7e\+308, 0\.0\)")):
+            with pytest.raises(ValidationError, match=rf"^front value is NaN at {first}; ") as err:
+                field.jet(np.array(pts))
+            assert type(err.value) is ValidationError
+
+
+def test_coefficients_no_requested_column_reads_are_not_gathered(generic_params, monkeypatch):
+    # two traveling branches that differ only in u0, u1, phi0 and phi1,
+    # which no column of w_33, w_1111, phi_33 and phi_1111 reads, fill those
+    # slots from scalar coefficients, with the bits of either branch alone
+    ahead = invariant_solution((0.4, -0.2, 0.9, 0.5), (0.3, 0.8, -0.6, 0.2), 1.3, generic_params)
+    behind = InvariantSolution((-0.7, 0.6, 0.9, 0.5), (0.1, -0.4, -0.6, 0.2), 1.3, generic_params)
+    field = PiecewiseField(ahead, behind, LineFront(1.0, 0.5, -1.0, 0.1), generic_params)
+    pts = np.random.default_rng(41).uniform(-1.0, 1.0, (300, 3))
+    g = field.front.value(pts)
+    assert (g > 0).any() and (g < 0).any()
+    gathered, fill = [], solutions.traveling_jet_fill
+
+    def recorded(u, phi, *args):
+        gathered.append([i for i, x in enumerate((*u, *phi)) if np.ndim(x)])
+        return fill(u, phi, *args)
+
+    monkeypatch.setattr(solutions, "traveling_jet_fill", recorded)
+    slots = _both((S33, S1111))
+    jet = field.jet(pts, Side.AUTO, slots)
+    assert gathered == [[]]
+    for branch in (ahead, behind):
+        want = branch.jet(pts, slots=slots)
+        assert jet.w.values.tobytes() == want.w.values.tobytes()
+        assert jet.phi.values.tobytes() == want.phi.values.tobytes()
+    # w_1 reads u1, and phi_1 phi1: each is gathered per point
+    slots = ((idx(1),), (idx(1),))
+    want_w, want_phi = _per_branch(field, pts, slots)
+    gathered.clear()
+    jet = field.jet(pts, Side.AUTO, slots)
+    assert gathered == [[1, 5]]
+    assert jet.w.values.tobytes() == want_w.tobytes() and jet.phi.values.tobytes() == want_phi.tobytes()
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_pair_fills_equal_the_full_fill_in_their_slots(family, generic_params):
+    # a fill of random (w's, phi's) slot sets, either of them at times
+    # empty, holds the full fill's values in those slots, and its bits but
+    # for the sign of a zero (the traveling fill's trig rule), on both
+    # sides of a front and for each side alone
+    rng = np.random.default_rng(40 + _FAMILIES.index(family))
+    empty = [0, 0]
+    for _ in range(30):
+        field = _random_field(rng, generic_params, family)
+        slots = tuple(
+            tuple(int(q) for q in np.flatnonzero(rng.random(JET_SIZE) < rng.choice((0.0, 0.2, 0.5))))
+            for _ in range(2)
+        )
+        pts = rng.uniform(-1.0, 1.0, (200, 3))
+        sides = [Side.AUTO] + ([Side.AHEAD, Side.BEHIND] if field.front is not None else [])
+        for side in sides:
+            full, sub = field.jet(pts, side), field.jet(pts, side, slots)
+            for i, (got, want) in enumerate(((sub.w, full.w), (sub.phi, full.phi))):
+                want = want[:, list(slots[i])]
+                assert got.values.shape == want.shape
+                assert np.array_equal(got.values, want)
+                nonzero = want != 0.0
+                assert np.array_equal(_bits(got.values[nonzero]), _bits(want[nonzero]))
+        for i in (0, 1):
+            empty[i] += not slots[i]
+    assert min(empty) > 3
 
 
 def _no_zero_slots(field):
@@ -790,7 +895,7 @@ def _zero_slot_cases(p):
     for i in range(240):
         field = _random_field(rng, p, _FAMILIES[i % 4])
         pts = rng.uniform(-1.0, 1.0, (500, 3))
-        yield field, (field.jet(pts, Side.AUTO, solutions._PDE_SLOTS), field.jet(pts[0]), field.jet(pts[:1]))
+        yield field, (field.jet(pts, Side.AUTO, _PDE_PAIR), field.jet(pts[0]), field.jet(pts[:1]))
 
 
 def test_pde_terms_without_the_zero_slots_equal_the_full_terms(generic_params):
@@ -823,14 +928,14 @@ def test_pde_terms_never_read_the_zero_slots(generic_params):
         field = _random_field(rng, p, _FAMILIES[i % 4])
         zw, zp = field._zero_slots
         pts = rng.uniform(-1.0, 1.0, (200, 3))
-        for slots in (None, solutions._PDE_SLOTS):
+        for slots in (None, _PDE_PAIR):
             jet = field.jet(pts, Side.AUTO, slots)
-            columns = range(JET_SIZE) if slots is None else slots
+            columns = range(JET_SIZE) if slots is None else slots[0]
             w, phi = _jet_values(jet)
             w[:, [c for c, q in enumerate(columns) if q in zw]] = np.nan
             phi[:, [c for c, q in enumerate(columns) if q in zp]] = np.nan
             if slots is not None:
-                w, phi = _SlotRows(w, slots), _SlotRows(phi, slots)
+                w, phi = _SlotRows(w, slots[0]), _SlotRows(phi, slots[1])
             poisoned = FieldJet._unchecked(jet.point, w, phi)
             got = report._pde_scaled(None, (slice(None), poisoned), p, field._zero_slots)
             want = report._pde_scaled(None, (slice(None), jet), p, solutions._NO_ZERO_SLOTS)
@@ -842,17 +947,22 @@ def test_subset_jet_is_checked_in_its_filled_slots(generic_params):
     pts = np.zeros((2, 3))
     w = np.ones((2, 2))
     phi = w.copy()
-    jet = FieldJet._filled(pts, w, phi, (1, 4))
+    jet = FieldJet._filled(pts, w, phi, ((1, 4), (1, 4)))
     assert jet.w.values is w and jet.phi.values is phi
     assert jet.w[..., idx(1, 1)][0] == 1.0
+    # each field holds its own slots
+    jet = FieldJet._filled(pts, w, phi[:, :1], ((1, 4), (4,)))
+    assert jet.phi[..., idx(1, 1)][0] == 1.0
+    with pytest.raises(UnfilledSlotError, match=r"^jet slot 1 .* holds slots \(4,\)$"):
+        jet.phi[..., 1]
     phi[1, 1] = np.inf
     with pytest.raises(ValidationError, match="^phi contains non-finite entries$"):
-        FieldJet._filled(pts, w, phi, (1, 4))
+        FieldJet._filled(pts, w, phi, ((1, 4), (1, 4)))
     w[0, 0] = np.nan
     with pytest.raises(ValidationError, match="^w contains non-finite entries$"):
-        FieldJet._filled(pts, w, phi, (1, 4))
+        FieldJet._filled(pts, w, phi, ((1, 4), (1, 4)))
     with pytest.raises(ValidationError, match="^point contains non-finite entries$"):
-        FieldJet._filled(np.array([[0.0, np.nan, 0.0]] * 2), w[:, 1:], w[:, 1:], (4,))
+        FieldJet._filled(np.array([[0.0, np.nan, 0.0]] * 2), w[:, 1:], w[:, 1:], ((4,), (4,)))
 
 
 @pytest.mark.parametrize("case", ["acceleration_wave", "polynomial_branches"])
@@ -860,26 +970,26 @@ def test_subset_batches_hold_only_their_slots(case, generic_params):
     # a batch of n points holds len(slots) values per point per field, and
     # the two fields of a traveling fill share one block of that size
     field = _subset_case(case, generic_params)
-    slots = solutions._PDE_SLOTS
+    k = len(solutions._PDE_SLOTS)
     pts = np.random.default_rng(10).uniform(-1.0, 1.0, (25_000, 3))
     sizes = []
-    for rows, jet in solutions._jet_batches(field, pts, Side.AUTO, slots):
+    for rows, jet in solutions._jet_batches(field, pts, Side.AUTO, _PDE_PAIR):
         n = len(pts[rows])
         sizes.append(n)
         for values in (jet.w.values, jet.phi.values):
-            assert values.nbytes == 8 * len(slots) * n
+            assert values.nbytes == 8 * k * n
         if case == "acceleration_wave":
             assert jet.w.values.base is jet.phi.values.base
-            assert jet.w.values.base.nbytes == 2 * 8 * len(slots) * n
+            assert jet.w.values.base.nbytes == 2 * 8 * k * n
     assert sizes == [10_240, 10_240, 4_520]
 
 
 def test_subset_jet_methods_read_filled_slots_or_raise(generic_params):
     field = _subset_case("acceleration_wave", generic_params)
     pts = np.random.default_rng(11).uniform(-1.0, 1.0, (30, 3))
-    full, sub = field.jet(pts), field.jet(pts, Side.AUTO, solutions._PDE_SLOTS)
+    full, sub = field.jet(pts), field.jet(pts, Side.AUTO, _PDE_PAIR)
     assert sub.point.shape == (30, 3)
-    assert field.jet(pts[0], Side.AUTO, solutions._PDE_SLOTS).point.shape == (3,)
+    assert field.jet(pts[0], Side.AUTO, _PDE_PAIR).point.shape == (3,)
     assert np.array_equal(sub.w[..., idx(2, 1, 1, 2)], full.w[..., idx(1, 1, 2, 2)])
     assert np.array_equal(sub.phi[..., idx(3, 3)], full.phi[..., idx(3, 3)])
     with pytest.raises(UnfilledSlotError, match=r"^jet slot 1 \(1,\) was not filled; the jet holds slots \(4, "):
@@ -898,21 +1008,31 @@ def test_subset_jet_methods_read_filled_slots_or_raise(generic_params):
 
 def test_pde_fill_holds_the_slots_its_terms_read(generic_params):
     # the example wave leaves r1 = D w_1111 + rho w_33, and the x2
-    # polynomial declares none of the pde slots zero
+    # polynomial declares none of w's pde slots zero and of phi's only
+    # phi_1111 (phi_33 is never read)
     (wave, _), (poly, _) = _pde_cases(generic_params)
     assert solutions._pde_reads(wave._zero_slots) == (frozenset({S33, S1111}), frozenset())
-    assert solutions._pde_slots(wave._zero_slots) == (S33, S1111)
-    assert solutions._pde_slots(poly._zero_slots) == solutions._PDE_SLOTS
+    assert solutions._pde_slots(wave._zero_slots) == _WAVE_PDE
+    assert solutions._pde_slots(poly._zero_slots) == (solutions._PDE_SLOTS, (S11, S12, S22, S1122, S2222))
     full = set(solutions._PDE_SLOTS)
     assert solutions._pde_reads(solutions._NO_ZERO_SLOTS) == (frozenset(full), frozenset(full - {S33}))
+    assert solutions._pde_slots(solutions._NO_ZERO_SLOTS) == (
+        solutions._PDE_SLOTS, tuple(q for q in solutions._PDE_SLOTS if q != S33)
+    )
     # w11 is read only with p22 or w22 beside it
     zero = frozenset(full - {S11, S1111})
-    assert solutions._pde_slots((zero, frozenset(full))) == (S1111,)
-    assert solutions._pde_slots((zero - {S22}, frozenset(full))) == (S11, S22, S1111)
-    assert solutions._pde_slots((zero, frozenset(full - {S22}))) == (S11, S22, S1111)
+    assert solutions._pde_slots((zero, frozenset(full))) == ((S1111,), ())
+    assert solutions._pde_slots((zero - {S22}, frozenset(full))) == ((S11, S22, S1111), ())
+    assert solutions._pde_slots((zero, frozenset(full - {S22}))) == ((S11, S1111), (S22,))
     assert solutions._pde_reads((zero, frozenset(full - {S22}))) == (
         frozenset({S11, S1111}), frozenset({S22})
     )
+    # the equations with a term left: r1 alone on the wave, both on the
+    # polynomial, r2 alone for phi's bilaplacian, and r1's zeros for none
+    live = solutions._pde_live
+    assert live(wave._zero_slots) == slice(0, 1) and live(poly._zero_slots) == slice(0, 2)
+    assert live((frozenset(full), frozenset(full - {S1122}))) == slice(1, 2)
+    assert live((frozenset(full), frozenset(full))) == slice(0, 1)
 
 
 def test_pde_terms_of_the_derived_fill_equal_the_full_fill(generic_params):
@@ -927,11 +1047,11 @@ def test_pde_terms_of_the_derived_fill_equal_the_full_fill(generic_params):
         slots = solutions._pde_slots(zero)
         pts = rng.uniform(-1.0, 1.0, (500, 3))
         sub = field.jet(pts, Side.AUTO, slots)
-        full = field.jet(pts, Side.AUTO, solutions._PDE_SLOTS)
+        full = field.jet(pts, Side.AUTO, _PDE_PAIR)
         got = report._pde_scaled(None, (slice(None), sub), p, zero)
         want = report._pde_scaled(None, (slice(None), full), p, solutions._NO_ZERO_SLOTS)
         assert got.tobytes() == want.tobytes()
-        smaller += len(slots) < len(solutions._PDE_SLOTS)
+        smaller += len(slots[0]) + len(slots[1]) < 2 * len(solutions._PDE_SLOTS)
     assert smaller > 150  # most fields fill fewer slots
 
 
@@ -944,12 +1064,13 @@ def test_pde_batches_fill_one_kept_block(case, generic_params, monkeypatch):
     zero, p = field._zero_slots, field.params
     slots = solutions._pde_slots(zero)
     want = report._pde_scaled(
-        None, (slice(None), field.jet(pts, Side.AUTO, solutions._PDE_SLOTS)), p, solutions._NO_ZERO_SLOTS
+        None, (slice(None), field.jet(pts, Side.AUTO, _PDE_PAIR)), p, solutions._NO_ZERO_SLOTS
     )
-    got, blocks, size = [], [], solutions._batch_size(solutions._PDE_SLOTS)
+    got, blocks, size = [], [], solutions._batch_size(_PDE_PAIR)
     for rows, jet in report._pde_batches(field, len(pts), lambda a, b: pts[a:b], zero):
         assert len(pts[rows]) == min(size, len(pts) - rows.start)
-        assert jet.w.values.shape == (len(pts[rows]), len(slots))
+        assert jet.w.values.shape == (len(pts[rows]), len(slots[0]))
+        assert jet.phi.values.shape == (len(pts[rows]), len(slots[1]))
         blocks.append(jet.w.values.base)
         got.append(report._pde_scaled(None, (rows, jet), p, zero).copy())
         del jet
@@ -967,10 +1088,9 @@ def test_a_zeroed_fill_into_the_kept_block_clears_it(family, generic_params):
         other = polynomial_field({(0, 0, 2): 1.5}, None, generic_params)
         field = PiecewiseField(poly, other, LineFront(1.0, 0.0, 0.0, 0.0), generic_params)
     pts = np.random.default_rng(36).uniform(-1.0, 1.0, (50, 3))
-    slots = solutions._PDE_SLOTS
-    block = np.full(2 * len(slots) * len(pts), np.nan)
-    got = field.jet(pts, Side.AUTO, slots, _block=block)
-    want = field.jet(pts, Side.AUTO, slots)
+    block = np.full(2 * len(solutions._PDE_SLOTS) * len(pts), np.nan)
+    got = field.jet(pts, Side.AUTO, _PDE_PAIR, _block=block)
+    want = field.jet(pts, Side.AUTO, _PDE_PAIR)
     assert np.shares_memory(got.w.values, block)
     for a, b in zip(_jet_values(got), _jet_values(want)):
         assert a.tobytes() == b.tobytes()
