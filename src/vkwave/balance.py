@@ -35,15 +35,19 @@ at t, each at quad_order and at quad_order - 2.  The order moves the
 Gauss nodes only; it never changes which boxes the front cuts.  A check
 runs in three steps:
 
-1. plan: the boxes of every density time go through one level loop
-   together, each at its time, with one closed-form range of gamma and
-   one of the normal per level for all of them, and the front's
-   crossings of each graph box's faces are found once; the pieces are
-   then made once per order from the same classes.  The boundary edges
-   of every time are cut once, and each order adds one block of their
-   chunks.  The plan is blocks of quadrature pieces (points, weights, a
-   time, a side: ahead, behind or none, the cell or edge of the (order,
-   time) slice the piece belongs to, and a rank);
+1. plan: the classes are made once per time and the pieces per order.
+   _classify puts the boxes of every density time through one level
+   loop together, each at its time, with one closed-form range of gamma
+   and one of the normal per level for all of them, and finds the
+   front's crossings of each graph box's faces; _plan_cells makes the
+   pieces of each order from those classes.  _edge_chunks cuts the
+   boundary edges of every time once, and each order adds one block of
+   their chunks.  balance_residual, which takes its integrals one slice
+   at a time, classifies t + dt and t - dt once each and cuts its edges
+   at t once, and passes them to the slices of both orders.  The plan is
+   blocks of quadrature pieces (points, weights, a time, a side: ahead,
+   behind or none, the cell or edge of the (order, time) slice the piece
+   belongs to, and a rank);
 2. evaluate: the jets are computed over the pieces of all slices in
    plan order, each point at its own time, one jet call per batch for
    both sides of the front, and every requested law's density or flux is
@@ -67,6 +71,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -235,23 +240,36 @@ def _axis_points(along, height, axis):
     return out
 
 
-def _plan_heights(plan, front, lower, upper, axis, rising, orders, times, owners, ranks) -> None:
-    """Pieces of boxes on which the front is a graph over the outer axis,
-    at each of the orders: d gamma/dx_h keeps one strict sign where the
-    front meets each box at its time, along its height axis h (``axis``,
-    per box), positive where ``rising``.  ``owners`` has one row per
-    order, the owner of each box's pieces at that order.  A box's pieces
-    below the front take its rank + 1, those above its rank + 2.
+class _Graphs(NamedTuple):
+    """The outer intervals of the boxes on which the front is a graph, one
+    row per interval: its ends on the box's outer axis (outer_a, outer_b),
+    the box's height axis and its ends on that axis (height_a, height_b),
+    each of shape (intervals, 1); then the sides of the box below and above
+    the front, and the box's time, owner and rank."""
 
-    The outer interval is split where the front crosses the faces
-    x_h = const, once for all orders, so the height line through each
-    outer node crosses the front at most once and its crossing moves
-    smoothly between breaks.  Each order then places its outer nodes,
-    each line is split at its crossing, and each side of every outer
-    interval is one Gauss-Legendre piece.
+    outer_a: np.ndarray
+    outer_b: np.ndarray
+    axis: np.ndarray
+    height_a: np.ndarray
+    height_b: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
+    times: np.ndarray
+    owners: np.ndarray
+    ranks: np.ndarray
+
+
+def _height_intervals(front, lower, upper, axis, rising, times, owners, ranks) -> _Graphs:
+    """The outer intervals of boxes on which the front is a graph over the
+    outer axis: d gamma/dx_h keeps one strict sign where the front meets
+    each box at its time, along its height axis h (``axis``, per box),
+    positive where ``rising``.
+
+    A box's outer interval is split where the front crosses its faces
+    x_h = const, so the height line through each outer node crosses the
+    front at most once and its crossing moves smoothly between breaks.
+    The breaks do not depend on the quadrature order.
     """
-    if not len(ranks):
-        return
     rows = np.arange(len(ranks))
     oa, ob = lower[rows, 1 - axis], upper[rows, 1 - axis]
     ha, hb = lower[rows, axis], upper[rows, axis]
@@ -265,37 +283,49 @@ def _plan_heights(plan, front, lower, upper, axis, rising, orders, times, owners
     breaks = np.sort(np.concatenate([oa[:, None], ob[:, None], *faces], axis=1), axis=1)
     inside = breaks[:, 1:] > breaks[:, :-1]
     box = np.nonzero(inside)[0]
-    break_a, break_b = breaks[:, :-1][inside][:, None], breaks[:, 1:][inside][:, None]
-    line_axis, line_a, line_b = axis[box, None], ha[box, None], hb[box, None]
-    below = np.where(rising[box], _BEHIND, _AHEAD)
-    above = np.where(rising[box], _AHEAD, _BEHIND)
-    box_t, box_rank = times[box], ranks[box]
+    return _Graphs(
+        breaks[:, :-1][inside][:, None], breaks[:, 1:][inside][:, None],
+        axis[box, None], ha[box, None], hb[box, None],
+        np.where(rising[box], _BEHIND, _AHEAD), np.where(rising[box], _AHEAD, _BEHIND),
+        times[box], owners[box], ranks[box],
+    )
 
-    for order, order_owners in zip(orders, owners):
-        outer, w_outer = _interval_nodes(break_a, break_b, order)
-        # every height line's crossing, as a fraction of (ha, hb)
-        starts = _axis_points(outer, line_a, line_axis).reshape(-1, 2)
-        ends = _axis_points(outer, line_b, line_axis).reshape(-1, 2)
-        line_t = np.repeat(box_t, order)
+
+def _plan_heights(plan, front, graphs: _Graphs, orders, n_owners) -> None:
+    """The pieces of the graph boxes' outer intervals at each of the
+    orders, the box of owner k giving owner j * n_owners + k at order j.
+
+    Each order places its outer nodes, the height line through each node
+    is split at its crossing, and each side of every outer interval is one
+    Gauss-Legendre piece.  A box's pieces below the front take its
+    rank + 1, those above its rank + 2.
+    """
+    g = graphs
+    for j, order in enumerate(orders):
+        outer, w_outer = _interval_nodes(g.outer_a, g.outer_b, order)
+        # every height line's crossing, as a fraction of (height_a, height_b)
+        starts = _axis_points(outer, g.height_a, g.axis).reshape(-1, 2)
+        ends = _axis_points(outer, g.height_b, g.axis).reshape(-1, 2)
+        line_t = np.repeat(g.times, order)
         s = np.fmin.reduce(front.crossings(starts, ends, line_t), axis=1)
         missed = np.flatnonzero(np.isnan(s))
         if missed.size:
             # a line that misses the front lies wholly on one side: below
             # the front (s = 1) when its middle has the side of the lower part
             mids = 0.5 * (starts[missed] + ends[missed])
-            g = front.value(_points3(mids[:, 0], mids[:, 1], line_t[missed]))
-            lower_ahead = ~np.repeat(rising[box], order)[missed]
-            s[missed] = np.where((g >= 0.0) == lower_ahead, 1.0, 0.0)
-        cut = line_a + s.reshape(outer.shape) * (line_b - line_a)
+            value = front.value(_points3(mids[:, 0], mids[:, 1], line_t[missed]))
+            lower_ahead = np.repeat(g.below == _AHEAD, order)[missed]
+            s[missed] = np.where((value >= 0.0) == lower_ahead, 1.0, 0.0)
+        cut = g.height_a + s.reshape(outer.shape) * (g.height_b - g.height_a)
 
-        box_owner = order_owners[box]
-        pieces = ((line_a, cut, below, box_rank + 1), (cut, line_b, above, box_rank + 2))
+        owners = g.owners + j * n_owners
+        pieces = ((g.height_a, cut, g.below, g.ranks + 1), (cut, g.height_b, g.above, g.ranks + 2))
         for a, b, side, rank in pieces:
             inner, w_inner = _interval_nodes(a[:, :, None], b[:, :, None], order)
             weights = w_outer[:, :, None] * w_inner
             keep = (weights != 0.0).any(axis=(1, 2))
-            pts = _axis_points(outer[keep, :, None], inner[keep], line_axis[keep, :, None])
-            plan.block(pts, weights[keep], box_t[keep], side[keep], box_owner[keep], rank[keep])
+            pts = _axis_points(outer[keep, :, None], inner[keep], g.axis[keep, :, None])
+            plan.block(pts, weights[keep], g.times[keep], side[keep], owners[keep], rank[keep])
 
 
 #: Least distance from a height function's outer interval to its nearest
@@ -336,22 +366,31 @@ def _quadrants(lower, upper, owners):
     )
 
 
-def _plan_cells(plan, front, region: Region, times, orders) -> int:
-    """Plan the region's cells at every time and order; returns the
-    number of cells, owner (j * len(times) + i) * cells + k being cell k
-    (in i-major order) at time i and order j.
+class _Cells(NamedTuple):
+    """The classes of a region's cells at some times, which do not depend
+    on the quadrature order: the boxes the front does not cut (their lower
+    and upper corners, time, side, owner and rank) and the outer intervals
+    of the boxes on which it is a graph (None when there are none).
+    Owner i * n_cells + k is cell k (in i-major order) at time i."""
+
+    n_times: int
+    n_cells: int
+    uncut: tuple[np.ndarray, ...]
+    graphs: _Graphs | None
+
+
+def _classify(front, region: Region, times) -> _Cells:
+    """Classify the region's cells at every time.
 
     The boxes of all times are classified level by level, each at its
     time.  At each level a closed-form range of gamma finds the boxes the
     front does not cut: each is one tensor piece on its side.  A cut box
     on which the front is a graph x_h = H(x_o) that Gauss-Legendre
-    resolves (_graph_margin) is planned by _plan_heights, along the axis
+    resolves (_graph_margin) goes to _height_intervals, along the axis
     with the larger margin; any other cut box is split into quadrants for
-    the next level.  The classes do not depend on the order, and a
-    straight front needs no split.  The pieces of every level are then
-    made once per order from the same classes, ranked so that each cell
-    adds them level by level: its uncut boxes, then the pieces below the
-    front, then those above.
+    the next level.  A straight front needs no split.  Neither the classes
+    nor the front's crossings of the graph boxes' faces depend on the
+    quadrature order, so one classification serves every order.
     """
     nx, ny = region.cells
     x_edges = np.linspace(region.x1_min, region.x1_max, nx + 1)
@@ -359,8 +398,6 @@ def _plan_cells(plan, front, region: Region, times, orders) -> int:
     n_cells = nx * ny
     times = np.asarray(times, dtype=np.float64)
     owners = np.arange(len(times) * n_cells)
-    # added to a box's owner, the owner of its pieces at each order
-    per_order = len(owners) * np.arange(len(orders))[:, None]
     # the corners of every time's cells, each time's in i-major order
     lower, upper = np.empty((len(owners), 2)), np.empty((len(owners), 2))
     for corner, edges in ((lower, slice(None, -1)), (upper, slice(1, None))):
@@ -405,23 +442,40 @@ def _plan_cells(plan, front, region: Region, times, orders) -> int:
         )
 
     lower, upper, sides, owners, ranks = map(np.concatenate, zip(*uncut_boxes))
-    for order, order_owners in zip(orders, owners + per_order):
-        _plan_boxes(plan, lower, upper, order, times[owners // n_cells], sides, order_owners, ranks)
+    uncut = (lower, upper, times[owners // n_cells], sides, owners, ranks)
+    graphs = None
     if graph_boxes:
         lower, upper, axis, rising, owners, ranks = map(np.concatenate, zip(*graph_boxes))
-        _plan_heights(
-            plan, front, lower, upper, axis, rising, orders, times[owners // n_cells],
-            owners + per_order, ranks,
-        )
-    return n_cells
+        if len(ranks):
+            graphs = _height_intervals(
+                front, lower, upper, axis, rising, times[owners // n_cells], owners, ranks
+            )
+    return _Cells(len(times), n_cells, uncut, graphs)
 
 
-def _density_integrals(field, entries, region: Region, times, orders) -> np.ndarray:
-    """Integral of each law's density over the region at every time and
-    order, shape (laws, orders, times): one plan and one jet evaluation."""
+def _plan_cells(plan, front, cells: _Cells, orders) -> None:
+    """Plan the pieces of classified cells at every order, owner
+    (j * n_times + i) * n_cells + k being cell k at time i and order j.
+
+    The classes are made once (_classify) and the pieces once per order
+    from them, ranked so that each cell adds them level by level: its
+    uncut boxes, then the pieces below the front, then those above.
+    """
+    n_owners = cells.n_times * cells.n_cells
+    lower, upper, times, sides, owners, ranks = cells.uncut
+    for j, order in enumerate(orders):
+        _plan_boxes(plan, lower, upper, order, times, sides, owners + j * n_owners, ranks)
+    if cells.graphs is not None:
+        _plan_heights(plan, front, cells.graphs, orders, n_owners)
+
+
+def _density_integrals(field, entries, cells: _Cells, orders) -> np.ndarray:
+    """Integral of each law's density over classified cells at every time
+    and order, shape (laws, orders, times): one plan and one jet
+    evaluation."""
     plan = _Plan()
-    n_cells = _plan_cells(plan, getattr(field, "front", None), region, times, orders)
-    return _integrals(field, entries, plan, (len(orders), len(times)), n_cells)
+    _plan_cells(plan, getattr(field, "front", None), cells, orders)
+    return _integrals(field, entries, plan, (len(orders), cells.n_times), cells.n_cells)
 
 
 def _order(region: Region, quad_order) -> int:
@@ -435,12 +489,19 @@ def _order(region: Region, quad_order) -> int:
     return int(quad_order)
 
 
-def density_integral(field, law_key, region: Region, t: float, quad_order=None) -> float:
-    """Integral of the law's density over the region at time t."""
+def density_integral(
+    field, law_key, region: Region, t: float, quad_order=None, *, _classes=None
+) -> float:
+    """Integral of the law's density over the region at time t.
+
+    ``_classes``, private, are the region's cells classified at t
+    (_classify), for a caller that takes t at more than one order."""
     entry = law(law_key)
     t = _real("t", t)
     order = _order(region, quad_order)
-    return _density_integrals(field, (entry,), region, (t,), (order,))[0, 0, 0].item()
+    if _classes is None:
+        _classes = _classify(getattr(field, "front", None), region, (t,))
+    return _density_integrals(field, (entry,), _classes, (order,))[0, 0, 0].item()
 
 
 def _region_edges(region: Region):
@@ -469,15 +530,30 @@ def _check_edges_off_front(front, region: Region, times) -> None:
         raise ValidationError("a region edge lies on the front; shift the region boundary")
 
 
-def _boundary_flux_integrals(field, entries, region: Region, times, orders) -> np.ndarray:
-    """Outward flux of each law through the region boundary at every time
-    and order, shape (laws, orders, times): one plan and one jet
-    evaluation.
+class _Chunks(NamedTuple):
+    """The chunks of a region's edges at some times, which do not depend on
+    the quadrature order: per chunk its span (span_a, span_b) in arc length
+    along its edge, its time, its side, its owner i * 4 + k for edge k at
+    time i, and its edge's start point, unit tangent and outward normal."""
+
+    n_times: int
+    span_a: np.ndarray
+    span_b: np.ndarray
+    times: np.ndarray
+    sides: np.ndarray
+    owners: np.ndarray
+    starts: np.ndarray
+    units: np.ndarray
+    normals: np.ndarray
+
+
+def _edge_chunks(front, region: Region, times) -> _Chunks:
+    """Cut the region's edges at every time, raising when an edge lies on
+    the front (_check_edges_off_front).
 
     Each edge is cut into as many equal chunks as the region has cells
     along it, and chunks are split where the front crosses the edge at
-    their time; each order adds one block of the chunks of every time."""
-    front = getattr(field, "front", None)
+    their time; a chunk's side is that of its middle."""
     starts, ends, normals = _region_edges(region)
     lengths = np.hypot(*(ends - starts).T)
     units = (ends - starts) / lengths[:, None]
@@ -512,23 +588,41 @@ def _boundary_flux_integrals(field, entries, region: Region, times, orders) -> n
             chunk_t,
         ))
         sides = np.where(g_mid >= 0.0, _AHEAD, _BEHIND)
+    return _Chunks(
+        len(times), span_a, span_b, chunk_t, sides, chunk_time * 4 + edge, starts[edge],
+        units[edge], normals[edge],
+    )
 
+
+def _boundary_flux_integrals(field, entries, chunks: _Chunks, orders) -> np.ndarray:
+    """Outward flux of each law through the cut region boundary at every
+    time and order, shape (laws, orders, times): one plan and one jet
+    evaluation.  The edges are cut once (_edge_chunks), and each order
+    adds one block of the chunks of every time."""
+    c = chunks
     plan = _Plan()
     for j, order in enumerate(orders):
-        ss, ws = _interval_nodes(span_a[:, None], span_b[:, None], order)
-        pts = starts[edge, None, :] + ss[:, :, None] * units[edge, None, :]
-        owners = (j * len(times) + chunk_time) * 4 + edge
-        plan.block(pts, ws, chunk_t, sides, owners, np.zeros(len(edge), dtype=int))
-    piece_normals = np.tile(normals[edge], (len(orders), 1))
-    return _integrals(field, entries, plan, (len(orders), len(times)), 4, piece_normals)
+        ss, ws = _interval_nodes(c.span_a[:, None], c.span_b[:, None], order)
+        pts = c.starts[:, None, :] + ss[:, :, None] * c.units[:, None, :]
+        owners = j * c.n_times * 4 + c.owners
+        plan.block(pts, ws, c.times, c.sides, owners, np.zeros(len(owners), dtype=int))
+    piece_normals = np.tile(c.normals, (len(orders), 1))
+    return _integrals(field, entries, plan, (len(orders), c.n_times), 4, piece_normals)
 
 
-def boundary_flux_integral(field, law_key, region: Region, t: float, quad_order=None) -> float:
-    """Outward flux of the law through the region boundary at time t."""
+def boundary_flux_integral(
+    field, law_key, region: Region, t: float, quad_order=None, *, _chunks=None
+) -> float:
+    """Outward flux of the law through the region boundary at time t.
+
+    ``_chunks``, private, are the region's edges cut at t (_edge_chunks),
+    for a caller that takes t at more than one order."""
     entry = law(law_key)
     t = _real("t", t)
     order = _order(region, quad_order)
-    return _boundary_flux_integrals(field, (entry,), region, (t,), (order,))[0, 0, 0].item()
+    if _chunks is None:
+        _chunks = _edge_chunks(getattr(field, "front", None), region, (t,))
+    return _boundary_flux_integrals(field, (entry,), _chunks, (order,))[0, 0, 0].item()
 
 
 def _time_step(t: float, dt) -> float:
@@ -568,6 +662,7 @@ def _balance_terms(field, law_keys, region: Region, times, dt):
     balance_residual gives at the first time that fails.
     """
     entries = [law(key) for key in law_keys]
+    front = getattr(field, "front", None)
     orders = (region.quad_order, region.quad_order - 2)
     parts = []
     for k in range(0, len(times), _TIMES_PER_PLAN):
@@ -576,8 +671,10 @@ def _balance_terms(field, law_keys, region: Region, times, dt):
         dens_times = [s for t, h in zip(group, steps) for s in (t + h, t - h)]
         dens, flux = _first_failure(
             lambda: (
-                _density_integrals(field, entries, region, dens_times, orders),
-                _boundary_flux_integrals(field, entries, region, group, orders),
+                _density_integrals(field, entries, _classify(front, region, dens_times), orders),
+                _boundary_flux_integrals(
+                    field, entries, _edge_chunks(front, region, group), orders
+                ),
             ),
             # a time's integrals one at a time, as balance_residual takes
             # them; an error does not depend on the law
@@ -604,18 +701,23 @@ def balance_residual(field, law_key, region: Region, t: float, dt=None) -> Balan
     # through density_integral and boundary_flux_integral, so anything that
     # wraps those names sees each of them (the benchmark's tracer, whose
     # self-test counts five and two calls); _balance_terms plans a whole
-    # check at once and gives the same bits.
+    # check at once and gives the same bits.  Each time's cells are
+    # classified, and its edges cut, once for both orders.
     entry = law(law_key)
     t = _real("t", t)
     dt = _time_step(t, dt)
     order, low = region.quad_order, region.quad_order - 2
+    front = getattr(field, "front", None)
     now = density_integral(field, entry, region, t, order)
-    plus = density_integral(field, entry, region, t + dt, order)
-    minus = density_integral(field, entry, region, t - dt, order)
-    flux = boundary_flux_integral(field, entry, region, t, order)
-    flux_low = boundary_flux_integral(field, entry, region, t, low)
-    plus_low = density_integral(field, entry, region, t + dt, low)
-    minus_low = density_integral(field, entry, region, t - dt, low)
+    later = _classify(front, region, (t + dt,))
+    plus = density_integral(field, entry, region, t + dt, order, _classes=later)
+    earlier = _classify(front, region, (t - dt,))
+    minus = density_integral(field, entry, region, t - dt, order, _classes=earlier)
+    edges = _edge_chunks(front, region, (t,))
+    flux = boundary_flux_integral(field, entry, region, t, order, _chunks=edges)
+    flux_low = boundary_flux_integral(field, entry, region, t, low, _chunks=edges)
+    plus_low = density_integral(field, entry, region, t + dt, low, _classes=later)
+    minus_low = density_integral(field, entry, region, t - dt, low, _classes=earlier)
     deriv, residual, error = _balance_arithmetic(
         dt, plus, minus, plus_low, minus_low, flux, flux_low
     )

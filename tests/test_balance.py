@@ -359,10 +359,12 @@ def test_shared_balance_equals_per_law_balance(case, unit_params, generic_params
         assert terms == _report_terms(balance_residual(field, key, region, t)), key
 
 
-def test_balance_residual_calls_the_public_integrals(unit_params, monkeypatch):
+def test_balance_residual_calls_the_public_integrals(unit_params, generic_params, monkeypatch):
     # one law's five density and two flux integrals stay visible to
-    # anything that wraps the public one-law functions
-    calls = []
+    # anything that wraps the public one-law functions, while each of its
+    # three density times is classified once and its edges are cut once,
+    # across the straight wave and the disc
+    calls, cut = [], []
     for name in ("density_integral", "boundary_flux_integral"):
         original = getattr(balance, name)
 
@@ -371,9 +373,112 @@ def test_balance_residual_calls_the_public_integrals(unit_params, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(balance, name, recorded)
-    balance_residual(_example_wave(unit_params), "energy", Region(-0.8, 0.9, -0.6, 0.7), 0.1)
-    assert calls.count("density_integral") == 5
-    assert calls.count("boundary_flux_integral") == 2
+    for name in ("_classify", "_edge_chunks"):
+        original = getattr(balance, name)
+
+        def timed(front, region, times, _name=name, _original=original):
+            cut.append((_name, tuple(times)))
+            return _original(front, region, times)
+
+        monkeypatch.setattr(balance, name, timed)
+    cases = [
+        (_example_wave(unit_params), Region(-0.8, 0.9, -0.6, 0.7), 0.1),
+        (_disc_field(generic_params), Region(-0.7, 0.9, -0.8, 0.7), 0.0),
+    ]
+    for field, region, t in cases:
+        calls.clear()
+        cut.clear()
+        balance_residual(field, "energy", region, t)
+        assert calls.count("density_integral") == 5
+        assert calls.count("boundary_flux_integral") == 2
+        dt = balance._time_step(t, None)
+        assert cut == [
+            ("_classify", (t,)),
+            ("_classify", (t + dt,)),
+            ("_classify", (t - dt,)),
+            ("_edge_chunks", (t,)),
+        ]
+
+
+_SHARED_PLAN_CASES = ["straight_wave", "disc", "inside", "one_edge", "one_corner"]
+
+
+def _shared_plan_case(case, unit_params, generic_params):
+    """A field, region and times of the straight wave, the disc or the
+    smooth circle at one of its three centres."""
+    if case == "straight_wave":
+        return _example_wave(unit_params), Region(-0.8, 0.9, -0.6, 0.7), (0.1, 0.3)
+    if case == "disc":
+        return _disc_field(generic_params), Region(-0.7, 0.9, -0.8, 0.7), (-1e-4, 0.0, 1e-4)
+    center = {"inside": (0.1, -0.05), "one_edge": (0.1, 0.5), "one_corner": (0.75, 0.55)}
+    return _smooth_circle_field(generic_params, center[case]), _SMOOTH_REGION, (0.1, 0.2)
+
+
+@pytest.mark.parametrize("case", _SHARED_PLAN_CASES)
+def test_shared_classes_and_chunks_keep_the_bits(case, unit_params, generic_params):
+    # one classification of a time serves both orders, and so does one
+    # cut of its edges: every integral keeps the bits it has without them
+    field, region, times = _shared_plan_case(case, unit_params, generic_params)
+    for t in times:
+        classes = balance._classify(field.front, region, (t,))
+        chunks = balance._edge_chunks(field.front, region, (t,))
+        for order in (8, 6):
+            for key in (1, "energy", 14):
+                alone = density_integral(field, key, region, t, order)
+                shared = density_integral(field, key, region, t, order, _classes=classes)
+                assert shared.hex() == alone.hex(), (t, order, key)
+                alone = boundary_flux_integral(field, key, region, t, order)
+                shared = boundary_flux_integral(field, key, region, t, order, _chunks=chunks)
+                assert shared.hex() == alone.hex(), (t, order, key)
+
+
+@pytest.mark.parametrize(
+    "speed, levels, failing",
+    [(-0.25, 6, "plus"), (0.25, 6, "minus"), (0.25, 5, "now")],
+)
+def test_balance_residual_raises_at_its_first_unresolved_time(
+    speed, levels, failing, generic_params, monkeypatch
+):
+    # a circle of radius 0.05 that shrinks or grows by 0.025 over the step
+    # dt = 0.1: with few levels of splitting, t + dt, t - dt or t itself is
+    # the first time that is not resolved, and balance_residual names the
+    # time of the first of its density integrals (t, t + dt, t - dt) that
+    # fails on its own, as when each integral classified its own time
+    field = dataclasses.replace(
+        _disc_field(generic_params), front=CircleFront(0.1, -0.05, 0.05, radial_speed=speed)
+    )
+    region, t, dt = Region(-0.7, 0.9, -0.8, 0.7), 0.0, 0.1
+    monkeypatch.setattr(balance, "_MAX_LEVELS", levels)
+    errors = {}
+    for name, time in (("now", t), ("plus", t + dt), ("minus", t - dt)):
+        try:
+            density_integral(field, 1, region, time)
+        except ValidationError as e:
+            errors.setdefault("first", (name, str(e)))
+    name, message = errors["first"]
+    assert name == failing
+    assert message.endswith(f"at t = {dict(now=t, plus=t + dt, minus=t - dt)[name]}")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        balance_residual(field, 1, region, t, dt)
+
+
+def test_balance_residual_raises_for_a_region_edge_on_the_front(unit_params, monkeypatch):
+    # the example wave's front is x1 = t: at t = 0.1 it runs along the
+    # region's left edge.  The densities at t and t +- dt are taken, and
+    # the edge cut before the first flux raises
+    calls = []
+    original = balance.density_integral
+
+    def recorded(*args, **kwargs):
+        calls.append(args[3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(balance, "density_integral", recorded)
+    field, region, t = _example_wave(unit_params), Region(0.1, 0.9, -0.6, 0.7), 0.1
+    with pytest.raises(ValidationError, match="^a region edge lies on the front; "):
+        balance_residual(field, 1, region, t)
+    dt = balance._time_step(t, None)
+    assert calls == [t, t + dt, t - dt]
 
 
 def test_balance_check_shares_jets_across_laws(count_jet_calls):
@@ -443,9 +548,9 @@ def test_balance_check_is_planned_and_evaluated_once(
     heights = []
     plan_heights = balance._plan_heights
 
-    def counted_heights(*args):
-        heights.append(tuple(args[6]))
-        return plan_heights(*args)
+    def counted_heights(plan, front, graphs, orders, n_owners):
+        heights.append(tuple(orders))
+        return plan_heights(plan, front, graphs, orders, n_owners)
 
     monkeypatch.setattr(balance, "_integrals", tagged)
     monkeypatch.setattr(balance, "_plan_heights", counted_heights)
@@ -513,6 +618,25 @@ def test_fourteen_law_pass_fills_one_batch_for_both_sides(unit_params, monkeypat
         assert masks.any() and not masks.all()
 
 
+def _record_plans(monkeypatch):
+    """Lists that fill with the number of times of each classification
+    and the (times, orders) of each density plan made from classes."""
+    classified, planned = [], []
+    classify, plan_cells = balance._classify, balance._plan_cells
+
+    def recorded_classify(front, region, times):
+        classified.append(len(times))
+        return classify(front, region, times)
+
+    def recorded_plan(plan, front, cells, orders):
+        planned.append((cells.n_times, tuple(orders)))
+        return plan_cells(plan, front, cells, orders)
+
+    monkeypatch.setattr(balance, "_classify", recorded_classify)
+    monkeypatch.setattr(balance, "_plan_cells", recorded_plan)
+    return classified, planned
+
+
 def test_long_balance_check_is_planned_a_few_times_at_a_time(unit_params, monkeypatch):
     # a check's arrays grow with its times, so they are planned in groups
     # of _TIMES_PER_PLAN, each time's densities at t +- dt at both orders
@@ -520,20 +644,14 @@ def test_long_balance_check_is_planned_a_few_times_at_a_time(unit_params, monkey
     field, region = _example_wave(unit_params), Region(-0.8, 0.9, -0.6, 0.7)
     times = (0.0, 0.05, 0.1, 0.15, 0.2, 0.3)
     one_by_one = [_terms(field, (1, 4), region, (t,))[0] for t in times]
-    planned = []
-    plan_cells = balance._plan_cells
-
-    def recorded(plan, front, region, times, orders):
-        planned.append((len(times), tuple(orders)))
-        return plan_cells(plan, front, region, times, orders)
-
-    monkeypatch.setattr(balance, "_plan_cells", recorded)
+    classified, planned = _record_plans(monkeypatch)
     assert _terms(field, (1, 4), region, times) == one_by_one
     orders = (region.quad_order, region.quad_order - 2)
     assert planned == [
         (2 * balance._TIMES_PER_PLAN, orders),
         (2 * (len(times) - balance._TIMES_PER_PLAN), orders),
     ]
+    assert classified == [n for n, _ in planned]  # each plan's times classified once
 
 
 def test_each_time_is_classified_once_for_both_orders(unit_params, monkeypatch):
@@ -541,14 +659,14 @@ def test_each_time_is_classified_once_for_both_orders(unit_params, monkeypatch):
     # densities at four, t +- dt, each at two orders.  Level 0 classifies
     # the 16 cells of each of the four times once, and the straight front
     # cuts some cells of each into graph boxes, whose faces are crossed
-    # once before one line-crossing call per order
+    # once, in the classification, before one line-crossing call per order
     field, region = _example_wave(unit_params), Region(-0.8, 0.9, -0.6, 0.7)
     laws, times = tuple(range(1, 15)), (0.1, 0.3)
     expected = _terms(field, laws, region, times)
     front_type = type(field.front)
     value_range, crossings = front_type.value_range, front_type.crossings
-    plan_heights = balance._plan_heights
-    boxes, segments, heights = [], [], []
+    height_intervals, plan_heights = balance._height_intervals, balance._plan_heights
+    boxes, segments, intervals, heights = [], [], [], []
 
     def counted_range(self, lower, upper, t):
         boxes.append(len(lower))
@@ -558,21 +676,28 @@ def test_each_time_is_classified_once_for_both_orders(unit_params, monkeypatch):
         segments.append(len(p0))
         return crossings(self, p0, p1, t)
 
-    def counted_heights(plan, front, lower, *args):
+    def counted_intervals(front, lower, *args):
         first = len(segments)
-        plan_heights(plan, front, lower, *args)
-        heights.append((len(lower), segments[first:]))
+        graphs = height_intervals(front, lower, *args)
+        intervals.append((len(lower), segments[first:]))
+        return graphs
+
+    def counted_heights(*args):
+        first = len(segments)
+        plan_heights(*args)
+        heights.append(segments[first:])
 
     monkeypatch.setattr(front_type, "value_range", counted_range)
     monkeypatch.setattr(front_type, "crossings", counted_crossings)
+    monkeypatch.setattr(balance, "_height_intervals", counted_intervals)
     monkeypatch.setattr(balance, "_plan_heights", counted_heights)
     assert _terms(field, laws, region, times) == expected
     assert region.cells == (4, 4)
     assert boxes == [2 * len(times) * 16]
-    ((graph_boxes, calls),) = heights
+    ((graph_boxes, (faces,)),) = intervals
     assert 0 < graph_boxes < boxes[0]
-    faces, lines, lines_low = calls
     assert faces == 2 * graph_boxes
+    ((lines, lines_low),) = heights
     assert lines // region.quad_order == lines_low // (region.quad_order - 2) > 0
 
 
@@ -604,21 +729,15 @@ def test_balance_check_rows_are_those_of_the_balance_reports(
     assert len(times) > balance._TIMES_PER_PLAN
     scenario = scenario_from_dict(_balance_check(laws, times, region, dt=dt))
     monkeypatch.setattr("vkwave.scenario.build_field", lambda _: field)
-    planned = []
-    plan_cells = balance._plan_cells
-
-    def recorded(plan, front, region, times, orders):
-        planned.append((len(times), tuple(orders)))
-        return plan_cells(plan, front, region, times, orders)
-
     per_time = [[balance_residual(field, key, region, t, dt) for key in laws] for t in times]
-    monkeypatch.setattr(balance, "_plan_cells", recorded)
+    classified, planned = _record_plans(monkeypatch)
     rows = run_scenario(scenario).results
     orders = (region.quad_order, region.quad_order - 2)
     assert planned == [
         (2 * balance._TIMES_PER_PLAN, orders),
         (2 * (len(times) - balance._TIMES_PER_PLAN), orders),
     ]
+    assert classified == [n for n, _ in planned]
     expected = []
     for i in range(len(laws)):
         reps = [reports[i] for reports in per_time]
@@ -981,21 +1100,22 @@ def test_disc_plan_choices_hold_across_the_time_step(generic_params, monkeypatch
     field = _disc_field(generic_params)
     region = Region(-0.7, 0.9, -0.8, 0.7)
     graphs = []
-    plan_heights = balance._plan_heights
+    height_intervals = balance._height_intervals
 
-    def recorded(plan, front, lower, upper, axis, rising, orders, times, owners, ranks):
+    def recorded(front, lower, upper, axis, rising, times, owners, ranks):
         graphs.append(
             (lower.tolist(), upper.tolist(), axis.tolist(), rising.tolist(), ranks.tolist())
         )
-        plan_heights(plan, front, lower, upper, axis, rising, orders, times, owners, ranks)
+        return height_intervals(front, lower, upper, axis, rising, times, owners, ranks)
 
-    monkeypatch.setattr(balance, "_plan_heights", recorded)
+    monkeypatch.setattr(balance, "_height_intervals", recorded)
     dt = 1e-4
     choices = []
     for t in (-dt, 0.0, dt):
         graphs.clear()
         plan = balance._Plan()
-        balance._plan_cells(plan, field.front, region, (t,), (region.quad_order,))
+        cells = balance._classify(field.front, region, (t,))
+        balance._plan_cells(plan, field.front, cells, (region.quad_order,))
         sides = np.concatenate(plan.sides)
         owners = np.concatenate(plan.owners)
         choices.append((
@@ -1072,9 +1192,8 @@ def _polar_density_reference(field, entry, region, t, n=24, n_theta=64):
 def test_smooth_circle_density_integrals_match_polar_reference(generic_params):
     field = _smooth_circle_field(generic_params)
     t = 0.1
-    got = balance._density_integrals(
-        field, LAWS, _SMOOTH_REGION, (t,), (_SMOOTH_REGION.quad_order,)
-    )[:, 0, 0]
+    cells = balance._classify(field.front, _SMOOTH_REGION, (t,))
+    got = balance._density_integrals(field, LAWS, cells, (_SMOOTH_REGION.quad_order,))[:, 0, 0]
     for entry, value in zip(LAWS, got):
         want = _polar_density_reference(field, entry, _SMOOTH_REGION, t)
         assert value == pytest.approx(want, rel=1e-12, abs=1e-15), entry.name
@@ -1260,7 +1379,7 @@ def test_unresolved_front_is_an_error(generic_params):
 
 
 def test_unresolved_slice_names_its_time(generic_params):
-    # the circle shrinks to a radius of 1e-14 at t = 0.5; planned
+    # the circle shrinks to a radius of 1e-14 at t = 0.5; classified
     # together with times where it is large or gone, the one time it is
     # not resolved at is named
     field = dataclasses.replace(
@@ -1269,7 +1388,7 @@ def test_unresolved_slice_names_its_time(generic_params):
     region = Region(-0.7, 0.9, -0.8, 0.7)
     times, orders = (0.0, 0.2, 0.5, 0.7), (8, 6)
     with pytest.raises(ValidationError, match=r"not resolved by 40 levels .* at t = 0\.5$"):
-        balance._density_integrals(field, LAWS[:1], region, times, orders)
+        balance._classify(field.front, region, times)
     # each of the others is resolved alone; at t = 0.7 the radius is < 0
     for t in (0.0, 0.2, 0.7):
         for order in orders:
