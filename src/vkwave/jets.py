@@ -115,9 +115,14 @@ class FieldJet:
         """A jet the package has filled: float64 arrays of shape (..., 35),
         or with ``slots``, a pair (w's, phi's) of slot sequences, w of
         shape (..., len(w's)) whose column i holds slot ``w's[i]`` and phi
-        likewise, each then wrapped in a _SlotRows of its own slots.  Only
-        the values are checked: a non-finite value in either array or in
-        ``point`` raises ValidationError, as for a jet built directly."""
+        likewise, each then wrapped in a _SlotRows of its own slots.  An
+        array of n points, (n, k) as a fill lays them out, is reshaped to
+        the batch shape of ``point``; one that has it already is kept as
+        it is.  Only the values are checked: a non-finite value in either
+        array or in ``point`` raises ValidationError, as for a jet built
+        directly."""
+        shape = point.shape[:-1]
+        w, phi = (a if a.shape[:-1] == shape else a.reshape(shape + a.shape[-1:]) for a in (w, phi))
         for name, arr in (("w", w), ("phi", phi)):
             if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} contains non-finite entries")

@@ -36,9 +36,7 @@ from .conservation import _exact_divergence
 from .errors import ValidationError, _first_failure
 from .jumps import _balance_jump_terms, _closed_form_residuals, _dynamic_terms, _front_jets
 from .scenario import Scenario, sample_front_point, scenario_to_dict
-from .solutions import (
-    _NO_ZERO_SLOTS, _PDE_SLOTS, Side, _batch_size, _jet_batches, _pde_live, _pde_rows, _pde_slots,
-)
+from .solutions import _jet_batches, _pde_batches, _pde_scaled
 from .wavefront import _front_distance
 from .version import __version__
 
@@ -111,65 +109,17 @@ def _batch_maxima(batches, keys, scaled, p) -> list:
     return [f if isinstance(f, Exception) else _worst(f) for f in found]
 
 
-def _pde_scaled(_, batch, p, zero):
-    # batch is a (rows, jet) pair of _pde_batches, and zero the field's
-    # _zero_slots; the _scaled of each equation with a term left, then
-    # their maximum, formed in the rows _pde_rows returns: an equation
-    # with none has zero scaled residuals, which change no maximum
-    r, s = (x[_pde_live(zero)] for x in _pde_rows(batch[1], p, zero))
-    np.divide(np.abs(r, out=r), np.maximum(1.0, s, out=s), out=r)
-    return r[0] if len(r) == 1 else np.maximum(r[0], r[1], out=r[0])
-
-
-def _pde_batches(field, n: int, take, zero):
-    """The (rows, jet) pairs a pde_residual check reads at n points, as
-    _jet_batches yields them: batches of 10,240 points, the _batch_size
-    of all 7 _PDE_SLOTS of both fields, whatever they fill.  Each batch's
-    points are taken by take(start, stop) just before its jets are
-    filled, so that one batch is held at a time whatever n is; on an
-    error the rest are taken and discarded, so that a take that draws
-    from a generator leaves it where one draw of all n points would.
-
-    Only the slots _pde_slots gives for the field's zero slots ``zero``
-    are filled, each field its own (w_33 and w_1111 alone on the example
-    wave), every batch into the front of one block allocated here: a new
-    block for each batch was handed back to the system when freed and
-    faulted in again for the next.  The block has room for all seven
-    _PDE_SLOTS of both fields, though only the part a batch fills is
-    ever touched: glibc hands the free top of its heap back to the system
-    once it exceeds twice the largest block it has mapped and then freed,
-    and a block of the filled slots alone left that below what a batch's
-    temporaries free, which were then faulted in again on every batch.
-    The next batch overwrites the jets of the one before, so a caller
-    reads each batch before it asks for the next and keeps nothing of
-    it."""
-    slots, size = _pde_slots(zero), _batch_size((_PDE_SLOTS, _PDE_SLOTS))
-    block = np.empty(2 * len(_PDE_SLOTS) * min(size, n))
-    for start in range(0, n, size):
-        pts = take(start, min(start + size, n))
-        try:
-            jet = field.jet(pts, Side.AUTO, slots, _block=block)
-        except Exception:
-            for rest in range(start + size, n, size):
-                take(rest, min(rest + size, n))
-            raise
-        yield slice(start, start + len(pts)), jet
-        del pts, jet  # hold nothing of this batch while the next is taken
-
-
 def _run_pde_residual(scenario: Scenario, field, check, rng):
     # the terms of the slots the field makes identically zero are left
     # out, and only the slots the other terms read are filled: their sums
     # are the same numbers but for the sign of a zero, which _scaled drops
-    zero = getattr(field, "_zero_slots", _NO_ZERO_SLOTS)
     if check.points is not None:
         pts = np.array(check.points, dtype=np.float64)
         n, take = len(pts), lambda start, stop: pts[start:stop]
     else:
         n = check.samples if check.samples is not None else 20
         take = lambda start, stop: rng.uniform(-1.0, 1.0, (stop - start, 3))
-    batches = _pde_batches(field, n, take, zero)
-    (worst,) = _batch_maxima(batches, (None,), partial(_pde_scaled, zero=zero), field.params)
+    (worst,) = _batch_maxima(_pde_batches(field, n, take), (None,), _pde_scaled, field.params)
     yield None, worst, f"max over {n} points"
 
 

@@ -44,11 +44,9 @@ class Side(enum.Enum):
     AUTO = "auto"
 
 
-def _as_points(point) -> tuple[np.ndarray, np.ndarray, bool]:
+def _as_points(point) -> tuple[np.ndarray, np.ndarray]:
     pts = _as_point(point)
-    single = pts.ndim == 1
-    flat = np.ascontiguousarray(pts.reshape(-1, 3))
-    return pts, flat, single
+    return pts, np.ascontiguousarray(pts.reshape(-1, 3))
 
 
 def _check_params(params) -> None:
@@ -104,8 +102,8 @@ class InvariantSolution:
         object.__setattr__(self, "omega", omega)
 
     def jet(self, point, side: Side = Side.AUTO, slots=None, *, _block=None) -> FieldJet:
-        pts, flat, single = _as_points(point)
-        return _field_jet(pts, single, *self._jet_values(flat, slots, _block), slots)
+        pts, flat = _as_points(point)
+        return FieldJet._filled(pts, *self._jet_values(flat, slots, _block), slots)
 
     def _jet_values(self, flat: np.ndarray, slots, block=None):
         """The w and phi arrays of the jets at ``flat``, as _jet_arrays
@@ -180,8 +178,8 @@ class PolynomialField:
         )
 
     def jet(self, point, side: Side = Side.AUTO, slots=None, *, _block=None) -> FieldJet:
-        pts, flat, single = _as_points(point)
-        return _field_jet(pts, single, *self._jet_values(flat, slots, _block), slots)
+        pts, flat = _as_points(point)
+        return FieldJet._filled(pts, *self._jet_values(flat, slots, _block), slots)
 
     def _jet_values(self, flat: np.ndarray, slots, block=None):
         """The w and phi arrays of the jets at ``flat``, laid out as
@@ -231,17 +229,6 @@ def _jet_arrays(n: int, slots, block=None, zeroed: bool = False):
         if zeroed:
             out.fill(0.0)
     return out[:k].T, out[k:].T
-
-
-def _field_jet(pts, single: bool, out_w, out_phi, slots) -> FieldJet:
-    """The FieldJet of the arrays of _jet_arrays at ``pts``, reshaped to
-    its batch shape: a full jet, or with ``slots`` (w's, phi's) one whose
-    fields hold those slots only."""
-    if single:
-        w, phi = out_w[0], out_phi[0]
-    else:
-        w, phi = (out.reshape(pts.shape[:-1] + out.shape[-1:]) for out in (out_w, out_phi))
-    return FieldJet._filled(pts, w, phi, slots)
 
 
 def _slot_terms(exps: np.ndarray, coefs: np.ndarray):
@@ -384,7 +371,7 @@ class PiecewiseField:
         if side is Side.BEHIND:
             return self.behind.jet(point, slots=slots)
 
-        pts, flat, single = _as_points(point)
+        pts, flat = _as_points(point)
         if side is Side.AUTO:
             g = np.asarray(self.front.value(flat), dtype=np.float64)
             ahead_mask = g > 0
@@ -432,7 +419,7 @@ class PiecewiseField:
                 at = np.flatnonzero(mask)
                 if at.size:
                     branch._write_rows(flat[at], out_w.T, out_phi.T, slots, at)
-        return _field_jet(pts, single, out_w, out_phi, slots)
+        return FieldJet._filled(pts, out_w, out_phi, slots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,22 +495,9 @@ acceleration_wave = AccelerationWave
 #: Points per jet call of full jets.  A full jet takes 560 bytes a point,
 #: so a batch holds about 1 MB of jets; a jet filled in some slots only
 #: stores those slots alone, and its batches take as many more points as
-#: keep them at about 1 MB: 10,240 for the 7 _PDE_SLOTS of both fields.
-#: A pde_residual check fills only the slots of each field that its terms
-#: read, w_33 and w_1111 alone on the example wave, but takes batches of
-#: 10,240 points whatever it fills, into one block kept across its batches
-#: with room for all 7 _PDE_SLOTS of both fields: glibc hands the free top
-#: of its heap back to the system once it exceeds twice the largest block
-#: mapped and then freed, and a block of the filled slots alone set that
-#: threshold below what a batch's temporaries free, which were then
-#: faulted in again on every batch.
-#: A balance pass fills both sides of the front in one batch and keeps
-#: every law's row with it, so its batches hold the values of one field's
-#: jets of such a batch, jets and rows together: 2,560 points for a
-#: 14-law density pass (7 slots) and 1,791 for a flux pass (13), 4,778
-#: and 2,654 for one law.  A balance slice has thousands of points; a
-#: sampled pde_residual check draws its points a batch at a time, so it
-#: holds one batch whatever its sample count.
+#: hold as many jet values (_batch_size).  A pde_residual check takes
+#: batches of 10,240 points, the size for all 7 _PDE_SLOTS of both fields,
+#: whatever it fills (_pde_batches says why).
 _BATCH_POINTS = 2048
 
 
@@ -535,79 +509,107 @@ def _batch_size(slots=None) -> int:
     return _BATCH_POINTS * 2 * JET_SIZE // per_point
 
 
-def _jet_batches(field, points: np.ndarray, side: Side = Side.AUTO, slots=None):
-    """Jets of ``points`` (shape (n, 3)) in consecutive batches of
-    _batch_size(slots) points.  Yields (rows, jet), ``rows`` the slice of
+def _jet_batches(field, points: np.ndarray, side: Side = Side.AUTO):
+    """Full jets of ``points`` (shape (n, 3)) in consecutive batches of
+    _BATCH_POINTS points.  Yields (rows, jet), ``rows`` the slice of
     ``points`` the jet holds.  A caller deletes each jet before it asks
-    for the next, so that one batch of jets is held at a time.  A
-    pde_residual check takes its batches from report._pde_batches
-    instead, which fills them all into one block."""
-    size = _batch_size(slots)
-    for start in range(0, len(points), size):
-        rows = slice(start, start + size)
-        yield rows, field.jet(points[rows], side, slots)
+    for the next, so that one batch of jets is held at a time."""
+    for start in range(0, len(points), _BATCH_POINTS):
+        rows = slice(start, start + _BATCH_POINTS)
+        yield rows, field.jet(points[rows], side)
+
+
+def _pde_batches(field, n: int, take):
+    """The batches a pde_residual check reads at n points, as (rows, jet,
+    zero) triples: ``rows`` the slice of the n points the jet holds, and
+    ``zero`` the field's ``_zero_slots``, none for a field that declares
+    none.  Each jet is filled in _pde_plan(zero)'s slots only (w_33 and
+    w_1111 alone on the example wave), at the points take(start, stop)
+    gives just before its fill, so that one batch is held at a time
+    whatever n is; on an error the rest are taken and discarded, so that
+    a take that draws from a generator leaves it where one draw of all n
+    points would.
+
+    Batches hold _batch_size of all 7 _PDE_SLOTS of both fields, 10,240
+    points, whatever they fill, and every batch is filled into the front
+    of one block allocated here with room for all of them: a new block for
+    each batch was handed back to the system when freed and faulted in
+    again for the next, and a block of the filled slots alone left glibc's
+    trim threshold (twice the largest block it has mapped and then freed)
+    below what a batch's temporaries free, which were then faulted in
+    again on every batch.  The next batch overwrites the jets of the one
+    before, so a caller reads each batch before it asks for the next and
+    keeps nothing of it."""
+    zero = getattr(field, "_zero_slots", _NO_ZERO_SLOTS)
+    slots, size = _pde_plan(zero)[0], _batch_size((_PDE_SLOTS, _PDE_SLOTS))
+    block = np.empty(2 * len(_PDE_SLOTS) * min(size, n))
+    for start in range(0, n, size):
+        pts = take(start, min(start + size, n))
+        try:
+            jet = field.jet(pts, Side.AUTO, slots, _block=block)
+        except Exception:
+            for rest in range(start + size, n, size):
+                take(rest, min(rest + size, n))
+            raise
+        yield slice(start, start + len(pts)), jet, zero
+        del pts, jet  # hold nothing of this batch while the next is taken
+
+
+def _pde_scaled(_, batch, p):
+    """The scaled residual |r| / max(1, s) of a batch of _pde_batches at
+    each point, the larger of the two equations', formed in the rows
+    _pde_rows returns: those of the equations with a term left, as an
+    equation with none has zero scaled residuals, which change no
+    maximum."""
+    r, s = _pde_rows(batch[1], p, batch[2])
+    np.divide(np.abs(r, out=r), np.maximum(1.0, s, out=s), out=r)
+    return r[0] if len(r) == 1 else np.maximum(r[0], r[1], out=r[0])
 
 
 #: The jet slots _pde_terms reads, the same for w and phi: a pde_residual
-#: check fills at most these, and only those of them _pde_slots gives.
+#: check fills at most these, and only those of them _pde_plan gives.
 _PDE_SLOTS = (S11, S12, S22, S33, S1111, S1122, S2222)
 
 #: The zero slots of a field that declares none: no slot of w or of phi is
 #: taken to be identically zero.
 _NO_ZERO_SLOTS = (frozenset(), frozenset())
 
-#: The terms of the two governing equations, r1's and then r2's, by the
-#: jet slots they read, as (field, slot) pairs, field 0 for w and 1 for
-#: phi: each bilaplacian term by term, then the products, then inertia.
+#: The terms of the two governing equations, r1's and then r2's, each
+#: equation's in the order its scale adds their magnitudes, and each term
+#: a sum of products of (field, slot) factors, field 0 for w and 1 for
+#: phi: a bilaplacian is one term of three products.
 _PDE_EQUATIONS = (
     (
-        ((0, S1111),), ((0, S1122),), ((0, S2222),),
-        ((0, S11), (1, S22)), ((0, S22), (1, S11)), ((0, S12), (1, S12)),
-        ((0, S33),),
+        (((0, S1111),), ((0, S1122),), ((0, S2222),)),
+        (((0, S11), (1, S22)),),
+        (((0, S22), (1, S11)),),
+        (((0, S12), (1, S12)),),
+        (((0, S33),),),
     ),
     (
-        ((1, S1111),), ((1, S1122),), ((1, S2222),),
-        ((0, S11), (0, S22)), ((0, S12), (0, S12)),
+        (((1, S1111),), ((1, S1122),), ((1, S2222),)),
+        (((0, S11), (0, S22)),),
+        (((0, S12), (0, S12)),),
     ),
 )
 
 
 @functools.lru_cache(maxsize=64)
-def _pde_kept(zero):
-    """The terms of each equation, as _PDE_EQUATIONS gives them, that are
-    left for a field whose identically zero slots are ``zero``, a pair of
-    frozensets: those none of whose factors is such a slot."""
-    return tuple(
-        tuple(term for term in terms if all(q not in zero[f] for f, q in term))
+def _pde_plan(zero):
+    """What the pde terms of a field whose identically zero slots are
+    ``zero``, a pair of frozensets, read and form: the fill's pair (w's,
+    phi's), each field's slots in _PDE_SLOTS order, and the number of
+    terms left in each equation.  A product is left when none of its
+    factors is such a slot, a term when any of its products is, and the
+    fill holds every factor of the products left: so w11 only when it is
+    not zero and phi22 or w22 is not either, and phi33 never."""
+    kept = [
+        [[pr for pr in term if all(q not in zero[f] for f, q in pr)] for term in terms]
         for terms in _PDE_EQUATIONS
-    )
-
-
-@functools.lru_cache(maxsize=64)
-def _pde_reads(zero):
-    """The slots of w and of phi that _pde_rows reads for a field whose
-    identically zero slots are ``zero``: each factor of a term _pde_kept
-    leaves.  So w11 is read only when it is not zero and phi22 or w22 is
-    not either, and phi33 never."""
-    factors = [f for terms in _pde_kept(zero) for term in terms for f in term]
-    return tuple(frozenset(q for i, q in factors if i == field) for field in (0, 1))
-
-
-def _pde_slots(zero) -> tuple:
-    """The slots a pde_residual check fills for a field whose identically
-    zero slots are ``zero``, as a fill's pair (w's, phi's): for each field
-    those _pde_reads gives, in _PDE_SLOTS order."""
-    return tuple(tuple(q for q in _PDE_SLOTS if q in read) for read in _pde_reads(zero))
-
-
-@functools.lru_cache(maxsize=64)
-def _pde_live(zero) -> slice:
-    """The equations that have a term left for a field whose identically
-    zero slots are ``zero``, as a slice of (r1, r2), or r1 alone when
-    neither has one: _pde_rows gives an equation with no term left zero
-    residuals and scales."""
-    live = [i for i, terms in enumerate(_pde_kept(zero)) if terms]
-    return slice(live[0], live[-1] + 1) if live else slice(0, 1)
+    ]
+    read = {factor for terms in kept for term in terms for pr in term for factor in pr}
+    slots = tuple(tuple(q for q in _PDE_SLOTS if (f, q) in read) for f in (0, 1))
+    return slots, tuple(sum(map(bool, terms)) for terms in kept)
 
 
 def _add(x, y, out: np.ndarray):
@@ -657,36 +659,25 @@ def _bilaplacian(f1111, f1122, f2222, scale, by, rows):
 
 
 def _pde_rows(jet: FieldJet, p: PlateParams, zero=_NO_ZERO_SLOTS):
-    """The results of _pde_terms as the rows of two arrays, (r1, r2) and
-    (s1, s2), of shape (2,) + the batch shape, or (2, 1) at one point.
+    """The results of _pde_terms as the rows of two arrays, residuals and
+    term scales, of shape (k,) + the batch shape, or (k, 1) at one point,
+    for the k equations that have a term left: (r1, r2) and (s1, s2), or
+    one of each, or r1's and s1's zeros when neither has a term left.
 
     ``zero`` holds the slots of w and of phi that the field makes
     identically zero (its ``_zero_slots``).  Every product with such a
-    slot as a factor and every bilaplacian term of one is left out of its
-    sum, and a sum with no term left is zeros; only the slots _pde_reads
-    gives are read, the factors of the terms left.  An exact zero added or
-    subtracted leaves a sum's value as it is, so the results are the
-    numbers of the full sums, though a zero may differ in sign."""
-    (rw, rp), w, phi = _pde_reads(zero), jet.w, jet.phi
+    slot as a factor is left out of its sum, and a sum with no term left
+    is zeros; only the slots of _pde_plan's fill are read.  An exact zero
+    added or subtracted leaves a sum's value as it is, so the results are
+    the numbers of the full sums, though a zero may differ in sign."""
+    ((rw, rp), left), w, phi = _pde_plan(zero), jet.w, jet.phi
     w11, w12, w22, w33, w1111, w1122, w2222 = (w[..., q] if q in rw else None for q in _PDE_SLOTS)
     p11, p12, p22, p1111, p1122, p2222 = (
         phi[..., q] if q in rp else None for q in (S11, S12, S22, S1111, S1122, S2222)
     )
     # one array: the four results, then a row for each term left, in the
-    # order the scales add them, s1's five and then s2's three
-    s1_left = (
-        (w1111 is not None or w1122 is not None or w2222 is not None)  # bending
-        + (w11 is not None and p22 is not None)
-        + (w22 is not None and p11 is not None)
-        + (w12 is not None and p12 is not None)
-        + (w33 is not None)  # inertia
-    )
-    s2_left = (
-        (p1111 is not None or p1122 is not None or p2222 is not None)  # membrane
-        + (w11 is not None and w22 is not None)
-        + (w12 is not None)
-    )
-    block = np.empty((4 + s1_left + s2_left,) + (jet.point.shape[:-1] or (1,)))
+    # order the scales add them, s1's and then s2's
+    block = np.empty((4 + left[0] + left[1],) + (jet.point.shape[:-1] or (1,)))
     r1, r2, s1, s2, *rows = block
     rows = iter(rows)
 
@@ -719,9 +710,11 @@ def _pde_rows(jet: FieldJet, p: PlateParams, zero=_NO_ZERO_SLOTS):
     # numpy reduces fewer than eight rows over the first axis by adding
     # them in order, one after another, as the sums are written; no rows
     # give zeros
-    np.add.reduce(terms[:s1_left], axis=0, out=s1)
-    np.add.reduce(terms[s1_left:], axis=0, out=s2)
-    return block[:2], block[2:4]
+    np.add.reduce(terms[: left[0]], axis=0, out=s1)
+    np.add.reduce(terms[left[0] :], axis=0, out=s2)
+    # r1 and r2, or the one with a term left, or r1's zeros for neither
+    live = slice(0 if left[0] or not left[1] else 1, 2 if left[1] else 1)
+    return block[live], block[2:4][live]
 
 
 def _pde_terms(jet: FieldJet, p: PlateParams):

@@ -145,13 +145,9 @@ class LineFront(Front):
             raise ValidationError("line front needs a nonzero spatial gradient")
 
     def value(self, point):
+        # the linear form of crossings and value_range at the point's time
         p = np.asarray(point, dtype=np.float64)
-        return (
-            self.coef_x1 * p[..., 0]
-            + self.coef_x2 * p[..., 1]
-            + self.coef_t * p[..., 2]
-            + self.const
-        )
+        return self._spatial_value(p, p[..., 2])
 
     def spatial_gradient(self, point):
         p = np.asarray(point, dtype=np.float64)

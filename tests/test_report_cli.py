@@ -676,7 +676,7 @@ def test_report_bytes_do_not_depend_on_the_batch_size(batch_points, monkeypatch)
     # the pde check fills the slots of each field its nonzero terms read,
     # in batches sized for all seven _PDE_SLOTS of both fields; a balance
     # pass fills the same slots of both fields
-    pde = solutions._pde_slots(field._zero_slots)
+    pde = solutions._pde_plan(field._zero_slots)[0]
     assert pde == ((S33, S1111), ())
     density, row = (_DENSITY_SLOTS, _DENSITY_SLOTS), (_ROW_SLOTS, _ROW_SLOTS)
     assert {slots for _, slots in calls} == {None, pde, density, row}
@@ -728,7 +728,7 @@ def test_pde_residual_checks_the_slots_it_reads_for_finite_values():
     # = 0, so it is not filled, and the row is the zero residual
     big = {"exponents": [2, 0, 0], "coefficient": 1e308}
     scenario = scenario_from_dict(_polynomial_pde_scenario([big]))
-    assert solutions._pde_slots(build_field(scenario)._zero_slots) == ((), ())
+    assert solutions._pde_plan(build_field(scenario)._zero_slots) == (((), ()), (0, 0))
     (row,) = run_scenario(scenario).results
     assert (row.status, row.residual) == ("pass", 0.0)
 

@@ -585,9 +585,11 @@ def test_subset_jet_equals_full_jet_in_its_slots(case, slots, generic_params, co
     # a single point and a batch shaped (..., 3) take the same path
     for point in (pts[0], pts.reshape(20, 20, 3)):
         _assert_holds_slots(field.jet(point, Side.AUTO, slots), field.jet(point), slots)
-    # _jet_batches forwards the subset
-    for rows, jet in solutions._jet_batches(field, pts, Side.AUTO, slots):
-        _assert_holds_slots(jet, field.jet(pts[rows]), slots)
+    # the pde batches hold the full jet's bits in the slots of the plan
+    if slots == _PDE_PAIR:
+        fill = solutions._pde_plan(field._zero_slots)[0]
+        for rows, jet, _ in solutions._pde_batches(field, len(pts), lambda a, b: pts[a:b]):
+            _assert_holds_slots(jet, field.jet(pts[rows]), fill)
 
 
 @pytest.mark.parametrize(
@@ -707,7 +709,7 @@ def test_pde_scaled_in_place_matches_the_expressions_bit_for_bit(case, generic_p
     before = _jet_values(jet)
     r1, r2, s1, s2 = _expression_pde_terms(jet, field.params)
     want = np.maximum(report._scaled(r1, s1), report._scaled(r2, s2))
-    got = report._pde_scaled(None, (slice(0, len(pts)), jet), field.params, solutions._NO_ZERO_SLOTS)
+    got = solutions._pde_scaled(None, (slice(0, len(pts)), jet, solutions._NO_ZERO_SLOTS), field.params)
     assert got.tobytes() == want.tobytes()
     for a, b in zip(_jet_values(jet), before):
         assert a.tobytes() == b.tobytes()
@@ -905,15 +907,19 @@ def test_pde_terms_without_the_zero_slots_equal_the_full_terms(generic_params):
     skipped = 0
     for field, jets in _zero_slot_cases(generic_params):
         zero = field._zero_slots
+        # the equations with a term left, or r1 when neither has one; an
+        # equation with none has zero residuals and scales
+        left = solutions._pde_plan(zero)[1]
+        live = [i for i in (0, 1) if left[i]] or [0]
         for jet in jets:
-            batch = (slice(None), jet)
-            sparse = report._pde_scaled(None, batch, field.params, zero)
-            full = report._pde_scaled(None, batch, field.params, solutions._NO_ZERO_SLOTS)
+            sparse = solutions._pde_scaled(None, (slice(None), jet, zero), field.params)
+            full = solutions._pde_scaled(None, (slice(None), jet, solutions._NO_ZERO_SLOTS), field.params)
             assert sparse.tobytes() == full.tobytes()
             got = solutions._pde_rows(jet, field.params, zero)
             want = solutions._pde_rows(jet, field.params)
             for g, w in zip(got, want):
-                assert np.shape(g) == np.shape(w) and np.array_equal(g, w)
+                assert np.shape(g) == np.shape(w[live]) and np.array_equal(g, w[live])
+                assert not np.delete(w, live, axis=0).any()
         skipped += bool(set(solutions._PDE_SLOTS) & (zero[0] | zero[1]))
     assert skipped > 200  # most fields leave some term out
 
@@ -937,8 +943,8 @@ def test_pde_terms_never_read_the_zero_slots(generic_params):
             if slots is not None:
                 w, phi = _SlotRows(w, slots[0]), _SlotRows(phi, slots[1])
             poisoned = FieldJet._unchecked(jet.point, w, phi)
-            got = report._pde_scaled(None, (slice(None), poisoned), p, field._zero_slots)
-            want = report._pde_scaled(None, (slice(None), jet), p, solutions._NO_ZERO_SLOTS)
+            got = solutions._pde_scaled(None, (slice(None), poisoned, field._zero_slots), p)
+            want = solutions._pde_scaled(None, (slice(None), jet, solutions._NO_ZERO_SLOTS), p)
             assert np.isfinite(got).all()
             assert got.tobytes() == want.tobytes()
 
@@ -967,20 +973,22 @@ def test_subset_jet_is_checked_in_its_filled_slots(generic_params):
 
 @pytest.mark.parametrize("case", ["acceleration_wave", "polynomial_branches"])
 def test_subset_batches_hold_only_their_slots(case, generic_params):
-    # a batch of n points holds len(slots) values per point per field, and
-    # the two fields of a traveling fill share one block of that size
+    # a pde batch of n points holds one value per point for each slot of a
+    # field's fill, and the two fields share one block with room for all
+    # seven pde slots of both at a full batch's points
     field = _subset_case(case, generic_params)
-    k = len(solutions._PDE_SLOTS)
+    fill = solutions._pde_plan(field._zero_slots)[0]
+    if case == "acceleration_wave":
+        assert fill == _WAVE_PDE
     pts = np.random.default_rng(10).uniform(-1.0, 1.0, (25_000, 3))
     sizes = []
-    for rows, jet in solutions._jet_batches(field, pts, Side.AUTO, _PDE_PAIR):
+    for rows, jet, _ in solutions._pde_batches(field, len(pts), lambda a, b: pts[a:b]):
         n = len(pts[rows])
         sizes.append(n)
-        for values in (jet.w.values, jet.phi.values):
-            assert values.nbytes == 8 * k * n
-        if case == "acceleration_wave":
-            assert jet.w.values.base is jet.phi.values.base
-            assert jet.w.values.base.nbytes == 2 * 8 * k * n
+        for values, slots in ((jet.w.values, fill[0]), (jet.phi.values, fill[1])):
+            assert values.nbytes == 8 * len(slots) * n
+        assert jet.w.values.base is jet.phi.values.base
+        assert jet.w.values.base.nbytes == 2 * 8 * len(solutions._PDE_SLOTS) * 10_240
     assert sizes == [10_240, 10_240, 4_520]
 
 
@@ -1011,28 +1019,31 @@ def test_pde_fill_holds_the_slots_its_terms_read(generic_params):
     # polynomial declares none of w's pde slots zero and of phi's only
     # phi_1111 (phi_33 is never read)
     (wave, _), (poly, _) = _pde_cases(generic_params)
-    assert solutions._pde_reads(wave._zero_slots) == (frozenset({S33, S1111}), frozenset())
-    assert solutions._pde_slots(wave._zero_slots) == _WAVE_PDE
-    assert solutions._pde_slots(poly._zero_slots) == (solutions._PDE_SLOTS, (S11, S12, S22, S1122, S2222))
+    plan = solutions._pde_plan
+    assert plan(wave._zero_slots) == (_WAVE_PDE, (2, 0))
+    assert plan(poly._zero_slots) == ((solutions._PDE_SLOTS, (S11, S12, S22, S1122, S2222)), (5, 3))
     full = set(solutions._PDE_SLOTS)
-    assert solutions._pde_reads(solutions._NO_ZERO_SLOTS) == (frozenset(full), frozenset(full - {S33}))
-    assert solutions._pde_slots(solutions._NO_ZERO_SLOTS) == (
-        solutions._PDE_SLOTS, tuple(q for q in solutions._PDE_SLOTS if q != S33)
+    assert plan(solutions._NO_ZERO_SLOTS) == (
+        (solutions._PDE_SLOTS, tuple(q for q in solutions._PDE_SLOTS if q != S33)), (5, 3)
     )
     # w11 is read only with p22 or w22 beside it
     zero = frozenset(full - {S11, S1111})
-    assert solutions._pde_slots((zero, frozenset(full))) == ((S1111,), ())
-    assert solutions._pde_slots((zero - {S22}, frozenset(full))) == ((S11, S22, S1111), ())
-    assert solutions._pde_slots((zero, frozenset(full - {S22}))) == ((S11, S1111), (S22,))
-    assert solutions._pde_reads((zero, frozenset(full - {S22}))) == (
-        frozenset({S11, S1111}), frozenset({S22})
-    )
+    assert plan((zero, frozenset(full)))[0] == ((S1111,), ())
+    assert plan((zero - {S22}, frozenset(full)))[0] == ((S11, S22, S1111), ())
+    assert plan((zero, frozenset(full - {S22}))) == (((S11, S1111), (S22,)), (2, 0))
     # the equations with a term left: r1 alone on the wave, both on the
-    # polynomial, r2 alone for phi's bilaplacian, and r1's zeros for none
-    live = solutions._pde_live
-    assert live(wave._zero_slots) == slice(0, 1) and live(poly._zero_slots) == slice(0, 2)
-    assert live((frozenset(full), frozenset(full - {S1122}))) == slice(1, 2)
-    assert live((frozenset(full), frozenset(full))) == slice(0, 1)
+    # polynomial, r2 alone for phi's bilaplacian, and r1's zeros for none;
+    # the block holds the four results and a row for each term left
+    cases = [
+        (wave._zero_slots, 1, 0, 6), (poly._zero_slots, 2, 0, 12),
+        ((frozenset(full), frozenset(full - {S1122})), 1, 1, 5),
+        ((frozenset(full), frozenset(full)), 1, 0, 4),
+    ]
+    jet = poly.jet(np.zeros((3, 3)), Side.AUTO, _PDE_PAIR)
+    for zero, k, first, rows in cases:
+        r, s = solutions._pde_rows(jet, poly.params, zero)
+        assert r.shape == s.shape == (k, 3) and r.base is s.base
+        assert r.base.shape == (rows, 3) and np.shares_memory(r, r.base[first])
 
 
 def test_pde_terms_of_the_derived_fill_equal_the_full_fill(generic_params):
@@ -1044,15 +1055,71 @@ def test_pde_terms_of_the_derived_fill_equal_the_full_fill(generic_params):
     for i in range(240):
         field = _random_field(rng, generic_params, _FAMILIES[i % 4])
         zero, p = field._zero_slots, field.params
-        slots = solutions._pde_slots(zero)
+        slots = solutions._pde_plan(zero)[0]
         pts = rng.uniform(-1.0, 1.0, (500, 3))
         sub = field.jet(pts, Side.AUTO, slots)
         full = field.jet(pts, Side.AUTO, _PDE_PAIR)
-        got = report._pde_scaled(None, (slice(None), sub), p, zero)
-        want = report._pde_scaled(None, (slice(None), full), p, solutions._NO_ZERO_SLOTS)
+        got = solutions._pde_scaled(None, (slice(None), sub, zero), p)
+        want = solutions._pde_scaled(None, (slice(None), full, solutions._NO_ZERO_SLOTS), p)
         assert got.tobytes() == want.tobytes()
         smaller += len(slots[0]) + len(slots[1]) < 2 * len(solutions._PDE_SLOTS)
     assert smaller > 150  # most fields fill fewer slots
+
+
+def _hand_zero_sets():
+    """Zero sets of the pde slots that no family declares: each keeps a
+    factor whose partner in one product is zero, or a bilaplacian slot
+    alone, or nothing."""
+    full = frozenset(solutions._PDE_SLOTS)
+    keep = [
+        ({S11}, {S22}), ({S11, S22}, set()), ({S12}, {S12}), ({S12}, set()), ({S22}, {S11}),
+        ({S1122}, set()), (set(), {S2222}), ({S33, S11}, {S11}), (set(), set()),
+        (set(full), set()), (set(), set(full)),
+    ]
+    return [(full - frozenset(w), full - frozenset(p)) for w, p in keep]
+
+
+def test_the_pde_plan_reads_exactly_what_the_arithmetic_reads(generic_params):
+    # jets filled in all seven pde slots: NaN in every slot outside the
+    # plan's fill leaves the scaled residuals' bits as they are, and NaN in
+    # any one slot of the fill makes them NaN.  The fields are random ones
+    # of each family with their own zero slots, and random jets whose
+    # slots of a hand-made zero set are zeroed; each also gives the scaled
+    # residuals of every term.
+    rng = np.random.default_rng(37)
+    p, k = generic_params, len(solutions._PDE_SLOTS)
+    cases = [(_random_field(rng, p, _FAMILIES[i % 4]), None) for i in range(80)]
+    cases += [(None, zero) for zero in _hand_zero_sets()]
+    for field, zero in cases:
+        pts = rng.uniform(-1.0, 1.0, (60, 3))
+        if field is None:
+            w, phi = rng.uniform(-2.0, 2.0, (2, len(pts), k))
+            for values, zeros in ((w, zero[0]), (phi, zero[1])):
+                values[:, [i for i, q in enumerate(solutions._PDE_SLOTS) if q in zeros]] = 0.0
+        else:
+            zero = field._zero_slots
+            w, phi = _jet_values(field.jet(pts, Side.AUTO, _PDE_PAIR))
+
+        def scaled(w, phi, zero=zero, pts=pts):
+            jet = FieldJet._unchecked(pts, _SlotRows(w, _PDE_PAIR[0]), _SlotRows(phi, _PDE_PAIR[1]))
+            return solutions._pde_scaled(None, (slice(None), jet, zero), p)
+
+        want = scaled(w, phi)
+        assert np.isfinite(want).all()
+        assert want.tobytes() == scaled(w, phi, solutions._NO_ZERO_SLOTS).tobytes()
+        fill = solutions._pde_plan(zero)[0]
+        planned = [
+            [i for i, q in enumerate(solutions._PDE_SLOTS) if q in slots] for slots in fill
+        ]
+        poisoned = [values.copy() for values in (w, phi)]
+        for values, columns in zip(poisoned, planned):
+            values[:, np.setdiff1d(np.arange(k), columns)] = np.nan
+        assert scaled(*poisoned).tobytes() == want.tobytes()
+        for f, columns in enumerate(planned):
+            for i in columns:
+                one = [w.copy(), phi.copy()]
+                one[f][:, i] = np.nan
+                assert np.isnan(scaled(*one)).all()
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["acceleration_wave", "x2_polynomial"])
@@ -1061,18 +1128,19 @@ def test_pde_batches_fill_one_kept_block(case, generic_params, monkeypatch):
     # and each batch's scaled residuals equal those of one full fill
     monkeypatch.setattr(solutions, "_BATCH_POINTS", 8)
     field, pts = _pde_cases(generic_params)[case]
-    zero, p = field._zero_slots, field.params
-    slots = solutions._pde_slots(zero)
-    want = report._pde_scaled(
-        None, (slice(None), field.jet(pts, Side.AUTO, _PDE_PAIR)), p, solutions._NO_ZERO_SLOTS
+    p = field.params
+    slots = solutions._pde_plan(field._zero_slots)[0]
+    want = solutions._pde_scaled(
+        None, (slice(None), field.jet(pts, Side.AUTO, _PDE_PAIR), solutions._NO_ZERO_SLOTS), p
     )
     got, blocks, size = [], [], solutions._batch_size(_PDE_PAIR)
-    for rows, jet in report._pde_batches(field, len(pts), lambda a, b: pts[a:b], zero):
+    for rows, jet, zero in solutions._pde_batches(field, len(pts), lambda a, b: pts[a:b]):
+        assert zero is field._zero_slots
         assert len(pts[rows]) == min(size, len(pts) - rows.start)
         assert jet.w.values.shape == (len(pts[rows]), len(slots[0]))
         assert jet.phi.values.shape == (len(pts[rows]), len(slots[1]))
         blocks.append(jet.w.values.base)
-        got.append(report._pde_scaled(None, (rows, jet), p, zero).copy())
+        got.append(solutions._pde_scaled(None, (rows, jet, zero), p).copy())
         del jet
     assert len(got) > 5 and all(block is blocks[0] for block in blocks)
     assert np.concatenate(got).tobytes() == want.tobytes()
