@@ -75,9 +75,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import jumps
 from .conservation import _DENSITY_SLOTS, _ROW_SLOTS, density_flux
 from .errors import ValidationError, _first_failure, _is_integer, _positive_number, _real
-from .jumps import _balance_jump_terms, _front_jets
+from .jumps import _front_jets
 from .params import LawId, Region, law
 from .solutions import Side, _batch_size
 
@@ -746,14 +747,6 @@ def _front_arcs(region: Region, front, t) -> list[tuple[float, float]]:
     return [(a, b) for a, b, keep in zip(bounds[:-1], bounds[1:], inside) if keep]
 
 
-def _jump_integrand(field, entry, pts3, absolute):
-    """C [Psi] - [P . n] at front points of shape (n, 3), or with
-    ``absolute`` its one-sided magnitude sum: jumps._balance_jump_terms
-    over the jump data of the points."""
-    terms = [_balance_jump_terms(entry, fj, field.params) for fj in _front_jets(field, pts3)]
-    return np.concatenate([term[1 if absolute else 0] for term in terms])
-
-
 def front_segment_jump_integral(field, law_key, region: Region, t: float, absolute=False) -> float:
     """Line integral of C [Psi] - [P^a] n_a along the front inside the region.
 
@@ -761,6 +754,9 @@ def front_segment_jump_integral(field, law_key, region: Region, t: float, absolu
     when the law's jump condition fails on the front, the balance residual
     equals this integral.  With absolute=True the integrand is replaced by
     its one-sided magnitude sum, giving a scale for relative comparisons.
+    The integrand is jumps.balance_jump_residual, or with absolute=True
+    jumps.balance_jump_scale alone, on the jump records of the nodes
+    (_front_jets, a jet batch at a time).
 
     Every kind of front takes one path: the front's curve is cut at its
     crossings of the region edges (_front_arcs), and each interval inside
@@ -776,10 +772,12 @@ def front_segment_jump_integral(field, law_key, region: Region, t: float, absolu
         raise ValidationError("field has no front; the jump integral is zero only trivially")
     _check_edges_off_front(front, region, [t])
     order = max(region.quad_order, 16)
+    integrand = jumps.balance_jump_scale if absolute else jumps.balance_jump_residual
     total = 0.0
     for a, b in _front_arcs(region, front, t):
         ss, ws = _interval_nodes(a, b, order)
         x, speed = front.curve(t, ss)
-        vals = _jump_integrand(field, entry, _points3(x[:, 0], x[:, 1], t), absolute)
+        records = _front_jets(field, _points3(x[:, 0], x[:, 1], t))
+        vals = np.concatenate([integrand(entry, fj, field.params) for fj in records])
         total += float(np.dot(ws, vals)) * speed
     return total

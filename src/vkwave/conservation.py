@@ -20,10 +20,11 @@ and density_flux returns a view that builds a half only when it is read.
 The conservation check takes the divergence d3 Psi + d1 P1 + d2 P2
 exactly, from the jets it already fills: the rows read no slot above
 order 3, so d/dx_a of a row is a complex step through the unchanged row
-code, on a complex jet built from the 4-jet (_exact_divergence).  Every
-law shares one complex jet per jet batch, and its rows.
-conservation_divergence is the same divergence at one point, a batch of
-one; the tests hold it to the symbolic total derivative of the rows.
+code, on a complex jet built from the 4-jet for each axis
+(_exact_divergence).  Every law shares a jet batch's three complex jets,
+and their rows.  conservation_divergence is the same divergence at one
+point, a batch of one; the tests hold it to the symbolic total
+derivative of the rows.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .indexing import (
-    JET_SIZE, S0, S1, S2, S3, S11, S12, S13, S22, S23, S111, S112, S122, S222, SHIFT,
-)
+from .indexing import S0, S1, S2, S3, S11, S12, S13, S22, S23, S111, S112, S122, S222, SHIFT
 from .jets import FieldJet
 from .params import LAWS, LawId, PlateParams, law  # LAWS and LawId re-exported
 from .tensors import (
@@ -305,20 +304,19 @@ class DivergenceEstimate:
 _COMPLEX_STEP = 1e-30
 
 
-def _complex_step_jet(jet: FieldJet, p: PlateParams) -> FieldJet:
-    """The jet J + i h d_a J at x + i h e_a of each of the N points of a
-    jet batch, for a = 1, 2, 3 in turn: a batch of 3N points, axis by
-    axis.  d_a J is J shifted by indexing.SHIFT; an order-4 slot has no
-    derivative in a 4-jet and gets a NaN imaginary part."""
+def _complex_step_jet(jet: FieldJet, axis: int) -> FieldJet:
+    """The jet J + i h d_a J at x + i h e_a of each point of a jet batch,
+    for the axis a = axis + 1.  d_a J is J shifted by indexing.SHIFT; an
+    order-4 slot has no derivative in a 4-jet and gets a NaN imaginary
+    part."""
     n = len(jet.point)
-    h = _COMPLEX_STEP
-    point = np.tile(jet.point, (3, 1)).astype(complex)
-    point.imag = h * np.repeat(np.eye(3), n, axis=0)
+    point = jet.point.astype(complex)
+    point.imag[:, axis] = _COMPLEX_STEP
 
     def stepped(d: np.ndarray) -> np.ndarray:
         padded = np.concatenate((d, np.full((n, 1), np.nan)), axis=1)
-        out = np.tile(d, (3, 1)).astype(complex)
-        out.imag = h * padded[:, SHIFT].transpose(1, 0, 2).reshape(3 * n, JET_SIZE)
+        out = d.astype(complex)
+        out.imag = _COMPLEX_STEP * padded[:, SHIFT[axis]]
         return out
 
     return FieldJet._unchecked(point, stepped(jet.w), stepped(jet.phi))
@@ -329,17 +327,21 @@ def _exact_divergence(law_key, jet: FieldJet, p: PlateParams) -> DivergenceEstim
     exact to round-off.
 
     Each term is a complex step (Squire & Trapp 1998) through the unchanged
-    row code: the imaginary part of a row at the complex-step jet, over h.
-    It holds because the rows read no slot above order 3 and are
-    complex-analytic (no abs, maximum or comparison).  The complex-step
-    jet and its rows are built once per jet, for every law.
+    row code: the imaginary part of a row at the complex-step jet of its
+    axis, over h, so Psi is read from the x3 jet, P1 from the x1 jet and P2
+    from the x2 jet.  It holds because the rows read no slot above order 3
+    and are complex-analytic (no abs, maximum or comparison).  Each
+    complex-step jet and its rows are built once per jet, for every law.
     """
-    df = density_flux(law_key, jet._derived("complex_step", _complex_step_jet, p), p)
-    n = len(jet.point)
+
+    def rows(axis: int) -> DensityFlux:
+        build = lambda j, _: _complex_step_jet(j, axis)
+        return density_flux(law_key, jet._derived(("complex_step", axis), build, p), p)
+
     return DivergenceEstimate(
-        d_density_dt=df.density[2 * n:].imag / _COMPLEX_STEP,
-        d_flux1_dx1=df.flux.x1[:n].imag / _COMPLEX_STEP,
-        d_flux2_dx2=df.flux.x2[n:2 * n].imag / _COMPLEX_STEP,
+        d_density_dt=rows(2).density.imag / _COMPLEX_STEP,
+        d_flux1_dx1=rows(0).flux.x1.imag / _COMPLEX_STEP,
+        d_flux2_dx2=rows(1).flux.x2.imag / _COMPLEX_STEP,
     )
 
 

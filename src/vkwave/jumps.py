@@ -18,10 +18,14 @@ of structure:
 * the two scalar relations among traveling-wave constants that the
   closed forms reduce to for the exact wave family.
 
-Each condition is written once and broadcasts over the record's leading
-axes: a report check evaluates it on the record of each jet batch of its
-points in turn (_front_jets, one jet fill per side), and the public
-functions on the one-point record of extract_jumps, as it is.
+Each condition is written once, as the public function that evaluates
+it, and broadcasts over the record's leading axes.  The report's jump
+checks and balance's front integral call it on the record of each jet
+batch of their points in turn (_front_jets, one jet fill per side), where
+it returns arrays; on the one-point record of extract_jumps it returns
+numpy scalars.  A residual and its scale are two functions, each forming
+only its own terms; the one-sided tensors and law halves they both read
+are built once per jet.
 """
 
 from __future__ import annotations
@@ -195,63 +199,56 @@ def check_acceleration_wave(rec: JumpRecord) -> WaveVerdict:
     return WaveVerdict(reasons)
 
 
-def _dynamic_terms(rec: JumpRecord, p: PlateParams):
-    """The two dynamic residuals (r_w, r_phi) and their scales (s_w, s_phi),
-    the one-sided term sums, at every point."""
+def dynamic_jump_residuals(rec: JumpRecord, p: PlateParams):
+    """The two dynamic conditions (C [rho w_{,3}] + [Q^a] n_a, [F^a] n_a)
+    at every point of the record."""
     n1, n2 = rec.geometry.normal[..., 0], rec.geometry.normal[..., 1]
     c = rec.geometry.speed
     q_b = _tensor(shear_force, rec.behind, p)
     q_a = _tensor(shear_force, rec.ahead, p)
     f_b = _tensor(f_vector, rec.behind, p)
     f_a = _tensor(f_vector, rec.ahead, p)
-
     r_w = c * p.rho * rec.jump.w[..., S3] + ((q_b.x1 - q_a.x1) * n1 + (q_b.x2 - q_a.x2) * n2)
     r_phi = (f_b.x1 - f_a.x1) * n1 + (f_b.x2 - f_a.x2) * n2
-    s_w = 0.0
-    s_phi = 0.0
-    for jet, q, f in ((rec.ahead, q_a, f_a), (rec.behind, q_b, f_b)):
-        s_w = s_w + (np.abs(c * p.rho * jet.w[..., S3]) + np.abs(q.x1 * n1 + q.x2 * n2))
-        s_phi = s_phi + np.abs(f.x1 * n1 + f.x2 * n2)
-    return r_w, r_phi, s_w, s_phi
+    return r_w, r_phi
 
 
-def dynamic_jump_residuals(rec: JumpRecord, p: PlateParams) -> tuple[float, float]:
-    """The two dynamic conditions: (C [rho w_{,3}] + [Q^a] n_a, [F^a] n_a)."""
-    r_w, r_phi, _, _ = _dynamic_terms(rec, p)
-    return float(r_w), float(r_phi)
-
-
-def dynamic_jump_scales(rec: JumpRecord, p: PlateParams) -> tuple[float, float]:
-    """Magnitude scales for the two dynamic residuals (one-sided term sums)."""
-    _, _, s_w, s_phi = _dynamic_terms(rec, p)
-    return float(s_w), float(s_phi)
-
-
-def _balance_jump_terms(law_key, rec: JumpRecord, p: PlateParams):
-    """The generic balance jump residual and its scale at every point, from
-    one density_flux per side."""
+def dynamic_jump_scales(rec: JumpRecord, p: PlateParams):
+    """Magnitude scales for the two dynamic residuals: the sums of their
+    one-sided terms' magnitudes, ahead and then behind."""
     n1, n2 = rec.geometry.normal[..., 0], rec.geometry.normal[..., 1]
     c = rec.geometry.speed
+    s_w = 0.0
+    s_phi = 0.0
+    for jet in (rec.ahead, rec.behind):
+        q, f = _tensor(shear_force, jet, p), _tensor(f_vector, jet, p)
+        s_w = s_w + (np.abs(c * p.rho * jet.w[..., S3]) + np.abs(q.x1 * n1 + q.x2 * n2))
+        s_phi = s_phi + np.abs(f.x1 * n1 + f.x2 * n2)
+    return s_w, s_phi
+
+
+def balance_jump_residual(law_key, rec: JumpRecord, p: PlateParams):
+    """Generic balance jump condition C [Psi] - [P^a] n_a for one law, at
+    every point of the record."""
+    n1, n2 = rec.geometry.normal[..., 0], rec.geometry.normal[..., 1]
     df_a = density_flux(law_key, rec.ahead, p)
     df_b = density_flux(law_key, rec.behind, p)
-    psi_a, psi_b = df_a.density, df_b.density
     flux_a, flux_b = df_a.flux, df_b.flux
-    jump_density = psi_b - psi_a
     jump_flux_n = (flux_b.x1 - flux_a.x1) * n1 + (flux_b.x2 - flux_a.x2) * n2
+    return rec.geometry.speed * (df_b.density - df_a.density) - jump_flux_n
+
+
+def balance_jump_scale(law_key, rec: JumpRecord, p: PlateParams):
+    """One-sided magnitude scale for the generic balance jump residual:
+    |C Psi| + |P^a n_a| ahead, plus the same behind."""
+    n1, n2 = rec.geometry.normal[..., 0], rec.geometry.normal[..., 1]
+    c = rec.geometry.speed
     s = 0.0
-    for psi, flux in ((psi_a, flux_a), (psi_b, flux_b)):
-        s = s + (np.abs(c * psi) + np.abs(flux.x1 * n1 + flux.x2 * n2))
-    return c * jump_density - jump_flux_n, s
-
-
-def balance_jump_residual(law_key, rec: JumpRecord, p: PlateParams) -> float:
-    """Generic balance jump condition C [Psi] - [P^a] n_a for one law."""
-    return float(_balance_jump_terms(law_key, rec, p)[0])
-
-
-def balance_jump_scale(law_key, rec: JumpRecord, p: PlateParams) -> float:
-    """One-sided magnitude scale for the generic balance jump residual."""
-    return float(_balance_jump_terms(law_key, rec, p)[1])
+    for jet in (rec.ahead, rec.behind):
+        df = density_flux(law_key, jet, p)
+        flux = df.flux
+        s = s + (np.abs(c * df.density) + np.abs(flux.x1 * n1 + flux.x2 * n2))
+    return s
 
 
 #: Slots of f_{,b1}, f_{,b2} and f_{,b3} for the in-plane direction b.
@@ -276,9 +273,16 @@ def _generator_applied(jet: FieldJet, field: str, beta: int, law_index: int) -> 
     raise ValidationError(f"no closed-form row for law index {law_index}")
 
 
-def _closed_form_residuals(law_key, rec: JumpRecord, p: PlateParams) -> np.ndarray:
-    """closed_form_jump_residual at every point; raises for the first point
-    that is not an acceleration wave."""
+def closed_form_jump_residual(law_key, rec: JumpRecord, p: PlateParams):
+    """Closed-form balance jump residual (printed LHS minus RHS) in terms of
+    the amplitudes and ahead-side derivatives, at every point of the record.
+
+    Available for the wave-momentum (2, 3), energy (4), scaling (5), and
+    rotation-moment (6) rows.  The record must pass the acceleration-wave
+    test first, as the closed forms assume rank-one jump structure: the
+    error names the first point that does not.  Each value equals minus
+    the generic balance_jump_residual of the same law.
+    """
     entry = law(law_key)
     if entry.index not in _CLOSED_FORM_LAWS:
         raise ValidationError(
@@ -328,18 +332,6 @@ def _closed_form_residuals(law_key, rec: JumpRecord, p: PlateParams) -> np.ndarr
     w_part = (w1 * n[..., 0] + w2 * n[..., 1]) + gen_dot_n("w")
     phi_part = (f1 * n[..., 0] + f2 * n[..., 1]) + gen_dot_n("phi")
     return lhs + d * lam * w_part - (mu / eh) * phi_part
-
-
-def closed_form_jump_residual(law_key, rec: JumpRecord, p: PlateParams) -> float:
-    """Closed-form balance jump residual (printed LHS minus RHS) in terms of
-    the amplitudes and ahead-side derivatives.
-
-    Available for the wave-momentum (2, 3), energy (4), scaling (5), and
-    rotation-moment (6) rows.  The record must pass the acceleration-wave
-    test first: the closed forms assume rank-one jump structure.  Each
-    value equals minus the generic balance_jump_residual of the same law.
-    """
-    return float(_closed_form_residuals(law_key, rec, p))
 
 
 def _amplitude_relation_terms(wave: AccelerationWave):

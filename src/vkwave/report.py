@@ -34,7 +34,7 @@ from . import scenario as scenario_module
 from .balance import _balance_terms
 from .conservation import _exact_divergence
 from .errors import ValidationError, _first_failure
-from .jumps import _balance_jump_terms, _closed_form_residuals, _dynamic_terms, _front_jets
+from .jumps import _front_jets
 from .scenario import Scenario, sample_front_point, scenario_to_dict
 from .solutions import _jet_batches, _pde_batches, _pde_scaled
 from .wavefront import _front_distance
@@ -168,16 +168,20 @@ def _run_conservation(scenario: Scenario, field, check, rng):
 
 
 def _dynamic_scaled(_, fj, p):
-    r_w, r_phi, s_w, s_phi = _dynamic_terms(fj, p)
+    r_w, r_phi = jumps.dynamic_jump_residuals(fj, p)
+    s_w, s_phi = jumps.dynamic_jump_scales(fj, p)
     return np.maximum(_scaled(r_w, s_w), _scaled(r_phi, s_phi))
 
 
 def _balance_jump_scaled(name, fj, p):
-    return _scaled(*_balance_jump_terms(name, fj, p))
+    return _scaled(jumps.balance_jump_residual(name, fj, p), jumps.balance_jump_scale(name, fj, p))
 
 
 def _closed_form_scaled(name, fj, p):
-    return _scaled(_closed_form_residuals(name, fj, p), _balance_jump_terms(name, fj, p)[1])
+    # the closed form first: a record that is no acceleration wave raises
+    # before its scale is formed
+    residual = jumps.closed_form_jump_residual(name, fj, p)
+    return _scaled(residual, jumps.balance_jump_scale(name, fj, p))
 
 
 def _run_jump_check(scaled, scenario: Scenario, field, check, rng):

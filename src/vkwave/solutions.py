@@ -566,7 +566,7 @@ def _pde_scaled(_, batch, p):
     return r[0] if len(r) == 1 else np.maximum(r[0], r[1], out=r[0])
 
 
-#: The jet slots _pde_terms reads, the same for w and phi: a pde_residual
+#: The jet slots _pde_rows reads, the same for w and phi: a pde_residual
 #: check fills at most these, and only those of them _pde_plan gives.
 _PDE_SLOTS = (S11, S12, S22, S33, S1111, S1122, S2222)
 
@@ -659,10 +659,11 @@ def _bilaplacian(f1111, f1122, f2222, scale, by, rows):
 
 
 def _pde_rows(jet: FieldJet, p: PlateParams, zero=_NO_ZERO_SLOTS):
-    """The results of _pde_terms as the rows of two arrays, residuals and
-    term scales, of shape (k,) + the batch shape, or (k, 1) at one point,
-    for the k equations that have a term left: (r1, r2) and (s1, s2), or
-    one of each, or r1's and s1's zeros when neither has a term left.
+    """The results of pde_residual and pde_term_scales as the rows of two
+    arrays, residuals and term scales, of shape (k,) + the batch shape, or
+    (k, 1) at one point, for the k equations that have a term left: (r1,
+    r2) and (s1, s2), or one of each, or r1's and s1's zeros when neither
+    has a term left.
 
     ``zero`` holds the slots of w and of phi that the field makes
     identically zero (its ``_zero_slots``).  Every product with such a
@@ -717,33 +718,25 @@ def _pde_rows(jet: FieldJet, p: PlateParams, zero=_NO_ZERO_SLOTS):
     return block[live], block[2:4][live]
 
 
-def _pde_terms(jet: FieldJet, p: PlateParams):
-    """Residuals (r1, r2) and term scales (s1, s2) of the two governing
-    equations at a jet, each term formed once for both:
+def pde_residual(jet: FieldJet, p: PlateParams):
+    """Left-hand sides (r1, r2) of the two governing equations at a jet:
 
         r1 = D bilap(w) - (w11 p22 + w22 p11 - 2 w12 p12) + rho w_33
         r2 = bilap(phi) / Eh + (w11 w22 - w12 w12)
 
-    and s1, s2 the sums of the magnitudes of those terms.  Each is formed
-    by the same operations in the same order as the plain expressions, but
-    in the rows of one array allocated here and rewritten in place, never
-    in the jet, so that a batch makes one array where the expressions made
-    37.  No two results share memory, nor any with the jet, so a caller
-    may overwrite them; at a one-point jet they are numpy scalars."""
-    shape = (2,) + jet.point.shape[:-1]
-    (r1, r2), (s1, s2) = (x.reshape(shape) for x in _pde_rows(jet, p))
-    return r1, r2, s1, s2
-
-
-def pde_residual(jet: FieldJet, p: PlateParams):
-    """Left-hand sides of the two governing equations at a jet.
-
-    Returns (r1, r2); both vanish identically on exact solutions.
+    Both vanish identically on exact solutions.  They are the residual
+    rows of _pde_rows, formed by the same operations in the same order as
+    the plain expressions, in one array allocated per call and never in
+    the jet, so a caller may overwrite them; at a one-point jet they are
+    numpy scalars.
     """
-    return _pde_terms(jet, p)[:2]
+    r1, r2 = _pde_rows(jet, p)[0].reshape((2,) + jet.point.shape[:-1])
+    return r1, r2
 
 
 def pde_term_scales(jet: FieldJet, p: PlateParams):
-    """Sum of absolute term magnitudes for each equation, for relative
-    residual comparisons."""
-    return _pde_terms(jet, p)[2:]
+    """Sum of absolute term magnitudes (s1, s2) for each equation of
+    pde_residual, for relative residual comparisons: the scale rows of
+    _pde_rows, shaped and owned as pde_residual's are."""
+    s1, s2 = _pde_rows(jet, p)[1].reshape((2,) + jet.point.shape[:-1])
+    return s1, s2

@@ -20,10 +20,10 @@ from vkwave.conservation import _DENSITY_SLOTS, _ROW_SLOTS, LAWS, density_flux
 from vkwave.errors import UnfilledSlotError, ValidationError
 from vkwave.indexing import MULTI_INDICES, S2, S1111
 from vkwave.jumps import (
-    _balance_jump_terms,
     _front_jets,
     amplitude_relation_residuals,
     balance_jump_residual,
+    balance_jump_scale,
     extract_jumps,
 )
 from vkwave.report import CheckResult, run_scenario
@@ -962,9 +962,8 @@ def test_jump_integrand_matches_per_point_geometry(case, unit_params, generic_pa
             jump_2 = df_b.flux.x2[k] - df_a.flux.x2[k]
             signed.append(c * (d_b - d_a) - (jump_1 * n1 + jump_2 * n2))
             absolute.append(abs(c) * (abs(d_b) + abs(d_a)) + abs(pn_b) + abs(pn_a))
-        shared_signed, shared_absolute = _balance_jump_terms(entry, fj, p)
-        assert shared_signed.tolist() == signed
-        assert shared_absolute.tolist() == absolute
+        assert balance_jump_residual(entry, fj, p).tolist() == signed
+        assert balance_jump_scale(entry, fj, p).tolist() == absolute
 
 
 def test_balance_residual_rejects_bad_dt(generic_params):

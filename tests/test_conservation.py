@@ -21,9 +21,9 @@ from vkwave.report import run_scenario
 from vkwave.scenario import build_field, load_scenario
 from vkwave.solutions import (
     PiecewiseField,
-    _pde_terms,
     acceleration_wave,
     invariant_solution,
+    pde_residual,
     polynomial_field,
 )
 from vkwave.tensors import (
@@ -257,7 +257,7 @@ def test_exact_divergence_is_the_characteristic_form(jets, generic_params):
         jet = FieldJet(points, rng.uniform(-1.0, 1.0, (50, 35)), rng.uniform(-1.0, 1.0, (50, 35)))
     else:
         jet = _x2_dependent_polynomials(p)[0].jet(points)
-    r1, r2, _, _ = _pde_terms(jet, p)
+    r1, r2 = pde_residual(jet, p)
     characteristics = _characteristics(jet)
     for entry in LAWS:
         est = _exact_divergence(entry, jet, p)

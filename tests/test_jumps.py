@@ -10,9 +10,6 @@ from vkwave.errors import NonAdmissibleRecordError, NotOnFrontError, ValidationE
 from vkwave.indexing import idx
 from vkwave.jumps import (
     _CLOSED_FORM_LAWS,
-    _balance_jump_terms,
-    _closed_form_residuals,
-    _dynamic_terms,
     _front_jets,
     _wave_conditions,
     _wave_reasons,
@@ -84,7 +81,8 @@ def test_off_front_error_names_the_first_off_front_point(wave):
 
 def _assert_records_equal_batch(field, pts, p):
     """Each public jump function on a point's own record gives, bit for
-    bit, what the batch record of all the points gives at that point."""
+    bit, what it gives at that point on the batch record of all the
+    points, and gives it as a numpy scalar."""
     (fj,) = _front_jets(field, pts)
     records = [extract_jumps(field, pt) for pt in pts]
     assert fj.lambda_.tolist() == [rec.lambda_ for rec in records]
@@ -93,17 +91,18 @@ def _assert_records_equal_batch(field, pts, p):
         want = np.array([getattr(rec.geometry, name) for rec in records])
         assert getattr(fj.geometry, name).tobytes() == want.tobytes(), name
 
-    r_w, r_phi, s_w, s_phi = _dynamic_terms(fj, p)
-    assert list(zip(r_w.tolist(), r_phi.tolist())) == [
-        dynamic_jump_residuals(rec, p) for rec in records
-    ]
-    assert list(zip(s_w.tolist(), s_phi.tolist())) == [
-        dynamic_jump_scales(rec, p) for rec in records
-    ]
+    def per_record(values):
+        assert all(type(v) is np.float64 for v in values)
+        return [float(v) for v in values]
+
+    for pair in (dynamic_jump_residuals, dynamic_jump_scales):
+        batch = [a.tolist() for a in pair(fj, p)]
+        singles = [pair(rec, p) for rec in records]
+        assert [per_record(s) for s in zip(*singles)] == batch, pair.__name__
     for entry in LAWS:
-        residual, scale = _balance_jump_terms(entry.index, fj, p)
-        assert residual.tolist() == [balance_jump_residual(entry, rec, p) for rec in records]
-        assert scale.tolist() == [balance_jump_scale(entry, rec, p) for rec in records]
+        for fn in (balance_jump_residual, balance_jump_scale):
+            got = per_record([fn(entry, rec, p) for rec in records])
+            assert fn(entry.index, fj, p).tolist() == got, (fn.__name__, entry.name)
 
     conditions = _wave_conditions(fj)
     verdicts = [check_acceleration_wave(rec) for rec in records]
@@ -111,15 +110,15 @@ def _assert_records_equal_batch(field, pts, p):
     assert [v.reasons for v in verdicts] == reasons
     for index in _CLOSED_FORM_LAWS:
         if all(v.passed for v in verdicts):
-            got = [closed_form_jump_residual(index, rec, p) for rec in records]
-            assert _closed_form_residuals(index, fj, p).tolist() == got, index
+            got = per_record([closed_form_jump_residual(index, rec, p) for rec in records])
+            assert closed_form_jump_residual(index, fj, p).tolist() == got, index
             continue
         # the batch raises the error of its first point that is no wave
         first = next(rec for rec, v in zip(records, verdicts) if not v.passed)
         with pytest.raises(NonAdmissibleRecordError) as want:
             closed_form_jump_residual(index, first, p)
         with pytest.raises(NonAdmissibleRecordError) as got:
-            _closed_form_residuals(index, fj, p)
+            closed_form_jump_residual(index, fj, p)
         assert str(got.value) == str(want.value), index
 
 
@@ -131,7 +130,9 @@ def test_closed_form_laws_run_the_wave_test_once_per_record(wave, generic_params
     p = generic_params
     pts = np.array([sample_front_point(wave.front, 0.2, s) for s in (-0.5, 0.1, 0.7)])
     # each law on a fresh record of the same points
-    want = [_closed_form_residuals(k, next(_front_jets(wave, pts)), p) for k in _CLOSED_FORM_LAWS]
+    want = [
+        closed_form_jump_residual(k, next(_front_jets(wave, pts)), p) for k in _CLOSED_FORM_LAWS
+    ]
     calls = []
 
     def counted(rec):
@@ -140,7 +141,7 @@ def test_closed_form_laws_run_the_wave_test_once_per_record(wave, generic_params
 
     monkeypatch.setattr(jumps, "_wave_conditions", counted)
     (fj,) = _front_jets(wave, pts)
-    got = [_closed_form_residuals(index, fj, p) for index in _CLOSED_FORM_LAWS]
+    got = [closed_form_jump_residual(index, fj, p) for index in _CLOSED_FORM_LAWS]
     assert calls == [fj]
     for a, b in zip(got, want):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 from vkwave import cli, solutions
+from vkwave.balance import front_segment_jump_integral
 from vkwave.conservation import _DENSITY_SLOTS, _ROW_SLOTS
 from vkwave.errors import ValidationError
 from vkwave.indexing import JET_SIZE, S33, S1111
@@ -22,6 +23,7 @@ from vkwave.jumps import (
     dynamic_jump_scales,
     extract_jumps,
 )
+from vkwave.params import Region
 from vkwave.report import _run_check, emit_report, run_scenario
 from vkwave.scenario import CHECK_KINDS, build_field, sample_front_point, scenario_from_dict
 from vkwave.solutions import _PDE_SLOTS, PiecewiseField, Side, pde_residual, pde_term_scales, polynomial_field
@@ -455,6 +457,72 @@ def test_jump_checks_make_one_jet_call_per_side(front, monkeypatch, count_jet_ca
         run_scenario(dataclasses.replace(scenario, checks=(check,)))
         n = len(check.times) * check.samples
         assert sizes == [n, n], check.kind
+
+
+def test_jump_rows_and_the_front_integral_run_the_public_jump_functions(monkeypatch):
+    # counting wrappers on the names of vkwave.jumps, where the benchmark's
+    # tracer puts its spans; the residuals' wrappers multiply what they
+    # return by ``factor``, so a row or integral that doubles with it was
+    # formed from them
+    from vkwave import jumps
+
+    calls, factor = [], [1.0]
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            out = fn(*args)
+            if "residual" not in name:
+                return out
+            return tuple(factor[0] * v for v in out) if isinstance(out, tuple) else factor[0] * out
+
+        return wrapper
+
+    for name in (
+        "dynamic_jump_residuals", "dynamic_jump_scales", "balance_jump_residual",
+        "balance_jump_scale", "closed_form_jump_residual",
+    ):
+        monkeypatch.setattr(jumps, name, counted(name, getattr(jumps, name)))
+    per_row = {
+        "dynamic_jumps": ["dynamic_jump_residuals", "dynamic_jump_scales"],
+        "balance_jump": ["balance_jump_residual", "balance_jump_scale"],
+        "closed_form_jump": ["closed_form_jump_residual", "balance_jump_scale"],
+    }
+
+    def run(scenario, check, by):
+        calls.clear()
+        factor[0] = by
+        return run_scenario(dataclasses.replace(scenario, checks=(check,))).results
+
+    nonzero = set()
+    # the circle's scenario patches build_field, so the line's goes first
+    for front in ("line", "circle"):
+        scenario, field = _jump_scenario(front, monkeypatch)
+        for check in scenario.checks:
+            want, got = run(scenario, check, 1.0), run(scenario, check, 2.0)
+            if all(r.status == "error" for r in want):
+                # records that are no acceleration wave raise before a scale is formed
+                assert calls == ["closed_form_jump_residual"] * len(want)
+                assert [r.detail for r in got] == [r.detail for r in want]
+                continue
+            # one jet batch per check: each row's two calls once
+            assert calls == per_row[check.kind] * len(want), check.kind
+            assert [r.residual for r in got] == [2.0 * r.residual for r in want], check.kind
+            nonzero.update(check.kind for r in want if r.residual > 0.0)
+    assert nonzero == set(per_row)
+
+    region = Region(-0.2, 1.0, -1.0, 0.5)
+    factor[0] = 1.0
+    signed, absolute = (
+        front_segment_jump_integral(field, "energy", region, 0.1, absolute=a) for a in (False, True)
+    )
+    factor[0] = 2.0
+    calls.clear()
+    assert front_segment_jump_integral(field, "energy", region, 0.1, absolute=True) == absolute
+    assert calls and set(calls) == {"balance_jump_scale"}
+    calls.clear()
+    assert front_segment_jump_integral(field, "energy", region, 0.1) == 2.0 * signed != 0.0
+    assert calls and set(calls) == {"balance_jump_residual"}
 
 
 def test_jump_check_error_takes_the_draws_up_to_the_failing_point(monkeypatch):

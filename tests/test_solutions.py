@@ -627,16 +627,19 @@ def test_pde_terms_read_only_the_pde_slots(generic_params):
     w_sub, phi_sub = w.copy(), phi.copy()
     w_sub[:, unfilled] = np.nan
     phi_sub[:, unfilled] = np.nan
-    full = solutions._pde_terms(FieldJet(pts, w, phi), generic_params)
-    sub = solutions._pde_terms(FieldJet._unchecked(pts, w_sub, phi_sub), generic_params)
+    full, sub = (
+        solutions._pde_rows(jet, generic_params)
+        for jet in (FieldJet(pts, w, phi), FieldJet._unchecked(pts, w_sub, phi_sub))
+    )
     for got, want in zip(sub, full):
         assert np.isfinite(got).all()
         assert np.array_equal(got, want)
 
 
 def _expression_pde_terms(jet, p):
-    """_pde_terms as plain expressions, each operation making a new array:
-    the reference its in-place form must match bit for bit."""
+    """pde_residual and pde_term_scales as plain expressions, each
+    operation making a new array: the reference their in-place form must
+    match bit for bit."""
     w11, w12, w22 = jet.w[..., S11], jet.w[..., S12], jet.w[..., S22]
     p11, p12, p22 = jet.phi[..., S11], jet.phi[..., S12], jet.phi[..., S22]
     bilap_w = jet.w[..., S1111] + 2.0 * jet.w[..., S1122] + jet.w[..., S2222]
@@ -690,16 +693,14 @@ def test_pde_terms_in_place_match_the_expressions_bit_for_bit(case, slots, gener
             assert np.all(jets[0].w[..., q] != 0.0) and np.all(jets[0].phi[..., q] != 0.0)
     for jet in jets:
         before = _jet_values(jet)
-        got, want = solutions._pde_terms(jet, p), _expression_pde_terms(jet, p)
+        got = pde_residual(jet, p) + pde_term_scales(jet, p)
+        want = _expression_pde_terms(jet, p)
         for name, g, w in zip(("r1", "r2", "s1", "s2"), got, want):
             assert type(g) is type(w) and np.shape(g) == np.shape(w), name
             assert g.tobytes() == w.tobytes(), name
         assert np.shape(got[0]) == () or np.ptp(got[2]) > 0.0  # a batch holds distinct terms
         for a, b in zip(_jet_values(jet), before):
             assert a.tobytes() == b.tobytes()
-        # the public pair functions return the same values
-        for g, w in zip(pde_residual(jet, p) + pde_term_scales(jet, p), want):
-            assert type(g) is type(w) and g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["acceleration_wave", "x2_polynomial"])
