@@ -43,11 +43,11 @@ runs in three steps:
    pieces of each order from those classes.  _edge_chunks cuts the
    boundary edges of every time once, and each order adds one block of
    their chunks.  balance_residual, which takes its integrals one slice
-   at a time, classifies t + dt and t - dt once each and cuts its edges
-   at t once, and passes them to the slices of both orders.  The plan is
-   blocks of quadrature pieces (points, weights, a time, a side: ahead,
-   behind or none, the cell or edge of the (order, time) slice the piece
-   belongs to, and a rank);
+   at a time, classifies t, t + dt and t - dt in one level loop, hands
+   each slice its time's classes (_Cells.at), and cuts its edges at t
+   once for both orders.  The plan is blocks of quadrature pieces
+   (points, weights, a time, a side: ahead, behind or none, the cell or
+   edge of the (order, time) slice the piece belongs to, and a rank);
 2. evaluate: the jets are computed over the pieces of all slices in
    plan order, each point at its own time, one jet call per batch for
    both sides of the front, and every requested law's density or flux is
@@ -77,7 +77,9 @@ import numpy as np
 
 from . import jumps
 from .conservation import _DENSITY_SLOTS, _ROW_SLOTS, density_flux
-from .errors import ValidationError, _first_failure, _is_integer, _positive_number, _real
+from .errors import (
+    ValidationError, VkwaveError, _first_failure, _is_integer, _positive_number, _real,
+)
 from .jumps import _front_jets
 from .params import LawId, Region, law
 from .solutions import Side, _batch_size
@@ -378,6 +380,20 @@ class _Cells(NamedTuple):
     n_cells: int
     uncut: tuple[np.ndarray, ...]
     graphs: _Graphs | None
+
+    def at(self, i: int) -> _Cells:
+        """The classes of time i alone, as _classify of that time gives
+        them: a box keeps its level, and each level its boxes in order."""
+        n = self.n_cells
+        keep = self.uncut[4] // n == i
+        lower, upper, times, sides, owners, ranks = (a[keep] for a in self.uncut)
+        uncut = (lower, upper, times, sides, owners - i * n, ranks)
+        graphs = self.graphs
+        if graphs is not None:
+            keep = graphs.owners // n == i
+            graphs = _Graphs(*(a[keep] for a in graphs))
+            graphs = graphs._replace(owners=graphs.owners - i * n) if keep.any() else None
+        return _Cells(1, n, uncut, graphs)
 
 
 def _classify(front, region: Region, times) -> _Cells:
@@ -702,17 +718,24 @@ def balance_residual(field, law_key, region: Region, t: float, dt=None) -> Balan
     # through density_integral and boundary_flux_integral, so anything that
     # wraps those names sees each of them (the benchmark's tracer, whose
     # self-test counts five and two calls); _balance_terms plans a whole
-    # check at once and gives the same bits.  Each time's cells are
-    # classified, and its edges cut, once for both orders.
+    # check at once and gives the same bits.  The three density times are
+    # classified in one level loop and each slice is handed its time's
+    # classes; the edges are cut once for both orders.  When that loop
+    # raises, each integral classifies its own time, so the error is that
+    # of the first integral that fails on its own, in the order t, t + dt,
+    # t - dt, whatever the loop met first.
     entry = law(law_key)
     t = _real("t", t)
     dt = _time_step(t, dt)
     order, low = region.quad_order, region.quad_order - 2
     front = getattr(field, "front", None)
-    now = density_integral(field, entry, region, t, order)
-    later = _classify(front, region, (t + dt,))
+    try:
+        cells = _classify(front, region, (t, t + dt, t - dt))
+        now, later, earlier = (cells.at(i) for i in range(3))
+    except VkwaveError:
+        now = later = earlier = None
+    value = density_integral(field, entry, region, t, order, _classes=now)
     plus = density_integral(field, entry, region, t + dt, order, _classes=later)
-    earlier = _classify(front, region, (t - dt,))
     minus = density_integral(field, entry, region, t - dt, order, _classes=earlier)
     edges = _edge_chunks(front, region, (t,))
     flux = boundary_flux_integral(field, entry, region, t, order, _chunks=edges)
@@ -722,7 +745,7 @@ def balance_residual(field, law_key, region: Region, t: float, dt=None) -> Balan
     deriv, residual, error = _balance_arithmetic(
         dt, plus, minus, plus_low, minus_low, flux, flux_low
     )
-    return BalanceReport(entry, t, now, flux, deriv, residual, error)
+    return BalanceReport(entry, t, value, flux, deriv, residual, error)
 
 
 def _front_arcs(region: Region, front, t) -> list[tuple[float, float]]:

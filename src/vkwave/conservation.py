@@ -20,8 +20,9 @@ and density_flux returns a view that builds a half only when it is read.
 The conservation check takes the divergence d3 Psi + d1 P1 + d2 P2
 exactly, from the jets it already fills: the rows read no slot above
 order 3, so d/dx_a of a row is a complex step through the unchanged row
-code, on a complex jet built from the 4-jet for each axis
-(_exact_divergence).  Every law shares a jet batch's three complex jets,
+code, on a complex jet built from the 4-jet (_exact_divergence): one for
+x3, whose densities it reads, and one of twice the points for x1 and x2,
+whose fluxes it reads.  Every law shares a jet batch's two complex jets,
 and their rows.  conservation_divergence is the same divergence at one
 point, a batch of one; the tests hold it to the symbolic total
 derivative of the rows.
@@ -304,19 +305,25 @@ class DivergenceEstimate:
 _COMPLEX_STEP = 1e-30
 
 
-def _complex_step_jet(jet: FieldJet, axis: int) -> FieldJet:
-    """The jet J + i h d_a J at x + i h e_a of each point of a jet batch,
-    for the axis a = axis + 1.  d_a J is J shifted by indexing.SHIFT; an
-    order-4 slot has no derivative in a 4-jet and gets a NaN imaginary
-    part."""
+def _complex_step_jet(jet: FieldJet, axes: tuple[int, ...]) -> FieldJet:
+    """The jets J + i h d_a J at x + i h e_a of the points of a jet batch,
+    for each axis a = axis + 1 of ``axes`` in turn: a batch of
+    len(axes) * N points, whose k-th N are the batch stepped along
+    axes[k].  d_a J is J shifted by indexing.SHIFT; an order-4 slot has no
+    derivative in a 4-jet and gets a NaN imaginary part."""
     n = len(jet.point)
-    point = jet.point.astype(complex)
-    point.imag[:, axis] = _COMPLEX_STEP
+    point = np.tile(jet.point, (len(axes), 1)).astype(complex)
+    for k, axis in enumerate(axes):
+        point.imag[k * n : (k + 1) * n, axis] = _COMPLEX_STEP
 
     def stepped(d: np.ndarray) -> np.ndarray:
         padded = np.concatenate((d, np.full((n, 1), np.nan)), axis=1)
-        out = d.astype(complex)
-        out.imag = _COMPLEX_STEP * padded[:, SHIFT[axis]]
+        # slot-major, as a fill lays out its jets, so that each slot is one
+        # contiguous run
+        out = np.empty((d.shape[-1], len(axes) * n), dtype=complex).T
+        for k, axis in enumerate(axes):
+            out.real[k * n : (k + 1) * n] = d
+            out.imag[k * n : (k + 1) * n] = _COMPLEX_STEP * padded[:, SHIFT[axis]]
         return out
 
     return FieldJet._unchecked(point, stepped(jet.w), stepped(jet.phi))
@@ -328,20 +335,24 @@ def _exact_divergence(law_key, jet: FieldJet, p: PlateParams) -> DivergenceEstim
 
     Each term is a complex step (Squire & Trapp 1998) through the unchanged
     row code: the imaginary part of a row at the complex-step jet of its
-    axis, over h, so Psi is read from the x3 jet, P1 from the x1 jet and P2
-    from the x2 jet.  It holds because the rows read no slot above order 3
-    and are complex-analytic (no abs, maximum or comparison).  Each
-    complex-step jet and its rows are built once per jet, for every law.
+    axis, over h.  Psi is read from the x3 jet, and P1 and P2 from one jet
+    of twice the points, stepped along x1 on the first half and along x2
+    on the second, so the fluxes are built once.  It holds because the
+    rows read no slot above order 3 and are complex-analytic (no abs,
+    maximum or comparison).  Each complex-step jet and its rows are built
+    once per jet, for every law.
     """
 
-    def rows(axis: int) -> DensityFlux:
-        build = lambda j, _: _complex_step_jet(j, axis)
-        return density_flux(law_key, jet._derived(("complex_step", axis), build, p), p)
+    def rows(axes: tuple[int, ...]) -> DensityFlux:
+        build = lambda j, _: _complex_step_jet(j, axes)
+        return density_flux(law_key, jet._derived(("complex_step", axes), build, p), p)
 
+    n = len(jet.point)
+    flux = rows((0, 1)).flux
     return DivergenceEstimate(
-        d_density_dt=rows(2).density.imag / _COMPLEX_STEP,
-        d_flux1_dx1=rows(0).flux.x1.imag / _COMPLEX_STEP,
-        d_flux2_dx2=rows(1).flux.x2.imag / _COMPLEX_STEP,
+        d_density_dt=rows((2,)).density.imag / _COMPLEX_STEP,
+        d_flux1_dx1=flux.x1[:n].imag / _COMPLEX_STEP,
+        d_flux2_dx2=flux.x2[n:].imag / _COMPLEX_STEP,
     )
 
 

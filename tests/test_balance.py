@@ -361,8 +361,8 @@ def test_shared_balance_equals_per_law_balance(case, unit_params, generic_params
 
 def test_balance_residual_calls_the_public_integrals(unit_params, generic_params, monkeypatch):
     # one law's five density and two flux integrals stay visible to
-    # anything that wraps the public one-law functions, while each of its
-    # three density times is classified once and its edges are cut once,
+    # anything that wraps the public one-law functions, while its three
+    # density times are classified in one call and its edges are cut once,
     # across the straight wave and the disc
     calls, cut = [], []
     for name in ("density_integral", "boundary_flux_integral"):
@@ -392,12 +392,7 @@ def test_balance_residual_calls_the_public_integrals(unit_params, generic_params
         assert calls.count("density_integral") == 5
         assert calls.count("boundary_flux_integral") == 2
         dt = balance._time_step(t, None)
-        assert cut == [
-            ("_classify", (t,)),
-            ("_classify", (t + dt,)),
-            ("_classify", (t - dt,)),
-            ("_edge_chunks", (t,)),
-        ]
+        assert cut == [("_classify", (t, t + dt, t - dt)), ("_edge_chunks", (t,))]
 
 
 _SHARED_PLAN_CASES = ["straight_wave", "disc", "inside", "one_edge", "one_corner"]
@@ -432,6 +427,43 @@ def test_shared_classes_and_chunks_keep_the_bits(case, unit_params, generic_para
                 assert shared.hex() == alone.hex(), (t, order, key)
 
 
+def _classes_equal(got, want):
+    """Assert that two _Cells hold the same classes, array for array and
+    dtype for dtype."""
+    assert (got.n_times, got.n_cells) == (want.n_times, want.n_cells)
+    assert (got.graphs is None) == (want.graphs is None)
+    pairs = list(zip(got.uncut, want.uncut))
+    if want.graphs is not None:
+        pairs += list(zip(got.graphs, want.graphs))
+    for a, b in pairs:
+        assert a.dtype == b.dtype
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", _SHARED_PLAN_CASES + ["no_front", "outside_at_one_time"])
+def test_classes_at_a_time_are_that_time_classified_alone(case, unit_params, generic_params):
+    # the cells of several times classified in one level loop, sliced at
+    # time i, are the cells of time i classified alone
+    if case == "no_front":
+        front, region, times = None, Region(-0.7, 0.9, -0.8, 0.7), (0.1, 0.2, 0.0)
+    elif case == "outside_at_one_time":
+        # a circle that grows into the region: at t = 0 it lies outside it
+        front = CircleFront(1.5, 0.0, 0.3, radial_speed=0.25)
+        region, times = Region(-0.7, 0.9, -0.8, 0.7), (2.0, 2.4, 0.0)
+    else:
+        field, region, times = _shared_plan_case(case, unit_params, generic_params)
+        front = field.front
+        dt = balance._time_step(times[0], None)
+        times = (times[0], times[0] + dt, times[0] - dt) + tuple(times[1:])
+    cells = balance._classify(front, region, times)
+    alone = [balance._classify(front, region, (t,)) for t in times]
+    for i, want in enumerate(alone):
+        _classes_equal(cells.at(i), want)
+    if case == "outside_at_one_time":
+        assert [c.graphs is None for c in alone] == [False, False, True]
+
+
 @pytest.mark.parametrize(
     "speed, levels, failing",
     [(-0.25, 6, "plus"), (0.25, 6, "minus"), (0.25, 5, "now")],
@@ -460,6 +492,39 @@ def test_balance_residual_raises_at_its_first_unresolved_time(
     assert message.endswith(f"at t = {dict(now=t, plus=t + dt, minus=t - dt)[name]}")
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         balance_residual(field, 1, region, t, dt)
+
+
+class _JetFailsAt:
+    """A field whose jets raise at every point of time t."""
+
+    def __init__(self, field, t):
+        self._field, self._t = field, t
+
+    def __getattr__(self, name):
+        return getattr(self._field, name)
+
+    def jet(self, points, *args, **kwargs):
+        if (points[..., 2] == self._t).any():
+            raise ValidationError("w contains non-finite entries")
+        return self._field.jet(points, *args, **kwargs)
+
+
+def test_balance_residual_raises_a_jet_error_at_t_before_an_unresolved_later_time(
+    generic_params, monkeypatch
+):
+    # the circle of test_balance_residual_raises_at_its_first_unresolved_time
+    # that is not resolved at t + dt alone: the density at t, which comes
+    # first, raises its jet error, as when each integral classified its own
+    # time, though classifying the three times together fails at t + dt
+    field = dataclasses.replace(
+        _disc_field(generic_params), front=CircleFront(0.1, -0.05, 0.05, radial_speed=-0.25)
+    )
+    region, t, dt = Region(-0.7, 0.9, -0.8, 0.7), 0.0, 0.1
+    monkeypatch.setattr(balance, "_MAX_LEVELS", 6)
+    with pytest.raises(ValidationError, match=r"not resolved by 6 levels .* at t = 0\.1$"):
+        balance._classify(field.front, region, (t, t + dt, t - dt))
+    with pytest.raises(ValidationError, match="^w contains non-finite entries$"):
+        balance_residual(_JetFailsAt(field, t), 1, region, t, dt)
 
 
 def test_balance_residual_raises_for_a_region_edge_on_the_front(unit_params, monkeypatch):
